@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import asdict, is_dataclass
@@ -19,6 +18,7 @@ from fractions import Fraction
 from . import linprog as lp
 from .formulations import (
     INFINITE,
+    VALUE_RTOL,
     InvariantViolation,
     WorstCaseConfig,
     build_dp_pne,
@@ -61,15 +61,12 @@ from .oracle import (
     worst_cce,
 )
 from .representative import build_representative
-from .smoothness import NOT_SMOOTHABLE, validate_smoothness_claims
+from .smoothness import BISECT_TOL, NOT_SMOOTHABLE, validate_smoothness_claims
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
-
-VALUE_RTOL = 1e-6
-BISECT_TOL = 1e-6
 
 
 def as_json(x):
@@ -94,7 +91,6 @@ def _settings(args, epsilon) -> dict:
         "predicate": getattr(args, "predicate", None),
         "arithmetic": "rational" if args.exact else "float64",
         "seed": args.seed,
-        "threads": args.threads,
         "cap": args.cap,
         "tolerances": {
             "feasibility": FEAS_TOL,
@@ -440,8 +436,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--exact", action="store_true",
                        help="rational arithmetic end to end")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker cap (advisory; evaluation is sequential)")
         p.add_argument("--cap", type=int, default=10**6,
                        help="profile enumeration cap")
         p.add_argument("--emit-witness", metavar="PATH",

@@ -5,11 +5,14 @@ worst-case (approximate) price of anarchy of the whole game class is the
 optimum of a pair of linear programs written on the representative model:
 the primal searches for latency coefficients making the first strategy
 profile an approximate equilibrium of maximal social value subject to the
-second profile's value being at most 1, the dual certifies the bound.  The
-coarse correlated analogues replace the point profile by a distribution
-over an arbitrary model with the same weights; every dual-feasible point
-of the pure program stays feasible there row by row, which is what
-verify_extension checks numerically.
+second profile's value being at most 1, the dual certifies the bound.  Only
+the primals are written out: each dual program is lp.dualize of its primal
+in certificate names, and solve_worst_case solves the primal alone and
+reads the certificate off its row duals.  The coarse correlated analogues
+replace the point profile by a distribution over an arbitrary model with
+the same weights; every dual-feasible point of the pure program stays
+feasible there row by row, which is what verify_extension checks
+numerically.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import linprog as lp
 from .games import (
-    MAX,
+    FEAS_TOL,
     SUM,
     CongestionModel,
     GameError,
@@ -36,7 +39,6 @@ OPTIMAL = "OPTIMAL"
 INFINITE = "INFINITE"
 
 VALUE_RTOL = 1e-6
-FEAS_TOL = 1e-9
 
 
 class InvariantViolation(Exception):
@@ -226,6 +228,32 @@ def build_pp_pne(
 # ============================================================
 
 
+def _certificate_program(pp: lp.LinearProgram) -> lp.LinearProgram:
+    """lp.dualize(pp) in certificate names.  Its variables, one per row of
+    pp and in the same order, become eq[i] -> y[i], val[i] -> z[i],
+    norm -> gamma, norm[i] -> gamma[i]; the row of variable v[e][k] is
+    labelled r[v[e][k]], and the last row, that of the max programs' level
+    variable t, zsum."""
+    dual = lp.dualize(pp)
+    name = {}
+    for label in dual.variables:
+        head, bracket, tail = label.partition("[")
+        name[label] = {"eq": "y", "val": "z", "norm": "gamma"}[head] + bracket + tail
+    rows = [
+        lp.Row({name[v]: a for v, a in row.coeffs.items()}, row.relation, row.rhs,
+               "zsum" if row.label == "t" else f"r[{row.label}]")
+        for row in dual.rows
+    ]
+    return lp.LinearProgram(
+        dual.sense,
+        list(name.values()),
+        {name[v]: c for v, c in dual.objective.items()},
+        rows,
+        bounds={name[v]: b for v, b in dual.bounds.items()},
+        name="d" + pp.name[1:],
+    )
+
+
 def build_dp_cce(
     cfg: WorstCaseConfig,
     model: CongestionModel,
@@ -233,55 +261,9 @@ def build_dp_cce(
     o_profile,
     designated: Optional[int] = None,
 ) -> lp.LinearProgram:
-    """Certificate program: one row per (resource, basis index)."""
-    n = cfg.n
-    eq, val, nrm = _coefficient_parts(cfg, model, dist, o_profile)
-    r = len(cfg.basis)
-    if cfg.spec.kind == SUM:
-        if designated is not None:
-            raise GameError("designated player applies to max objectives only")
-        val_m = _merge(val)
-        nrm_m = _merge(nrm)
-        variables = [f"y[{i}]" for i in range(n)] + ["gamma"]
-        rows = []
-        for e in model.resources:
-            for k in range(r):
-                key = vname(e, k)
-                coeffs = {}
-                for i in range(n):
-                    _add(coeffs, f"y[{i}]", eq[i].get(key, 0))
-                _add(coeffs, "gamma", nrm_m.get(key, 0))
-                rows.append(lp.Row(coeffs, lp.GE, val_m.get(key, 0), f"r[{key}]"))
-        return lp.LinearProgram(
-            lp.MINIMIZE, variables, {"gamma": 1}, rows, name="dp_sum"
-        )
-    if designated is None or not 0 <= designated < n:
-        raise GameError("max objective needs a designated player index")
-    variables = (
-        [f"y[{i}]" for i in range(n)]
-        + [f"z[{i}]" for i in range(n)]
-        + [f"gamma[{i}]" for i in range(n)]
-    )
-    bounds = {f"z[{designated}]": lp.FREE}
-    rows = []
-    for e in model.resources:
-        for k in range(r):
-            key = vname(e, k)
-            coeffs = {}
-            for i in range(n):
-                _add(coeffs, f"y[{i}]", eq[i].get(key, 0))
-                _add(coeffs, f"z[{i}]", val[i].get(key, 0))
-                _add(coeffs, f"gamma[{i}]", nrm[i].get(key, 0))
-            rows.append(lp.Row(coeffs, lp.GE, 0, f"r[{key}]"))
-    rows.append(lp.Row({f"z[{i}]": 1 for i in range(n)}, lp.LE, -1, "zsum"))
-    return lp.LinearProgram(
-        lp.MINIMIZE,
-        variables,
-        {f"gamma[{i}]": 1 for i in range(n)},
-        rows,
-        bounds=bounds,
-        name=f"dp_max_d{designated}",
-    )
+    """Certificate program: the dual of build_pp_cce, one row per
+    (resource, basis index)."""
+    return _certificate_program(build_pp_cce(cfg, model, dist, o_profile, designated))
 
 
 def build_dp_pne(
@@ -392,18 +374,17 @@ def _close(a, b, rtol):
     return abs(a - b) <= rtol * max(1, abs(a), abs(b))
 
 
-def solve_worst_case(
-    cfg: WorstCaseConfig,
-    exact: bool = False,
-    lp_tol: float = FEAS_TOL,
-    value_rtol: float = VALUE_RTOL,
-) -> WorstCaseResult:
-    """Solve the certificate program (and its primal) for the configuration.
+def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResult:
+    """Solve the worst-case primal for the configuration and certify its
+    optimum with the primal's row duals.
 
     For max objectives one program per designated player is solved and the
-    largest optimum wins.  Primal/dual agreement and the optimum being at
-    least 1 are guaranteed by the theory; violations raise
-    InvariantViolation rather than returning a bad number.
+    largest optimum wins; an unbounded primal makes gamma* infinite.  The
+    row duals, in certificate names, must be feasible for build_dp_pne with
+    objective equal to the primal optimum, which by weak duality proves
+    it.  These checks and the optimum being at least 1 are guaranteed by
+    the theory; violations raise InvariantViolation rather than returning a
+    bad number.
     """
     rep = build_representative(cfg.weights)
     designees = [None] if cfg.spec.kind == SUM else list(range(cfg.n))
@@ -412,48 +393,44 @@ def solve_worst_case(
         if exact:
             return lp.solve(program, exact=True)
         try:
-            return lp.solve(program, exact=False, tol=lp_tol)
+            return lp.solve(program, exact=False, tol=FEAS_TOL)
         except lp.SolverError:
-            # float kernel gave up (stall or phantom ray); rationals are
-            # slow but never lie
+            # float kernel gave up (stall, phantom ray or an inaccurate
+            # point); rationals are slow but never lie
             return lp.solve(program, exact=True)
 
     variants = []
     for d in designees:
-        rd = _solve(build_dp_pne(cfg, rep, d))
-        rp = _solve(build_pp_pne(cfg, rep, d))
-        if rd.status == lp.INFEASIBLE:
-            if rp.status != lp.UNBOUNDED:
-                raise InvariantViolation(
-                    f"dual infeasible but primal is {rp.status}, not unbounded"
-                )
-            variants.append(VariantResult(d, INFINITE, None, None, {}, {}, rd.iterations))
+        pp = build_pp_pne(cfg, rep, d)
+        rp = _solve(pp)
+        if rp.status == lp.UNBOUNDED:
+            variants.append(VariantResult(d, INFINITE, None, None, {}, {}, rp.iterations))
             continue
-        if rd.status != lp.OPTIMAL or rp.status != lp.OPTIMAL:
-            raise InvariantViolation(
-                f"unexpected statuses dual={rd.status} primal={rp.status}"
-            )
-        if not _close(rd.value, rp.value, value_rtol):
-            raise InvariantViolation(
-                f"duality gap: primal {rp.value} vs dual {rd.value}"
-            )
+        if rp.status != lp.OPTIMAL:
+            raise InvariantViolation(f"primal is {rp.status}; the unit witness is feasible")
+        dp = _certificate_program(pp)
+        cert = {v: rp.duals[row.label] for v, row in zip(dp.variables, pp.rows)}
+        ok, label, violation = lp.feasibility_report(dp, cert, 0 if exact else FEAS_TOL)
+        if not ok:
+            raise InvariantViolation(f"certificate violates {label} by {violation}")
+        bound = sum(c * cert.get(v, 0) for v, c in dp.objective.items())
+        if not _close(bound, rp.value, 0 if exact else VALUE_RTOL):
+            raise InvariantViolation(f"duality gap: primal {rp.value} vs certificate {bound}")
         variants.append(
-            VariantResult(d, OPTIMAL, rd.value, rp.value, rd.primal, rp.primal,
-                          rd.iterations + rp.iterations)
+            VariantResult(d, OPTIMAL, bound, rp.value, cert, rp.primal, rp.iterations)
         )
 
     infinite = [v for v in variants if v.status == INFINITE]
     if infinite:
-        best = infinite[0]
-        return WorstCaseResult(INFINITE, None, best.designated, rep, variants, {}, {}, exact)
-    best = max(variants, key=lambda v: v.dp_value)
-    if best.dp_value < 1 - 1e-9:
+        return WorstCaseResult(INFINITE, None, infinite[0].designated, rep, variants, {}, {}, exact)
+    best = max(variants, key=lambda v: v.pp_value)
+    if best.pp_value < 1 - 1e-9:
         raise InvariantViolation(
-            f"optimum {best.dp_value} below 1; the unit witness must be feasible"
+            f"optimum {best.pp_value} below 1; the unit witness must be feasible"
         )
     return WorstCaseResult(
         OPTIMAL,
-        best.dp_value,
+        best.pp_value,
         best.designated,
         rep,
         variants,

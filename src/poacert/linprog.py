@@ -411,13 +411,30 @@ class _Tableau:
         return vals
 
 
+def _float_residual(A, b, relations, tab):
+    """(worst violation relative to 1 + max|x|, row index or None for
+    x >= 0) of the basic point against the equilibrated rows A x R b, in
+    O(m^2): only basic columns are nonzero.  _Tableau flipped the rows with
+    a negative rhs in place; tab.sign turns them back to `relations`."""
+    basic = [(r, j) for r, j in enumerate(tab.basis) if tab.row_alive[r] and j < tab.n_struct]
+    x = np.array([tab.M[r, -1] for r, _ in basic], dtype=float)
+    sub = np.array([[row[j] for _, j in basic] for row in A], dtype=float)
+    gap = (sub.reshape(len(A), len(basic)) @ x - np.asarray(b, dtype=float)) * tab.sign
+    rel = np.asarray(relations)
+    by_row = np.where(rel == EQ, abs(gap), np.where(rel == GE, -gap, gap))
+    viol = np.concatenate([by_row, -x, [0]])
+    i = int(np.argmax(viol))
+    return viol[i] / (1 + np.abs(x).max(initial=0)), (i if i < len(A) else None)
+
+
 def solve(
     lp: LinearProgram,
     exact: bool = False,
     tol: float = 1e-9,
     max_iters: int | None = None,
 ) -> SolveReport:
-    """Two-phase simplex.  Raises SolverError rather than guessing."""
+    """Two-phase simplex.  Raises SolverError rather than guessing, also
+    when a float run ends at a point that violates its own rows."""
     std = _Standardizer(lp, exact)
     zero = std.zero
     sense_flip = -std.one if lp.sense == MINIMIZE else std.one
@@ -463,6 +480,15 @@ def solve(
     status = tab.run(full_costs, banned=frozenset(tab.artificials), max_iters=max_iters)
     if status == UNBOUNDED:
         return SolveReport(UNBOUNDED, None, {}, {}, tab.iterations, exact)
+
+    if not exact:
+        # a drifted float tableau can call an infeasible point optimal;
+        # honest runs stay below 1e-8 here, broken ones are off by O(1)
+        worst, i = _float_residual(A, b, rels, tab)
+        if worst > 1e-6:
+            where = "x >= 0" if i is None else (
+                lp.rows[i].label if i < n_original_rows else "an upper bound")
+            raise SolverError(f"float optimum violates {where} by {worst:.3g} (relative)")
 
     colvals = tab.column_values()
     primal = std.recover(colvals)

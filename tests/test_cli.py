@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from poacert import formulations, games, smoothness
 from poacert.cli import EXIT_INVARIANT, EXIT_OK, EXIT_VALIDATION, main
 
 CFG = {
@@ -67,6 +68,13 @@ def test_solve_worst_case_report(capsys, cfg_path):
     assert doc["gamma_star"] == pytest.approx(2.0, rel=1e-6)
     assert doc["settings"]["predicate"] == "eq1"
     assert doc["settings"]["arithmetic"] == "float64"
+    assert doc["settings"]["tolerances"] == {
+        "feasibility": games.FEAS_TOL,
+        "value_rtol": formulations.VALUE_RTOL,
+        "mass": games.MASS_TOL,
+        "bisection": smoothness.BISECT_TOL,
+    }
+    assert "threads" not in doc["settings"]
     assert doc["witness"]["equilibrium_value"] == pytest.approx(2.0, rel=1e-6)
     assert doc["witness"]["o_star_value"] <= 1 + 1e-9
 

@@ -192,12 +192,22 @@ def test_production_dual_rows_match_hand_rows_n2():
         assert row.relation == lp.GE
 
 
+def assert_certifies(cfg, r):
+    """r.dual_solution is exactly feasible for the dual program of the
+    winning designee, with objective gamma*: weak duality proves gamma*."""
+    program = build_dp_pne(cfg, r.rep, r.designated)
+    ok, label, violation = lp.feasibility_report(program, r.dual_solution, 0)
+    assert ok, f"certificate violates {label} by {violation}"
+    assert objective_at(program, r.dual_solution) == r.gamma_star
+
+
 def test_anchor_two_players():
     r = solve_worst_case(unit_cfg(), exact=True)
     assert r.status == OPTIMAL
     assert r.gamma_star == F(2)
     assert r.dual_solution["y[0]"] == F(1)
     assert r.dual_solution["gamma"] == F(2)
+    assert_certifies(unit_cfg(), r)
 
 
 def test_anchor_three_players():
@@ -214,6 +224,7 @@ def test_anchor_max_objective():
     assert r.status == OPTIMAL
     assert r.gamma_star == F(2)
     assert {v.designated for v in r.variants} == {0, 1}
+    assert_certifies(unit_cfg(kind=MAX), r)
 
 
 def test_anchor_eps_one():
@@ -226,6 +237,57 @@ def test_alpha_zero_is_infinite():
     r = solve_worst_case(unit_cfg(alpha=zero), exact=True)
     assert r.status == INFINITE
     assert r.gamma_star is None
+
+
+def mixed_cell(exact):
+    """A three-player max cell (class-ladder seed 2019) whose designees 0
+    and 1 are unbounded while designee 2 is certified at exactly 1; the
+    float simplex once reported its dual program OPTIMAL at 1.2468 at an
+    infeasible point."""
+    num = F if exact else float
+
+    def matrix(rows):
+        return [[num(F(x)) for x in row] for row in rows]
+
+    return WorstCaseConfig(
+        [num(F(x)) for x in ("3/4", "7/4", "1/2")],
+        matrix([["3/4", "-1/4", "-3/4"], ["-1/2", "1", "-1/4"], ["0", "1/4", "-3/4"]]),
+        SocialSpec(MAX, matrix([["1/4", "1/4", "3/4"], ["1/2", "1/4", "3/4"],
+                                ["1/4", "1/4", "1/2"]])),
+        num(0),
+        (BasisFunction.monomial(1), BasisFunction.monomial(2), BasisFunction.indicator()),
+    )
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_mixed_cell_is_infinite(exact):
+    cfg = mixed_cell(exact)
+    r = solve_worst_case(cfg, exact=exact)
+    assert r.status == INFINITE
+    assert [v.status for v in r.variants] == [INFINITE, INFINITE, OPTIMAL]
+    certified = r.variant(2)
+    program = build_dp_pne(cfg, r.rep, 2)
+    ok, label, violation = lp.feasibility_report(
+        program, certified.dual, 0 if exact else 1e-9)
+    assert ok, f"certificate violates {label} by {violation}"
+    if exact:
+        assert certified.pp_value == certified.dp_value == 1
+    else:
+        assert certified.pp_value == pytest.approx(1, rel=1e-9)
+
+
+def test_float_dual_of_mixed_cell_is_never_a_false_optimum():
+    # an exact solve of this program takes minutes; only the float verdict
+    # is checked: an error, or a point that really is feasible
+    cfg = mixed_cell(False)
+    program = build_dp_pne(cfg, build_representative(cfg.weights), 2)
+    try:
+        res = lp.solve(program)
+    except lp.SolverError:
+        return
+    assert res.status == lp.OPTIMAL
+    ok, label, violation = lp.feasibility_report(program, res.primal)
+    assert ok, f"OPTIMAL point violates {label} by {violation}"
 
 
 def test_float_and_exact_agree_on_anchor():
