@@ -2,7 +2,7 @@
 
 A (lam, mu) certificate bounds every equilibrium notion's inefficiency by
 lam/(1-mu); the robust price of anarchy is the best such bound, found by
-bisection over LP feasibility probes.  The framework only applies when the
+one linear-fractional LP.  The framework only applies when the
 social function is sum-bounded — the demo ends with a weighting matrix
 that breaks that precondition and gets caught.
 """
@@ -41,7 +41,7 @@ print(f"(1, 0) is a valid certificate:     {ok}  (violated at pair {witness})")
 r = robust_poa(game, spec)
 print(
     f"\nrobust price of anarchy: {r.value:.6f} "
-    f"(lam = {r.lam:.6f}, mu = {r.mu:.6f}, {r.probes} LP probes)"
+    f"(lam = {r.lam:.6f}, mu = {r.mu:.6f}, {r.probes} LP solve)"
 )
 
 v = validate_smoothness_claims(game, spec)

@@ -61,7 +61,7 @@ from .oracle import (
     worst_cce,
 )
 from .representative import build_representative
-from .smoothness import BISECT_TOL, NOT_SMOOTHABLE, validate_smoothness_claims
+from .smoothness import NOT_SMOOTHABLE, validate_smoothness_claims
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -96,7 +96,6 @@ def _settings(args, epsilon) -> dict:
             "feasibility": FEAS_TOL,
             "value_rtol": VALUE_RTOL,
             "mass": MASS_TOL,
-            "bisection": BISECT_TOL,
         },
     }
 

@@ -3,17 +3,17 @@
 A game is (lam, mu)-smooth when sum_i c_i(sigma_{-i}, sigma'_i) is at most
 lam*SF(sigma') + mu*SF(sigma) for every ordered profile pair; any such
 certificate with mu < 1 bounds every equilibrium notion's inefficiency by
-lam/(1-mu).  The infimum of that ratio over the certificate polyhedron is
-computed by bisection on the bound rho, each step an LP feasibility probe
-of {lam <= rho*(1-mu)} against the pair constraints.  mu may be negative;
-the probe carries an explicit slack variable keeping mu strictly below 1,
-since the closure point (lam, mu) = (0, 1) satisfies the pair rows of some
-degenerate games while certifying nothing.
+lam/(1-mu).  The infimum of that ratio over the certificate polyhedron is a
+linear-fractional program, solved as one LP after the Charnes-Cooper
+transform t = 1/(1-mu) (Charnes & Cooper 1962), exactly on Fraction input.
+mu may be negative but stays below 1 (t > 0): the closure point (0, 1)
+satisfies the pair rows of some degenerate games, certifying nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from . import linprog as lp
@@ -30,9 +30,7 @@ from .oracle import NO_EQUILIBRIUM, PROFILE_CAP, exact_ppoa, social_optimum, wor
 NOT_SMOOTHABLE = "NOT_SMOOTHABLE"
 OPTIMAL = "OPTIMAL"
 
-BISECT_TOL = 1e-6
 _STRICT = 1e-12  # mu < 1 enforced up to this margin in the probe
-_BRACKET_DOUBLINGS = 40
 
 
 @dataclass(frozen=True)
@@ -106,59 +104,68 @@ def check_smooth(
 class RobustPoA:
     status: str  # OPTIMAL or NOT_SMOOTHABLE
     value: Optional[object]
-    lam: Optional[float]
-    mu: Optional[float]
+    lam: Optional[object]
+    mu: Optional[object]
     unbounded_witness: Optional[tuple]  # profile breaking sum-boundedness
-    probes: int
+    probes: int  # LP solves
+
+
+def _pair_rows(sf, dev):
+    """lam*SF(sigma') + mu*SF(sigma) - t*dev(sigma, sigma') >= 0 for every
+    ordered pair; t = 1 gives the certificate rows themselves."""
+    rows = []
+    for a, sf_a in enumerate(sf):
+        for b, sf_b in enumerate(sf):
+            coeffs = {}
+            if sf_b:
+                coeffs["lam"] = sf_b
+            if sf_a:
+                coeffs["mu"] = sf_a
+            if dev[a][b]:
+                coeffs["t"] = -dev[a][b]
+            rows.append(lp.Row(coeffs, lp.GE, 0, f"pair[{a}][{b}]"))
+    return rows
+
+
+def _solve(program):
+    try:
+        return lp.solve(program)
+    except lp.SolverError:  # float kernel gave up; rationals never lie
+        return lp.solve(program, exact=True)
 
 
 def _probe(rho: float, sf, dev) -> Optional[tuple]:
     """Feasibility of a certificate with bound <= rho: returns (lam, mu) or
     None.  delta keeps mu strictly below 1."""
-    rows = []
-    m = len(sf)
-    for a in range(m):
-        for b in range(m):
-            coeffs = {}
-            if sf[b]:
-                coeffs["lam"] = sf[b]
-            if sf[a]:
-                coeffs["mu"] = sf[a]
-            rows.append(lp.Row(coeffs, lp.GE, dev[a][b], f"pair[{a}][{b}]"))
-    rows.append(lp.Row({"lam": 1, "mu": rho}, lp.LE, rho, "cap"))
-    rows.append(lp.Row({"mu": 1, "delta": 1}, lp.LE, 1, "strict"))
+    rows = _pair_rows(sf, dev) + [
+        lp.Row({"lam": 1, "mu": rho}, lp.LE, rho, "cap"),
+        lp.Row({"mu": 1, "delta": 1}, lp.LE, 1, "strict"),
+    ]
     program = lp.LinearProgram(
         lp.MAXIMIZE,
-        ["lam", "mu", "delta"],
+        ["lam", "mu", "t", "delta"],
         {"delta": 1},
         rows,
-        bounds={"mu": lp.FREE, "delta": (0, 1)},
+        bounds={"mu": lp.FREE, "t": (1, 1), "delta": (0, 1)},
         name="smooth_probe",
     )
-    try:
-        rep = lp.solve(program)
-    except lp.SolverError:
-        # float kernel gave up; rationals are slow but never lie
-        rep = lp.solve(program, exact=True)
+    rep = _solve(program)
     if rep.status != lp.OPTIMAL or rep.value <= _STRICT:
         return None
     return float(rep.primal["lam"]), float(rep.primal["mu"])
 
 
 def robust_poa(
-    game: GeneralizedGame,
-    spec: SocialSpec,
-    tol: float = BISECT_TOL,
-    cap: int = PROFILE_CAP,
+    game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP
 ) -> RobustPoA:
-    """Bisection for inf lam/(1-mu) over valid certificates.
+    """inf lam/(1-mu) over valid certificates, as one linear program.
 
     Only defined for sum-bounded (game, spec) pairs — everything else is
-    NOT_SMOOTHABLE with the offending profile attached.  The returned value
-    sits on the certified (feasible) side of the final bracket, so it is
-    always a genuine inefficiency upper bound, at most tol above the
-    infimum.  The infimum itself may be unattained; the witness (lam, mu)
-    comes from the last feasible probe.
+    NOT_SMOOTHABLE with the offending profile attached.  On Fraction input
+    value = lam/(1-mu) is the exact infimum, in Fractions; otherwise it
+    is the optimum of one LP whose point passed lp.solve's residual check.
+    Where that point has t = 0, (lam, mu) are None: the value is then
+    max SF / min SF, approached by certificates only as mu -> -inf.
     """
     ok, witness = is_sum_bounded(game, spec, cap=cap)
     if not ok:
@@ -167,41 +174,32 @@ def robust_poa(
     one = sf[0] / sf[0] if sf and sf[0] else 1
     if len(profiles) == 1:
         # only the pair (sigma, sigma) exists; lam=1, mu=0 is tight
-        return RobustPoA(OPTIMAL, one, 1.0, 0.0, None, 0)
-    sf = [float(v) for v in sf]
-    dev = [[float(v) for v in row] for row in dev]
-    # pair rows are homogeneous in the table scale, so dividing both tables
-    # by a common factor leaves the feasible (lam, mu) set untouched while
-    # keeping the probe LP's data near unit scale
-    big = max(max(sf), max(abs(x) for row in dev for x in row), 1.0)
-    if big > 1.0:
+        return RobustPoA(OPTIMAL, one, one, 0 * one, None, 0)
+    exact = isinstance(sf[0], Fraction)
+    if not exact:
+        # pair rows are homogeneous in the table scale, so dividing both
+        # tables by a common factor leaves the feasible set untouched while
+        # keeping the LP's data near unit scale
+        big = float(max(max(sf), max(abs(x) for row in dev for x in row), 1.0))
         sf = [v / big for v in sf]
         dev = [[x / big for x in row] for row in dev]
-
-    ratios = [
-        dev[a][b] / sf[b] for a in range(len(sf)) for b in range(len(sf)) if sf[b] > 0
-    ]
-    hi = max(1.0, max(ratios, default=1.0))
-    probes = 0
-    cert = None
-    for _ in range(_BRACKET_DOUBLINGS):
-        probes += 1
-        cert = _probe(hi, sf, dev)
-        if cert is not None:
-            break
-        hi *= 2
-    if cert is None:
-        return RobustPoA(NOT_SMOOTHABLE, None, None, None, None, probes)
-    lo = 0.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        probes += 1
-        found = _probe(mid, sf, dev)
-        if found is None:
-            lo = mid
-        else:
-            hi, cert = mid, found
-    return RobustPoA(OPTIMAL, hi, cert[0], cert[1], None, probes)
+    # Charnes-Cooper: "lam" and "mu" stand for lam*t and mu*t with
+    # t = 1/(1-mu), so the ratio is the objective and mu < 1 is t > 0
+    program = lp.LinearProgram(
+        lp.MINIMIZE,
+        ["lam", "mu", "t"],
+        {"lam": 1},
+        _pair_rows(sf, dev) + [lp.Row({"t": 1, "mu": -1}, lp.EQ, 1, "unit")],
+        bounds={"lam": lp.FREE, "mu": lp.FREE},
+        name="smooth_probe_ratio",
+    )
+    rep = lp.solve(program, exact=True) if exact else _solve(program)
+    if rep.status != lp.OPTIMAL:
+        return RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 1)
+    x = rep.primal if exact else {v: float(c) for v, c in rep.primal.items()}
+    if not x["t"]:
+        return RobustPoA(OPTIMAL, x["lam"], None, None, None, 1)
+    return RobustPoA(OPTIMAL, x["lam"], x["lam"] / x["t"], x["mu"] / x["t"], None, 1)
 
 
 @dataclass
@@ -217,23 +215,24 @@ class SmoothnessValidation:
 
 
 def validate_smoothness_claims(
-    game: GeneralizedGame,
-    spec: SocialSpec,
-    tol: float = BISECT_TOL,
-    cap: int = PROFILE_CAP,
+    game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP
 ) -> SmoothnessValidation:
     """Cross-check the certificate machinery against the exact oracles:
     the pure ratio at eps=0 and the coarse ratio must both sit below the
-    robust bound.  Either failing indicates a bug, not a bad instance."""
-    robust = robust_poa(game, spec, tol, cap)
+    robust bound.  Either failing indicates a bug, not a bad instance.
+    Fraction input is compared exactly; otherwise the bound gets a relative
+    FEAS_TOL of slack."""
+    robust = robust_poa(game, spec, cap)
     _, opt = social_optimum(game, spec, cap)
     ppoa = exact_ppoa(game, spec, 0, cap=cap)
-    ccpoa = worst_cce_value(game, spec, 0, cap=cap) / opt
+    exact = isinstance(opt, Fraction)
+    ccpoa = worst_cce_value(game, spec, 0, cap=cap, exact=exact) / opt
     if robust.status != OPTIMAL:
         return SmoothnessValidation(
             False, robust.unbounded_witness, robust, ppoa, ccpoa, None, None, None
         )
-    ok_p = None if ppoa == NO_EQUILIBRIUM else bool(ppoa <= robust.value + tol)
-    ok_c = bool(ccpoa <= robust.value + tol)
+    bound = robust.value if exact else robust.value * (1 + FEAS_TOL)
+    ok_p = None if ppoa == NO_EQUILIBRIUM else bool(ppoa <= bound)
+    ok_c = bool(ccpoa <= bound)
     gap = None if ppoa == NO_EQUILIBRIUM else float(robust.value - ppoa)
     return SmoothnessValidation(True, None, robust, ppoa, ccpoa, ok_p, ok_c, gap)

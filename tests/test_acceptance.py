@@ -559,7 +559,7 @@ def test_criterion_09_smoothness_suite(grid, witnesses):
             dt = time.perf_counter() - t1
             worst_dt = max(worst_dt, dt)
             mech += 1
-            c.check(dt < 1.0, f"{run.label}: bisection took {dt:.2f}s")
+            c.check(dt < 1.0, f"{run.label}: robust_poa took {dt:.2f}s")
             c.check(rw.status == SM_OPTIMAL, f"{run.label}: status {rw.status}")
             if run.key[2] != "identity" or rw.status != SM_OPTIMAL:
                 # off-diagonal perception decouples the equilibrium

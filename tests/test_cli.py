@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from poacert import formulations, games, smoothness
+from poacert import formulations, games
 from poacert.cli import EXIT_INVARIANT, EXIT_OK, EXIT_VALIDATION, main
 
 CFG = {
@@ -72,7 +72,6 @@ def test_solve_worst_case_report(capsys, cfg_path):
         "feasibility": games.FEAS_TOL,
         "value_rtol": formulations.VALUE_RTOL,
         "mass": games.MASS_TOL,
-        "bisection": smoothness.BISECT_TOL,
     }
     assert "threads" not in doc["settings"]
     assert doc["witness"]["equilibrium_value"] == pytest.approx(2.0, rel=1e-6)
@@ -173,6 +172,15 @@ def test_smoothness_command(capsys, game_path):
     assert doc["robust_poa"] == pytest.approx(5 / 3, abs=1e-4)
     assert doc["bounds_hold"] == {"ppoa": True, "ccpoa": True}
     assert doc["exact_ccpoa"] == pytest.approx(1.5, rel=1e-9)
+
+
+def test_smoothness_command_exact(capsys, game_path):
+    code, doc = run(capsys, "smoothness", "--game", game_path, "--exact")
+    assert code == EXIT_OK
+    assert doc["robust_poa"] == "5/3"
+    assert (doc["lambda"], doc["mu"]) == ("5/2", "-1/2")
+    assert doc["exact_ccpoa"] == "3/2"
+    assert doc["bounds_hold"] == {"ppoa": True, "ccpoa": True}
 
 
 def test_max_flag_overrides_config(capsys, cfg_path):

@@ -167,16 +167,17 @@ def test_hand_dual_n2_has_value_two():
     assert r.primal["y[1]"] == F(1)
 
 
-def test_production_dual_rows_match_hand_rows_n2():
+@pytest.mark.parametrize("n", [2, 3])
+def test_production_dual_rows_match_hand_rows(n):
     """Row-by-row agreement between build_dp_pne and the enumerator, keyed
     by (P, Q) masks."""
-    cfg = unit_cfg()
+    cfg = unit_cfg(n=n)
     rep = build_representative(cfg.weights)
     program = build_dp_pne(cfg, rep)
     by_label = {row.label: row for row in program.rows}
-    for pq in itertools.product([0, 1], repeat=4):
-        p = tuple(i for i in range(2) if pq[i])
-        q = tuple(i for i in range(2) if pq[2 + i])
+    for pq in itertools.product([0, 1], repeat=2 * n):
+        p = tuple(i for i in range(n) if pq[i])
+        q = tuple(i for i in range(n) if pq[n + i])
         eid = rep.resource_for(p, q)
         row = by_label[f"r[{vname(eid, 0)}]"]
         want = {}

@@ -1,4 +1,4 @@
-"""Certificate checking and the bisection bound."""
+"""Certificate checking and the robust bound."""
 
 import time
 from fractions import Fraction as F
@@ -92,6 +92,47 @@ def test_robust_poa_brackets_known_ratios():
     assert r.lam / (1 - r.mu) <= r.value + 1e-6
 
 
+X = BasisFunction.monomial(1)
+
+
+@pytest.mark.parametrize("seed, value", [
+    (None, F(5, 3)),
+    (5, F(25, 14)),
+    (13, F(41, 23)),
+    (42, F(101, 83)),
+    (45, F(4, 3)),
+    (59, F(27, 19)),
+], ids=["g1", "seed5", "seed13", "seed42", "seed45", "seed59"])
+def test_robust_poa_pins_exact_infima(seed, value):
+    if seed is None:
+        g, gf = g1(), g1(exact=False)
+    else:
+        g = random_game(seeded(seed), (F(1), F(1)), (X,), identity_matrix(2, True), exact=True)
+        gf = random_game(seeded(seed), (1.0, 1.0), (X,), identity_matrix(2))
+    r = robust_poa(g, g1_spec(SUM))
+    assert r.status == OPTIMAL and r.probes == 1
+    assert type(r.value) is F and r.value == value
+    assert r.lam / (1 - r.mu) == value
+    rf = robust_poa(gf, g1_spec(SUM, exact=False))
+    assert rf.value == pytest.approx(float(value), rel=1e-9)
+
+
+def test_robust_poa_infimum_at_t_zero_is_the_trivial_bound():
+    g = random_game(seeded(4), (F(1), F(1)), (X,), identity_matrix(2, True), exact=True)
+    spec = g1_spec(MAX)
+    r = robust_poa(g, spec)
+    _, sf, dev = _pair_tables(g, spec, 10 ** 6)
+    assert r.status == OPTIMAL and (r.lam, r.mu) == (None, None)
+    assert r.value == max(sf) / min(sf) == F(22, 15)
+    # unattained, yet approached: certificates exist just above the value
+    sf = [float(v) for v in sf]
+    dev = [[float(v) for v in row] for row in dev]
+    assert _probe(float(r.value) - 1e-3, sf, dev) is None
+    assert _probe(float(r.value) + 1e-3, sf, dev) is not None
+    v = validate_smoothness_claims(g, spec)
+    assert v.ppoa_within_bound is not False and v.ccpoa_within_bound
+
+
 def test_robust_poa_value_is_tight():
     g = g1(exact=False)
     spec = g1_spec(SUM, exact=False)
@@ -165,5 +206,6 @@ def test_robust_dominates_oracles_on_seeded_games():
         if ppoa != NO_EQUILIBRIUM:
             assert ppoa <= r.value + 1e-6
         assert ccpoa <= r.value + 1e-6
+        assert check_smooth(g, spec, SmoothnessCertificate(r.lam, r.mu)) == (True, None)
         hits += 1
     assert hits >= 10  # the generator must not degenerate
