@@ -21,6 +21,7 @@ from .formulations import (
     VALUE_RTOL,
     InvariantViolation,
     WorstCaseConfig,
+    _close,
     build_dp_pne,
     build_pp_pne,
     extract_worst_game,
@@ -366,14 +367,13 @@ def cmd_selftest(args) -> int:
         pp = build_pp_pne(cfg, rep, wit.designated)
         feas, label, viol = lp.feasibility_report(pp, wit.values, FEAS_TOL)
         obj = sum(pp.objective.get(v, 0) * x for v, x in wit.values.items())
-        record(f"{tag} witness", feas and abs(obj - 1) <= 1e-9,
+        record(f"{tag} witness", feas and abs(obj - 1) <= FEAS_TOL,
                f"objective {obj}, worst violation {viol}")
         if result.status == INFINITE:
             record(f"{tag} status", True, "INFINITE")
             continue
         dual_of_pp = lp.solve(lp.dualize(build_pp_pne(cfg, rep, result.designated)))
-        agree = abs(dual_of_pp.value - result.gamma_star) <= 1e-6 * max(
-            1, abs(result.gamma_star))
+        agree = _close(dual_of_pp.value, result.gamma_star, VALUE_RTOL)
         record(f"{tag} duality", agree,
                f"gamma {result.gamma_star} vs dualized {dual_of_pp.value}")
         model = rep.model

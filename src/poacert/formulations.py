@@ -95,6 +95,25 @@ def _merge(parts) -> dict:
     return out
 
 
+def _add_beta_costs(out, cfg: WorstCaseConfig, model: CongestionModel, loads, users, mass):
+    """Add mass times each player i's beta-cost at one profile, given its
+    loads and resource users, to out[i]."""
+    n = cfg.n
+    w = cfg.weights
+    beta = cfg.spec.beta
+    basis = cfg.basis
+    for e in model.resources:
+        if loads[e] == 0:
+            continue
+        fvals = [f.value(loads[e]) for f in basis]
+        for i in range(n):
+            b = sum(beta[i][j] * w[j] for j in users[e] if beta[i][j] != 0)
+            if b == 0:
+                continue
+            for k, fv in enumerate(fvals):
+                _add(out[i], vname(e, k), mass * fv * b)
+
+
 def _coefficient_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_profile):
     """Per-(resource, basis) coefficient tables shared by all four programs.
 
@@ -105,7 +124,6 @@ def _coefficient_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_pro
     n = cfg.n
     w = cfg.weights
     alpha = cfg.alpha
-    beta = cfg.spec.beta
     eps = cfg.epsilon
     basis = cfg.basis
     if tuple(model.weights) != tuple(w):
@@ -118,16 +136,7 @@ def _coefficient_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_pro
         loads = congestion(model, prof)
         users = resource_users(model, prof)
         s_sets = model.profile_strategies(prof)
-        for e in model.resources:
-            if loads[e] == 0:
-                continue
-            fvals = [f.value(loads[e]) for f in basis]
-            for i in range(n):
-                b = sum(beta[i][j] * w[j] for j in users[e] if beta[i][j] != 0)
-                if b == 0:
-                    continue
-                for k, fv in enumerate(fvals):
-                    _add(val[i], vname(e, k), mass * fv * b)
+        _add_beta_costs(val, cfg, model, loads, users, mass)
         for i in range(n):
             si, oi = s_sets[i], o_sets[i]
             for e in si - oi:
@@ -150,18 +159,9 @@ def _coefficient_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_pro
                         _add(eq[i], vname(e, k), -(1 + eps) * mass * fv * aw)
 
     nrm = [dict() for _ in range(n)]
-    loads_o = congestion(model, o_profile)
-    users_o = resource_users(model, o_profile)
-    for e in model.resources:
-        if loads_o[e] == 0:
-            continue
-        fvals = [f.value(loads_o[e]) for f in cfg.basis]
-        for i in range(n):
-            b = sum(beta[i][j] * w[j] for j in users_o[e] if beta[i][j] != 0)
-            if b == 0:
-                continue
-            for k, fv in enumerate(fvals):
-                _add(nrm[i], vname(e, k), fv * b)
+    _add_beta_costs(
+        nrm, cfg, model, congestion(model, o_profile), resource_users(model, o_profile), 1
+    )
     return eq, val, nrm
 
 
@@ -388,21 +388,10 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     """
     rep = build_representative(cfg.weights)
     designees = [None] if cfg.spec.kind == SUM else list(range(cfg.n))
-
-    def _solve(program):
-        if exact:
-            return lp.solve(program, exact=True)
-        try:
-            return lp.solve(program, exact=False, tol=FEAS_TOL)
-        except lp.SolverError:
-            # float kernel gave up (stall, phantom ray or an inaccurate
-            # point); rationals are slow but never lie
-            return lp.solve(program, exact=True)
-
     variants = []
     for d in designees:
         pp = build_pp_pne(cfg, rep, d)
-        rp = _solve(pp)
+        rp = lp.solve(pp, exact)
         if rp.status == lp.UNBOUNDED:
             variants.append(VariantResult(d, INFINITE, None, None, {}, {}, rp.iterations))
             continue
@@ -424,7 +413,7 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     if infinite:
         return WorstCaseResult(INFINITE, None, infinite[0].designated, rep, variants, {}, {}, exact)
     best = max(variants, key=lambda v: v.pp_value)
-    if best.pp_value < 1 - 1e-9:
+    if best.pp_value < 1 - (0 if exact else FEAS_TOL):
         raise InvariantViolation(
             f"optimum {best.pp_value} below 1; the unit witness must be feasible"
         )
@@ -445,13 +434,12 @@ def extract_worst_game(
     rep: RepresentativeModel,
     primal_values: Mapping,
     designated: Optional[int] = None,
-    tol: float = FEAS_TOL,
 ) -> GeneralizedGame:
     """Turn a feasible primal point into a concrete game on the
     representative model.  Infeasible points are rejected with the first
     violated row label."""
     program = build_pp_pne(cfg, rep, designated)
-    ok, label, violation = lp.feasibility_report(program, primal_values, tol)
+    ok, label, violation = lp.feasibility_report(program, primal_values, FEAS_TOL)
     if not ok:
         raise GameError(f"primal point violates {label} by {violation}")
     r = len(cfg.basis)
@@ -461,7 +449,7 @@ def extract_worst_game(
         for k in range(r):
             c = primal_values.get(vname(e, k), 0)
             if c < 0:
-                c = 0  # solver noise within tol, checked above
+                c = 0  # solver noise within FEAS_TOL, checked above
             vec.append(c)
         coeffs[e] = tuple(vec)
     return GeneralizedGame(rep.model, cfg.basis, coeffs, cfg.alpha)
@@ -498,7 +486,6 @@ def verify_extension(
     dist: ProfileDistribution,
     o_profile,
     designated: Optional[int] = None,
-    tol: float = FEAS_TOL,
 ) -> ExtensionReport:
     """Check that a dual-feasible certificate for the representative pure
     program stays feasible for the coarse program of (model, dist, o).
@@ -506,5 +493,6 @@ def verify_extension(
     Holds for every input by convexity of the row family; a failure means
     an implementation bug, so callers normally escalate it."""
     program = build_dp_cce(cfg, model, dist, o_profile, designated)
-    ok, label, violation = lp.feasibility_report(program, dual_values, tol, check_bounds=False)
+    ok, label, violation = lp.feasibility_report(
+        program, dual_values, FEAS_TOL, check_bounds=False)
     return ExtensionReport(ok, len(program.rows), violation, None if ok else label)

@@ -2,8 +2,10 @@
 
 Self-contained primal simplex (two-phase, tableau form) plus a mechanical
 dualizer.  Two arithmetic backends share one kernel: float64 numpy arrays,
-or object arrays of fractions.Fraction when exact=True.  The solver never
-reports OPTIMAL on an inconclusive run; it raises SolverError instead.
+or object arrays of fractions.Fraction when exact=True.  A float run that
+fails or ends at a point violating its own rows is redone in rationals, so
+SolverError means the rational run failed too; the solver never reports
+OPTIMAL on an inconclusive run.
 
 Conventions
 -----------
@@ -36,6 +38,9 @@ UNBOUNDED = "UNBOUNDED"
 
 # switch to Bland's entering rule after this many consecutive degenerate pivots
 DEGENERATE_STREAK = 40
+
+# float pivot, ratio-test and phase-1 feasibility tolerance; exact runs use 0
+PIVOT_TOL = 1e-9
 
 
 class SolverError(Exception):
@@ -100,9 +105,6 @@ class SolveReport:
     duals: dict
     iterations: int
     exact: bool
-
-    def primal_vector(self, variables: Sequence[str]) -> list:
-        return [self.primal.get(v, 0) for v in variables]
 
 
 # ============================================================
@@ -202,9 +204,9 @@ class _Standardizer:
 
 
 class _Tableau:
-    def __init__(self, A, b, relations, n_struct, exact, tol):
+    def __init__(self, A, b, relations, n_struct, exact):
         self.exact = exact
-        self.tol = Fraction(0) if exact else tol
+        self.tol = Fraction(0) if exact else PIVOT_TOL
         self.m = len(b)
         zero = Fraction(0) if exact else 0.0
         one = Fraction(1) if exact else 1.0
@@ -233,6 +235,7 @@ class _Tableau:
                 self.art_col[i] = ncols
                 ncols += 1
         self.ncols = ncols
+        self.max_iters = 2000 + 100 * (self.m + ncols)
         dtype = object if exact else np.float64
         M = np.zeros((self.m, ncols + 1), dtype=dtype)
         if exact:
@@ -324,7 +327,7 @@ class _Tableau:
             tied = [t for t in rows if t[1] <= best_ratio + slack]
         return max(tied, key=lambda t: (t[2], -self.basis[t[0]]))[0]
 
-    def run(self, costs, banned, max_iters, ray_free=False):
+    def run(self, costs, banned, ray_free=False):
         """Maximize costs'x from the current basis.  Returns status string.
 
         ray_free callers guarantee the objective is bounded, so a column
@@ -336,8 +339,8 @@ class _Tableau:
         streak = 0
         dead = set()
         while True:
-            if self.iterations > max_iters:
-                raise SolverError(f"iteration cap {max_iters} exceeded")
+            if self.iterations > self.max_iters:
+                raise SolverError(f"iteration cap {self.max_iters} exceeded")
             enter = None
             if bland:
                 for j in range(self.ncols):
@@ -373,17 +376,16 @@ class _Tableau:
             else:
                 streak = 0
 
-    def phase1(self, max_iters):
+    def phase1(self):
         if not self.artificials:
             return True
         costs = [self.zero_scalar()] * self.ncols
         for c in self.artificials:
             costs[c] = -(Fraction(1) if self.exact else 1.0)
-        status = self.run(costs, banned=frozenset(), max_iters=max_iters,
-                          ray_free=True)
+        status = self.run(costs, banned=frozenset(), ray_free=True)
         if status != OPTIMAL:  # phase-1 objective is bounded by 0
             raise SolverError("phase 1 reported unbounded")
-        if self._B[-1] < -max(self.tol, Fraction(0) if self.exact else 1e-9):
+        if self._B[-1] < -self.tol:
             return False
         # drive zero-level artificials out of the basis; drop dependent rows
         for r in range(self.m):
@@ -427,14 +429,23 @@ def _float_residual(A, b, relations, tab):
     return viol[i] / (1 + np.abs(x).max(initial=0)), (i if i < len(A) else None)
 
 
-def solve(
-    lp: LinearProgram,
-    exact: bool = False,
-    tol: float = 1e-9,
-    max_iters: int | None = None,
-) -> SolveReport:
-    """Two-phase simplex.  Raises SolverError rather than guessing, also
-    when a float run ends at a point that violates its own rows."""
+def solve(lp: LinearProgram, exact: bool = False) -> SolveReport:
+    """Two-phase simplex, in float unless exact.  A float run that raises
+    SolverError is redone in rationals, which are slow but never lie;
+    report.exact says which arithmetic answered.  SolverError from here
+    means the rational run failed too."""
+    if not exact:
+        try:
+            return _simplex(lp, exact=False)
+        except SolverError:
+            pass
+    return _simplex(lp, exact=True)
+
+
+def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
+    """One run of the kernel in one arithmetic.  Raises SolverError rather
+    than guessing, also when a float run ends at a point that violates its
+    own rows."""
     std = _Standardizer(lp, exact)
     zero = std.zero
     sense_flip = -std.one if lp.sense == MINIMIZE else std.one
@@ -471,13 +482,11 @@ def solve(
     for j, c in obj_cols.items():
         costs[j] = c * sense_flip
 
-    tab = _Tableau(A, b, rels, len(std.columns), exact, tol)
-    if max_iters is None:
-        max_iters = 2000 + 100 * (tab.m + tab.ncols)
-    if not tab.phase1(max_iters):
+    tab = _Tableau(A, b, rels, len(std.columns), exact)
+    if not tab.phase1():
         return SolveReport(INFEASIBLE, None, {}, {}, tab.iterations, exact)
     full_costs = costs + [zero] * (tab.ncols - len(costs))
-    status = tab.run(full_costs, banned=frozenset(tab.artificials), max_iters=max_iters)
+    status = tab.run(full_costs, banned=frozenset(tab.artificials))
     if status == UNBOUNDED:
         return SolveReport(UNBOUNDED, None, {}, {}, tab.iterations, exact)
 

@@ -127,13 +127,6 @@ def _pair_rows(sf, dev):
     return rows
 
 
-def _solve(program):
-    try:
-        return lp.solve(program)
-    except lp.SolverError:  # float kernel gave up; rationals never lie
-        return lp.solve(program, exact=True)
-
-
 def _probe(rho: float, sf, dev) -> Optional[tuple]:
     """Feasibility of a certificate with bound <= rho: returns (lam, mu) or
     None.  delta keeps mu strictly below 1."""
@@ -149,7 +142,7 @@ def _probe(rho: float, sf, dev) -> Optional[tuple]:
         bounds={"mu": lp.FREE, "t": (1, 1), "delta": (0, 1)},
         name="smooth_probe",
     )
-    rep = _solve(program)
+    rep = lp.solve(program)
     if rep.status != lp.OPTIMAL or rep.value <= _STRICT:
         return None
     return float(rep.primal["lam"]), float(rep.primal["mu"])
@@ -193,7 +186,7 @@ def robust_poa(
         bounds={"lam": lp.FREE, "mu": lp.FREE},
         name="smooth_probe_ratio",
     )
-    rep = lp.solve(program, exact=True) if exact else _solve(program)
+    rep = lp.solve(program, exact)
     if rep.status != lp.OPTIMAL:
         return RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 1)
     x = rep.primal if exact else {v: float(c) for v, c in rep.primal.items()}

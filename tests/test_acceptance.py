@@ -195,13 +195,6 @@ def witnesses(grid):
     }
 
 
-def _solve(program):
-    try:
-        return lp.solve(program)
-    except lp.SolverError:
-        return lp.solve(program, exact=True)
-
-
 # ============================================================
 # criteria
 # ============================================================
@@ -215,9 +208,9 @@ def test_criterion_01_strong_duality(grid):
             cfg, rep = run.cfg, run.result.rep
             designees = [None] if cfg.spec.kind == SUM else range(cfg.n)
             for d in designees:
-                pp = _solve(build_pp_pne(cfg, rep, d))
-                dp = _solve(build_dp_pne(cfg, rep, d))
-                dz = _solve(lp.dualize(build_pp_pne(cfg, rep, d)))
+                pp = lp.solve(build_pp_pne(cfg, rep, d))
+                dp = lp.solve(build_dp_pne(cfg, rep, d))
+                dz = lp.solve(lp.dualize(build_pp_pne(cfg, rep, d)))
                 if pp.status == lp.OPTIMAL:
                     finite += 1
                     agree = (

@@ -278,12 +278,13 @@ def test_mixed_cell_is_infinite(exact):
 
 
 def test_float_dual_of_mixed_cell_is_never_a_false_optimum():
-    # an exact solve of this program takes minutes; only the float verdict
-    # is checked: an error, or a point that really is feasible
+    # an exact solve of this program takes minutes, so the float kernel is
+    # called without lp.solve's rational retry; only its verdict is
+    # checked: an error, or a point that really is feasible
     cfg = mixed_cell(False)
     program = build_dp_pne(cfg, build_representative(cfg.weights), 2)
     try:
-        res = lp.solve(program)
+        res = lp._simplex(program, exact=False)
     except lp.SolverError:
         return
     assert res.status == lp.OPTIMAL

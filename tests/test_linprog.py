@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import g1, g1_spec
+from poacert import linprog, oracle
 from poacert.linprog import (
     EQ,
     FREE,
@@ -17,6 +19,7 @@ from poacert.linprog import (
     UNBOUNDED,
     LinearProgram,
     Row,
+    SolverError,
     dualize,
     solve,
     to_fixed_format,
@@ -208,6 +211,62 @@ def test_float_tracks_exact():
         re = solve(lp, exact=True)
         assert rf.status == re.status == OPTIMAL
         assert rf.value == pytest.approx(float(re.value), rel=VALUE_RTOL, abs=1e-9)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Route solve's kernel runs through a recorder: a run whose arithmetic
+    is in the returned `failing` set raises SolverError, the others go to
+    the real kernel.  Each run appends its `exact` flag to `calls`."""
+    kernel = linprog._simplex
+    calls, failing = [], set()
+
+    def recorded(lp, exact):
+        calls.append(exact)
+        if exact in failing:
+            raise SolverError(f"{'exact' if exact else 'float'} run refused")
+        return kernel(lp, exact)
+
+    monkeypatch.setattr(linprog, "_simplex", recorded)
+    return calls, failing
+
+
+def test_float_failure_is_redone_in_rationals(kernel_calls):
+    calls, failing = kernel_calls
+    failing.add(False)
+    r = solve(lp_prod_mix())
+    assert calls == [False, True]
+    assert r.status == OPTIMAL
+    assert r.exact is True
+    assert r.value == F(12) and isinstance(r.value, F)
+    assert r.primal == {"x": F(4), "y": F(0)}
+
+
+def test_float_success_is_not_redone(kernel_calls):
+    calls, _ = kernel_calls
+    r = solve(lp_prod_mix())
+    assert calls == [False]
+    assert r.exact is False
+
+
+def test_exact_failure_propagates(kernel_calls):
+    calls, failing = kernel_calls
+    failing.update({False, True})
+    with pytest.raises(SolverError, match="exact run refused"):
+        solve(lp_prod_mix())
+    assert calls == [False, True]
+    calls.clear()
+    with pytest.raises(SolverError, match="exact run refused"):
+        solve(lp_prod_mix(), exact=True)
+    assert calls == [True]
+
+
+def test_float_callers_get_the_rational_retry(kernel_calls):
+    # worst_cce has no fallback of its own; the hand value on g1 is 3
+    _, failing = kernel_calls
+    failing.add(False)
+    report = oracle.worst_cce(g1(), g1_spec())
+    assert report.value == 3
 
 
 def test_validation_errors():
