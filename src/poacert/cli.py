@@ -56,6 +56,7 @@ from .gamefile import (
 )
 from .oracle import (
     NO_EQUILIBRIUM,
+    PROFILE_CAP,
     enumerate_eps_pne,
     exact_ppoa,
     social_optimum,
@@ -85,31 +86,30 @@ def as_json(x):
     return x
 
 
-def _settings(args, epsilon) -> dict:
-    return {
-        "epsilon": as_json(epsilon),
-        "sf": getattr(args, "sf", None),
-        "predicate": getattr(args, "predicate", None),
-        "arithmetic": "rational" if args.exact else "float64",
-        "seed": args.seed,
-        "cap": args.cap,
-        "tolerances": {
-            "feasibility": FEAS_TOL,
-            "value_rtol": VALUE_RTOL,
-            "mass": MASS_TOL,
-        },
+def _settings(args, resolved: dict) -> dict:
+    """The settings that ran: the subcommand's own flags and fixed settings,
+    then the values it resolved from its input files."""
+    settings = {key: value for key, value in vars(args).items()
+                if key in ("sf", "predicate", "seed", "cap")}
+    settings.update(resolved)
+    settings["arithmetic"] = "rational" if args.exact else "float64"
+    settings["tolerances"] = {
+        "feasibility": FEAS_TOL,
+        "value_rtol": VALUE_RTOL,
+        "mass": MASS_TOL,
     }
+    return settings
 
 
-def _emit(args, epsilon, payload: dict) -> int:
-    doc = {"command": args.command, "settings": _settings(args, epsilon)}
+def _emit(args, payload: dict, **resolved) -> int:
+    doc = {"command": args.command, "settings": _settings(args, resolved)}
     doc.update(payload)
     json.dump(as_json(doc), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK
 
 
-def _epsilon(args, default=0):
+def _epsilon(args, default):
     if args.epsilon is None:
         return default
     return parse_number(args.epsilon, args.exact)
@@ -137,7 +137,7 @@ def cmd_build_representative(args) -> int:
     weights = tuple(parse_number(x, args.exact) for x in doc["weights"])
     rep = build_representative(weights)
     model = rep.model
-    return _emit(args, 0, {
+    return _emit(args, {
         "n": model.n,
         "weights": list(model.weights),
         "resource_count": len(model.resources),
@@ -194,13 +194,12 @@ def cmd_solve_worst_case(args) -> int:
         with open(args.emit_lp + ".dual", "w") as fh:
             fh.write(lp.to_fixed_format(dp))
         payload["lp_paths"] = [args.emit_lp, args.emit_lp + ".dual"]
-    return _emit(args, cfg.epsilon, payload)
+    return _emit(args, payload, epsilon=cfg.epsilon, sf=cfg.spec.kind)
 
 
 def cmd_exact_ppoa(args) -> int:
     doc = load_game(_need(args, "--game"), args.exact)
     eps = _epsilon(args, doc.epsilon)
-    args.sf = args.sf or SUM
     spec = doc.spec(args.sf)
     opt_profile, opt = social_optimum(doc.game, spec, args.cap)
     equilibria = enumerate_eps_pne(doc.game, eps, args.predicate, cap=args.cap)
@@ -210,25 +209,24 @@ def cmd_exact_ppoa(args) -> int:
         target = max(social_value(spec, doc.game, prof) for prof in equilibria)
         worst = [prof for prof in equilibria
                  if social_value(spec, doc.game, prof) == target]
-    return _emit(args, eps, {
+    return _emit(args, {
         "value": value,
         "optimum": opt,
         "optimum_profile": opt_profile,
         "equilibrium_count": len(equilibria),
         "worst_equilibria": worst,
-    })
+    }, epsilon=eps)
 
 
 def cmd_cce_poa(args) -> int:
     doc = load_game(_need(args, "--game"), args.exact)
     eps = _epsilon(args, doc.epsilon)
-    args.sf = args.sf or SUM
     spec = doc.spec(args.sf)
     _, opt = social_optimum(doc.game, spec, args.cap)
     if opt == 0:
         raise GameError("social optimum is 0; the ratio is undefined")
-    report = worst_cce(doc.game, spec, eps, cap=args.cap, exact=args.exact)
-    return _emit(args, eps, {
+    report = worst_cce(doc.game, spec, eps, args.predicate, args.cap, args.exact)
+    return _emit(args, {
         "value": report.value,
         "optimum": opt,
         "ccpoa": report.value / opt,
@@ -237,25 +235,24 @@ def cmd_cce_poa(args) -> int:
             {"profile": prof, "mass": mass}
             for prof, mass in sorted(report.distribution.masses.items())
         ],
-    })
+    }, epsilon=eps)
 
 
 def cmd_enumerate_pne(args) -> int:
     doc = load_game(_need(args, "--game"), args.exact)
     eps = _epsilon(args, doc.epsilon)
     profiles = enumerate_eps_pne(doc.game, eps, args.predicate, cap=args.cap)
-    return _emit(args, eps, {"count": len(profiles), "profiles": profiles})
+    return _emit(args, {"count": len(profiles), "profiles": profiles}, epsilon=eps)
 
 
 def cmd_normalize(args) -> int:
     doc = load_game(_need(args, "--game"), args.exact)
-    args.sf = args.sf or SUM
     spec = doc.spec(args.sf)
     game, factor = normalize_game(doc.game, spec)
     emitted = emit_game(game, spec.beta, doc.epsilon)
     if args.emit_witness:
         write_json(args.emit_witness, emitted)
-    return _emit(args, doc.epsilon, {"optimum_before": factor, "game": emitted})
+    return _emit(args, {"optimum_before": factor, "game": emitted}, epsilon=doc.epsilon)
 
 
 def cmd_verify_extension(args) -> int:
@@ -285,19 +282,18 @@ def cmd_verify_extension(args) -> int:
             failures.append({"trial": t, "o": o_profile,
                              "row": rep.first_violated,
                              "violation": rep.worst_violation})
-    code = _emit(args, cfg.epsilon, {
+    code = _emit(args, {
         "gamma_star": result.gamma_star,
         "trials": trials,
         "failures": failures,
         "worst_violation": worst,
         "ok": not failures,
-    })
+    }, epsilon=cfg.epsilon, sf=cfg.spec.kind)
     return code if not failures else EXIT_INVARIANT
 
 
 def cmd_smoothness(args) -> int:
     doc = load_game(_need(args, "--game"), args.exact)
-    args.sf = args.sf or SUM
     spec = doc.spec(args.sf)
     report = validate_smoothness_claims(doc.game, spec, cap=args.cap)
     robust = report.robust
@@ -314,7 +310,7 @@ def cmd_smoothness(args) -> int:
                         "ccpoa": report.ccpoa_within_bound},
         "gaps": {"tightness": report.tightness_gap},
     }
-    code = _emit(args, 0, payload)
+    code = _emit(args, payload, epsilon=0)
     if report.sum_bounded and (report.ppoa_within_bound is False
                                or report.ccpoa_within_bound is False):
         return EXIT_INVARIANT
@@ -393,7 +389,7 @@ def cmd_selftest(args) -> int:
         record(f"{tag} extension", bad is None,
                "" if bad is None else f"row {bad.first_violated}")
     return_code = EXIT_OK if ok_all else EXIT_INVARIANT
-    _emit(args, 0, {"checks": checks, "ok": ok_all})
+    _emit(args, {"checks": checks, "ok": ok_all})
     return return_code
 
 
@@ -401,16 +397,49 @@ def cmd_selftest(args) -> int:
 # argument plumbing
 # ============================================================
 
+_FLAGS = {
+    "--config": dict(help="configuration JSON file"),
+    "--game": dict(help="game JSON file"),
+    "--sf": dict(choices=[SUM, MAX],
+                 help="social function (default: the config file's sf, else sum)"),
+    "--epsilon": dict(help="approximation parameter; number or p/q "
+                           "(default: file value, else 0)"),
+    "--predicate": dict(choices=[EQ1, VERBATIM], default=EQ1,
+                        help="equilibrium predicate (default eq1)"),
+    "--exact": dict(action="store_true", help="rational arithmetic end to end"),
+    "--seed": dict(type=int, default=0, help="RNG seed"),
+    "--cap": dict(type=int, default=PROFILE_CAP, help="profile enumeration cap"),
+    "--emit-witness": dict(metavar="PATH",
+                           help="write the extracted/normalized game file here"),
+    "--emit-lp": dict(metavar="PATH",
+                      help="write the primal program here (dual at PATH.dual)"),
+}
+
+# subcommand: (handler, the flags it reads, its fixed settings and the flag
+# defaults it changes).  The worst-case programs encode the eq1 form, and
+# worst_cce's coarse constraints are the verbatim ones.
 _COMMANDS = {
-    "build-representative": cmd_build_representative,
-    "solve-worst-case": cmd_solve_worst_case,
-    "exact-ppoa": cmd_exact_ppoa,
-    "cce-poa": cmd_cce_poa,
-    "enumerate-pne": cmd_enumerate_pne,
-    "normalize": cmd_normalize,
-    "verify-extension": cmd_verify_extension,
-    "smoothness": cmd_smoothness,
-    "selftest": cmd_selftest,
+    "build-representative": (cmd_build_representative,
+                             ("--config", "--game", "--exact"), {}),
+    "solve-worst-case": (cmd_solve_worst_case,
+                         ("--config", "--sf", "--epsilon", "--exact",
+                          "--emit-witness", "--emit-lp"),
+                         {"predicate": EQ1}),
+    "exact-ppoa": (cmd_exact_ppoa,
+                   ("--game", "--sf", "--epsilon", "--predicate", "--exact", "--cap"),
+                   {"sf": SUM}),
+    "cce-poa": (cmd_cce_poa,
+                ("--game", "--sf", "--epsilon", "--exact", "--cap"),
+                {"sf": SUM, "predicate": VERBATIM}),
+    "enumerate-pne": (cmd_enumerate_pne,
+                      ("--game", "--epsilon", "--predicate", "--exact", "--cap"), {}),
+    "normalize": (cmd_normalize,
+                  ("--game", "--sf", "--exact", "--emit-witness"), {"sf": SUM}),
+    "verify-extension": (cmd_verify_extension,
+                         ("--config", "--game", "--sf", "--epsilon", "--exact", "--seed"),
+                         {"predicate": EQ1}),
+    "smoothness": (cmd_smoothness, ("--game", "--sf", "--exact", "--cap"), {"sf": SUM}),
+    "selftest": (cmd_selftest, ("--seed",), {"predicate": EQ1, "exact": False}),
 }
 
 
@@ -421,33 +450,18 @@ def _parser() -> argparse.ArgumentParser:
                     "weighted congestion games",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags, defaults) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="configuration JSON file")
-        p.add_argument("--game", help="game JSON file")
-        p.add_argument("--sf", choices=["sum", "max"], default=None,
-                       help="social function (default: file value, else sum)")
-        p.add_argument("--epsilon", default=None,
-                       help="approximation parameter; number or p/q "
-                            "(default: file value, else 0)")
-        p.add_argument("--predicate", choices=[EQ1, VERBATIM], default=EQ1,
-                       help="equilibrium predicate (default eq1)")
-        p.add_argument("--exact", action="store_true",
-                       help="rational arithmetic end to end")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--cap", type=int, default=10**6,
-                       help="profile enumeration cap")
-        p.add_argument("--emit-witness", metavar="PATH",
-                       help="write the extracted/normalized game file here")
-        p.add_argument("--emit-lp", metavar="PATH",
-                       help="write the primal program here (dual at PATH.dual)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(**defaults)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except GameFileError as err:
         print(f"poacert: {err}", file=sys.stderr)
         return EXIT_VALIDATION

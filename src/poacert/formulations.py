@@ -287,7 +287,6 @@ def build_dp_pne(
 class Witness:
     values: Mapping  # LP variable name -> value
     designated: Optional[int]  # player whose row is the equality, max only
-    basis_index: int
 
 
 def _witness_basis_index(cfg: WorstCaseConfig, players: Sequence[int]) -> int:
@@ -322,7 +321,7 @@ def lemma1_witness(cfg: WorstCaseConfig, rep: RepresentativeModel) -> Witness:
             values[vname(rep.resource_for([j], []), k)] = base
             repair = one / (1 + cfg.epsilon) if cfg.alpha[j][j] < 0 else 1
             values[vname(rep.resource_for([], [j]), k)] = base * repair
-        return Witness(values, None, k)
+        return Witness(values, None)
     rowsum = [sum(beta[i][j] for j in range(n)) for i in range(n)]
     designated = max(range(n), key=lambda i: (rowsum[i], -i))
     k = _witness_basis_index(cfg, list(range(n)))
@@ -333,7 +332,7 @@ def lemma1_witness(cfg: WorstCaseConfig, rep: RepresentativeModel) -> Witness:
         repair = one / (1 + cfg.epsilon) if cfg.alpha[j][j] < 0 else 1
         values[vname(rep.resource_for([], [j]), k)] = base * repair
     values["t"] = one
-    return Witness(values, designated, k)
+    return Witness(values, designated)
 
 
 # ============================================================

@@ -13,9 +13,9 @@ floats for speed.  Nothing in this module rounds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 MONOMIAL = "monomial"
 INDICATOR = "indicator"
@@ -95,7 +95,7 @@ class BasisFunction:
                 return v
         if isinstance(x, float):
             for key, v in self.table:
-                if abs(float(key) - x) <= 1e-9:
+                if abs(float(key) - x) <= FEAS_TOL:
                     return v
         raise GameError(f"lookup table does not cover congestion value {x}")
 
@@ -159,9 +159,6 @@ class CongestionModel:
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    def strategy(self, i: int, idx: int) -> frozenset:
-        return self.strategies[i][idx]
 
     def profile_strategies(self, profile) -> list:
         return [self.strategies[i][profile[i]] for i in range(self.n)]
@@ -355,22 +352,6 @@ def perceived_cost(game: GeneralizedGame, profile, i: int):
     )
 
 
-def perceived_cost_grouped(game: GeneralizedGame, profile, i: int):
-    """Same quantity summed resource-by-resource; agreement with
-    perceived_cost is a regression property of the cost algebra."""
-    model = game.model
-    loads = congestion(model, profile)
-    users = resource_users(model, profile)
-    total = 0
-    for e in model.resources:
-        if loads[e] == 0:
-            continue
-        aw = sum(game.alpha[i][j] * model.weights[j] for j in users[e])
-        if aw != 0:
-            total += game.latency(e, loads[e]) * aw
-    return total
-
-
 def beta_cost(spec: SocialSpec, game: GeneralizedGame, profile, i: int):
     return sum(
         spec.beta[i][j] * individual_cost(game, profile, j)
@@ -395,12 +376,6 @@ def social_value(spec: SocialSpec, game: GeneralizedGame, outcome):
     return sum(per_player) if spec.kind == SUM else max(per_player)
 
 
-def _deviation_target(game: GeneralizedGame, i: int, x) -> frozenset:
-    if isinstance(x, int):
-        return game.model.strategies[i][x]
-    return frozenset(x)
-
-
 def deviation_gap(game: GeneralizedGame, profile, i: int, x, eps=0):
     """Grouped deviation expression for player i moving to strategy x.
 
@@ -413,7 +388,7 @@ def deviation_gap(game: GeneralizedGame, profile, i: int, x, eps=0):
     literal perceived-cost difference, even at eps = 0.
     """
     model = game.model
-    target = _deviation_target(game, i, x)
+    target = model.strategies[i][x] if isinstance(x, int) else frozenset(x)
     current = model.strategies[i][profile[i]]
     loads = congestion(model, profile)
     users = resource_users(model, profile)
@@ -433,17 +408,14 @@ def deviation_gap(game: GeneralizedGame, profile, i: int, x, eps=0):
 
 def deviation_gap_verbatim(game: GeneralizedGame, profile, i: int, x, eps=0):
     """Literal Definition-style difference c-hat_i(sigma) - (1+eps) *
-    c-hat_i(sigma_{-i}, x)."""
-    target = _deviation_target(game, i, x)
+    c-hat_i(sigma_{-i}, x); x is a strategy index or a resource set."""
+    if not isinstance(x, int):
+        target = frozenset(x)
+        x = next((k for k, s in enumerate(game.model.strategies[i]) if s == target), None)
+        if x is None:
+            raise GameError(f"strategy {sorted(target)} is not in player {i}'s set")
     here = perceived_cost(game, profile, i)
-    idx = None
-    for k, s in enumerate(game.model.strategies[i]):
-        if s == target:
-            idx = k
-            break
-    if idx is None:
-        raise GameError(f"strategy {sorted(target)} is not in player {i}'s set")
-    deviated = tuple(idx if j == i else profile[j] for j in range(game.n))
+    deviated = tuple(x if j == i else profile[j] for j in range(game.n))
     there = perceived_cost(game, deviated, i)
     return here - (1 + eps) * there
 
@@ -453,7 +425,6 @@ def is_eps_pne(
     profile,
     eps=0,
     predicate: str = EQ1,
-    tol=FEAS_TOL,
 ) -> bool:
     """eps-approximate pure Nash test under either deviation predicate.
 
@@ -465,7 +436,7 @@ def is_eps_pne(
     fn = deviation_gap if predicate == EQ1 else deviation_gap_verbatim
     for i in range(game.n):
         for idx in range(len(game.model.strategies[i])):
-            if fn(game, profile, i, idx, eps) > tol:
+            if fn(game, profile, i, idx, eps) > FEAS_TOL:
                 return False
     return True
 
@@ -474,7 +445,6 @@ def is_eps_cce(
     game: GeneralizedGame,
     dist: ProfileDistribution,
     eps=0,
-    tol=FEAS_TOL,
     predicate: str = VERBATIM,
 ) -> bool:
     """Coarse correlated test: no player gains (1+eps)-factor in
@@ -485,6 +455,6 @@ def is_eps_cce(
     for i in range(game.n):
         for idx in range(len(game.model.strategies[i])):
             gap = dist.expect(lambda prof: fn(game, prof, i, idx, eps))
-            if gap > tol:
+            if gap > FEAS_TOL:
                 return False
     return True

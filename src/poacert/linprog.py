@@ -42,6 +42,10 @@ DEGENERATE_STREAK = 40
 # float pivot, ratio-test and phase-1 feasibility tolerance; exact runs use 0
 PIVOT_TOL = 1e-9
 
+# largest relative row or bound residual a float optimum may carry; honest
+# runs stay below 1e-8, a drifted tableau is off by O(1)
+RESIDUAL_TOL = 1e-6
+
 
 class SolverError(Exception):
     """Iteration cap hit or internal inconsistency; result is unusable."""
@@ -491,10 +495,9 @@ def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
         return SolveReport(UNBOUNDED, None, {}, {}, tab.iterations, exact)
 
     if not exact:
-        # a drifted float tableau can call an infeasible point optimal;
-        # honest runs stay below 1e-8 here, broken ones are off by O(1)
+        # a drifted float tableau can call an infeasible point optimal
         worst, i = _float_residual(A, b, rels, tab)
-        if worst > 1e-6:
+        if worst > RESIDUAL_TOL:
             where = "x >= 0" if i is None else (
                 lp.rows[i].label if i < n_original_rows else "an upper bound")
             raise SolverError(f"float optimum violates {where} by {worst:.3g} (relative)")

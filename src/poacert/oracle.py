@@ -15,8 +15,6 @@ from typing import Optional
 from . import linprog as lp
 from .games import (
     EQ1,
-    FEAS_TOL,
-    MAX,
     SUM,
     VERBATIM,
     GameError,
@@ -25,8 +23,8 @@ from .games import (
     SocialSpec,
     beta_cost,
     deviation_gap,
+    deviation_gap_verbatim,
     is_eps_pne,
-    perceived_cost,
     social_value,
 )
 
@@ -56,7 +54,6 @@ def enumerate_eps_pne(
     game: GeneralizedGame,
     epsilon=0,
     predicate: str = EQ1,
-    tol=FEAS_TOL,
     cap: int = PROFILE_CAP,
 ):
     """All pure profiles passing the chosen equilibrium predicate, in
@@ -65,7 +62,7 @@ def enumerate_eps_pne(
     return [
         prof
         for prof in game.model.profiles()
-        if is_eps_pne(game, prof, epsilon, predicate, tol)
+        if is_eps_pne(game, prof, epsilon, predicate)
     ]
 
 
@@ -74,7 +71,6 @@ def exact_ppoa(
     spec: SocialSpec,
     epsilon=0,
     predicate: str = EQ1,
-    tol=FEAS_TOL,
     cap: int = PROFILE_CAP,
 ):
     """Worst equilibrium value over optimum value, or NO_EQUILIBRIUM.
@@ -85,7 +81,7 @@ def exact_ppoa(
     if opt == 0:
         raise GameError("social optimum is 0; the ratio is undefined")
     worst = None
-    for prof in enumerate_eps_pne(game, epsilon, predicate, tol, cap):
+    for prof in enumerate_eps_pne(game, epsilon, predicate, cap):
         v = social_value(spec, game, prof)
         if worst is None or v > worst:
             worst = v
@@ -108,18 +104,14 @@ class CCEReport:
 
 def _cce_program(game, profiles, objective, epsilon, predicate, name):
     n = game.model.n
+    gap_fn = deviation_gap_verbatim if predicate == VERBATIM else deviation_gap
     variables = [f"p[{idx}]" for idx in range(len(profiles))]
     rows = []
     for i in range(n):
         for x_idx in range(len(game.model.strategies[i])):
             coeffs = {}
             for idx, prof in enumerate(profiles):
-                if predicate == VERBATIM:
-                    here = perceived_cost(game, prof, i)
-                    there = perceived_cost(game, prof[:i] + (x_idx,) + prof[i + 1:], i)
-                    gap = here - (1 + epsilon) * there
-                else:
-                    gap = deviation_gap(game, prof, i, x_idx, epsilon)
+                gap = gap_fn(game, prof, i, x_idx, epsilon)
                 if gap != 0:
                     coeffs[f"p[{idx}]"] = gap
             rows.append(lp.Row(coeffs, lp.LE, 0, f"cce[{i}][{x_idx}]"))

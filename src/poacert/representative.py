@@ -32,7 +32,6 @@ class RepresentativeModel:
     model: CongestionModel
     sigma_star: tuple  # profile of first strategies
     o_star: tuple  # profile of second strategies
-    pairs: tuple  # per resource, (P_mask, Q_mask)
     index: Mapping  # (P_mask, Q_mask) -> resource id
 
     @property
@@ -60,27 +59,18 @@ def build_representative(weights, cap: int = PLAYER_CAP) -> RepresentativeModel:
     if n > cap:
         raise GameError(f"{n} players would need {4**n} resources (cap {cap})")
     size = 1 << n
-    resources = []
-    pairs = []
-    index = {}
-    for p in range(size):
-        for q in range(size):
-            rid = _mask_id(p, q)
-            index[(p, q)] = rid
-            resources.append(rid)
-            pairs.append((p, q))
+    index = {(p, q): _mask_id(p, q) for p in range(size) for q in range(size)}
     strategies = []
     for i in range(n):
         bit = 1 << i
-        sigma = frozenset(index[(p, q)] for (p, q) in pairs if p & bit)
-        omega = frozenset(index[(p, q)] for (p, q) in pairs if q & bit)
+        sigma = frozenset(rid for (p, q), rid in index.items() if p & bit)
+        omega = frozenset(rid for (p, q), rid in index.items() if q & bit)
         strategies.append((sigma, omega))
-    model = CongestionModel(tuple(weights), tuple(resources), tuple(strategies))
+    model = CongestionModel(tuple(weights), tuple(index.values()), tuple(strategies))
     return RepresentativeModel(
         model=model,
         sigma_star=tuple(0 for _ in range(n)),
         o_star=tuple(1 for _ in range(n)),
-        pairs=tuple(pairs),
         index=index,
     )
 

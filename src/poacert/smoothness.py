@@ -49,9 +49,7 @@ class SmoothnessCertificate:
         return self.lam / (1 - self.mu)
 
 
-def is_sum_bounded(
-    game: GeneralizedGame, spec: SocialSpec, tol=FEAS_TOL, cap: int = PROFILE_CAP
-):
+def is_sum_bounded(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP):
     """(True, None), or (False, first profile whose social value exceeds the
     sum of individual costs)."""
     if game.model.profile_count() > cap:
@@ -59,7 +57,7 @@ def is_sum_bounded(
     n = game.model.n
     for prof in game.model.profiles():
         total = sum(individual_cost(game, prof, i) for i in range(n))
-        if social_value(spec, game, prof) > total + tol:
+        if social_value(spec, game, prof) > total + FEAS_TOL:
             return False, prof
     return True, None
 
@@ -88,11 +86,10 @@ def check_smooth(
     spec: SocialSpec,
     cert: SmoothnessCertificate,
     tol=FEAS_TOL,
-    cap: int = PROFILE_CAP,
 ):
     """Exhaustive check of the pair inequalities; (True, None) or
     (False, first violating (sigma, sigma'))."""
-    profiles, sf, dev = _pair_tables(game, spec, cap)
+    profiles, sf, dev = _pair_tables(game, spec, PROFILE_CAP)
     for a, sigma in enumerate(profiles):
         for b, target in enumerate(profiles):
             if dev[a][b] > cert.lam * sf[b] + cert.mu * sf[a] + tol:

@@ -11,6 +11,8 @@ import pytest
 
 from poacert import formulations, games
 from poacert.cli import EXIT_INVARIANT, EXIT_OK, EXIT_VALIDATION, main
+from poacert.gamefile import load_game
+from poacert.oracle import worst_cce_value
 
 CFG = {
     "weights": [1, 1],
@@ -138,6 +140,22 @@ def test_cce_poa_command(capsys, game_path):
     assert masses == {(0, 0): "1/4", (0, 1): "1/4", (1, 0): "1/4", (1, 1): "1/4"}
 
 
+def test_cce_poa_runs_and_reports_the_verbatim_predicate(capsys, tmp_path):
+    # off-diagonal alpha: the verbatim and eq1 coarse sets differ here
+    p = tmp_path / "off_diagonal.json"
+    p.write_text(json.dumps({**GAME, "coefficients": {"a": [1], "b": [2]},
+                             "alpha": [[1, "-3/4"], ["9/10", 1]]}))
+    doc = load_game(str(p), exact=True)
+    verbatim = worst_cce_value(doc.game, doc.spec(games.SUM), 0, games.VERBATIM,
+                               exact=True)
+    eq1 = worst_cce_value(doc.game, doc.spec(games.SUM), 0, games.EQ1, exact=True)
+    assert verbatim != eq1
+    code, out = run(capsys, "cce-poa", "--game", str(p), "--exact")
+    assert code == EXIT_OK
+    assert out["settings"]["predicate"] == "verbatim"
+    assert F(out["value"]) == verbatim
+
+
 def test_enumerate_pne_command(capsys, game_path):
     code, doc = run(capsys, "enumerate-pne", "--game", game_path)
     assert code == EXIT_OK
@@ -214,6 +232,19 @@ def test_command_requires_its_input(capsys, game_path):
     # solve-worst-case with neither --config nor --game
     code = main(["solve-worst-case"])
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("argv", [
+    ("smoothness", "--epsilon", "0.5"),
+    ("selftest", "--exact"),
+    ("cce-poa", "--predicate", "eq1"),
+    ("normalize", "--cap", "5"),
+    ("solve-worst-case", "--seed", "3"),
+])
+def test_flag_the_command_does_not_read_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == EXIT_VALIDATION
 
 
 def test_selftest_smoke(capsys):

@@ -31,7 +31,6 @@ from poacert.games import (
     is_eps_cce,
     is_eps_pne,
     perceived_cost,
-    perceived_cost_grouped,
     resource_users,
     social_value,
 )
@@ -169,21 +168,6 @@ def test_perceived_equals_individual_under_identity():
     for prof in (AA, AB, BA, BB):
         for i in (0, 1):
             assert perceived_cost(g, prof, i) == individual_cost(g, prof, i)
-
-
-def test_grouped_matches_plain_for_diagonal_alpha():
-    g = g1(alpha=((F(2), F(0)), (F(0), F(3))))
-    for prof in (AA, AB, BA, BB):
-        for i in (0, 1):
-            assert perceived_cost_grouped(g, prof, i) == perceived_cost(g, prof, i)
-
-
-def test_grouped_is_an_identity_off_diagonal_too():
-    # resource-wise regrouping of sum_j alpha_ij c_j must change nothing
-    g = g1(alpha=((F(1), F(-2)), (F(3), F(1))))
-    for prof in (AA, AB, BA, BB):
-        for i in (0, 1):
-            assert perceived_cost_grouped(g, prof, i) == perceived_cost(g, prof, i)
 
 
 def test_beta_cost_identity():
