@@ -408,7 +408,9 @@ _FLAGS = {
                         help="equilibrium predicate (default eq1)"),
     "--exact": dict(action="store_true", help="rational arithmetic end to end"),
     "--seed": dict(type=int, default=0, help="RNG seed"),
-    "--cap": dict(type=int, default=PROFILE_CAP, help="profile enumeration cap"),
+    "--cap": dict(type=int, default=PROFILE_CAP,
+                  help="profile enumeration cap: the most pure profiles a command "
+                       "enumerates (smoothness's pair table holds up to cap^2 entries)"),
     "--emit-witness": dict(metavar="PATH",
                            help="write the extracted/normalized game file here"),
     "--emit-lp": dict(metavar="PATH",

@@ -13,6 +13,12 @@ replace the point profile by a distribution over an arbitrary model with
 the same weights; every dual-feasible point of the pure program stays
 feasible there row by row, which is what verify_extension checks
 numerically.
+
+The two primals are built two ways.  build_pp_pne writes the
+representative program from a closed form over the (P, Q) bit masks of
+its resources, in numpy arrays; build_pp_cce enumerates the profiles of an
+arbitrary model (_coefficient_parts).  At a point mass on sigma* they give
+equal programs, and _primal assembles the rows of both.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from . import linprog as lp
 from .games import (
@@ -115,7 +123,8 @@ def _add_beta_costs(out, cfg: WorstCaseConfig, model: CongestionModel, loads, us
 
 
 def _coefficient_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_profile):
-    """Per-(resource, basis) coefficient tables shared by all four programs.
+    """Per-(resource, basis) coefficient tables of the coarse programs over
+    an arbitrary model, by enumerating the distribution's profiles.
 
     eq[i]: expected grouped-deviation expression of player i against o_i,
     val[i]: expected beta-cost of player i, nrm[i]: beta-cost of i at the
@@ -174,6 +183,38 @@ def _variables(cfg: WorstCaseConfig, model: CongestionModel) -> list:
 # ============================================================
 
 
+def _check_designee(cfg: WorstCaseConfig, designated: Optional[int]) -> None:
+    if cfg.spec.kind == SUM:
+        if designated is not None:
+            raise GameError("designated player applies to max objectives only")
+    elif designated is None or not 0 <= designated < cfg.n:
+        raise GameError("max objective needs a designated player index")
+
+
+def _primal(cfg: WorstCaseConfig, variables, eq, beta_rows, designated) -> lp.LinearProgram:
+    """The primal over coefficient rows eq[i] <= 0, one per player, then
+    the beta-cost rows.  beta_rows(summed) returns (val, nrm): with summed,
+    each as one dict summed over the players in player order (the sum
+    objective and its norm row); otherwise as per-player lists."""
+    n = cfg.n
+    rows = [lp.Row(eq[i], lp.LE, 0, f"eq[{i}]") for i in range(n)]
+    if cfg.spec.kind == SUM:
+        objective, norm = beta_rows(True)
+        rows.append(lp.Row(norm, lp.LE, 1, "norm"))
+        return lp.LinearProgram(lp.MAXIMIZE, variables, objective, rows, name="pp_sum")
+    val, nrm = beta_rows(False)
+    for i in range(n):
+        coeffs = dict(val[i])
+        coeffs["t"] = -1
+        rel = lp.EQ if i == designated else lp.LE
+        rows.append(lp.Row(coeffs, rel, 0, f"val[{i}]"))
+    for i in range(n):
+        rows.append(lp.Row(nrm[i], lp.LE, 1, f"norm[{i}]"))
+    return lp.LinearProgram(
+        lp.MAXIMIZE, list(variables) + ["t"], {"t": 1}, rows, name=f"pp_max_d{designated}"
+    )
+
+
 def build_pp_cce(
     cfg: WorstCaseConfig,
     model: CongestionModel,
@@ -183,44 +224,109 @@ def build_pp_cce(
 ) -> lp.LinearProgram:
     """Worst-case primal over latency coefficients for a fixed model,
     distribution and comparison profile."""
-    n = cfg.n
+    _check_designee(cfg, designated)
     eq, val, nrm = _coefficient_parts(cfg, model, dist, o_profile)
-    variables = _variables(cfg, model)
-    rows = [lp.Row(eq[i], lp.LE, 0, f"eq[{i}]") for i in range(n)]
-    if cfg.spec.kind == SUM:
-        if designated is not None:
-            raise GameError("designated player applies to max objectives only")
-        rows.append(lp.Row(_merge(nrm), lp.LE, 1, "norm"))
-        return lp.LinearProgram(
-            lp.MAXIMIZE, variables, _merge(val), rows, name="pp_sum"
-        )
-    if designated is None or not 0 <= designated < n:
-        raise GameError("max objective needs a designated player index")
-    variables = variables + ["t"]
-    for i in range(n):
-        coeffs = dict(val[i])
-        coeffs["t"] = -1
-        rel = lp.EQ if i == designated else lp.LE
-        rows.append(lp.Row(coeffs, rel, 0, f"val[{i}]"))
-    for i in range(n):
-        rows.append(lp.Row(nrm[i], lp.LE, 1, f"norm[{i}]"))
-    return lp.LinearProgram(
-        lp.MAXIMIZE, variables, {"t": 1}, rows, name=f"pp_max_d{designated}"
-    )
+
+    def beta_rows(summed):
+        return (_merge(val), _merge(nrm)) if summed else (val, nrm)
+
+    return _primal(cfg, _variables(cfg, model), eq, beta_rows, designated)
+
+
+def _subset_sums(terms, dtype) -> np.ndarray:
+    """sums[m] = the sum of terms[j] over the set bits j of mask m, for
+    every m < 2^len(terms).  The highest-bit recurrence adds the terms in
+    ascending j, the order congestion() and sum() over sorted players use;
+    a None term is skipped, as those sums skip zero factors."""
+    sums = np.zeros(1 << len(terms), dtype=dtype)
+    for j, t in enumerate(terms):
+        lo = 1 << j
+        sums[lo:2 * lo] = sums[:lo] if t is None else sums[:lo] + t
+    return sums
+
+
+def _basis_values(basis, loads, scale, dtype) -> np.ndarray:
+    """out[.., k] = scale * basis[k].value(load), evaluated on Python
+    scalars once per distinct load; None loads give 0 and are never
+    evaluated."""
+    flat = loads.ravel().tolist()
+    cache: dict = {}
+    out = np.zeros((len(flat), len(basis)), dtype=dtype)
+    cast = float if dtype is np.float64 else (lambda x: x)
+    for idx, x in enumerate(flat):
+        if x is None:
+            continue
+        if x not in cache:
+            cache[x] = [cast(scale * f.value(x)) for f in basis]
+        out[idx] = cache[x]
+    return out.reshape(loads.shape + (len(basis),))
 
 
 def build_pp_pne(
     cfg: WorstCaseConfig, rep: RepresentativeModel, designated: Optional[int] = None
 ) -> lp.LinearProgram:
     """Pure-equilibrium primal: the coarse program at a point mass on the
-    representative first profile."""
-    return build_pp_cce(
-        cfg,
-        rep.model,
-        ProfileDistribution.point(rep.sigma_star),
-        rep.o_star,
-        designated,
-    )
+    representative first profile, written from the closed form over the
+    (P, Q) masks of its resources.
+
+    Column (P, Q, k) has load w(P) under sigma* and w(Q) under o*:
+    eq[i] = f_k(w(P)) * sum_{j in P} alpha_ij w_j for i in P\\Q and
+    -(1+eps) * f_k(w(P)+w_i) * (alpha_ii w_i + sum_{j in P} alpha_ij w_j)
+    for i in Q\\P; val[i] = f_k(w(P)) * sum_{j in P} beta_ij w_j and
+    nrm[i] = f_k(w(Q)) * sum_{j in Q} beta_ij w_j.  Each factor is
+    computed once per mask, in build_pp_cce's order of operations, so the
+    two programs are equal value for value: in float64 when every weight
+    is a float, else over Python numbers in object arrays.
+    """
+    _check_designee(cfg, designated)
+    n, r = cfg.n, len(cfg.basis)
+    w, alpha, beta = cfg.weights, cfg.alpha, cfg.spec.beta
+    if tuple(rep.model.weights) != tuple(w):
+        raise GameError("model weights differ from configuration weights")
+    dtype = np.float64 if all(isinstance(x, float) for x in w) else object
+    size = 1 << n
+    masks = np.arange(size)
+    # resources are in (P, Q) order, P major: flat column (P*size + Q)*r + k
+    names = np.array(_variables(cfg, rep.model), dtype=object)
+    shape = (size, size, r)
+
+    def row(coeffs) -> dict:
+        flat = coeffs.ravel()
+        nz = np.flatnonzero(flat)
+        return dict(zip(names[nz].tolist(), flat[nz].tolist()))
+
+    def weighted(mat, i):
+        return _subset_sums([mat[i][j] * w[j] if mat[i][j] != 0 else None for j in range(n)], dtype)
+
+    loads = _subset_sums(list(w), dtype)
+    f_load = _basis_values(cfg.basis, np.where(masks > 0, loads, None), 1, dtype)
+    neg = -(1 + cfg.epsilon)
+    eq = []
+    for i in range(n):
+        bit = 1 << i
+        aw = weighted(alpha, i)
+        aw_join = alpha[i][i] * w[i] + aw
+        joins = (masks & bit == 0) & (aw_join != 0)
+        f_join = _basis_values(
+            cfg.basis, np.where(joins, loads + w[i], None), neg, dtype)
+        coeffs = np.zeros(shape, dtype=dtype)
+        p_in, p_out = np.flatnonzero(masks & bit), np.flatnonzero(masks & bit == 0)
+        coeffs[np.ix_(p_in, p_out)] = (f_load * aw[:, None])[p_in, None, :]
+        coeffs[np.ix_(p_out, p_in)] = (f_join * aw_join[:, None])[p_out, None, :]
+        eq.append(row(coeffs))
+
+    def beta_rows(summed):
+        costs = [f_load * weighted(beta, i)[:, None] for i in range(n)]
+        if summed:
+            total = np.zeros((size, r), dtype=dtype)
+            for c in costs:
+                total = np.where(c != 0, total + c, total)
+            costs = [total]
+        val = [row(np.broadcast_to(c[:, None, :], shape)) for c in costs]
+        nrm = [row(np.broadcast_to(c[None, :, :], shape)) for c in costs]
+        return (val[0], nrm[0]) if summed else (val, nrm)
+
+    return _primal(cfg, names.tolist(), eq, beta_rows, designated)
 
 
 # ============================================================
@@ -269,13 +375,7 @@ def build_dp_cce(
 def build_dp_pne(
     cfg: WorstCaseConfig, rep: RepresentativeModel, designated: Optional[int] = None
 ) -> lp.LinearProgram:
-    return build_dp_cce(
-        cfg,
-        rep.model,
-        ProfileDistribution.point(rep.sigma_star),
-        rep.o_star,
-        designated,
-    )
+    return _certificate_program(build_pp_pne(cfg, rep, designated))
 
 
 # ============================================================

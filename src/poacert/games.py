@@ -343,21 +343,35 @@ def individual_cost(game: GeneralizedGame, profile, i: int):
     )
 
 
+def individual_costs(game: GeneralizedGame, profile) -> list:
+    """individual_cost of every player, from one load pass over the
+    profile: each used resource's latency is evaluated once."""
+    model = game.model
+    loads = congestion(model, profile)
+    lat = {e: game.latency(e, x) for e, x in loads.items() if x != 0}
+    return [
+        model.weights[i] * sum(lat[e] for e in model.strategies[i][s])
+        for i, s in enumerate(profile)
+    ]
+
+
+def _weighted(row, costs):
+    return sum(row[j] * costs[j] for j in range(len(costs)) if row[j] != 0)
+
+
 def perceived_cost(game: GeneralizedGame, profile, i: int):
     """alpha-weighted sum of everyone's individual cost (player-grouped)."""
-    return sum(
-        game.alpha[i][j] * individual_cost(game, profile, j)
-        for j in range(game.n)
-        if game.alpha[i][j] != 0
-    )
+    return _weighted(game.alpha[i], individual_costs(game, profile))
 
 
 def beta_cost(spec: SocialSpec, game: GeneralizedGame, profile, i: int):
-    return sum(
-        spec.beta[i][j] * individual_cost(game, profile, j)
-        for j in range(game.n)
-        if spec.beta[i][j] != 0
-    )
+    return _weighted(spec.beta[i], individual_costs(game, profile))
+
+
+def social_of_costs(spec: SocialSpec, costs):
+    """Social value of a pure profile from its individual_costs."""
+    per_player = [_weighted(row, costs) for row in spec.beta]
+    return sum(per_player) if spec.kind == SUM else max(per_player)
 
 
 def social_value(spec: SocialSpec, game: GeneralizedGame, outcome):
@@ -366,14 +380,33 @@ def social_value(spec: SocialSpec, game: GeneralizedGame, outcome):
     SUM: sum_i E[beta-cost_i]; MAX: max_i E[beta-cost_i] (expectation
     inside the max, per coarse correlated semantics).
     """
-    if isinstance(outcome, ProfileDistribution):
-        per_player = [
-            outcome.expect(lambda prof, i=i: beta_cost(spec, game, prof, i))
-            for i in range(game.n)
-        ]
-    else:
-        per_player = [beta_cost(spec, game, outcome, i) for i in range(game.n)]
+    if not isinstance(outcome, ProfileDistribution):
+        return social_of_costs(spec, individual_costs(game, outcome))
+    costs = {prof: individual_costs(game, prof) for prof in outcome.masses}
+    per_player = [
+        outcome.expect(lambda prof, row=row: _weighted(row, costs[prof]))
+        for row in spec.beta
+    ]
     return sum(per_player) if spec.kind == SUM else max(per_player)
+
+
+def _grouped_gap(game: GeneralizedGame, profile, i: int, target, eps, loads, users):
+    """deviation_gap towards the resource set target, given the profile's
+    loads and resource users."""
+    model = game.model
+    current = model.strategies[i][profile[i]]
+    w = model.weights
+    gain = 0
+    for e in current - target:
+        aw = sum(game.alpha[i][j] * w[j] for j in users[e])
+        if aw != 0:
+            gain += game.latency(e, loads[e]) * aw
+    pay = 0
+    for e in target - current:
+        aw = game.alpha[i][i] * w[i] + sum(game.alpha[i][j] * w[j] for j in users[e])
+        if aw != 0:
+            pay += game.latency(e, loads[e] + w[i]) * aw
+    return gain - (1 + eps) * pay
 
 
 def deviation_gap(game: GeneralizedGame, profile, i: int, x, eps=0):
@@ -389,21 +422,9 @@ def deviation_gap(game: GeneralizedGame, profile, i: int, x, eps=0):
     """
     model = game.model
     target = model.strategies[i][x] if isinstance(x, int) else frozenset(x)
-    current = model.strategies[i][profile[i]]
-    loads = congestion(model, profile)
-    users = resource_users(model, profile)
-    w = model.weights
-    gain = 0
-    for e in current - target:
-        aw = sum(game.alpha[i][j] * w[j] for j in users[e])
-        if aw != 0:
-            gain += game.latency(e, loads[e]) * aw
-    pay = 0
-    for e in target - current:
-        aw = game.alpha[i][i] * w[i] + sum(game.alpha[i][j] * w[j] for j in users[e])
-        if aw != 0:
-            pay += game.latency(e, loads[e] + w[i]) * aw
-    return gain - (1 + eps) * pay
+    return _grouped_gap(
+        game, profile, i, target, eps, congestion(model, profile), resource_users(model, profile)
+    )
 
 
 def deviation_gap_verbatim(game: GeneralizedGame, profile, i: int, x, eps=0):
@@ -420,6 +441,27 @@ def deviation_gap_verbatim(game: GeneralizedGame, profile, i: int, x, eps=0):
     return here - (1 + eps) * there
 
 
+def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
+    """(i, x, gap) for every player i and strategy index x, in that order,
+    equal to deviation_gap or deviation_gap_verbatim but from one load pass
+    over the profile.  Lazy, so a caller may stop at the first bad gap."""
+    if predicate not in (EQ1, VERBATIM):
+        raise GameError(f"unknown predicate {predicate!r}")
+    model = game.model
+    if predicate == EQ1:
+        loads, users = congestion(model, profile), resource_users(model, profile)
+        for i in range(game.n):
+            for x, target in enumerate(model.strategies[i]):
+                yield i, x, _grouped_gap(game, profile, i, target, eps, loads, users)
+        return
+    costs = individual_costs(game, profile)
+    for i in range(game.n):
+        here = _weighted(game.alpha[i], costs)
+        for x in range(len(model.strategies[i])):
+            deviated = tuple(x if j == i else profile[j] for j in range(game.n))
+            yield i, x, here - (1 + eps) * perceived_cost(game, deviated, i)
+
+
 def is_eps_pne(
     game: GeneralizedGame,
     profile,
@@ -431,14 +473,7 @@ def is_eps_pne(
     The two predicates coincide at eps = 0 whenever alpha is diagonal; they
     may part ways otherwise (see deviation_gap).
     """
-    if predicate not in (EQ1, VERBATIM):
-        raise GameError(f"unknown predicate {predicate!r}")
-    fn = deviation_gap if predicate == EQ1 else deviation_gap_verbatim
-    for i in range(game.n):
-        for idx in range(len(game.model.strategies[i])):
-            if fn(game, profile, i, idx, eps) > FEAS_TOL:
-                return False
-    return True
+    return all(gap <= FEAS_TOL for _, _, gap in deviation_gaps(game, profile, eps, predicate))
 
 
 def is_eps_cce(
@@ -449,12 +484,14 @@ def is_eps_cce(
 ) -> bool:
     """Coarse correlated test: no player gains (1+eps)-factor in
     expectation by a constant pure deviation."""
-    if predicate not in (EQ1, VERBATIM):
-        raise GameError(f"unknown predicate {predicate!r}")
-    fn = deviation_gap_verbatim if predicate == VERBATIM else deviation_gap
+    gaps = {
+        prof: [gap for _, _, gap in deviation_gaps(game, prof, eps, predicate)]
+        for prof in dist.masses
+    }
+    k = 0
     for i in range(game.n):
-        for idx in range(len(game.model.strategies[i])):
-            gap = dist.expect(lambda prof: fn(game, prof, i, idx, eps))
-            if gap > FEAS_TOL:
+        for _ in game.model.strategies[i]:
+            if dist.expect(lambda prof: gaps[prof][k]) > FEAS_TOL:
                 return False
+            k += 1
     return True

@@ -144,6 +144,10 @@ class _Standardizer:
         self.obj_const = zero
         self.extra_rows = []  # (coeffs-by-col, relation, rhs) for finite upper bounds
         for v in lp.variables:
+            if v not in lp.bounds:  # the default (0, +inf)
+                self.col_of_var[v] = (len(self.columns),)
+                self.columns.append((v, "pos", zero))
+                continue
             lo, hi = lp.bound(v)
             lo = None if lo is None else _convert(lo, exact)
             hi = None if hi is None else _convert(hi, exact)
@@ -162,6 +166,25 @@ class _Standardizer:
                 self.col_of_var[v] = (len(self.columns),)
                 self.columns.append((v, "shifted", lo))
                 self.extra_rows.append(({len(self.columns) - 1: one}, LE, hi - lo))
+        # every variable is one column with lower bound 0: column j is variable j
+        self.plain = all(kind == "pos" for _, kind, _ in self.columns)
+        self.column = {v: j for j, v in enumerate(lp.variables)} if self.plain else None
+
+    def expand_into(self, coeffs: Mapping[str, object], out) -> object:
+        """Write a linear form's column coefficients into out, a zero row
+        of the constraint array, and return its constant."""
+        if not self.plain:
+            cols, const = self.expand(coeffs)
+            out[list(cols)] = list(cols.values())
+            return const
+        cols = np.fromiter(map(self.column.__getitem__, coeffs), dtype=np.intp, count=len(coeffs))
+        if self.exact:
+            vals = np.array([_convert(c, True) for c in coeffs.values()], dtype=object)
+        else:
+            vals = np.fromiter(map(float, coeffs.values()), dtype=np.float64, count=len(coeffs))
+        keep = vals != 0
+        out[cols[keep]] = vals[keep]
+        return self.zero
 
     def expand(self, coeffs: Mapping[str, object]) -> tuple[dict, object]:
         """Return (col -> coefficient, constant) for a linear form."""
@@ -209,6 +232,8 @@ class _Standardizer:
 
 class _Tableau:
     def __init__(self, A, b, relations, n_struct, exact):
+        """A is the m x n_struct constraint array (float64, or object of
+        Fractions when exact); rows with a negative rhs are flipped in place."""
         self.exact = exact
         self.tol = Fraction(0) if exact else PIVOT_TOL
         self.m = len(b)
@@ -220,7 +245,7 @@ class _Tableau:
         for i in range(self.m):
             if b[i] < 0:
                 b[i] = -b[i]
-                A[i] = [-a for a in A[i]]
+                A[i] = -A[i]
                 self.sign[i] = -one
                 rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
         self.n_struct = n_struct
@@ -240,13 +265,11 @@ class _Tableau:
                 ncols += 1
         self.ncols = ncols
         self.max_iters = 2000 + 100 * (self.m + ncols)
-        dtype = object if exact else np.float64
-        M = np.zeros((self.m, ncols + 1), dtype=dtype)
+        M = np.zeros((self.m, ncols + 1), dtype=object if exact else np.float64)
         if exact:
-            M[:, :] = Fraction(0)
+            M[:, :] = zero
+        M[:, :n_struct] = A
         for i in range(self.m):
-            for j, a in enumerate(A[i]):
-                M[i, j] = a
             if self.slack_col[i] is not None:
                 M[i, self.slack_col[i]] = one if rels[i] == LE else -one
             if self.art_col[i] is not None:
@@ -284,14 +307,15 @@ class _Tableau:
         return Fraction(0) if self.exact else 0.0
 
     def _reduced_row(self, costs):
-        """Build the z - c row (plus objective value cell) for given costs."""
+        """Build the z - c row (plus objective value cell) for given costs
+        of the leading columns; the rest cost 0."""
         dtype = object if self.exact else np.float64
         B = np.zeros(self.M.shape[1], dtype=dtype)
         if self.exact:
             B[:] = Fraction(0)
-        for j, c in enumerate(costs):
-            if c != 0:
-                B[j] = -c
+        costs = np.asarray(costs, dtype=dtype)
+        nz = np.flatnonzero(costs)
+        B[nz] = -costs[nz]
         for r in range(self.m):
             if not self.row_alive[r]:
                 continue
@@ -334,40 +358,39 @@ class _Tableau:
     def run(self, costs, banned, ray_free=False):
         """Maximize costs'x from the current basis.  Returns status string.
 
-        ray_free callers guarantee the objective is bounded, so a column
-        with no admissible pivot row is float dust, not a ray; it gets
-        retired instead of triggering an UNBOUNDED verdict.
+        Dantzig's rule enters the first column of most negative reduced
+        cost; after DEGENERATE_STREAK degenerate pivots in a row, Bland's
+        rule enters the first column below -tol.  ray_free callers
+        guarantee the objective is bounded, so a column with no admissible
+        pivot row is float dust, not a ray; it gets retired instead of
+        triggering an UNBOUNDED verdict.
         """
         B = self._reduced_row(costs)
         bland = False
         streak = 0
-        dead = set()
+        # columns that may enter, ascending; shrinks only when one retires
+        allowed = np.ones(self.ncols, dtype=bool)
+        allowed[list(banned)] = False
+        allowed = np.flatnonzero(allowed)
         while True:
             if self.iterations > self.max_iters:
                 raise SolverError(f"iteration cap {self.max_iters} exceeded")
-            enter = None
+            reduced = B[allowed]
             if bland:
-                for j in range(self.ncols):
-                    if j in banned or j in dead:
-                        continue
-                    if B[j] < -self.tol:
-                        enter = j
-                        break
+                below = np.flatnonzero(reduced < -self.tol)
+                pick = below[0] if len(below) else None
             else:
-                best = -self.tol
-                for j in range(self.ncols):
-                    if j in banned or j in dead:
-                        continue
-                    if B[j] < best:
-                        best = B[j]
-                        enter = j
-            if enter is None:
+                pick = int(np.argmin(reduced)) if len(reduced) else None
+                if pick is not None and not reduced[pick] < -self.tol:
+                    pick = None
+            if pick is None:
                 self._B = B
                 return OPTIMAL
+            enter = int(allowed[pick])
             leave = self._ratio_row(enter, bland)
             if leave is None:
                 if ray_free:
-                    dead.add(enter)
+                    allowed = np.delete(allowed, pick)
                     continue
                 self._B = B
                 return UNBOUNDED
@@ -392,19 +415,15 @@ class _Tableau:
         if self._B[-1] < -self.tol:
             return False
         # drive zero-level artificials out of the basis; drop dependent rows
+        structural = np.ones(self.ncols, dtype=bool)
+        structural[list(self.artificials)] = False
         for r in range(self.m):
             if not self.row_alive[r] or self.basis[r] not in self.artificials:
                 continue
-            target = None
-            for j in range(self.ncols):
-                if j in self.artificials:
-                    continue
-                a = self.M[r, j]
-                if a > self.tol or a < -self.tol:
-                    target = j
-                    break
-            if target is not None:
-                self._pivot(r, target, self._B)
+            row = self.M[r, :self.ncols]
+            hits = np.flatnonzero(((row > self.tol) | (row < -self.tol)) & structural)
+            if len(hits):
+                self._pivot(r, int(hits[0]), self._B)
             else:
                 self.row_alive[r] = False
         return True
@@ -424,8 +443,8 @@ def _float_residual(A, b, relations, tab):
     a negative rhs in place; tab.sign turns them back to `relations`."""
     basic = [(r, j) for r, j in enumerate(tab.basis) if tab.row_alive[r] and j < tab.n_struct]
     x = np.array([tab.M[r, -1] for r, _ in basic], dtype=float)
-    sub = np.array([[row[j] for _, j in basic] for row in A], dtype=float)
-    gap = (sub.reshape(len(A), len(basic)) @ x - np.asarray(b, dtype=float)) * tab.sign
+    sub = A[:, [j for _, j in basic]]
+    gap = (sub @ x - np.asarray(b, dtype=float)) * tab.sign
     rel = np.asarray(relations)
     by_row = np.where(rel == EQ, abs(gap), np.where(rel == GE, -gap, gap))
     viol = np.concatenate([by_row, -x, [0]])
@@ -454,43 +473,42 @@ def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
     zero = std.zero
     sense_flip = -std.one if lp.sense == MINIMIZE else std.one
 
-    A, b, rels, row_scale = [], [], [], []
-    for row in lp.rows:
-        cols, const = std.expand(row.coeffs)
-        dense = [zero] * len(std.columns)
-        for j, c in cols.items():
-            dense[j] = c
-        rhs = _convert(row.rhs, exact) - const
+    A = np.zeros((len(lp.rows) + len(std.extra_rows), len(std.columns)),
+                 dtype=object if exact else np.float64)
+    if exact:
+        A[:, :] = zero
+    b, rels, row_scale = [], [], []
+    for i, row in enumerate(lp.rows):
+        rhs = _convert(row.rhs, exact) - std.expand_into(row.coeffs, A[i])
         # equilibrate: float tolerances are absolute, so rows must share a
         # scale for them to mean anything
         s = std.one
         if not exact:
-            biggest = max((abs(c) for c in dense), default=0.0)
+            biggest = float(np.abs(A[i]).max(initial=0.0))
             if biggest > 0:
                 s = 1.0 / biggest
-        A.append([c * s for c in dense] if s != 1 else dense)
+            if s != 1:
+                A[i] *= s
         b.append(rhs * s)
         rels.append(row.relation)
         row_scale.append(s)
-    for cols, rel, rhs in std.extra_rows:
-        dense = [zero] * len(std.columns)
-        for j, c in cols.items():
-            dense[j] = c
-        A.append(dense)
+    for i, (cols, rel, rhs) in enumerate(std.extra_rows, len(lp.rows)):
+        A[i, list(cols)] = list(cols.values())
         b.append(rhs)
         rels.append(rel)
     n_original_rows = len(lp.rows)
 
-    obj_cols, obj_const = std.expand(lp.objective)
-    costs = [zero] * len(std.columns)
-    for j, c in obj_cols.items():
-        costs[j] = c * sense_flip
+    costs = np.zeros(len(std.columns), dtype=A.dtype)
+    if exact:
+        costs[:] = zero
+    obj_const = std.expand_into(lp.objective, costs)
+    nz = np.flatnonzero(costs)
+    costs[nz] = costs[nz] * sense_flip
 
     tab = _Tableau(A, b, rels, len(std.columns), exact)
     if not tab.phase1():
         return SolveReport(INFEASIBLE, None, {}, {}, tab.iterations, exact)
-    full_costs = costs + [zero] * (tab.ncols - len(costs))
-    status = tab.run(full_costs, banned=frozenset(tab.artificials))
+    status = tab.run(costs, banned=frozenset(tab.artificials))
     if status == UNBOUNDED:
         return SolveReport(UNBOUNDED, None, {}, {}, tab.iterations, exact)
 

@@ -22,8 +22,7 @@ from .games import (
     ProfileDistribution,
     SocialSpec,
     beta_cost,
-    deviation_gap,
-    deviation_gap_verbatim,
+    deviation_gaps,
     is_eps_pne,
     social_value,
 )
@@ -103,18 +102,14 @@ class CCEReport:
 
 
 def _cce_program(game, profiles, objective, epsilon, predicate, name):
-    n = game.model.n
-    gap_fn = deviation_gap_verbatim if predicate == VERBATIM else deviation_gap
     variables = [f"p[{idx}]" for idx in range(len(profiles))]
-    rows = []
-    for i in range(n):
-        for x_idx in range(len(game.model.strategies[i])):
-            coeffs = {}
-            for idx, prof in enumerate(profiles):
-                gap = gap_fn(game, prof, i, x_idx, epsilon)
-                if gap != 0:
-                    coeffs[f"p[{idx}]"] = gap
-            rows.append(lp.Row(coeffs, lp.LE, 0, f"cce[{i}][{x_idx}]"))
+    coeffs: dict = {}  # (i, x) -> row coefficients, filled one profile at a time
+    for idx, prof in enumerate(profiles):
+        for i, x_idx, gap in deviation_gaps(game, prof, epsilon, predicate):
+            row = coeffs.setdefault((i, x_idx), {})
+            if gap != 0:
+                row[f"p[{idx}]"] = gap
+    rows = [lp.Row(row, lp.LE, 0, f"cce[{i}][{x_idx}]") for (i, x_idx), row in coeffs.items()]
     rows.append(lp.Row({v: 1 for v in variables}, lp.EQ, 1, "mass"))
     return lp.LinearProgram(lp.MAXIMIZE, variables, objective, rows, name=name)
 

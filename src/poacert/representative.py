@@ -15,16 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .games import CongestionModel, GameError
 
 PLAYER_CAP = 10  # 4^n resources; past this the model is no longer a desk object
 
 
-def _mask_id(p_mask: int, q_mask: int) -> str:
-    def part(mask):
-        return ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
-
-    return f"P:{{{part(p_mask)}}}|Q:{{{part(q_mask)}}}"
+def _players(mask: int) -> str:
+    """Comma-separated 1-based players of a bit mask, as in resource ids."""
+    return ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,18 @@ def build_representative(weights, cap: int = PLAYER_CAP) -> RepresentativeModel:
     if n > cap:
         raise GameError(f"{n} players would need {4**n} resources (cap {cap})")
     size = 1 << n
-    index = {(p, q): _mask_id(p, q) for p in range(size) for q in range(size)}
+    players = [_players(m) for m in range(size)]
+    index = {
+        (p, q): f"P:{{{players[p]}}}|Q:{{{players[q]}}}" for p in range(size) for q in range(size)
+    }
+    # ids[p, q] is the id of e(P, Q)
+    ids = np.array(list(index.values()), dtype=object).reshape(size, size)
+    masks = np.arange(size)
     strategies = []
     for i in range(n):
-        bit = 1 << i
-        sigma = frozenset(rid for (p, q), rid in index.items() if p & bit)
-        omega = frozenset(rid for (p, q), rid in index.items() if q & bit)
-        strategies.append((sigma, omega))
+        has = masks >> i & 1 == 1
+        sigma, omega = ids[has].ravel().tolist(), ids[:, has].ravel().tolist()
+        strategies.append((frozenset(sigma), frozenset(omega)))
     model = CongestionModel(tuple(weights), tuple(index.values()), tuple(strategies))
     return RepresentativeModel(
         model=model,

@@ -23,6 +23,8 @@ from .games import (
     GeneralizedGame,
     SocialSpec,
     individual_cost,
+    individual_costs,
+    social_of_costs,
     social_value,
 )
 from .oracle import NO_EQUILIBRIUM, PROFILE_CAP, exact_ppoa, social_optimum, worst_cce_value
@@ -54,18 +56,19 @@ def is_sum_bounded(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_C
     sum of individual costs)."""
     if game.model.profile_count() > cap:
         raise GameError("profile cap exceeded")
-    n = game.model.n
     for prof in game.model.profiles():
-        total = sum(individual_cost(game, prof, i) for i in range(n))
-        if social_value(spec, game, prof) > total + FEAS_TOL:
+        costs = individual_costs(game, prof)
+        if social_of_costs(spec, costs) > sum(costs) + FEAS_TOL:
             return False, prof
     return True, None
 
 
 def _pair_tables(game, spec, cap):
+    """Profiles, their social values and the deviation sums of every
+    ordered profile pair: up to cap^2 entries for cap profiles."""
+    if game.model.profile_count() > cap:
+        raise GameError("profile cap exceeded")
     profiles = list(game.model.profiles())
-    if len(profiles) ** 2 > cap:
-        raise GameError("profile pair cap exceeded")
     sf = [social_value(spec, game, prof) for prof in profiles]
     n = game.model.n
     dev = [

@@ -201,6 +201,16 @@ def test_smoothness_command_exact(capsys, game_path):
     assert doc["bounds_hold"] == {"ppoa": True, "ccpoa": True}
 
 
+@pytest.mark.parametrize("command", ["smoothness", "exact-ppoa", "cce-poa", "enumerate-pne"])
+def test_cap_counts_profiles(capsys, game_path, command):
+    # the game has 4 pure profiles (16 smoothness pairs): a cap of 5 admits
+    # it for every command, a cap of 3 for none
+    assert main([command, "--game", game_path, "--cap", "5"]) == EXIT_OK
+    capsys.readouterr()
+    assert main([command, "--game", game_path, "--cap", "3"]) == EXIT_VALIDATION
+    assert "cap" in capsys.readouterr().err
+
+
 def test_max_flag_overrides_config(capsys, cfg_path):
     code, doc = run(capsys, "solve-worst-case", "--config", cfg_path,
                     "--sf", "max", "--exact")

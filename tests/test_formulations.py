@@ -240,6 +240,25 @@ def test_alpha_zero_is_infinite():
     assert r.gamma_star is None
 
 
+def fair_cost_table(n, exact=True):
+    """Fair cost sharing, f(x) = 1/x, tabulated over exactly the loads
+    1..n of n unit-weight players: a decreasing latency."""
+    num = F if exact else float
+    return BasisFunction.lookup({num(x): num(F(1, x)) for x in range(1, n + 1)})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", [SUM, MAX])
+def test_anchor_fair_cost_sharing(n, kind):
+    # the price of anarchy n of fair cost sharing; a builder that looked
+    # f up at w(P) + w_i for i in P would need the uncovered load n + 1
+    cfg = unit_cfg(n=n, kind=kind, basis=(fair_cost_table(n),))
+    r = solve_worst_case(cfg, exact=True)
+    assert r.status == OPTIMAL
+    assert r.gamma_star == n
+    assert_certifies(cfg, r)
+
+
 def mixed_cell(exact):
     """A three-player max cell (class-ladder seed 2019) whose designees 0
     and 1 are unbounded while designee 2 is certified at exactly 1; the
@@ -296,6 +315,61 @@ def test_float_and_exact_agree_on_anchor():
     rf = solve_worst_case(unit_cfg(n=3))
     assert rf.status == OPTIMAL
     assert rf.gamma_star == pytest.approx(2.5, rel=1e-9)
+
+
+# ============================================================
+# the closed-form representative primal
+# ============================================================
+
+
+def equality_cases():
+    """Seeded configurations for the closed-form builder: n = 2..5, exact
+    at n <= 4 and float throughout, sum and max, bases {x}, {x, x^3,
+    1[x>0]} and the tight fair-cost table, alpha with negative and zero
+    entries, beta with zeros, eps in {0, 1/2}.  Float entries are not
+    dyadic, so products and sums round, and a change in the order of
+    operations shows."""
+    cube = (BasisFunction.monomial(1), BasisFunction.monomial(3), BasisFunction.indicator())
+    k = 0
+    for n in (2, 3, 4, 5):
+        for exact in (True, False) if n <= 4 else (False,):
+            num = F if exact else float
+            for basis in ("x", "cube", "table"):
+                for kind in (SUM, MAX):
+                    rng = seeded(1000 + k)
+                    k += 1
+
+                    def entry(lo, hi):
+                        if rng.random() < 0.25:
+                            return num(0)
+                        return num(F(rng.randrange(lo * 7, hi * 7 + 1), 7))
+
+                    if basis == "table":
+                        weights = [num(1)] * n
+                        fs = (fair_cost_table(n, exact),)
+                    else:
+                        weights = [num(F(rng.randrange(1, 15), 7)) for _ in range(n)]
+                        fs = (BasisFunction.monomial(1),) if basis == "x" else cube
+                    alpha = [[entry(-1, 1) for _ in range(n)] for _ in range(n)]
+                    beta = [[entry(0, 1) for _ in range(n)] for _ in range(n)]
+                    beta[0][0] = num(1)  # not all zero
+                    cfg = WorstCaseConfig(
+                        weights, alpha, SocialSpec(kind, beta), num(F(k % 2, 2)), fs)
+                    arithmetic = "exact" if exact else "float"
+                    yield pytest.param(cfg, id=f"n{n}-{arithmetic}-{basis}-{kind}")
+
+
+@pytest.mark.parametrize("cfg", list(equality_cases()))
+def test_closed_form_primal_equals_profile_enumeration(cfg):
+    """build_pp_pne, written from the (P, Q)-mask formula, is the coarse
+    program build_pp_cce enumerates at the point mass on sigma*, value for
+    value, for every designee."""
+    rep = build_representative(cfg.weights)
+    sigma = ProfileDistribution.point(rep.sigma_star)
+    for d in [None] if cfg.spec.kind == SUM else range(cfg.n):
+        closed = build_pp_pne(cfg, rep, d)
+        assert closed == build_pp_cce(cfg, rep.model, sigma, rep.o_star, d)
+        assert any(row.coeffs for row in closed.rows)
 
 
 # ============================================================

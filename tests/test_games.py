@@ -26,8 +26,10 @@ from poacert.games import (
     congestion,
     deviation_gap,
     deviation_gap_verbatim,
+    deviation_gaps,
     identity_matrix,
     individual_cost,
+    individual_costs,
     is_eps_cce,
     is_eps_pne,
     perceived_cost,
@@ -270,6 +272,31 @@ def test_scaling_multiplies_gaps(seed, num):
         for i in range(g.n):
             for idx in range(len(g.model.strategies[i])):
                 assert deviation_gap(h, prof, i, idx) == c * deviation_gap(g, prof, i, idx)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_load_pass_matches_the_per_player_functions(seed):
+    """individual_costs, deviation_gaps and social_value read each
+    profile's loads once; their values equal those of individual_cost,
+    deviation_gap and deviation_gap_verbatim, which read them per call,
+    bit for bit on float data that rounds."""
+    rng = seeded(seed)
+    alpha = tuple(tuple(rng.choice((0.0, rng.uniform(-1, 1))) for _ in range(3)) for _ in range(3))
+    beta = tuple(tuple(rng.choice((0.0, rng.uniform(0, 1))) for _ in range(3)) for _ in range(3))
+    basis = (BasisFunction.monomial(1), BasisFunction.monomial(2))
+    g = random_game(rng, (0.7, 1.3, 2.1), basis, alpha, n_resources=4)
+    for kind in (SUM, MAX):
+        spec = SocialSpec(kind, beta)
+        for prof in g.model.profiles():
+            costs = [individual_cost(g, prof, i) for i in range(3)]
+            assert individual_costs(g, prof) == costs
+            per = [sum(beta[i][j] * costs[j] for j in range(3) if beta[i][j] != 0)
+                   for i in range(3)]
+            assert social_value(spec, g, prof) == (sum(per) if kind == SUM else max(per))
+            for predicate, gap in ((EQ1, deviation_gap), (VERBATIM, deviation_gap_verbatim)):
+                want = [(i, x, gap(g, prof, i, x, 0.5))
+                        for i in range(3) for x in range(len(g.model.strategies[i]))]
+                assert list(deviation_gaps(g, prof, 0.5, predicate)) == want
 
 
 # ============================================================

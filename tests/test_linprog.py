@@ -213,6 +213,87 @@ def test_float_tracks_exact():
         assert rf.value == pytest.approx(float(re.value), rel=VALUE_RTOL, abs=1e-9)
 
 
+class LoopPricing(linprog._Tableau):
+    """The simplex with its entering column chosen by a plain loop over
+    the columns: the reference for the array pricing of _Tableau.run."""
+
+    def run(self, costs, banned, ray_free=False):
+        B = self._reduced_row(costs)
+        bland = False
+        streak = 0
+        dead = set()
+        while True:
+            if self.iterations > self.max_iters:
+                raise SolverError(f"iteration cap {self.max_iters} exceeded")
+            enter = None
+            best = -self.tol
+            for j in range(self.ncols):
+                if j in banned or j in dead:
+                    continue
+                if bland and B[j] < -self.tol:
+                    enter = j
+                    break
+                if not bland and B[j] < best:
+                    best = B[j]
+                    enter = j
+            if enter is None:
+                self._B = B
+                return OPTIMAL
+            leave = self._ratio_row(enter, bland)
+            if leave is None:
+                if ray_free:
+                    dead.add(enter)
+                    continue
+                self._B = B
+                return UNBOUNDED
+            degenerate = self.M[leave, -1] <= self.tol
+            self._pivot(leave, enter, B)
+            streak = streak + 1 if degenerate else 0
+            bland = bland or streak >= linprog.DEGENERATE_STREAK
+
+
+def pricing_cases():
+    from poacert.formulations import WorstCaseConfig, build_dp_pne, build_pp_pne
+    from poacert.games import MAX, SUM, BasisFunction, SocialSpec, identity_matrix
+    from poacert.representative import build_representative
+
+    rng = random.Random(4242)
+    programs = [_random_feasible_lp(rng) for _ in range(20)]
+    for n, kind, r in ((2, SUM, 1), (2, MAX, 1), (3, SUM, 2)):
+        cfg = WorstCaseConfig([F(1)] * n, identity_matrix(n, True),
+                              SocialSpec(kind, identity_matrix(n, True)), F(1, 2),
+                              [BasisFunction.monomial(k + 1) for k in range(r)])
+        rep = build_representative(cfg.weights)
+        d = 0 if kind == MAX else None
+        programs.append(build_pp_pne(cfg, rep, d))
+        if n == 2:  # the n = 3 dual takes a minute in rationals
+            programs.append(build_dp_pne(cfg, rep, d))
+    return programs
+
+
+@pytest.mark.parametrize("streak", [linprog.DEGENERATE_STREAK, 1])
+@pytest.mark.parametrize("exact", [False, True])
+def test_array_pricing_pivots_like_the_loop(monkeypatch, exact, streak):
+    """Same entering columns, so the same pivots: equal iteration counts
+    and equal reports, value for value, in both arithmetics.  With a
+    streak of 1, Bland's rule takes over after the first degenerate
+    pivot, which these programs reach."""
+    monkeypatch.setattr(linprog, "DEGENERATE_STREAK", streak)
+    beale = LinearProgram(
+        MAXIMIZE, ["x1", "x2", "x3", "x4"],
+        {"x1": F(3, 4), "x2": -150, "x3": F(1, 50), "x4": -6},
+        [Row({"x1": F(1, 4), "x2": -60, "x3": F(-1, 25), "x4": 9}, LE, 0, "r1"),
+         Row({"x1": F(1, 2), "x2": -90, "x3": F(-1, 50), "x4": 3}, LE, 0, "r2"),
+         Row({"x3": 1}, LE, 1, "r3")],
+    )
+    programs = pricing_cases() + [beale, dualize(lp_prod_mix())]
+    arrays = [linprog._simplex(p, exact) for p in programs]
+    monkeypatch.setattr(linprog, "_Tableau", LoopPricing)
+    loops = [linprog._simplex(p, exact) for p in programs]
+    assert [r.iterations for r in arrays] == [r.iterations for r in loops]
+    assert arrays == loops
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Route solve's kernel runs through a recorder: a run whose arithmetic
