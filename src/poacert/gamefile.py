@@ -76,6 +76,12 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _array(raw, what: str) -> list:
+    if not isinstance(raw, list):
+        raise GameFileError(f"{what} must be an array, got {raw!r}")
+    return raw
+
+
 def parse_basis(raw, exact: bool) -> tuple:
     if not isinstance(raw, list) or not raw:
         raise GameFileError("basis must be a non-empty array")
@@ -85,7 +91,7 @@ def parse_basis(raw, exact: bool) -> tuple:
             raise GameFileError(f"bad basis entry {item!r}")
         kind = item["kind"]
         if kind == MONOMIAL:
-            out.append(BasisFunction.monomial(int(item.get("degree", 1))))
+            out.append(BasisFunction.monomial(item.get("degree", 1)))
         elif kind == INDICATOR:
             out.append(BasisFunction.indicator())
         elif kind == TABLE:
@@ -145,15 +151,16 @@ def _load(path: str) -> dict:
 def load_game(path: str, exact: bool = False) -> GameDocument:
     doc = _load(path)
     try:
-        weights = tuple(parse_number(x, exact) for x in _require(doc, "weights"))
+        weights = tuple(parse_number(x, exact) for x in _array(_require(doc, "weights"), "weights"))
         n = len(weights)
-        resources = tuple(str(e) for e in _require(doc, "resources"))
+        resources = tuple(str(e) for e in _array(_require(doc, "resources"), "resources"))
         raw_strats = _require(doc, "strategies")
         if not isinstance(raw_strats, list) or len(raw_strats) != n:
             raise GameFileError("strategies must list one entry per player")
         strategies = tuple(
-            tuple(frozenset(str(e) for e in strat) for strat in per)
-            for per in raw_strats
+            tuple(frozenset(str(e) for e in _array(strat, f"a strategy of player {i}"))
+                  for strat in _array(per, f"strategies of player {i}"))
+            for i, per in enumerate(raw_strats)
         )
         model = CongestionModel(weights, resources, strategies)
         basis = parse_basis(_require(doc, "basis"), exact)
@@ -204,7 +211,7 @@ def load_config(path: str, exact: bool = False, sf=None, epsilon=None) -> WorstC
     """Worst-case configuration; sf/epsilon arguments override the file."""
     doc = _load(path)
     try:
-        weights = tuple(parse_number(x, exact) for x in _require(doc, "weights"))
+        weights = tuple(parse_number(x, exact) for x in _array(_require(doc, "weights"), "weights"))
         n = len(weights)
         alpha = _matrix(_require(doc, "alpha"), n, "alpha", exact)
         basis = parse_basis(_require(doc, "basis"), exact)

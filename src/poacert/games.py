@@ -55,7 +55,7 @@ class BasisFunction:
 
     @staticmethod
     def monomial(degree: int) -> "BasisFunction":
-        if not isinstance(degree, int) or degree < 1:
+        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
             raise GameError(f"monomial degree must be an integer >= 1, got {degree!r}")
         return BasisFunction(MONOMIAL, degree=degree)
 
@@ -173,15 +173,14 @@ class CongestionModel:
         return itertools.product(*(range(len(per)) for per in self.strategies))
 
     def reachable_congestions(self) -> set:
-        """Distinct subset sums of the weights (plus one weight is again a
-        subset sum, so this covers post-deviation loads too)."""
+        """Distinct subset sums of the weights.  These cover post-deviation
+        loads too: a player joins only resources it is not already on."""
         if self.n > _EAGER_LIMIT:
             raise GameError(f"reachability enumeration capped at {_EAGER_LIMIT} players")
         sums = {0}
         for w in self.weights:
             sums |= {s + w for s in sums}
-        extra = {s + w for s in sums for w in self.weights}
-        return sums | extra
+        return sums
 
 
 @dataclass(frozen=True)

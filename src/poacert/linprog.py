@@ -10,17 +10,19 @@ OPTIMAL on an inconclusive run.
 Conventions
 -----------
 * Rows are labeled; relations are "<=", "=", ">=".
-* Variable bounds default to (0, +inf); FREE means (-inf, +inf).
+* Every variable is >= 0 (the default bound (0, None)), <= 0 (bound
+  (None, 0)) or free (FREE); any other bound is a ValueError.
 * Dual values follow the textbook convention for the stated sense:
   for a MAX program, "<=" rows get duals >= 0, ">=" rows get duals <= 0,
-  "=" rows are free; for a MIN program the signs swap.  With default
-  bounds, sum(dual_i * rhs_i) equals the optimal value.
+  "=" rows are free; for a MIN program the signs swap.  sum(dual_i *
+  rhs_i) equals the optimal value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -88,17 +90,21 @@ class LinearProgram:
             for v in row.coeffs:
                 if v not in declared:
                     raise ValueError(f"row {row.label!r} references undeclared variable {v!r}")
-        for v, (lo, hi) in self.bounds.items():
+        self.bounds = {v: tuple(b) for v, b in self.bounds.items()}
+        for v, b in self.bounds.items():
             if v not in declared:
                 raise ValueError(f"bound on undeclared variable {v!r}")
-            if lo is not None and hi is not None and lo > hi:
-                raise ValueError(f"crossing bounds on {v!r}")
+            if b not in _SIGN_CLASSES:
+                raise ValueError(f"bound {b} on {v!r}: variables are >= 0, <= 0 or free")
 
     def bound(self, v: str) -> tuple:
-        return self.bounds.get(v, (0, None))
+        return self.bounds.get(v, _NONNEG)
 
 
 FREE = (None, None)
+_NONNEG = (0, None)
+_NONPOS = (None, 0)
+_SIGN_CLASSES = (_NONNEG, _NONPOS, FREE)
 
 
 @dataclass
@@ -120,8 +126,6 @@ def _convert(x, exact: bool):
     if exact:
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, int):
-            return Fraction(x)
         return Fraction(x)  # exact binary value of a float
     return float(x)
 
@@ -129,100 +133,51 @@ def _convert(x, exact: bool):
 class _Standardizer:
     """Rewrites an LP into max c'x, Ax R b, x >= 0 and maps solutions back.
 
-    Each original variable becomes one column (possibly shifted or mirrored)
-    or two columns when free.  Finite upper bounds become internal rows.
-    """
+    Variable j is column col[j], negated when it is nonpositive; a free
+    variable is column col[j] minus column col[j] + 1."""
 
     def __init__(self, lp: LinearProgram, exact: bool):
         self.lp = lp
         self.exact = exact
-        zero = Fraction(0) if exact else 0.0
-        one = Fraction(1) if exact else 1.0
-        self.zero, self.one = zero, one
-        self.columns = []  # (var, kind, const) kind in {pos, shifted, mirrored, split+ , split-}
-        self.col_of_var = {}
-        self.obj_const = zero
-        self.extra_rows = []  # (coeffs-by-col, relation, rhs) for finite upper bounds
-        for v in lp.variables:
-            if v not in lp.bounds:  # the default (0, +inf)
-                self.col_of_var[v] = (len(self.columns),)
-                self.columns.append((v, "pos", zero))
-                continue
-            lo, hi = lp.bound(v)
-            lo = None if lo is None else _convert(lo, exact)
-            hi = None if hi is None else _convert(hi, exact)
-            if lo is not None and hi is None:
-                kind = "pos" if lo == 0 else "shifted"
-                self.col_of_var[v] = (len(self.columns),)
-                self.columns.append((v, kind, lo))
-            elif lo is None and hi is not None:
-                self.col_of_var[v] = (len(self.columns),)
-                self.columns.append((v, "mirrored", hi))
-            elif lo is None and hi is None:
-                self.col_of_var[v] = (len(self.columns), len(self.columns) + 1)
-                self.columns.append((v, "split+", zero))
-                self.columns.append((v, "split-", zero))
-            else:  # both finite
-                self.col_of_var[v] = (len(self.columns),)
-                self.columns.append((v, "shifted", lo))
-                self.extra_rows.append(({len(self.columns) - 1: one}, LE, hi - lo))
-        # every variable is one column with lower bound 0: column j is variable j
-        self.plain = all(kind == "pos" for _, kind, _ in self.columns)
-        self.column = {v: j for j, v in enumerate(lp.variables)} if self.plain else None
+        self.dtype = object if exact else np.float64
+        self.zero = Fraction(0) if exact else 0.0
+        self.one = Fraction(1) if exact else 1.0
+        self.index = {v: j for j, v in enumerate(lp.variables)}
+        nvars = len(lp.variables)
+        self.neg = np.zeros(nvars, dtype=bool)
+        self.neg[[self.index[v] for v, b in lp.bounds.items() if b == _NONPOS]] = True
+        self.free = np.zeros(nvars, dtype=bool)
+        self.free[[self.index[v] for v, b in lp.bounds.items() if b == FREE]] = True
+        self.col = np.arange(nvars, dtype=np.intp) + np.cumsum(self.free) - self.free
+        self.ncols = nvars + int(self.free.sum())
 
-    def expand_into(self, coeffs: Mapping[str, object], out) -> object:
-        """Write a linear form's column coefficients into out, a zero row
-        of the constraint array, and return its constant."""
-        if not self.plain:
-            cols, const = self.expand(coeffs)
-            out[list(cols)] = list(cols.values())
-            return const
-        cols = np.fromiter(map(self.column.__getitem__, coeffs), dtype=np.intp, count=len(coeffs))
+    def scatter(self, forms: Sequence[Mapping[str, object]], out) -> None:
+        """Write linear forms, form i into row i of out (a zero array), as
+        column coefficients: all forms in one pass."""
+        counts = np.fromiter(map(len, forms), dtype=np.intp, count=len(forms))
+        var = np.fromiter(map(self.index.__getitem__, chain.from_iterable(forms)),
+                          dtype=np.intp, count=int(counts.sum()))
+        coeffs = chain.from_iterable(form.values() for form in forms)
         if self.exact:
-            vals = np.array([_convert(c, True) for c in coeffs.values()], dtype=object)
+            vals = np.array([_convert(c, True) for c in coeffs], dtype=object)
         else:
-            vals = np.fromiter(map(float, coeffs.values()), dtype=np.float64, count=len(coeffs))
+            vals = np.fromiter(map(float, coeffs), dtype=np.float64, count=len(var))
         keep = vals != 0
-        out[cols[keep]] = vals[keep]
-        return self.zero
-
-    def expand(self, coeffs: Mapping[str, object]) -> tuple[dict, object]:
-        """Return (col -> coefficient, constant) for a linear form."""
-        out: dict[int, object] = {}
-        const = self.zero
-        for v, c in coeffs.items():
-            c = _convert(c, self.exact)
-            if c == 0:
-                continue
-            cols = self.col_of_var[v]
-            _, kind, base = self.columns[cols[0]]
-            if kind == "pos":
-                out[cols[0]] = out.get(cols[0], self.zero) + c
-            elif kind == "shifted":
-                out[cols[0]] = out.get(cols[0], self.zero) + c
-                const += c * base
-            elif kind == "mirrored":
-                out[cols[0]] = out.get(cols[0], self.zero) - c
-                const += c * base
-            else:  # split
-                out[cols[0]] = out.get(cols[0], self.zero) + c
-                out[cols[1]] = out.get(cols[1], self.zero) - c
-        return out, const
+        rows = np.repeat(np.arange(len(forms)), counts)[keep]
+        var, vals = var[keep], vals[keep]
+        cols = self.col[var]
+        out[rows, cols] = vals
+        neg = self.neg[var]
+        out[rows[neg], cols[neg]] = -vals[neg]
+        free = self.free[var]
+        out[rows[free], cols[free] + 1] = -vals[free]
 
     def recover(self, colvals: Sequence) -> dict:
-        prim = {}
-        for v in self.lp.variables:
-            cols = self.col_of_var[v]
-            _, kind, base = self.columns[cols[0]]
-            if kind == "pos":
-                prim[v] = colvals[cols[0]]
-            elif kind == "shifted":
-                prim[v] = base + colvals[cols[0]]
-            elif kind == "mirrored":
-                prim[v] = base - colvals[cols[0]]
-            else:
-                prim[v] = colvals[cols[0]] - colvals[cols[1]]
-        return prim
+        x = np.array(colvals[:self.ncols], dtype=self.dtype)
+        prim = x[self.col]
+        prim[self.neg] = self.zero - prim[self.neg]
+        prim[self.free] -= x[self.col[self.free] + 1]
+        return dict(zip(self.lp.variables, prim.tolist()))
 
 
 # ============================================================
@@ -473,39 +428,26 @@ def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
     zero = std.zero
     sense_flip = -std.one if lp.sense == MINIMIZE else std.one
 
-    A = np.zeros((len(lp.rows) + len(std.extra_rows), len(std.columns)),
-                 dtype=object if exact else np.float64)
+    # the rows and, last, the objective, scattered in one pass
+    forms = np.full((len(lp.rows) + 1, std.ncols), zero, dtype=std.dtype)
+    std.scatter([row.coeffs for row in lp.rows] + [lp.objective], forms)
+    A, costs = forms[:-1], forms[-1]
+    b = np.array([_convert(row.rhs, exact) for row in lp.rows], dtype=std.dtype)
+    rels = [row.relation for row in lp.rows]
     if exact:
-        A[:, :] = zero
-    b, rels, row_scale = [], [], []
-    for i, row in enumerate(lp.rows):
-        rhs = _convert(row.rhs, exact) - std.expand_into(row.coeffs, A[i])
+        row_scale = np.full(len(b), std.one, dtype=object)
+    else:
         # equilibrate: float tolerances are absolute, so rows must share a
         # scale for them to mean anything
-        s = std.one
-        if not exact:
-            biggest = float(np.abs(A[i]).max(initial=0.0))
-            if biggest > 0:
-                s = 1.0 / biggest
-            if s != 1:
-                A[i] *= s
-        b.append(rhs * s)
-        rels.append(row.relation)
-        row_scale.append(s)
-    for i, (cols, rel, rhs) in enumerate(std.extra_rows, len(lp.rows)):
-        A[i, list(cols)] = list(cols.values())
-        b.append(rhs)
-        rels.append(rel)
-    n_original_rows = len(lp.rows)
+        biggest = np.abs(A).max(axis=1, initial=0.0)
+        row_scale = 1.0 / np.where(biggest > 0, biggest, 1.0)
+        A *= row_scale[:, None]
+        b *= row_scale
 
-    costs = np.zeros(len(std.columns), dtype=A.dtype)
-    if exact:
-        costs[:] = zero
-    obj_const = std.expand_into(lp.objective, costs)
     nz = np.flatnonzero(costs)
     costs[nz] = costs[nz] * sense_flip
 
-    tab = _Tableau(A, b, rels, len(std.columns), exact)
+    tab = _Tableau(A, b, rels, std.ncols, exact)
     if not tab.phase1():
         return SolveReport(INFEASIBLE, None, {}, {}, tab.iterations, exact)
     status = tab.run(costs, banned=frozenset(tab.artificials))
@@ -516,29 +458,26 @@ def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
         # a drifted float tableau can call an infeasible point optimal
         worst, i = _float_residual(A, b, rels, tab)
         if worst > RESIDUAL_TOL:
-            where = "x >= 0" if i is None else (
-                lp.rows[i].label if i < n_original_rows else "an upper bound")
+            where = "x >= 0" if i is None else lp.rows[i].label
             raise SolverError(f"float optimum violates {where} by {worst:.3g} (relative)")
 
-    colvals = tab.column_values()
-    primal = std.recover(colvals)
-    value = sense_flip * (tab._B[-1]) + obj_const
+    primal = std.recover(tab.column_values())
+    # + zero turns a -0.0 optimum into 0.0
+    value = sense_flip * tab._B[-1] + zero
     if not exact:
-        primal = {v: float(x) for v, x in primal.items()}
         value = float(value)
 
     # duals off the identity columns, undoing row sign normalization and
     # equilibration
     duals = {}
     B = tab._B
-    for i in range(n_original_rows):
-        label = lp.rows[i].label
+    for i, row in enumerate(lp.rows):
         if not tab.row_alive[i]:
-            duals[label] = zero  # dependent row, any consistent dual works
+            duals[row.label] = zero  # dependent row, any consistent dual works
             continue
         idcol = tab.art_col[i] if tab.art_col[i] is not None else tab.slack_col[i]
         y = B[idcol] * tab.sign[i] * sense_flip * row_scale[i]
-        duals[label] = y if exact else float(y)
+        duals[row.label] = y if exact else float(y)
     return SolveReport(OPTIMAL, value, primal, duals, tab.iterations, exact)
 
 
@@ -586,19 +525,11 @@ def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9, check_bounds
 # mechanical dual
 # ============================================================
 
-_DUAL_BOUND_MAX = {LE: (0, None), EQ: FREE, GE: (None, 0)}
-_DUAL_BOUND_MIN = {GE: (0, None), EQ: FREE, LE: (None, 0)}
-
-
-def _var_class(lp: LinearProgram, v: str) -> str:
-    lo, hi = lp.bound(v)
-    if lo == 0 and hi is None:
-        return "nonneg"
-    if lo is None and hi == 0:
-        return "nonpos"
-    if lo is None and hi is None:
-        return "free"
-    raise ValueError(f"dualize requires sign-constrained or free variables, got {lp.bound(v)} on {v!r}")
+_DUAL_BOUND_MAX = {LE: _NONNEG, EQ: FREE, GE: _NONPOS}
+_DUAL_BOUND_MIN = {GE: _NONNEG, EQ: FREE, LE: _NONPOS}
+# the relation of the dual row of a primal variable, by the variable's bound
+_DUAL_ROW_MAX = {_NONNEG: GE, FREE: EQ, _NONPOS: LE}
+_DUAL_ROW_MIN = {_NONNEG: LE, FREE: EQ, _NONPOS: GE}
 
 
 def dualize(lp: LinearProgram) -> LinearProgram:
@@ -610,7 +541,7 @@ def dualize(lp: LinearProgram) -> LinearProgram:
     dbounds = {}
     for row in lp.rows:
         bnd = (_DUAL_BOUND_MAX if primal_max else _DUAL_BOUND_MIN)[row.relation]
-        if bnd != (0, None):
+        if bnd != _NONNEG:
             dbounds[row.label] = bnd
     # transpose
     col_coeffs: dict[str, dict[str, object]] = {v: {} for v in lp.variables}
@@ -619,13 +550,9 @@ def dualize(lp: LinearProgram) -> LinearProgram:
             if a != 0:
                 col_coeffs[v][row.label] = a
     drows = []
+    row_rel = _DUAL_ROW_MAX if primal_max else _DUAL_ROW_MIN
     for v in lp.variables:
-        cls = _var_class(lp, v)
-        if primal_max:
-            rel = {"nonneg": GE, "free": EQ, "nonpos": LE}[cls]
-        else:
-            rel = {"nonneg": LE, "free": EQ, "nonpos": GE}[cls]
-        drows.append(Row(col_coeffs[v], rel, lp.objective.get(v, 0), v))
+        drows.append(Row(col_coeffs[v], row_rel[lp.bound(v)], lp.objective.get(v, 0), v))
     dobj = {row.label: row.rhs for row in lp.rows if row.rhs != 0}
     return LinearProgram(
         sense=MINIMIZE if primal_max else MAXIMIZE,
@@ -686,16 +613,11 @@ def to_fixed_format(lp: LinearProgram) -> str:
             out.append(f"    RHS       {rown[row.label]:<10}{_num(row.rhs):<12}".rstrip())
     out.append("BOUNDS")
     for v in lp.variables:
-        lo, hi = lp.bound(v)
         short = coln[v]
-        if lo is None and hi is None:
+        if lp.bound(v) == FREE:
             out.append(f" FR BND       {short}")
-        else:
-            if lo is None:
-                out.append(f" MI BND       {short}")
-            elif lo != 0:
-                out.append(f" LO BND       {short:<10}{_num(lo)}")
-            if hi is not None:
-                out.append(f" UP BND       {short:<10}{_num(hi)}")
+        elif lp.bound(v) == _NONPOS:
+            out.append(f" MI BND       {short}")
+            out.append(f" UP BND       {short:<10}0")
     out.append("ENDATA")
     return "\n".join(out) + "\n"

@@ -133,13 +133,15 @@ def _probe(rho: float, sf, dev) -> Optional[tuple]:
     rows = _pair_rows(sf, dev) + [
         lp.Row({"lam": 1, "mu": rho}, lp.LE, rho, "cap"),
         lp.Row({"mu": 1, "delta": 1}, lp.LE, 1, "strict"),
+        lp.Row({"t": 1}, lp.EQ, 1, "unit"),
+        lp.Row({"delta": 1}, lp.LE, 1, "delta_cap"),
     ]
     program = lp.LinearProgram(
         lp.MAXIMIZE,
         ["lam", "mu", "t", "delta"],
         {"delta": 1},
         rows,
-        bounds={"mu": lp.FREE, "t": (1, 1), "delta": (0, 1)},
+        bounds={"mu": lp.FREE},
         name="smooth_probe",
     )
     rep = lp.solve(program)

@@ -238,6 +238,33 @@ def test_malformed_game_is_validation_error(capsys, tmp_path):
     assert "missing field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("weights", 3),
+    ("weights", "11"),
+    ("basis", [{"kind": "monomial", "degree": 1.5}]),
+    ("basis", [{"kind": "monomial", "degree": "x"}]),
+    ("basis", [{"kind": "monomial", "degree": True}]),
+], ids=["weights-number", "weights-string", "degree-float", "degree-string", "degree-bool"])
+def test_malformed_config_is_validation_error(capsys, tmp_path, field, value):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**CFG, field: value}))
+    assert main(["solve-worst-case", "--config", str(p)]) == EXIT_VALIDATION
+    assert "cfg.json" in capsys.readouterr().err
+
+
+def test_table_over_subset_sums_yields_a_witness(capsys, tmp_path):
+    # fair cost sharing on two unit players: loads 1 and 2 are all that any
+    # profile or deviation reaches
+    p = tmp_path / "cfg.json"
+    table = {"kind": "table", "table": {"1": 1, "2": "1/2"}}
+    p.write_text(json.dumps({**CFG, "basis": [table]}))
+    code, doc = run(capsys, "solve-worst-case", "--config", str(p), "--exact")
+    assert code == EXIT_OK
+    assert doc["gamma_star"] == "2"
+    assert doc["witness"]["equilibrium_value"] == "2"
+    assert doc["witness"]["o_star_value"] == "1"
+
+
 def test_command_requires_its_input(capsys, game_path):
     # solve-worst-case with neither --config nor --game
     code = main(["solve-worst-case"])

@@ -259,6 +259,18 @@ def test_anchor_fair_cost_sharing(n, kind):
     assert_certifies(cfg, r)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", [SUM, MAX])
+def test_fair_cost_sharing_witness(n, kind):
+    # the table covers exactly 1..n, every load a deviation can produce
+    cfg = unit_cfg(n=n, kind=kind, basis=(fair_cost_table(n),))
+    r = solve_worst_case(cfg, exact=True)
+    game = extract_worst_game(cfg, r.rep, r.primal_solution, r.designated)
+    assert is_eps_pne(game, r.rep.sigma_star, cfg.epsilon, EQ1)
+    assert social_value(cfg.spec, game, r.rep.sigma_star) == r.gamma_star == n
+    assert social_value(cfg.spec, game, r.rep.o_star) == 1
+
+
 def mixed_cell(exact):
     """A three-player max cell (class-ladder seed 2019) whose designees 0
     and 1 are unbounded while designee 2 is certified at exactly 1; the

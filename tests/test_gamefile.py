@@ -149,6 +149,28 @@ def test_load_game_rejects_bad_basis(tmp_path):
         load_game(dump(tmp_path, doc))
 
 
+MALFORMED_FIELDS = {
+    "weights-number": ("weights", 3),
+    "weights-string": ("weights", "11"),
+    "resources-string": ("resources", "ab"),
+    "strategies-string": ("strategies", ["ab", [["a"], ["b"]]]),
+    "strategy-string": ("strategies", [["a", "b"], [["a"], ["b"]]]),
+    "degree-float": ("basis", [{"kind": "monomial", "degree": 1.5}]),
+    "degree-string": ("basis", [{"kind": "monomial", "degree": "x"}]),
+    "degree-bool": ("basis", [{"kind": "monomial", "degree": True}]),
+    "degree-zero": ("basis", [{"kind": "monomial", "degree": 0}]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FIELDS)
+def test_load_game_rejects_malformed_fields(tmp_path, case):
+    field, value = MALFORMED_FIELDS[case]
+    doc = g1_doc()
+    doc[field] = value
+    with pytest.raises(GameFileError):
+        load_game(dump(tmp_path, doc))
+
+
 def test_load_game_rejects_wrong_coefficient_arity(tmp_path):
     doc = g1_doc()
     doc["coefficients"]["a"] = [1, 2]
@@ -194,6 +216,15 @@ def test_load_config_argument_overrides(tmp_path):
     cfg = load_config(dump(tmp_path, doc), exact=True, sf=SUM, epsilon=F(1, 4))
     assert cfg.spec.kind == SUM
     assert cfg.epsilon == F(1, 4)
+
+
+@pytest.mark.parametrize("case", [c for c in MALFORMED_FIELDS if c.startswith(("weights", "degree"))])
+def test_load_config_rejects_malformed_fields(tmp_path, case):
+    field, value = MALFORMED_FIELDS[case]
+    doc = cfg_doc()
+    doc[field] = value
+    with pytest.raises(GameFileError):
+        load_config(dump(tmp_path, doc))
 
 
 def test_load_config_rejects_unknown_sf(tmp_path):

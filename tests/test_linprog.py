@@ -58,7 +58,8 @@ def test_exact_mode_fractions():
     assert isinstance(r.value, F)
 
 
-def test_minimize_with_free_variable():
+@pytest.mark.parametrize("exact", [False, True])
+def test_minimize_with_free_variable(exact):
     lp = LinearProgram(
         MINIMIZE,
         ["x", "z"],
@@ -66,12 +67,13 @@ def test_minimize_with_free_variable():
         [Row({"x": 1, "z": 1}, EQ, 3, "bal"), Row({"z": 1}, GE, -5, "floor")],
         bounds={"z": FREE},
     )
-    r = solve(lp, exact=True)
+    r = solve(lp, exact=exact)
     assert r.status == OPTIMAL
-    assert r.value == F(-2)
-    assert r.primal == {"x": F(8), "z": F(-5)}
-    assert r.duals["bal"] == F(1)
-    assert r.duals["floor"] == F(1)
+    assert r.exact is exact
+    assert r.value == -2
+    assert r.primal == {"x": 8, "z": -5}
+    assert r.duals["bal"] == 1
+    assert r.duals["floor"] == 1
 
 
 def test_infeasible_and_unbounded():
@@ -96,12 +98,14 @@ def test_no_rows():
 
 
 def test_double_bounds_and_nonpos():
+    # u in [2, 5] is stated by two rows: bounds are sign classes only
     lp = LinearProgram(
         MAXIMIZE,
         ["u", "v"],
         {"u": 1, "v": 1},
-        [Row({"u": 1, "v": -1}, LE, 10, "r")],
-        bounds={"u": (2, 5), "v": (None, 0)},
+        [Row({"u": 1, "v": -1}, LE, 10, "r"),
+         Row({"u": 1}, GE, 2, "u_lo"), Row({"u": 1}, LE, 5, "u_hi")],
+        bounds={"v": (None, 0)},
     )
     r = solve(lp, exact=True)
     assert r.status == OPTIMAL
@@ -363,6 +367,18 @@ def test_validation_errors():
         )
     with pytest.raises(ValueError):
         LinearProgram(MAXIMIZE, ["x"], {}, [], bounds={"x": (3, 1)})
+
+
+@pytest.mark.parametrize("bound", [(2, 5), (1, 1), (0, 5), (1, None), (None, 3)])
+def test_bounds_other_than_sign_classes_are_rejected(bound):
+    with pytest.raises(ValueError, match="variables are >= 0, <= 0 or free"):
+        LinearProgram(MAXIMIZE, ["x"], {}, [], bounds={"x": bound})
+
+
+def test_bounds_given_as_lists_are_tuples():
+    lp = LinearProgram(MAXIMIZE, ["x", "y"], {}, [], bounds={"x": [None, 0], "y": [None, None]})
+    assert lp.bounds == {"x": (None, 0), "y": FREE}
+    assert [row.relation for row in dualize(lp).rows] == [LE, EQ]
 
 
 def test_fixed_format_export():
