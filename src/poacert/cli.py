@@ -46,13 +46,12 @@ from .games import (
 )
 from .gamefile import (
     GameFileError,
+    _read_epsilon,
     emit_game,
     emit_number,
     load_config,
     load_game,
-    parse_number,
     write_json,
-    _load,
 )
 from .oracle import (
     NO_EQUILIBRIUM,
@@ -112,7 +111,7 @@ def _emit(args, payload: dict, **resolved) -> int:
 def _epsilon(args, default):
     if args.epsilon is None:
         return default
-    return parse_number(args.epsilon, args.exact)
+    return _read_epsilon(args.epsilon, args.exact, "--epsilon")
 
 
 def _need(args, flag: str):
@@ -128,13 +127,10 @@ def _need(args, flag: str):
 
 
 def cmd_build_representative(args) -> int:
-    path = args.config or args.game
-    if path is None:
-        raise GameFileError("build-representative requires --config or --game")
-    doc = _load(path)
-    if "weights" not in doc:
-        raise GameFileError(f"{path} has no weights field")
-    weights = tuple(parse_number(x, args.exact) for x in doc["weights"])
+    if args.config is not None:
+        weights = load_config(args.config, args.exact).weights
+    else:
+        weights = load_game(args.game, args.exact).game.model.weights
     rep = build_representative(weights)
     model = rep.model
     return _emit(args, {
@@ -418,11 +414,12 @@ _FLAGS = {
 }
 
 # subcommand: (handler, the flags it reads, its fixed settings and the flag
-# defaults it changes).  The worst-case programs encode the eq1 form, and
-# worst_cce's coarse constraints are the verbatim ones.
+# defaults it changes).  A tuple of flags is a required choice of one.  The
+# worst-case programs encode the eq1 form, and worst_cce's coarse
+# constraints are the verbatim ones.
 _COMMANDS = {
     "build-representative": (cmd_build_representative,
-                             ("--config", "--game", "--exact"), {}),
+                             (("--config", "--game"), "--exact"), {}),
     "solve-worst-case": (cmd_solve_worst_case,
                          ("--config", "--sf", "--epsilon", "--exact",
                           "--emit-witness", "--emit-lp"),
@@ -455,7 +452,12 @@ def _parser() -> argparse.ArgumentParser:
     for name, (_, flags, defaults) in _COMMANDS.items():
         p = sub.add_parser(name)
         for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+            if isinstance(flag, tuple):
+                group = p.add_mutually_exclusive_group(required=True)
+                for one in flag:
+                    group.add_argument(one, **_FLAGS[one])
+            else:
+                p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(**defaults)
     return parser
 
@@ -464,14 +466,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
-    except GameFileError as err:
+    except (GameError, OSError) as err:
         print(f"poacert: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except GameError as err:
-        print(f"poacert: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as err:
-        print(f"poacert: {err}", file=sys.stderr)
+    except OverflowError as err:
+        hint = "" if args.exact else "; use --exact"
+        print(f"poacert: number out of float range ({err}){hint}", file=sys.stderr)
         return EXIT_VALIDATION
     except lp.SolverError as err:
         print(f"poacert: solver failure: {err}", file=sys.stderr)

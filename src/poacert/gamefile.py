@@ -3,26 +3,30 @@
 Numbers may be plain JSON numbers or strings: "3/4" is parsed as a
 rational, and so is "0.25".  In exact mode every number becomes a Fraction
 (floats via their shortest decimal representation), otherwise everything
-becomes int/float.  Emission mirrors this: rationals are written as "p/q"
-strings so a file round-trips losslessly through exact mode.
+becomes int/float and must fit a float.  NaN and infinities are rejected.
+Emission mirrors this: rationals are written as "p/q" strings so a file
+round-trips losslessly through exact mode.
 
 Game schema: weights, resources, strategies (per player: list of lists of
 resource ids), basis (list of {kind, degree?, table?}), coefficients
 (resource id -> list, one entry per basis function), alpha (n x n), and
 optional beta / epsilon.  A configuration file is the same minus the
 model-specific parts: weights, alpha, basis, optional beta / epsilon / sf.
+Both kinds read the shared fields with the same code: at least two weights,
+a beta that is present is an n x n array (only an absent one means the
+identity), and epsilon >= 0.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .games import (
     INDICATOR,
-    MAX,
     MONOMIAL,
     SUM,
     TABLE,
@@ -41,19 +45,25 @@ class GameFileError(GameError):
 
 
 def parse_number(x, exact: bool):
+    """The one way a number enters: a JSON int or float, or a string such as
+    "3/4" or "0.25".  NaN and infinities are rejected; in float mode so is
+    an integer too large for a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        raise GameFileError(f"bad number {x!r}")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise GameFileError(f"numbers must be finite, got {x!r}")
     try:
-        if isinstance(x, bool):
-            raise GameFileError(f"booleans are not numbers: {x!r}")
-        if isinstance(x, int):
-            return Fraction(x) if exact else x
-        if isinstance(x, float):
-            return Fraction(str(x)) if exact else x
+        f = Fraction(str(x) if isinstance(x, float) else x)
+        if exact:
+            return f
         if isinstance(x, str):
-            f = Fraction(x)
-            return f if exact else (int(f) if f.denominator == 1 else float(f))
+            x = int(f) if f.denominator == 1 else float(f)
+        float(x)  # OverflowError when it does not fit
+        return x
     except (ValueError, ZeroDivisionError) as err:
         raise GameFileError(f"bad number {x!r}: {err}") from None
-    raise GameFileError(f"bad number {x!r}")
+    except OverflowError:
+        raise GameFileError(f"{x!r:.40} is too large for a float; use --exact") from None
 
 
 def emit_number(x):
@@ -80,6 +90,39 @@ def _array(raw, what: str) -> list:
     if not isinstance(raw, list):
         raise GameFileError(f"{what} must be an array, got {raw!r}")
     return raw
+
+
+def _read_epsilon(raw, exact: bool, name: str = "epsilon"):
+    """eps >= 0, from a file's epsilon field or the --epsilon flag."""
+    try:
+        eps = parse_number(raw, exact)
+    except GameFileError as err:
+        raise GameFileError(f"{name}: {err}") from None
+    if eps < 0:
+        raise GameFileError(f"{name} must be >= 0, got {raw!r}")
+    return eps
+
+
+def _class_fields(doc: dict, exact: bool) -> tuple:
+    """weights, alpha, basis, beta and epsilon: the fields game and
+    configuration files share.  beta is None when the field is absent."""
+    weights = _require(doc, "weights")
+    if not isinstance(weights, list) or len(weights) < 2:
+        raise GameFileError(
+            f"weights must be an array of at least two numbers, got {weights!r:.40}")
+    n = len(weights)
+    return (
+        tuple(parse_number(x, exact) for x in weights),
+        _matrix(_require(doc, "alpha"), n, "alpha", exact),
+        parse_basis(_require(doc, "basis"), exact),
+        _matrix(doc["beta"], n, "beta", exact) if "beta" in doc else None,
+        _read_epsilon(doc.get("epsilon", 0), exact),
+    )
+
+
+def _social(kind: str, beta, n: int, exact: bool) -> SocialSpec:
+    """The social function of a file; an absent beta is the identity."""
+    return SocialSpec(kind, identity_matrix(n, exact=exact) if beta is None else beta)
 
 
 def parse_basis(raw, exact: bool) -> tuple:
@@ -128,11 +171,8 @@ class GameDocument:
     epsilon: object
 
     def spec(self, kind: str) -> SocialSpec:
-        beta = self.beta
-        if beta is None:
-            exact = isinstance(self.game.model.weights[0], Fraction)
-            beta = identity_matrix(self.game.model.n, exact=exact)
-        return SocialSpec(kind, beta)
+        weights = self.game.model.weights
+        return _social(kind, self.beta, len(weights), isinstance(weights[0], Fraction))
 
 
 def _load(path: str) -> dict:
@@ -151,11 +191,10 @@ def _load(path: str) -> dict:
 def load_game(path: str, exact: bool = False) -> GameDocument:
     doc = _load(path)
     try:
-        weights = tuple(parse_number(x, exact) for x in _array(_require(doc, "weights"), "weights"))
-        n = len(weights)
+        weights, alpha, basis, beta, epsilon = _class_fields(doc, exact)
         resources = tuple(str(e) for e in _array(_require(doc, "resources"), "resources"))
         raw_strats = _require(doc, "strategies")
-        if not isinstance(raw_strats, list) or len(raw_strats) != n:
+        if not isinstance(raw_strats, list) or len(raw_strats) != len(weights):
             raise GameFileError("strategies must list one entry per player")
         strategies = tuple(
             tuple(frozenset(str(e) for e in _array(strat, f"a strategy of player {i}"))
@@ -163,7 +202,6 @@ def load_game(path: str, exact: bool = False) -> GameDocument:
             for i, per in enumerate(raw_strats)
         )
         model = CongestionModel(weights, resources, strategies)
-        basis = parse_basis(_require(doc, "basis"), exact)
         raw_coeffs = _require(doc, "coefficients")
         if not isinstance(raw_coeffs, dict):
             raise GameFileError("coefficients must map resource id to an array")
@@ -177,10 +215,7 @@ def load_game(path: str, exact: bool = False) -> GameDocument:
                     f"coefficients[{e!r}] must have {len(basis)} entries"
                 )
             coeffs[e] = tuple(parse_number(x, exact) for x in vec)
-        alpha = _matrix(_require(doc, "alpha"), n, "alpha", exact)
         game = GeneralizedGame(model, basis, coeffs, alpha)
-        beta = _matrix(doc["beta"], n, "beta", exact) if "beta" in doc else None
-        epsilon = parse_number(doc.get("epsilon", 0), exact)
     except GameError as err:
         raise GameFileError(f"{path}: {err}") from None
     return GameDocument(game, beta, epsilon)
@@ -211,20 +246,10 @@ def load_config(path: str, exact: bool = False, sf=None, epsilon=None) -> WorstC
     """Worst-case configuration; sf/epsilon arguments override the file."""
     doc = _load(path)
     try:
-        weights = tuple(parse_number(x, exact) for x in _array(_require(doc, "weights"), "weights"))
-        n = len(weights)
-        alpha = _matrix(_require(doc, "alpha"), n, "alpha", exact)
-        basis = parse_basis(_require(doc, "basis"), exact)
-        if beta_raw := doc.get("beta"):
-            beta = _matrix(beta_raw, n, "beta", exact)
-        else:
-            beta = identity_matrix(n, exact=exact)
-        kind = sf if sf is not None else doc.get("sf", SUM)
-        if kind not in (SUM, MAX):
-            raise GameFileError(f"sf must be {SUM!r} or {MAX!r}, got {kind!r}")
-        if epsilon is None:
-            epsilon = parse_number(doc.get("epsilon", 0), exact)
-        return WorstCaseConfig(weights, alpha, SocialSpec(kind, beta), epsilon, basis)
+        weights, alpha, basis, beta, file_epsilon = _class_fields(doc, exact)
+        spec = _social(sf if sf is not None else doc.get("sf", SUM), beta, len(weights), exact)
+        return WorstCaseConfig(weights, alpha, spec,
+                               file_epsilon if epsilon is None else epsilon, basis)
     except GameError as err:
         raise GameFileError(f"{path}: {err}") from None
 

@@ -30,8 +30,8 @@ VERBATIM = "verbatim"  # literal perceived-cost comparison
 FEAS_TOL = 1e-9
 MASS_TOL = 1e-12
 
-# eager reachability checks enumerate weight subset sums; beyond this many
-# players the enumeration is off and table misses surface lazily
+# reachable_congestions enumerates weight subset sums and raises GameError
+# beyond this many players
 _EAGER_LIMIT = 16
 
 
@@ -251,7 +251,7 @@ class SocialSpec:
 
     def __post_init__(self):
         if self.kind not in (SUM, MAX):
-            raise GameError(f"social function kind must be {SUM!r} or {MAX!r}")
+            raise GameError(f"social function (sf) must be {SUM!r} or {MAX!r}, got {self.kind!r}")
         object.__setattr__(self, "beta", tuple(tuple(row) for row in self.beta))
         if any(b < 0 for row in self.beta for b in row):
             raise GameError("beta must be entrywise non-negative")
@@ -342,12 +342,18 @@ def individual_cost(game: GeneralizedGame, profile, i: int):
     )
 
 
+def _used_latencies(game: GeneralizedGame, loads, idle=()) -> dict:
+    """Latency of each used resource at its load, evaluated once; an idle
+    resource's is 0 without evaluation."""
+    return {e: 0 if e in idle else game.latency(e, x) for e, x in loads.items() if x != 0}
+
+
 def individual_costs(game: GeneralizedGame, profile) -> list:
     """individual_cost of every player, from one load pass over the
     profile: each used resource's latency is evaluated once."""
     model = game.model
     loads = congestion(model, profile)
-    lat = {e: game.latency(e, x) for e, x in loads.items() if x != 0}
+    lat = _used_latencies(game, loads)
     return [
         model.weights[i] * sum(lat[e] for e in model.strategies[i][s])
         for i, s in enumerate(profile)
@@ -389,19 +395,33 @@ def social_value(spec: SocialSpec, game: GeneralizedGame, outcome):
     return sum(per_player) if spec.kind == SUM else max(per_player)
 
 
-def _grouped_gap(game: GeneralizedGame, profile, i: int, target, eps, loads, users):
-    """deviation_gap towards the resource set target, given the profile's
-    loads and resource users."""
+def _gap_inputs(game: GeneralizedGame, profile) -> tuple:
+    """What every grouped gap of a profile reads: its loads, resource users
+    and _used_latencies, and the idle resources (all coefficients 0)."""
+    model = game.model
+    loads = congestion(model, profile)
+    idle = {e for e, vec in game.coefficients.items() if not any(vec)}
+    return loads, resource_users(model, profile), _used_latencies(game, loads, idle), idle
+
+
+def _grouped_gap(game: GeneralizedGame, profile, i: int, target, eps, inputs):
+    """deviation_gap towards the resource set target, given _gap_inputs.  A
+    resource of latency 0 adds 0, so its alpha-weighted users are not summed."""
+    loads, users, lat, idle = inputs
     model = game.model
     current = model.strategies[i][profile[i]]
     w = model.weights
     gain = 0
     for e in current - target:
+        if lat[e] == 0:
+            continue
         aw = sum(game.alpha[i][j] * w[j] for j in users[e])
         if aw != 0:
-            gain += game.latency(e, loads[e]) * aw
+            gain += lat[e] * aw
     pay = 0
     for e in target - current:
+        if e in idle:
+            continue
         aw = game.alpha[i][i] * w[i] + sum(game.alpha[i][j] * w[j] for j in users[e])
         if aw != 0:
             pay += game.latency(e, loads[e] + w[i]) * aw
@@ -421,9 +441,7 @@ def deviation_gap(game: GeneralizedGame, profile, i: int, x, eps=0):
     """
     model = game.model
     target = model.strategies[i][x] if isinstance(x, int) else frozenset(x)
-    return _grouped_gap(
-        game, profile, i, target, eps, congestion(model, profile), resource_users(model, profile)
-    )
+    return _grouped_gap(game, profile, i, target, eps, _gap_inputs(game, profile))
 
 
 def deviation_gap_verbatim(game: GeneralizedGame, profile, i: int, x, eps=0):
@@ -448,10 +466,10 @@ def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
         raise GameError(f"unknown predicate {predicate!r}")
     model = game.model
     if predicate == EQ1:
-        loads, users = congestion(model, profile), resource_users(model, profile)
+        inputs = _gap_inputs(game, profile)
         for i in range(game.n):
             for x, target in enumerate(model.strategies[i]):
-                yield i, x, _grouped_gap(game, profile, i, target, eps, loads, users)
+                yield i, x, _grouped_gap(game, profile, i, target, eps, inputs)
         return
     costs = individual_costs(game, profile)
     for i in range(game.n):

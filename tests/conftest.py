@@ -1,5 +1,7 @@
-"""Shared fixtures: the canonical two-player game and seeded generators."""
+"""Shared fixtures: the canonical two-player game, seeded generators and
+the hand-built certificate program."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -14,6 +16,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
 
+from poacert import linprog as lp
 from poacert.games import (
     SUM,
     BasisFunction,
@@ -94,3 +97,23 @@ def random_matrix(rng, n, lo, hi, exact=False):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def closed_form_dual(n):
+    """Independent certificate program for unit weights / identity matrices
+    / latency x / sum objective: rows enumerated directly over ordered
+    subset pairs (P, Q), bypassing every production builder."""
+    players = range(n)
+    rows = []
+    for pq in itertools.product([0, 1], repeat=2 * n):
+        p = {i for i in players if pq[i]}
+        q = {i for i in players if pq[n + i]}
+        coeffs = {}
+        for i in p - q:
+            coeffs[f"y[{i}]"] = F(len(p))
+        for i in q - p:
+            coeffs[f"y[{i}]"] = -F(len(p) + 1)
+        coeffs["gamma"] = F(len(q) ** 2)
+        rows.append(lp.Row(coeffs, lp.GE, F(len(p) ** 2), f"pq{pq}"))
+    variables = [f"y[{i}]" for i in players] + ["gamma"]
+    return lp.LinearProgram(lp.MINIMIZE, variables, {"gamma": 1}, rows)

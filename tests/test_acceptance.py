@@ -23,7 +23,7 @@ from fractions import Fraction as F
 import pytest
 
 import conftest
-from conftest import g1, g1_spec, random_game, random_matrix, random_model, seeded
+from conftest import closed_form_dual, g1, g1_spec, random_game, random_matrix, random_model, seeded
 from poacert import linprog as lp
 from poacert.formulations import (
     INFINITE,
@@ -384,26 +384,6 @@ def test_criterion_05_certificate_extension(grid):
                     f"{rep.worst_violation}",
                 )
         c.note(f"{triples} random (model, distribution, profile) triples")
-
-
-def closed_form_dual(n):
-    """Independent certificate program for unit weights / identity matrices
-    / latency x / sum objective: rows enumerated directly over ordered
-    subset pairs (P, Q), bypassing every production builder."""
-    players = range(n)
-    rows = []
-    for pq in itertools.product([0, 1], repeat=2 * n):
-        p = {i for i in players if pq[i]}
-        q = {i for i in players if pq[n + i]}
-        coeffs = {}
-        for i in p - q:
-            coeffs[f"y[{i}]"] = F(len(p))
-        for i in q - p:
-            coeffs[f"y[{i}]"] = -F(len(p) + 1)
-        coeffs["gamma"] = F(len(q) ** 2)
-        rows.append(lp.Row(coeffs, lp.GE, F(len(p) ** 2), f"pq{pq}"))
-    variables = [f"y[{i}]" for i in players] + ["gamma"]
-    return lp.LinearProgram(lp.MINIMIZE, variables, {"gamma": 1}, rows)
 
 
 def unit_cfg(n, alpha=None, exact=True):

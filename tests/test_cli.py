@@ -244,12 +244,60 @@ def test_malformed_game_is_validation_error(capsys, tmp_path):
     ("basis", [{"kind": "monomial", "degree": 1.5}]),
     ("basis", [{"kind": "monomial", "degree": "x"}]),
     ("basis", [{"kind": "monomial", "degree": True}]),
-], ids=["weights-number", "weights-string", "degree-float", "degree-string", "degree-bool"])
+    ("beta", 0),
+    ("beta", []),
+    ("beta", None),
+    ("weights", [float("nan"), 1]),
+    ("epsilon", float("inf")),
+    ("weights", [10**400, 1]),
+], ids=["weights-number", "weights-string", "degree-float", "degree-string", "degree-bool",
+        "beta-zero", "beta-empty", "beta-null", "weights-nan", "epsilon-infinite",
+        "weights-too-large-for-float"])
 def test_malformed_config_is_validation_error(capsys, tmp_path, field, value):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({**CFG, field: value}))
     assert main(["solve-worst-case", "--config", str(p)]) == EXIT_VALIDATION
     assert "cfg.json" in capsys.readouterr().err
+
+
+# (command, input flag, file contents, further argv, what stderr must name)
+MALFORMED_RUNS = {
+    "build-representative-weights-number":
+        ("build-representative", "--config", {**CFG, "weights": 3}, (), "input.json"),
+    "build-representative-weights-string":
+        ("build-representative", "--config", {**CFG, "weights": "11"}, (), "input.json"),
+    "build-representative-weights-nan":
+        ("build-representative", "--game", {**GAME, "weights": [1, float("nan")]}, (),
+         "input.json"),
+    "config-weights-empty":
+        ("solve-worst-case", "--config", {**CFG, "weights": [], "alpha": []}, (),
+         "at least two"),
+    "exact-ppoa-epsilon-negative":
+        ("exact-ppoa", "--game", {**GAME, "epsilon": -1}, (), "input.json"),
+    "cce-poa-epsilon-negative":
+        ("cce-poa", "--game", {**GAME, "epsilon": -1}, (), "input.json"),
+    "enumerate-pne-epsilon-flag-negative":
+        ("enumerate-pne", "--game", GAME, ("--epsilon", "-5"), "--epsilon"),
+    "exact-ppoa-coefficient-nan":
+        ("exact-ppoa", "--game", {**GAME, "coefficients": {"a": [float("nan")], "b": [1]}},
+         (), "input.json"),
+    "smoothness-coefficient-infinite":
+        ("smoothness", "--game", {**GAME, "coefficients": {"a": [float("inf")], "b": [1]}},
+         (), "input.json"),
+    "solve-worst-case-float-overflow":
+        ("solve-worst-case", "--config",
+         {**CFG, "weights": [1e308, 1e308], "basis": [{"kind": "monomial", "degree": 3}]},
+         (), "--exact"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_RUNS)
+def test_malformed_input_exits_2_and_names_it(capsys, tmp_path, case):
+    command, flag, doc, argv, named = MALFORMED_RUNS[case]
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(doc))
+    assert main([command, flag, str(p), *argv]) == EXIT_VALIDATION
+    assert named in capsys.readouterr().err
 
 
 def test_table_over_subset_sums_yields_a_witness(capsys, tmp_path):
@@ -277,6 +325,8 @@ def test_command_requires_its_input(capsys, game_path):
     ("cce-poa", "--predicate", "eq1"),
     ("normalize", "--cap", "5"),
     ("solve-worst-case", "--seed", "3"),
+    # reads one of the two, so the other would go unread
+    ("build-representative", "--config", "cfg.json", "--game", "game.json"),
 ])
 def test_flag_the_command_does_not_read_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as err:

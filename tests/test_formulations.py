@@ -18,7 +18,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import AA, AB, g1, seeded
+from conftest import AA, AB, closed_form_dual, g1, seeded
 from poacert import linprog as lp
 from poacert.games import (
     MAX,
@@ -134,26 +134,6 @@ def test_dp_max_frees_designated_z():
 # ============================================================
 # frozen anchors, confirmed by the independent enumerator
 # ============================================================
-
-
-def closed_form_dual(n):
-    """Independent certificate program for unit weights / identity matrices
-    / latency x / sum objective, rows enumerated straight from the formula
-    in the module docstring."""
-    players = range(n)
-    rows = []
-    for pq in itertools.product([0, 1], repeat=2 * n):
-        p = {i for i in players if pq[i]}
-        q = {i for i in players if pq[n + i]}
-        coeffs = {}
-        for i in p - q:
-            coeffs[f"y[{i}]"] = F(len(p))
-        for i in q - p:
-            coeffs[f"y[{i}]"] = -F(len(p) + 1)
-        coeffs["gamma"] = F(len(q) ** 2)
-        rows.append(lp.Row(coeffs, lp.GE, F(len(p) ** 2), f"pq{pq}"))
-    variables = [f"y[{i}]" for i in players] + ["gamma"]
-    return lp.LinearProgram(lp.MINIMIZE, variables, {"gamma": 1}, rows)
 
 
 def test_hand_dual_n2_has_value_two():

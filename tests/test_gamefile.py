@@ -159,6 +159,12 @@ MALFORMED_FIELDS = {
     "degree-string": ("basis", [{"kind": "monomial", "degree": "x"}]),
     "degree-bool": ("basis", [{"kind": "monomial", "degree": True}]),
     "degree-zero": ("basis", [{"kind": "monomial", "degree": 0}]),
+    "weights-nan": ("weights", [float("nan"), 1]),
+    "weights-too-large-for-float": ("weights", [10**400, 1]),
+    "epsilon-negative": ("epsilon", -1),
+    "epsilon-infinite": ("epsilon", float("inf")),
+    "coefficient-nan": ("coefficients", {"a": [float("nan")], "b": [1]}),
+    "coefficient-infinite": ("coefficients", {"a": [float("inf")], "b": [1]}),
 }
 
 
