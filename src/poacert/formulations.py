@@ -14,11 +14,18 @@ the same weights; every dual-feasible point of the pure program stays
 feasible there row by row, which is what verify_extension checks
 numerically.
 
-The two primals are built two ways.  build_pp_pne writes the
-representative program from a closed form over the (P, Q) bit masks of
-its resources, in numpy arrays; build_pp_cce enumerates the profiles of an
-arbitrary model (_coefficient_parts).  At a point mass on sigma* they give
-equal programs, and _primal assembles the rows of both.
+The two primals are built two ways.  The representative program's
+coefficients come from a closed form over the (P, Q) bit masks of its
+resources, as numpy arrays (_closed_form); build_pp_cce enumerates the
+profiles of an arbitrary model (_coefficient_parts).  At a point mass on
+sigma* they give equal programs.  _row_table lays out the rows of both,
+and _primal turns them into a LinearProgram.
+
+The representative program's checks read the closed-form arrays directly:
+solve_worst_case prices its certificate in one reduced-cost pass over the
+columns, c - A^T y, and extract_worst_game checks a primal point row by
+row.  Each gives lp.feasibility_report's verdict, label and violation on
+build_dp_pne or build_pp_pne, without building that program.
 """
 
 from __future__ import annotations
@@ -191,27 +198,35 @@ def _check_designee(cfg: WorstCaseConfig, designated: Optional[int]) -> None:
         raise GameError("max objective needs a designated player index")
 
 
-def _primal(cfg: WorstCaseConfig, variables, eq, beta_rows, designated) -> lp.LinearProgram:
-    """The primal over coefficient rows eq[i] <= 0, one per player, then
-    the beta-cost rows.  beta_rows(summed) returns (val, nrm): with summed,
-    each as one dict summed over the players in player order (the sum
-    objective and its norm row); otherwise as per-player lists."""
+def _row_table(cfg: WorstCaseConfig, eq, beta_parts, designated) -> tuple:
+    """The primal as (objective, rows), each row (label, relation, rhs,
+    coefficients over the v columns, coefficient of t): eq[i] <= 0, one
+    per player, then the beta-cost rows.  Coefficients are dicts over
+    variable names (build_pp_cce) or arrays over (P, Q, k) (the closed
+    form).  beta_parts(summed) returns (val, nrm): with summed, each summed
+    over the players in player order (the sum objective and its norm row);
+    otherwise per-player lists.  The max programs maximize t, and their
+    objective is None."""
     n = cfg.n
-    rows = [lp.Row(eq[i], lp.LE, 0, f"eq[{i}]") for i in range(n)]
+    rows = [(f"eq[{i}]", lp.LE, 0, eq[i], 0) for i in range(n)]
     if cfg.spec.kind == SUM:
-        objective, norm = beta_rows(True)
-        rows.append(lp.Row(norm, lp.LE, 1, "norm"))
-        return lp.LinearProgram(lp.MAXIMIZE, variables, objective, rows, name="pp_sum")
-    val, nrm = beta_rows(False)
-    for i in range(n):
-        coeffs = dict(val[i])
-        coeffs["t"] = -1
-        rel = lp.EQ if i == designated else lp.LE
-        rows.append(lp.Row(coeffs, rel, 0, f"val[{i}]"))
-    for i in range(n):
-        rows.append(lp.Row(nrm[i], lp.LE, 1, f"norm[{i}]"))
+        objective, norm = beta_parts(True)
+        rows.append(("norm", lp.LE, 1, norm, 0))
+        return objective, rows
+    val, nrm = beta_parts(False)
+    rows += [(f"val[{i}]", lp.EQ if i == designated else lp.LE, 0, val[i], -1) for i in range(n)]
+    rows += [(f"norm[{i}]", lp.LE, 1, nrm[i], 0) for i in range(n)]
+    return None, rows
+
+
+def _primal(cfg: WorstCaseConfig, variables, objective, rows, designated) -> lp.LinearProgram:
+    """The program of a row table whose coefficients are dicts."""
+    lp_rows = [lp.Row({**coeffs, "t": t} if t else coeffs, rel, rhs, label)
+               for label, rel, rhs, coeffs, t in rows]
+    if cfg.spec.kind == SUM:
+        return lp.LinearProgram(lp.MAXIMIZE, variables, objective, lp_rows, name="pp_sum")
     return lp.LinearProgram(
-        lp.MAXIMIZE, list(variables) + ["t"], {"t": 1}, rows, name=f"pp_max_d{designated}"
+        lp.MAXIMIZE, list(variables) + ["t"], {"t": 1}, lp_rows, name=f"pp_max_d{designated}"
     )
 
 
@@ -227,10 +242,11 @@ def build_pp_cce(
     _check_designee(cfg, designated)
     eq, val, nrm = _coefficient_parts(cfg, model, dist, o_profile)
 
-    def beta_rows(summed):
+    def beta_parts(summed):
         return (_merge(val), _merge(nrm)) if summed else (val, nrm)
 
-    return _primal(cfg, _variables(cfg, model), eq, beta_rows, designated)
+    objective, rows = _row_table(cfg, eq, beta_parts, designated)
+    return _primal(cfg, _variables(cfg, model), objective, rows, designated)
 
 
 def _subset_sums(terms, dtype) -> np.ndarray:
@@ -262,12 +278,10 @@ def _basis_values(basis, loads, scale, dtype) -> np.ndarray:
     return out.reshape(loads.shape + (len(basis),))
 
 
-def build_pp_pne(
-    cfg: WorstCaseConfig, rep: RepresentativeModel, designated: Optional[int] = None
-) -> lp.LinearProgram:
-    """Pure-equilibrium primal: the coarse program at a point mass on the
-    representative first profile, written from the closed form over the
-    (P, Q) masks of its resources.
+def _closed_form(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
+    """(eq, beta_parts) of the representative primal for _row_table, as
+    arrays over (P, Q, k), written from the closed form over the (P, Q)
+    masks of the resources.
 
     Column (P, Q, k) has load w(P) under sigma* and w(Q) under o*:
     eq[i] = f_k(w(P)) * sum_{j in P} alpha_ij w_j for i in P\\Q and
@@ -276,9 +290,9 @@ def build_pp_pne(
     nrm[i] = f_k(w(Q)) * sum_{j in Q} beta_ij w_j.  Each factor is
     computed once per mask, in build_pp_cce's order of operations, so the
     two programs are equal value for value: in float64 when every weight
-    is a float, else over Python numbers in object arrays.
+    is a float, else over Python numbers in object arrays.  A float
+    coefficient that overflows raises OverflowError.
     """
-    _check_designee(cfg, designated)
     n, r = cfg.n, len(cfg.basis)
     w, alpha, beta = cfg.weights, cfg.alpha, cfg.spec.beta
     if tuple(rep.model.weights) != tuple(w):
@@ -286,47 +300,77 @@ def build_pp_pne(
     dtype = np.float64 if all(isinstance(x, float) for x in w) else object
     size = 1 << n
     masks = np.arange(size)
-    # resources are in (P, Q) order, P major: flat column (P*size + Q)*r + k
-    names = np.array(_variables(cfg, rep.model), dtype=object)
     shape = (size, size, r)
-
-    def row(coeffs) -> dict:
-        flat = coeffs.ravel()
-        nz = np.flatnonzero(flat)
-        return dict(zip(names[nz].tolist(), flat[nz].tolist()))
 
     def weighted(mat, i):
         return _subset_sums([mat[i][j] * w[j] if mat[i][j] != 0 else None for j in range(n)], dtype)
 
-    loads = _subset_sums(list(w), dtype)
-    f_load = _basis_values(cfg.basis, np.where(masks > 0, loads, None), 1, dtype)
-    neg = -(1 + cfg.epsilon)
-    eq = []
-    for i in range(n):
-        bit = 1 << i
-        aw = weighted(alpha, i)
-        aw_join = alpha[i][i] * w[i] + aw
-        joins = (masks & bit == 0) & (aw_join != 0)
-        f_join = _basis_values(
-            cfg.basis, np.where(joins, loads + w[i], None), neg, dtype)
-        coeffs = np.zeros(shape, dtype=dtype)
-        p_in, p_out = np.flatnonzero(masks & bit), np.flatnonzero(masks & bit == 0)
-        coeffs[np.ix_(p_in, p_out)] = (f_load * aw[:, None])[p_in, None, :]
-        coeffs[np.ix_(p_out, p_in)] = (f_join * aw_join[:, None])[p_out, None, :]
-        eq.append(row(coeffs))
-
-    def beta_rows(summed):
+    # an overflow shows as a coefficient that is not finite, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        loads = _subset_sums(list(w), dtype)
+        f_load = _basis_values(cfg.basis, np.where(masks > 0, loads, None), 1, dtype)
+        neg = -(1 + cfg.epsilon)
+        eq = []
+        for i in range(n):
+            bit = 1 << i
+            aw = weighted(alpha, i)
+            aw_join = alpha[i][i] * w[i] + aw
+            joins = (masks & bit == 0) & (aw_join != 0)
+            f_join = _basis_values(
+                cfg.basis, np.where(joins, loads + w[i], None), neg, dtype)
+            coeffs = np.zeros(shape, dtype=dtype)
+            p_in, p_out = np.flatnonzero(masks & bit), np.flatnonzero(masks & bit == 0)
+            coeffs[np.ix_(p_in, p_out)] = (f_load * aw[:, None])[p_in, None, :]
+            coeffs[np.ix_(p_out, p_in)] = (f_join * aw_join[:, None])[p_out, None, :]
+            eq.append(coeffs)
         costs = [f_load * weighted(beta, i)[:, None] for i in range(n)]
-        if summed:
-            total = np.zeros((size, r), dtype=dtype)
-            for c in costs:
-                total = np.where(c != 0, total + c, total)
-            costs = [total]
-        val = [row(np.broadcast_to(c[:, None, :], shape)) for c in costs]
-        nrm = [row(np.broadcast_to(c[None, :, :], shape)) for c in costs]
+        total = np.zeros((size, r), dtype=dtype)
+        for c in costs:
+            total = np.where(c != 0, total + c, total)
+    if dtype is np.float64 and not all(np.isfinite(a).all() for a in eq + costs + [total]):
+        raise OverflowError("a coefficient of the worst-case program exceeds the float range")
+
+    def beta_parts(summed):
+        sides = [total] if summed else costs
+        val = [np.broadcast_to(c[:, None, :], shape) for c in sides]
+        nrm = [np.broadcast_to(c[None, :, :], shape) for c in sides]
         return (val[0], nrm[0]) if summed else (val, nrm)
 
-    return _primal(cfg, names.tolist(), eq, beta_rows, designated)
+    return eq, beta_parts
+
+
+def _column_names(cfg: WorstCaseConfig, rep: RepresentativeModel) -> np.ndarray:
+    """Variable names of the v columns; resources are in (P, Q) order, P
+    major, so flat column (P*size + Q)*r + k is v[e][k]."""
+    return np.array(_variables(cfg, rep.model), dtype=object)
+
+
+def _named(names: np.ndarray, coeffs: np.ndarray) -> dict:
+    flat = coeffs.ravel()
+    nz = np.flatnonzero(flat)
+    return dict(zip(names[nz].tolist(), flat[nz].tolist()))
+
+
+def _closed_form_primal(cfg, names, objective, rows, designated) -> lp.LinearProgram:
+    """The program of a closed-form row table, its arrays named."""
+    return _primal(
+        cfg,
+        names.tolist(),
+        None if objective is None else _named(names, objective),
+        [(label, rel, rhs, _named(names, a), t) for label, rel, rhs, a, t in rows],
+        designated,
+    )
+
+
+def build_pp_pne(
+    cfg: WorstCaseConfig, rep: RepresentativeModel, designated: Optional[int] = None
+) -> lp.LinearProgram:
+    """Pure-equilibrium primal: the coarse program at a point mass on the
+    representative first profile, named from the closed-form columns of
+    _closed_form."""
+    _check_designee(cfg, designated)
+    objective, rows = _row_table(cfg, *_closed_form(cfg, rep), designated)
+    return _closed_form_primal(cfg, _column_names(cfg, rep), objective, rows, designated)
 
 
 # ============================================================
@@ -334,17 +378,20 @@ def build_pp_pne(
 # ============================================================
 
 
+def _certificate_name(label: str) -> str:
+    """The certificate variable of primal row label: eq[i] -> y[i],
+    val[i] -> z[i], norm -> gamma, norm[i] -> gamma[i]."""
+    head, bracket, tail = label.partition("[")
+    return {"eq": "y", "val": "z", "norm": "gamma"}[head] + bracket + tail
+
+
 def _certificate_program(pp: lp.LinearProgram) -> lp.LinearProgram:
     """lp.dualize(pp) in certificate names.  Its variables, one per row of
-    pp and in the same order, become eq[i] -> y[i], val[i] -> z[i],
-    norm -> gamma, norm[i] -> gamma[i]; the row of variable v[e][k] is
-    labelled r[v[e][k]], and the last row, that of the max programs' level
-    variable t, zsum."""
+    pp and in the same order, are named by _certificate_name; the row of
+    variable v[e][k] is labelled r[v[e][k]], and the last row, that of the
+    max programs' level variable t, zsum."""
     dual = lp.dualize(pp)
-    name = {}
-    for label in dual.variables:
-        head, bracket, tail = label.partition("[")
-        name[label] = {"eq": "y", "val": "z", "norm": "gamma"}[head] + bracket + tail
+    name = {label: _certificate_name(label) for label in dual.variables}
     rows = [
         lp.Row({name[v]: a for v, a in row.coeffs.items()}, row.relation, row.rhs,
                "zsum" if row.label == "t" else f"r[{row.label}]")
@@ -473,6 +520,73 @@ def _close(a, b, rtol):
     return abs(a - b) <= rtol * max(1, abs(a), abs(b))
 
 
+def _first_and_worst(first, worst, checks, tol):
+    """Fold (label, violation) checks, in order, into lp.feasibility_report's
+    first violated label and worst violation."""
+    for label, v in checks:
+        if v > worst:
+            worst = v
+        if v > tol and first is None:
+            first = label
+    return first is None, first, worst
+
+
+def _certificate_report(names, objective, rows, duals, tol):
+    """lp.feasibility_report(build_dp_pne(...), cert, tol) for the
+    certificate duals, one per row of the closed-form row table and in its
+    order, priced from the columns in one reduced-cost pass.
+
+    Column v's dual row r[v] reads c_v - sum_rows a_row,v y_row <= tol.
+    Each column's sum runs over its nonzero coefficients in row order, the
+    order lp.evaluate_row adds the dual row in, one rounding per addition
+    as the builtin sum adds floats (before Python 3.12, which compensates
+    it), and in the same arithmetic (a float column's duals are floats, as
+    a float times a Fraction is), so its value is the same to the bit.
+    Then, as in the dual program, the max objectives' zsum row,
+    1 + sum z_i <= tol, and the sign bounds of the duals of <= rows."""
+    dtype = rows[0][3].dtype
+    lhs = np.zeros(rows[0][3].shape, dtype=dtype)
+    for (_, _, _, a, _), y in zip(rows, duals):
+        nz = a != 0
+        lhs[nz] += a[nz] * (float(y) if dtype == np.float64 else y)
+    # the dual row's rhs is the objective coefficient, an int 0 where it is 0
+    viol = ((0 if objective is None else np.where(objective != 0, objective, 0)) - lhs).ravel()
+    bad = np.flatnonzero(viol > tol)
+    first = f"r[{names[bad[0]]}]" if len(bad) else None
+    positive = viol[viol > 0].tolist()
+    worst = max(positive) if positive else 0
+    checks = []
+    if objective is None:
+        checks.append(("zsum", 1 - sum(t * y for (*_, t), y in zip(rows, duals) if t)))
+    checks += [(f"bound[{_certificate_name(label)}]", 0 - y)
+               for (label, rel, *_), y in zip(rows, duals) if rel == lp.LE]
+    return _first_and_worst(first, worst, checks, tol)
+
+
+def _point_report(names, rows, values, level, tol):
+    """lp.feasibility_report(build_pp_pne(...), point, tol) from the
+    closed-form row table, for the point's values over the v columns, in
+    column order, and its level t.  Each row's lhs sums its nonzero
+    coefficients times the nonzero values in column order, then t, with
+    the builtin sum, as lp.evaluate_row does (a zero term leaves such a sum
+    unchanged); then every variable's bound x >= 0."""
+    x = np.array(values, dtype=object)
+    support = np.flatnonzero(x)
+    x = x[support]
+    at = np.unravel_index(support, rows[0][3].shape)
+    checks = []
+    for label, rel, rhs, a, t in rows:
+        coeffs = a[at]
+        keep = coeffs != 0
+        terms = (coeffs[keep] * x[keep]).tolist() + ([t * level] if t else [])
+        gap = sum(terms) - rhs
+        checks.append((label, abs(gap) if rel == lp.EQ else gap))
+    checks += [(f"bound[{names[j]}]", 0 - values[j]) for j in support]
+    if any(t for *_, t in rows):
+        checks.append(("bound[t]", 0 - level))
+    return _first_and_worst(None, 0, checks, tol)
+
+
 def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResult:
     """Solve the worst-case primal for the configuration and certify its
     optimum with the primal's row duals.
@@ -481,27 +595,32 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     largest optimum wins; an unbounded primal makes gamma* infinite.  The
     row duals, in certificate names, must be feasible for build_dp_pne with
     objective equal to the primal optimum, which by weak duality proves
-    it.  These checks and the optimum being at least 1 are guaranteed by
-    the theory; violations raise InvariantViolation rather than returning a
-    bad number.
+    it.  Feasibility is priced from the closed-form columns, which every
+    designee's program shares, in one reduced-cost pass that gives
+    lp.feasibility_report's verdict on build_dp_pne.  These checks and the
+    optimum being at least 1 are guaranteed by the theory; violations raise
+    InvariantViolation rather than returning a bad number.
     """
     rep = build_representative(cfg.weights)
     designees = [None] if cfg.spec.kind == SUM else list(range(cfg.n))
+    columns = _closed_form(cfg, rep)
+    names = _column_names(cfg, rep)
     variants = []
     for d in designees:
-        pp = build_pp_pne(cfg, rep, d)
-        rp = lp.solve(pp, exact)
+        objective, rows = _row_table(cfg, *columns, d)
+        rp = lp.solve(_closed_form_primal(cfg, names, objective, rows, d), exact)
         if rp.status == lp.UNBOUNDED:
             variants.append(VariantResult(d, INFINITE, None, None, {}, {}, rp.iterations))
             continue
         if rp.status != lp.OPTIMAL:
             raise InvariantViolation(f"primal is {rp.status}; the unit witness is feasible")
-        dp = _certificate_program(pp)
-        cert = {v: rp.duals[row.label] for v, row in zip(dp.variables, pp.rows)}
-        ok, label, violation = lp.feasibility_report(dp, cert, 0 if exact else FEAS_TOL)
+        duals = [rp.duals[label] for label, *_ in rows]
+        ok, label, violation = _certificate_report(
+            names, objective, rows, duals, 0 if exact else FEAS_TOL)
         if not ok:
             raise InvariantViolation(f"certificate violates {label} by {violation}")
-        bound = sum(c * cert.get(v, 0) for v, c in dp.objective.items())
+        cert = {_certificate_name(label): y for (label, *_), y in zip(rows, duals)}
+        bound = sum(rhs * y for (_, _, rhs, *_), y in zip(rows, duals) if rhs != 0)
         if not _close(bound, rp.value, 0 if exact else VALUE_RTOL):
             raise InvariantViolation(f"duality gap: primal {rp.value} vs certificate {bound}")
         variants.append(
@@ -536,17 +655,22 @@ def extract_worst_game(
 ) -> GeneralizedGame:
     """Turn a feasible primal point into a concrete game on the
     representative model.  Infeasible points are rejected with the first
-    violated row label."""
-    program = build_pp_pne(cfg, rep, designated)
-    ok, label, violation = lp.feasibility_report(program, primal_values, FEAS_TOL)
+    violated row label: the point is checked against the closed-form
+    columns row by row, as lp.feasibility_report checks it on
+    build_pp_pne."""
+    _check_designee(cfg, designated)
+    _, rows = _row_table(cfg, *_closed_form(cfg, rep), designated)
+    names = _variables(cfg, rep.model)
+    values = [primal_values.get(v, 0) for v in names]
+    ok, label, violation = _point_report(
+        names, rows, values, primal_values.get("t", 0), FEAS_TOL)
     if not ok:
         raise GameError(f"primal point violates {label} by {violation}")
     r = len(cfg.basis)
     coeffs = {}
-    for e in rep.model.resources:
+    for j, e in enumerate(rep.model.resources):
         vec = []
-        for k in range(r):
-            c = primal_values.get(vname(e, k), 0)
+        for c in values[j * r:(j + 1) * r]:
             if c < 0:
                 c = 0  # solver noise within FEAS_TOL, checked above
             vec.append(c)

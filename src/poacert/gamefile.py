@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -47,19 +49,25 @@ class GameFileError(GameError):
 def parse_number(x, exact: bool):
     """The one way a number enters: a JSON int or float, or a string such as
     "3/4" or "0.25".  NaN and infinities are rejected; in float mode so is
-    an integer too large for a float."""
+    an integer too large for a float.  A string's exponent may have no more
+    digits' worth of magnitude than Python allows an integer string
+    (sys.get_int_max_str_digits()), since Fraction expands it in full."""
     if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise GameFileError(f"bad number {x!r}")
     if isinstance(x, float) and not math.isfinite(x):
         raise GameFileError(f"numbers must be finite, got {x!r}")
     try:
+        if isinstance(x, str):
+            exponent = re.search(r"e([-+]?\d[\d_]*)\s*$", x, re.IGNORECASE)
+            limit = sys.get_int_max_str_digits()
+            if exponent and limit and abs(int(exponent[1])) > limit:
+                raise ValueError(f"exponent beyond {limit}, the integer string digit limit")
         f = Fraction(str(x) if isinstance(x, float) else x)
         if exact:
             return f
-        if isinstance(x, str):
-            x = int(f) if f.denominator == 1 else float(f)
-        float(x)  # OverflowError when it does not fit
-        return x
+        value = (int(f) if f.denominator == 1 else float(f)) if isinstance(x, str) else x
+        float(value)  # OverflowError when it does not fit
+        return value
     except (ValueError, ZeroDivisionError) as err:
         raise GameFileError(f"bad number {x!r}: {err}") from None
     except OverflowError:

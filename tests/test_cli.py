@@ -288,6 +288,12 @@ MALFORMED_RUNS = {
         ("solve-worst-case", "--config",
          {**CFG, "weights": [1e308, 1e308], "basis": [{"kind": "monomial", "degree": 3}]},
          (), "--exact"),
+    "solve-worst-case-float-load-overflow":
+        ("solve-worst-case", "--config",
+         {**CFG, "weights": [1e308, 1e308], "basis": [{"kind": "monomial", "degree": 1}]},
+         (), "--exact"),
+    "solve-worst-case-epsilon-exponent-too-long":
+        ("solve-worst-case", "--config", {**CFG, "epsilon": "1e-1000000"}, (), "epsilon"),
 }
 
 

@@ -21,6 +21,7 @@ import pytest
 from conftest import AA, AB, closed_form_dual, g1, seeded
 from poacert import linprog as lp
 from poacert.games import (
+    FEAS_TOL,
     MAX,
     SUM,
     EQ1,
@@ -362,6 +363,126 @@ def test_closed_form_primal_equals_profile_enumeration(cfg):
         closed = build_pp_pne(cfg, rep, d)
         assert closed == build_pp_cce(cfg, rep.model, sigma, rep.o_star, d)
         assert any(row.coeffs for row in closed.rows)
+
+
+# ============================================================
+# the certificate and witness checks, priced from the columns
+# ============================================================
+
+
+def check_cases():
+    """Seeded configurations for the checks: n = 2..4, float and exact, sum
+    and max, alpha with signed off-diagonal entries, eps in {0, 1/2} (0 only
+    for exact n = 4, whose rational rows are the slow ones), basis
+    {x, x^2}.  Entries are sevenths, so float sums round."""
+    basis = (BasisFunction.monomial(1), BasisFunction.monomial(2))
+    k = 0
+    for n in (2, 3, 4):
+        for exact in (False, True):
+            num = F if exact else float
+            for kind in (SUM, MAX):
+                for eps in (0,) if exact and n == 4 else (0, F(1, 2)):
+                    rng = seeded(2000 + k)
+                    k += 1
+                    weights = [num(F(rng.randrange(1, 15), 7)) for _ in range(n)]
+                    alpha = [[num(1) if i == j else num(F(rng.randrange(-7, 8), 7))
+                              for j in range(n)] for i in range(n)]
+                    beta = [[num(F(rng.randrange(0, 8), 7)) for _ in range(n)] for _ in range(n)]
+                    beta[0][0] = num(1)
+                    cfg = WorstCaseConfig(weights, alpha, SocialSpec(kind, beta), num(eps), basis)
+                    arithmetic = "exact" if exact else "float"
+                    yield pytest.param(cfg, exact, id=f"n{n}-{arithmetic}-{kind}-eps{eps}")
+
+
+def float_optima(cfg):
+    """(designee, float primal solve) of each designee's program."""
+    rep = build_representative(cfg.weights)
+    for d in [None] if cfg.spec.kind == SUM else range(cfg.n):
+        yield d, lp.solve(build_pp_pne(cfg, rep, d))
+
+
+CHECK_CASES = list(check_cases())
+
+
+def test_certificate_pass_is_feasibility_report_on_dp():
+    """The reduced-cost pass gives lp.feasibility_report's (ok, first
+    violated label, worst violation) on build_dp_pne, repr for repr, for
+    the solved certificate and for certificates with one dual moved by
+    -1e-6, 1e-6, -1 or 1 (-1e-6 or 1 in exact arithmetic).  An exact
+    configuration is checked at tolerance 0 against the float duals rounded
+    to denominators of at most 10^6, and at n = 2 also against its exact
+    duals.  Among the moved certificates every kind of first
+    violation occurs: a column row, zsum and a sign bound."""
+    from poacert.formulations import (
+        _certificate_name, _certificate_report, _closed_form, _column_names, _row_table)
+
+    firsts = set()
+    for param in CHECK_CASES:
+        cfg, exact = param.values
+        rep = build_representative(cfg.weights)
+        columns, names = _closed_form(cfg, rep), _column_names(cfg, rep)
+        tol = 0 if exact else FEAS_TOL
+        num = (lambda y: F(y).limit_denominator(10**6)) if exact else float
+        for d, rp in float_optima(cfg):
+            if rp.status != lp.OPTIMAL:
+                continue
+            objective, rows = _row_table(cfg, *columns, d)
+            dp = build_dp_pne(cfg, rep, d)
+            solved = [[num(rp.duals[label]) for label, *_ in rows]]
+            if exact and cfg.n == 2:
+                exact_rp = lp.solve(build_pp_pne(cfg, rep, d), exact=True)
+                solved.append([exact_rp.duals[label] for label, *_ in rows])
+            moved = []
+            for i in range(len(rows)):
+                for delta in (F(-1, 10**6), 1) if exact else (F(-1, 10**6), F(1, 10**6), -1, 1):
+                    duals = list(solved[0])
+                    duals[i] += num(delta)
+                    moved.append(duals)
+            for k, duals in enumerate(solved + moved):
+                cert = {_certificate_name(label): y for (label, *_), y in zip(rows, duals)}
+                want = lp.feasibility_report(dp, cert, tol)
+                got = _certificate_report(names, objective, rows, duals, tol)
+                assert repr(got) == repr(want), (param.id, d, k)
+                if k >= len(solved) and not got[0]:
+                    firsts.add(got[1].split("[")[0])
+    assert firsts == {"r", "zsum", "bound"}
+
+
+def test_witness_check_is_feasibility_report_on_pp():
+    """extract_worst_game rejects a point with lp.feasibility_report's text
+    on build_pp_pne, and accepts the points it accepts: the solved point
+    (rounded to denominators of at most 10^6 for an exact configuration),
+    points with one value moved by +-1e-12, +-1e-6 or +-1, with t scaled
+    by 3/2, and with every value doubled.  Among the rejected points the
+    first violated row is of every kind, eq, val and norm, and a sign
+    bound also comes first."""
+    rng = seeded(11)
+    firsts = set()
+    for param in CHECK_CASES:
+        cfg, exact = param.values
+        num = (lambda x: F(x).limit_denominator(10**6)) if exact else float
+        rep = build_representative(cfg.weights)
+        for d, rp in float_optima(cfg):
+            if rp.status != lp.OPTIMAL:
+                continue
+            program = build_pp_pne(cfg, rep, d)
+            solved = {v: num(x) for v, x in rp.primal.items()}
+            points = [solved, {v: 2 * x for v, x in solved.items()}]
+            if d is not None:
+                points.append({**solved, "t": solved["t"] * num(1.5)})
+            for delta in (1e-12, -1e-12, 1e-6, -1e-6, 1, -1):
+                v = rng.choice(program.variables)
+                points.append({**solved, v: solved[v] + num(delta)})
+            for point in points:
+                ok, label, violation = lp.feasibility_report(program, point, FEAS_TOL)
+                if ok:
+                    extract_worst_game(cfg, rep, point, d)
+                    continue
+                with pytest.raises(GameError) as err:
+                    extract_worst_game(cfg, rep, point, d)
+                assert str(err.value) == f"primal point violates {label} by {violation}"
+                firsts.add(label.split("[")[0])
+    assert firsts == {"eq", "val", "norm", "bound"}
 
 
 # ============================================================

@@ -165,6 +165,14 @@ MALFORMED_FIELDS = {
     "epsilon-infinite": ("epsilon", float("inf")),
     "coefficient-nan": ("coefficients", {"a": [float("nan")], "b": [1]}),
     "coefficient-infinite": ("coefficients", {"a": [float("inf")], "b": [1]}),
+    # exponents beyond sys.get_int_max_str_digits(): float mode would take
+    # 1e-1000000 as 0.0, exact mode would take either, after Fraction
+    # expanded the power in full
+    "epsilon-exponent-too-long": ("epsilon", "1e-1000000"),
+    "weights-exponent-too-long": ("weights", ["1e1000000", 1]),
+    # 4301 digits: too large for a float, and too long for the int repr of
+    # the message
+    "weights-exponent-at-the-limit": ("weights", ["1e4300", 1]),
 }
 
 
@@ -175,6 +183,17 @@ def test_load_game_rejects_malformed_fields(tmp_path, case):
     doc[field] = value
     with pytest.raises(GameFileError):
         load_game(dump(tmp_path, doc))
+
+
+@pytest.mark.parametrize("case", [c for c in MALFORMED_FIELDS if c.endswith("too-long")])
+def test_exact_mode_rejects_long_exponents(tmp_path, case):
+    field, value = MALFORMED_FIELDS[case]
+    doc = g1_doc()
+    doc[field] = value
+    with pytest.raises(GameFileError, match="exponent"):
+        load_game(dump(tmp_path, doc), exact=True)
+    with pytest.raises(GameFileError, match="exponent"):
+        load_config(dump(tmp_path, {**cfg_doc(), field: value}), exact=True)
 
 
 def test_load_game_rejects_wrong_coefficient_arity(tmp_path):
