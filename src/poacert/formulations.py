@@ -14,18 +14,19 @@ the same weights; every dual-feasible point of the pure program stays
 feasible there row by row, which is what verify_extension checks
 numerically.
 
-The two primals are built two ways.  The representative program's
-coefficients come from a closed form over the (P, Q) bit masks of its
-resources, as numpy arrays (_closed_form); build_pp_cce enumerates the
+Both primals are written from coefficient arrays over their columns.  The
+representative program's come from a closed form over the (P, Q) bit
+masks of its resources (_closed_form); build_pp_cce's from enumerating the
 profiles of an arbitrary model (_coefficient_parts).  At a point mass on
 sigma* they give equal programs.  _row_table lays out the rows of both,
-and _primal turns them into a LinearProgram.
+and _primal names them as a LinearProgram.
 
-The representative program's checks read the closed-form arrays directly:
-solve_worst_case prices its certificate in one reduced-cost pass over the
-columns, c - A^T y, and extract_worst_game checks a primal point row by
-row.  Each gives lp.feasibility_report's verdict, label and violation on
-build_dp_pne or build_pp_pne, without building that program.
+No check builds a dual program (build_dp_cce serves the tests, and
+build_dp_pne also --emit-lp).  solve_worst_case and verify_extension
+price a certificate from the primal's arrays in one reduced-cost pass,
+c - A^T y, and extract_worst_game checks a primal point from them row by
+row; each gives lp.feasibility_report's verdict, label and violation on
+the program it does not build.
 """
 
 from __future__ import annotations
@@ -96,18 +97,9 @@ def vname(e, k: int) -> str:
     return f"v[{e}][{k}]"
 
 
-def _add(d: dict, key, val):
-    if val == 0:
-        return
-    d[key] = d.get(key, 0) + val
-
-
-def _merge(parts) -> dict:
-    out: dict = {}
-    for part in parts:
-        for key, val in part.items():
-            _add(out, key, val)
-    return out
+def _add(a: np.ndarray, key, val):
+    if val != 0:
+        a[key] += val
 
 
 def _add_beta_costs(out, cfg: WorstCaseConfig, model: CongestionModel, loads, users, mass):
@@ -117,7 +109,7 @@ def _add_beta_costs(out, cfg: WorstCaseConfig, model: CongestionModel, loads, us
     w = cfg.weights
     beta = cfg.spec.beta
     basis = cfg.basis
-    for e in model.resources:
+    for col, e in enumerate(model.resources):
         if loads[e] == 0:
             continue
         fvals = [f.value(loads[e]) for f in basis]
@@ -126,16 +118,17 @@ def _add_beta_costs(out, cfg: WorstCaseConfig, model: CongestionModel, loads, us
             if b == 0:
                 continue
             for k, fv in enumerate(fvals):
-                _add(out[i], vname(e, k), mass * fv * b)
+                _add(out[i], (col, k), mass * fv * b)
 
 
 def _coefficient_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_profile):
-    """Per-(resource, basis) coefficient tables of the coarse programs over
-    an arbitrary model, by enumerating the distribution's profiles.
+    """(eq, val, nrm) of the coarse programs over an arbitrary model, as
+    object arrays over (resource, k), by enumerating the distribution's
+    profiles.
 
     eq[i]: expected grouped-deviation expression of player i against o_i,
     val[i]: expected beta-cost of player i, nrm[i]: beta-cost of i at the
-    comparison profile.  Keys are variable names over (resource, k).
+    comparison profile.
     """
     n = cfg.n
     w = cfg.weights
@@ -145,8 +138,9 @@ def _coefficient_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_pro
     if tuple(model.weights) != tuple(w):
         raise GameError("model weights differ from configuration weights")
 
-    eq = [dict() for _ in range(n)]
-    val = [dict() for _ in range(n)]
+    shape = (len(model.resources), len(basis))
+    col = {e: j for j, e in enumerate(model.resources)}
+    eq, val, nrm = ([np.zeros(shape, dtype=object) for _ in range(n)] for _ in range(3))
     o_sets = model.profile_strategies(o_profile)
     for prof, mass in dist.masses.items():
         loads = congestion(model, prof)
@@ -162,7 +156,7 @@ def _coefficient_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_pro
                 for k, f in enumerate(basis):
                     fv = f.value(loads[e])
                     if fv != 0:
-                        _add(eq[i], vname(e, k), mass * fv * aw)
+                        _add(eq[i], (col[e], k), mass * fv * aw)
             for e in oi - si:
                 aw = alpha[i][i] * w[i] + sum(
                     alpha[i][j] * w[j] for j in users[e] if alpha[i][j] != 0
@@ -172,9 +166,8 @@ def _coefficient_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_pro
                 for k, f in enumerate(basis):
                     fv = f.value(loads[e] + w[i])
                     if fv != 0:
-                        _add(eq[i], vname(e, k), -(1 + eps) * mass * fv * aw)
+                        _add(eq[i], (col[e], k), -(1 + eps) * mass * fv * aw)
 
-    nrm = [dict() for _ in range(n)]
     _add_beta_costs(
         nrm, cfg, model, congestion(model, o_profile), resource_users(model, o_profile), 1
     )
@@ -198,35 +191,53 @@ def _check_designee(cfg: WorstCaseConfig, designated: Optional[int]) -> None:
         raise GameError("max objective needs a designated player index")
 
 
-def _row_table(cfg: WorstCaseConfig, eq, beta_parts, designated) -> tuple:
+def _summed(parts) -> np.ndarray:
+    """The sum of per-player arrays in player order, each zero entry
+    skipped, as _add skips it."""
+    total = np.zeros_like(parts[0])
+    for c in parts:
+        total = np.where(c != 0, total + c, total)
+    return total
+
+
+def _row_table(cfg: WorstCaseConfig, eq, val, nrm, designated) -> tuple:
     """The primal as (objective, rows), each row (label, relation, rhs,
     coefficients over the v columns, coefficient of t): eq[i] <= 0, one
-    per player, then the beta-cost rows.  Coefficients are dicts over
-    variable names (build_pp_cce) or arrays over (P, Q, k) (the closed
-    form).  beta_parts(summed) returns (val, nrm): with summed, each summed
-    over the players in player order (the sum objective and its norm row);
-    otherwise per-player lists.  The max programs maximize t, and their
-    objective is None."""
+    per player, then the beta-cost rows.  eq, val and nrm are per-player
+    arrays over the columns; val and nrm may broadcast to eq's shape, as
+    the closed form's (P, 1, k) and (1, Q, k) costs do, and are summed
+    over the players (the sum objective and its norm row) before they are
+    broadcast.  The max programs maximize t, and their objective is None."""
     n = cfg.n
+
+    def full(a):
+        return np.broadcast_to(a, eq[0].shape)
+
     rows = [(f"eq[{i}]", lp.LE, 0, eq[i], 0) for i in range(n)]
     if cfg.spec.kind == SUM:
-        objective, norm = beta_parts(True)
-        rows.append(("norm", lp.LE, 1, norm, 0))
-        return objective, rows
-    val, nrm = beta_parts(False)
-    rows += [(f"val[{i}]", lp.EQ if i == designated else lp.LE, 0, val[i], -1) for i in range(n)]
-    rows += [(f"norm[{i}]", lp.LE, 1, nrm[i], 0) for i in range(n)]
+        rows.append(("norm", lp.LE, 1, full(_summed(nrm)), 0))
+        return full(_summed(val)), rows
+    rows += [(f"val[{i}]", lp.EQ if i == designated else lp.LE, 0, full(val[i]), -1)
+             for i in range(n)]
+    rows += [(f"norm[{i}]", lp.LE, 1, full(nrm[i]), 0) for i in range(n)]
     return None, rows
 
 
-def _primal(cfg: WorstCaseConfig, variables, objective, rows, designated) -> lp.LinearProgram:
-    """The program of a row table whose coefficients are dicts."""
-    lp_rows = [lp.Row({**coeffs, "t": t} if t else coeffs, rel, rhs, label)
-               for label, rel, rhs, coeffs, t in rows]
+def _named(names: np.ndarray, coeffs: np.ndarray) -> dict:
+    flat = coeffs.ravel()
+    nz = np.flatnonzero(flat)
+    return dict(zip(names[nz].tolist(), flat[nz].tolist()))
+
+
+def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.LinearProgram:
+    """The program of a row table, its arrays named by the column names."""
+    lp_rows = [lp.Row({**_named(names, a), "t": t} if t else _named(names, a), rel, rhs, label)
+               for label, rel, rhs, a, t in rows]
     if cfg.spec.kind == SUM:
-        return lp.LinearProgram(lp.MAXIMIZE, variables, objective, lp_rows, name="pp_sum")
+        return lp.LinearProgram(
+            lp.MAXIMIZE, names.tolist(), _named(names, objective), lp_rows, name="pp_sum")
     return lp.LinearProgram(
-        lp.MAXIMIZE, list(variables) + ["t"], {"t": 1}, lp_rows, name=f"pp_max_d{designated}"
+        lp.MAXIMIZE, names.tolist() + ["t"], {"t": 1}, lp_rows, name=f"pp_max_d{designated}"
     )
 
 
@@ -240,13 +251,9 @@ def build_pp_cce(
     """Worst-case primal over latency coefficients for a fixed model,
     distribution and comparison profile."""
     _check_designee(cfg, designated)
-    eq, val, nrm = _coefficient_parts(cfg, model, dist, o_profile)
-
-    def beta_parts(summed):
-        return (_merge(val), _merge(nrm)) if summed else (val, nrm)
-
-    objective, rows = _row_table(cfg, eq, beta_parts, designated)
-    return _primal(cfg, _variables(cfg, model), objective, rows, designated)
+    objective, rows = _row_table(
+        cfg, *_coefficient_parts(cfg, model, dist, o_profile), designated)
+    return _primal(cfg, np.array(_variables(cfg, model), dtype=object), objective, rows, designated)
 
 
 def _subset_sums(terms, dtype) -> np.ndarray:
@@ -279,9 +286,10 @@ def _basis_values(basis, loads, scale, dtype) -> np.ndarray:
 
 
 def _closed_form(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
-    """(eq, beta_parts) of the representative primal for _row_table, as
-    arrays over (P, Q, k), written from the closed form over the (P, Q)
-    masks of the resources.
+    """(eq, val, nrm) of the representative primal for _row_table, written
+    from the closed form over the (P, Q) masks of the resources: eq[i] as
+    an array over (P, Q, k), val[i] over (P, 1, k) and nrm[i] over
+    (1, Q, k).
 
     Column (P, Q, k) has load w(P) under sigma* and w(Q) under o*:
     eq[i] = f_k(w(P)) * sum_{j in P} alpha_ij w_j for i in P\\Q and
@@ -324,42 +332,16 @@ def _closed_form(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
             coeffs[np.ix_(p_out, p_in)] = (f_join * aw_join[:, None])[p_out, None, :]
             eq.append(coeffs)
         costs = [f_load * weighted(beta, i)[:, None] for i in range(n)]
-        total = np.zeros((size, r), dtype=dtype)
-        for c in costs:
-            total = np.where(c != 0, total + c, total)
+        total = _summed(costs)
     if dtype is np.float64 and not all(np.isfinite(a).all() for a in eq + costs + [total]):
         raise OverflowError("a coefficient of the worst-case program exceeds the float range")
-
-    def beta_parts(summed):
-        sides = [total] if summed else costs
-        val = [np.broadcast_to(c[:, None, :], shape) for c in sides]
-        nrm = [np.broadcast_to(c[None, :, :], shape) for c in sides]
-        return (val[0], nrm[0]) if summed else (val, nrm)
-
-    return eq, beta_parts
+    return eq, [c[:, None, :] for c in costs], [c[None, :, :] for c in costs]
 
 
 def _column_names(cfg: WorstCaseConfig, rep: RepresentativeModel) -> np.ndarray:
     """Variable names of the v columns; resources are in (P, Q) order, P
     major, so flat column (P*size + Q)*r + k is v[e][k]."""
     return np.array(_variables(cfg, rep.model), dtype=object)
-
-
-def _named(names: np.ndarray, coeffs: np.ndarray) -> dict:
-    flat = coeffs.ravel()
-    nz = np.flatnonzero(flat)
-    return dict(zip(names[nz].tolist(), flat[nz].tolist()))
-
-
-def _closed_form_primal(cfg, names, objective, rows, designated) -> lp.LinearProgram:
-    """The program of a closed-form row table, its arrays named."""
-    return _primal(
-        cfg,
-        names.tolist(),
-        None if objective is None else _named(names, objective),
-        [(label, rel, rhs, _named(names, a), t) for label, rel, rhs, a, t in rows],
-        designated,
-    )
 
 
 def build_pp_pne(
@@ -370,7 +352,7 @@ def build_pp_pne(
     _closed_form."""
     _check_designee(cfg, designated)
     objective, rows = _row_table(cfg, *_closed_form(cfg, rep), designated)
-    return _closed_form_primal(cfg, _column_names(cfg, rep), objective, rows, designated)
+    return _primal(cfg, _column_names(cfg, rep), objective, rows, designated)
 
 
 # ============================================================
@@ -531,10 +513,11 @@ def _first_and_worst(first, worst, checks, tol):
     return first is None, first, worst
 
 
-def _certificate_report(names, objective, rows, duals, tol):
-    """lp.feasibility_report(build_dp_pne(...), cert, tol) for the
-    certificate duals, one per row of the closed-form row table and in its
-    order, priced from the columns in one reduced-cost pass.
+def _reduced_cost_pass(names, objective, rows, duals, tol):
+    """lp.feasibility_report's (ok, first violated label, worst violation)
+    on the rows of the certificate program of a row table, for the
+    certificate duals, one per row of the table and in its order, priced
+    from the columns in one reduced-cost pass.
 
     Column v's dual row r[v] reads c_v - sum_rows a_row,v y_row <= tol.
     Each column's sum runs over its nonzero coefficients in row order, the
@@ -543,7 +526,7 @@ def _certificate_report(names, objective, rows, duals, tol):
     it), and in the same arithmetic (a float column's duals are floats, as
     a float times a Fraction is), so its value is the same to the bit.
     Then, as in the dual program, the max objectives' zsum row,
-    1 + sum z_i <= tol, and the sign bounds of the duals of <= rows."""
+    1 + sum z_i <= tol.  The sign bounds of the duals are not checked."""
     dtype = rows[0][3].dtype
     lhs = np.zeros(rows[0][3].shape, dtype=dtype)
     for (_, _, _, a, _), y in zip(rows, duals):
@@ -558,9 +541,16 @@ def _certificate_report(names, objective, rows, duals, tol):
     checks = []
     if objective is None:
         checks.append(("zsum", 1 - sum(t * y for (*_, t), y in zip(rows, duals) if t)))
-    checks += [(f"bound[{_certificate_name(label)}]", 0 - y)
-               for (label, rel, *_), y in zip(rows, duals) if rel == lp.LE]
     return _first_and_worst(first, worst, checks, tol)
+
+
+def _certificate_report(names, objective, rows, duals, tol):
+    """lp.feasibility_report(build_dp_pne(...), cert, tol): the reduced-cost
+    pass, then the sign bounds of the duals of <= rows."""
+    _, first, worst = _reduced_cost_pass(names, objective, rows, duals, tol)
+    bounds = [(f"bound[{_certificate_name(label)}]", 0 - y)
+              for (label, rel, *_), y in zip(rows, duals) if rel == lp.LE]
+    return _first_and_worst(first, worst, bounds, tol)
 
 
 def _point_report(names, rows, values, level, tol):
@@ -608,7 +598,7 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     variants = []
     for d in designees:
         objective, rows = _row_table(cfg, *columns, d)
-        rp = lp.solve(_closed_form_primal(cfg, names, objective, rows, d), exact)
+        rp = lp.solve(_primal(cfg, names, objective, rows, d), exact)
         if rp.status == lp.UNBOUNDED:
             variants.append(VariantResult(d, INFINITE, None, None, {}, {}, rp.iterations))
             continue
@@ -711,11 +701,16 @@ def verify_extension(
     designated: Optional[int] = None,
 ) -> ExtensionReport:
     """Check that a dual-feasible certificate for the representative pure
-    program stays feasible for the coarse program of (model, dist, o).
+    program stays feasible for the coarse program of (model, dist, o): the
+    rows of build_dp_cce, priced in the reduced-cost pass from build_pp_cce's
+    arrays, without the duals' sign bounds.
 
     Holds for every input by convexity of the row family; a failure means
     an implementation bug, so callers normally escalate it."""
-    program = build_dp_cce(cfg, model, dist, o_profile, designated)
-    ok, label, violation = lp.feasibility_report(
-        program, dual_values, FEAS_TOL, check_bounds=False)
-    return ExtensionReport(ok, len(program.rows), violation, None if ok else label)
+    _check_designee(cfg, designated)
+    objective, rows = _row_table(
+        cfg, *_coefficient_parts(cfg, model, dist, o_profile), designated)
+    names = _variables(cfg, model)
+    duals = [dual_values.get(_certificate_name(label), 0) for label, *_ in rows]
+    ok, label, violation = _reduced_cost_pass(names, objective, rows, duals, FEAS_TOL)
+    return ExtensionReport(ok, len(names) + (objective is None), violation, label)

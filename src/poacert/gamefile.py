@@ -76,7 +76,12 @@ def parse_number(x, exact: bool):
 
 def emit_number(x):
     if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        try:
+            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            raise GameError(f"a number to write exceeds {limit} digits, "
+                            "the integer string digit limit") from None
     return x
 
 

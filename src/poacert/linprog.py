@@ -490,7 +490,7 @@ def evaluate_row(row: Row, point: Mapping) -> object:
     return sum(a * point.get(v, 0) for v, a in row.coeffs.items())
 
 
-def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9, check_bounds=True):
+def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9):
     """(ok, first_violated_label, worst_violation) of a candidate point.
 
     Rows are checked in declaration order, then variable bounds (labeled
@@ -509,15 +509,14 @@ def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9, check_bounds
             worst = v
         if v > tol and first is None:
             first = row.label
-    if check_bounds:
-        for var in lp.variables:
-            lo, hi = lp.bound(var)
-            x = point.get(var, 0)
-            for v in ((lo - x) if lo is not None else 0, (x - hi) if hi is not None else 0):
-                if v > worst:
-                    worst = v
-                if v > tol and first is None:
-                    first = f"bound[{var}]"
+    for var in lp.variables:
+        lo, hi = lp.bound(var)
+        x = point.get(var, 0)
+        for v in ((lo - x) if lo is not None else 0, (x - hi) if hi is not None else 0):
+            if v > worst:
+                worst = v
+            if v > tol and first is None:
+                first = f"bound[{var}]"
     return first is None, first, worst
 
 

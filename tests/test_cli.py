@@ -294,6 +294,13 @@ MALFORMED_RUNS = {
          (), "--exact"),
     "solve-worst-case-epsilon-exponent-too-long":
         ("solve-worst-case", "--config", {**CFG, "epsilon": "1e-1000000"}, (), "epsilon"),
+    # accepted, since the exponent is at the limit, but 10^4300 has 4301 digits
+    "solve-worst-case-exact-output-too-long":
+        ("solve-worst-case", "--config", {**CFG, "weights": ["1e4300", "1"]}, ("--exact",),
+         "digit limit"),
+    "build-representative-exact-output-too-long":
+        ("build-representative", "--config", {**CFG, "weights": ["1e4300", "1"]}, ("--exact",),
+         "digit limit"),
 }
 
 

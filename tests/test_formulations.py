@@ -18,7 +18,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import AA, AB, closed_form_dual, g1, seeded
+from conftest import AA, AB, BB, closed_form_dual, g1, random_model, seeded
 from poacert import linprog as lp
 from poacert.games import (
     FEAS_TOL,
@@ -365,6 +365,49 @@ def test_closed_form_primal_equals_profile_enumeration(cfg):
         assert any(row.coeffs for row in closed.rows)
 
 
+def without_zeros(program):
+    """The program with every zero-valued objective and row entry dropped."""
+    return lp.LinearProgram(
+        program.sense,
+        program.variables,
+        {v: c for v, c in program.objective.items() if c != 0},
+        [lp.Row({v: a for v, a in row.coeffs.items() if a != 0}, row.relation, row.rhs, row.label)
+         for row in program.rows],
+        program.bounds,
+        program.name,
+    )
+
+
+@pytest.mark.parametrize("kind", [SUM, MAX])
+def test_pp_cce_drops_entries_that_cancel(kind):
+    """build_pp_cce on g1 with alpha_01 = -2, o = (b, b) and masses 1/3 on
+    (a, a) and 2/3 on (a, b): player 0's eq entry on a sums -2/3 and 2/3.
+    The program, written out by hand in the terms of the profile
+    enumeration, carries that entry as a zero, which build_pp_cce leaves
+    out; every other entry is equal."""
+    alpha = ((F(1), F(-2)), (F(0), F(1)))
+    cfg = unit_cfg(kind=kind, alpha=alpha)
+    dist = ProfileDistribution({AA: F(1, 3), AB: F(2, 3)})
+    a, b = vname("a", 0), vname("b", 0)
+    rows = [lp.Row({a: F(0), b: F(1)}, lp.LE, 0, "eq[0]"),
+            lp.Row({a: F(2, 3), b: F(-1, 3)}, lp.LE, 0, "eq[1]")]
+    if kind == SUM:
+        rows.append(lp.Row({b: F(4)}, lp.LE, 1, "norm"))
+        enumerated = lp.LinearProgram(
+            lp.MAXIMIZE, [a, b], {a: F(2), b: F(2, 3)}, rows, name="pp_sum")
+        d = None
+    else:
+        rows += [lp.Row({a: F(4, 3), "t": -1}, lp.EQ, 0, "val[0]"),
+                 lp.Row({a: F(2, 3), b: F(2, 3), "t": -1}, lp.LE, 0, "val[1]"),
+                 lp.Row({b: F(2)}, lp.LE, 1, "norm[0]"),
+                 lp.Row({b: F(2)}, lp.LE, 1, "norm[1]")]
+        enumerated = lp.LinearProgram(lp.MAXIMIZE, [a, b, "t"], {"t": 1}, rows, name="pp_max_d0")
+        d = 0
+    program = build_pp_cce(cfg, g1().model, dist, BB, d)
+    assert program != enumerated
+    assert program == without_zeros(enumerated)
+
+
 # ============================================================
 # the certificate and witness checks, priced from the columns
 # ============================================================
@@ -672,3 +715,49 @@ def test_verify_extension_flags_weak_certificate():
     assert not report.ok
     assert report.first_violated is not None
     assert report.worst_violation > 0
+
+
+def test_extension_pass_is_feasibility_report_on_dp_cce():
+    """verify_extension gives lp.feasibility_report's (ok, first violated
+    label, worst violation) on build_dp_cce with every bound free, repr for
+    repr, over seeded (model, distribution, o) triples of the check
+    configurations with n <= 3: for the solved certificate (rounded to
+    denominators of at most 10^6 for an exact configuration) and for
+    certificates with one dual moved by -1e-6, 1e-6, -1 or 1.  Among the
+    moved certificates the first violation is a column row and zsum."""
+    from poacert.formulations import _certificate_name
+
+    rng = seeded(23)
+    firsts = set()
+    for param in CHECK_CASES:
+        cfg, exact = param.values
+        if cfg.n > 3:
+            continue
+        num = (lambda y: F(y).limit_denominator(10**6)) if exact else float
+        for d, rp in float_optima(cfg):
+            if rp.status != lp.OPTIMAL:
+                continue
+            solved = {_certificate_name(label): num(y) for label, y in rp.duals.items()}
+            certs = [solved]
+            for v in solved:
+                certs.append({**solved, v: solved[v] + num(rng.choice((-1e-6, 1e-6, -1, 1)))})
+            for _ in range(3):
+                model = random_model(rng, cfg.weights)
+                profiles = list(model.profiles())
+                support = rng.sample(profiles, rng.randrange(1, 4))
+                raw = [rng.randrange(1, 6) for _ in support]
+                dist = ProfileDistribution(
+                    {p: num(F(m, sum(raw))) for p, m in zip(support, raw)})
+                o_profile = rng.choice(profiles)
+                dp = build_dp_cce(cfg, model, dist, o_profile, d)
+                free = lp.LinearProgram(dp.sense, dp.variables, dp.objective, dp.rows,
+                                        {v: lp.FREE for v in dp.variables}, dp.name)
+                for k, cert in enumerate(certs):
+                    report = verify_extension(cfg, cert, model, dist, o_profile, d)
+                    got = (report.ok, report.first_violated, report.worst_violation)
+                    want = lp.feasibility_report(free, cert, FEAS_TOL)
+                    assert repr(got) == repr(want), (param.id, d, k)
+                    assert report.rows_checked == len(dp.rows)
+                    if k and not report.ok:
+                        firsts.add(report.first_violated.split("[")[0])
+    assert firsts == {"r", "zsum"}
