@@ -251,6 +251,17 @@ def cmd_normalize(args) -> int:
     return _emit(args, {"optimum_before": factor, "game": emitted}, epsilon=doc.epsilon)
 
 
+def _random_trials(rng, model, count: int):
+    """count random (distribution, comparison profile) pairs over model's
+    pure profiles, lazily: each draws the profile masses, then o."""
+    profiles = list(model.profiles())
+    for _ in range(count):
+        raw = [rng.random() for _ in profiles]
+        total = sum(raw)
+        dist = ProfileDistribution({prof: m / total for prof, m in zip(profiles, raw)})
+        yield dist, tuple(rng.randrange(len(per)) for per in model.strategies)
+
+
 def cmd_verify_extension(args) -> int:
     cfg = load_config(_need(args, "--config"), args.exact, args.sf, _epsilon(args, None))
     doc = load_game(_need(args, "--game"), args.exact)
@@ -258,18 +269,10 @@ def cmd_verify_extension(args) -> int:
     result = solve_worst_case(cfg, exact=args.exact)
     if result.status == INFINITE:
         raise GameFileError("configuration has no finite certificate to extend")
-    rng = random.Random(args.seed)
     trials = 50
     failures = []
     worst = 0
-    profiles = list(model.profiles())
-    for t in range(trials):
-        raw = [rng.random() for _ in profiles]
-        total = sum(raw)
-        dist = ProfileDistribution(
-            {prof: m / total for prof, m in zip(profiles, raw)}
-        )
-        o_profile = tuple(rng.randrange(len(per)) for per in model.strategies)
+    for t, (dist, o_profile) in enumerate(_random_trials(random.Random(args.seed), model, trials)):
         rep = verify_extension(cfg, result.dual_solution, model, dist, o_profile,
                                result.designated)
         if rep.worst_violation > worst:
@@ -368,16 +371,9 @@ def cmd_selftest(args) -> int:
         agree = _close(dual_of_pp.value, result.gamma_star, VALUE_RTOL)
         record(f"{tag} duality", agree,
                f"gamma {result.gamma_star} vs dualized {dual_of_pp.value}")
-        model = rep.model
-        profiles = list(model.profiles())
         bad = None
-        for _ in range(5):
-            raw = [rng.random() for _ in profiles]
-            total = sum(raw)
-            dist = ProfileDistribution(
-                {prof: m / total for prof, m in zip(profiles, raw)})
-            o_profile = tuple(rng.randrange(len(per)) for per in model.strategies)
-            ext = verify_extension(cfg, result.dual_solution, model, dist,
+        for dist, o_profile in _random_trials(rng, rep.model, 5):
+            ext = verify_extension(cfg, result.dual_solution, rep.model, dist,
                                    o_profile, result.designated)
             if not ext.ok:
                 bad = ext

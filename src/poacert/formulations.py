@@ -31,7 +31,7 @@ the program it does not build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -128,7 +128,7 @@ def _coefficient_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_pro
 
     eq[i]: expected grouped-deviation expression of player i against o_i,
     val[i]: expected beta-cost of player i, nrm[i]: beta-cost of i at the
-    comparison profile.
+    comparison profile; under a sum objective, val and nrm are summed once.
     """
     n = cfg.n
     w = cfg.weights
@@ -171,6 +171,8 @@ def _coefficient_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_pro
     _add_beta_costs(
         nrm, cfg, model, congestion(model, o_profile), resource_users(model, o_profile), 1
     )
+    if cfg.spec.kind == SUM:
+        return eq, _summed(val), _summed(nrm)
     return eq, val, nrm
 
 
@@ -203,11 +205,12 @@ def _summed(parts) -> np.ndarray:
 def _row_table(cfg: WorstCaseConfig, eq, val, nrm, designated) -> tuple:
     """The primal as (objective, rows), each row (label, relation, rhs,
     coefficients over the v columns, coefficient of t): eq[i] <= 0, one
-    per player, then the beta-cost rows.  eq, val and nrm are per-player
-    arrays over the columns; val and nrm may broadcast to eq's shape, as
-    the closed form's (P, 1, k) and (1, Q, k) costs do, and are summed
-    over the players (the sum objective and its norm row) before they are
-    broadcast.  The max programs maximize t, and their objective is None."""
+    per player, then the beta-cost rows.  eq holds per-player arrays over
+    the columns; val and nrm hold the cost rows as the program uses them,
+    per player under max and summed by the producer under sum (the
+    objective and its norm row), and may broadcast to eq's shape, as the
+    closed form's (P, 1, k) and (1, Q, k) costs do.  The max programs
+    maximize t, and their objective is None."""
     n = cfg.n
 
     def full(a):
@@ -215,8 +218,8 @@ def _row_table(cfg: WorstCaseConfig, eq, val, nrm, designated) -> tuple:
 
     rows = [(f"eq[{i}]", lp.LE, 0, eq[i], 0) for i in range(n)]
     if cfg.spec.kind == SUM:
-        rows.append(("norm", lp.LE, 1, full(_summed(nrm)), 0))
-        return full(_summed(val)), rows
+        rows.append(("norm", lp.LE, 1, full(nrm), 0))
+        return full(val), rows
     rows += [(f"val[{i}]", lp.EQ if i == designated else lp.LE, 0, full(val[i]), -1)
              for i in range(n)]
     rows += [(f"norm[{i}]", lp.LE, 1, full(nrm[i]), 0) for i in range(n)]
@@ -289,7 +292,7 @@ def _closed_form(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
     """(eq, val, nrm) of the representative primal for _row_table, written
     from the closed form over the (P, Q) masks of the resources: eq[i] as
     an array over (P, Q, k), val[i] over (P, 1, k) and nrm[i] over
-    (1, Q, k).
+    (1, Q, k); under a sum objective, val and nrm are one total of costs.
 
     Column (P, Q, k) has load w(P) under sigma* and w(Q) under o*:
     eq[i] = f_k(w(P)) * sum_{j in P} alpha_ij w_j for i in P\\Q and
@@ -332,10 +335,12 @@ def _closed_form(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
             coeffs[np.ix_(p_out, p_in)] = (f_join * aw_join[:, None])[p_out, None, :]
             eq.append(coeffs)
         costs = [f_load * weighted(beta, i)[:, None] for i in range(n)]
-        total = _summed(costs)
-    if dtype is np.float64 and not all(np.isfinite(a).all() for a in eq + costs + [total]):
+        if cfg.spec.kind == SUM:
+            costs = [_summed(costs)]
+    if dtype is np.float64 and not all(np.isfinite(a).all() for a in eq + costs):
         raise OverflowError("a coefficient of the worst-case program exceeds the float range")
-    return eq, [c[:, None, :] for c in costs], [c[None, :, :] for c in costs]
+    val, nrm = [c[:, None, :] for c in costs], [c[None, :, :] for c in costs]
+    return (eq, val[0], nrm[0]) if cfg.spec.kind == SUM else (eq, val, nrm)
 
 
 def _column_names(cfg: WorstCaseConfig, rep: RepresentativeModel) -> np.ndarray:
@@ -437,30 +442,27 @@ def lemma1_witness(cfg: WorstCaseConfig, rep: RepresentativeModel) -> Witness:
     w = cfg.weights
     beta = cfg.spec.beta
     one = Fraction(1) if isinstance(w[0], (Fraction, int)) else 1.0
-    values: dict = {}
     if cfg.spec.kind == SUM:
-        colsum = [sum(beta[i][j] for i in range(n)) for j in range(n)]
-        plus = [j for j in range(n) if colsum[j] > 0]
-        if not plus:
+        # each of the count players with a positive beta column adds 1/count
+        scale = [sum(beta[i][j] for i in range(n)) for j in range(n)]
+        players = [j for j in range(n) if scale[j] > 0]
+        if not players:
             raise GameError("beta has no positive column")
-        k = _witness_basis_index(cfg, plus)
-        f = cfg.basis[k]
-        for j in plus:
-            base = one / (len(plus) * f.value(w[j]) * w[j] * colsum[j])
-            values[vname(rep.resource_for([j], []), k)] = base
-            repair = one / (1 + cfg.epsilon) if cfg.alpha[j][j] < 0 else 1
-            values[vname(rep.resource_for([], [j]), k)] = base * repair
-        return Witness(values, None)
-    rowsum = [sum(beta[i][j] for j in range(n)) for i in range(n)]
-    designated = max(range(n), key=lambda i: (rowsum[i], -i))
-    k = _witness_basis_index(cfg, list(range(n)))
+        count, designated = len(players), None
+    else:
+        rowsum = [sum(beta[i][j] for j in range(n)) for i in range(n)]
+        designated = max(range(n), key=lambda i: (rowsum[i], -i))
+        players, count, scale = list(range(n)), 1, [rowsum[designated]] * n
+    k = _witness_basis_index(cfg, players)
     f = cfg.basis[k]
-    for j in range(n):
-        base = one / (f.value(w[j]) * w[j] * rowsum[designated])
+    values: dict = {}
+    for j in players:
+        base = one / (count * f.value(w[j]) * w[j] * scale[j])
         values[vname(rep.resource_for([j], []), k)] = base
         repair = one / (1 + cfg.epsilon) if cfg.alpha[j][j] < 0 else 1
         values[vname(rep.resource_for([], [j]), k)] = base * repair
-    values["t"] = one
+    if designated is not None:
+        values["t"] = one
     return Witness(values, designated)
 
 
@@ -502,17 +504,6 @@ def _close(a, b, rtol):
     return abs(a - b) <= rtol * max(1, abs(a), abs(b))
 
 
-def _first_and_worst(first, worst, checks, tol):
-    """Fold (label, violation) checks, in order, into lp.feasibility_report's
-    first violated label and worst violation."""
-    for label, v in checks:
-        if v > worst:
-            worst = v
-        if v > tol and first is None:
-            first = label
-    return first is None, first, worst
-
-
 def _reduced_cost_pass(names, objective, rows, duals, tol):
     """lp.feasibility_report's (ok, first violated label, worst violation)
     on the rows of the certificate program of a row table, for the
@@ -541,7 +532,7 @@ def _reduced_cost_pass(names, objective, rows, duals, tol):
     checks = []
     if objective is None:
         checks.append(("zsum", 1 - sum(t * y for (*_, t), y in zip(rows, duals) if t)))
-    return _first_and_worst(first, worst, checks, tol)
+    return lp.fold_checks(checks, tol, first, worst)
 
 
 def _certificate_report(names, objective, rows, duals, tol):
@@ -550,7 +541,7 @@ def _certificate_report(names, objective, rows, duals, tol):
     _, first, worst = _reduced_cost_pass(names, objective, rows, duals, tol)
     bounds = [(f"bound[{_certificate_name(label)}]", 0 - y)
               for (label, rel, *_), y in zip(rows, duals) if rel == lp.LE]
-    return _first_and_worst(first, worst, bounds, tol)
+    return lp.fold_checks(bounds, tol, first, worst)
 
 
 def _point_report(names, rows, values, level, tol):
@@ -574,7 +565,22 @@ def _point_report(names, rows, values, level, tol):
     checks += [(f"bound[{names[j]}]", 0 - values[j]) for j in support]
     if any(t for *_, t in rows):
         checks.append(("bound[t]", 0 - level))
-    return _first_and_worst(None, 0, checks, tol)
+    return lp.fold_checks(checks, tol)
+
+
+def _exact_config(cfg: WorstCaseConfig) -> WorstCaseConfig:
+    """cfg with every float (weights, alpha, beta, epsilon, lookup keys
+    and values) read as its exact binary value, as lp.solve(exact=True)
+    reads one."""
+
+    def q(x):  # a number, or nested tuples or lists of them
+        if isinstance(x, (tuple, list)):
+            return tuple(map(q, x))
+        return Fraction(x) if isinstance(x, float) else x
+
+    basis = [replace(f, table=q(f.table)) for f in cfg.basis]
+    spec = SocialSpec(cfg.spec.kind, q(cfg.spec.beta))
+    return WorstCaseConfig(q(cfg.weights), q(cfg.alpha), spec, q(cfg.epsilon), basis)
 
 
 def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResult:
@@ -590,7 +596,11 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     lp.feasibility_report's verdict on build_dp_pne.  These checks and the
     optimum being at least 1 are guaranteed by the theory; violations raise
     InvariantViolation rather than returning a bad number.
+    Exact mode first reads every float of cfg as its exact binary value,
+    as lp.solve does: weights (1.0, 1.5) solve, and give rep, as (1, 3/2).
     """
+    if exact:
+        cfg = _exact_config(cfg)
     rep = build_representative(cfg.weights)
     designees = [None] if cfg.spec.kind == SUM else list(range(cfg.n))
     columns = _closed_form(cfg, rep)

@@ -444,6 +444,11 @@ def deviation_gap(game: GeneralizedGame, profile, i: int, x, eps=0):
     return _grouped_gap(game, profile, i, target, eps, _gap_inputs(game, profile))
 
 
+def _deviate(profile, i: int, x) -> tuple:
+    """The unilateral deviation (sigma_{-i}, x) of a profile."""
+    return tuple(x if j == i else s for j, s in enumerate(profile))
+
+
 def deviation_gap_verbatim(game: GeneralizedGame, profile, i: int, x, eps=0):
     """Literal Definition-style difference c-hat_i(sigma) - (1+eps) *
     c-hat_i(sigma_{-i}, x); x is a strategy index or a resource set."""
@@ -452,10 +457,8 @@ def deviation_gap_verbatim(game: GeneralizedGame, profile, i: int, x, eps=0):
         x = next((k for k, s in enumerate(game.model.strategies[i]) if s == target), None)
         if x is None:
             raise GameError(f"strategy {sorted(target)} is not in player {i}'s set")
-    here = perceived_cost(game, profile, i)
-    deviated = tuple(x if j == i else profile[j] for j in range(game.n))
-    there = perceived_cost(game, deviated, i)
-    return here - (1 + eps) * there
+    return perceived_cost(game, profile, i) - (1 + eps) * perceived_cost(
+        game, _deviate(profile, i, x), i)
 
 
 def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
@@ -475,8 +478,7 @@ def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
     for i in range(game.n):
         here = _weighted(game.alpha[i], costs)
         for x in range(len(model.strategies[i])):
-            deviated = tuple(x if j == i else profile[j] for j in range(game.n))
-            yield i, x, here - (1 + eps) * perceived_cost(game, deviated, i)
+            yield i, x, here - (1 + eps) * perceived_cost(game, _deviate(profile, i, x), i)
 
 
 def is_eps_pne(

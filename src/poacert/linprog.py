@@ -490,34 +490,35 @@ def evaluate_row(row: Row, point: Mapping) -> object:
     return sum(a * point.get(v, 0) for v, a in row.coeffs.items())
 
 
+def fold_checks(checks, tol, first=None, worst=0):
+    """Fold (label, violation) checks, in order, into (ok, first label
+    whose violation exceeds tol, worst violation), starting from a first
+    label and worst violation already found."""
+    for label, v in checks:
+        if v > worst:
+            worst = v
+        if v > tol and first is None:
+            first = label
+    return first is None, first, worst
+
+
 def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9):
     """(ok, first_violated_label, worst_violation) of a candidate point.
 
     Rows are checked in declaration order, then variable bounds (labeled
     bound[var]).  Variables absent from the point count as 0."""
-    first = None
-    worst = 0
-    for row in lp.rows:
-        lhs = evaluate_row(row, point)
-        if row.relation == LE:
-            v = lhs - row.rhs
-        elif row.relation == GE:
-            v = row.rhs - lhs
-        else:
-            v = abs(lhs - row.rhs)
-        if v > worst:
-            worst = v
-        if v > tol and first is None:
-            first = row.label
-    for var in lp.variables:
-        lo, hi = lp.bound(var)
-        x = point.get(var, 0)
-        for v in ((lo - x) if lo is not None else 0, (x - hi) if hi is not None else 0):
-            if v > worst:
-                worst = v
-            if v > tol and first is None:
-                first = f"bound[{var}]"
-    return first is None, first, worst
+
+    def checks():
+        for row in lp.rows:
+            gap = evaluate_row(row, point) - row.rhs
+            yield row.label, gap if row.relation == LE else -gap if row.relation == GE else abs(gap)
+        for var in lp.variables:
+            lo, hi = lp.bound(var)
+            x = point.get(var, 0)
+            for v in ((lo - x) if lo is not None else 0, (x - hi) if hi is not None else 0):
+                yield f"bound[{var}]", v
+
+    return fold_checks(checks(), tol)
 
 
 # ============================================================

@@ -7,14 +7,12 @@ e(P, Q) with i in Q.  Any (profile, profile) pair of any congestion model
 with the same weights maps resource-wise into this one: send e to
 e(users under the first profile, users under the second); loads and user
 sets are preserved, which is what makes the worst-case programs over this
-single model speak for the whole class.
+single model speak for the whole class.  e(P, Q) is model.resources[P * 2^n + Q].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
 import numpy as np
 
 from .games import CongestionModel, GameError
@@ -32,7 +30,6 @@ class RepresentativeModel:
     model: CongestionModel
     sigma_star: tuple  # profile of first strategies
     o_star: tuple  # profile of second strategies
-    index: Mapping  # (P_mask, Q_mask) -> resource id
 
     @property
     def n(self) -> int:
@@ -41,10 +38,10 @@ class RepresentativeModel:
     def resource_for(self, p_players, q_players) -> str:
         p = p_players if isinstance(p_players, int) else _mask_of(p_players)
         q = q_players if isinstance(q_players, int) else _mask_of(q_players)
-        try:
-            return self.index[(p, q)]
-        except KeyError:
-            raise GameError(f"no resource for masks P={p:b}, Q={q:b}") from None
+        size = 1 << self.n
+        if not (0 <= p < size and 0 <= q < size):
+            raise GameError(f"no resource for masks P={p:b}, Q={q:b}")
+        return self.model.resources[p * size + q]
 
 
 def _mask_of(players) -> int:
@@ -60,23 +57,20 @@ def build_representative(weights, cap: int = PLAYER_CAP) -> RepresentativeModel:
         raise GameError(f"{n} players would need {4**n} resources (cap {cap})")
     size = 1 << n
     players = [_players(m) for m in range(size)]
-    index = {
-        (p, q): f"P:{{{players[p]}}}|Q:{{{players[q]}}}" for p in range(size) for q in range(size)
-    }
+    names = [f"P:{{{players[p]}}}|Q:{{{players[q]}}}" for p in range(size) for q in range(size)]
     # ids[p, q] is the id of e(P, Q)
-    ids = np.array(list(index.values()), dtype=object).reshape(size, size)
+    ids = np.array(names, dtype=object).reshape(size, size)
     masks = np.arange(size)
     strategies = []
     for i in range(n):
         has = masks >> i & 1 == 1
         sigma, omega = ids[has].ravel().tolist(), ids[:, has].ravel().tolist()
         strategies.append((frozenset(sigma), frozenset(omega)))
-    model = CongestionModel(tuple(weights), tuple(index.values()), tuple(strategies))
+    model = CongestionModel(tuple(weights), tuple(names), tuple(strategies))
     return RepresentativeModel(
         model=model,
         sigma_star=tuple(0 for _ in range(n)),
         o_star=tuple(1 for _ in range(n)),
-        index=index,
     )
 
 
@@ -92,5 +86,5 @@ def map_profile_pair(rep: RepresentativeModel, model: CongestionModel, sigma, ta
     for e in model.resources:
         p = _mask_of(i for i in range(model.n) if e in model.strategies[i][sigma[i]])
         q = _mask_of(i for i in range(model.n) if e in model.strategies[i][tau[i]])
-        out[e] = rep.index[(p, q)]
+        out[e] = rep.resource_for(p, q)
     return out

@@ -22,12 +22,12 @@ from .games import (
     GameError,
     GeneralizedGame,
     SocialSpec,
-    individual_cost,
+    _deviate,
     individual_costs,
     social_of_costs,
-    social_value,
 )
-from .oracle import NO_EQUILIBRIUM, PROFILE_CAP, exact_ppoa, social_optimum, worst_cce_value
+from .oracle import (NO_EQUILIBRIUM, PROFILE_CAP, _guard_cap, exact_ppoa, social_optimum,
+                     worst_cce_value)
 
 NOT_SMOOTHABLE = "NOT_SMOOTHABLE"
 OPTIMAL = "OPTIMAL"
@@ -54,8 +54,7 @@ class SmoothnessCertificate:
 def is_sum_bounded(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP):
     """(True, None), or (False, first profile whose social value exceeds the
     sum of individual costs)."""
-    if game.model.profile_count() > cap:
-        raise GameError("profile cap exceeded")
+    _guard_cap(game.model.profile_count(), cap, "is_sum_bounded")
     for prof in game.model.profiles():
         costs = individual_costs(game, prof)
         if social_of_costs(spec, costs) > sum(costs) + FEAS_TOL:
@@ -65,20 +64,15 @@ def is_sum_bounded(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_C
 
 def _pair_tables(game, spec, cap):
     """Profiles, their social values and the deviation sums of every
-    ordered profile pair: up to cap^2 entries for cap profiles."""
-    if game.model.profile_count() > cap:
-        raise GameError("profile cap exceeded")
+    ordered profile pair: up to cap^2 entries for cap profiles, all read
+    from one individual_costs pass per profile (a deviation is a profile)."""
+    _guard_cap(game.model.profile_count(), cap, "smoothness pair tables")
     profiles = list(game.model.profiles())
-    sf = [social_value(spec, game, prof) for prof in profiles]
+    costs = {prof: individual_costs(game, prof) for prof in profiles}
+    sf = [social_of_costs(spec, costs[prof]) for prof in profiles]
     n = game.model.n
     dev = [
-        [
-            sum(
-                individual_cost(game, prof[:i] + (other[i],) + prof[i + 1:], i)
-                for i in range(n)
-            )
-            for other in profiles
-        ]
+        [sum(costs[_deviate(prof, i, other[i])][i] for i in range(n)) for other in profiles]
         for prof in profiles
     ]
     return profiles, sf, dev

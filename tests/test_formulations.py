@@ -310,6 +310,48 @@ def test_float_and_exact_agree_on_anchor():
     assert rf.gamma_star == pytest.approx(2.5, rel=1e-9)
 
 
+def float_identity(n):
+    return tuple(tuple(float(x) for x in row) for row in identity_matrix(n))
+
+
+def test_exact_solve_reads_float_data_as_rationals():
+    """solve_worst_case(exact=True) reads a float configuration as its
+    exact binary values: weights (1.0, 1.5) under max answer 431/81 with
+    the certificate of the Fraction twin (1, 3/2), and the solved point
+    extracts a witness under the float configuration."""
+    basis = (BasisFunction.monomial(1), BasisFunction.monomial(2))
+    eye = float_identity(2)
+    floats = WorstCaseConfig((1.0, 1.5), eye, SocialSpec(MAX, eye), 0.0, basis)
+    res = solve_worst_case(floats, exact=True)
+    eye = identity_matrix(2, True)
+    twin = solve_worst_case(
+        WorstCaseConfig((F(1), F(3, 2)), eye, SocialSpec(MAX, eye), F(0), basis), exact=True)
+    assert res.gamma_star == twin.gamma_star == F(431, 81)
+    assert res.dual_solution == twin.dual_solution
+    game = extract_worst_game(floats, res.rep, res.primal_solution, res.designated)
+    assert social_value(floats.spec, game, res.rep.sigma_star) == pytest.approx(431 / 81)
+    assert social_value(floats.spec, game, res.rep.o_star) <= 1 + FEAS_TOL
+
+
+def test_exact_solve_of_seeded_float_configurations_is_certified():
+    """30 seeded float configurations (n = 2, 3, sum and max, weights from
+    {0.3, 0.5, 1, 1.5, 2}, alpha and beta uniform in [0, 1], basis
+    {x, x^2}) solve exactly with a certificate checked at tolerance 0."""
+    basis = (BasisFunction.monomial(1), BasisFunction.monomial(2))
+    for seed in range(30):
+        rng = seeded(seed)
+        n = rng.choice((2, 3))
+        weights = tuple(rng.choice((0.3, 0.5, 1.0, 1.5, 2.0)) for _ in range(n))
+
+        def uniform():
+            return tuple(tuple(rng.uniform(0, 1) for _ in range(n)) for _ in range(n))
+
+        spec = SocialSpec(rng.choice((SUM, MAX)), uniform())
+        res = solve_worst_case(WorstCaseConfig(weights, uniform(), spec, 0.0, basis), exact=True)
+        assert res.status in (OPTIMAL, INFINITE), seed
+        assert res.status == INFINITE or isinstance(res.gamma_star, F), seed
+
+
 # ============================================================
 # the closed-form representative primal
 # ============================================================

@@ -21,6 +21,7 @@ from poacert.linprog import (
     Row,
     SolverError,
     dualize,
+    feasibility_report,
     solve,
     to_fixed_format,
 )
@@ -389,3 +390,56 @@ def test_fixed_format_export():
     # every declared row appears with its relation code
     assert " L  R0000000" in txt
     assert txt.endswith("ENDATA\n")
+
+
+def _reference_feasibility_report(lp, point, tol):
+    """feasibility_report as one hand-written loop over rows, then bounds."""
+    first = None
+    worst = 0
+    for row in lp.rows:
+        lhs = sum(a * point.get(v, 0) for v, a in row.coeffs.items())
+        if row.relation == LE:
+            v = lhs - row.rhs
+        elif row.relation == GE:
+            v = row.rhs - lhs
+        else:
+            v = abs(lhs - row.rhs)
+        if v > worst:
+            worst = v
+        if v > tol and first is None:
+            first = row.label
+    for var in lp.variables:
+        lo, hi = lp.bound(var)
+        x = point.get(var, 0)
+        for v in ((lo - x) if lo is not None else 0, (x - hi) if hi is not None else 0):
+            if v > worst:
+                worst = v
+            if v > tol and first is None:
+                first = f"bound[{var}]"
+    return first is None, first, worst
+
+
+def test_feasibility_report_matches_a_reference_loop():
+    """Seeded programs over >= 0, <= 0 and free variables, at points in
+    float, Fraction and int arithmetic (some variables absent), checked at
+    three tolerances: the same (ok, first, worst), repr for repr.  Rows and
+    bounds both come first among the violations."""
+    rng = random.Random(2026)
+    firsts = set()
+    for case in range(150):
+        n, m = rng.randint(1, 4), rng.randint(0, 4)
+        names = [f"x{j}" for j in range(n)]
+        bounds = {v: rng.choice((FREE, (None, 0))) for v in names if rng.random() < 0.6}
+        kind = case % 3
+        num = [lambda c: c / 4, lambda c: F(c, 4), lambda c: c][kind]
+        rows = [Row({v: num(rng.randint(-4, 4)) for v in names if rng.random() < 0.8},
+                    rng.choice((LE, GE, EQ)), num(rng.randint(-4, 4)), f"r{i}")
+                for i in range(m)]
+        lp = LinearProgram(MAXIMIZE, names, {}, rows, bounds=bounds)
+        point = {v: num(rng.randint(-8, 8)) for v in names if rng.random() < 0.8}
+        for tol in (0, 1e-9, 0.5):
+            got = feasibility_report(lp, point, tol)
+            assert repr(got) == repr(_reference_feasibility_report(lp, point, tol)), (case, tol)
+            if not got[0]:
+                firsts.add(got[1][0])
+    assert firsts == {"r", "b"}

@@ -90,3 +90,17 @@ def test_embedding_preserves_loads():
             for e, rid in mapping.items():
                 assert star[rid] == here[e]
                 assert omega[rid] == there[e]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_resource_for_reads_position_p_times_size_plus_q(n):
+    """e(P, Q) is model.resources[P * 2^n + Q], the layout the closed-form
+    columns are written in; a mask outside [0, 2^n) names no resource."""
+    rep = build_representative((1,) * n)
+    size = 2**n
+    for p in range(size):
+        for q in range(size):
+            assert rep.resource_for(p, q) == rep.model.resources[p * size + q]
+    for p, q in ((-1, 0), (0, -1), (size, 0), (0, size), (size, size)):
+        with pytest.raises(GameError):
+            rep.resource_for(p, q)

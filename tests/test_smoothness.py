@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import AA, AB, g1, g1_spec, random_game, seeded
+from conftest import AA, AB, g1, g1_spec, random_game, random_matrix, seeded
 from poacert.games import (
     MAX,
     SUM,
@@ -15,8 +15,16 @@ from poacert.games import (
     GeneralizedGame,
     SocialSpec,
     identity_matrix,
+    individual_cost,
+    social_value,
 )
-from poacert.oracle import NO_EQUILIBRIUM, exact_ppoa, social_optimum, worst_cce_value
+from poacert.oracle import (
+    NO_EQUILIBRIUM,
+    PROFILE_CAP,
+    exact_ppoa,
+    social_optimum,
+    worst_cce_value,
+)
 from poacert.smoothness import (
     NOT_SMOOTHABLE,
     OPTIMAL,
@@ -209,3 +217,33 @@ def test_robust_dominates_oracles_on_seeded_games():
         assert check_smooth(g, spec, SmoothnessCertificate(r.lam, r.mu)) == (True, None)
         hits += 1
     assert hits >= 10  # the generator must not degenerate
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_pair_tables_match_individual_costs(exact):
+    """SF is social_value and every deviation sum is the sum over i of
+    individual_cost at (sigma_{-i}, sigma'_i), value for value."""
+    basis = (BasisFunction.monomial(1), BasisFunction.monomial(2))
+    one = F(1) if exact else 1.0
+    for seed in range(12):
+        rng = seeded(seed)
+        n = 2 + seed % 2
+        weights = tuple(one * rng.choice((1, 2, 3)) / 2 for _ in range(n))
+        game = random_game(rng, weights, basis, random_matrix(rng, n, -1, 1, exact), exact)
+        spec = SocialSpec(SUM if seed % 4 < 2 else MAX, random_matrix(rng, n, 0, 1, exact))
+        profiles, sf, dev = _pair_tables(game, spec, PROFILE_CAP)
+        assert profiles == list(game.model.profiles())
+        assert sf == [social_value(spec, game, prof) for prof in profiles]
+        for a, prof in enumerate(profiles):
+            for b, other in enumerate(profiles):
+                want = sum(individual_cost(game, prof[:i] + (other[i],) + prof[i + 1:], i)
+                           for i in range(n))
+                assert dev[a][b] == want and type(dev[a][b]) is type(want), (seed, a, b)
+
+
+def test_smoothness_cap_errors_name_count_and_cap():
+    g, spec = g1(), g1_spec()
+    with pytest.raises(GameError, match="4 profiles exceeds cap 3"):
+        robust_poa(g, spec, cap=3)
+    with pytest.raises(GameError, match="4 profiles exceeds cap 3"):
+        _pair_tables(g, spec, 3)
