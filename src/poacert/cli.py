@@ -56,8 +56,8 @@ from .gamefile import (
 from .oracle import (
     NO_EQUILIBRIUM,
     PROFILE_CAP,
+    _equilibria,
     enumerate_eps_pne,
-    exact_ppoa,
     social_optimum,
     worst_cce,
 )
@@ -197,14 +197,12 @@ def cmd_exact_ppoa(args) -> int:
     doc = load_game(_need(args, "--game"), args.exact)
     eps = _epsilon(args, doc.epsilon)
     spec = doc.spec(args.sf)
-    opt_profile, opt = social_optimum(doc.game, spec, args.cap)
-    equilibria = enumerate_eps_pne(doc.game, eps, args.predicate, cap=args.cap)
-    value = exact_ppoa(doc.game, spec, eps, args.predicate, cap=args.cap)
-    worst = []
-    if value != NO_EQUILIBRIUM:
-        target = max(social_value(spec, doc.game, prof) for prof in equilibria)
-        worst = [prof for prof in equilibria
-                 if social_value(spec, doc.game, prof) == target]
+    opt_profile, opt, equilibria = _equilibria(doc.game, spec, eps, args.predicate, args.cap)
+    value, worst = NO_EQUILIBRIUM, []
+    if equilibria:
+        target = max(v for _, v in equilibria)
+        value = target / opt
+        worst = [prof for prof, v in equilibria if v == target]
     return _emit(args, {
         "value": value,
         "optimum": opt,

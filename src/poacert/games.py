@@ -461,10 +461,21 @@ def deviation_gap_verbatim(game: GeneralizedGame, profile, i: int, x, eps=0):
         game, _deviate(profile, i, x), i)
 
 
+def _verbatim_gaps(game: GeneralizedGame, profile, eps, costs_of):
+    """deviation_gaps under the verbatim predicate, reading the individual
+    costs of the profile and of each deviation through costs_of(profile)."""
+    costs = costs_of(profile)
+    for i, row in enumerate(game.alpha):
+        here = _weighted(row, costs)
+        for x in range(len(game.model.strategies[i])):
+            yield i, x, here - (1 + eps) * _weighted(row, costs_of(_deviate(profile, i, x)))
+
+
 def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
     """(i, x, gap) for every player i and strategy index x, in that order,
     equal to deviation_gap or deviation_gap_verbatim but from one load pass
-    over the profile.  Lazy, so a caller may stop at the first bad gap."""
+    over the profile (eq1) or one individual_costs call per profile read
+    (verbatim).  Lazy, so a caller may stop at the first bad gap."""
     if predicate not in (EQ1, VERBATIM):
         raise GameError(f"unknown predicate {predicate!r}")
     model = game.model
@@ -474,11 +485,13 @@ def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
             for x, target in enumerate(model.strategies[i]):
                 yield i, x, _grouped_gap(game, profile, i, target, eps, inputs)
         return
-    costs = individual_costs(game, profile)
-    for i in range(game.n):
-        here = _weighted(game.alpha[i], costs)
-        for x in range(len(model.strategies[i])):
-            yield i, x, here - (1 + eps) * perceived_cost(game, _deviate(profile, i, x), i)
+    yield from _verbatim_gaps(game, profile, eps, lambda prof: individual_costs(game, prof))
+
+
+def _tol(*values):
+    """Slack of a comparison between values: FEAS_TOL when any of them is a
+    float, 0 when all are exact (int or Fraction)."""
+    return FEAS_TOL if any(isinstance(v, float) for v in values) else 0
 
 
 def is_eps_pne(
@@ -490,9 +503,10 @@ def is_eps_pne(
     """eps-approximate pure Nash test under either deviation predicate.
 
     The two predicates coincide at eps = 0 whenever alpha is diagonal; they
-    may part ways otherwise (see deviation_gap).
+    may part ways otherwise (see deviation_gap).  An exact gap (int or
+    Fraction) must be <= 0; a float gap may exceed 0 by FEAS_TOL.
     """
-    return all(gap <= FEAS_TOL for _, _, gap in deviation_gaps(game, profile, eps, predicate))
+    return all(gap <= _tol(gap) for _, _, gap in deviation_gaps(game, profile, eps, predicate))
 
 
 def is_eps_cce(
@@ -502,7 +516,8 @@ def is_eps_cce(
     predicate: str = VERBATIM,
 ) -> bool:
     """Coarse correlated test: no player gains (1+eps)-factor in
-    expectation by a constant pure deviation."""
+    expectation by a constant pure deviation.  An exact expected gap must
+    be <= 0; a float one may exceed 0 by FEAS_TOL."""
     gaps = {
         prof: [gap for _, _, gap in deviation_gaps(game, prof, eps, predicate)]
         for prof in dist.masses
@@ -510,7 +525,8 @@ def is_eps_cce(
     k = 0
     for i in range(game.n):
         for _ in game.model.strategies[i]:
-            if dist.expect(lambda prof: gaps[prof][k]) > FEAS_TOL:
+            expected = dist.expect(lambda prof: gaps[prof][k])
+            if expected > _tol(expected):
                 return False
             k += 1
     return True

@@ -21,9 +21,12 @@ from .games import (
     GeneralizedGame,
     ProfileDistribution,
     SocialSpec,
-    beta_cost,
+    _verbatim_gaps,
+    _weighted,
     deviation_gaps,
+    individual_costs,
     is_eps_pne,
+    social_of_costs,
     social_value,
 )
 
@@ -31,18 +34,24 @@ PROFILE_CAP = 10**6
 NO_EQUILIBRIUM = "NO_EQUILIBRIUM"
 
 
-def _guard_cap(count: int, cap: int, what: str) -> None:
-    if count > cap:
-        raise GameError(f"{what}: {count} profiles exceeds cap {cap}")
+def _profiles(game: GeneralizedGame, cap: int, what: str):
+    """The game's profiles in lexicographic order, after the cap check."""
+    if game.model.profile_count() > cap:
+        raise GameError(f"{what}: {game.model.profile_count()} profiles exceeds cap {cap}")
+    return game.model.profiles()
+
+
+def _cost_table(game: GeneralizedGame, cap: int, what: str) -> dict:
+    """{profile: individual_costs} over _profiles: an oracle call's one cost pass."""
+    return {prof: individual_costs(game, prof) for prof in _profiles(game, cap, what)}
 
 
 def social_optimum(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP):
     """Minimal-social-value pure profile, ties broken by lexicographic
     profile order.  Returns (profile, value)."""
-    _guard_cap(game.model.profile_count(), cap, "social_optimum")
     best = None
     best_value = None
-    for prof in game.model.profiles():
+    for prof in _profiles(game, cap, "social_optimum"):
         v = social_value(spec, game, prof)
         if best_value is None or v < best_value:
             best, best_value = prof, v
@@ -57,12 +66,23 @@ def enumerate_eps_pne(
 ):
     """All pure profiles passing the chosen equilibrium predicate, in
     lexicographic order."""
-    _guard_cap(game.model.profile_count(), cap, "enumerate_eps_pne")
     return [
         prof
-        for prof in game.model.profiles()
+        for prof in _profiles(game, cap, "enumerate_eps_pne")
         if is_eps_pne(game, prof, epsilon, predicate)
     ]
+
+
+def _equilibria(game, spec, epsilon, predicate, cap):
+    """(optimum profile, optimum, [(equilibrium, its social value)]) as
+    social_optimum and enumerate_eps_pne give them, from one enumeration."""
+    values = {prof: social_value(spec, game, prof) for prof in _profiles(game, cap, "exact_ppoa")}
+    opt_profile = min(values, key=values.get)
+    if values[opt_profile] == 0:
+        raise GameError("social optimum is 0; the ratio is undefined")
+    equilibria = [(prof, v) for prof, v in values.items()
+                  if is_eps_pne(game, prof, epsilon, predicate)]
+    return opt_profile, values[opt_profile], equilibria
 
 
 def exact_ppoa(
@@ -72,21 +92,13 @@ def exact_ppoa(
     predicate: str = EQ1,
     cap: int = PROFILE_CAP,
 ):
-    """Worst equilibrium value over optimum value, or NO_EQUILIBRIUM.
+    """Worst equilibrium value over optimum value, or NO_EQUILIBRIUM, from
+    one enumeration of the game (is_eps_pne is the equilibrium test).
 
     Generalized games need not possess pure equilibria at all, so the
     empty case is a legitimate answer, not an error."""
-    opt_profile, opt = social_optimum(game, spec, cap)
-    if opt == 0:
-        raise GameError("social optimum is 0; the ratio is undefined")
-    worst = None
-    for prof in enumerate_eps_pne(game, epsilon, predicate, cap):
-        v = social_value(spec, game, prof)
-        if worst is None or v > worst:
-            worst = v
-    if worst is None:
-        return NO_EQUILIBRIUM
-    return worst / opt
+    _, opt, equilibria = _equilibria(game, spec, epsilon, predicate, cap)
+    return max(v for _, v in equilibria) / opt if equilibria else NO_EQUILIBRIUM
 
 
 # ============================================================
@@ -99,19 +111,6 @@ class CCEReport:
     value: object
     distribution: ProfileDistribution
     player: Optional[int]  # argmax player for max objectives, else None
-
-
-def _cce_program(game, profiles, objective, epsilon, predicate, name):
-    variables = [f"p[{idx}]" for idx in range(len(profiles))]
-    coeffs: dict = {}  # (i, x) -> row coefficients, filled one profile at a time
-    for idx, prof in enumerate(profiles):
-        for i, x_idx, gap in deviation_gaps(game, prof, epsilon, predicate):
-            row = coeffs.setdefault((i, x_idx), {})
-            if gap != 0:
-                row[f"p[{idx}]"] = gap
-    rows = [lp.Row(row, lp.LE, 0, f"cce[{i}][{x_idx}]") for (i, x_idx), row in coeffs.items()]
-    rows.append(lp.Row({v: 1 for v in variables}, lp.EQ, 1, "mass"))
-    return lp.LinearProgram(lp.MAXIMIZE, variables, objective, rows, name=name)
 
 
 def worst_cce(
@@ -128,49 +127,42 @@ def worst_cce(
     and every fixed deviation x, E[perceived cost of i] is at most (1+eps)
     times the expected perceived cost after switching i to x.  One program
     for sum objectives; for max objectives one per player (a max of linear
-    functionals), keeping the winner.
-    """
-    _guard_cap(game.model.profile_count(), cap, "worst_cce")
-    profiles = list(game.model.profiles())
+    functionals), keeping the winner.  Rows and objectives read one
+    individual_costs pass over the profiles."""
+    costs = _cost_table(game, cap, "worst_cce")
+    variables = [f"p[{idx}]" for idx in range(len(costs))]
+    coeffs: dict = {}  # (i, x) -> row coefficients, filled one profile at a time
+    for var, prof in zip(variables, costs):
+        gaps = (_verbatim_gaps(game, prof, epsilon, costs.__getitem__) if predicate == VERBATIM
+                else deviation_gaps(game, prof, epsilon, predicate))
+        for i, x_idx, gap in gaps:
+            row = coeffs.setdefault((i, x_idx), {})
+            if gap != 0:
+                row[var] = gap
+    rows = [lp.Row(row, lp.LE, 0, f"cce[{i}][{x_idx}]") for (i, x_idx), row in coeffs.items()]
+    rows.append(lp.Row({v: 1 for v in variables}, lp.EQ, 1, "mass"))
 
-    def run(objective, player, name):
-        program = _cce_program(game, profiles, objective, epsilon, predicate, name)
+    def run(player, name):
+        objective = {}
+        for var, c in zip(variables, costs.values()):
+            v = social_of_costs(spec, c) if player is None else _weighted(spec.beta[player], c)
+            if v != 0:
+                objective[var] = v
+        program = lp.LinearProgram(lp.MAXIMIZE, variables, objective, rows, name=name)
         rep = lp.solve(program, exact=exact)
         if rep.status != lp.OPTIMAL:
             # the literal definition admits empty coarse sets when
             # perceived costs go negative and epsilon > 0
             raise GameError(f"coarse constraint set is {rep.status}")
-        masses = {}
-        total = 0
-        for idx, prof in enumerate(profiles):
-            m = rep.primal[f"p[{idx}]"]
-            if m > 0:
-                masses[prof] = m
-                total += m
+        masses = {prof: m for var, prof in zip(variables, costs) if (m := rep.primal[var]) > 0}
         if not exact:  # shed solver rounding before re-validation
+            total = sum(masses.values())
             masses = {prof: m / total for prof, m in masses.items()}
-        return rep.value, ProfileDistribution(masses), player
+        return CCEReport(rep.value, ProfileDistribution(masses), player)
 
     if spec.kind == SUM:
-        objective = {}
-        for idx, prof in enumerate(profiles):
-            v = social_value(spec, game, prof)
-            if v != 0:
-                objective[f"p[{idx}]"] = v
-        value, dist, _ = run(objective, None, "cce_sum")
-        return CCEReport(value, dist, None)
-
-    best = None
-    for i in range(game.model.n):
-        objective = {}
-        for idx, prof in enumerate(profiles):
-            v = beta_cost(spec, game, prof, i)
-            if v != 0:
-                objective[f"p[{idx}]"] = v
-        cand = run(objective, i, f"cce_max_{i}")
-        if best is None or cand[0] > best[0]:
-            best = cand
-    return CCEReport(best[0], best[1], best[2])
+        return run(None, "cce_sum")
+    return max((run(i, f"cce_max_{i}") for i in range(game.model.n)), key=lambda rep: rep.value)
 
 
 def worst_cce_value(

@@ -23,10 +23,10 @@ from .games import (
     GeneralizedGame,
     SocialSpec,
     _deviate,
-    individual_costs,
+    _tol,
     social_of_costs,
 )
-from .oracle import (NO_EQUILIBRIUM, PROFILE_CAP, _guard_cap, exact_ppoa, social_optimum,
+from .oracle import (NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, exact_ppoa, social_optimum,
                      worst_cce_value)
 
 NOT_SMOOTHABLE = "NOT_SMOOTHABLE"
@@ -51,13 +51,16 @@ class SmoothnessCertificate:
         return self.lam / (1 - self.mu)
 
 
+def _exceeds_sum(social, total) -> bool:
+    """A profile's social value above the sum of its individual costs."""
+    return social > total + _tol(social, total)
+
+
 def is_sum_bounded(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP):
     """(True, None), or (False, first profile whose social value exceeds the
     sum of individual costs)."""
-    _guard_cap(game.model.profile_count(), cap, "is_sum_bounded")
-    for prof in game.model.profiles():
-        costs = individual_costs(game, prof)
-        if social_of_costs(spec, costs) > sum(costs) + FEAS_TOL:
+    for prof, costs in _cost_table(game, cap, "is_sum_bounded").items():
+        if _exceeds_sum(social_of_costs(spec, costs), sum(costs)):
             return False, prof
     return True, None
 
@@ -66,10 +69,9 @@ def _pair_tables(game, spec, cap):
     """Profiles, their social values and the deviation sums of every
     ordered profile pair: up to cap^2 entries for cap profiles, all read
     from one individual_costs pass per profile (a deviation is a profile)."""
-    _guard_cap(game.model.profile_count(), cap, "smoothness pair tables")
-    profiles = list(game.model.profiles())
-    costs = {prof: individual_costs(game, prof) for prof in profiles}
-    sf = [social_of_costs(spec, costs[prof]) for prof in profiles]
+    costs = _cost_table(game, cap, "smoothness pair tables")
+    profiles = list(costs)
+    sf = [social_of_costs(spec, c) for c in costs.values()]
     n = game.model.n
     dev = [
         [sum(costs[_deviate(prof, i, other[i])][i] for i in range(n)) for other in profiles]
@@ -150,16 +152,17 @@ def robust_poa(
     """inf lam/(1-mu) over valid certificates, as one linear program.
 
     Only defined for sum-bounded (game, spec) pairs — everything else is
-    NOT_SMOOTHABLE with the offending profile attached.  On Fraction input
-    value = lam/(1-mu) is the exact infimum, in Fractions; otherwise it
-    is the optimum of one LP whose point passed lp.solve's residual check.
+    NOT_SMOOTHABLE with is_sum_bounded's profile, read off the pair tables'
+    diagonal.  On Fraction input value = lam/(1-mu) is the exact infimum,
+    in Fractions; otherwise it is the optimum of one LP whose point passed
+    lp.solve's residual check.
     Where that point has t = 0, (lam, mu) are None: the value is then
     max SF / min SF, approached by certificates only as mu -> -inf.
     """
-    ok, witness = is_sum_bounded(game, spec, cap=cap)
-    if not ok:
-        return RobustPoA(NOT_SMOOTHABLE, None, None, None, witness, 0)
     profiles, sf, dev = _pair_tables(game, spec, cap)
+    for a, prof in enumerate(profiles):
+        if _exceeds_sum(sf[a], dev[a][a]):
+            return RobustPoA(NOT_SMOOTHABLE, None, None, None, prof, 0)
     one = sf[0] / sf[0] if sf and sf[0] else 1
     if len(profiles) == 1:
         # only the pair (sigma, sigma) exists; lam=1, mu=0 is tight

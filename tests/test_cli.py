@@ -9,10 +9,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import random_game, random_matrix, seeded
 from poacert import formulations, games
-from poacert.cli import EXIT_INVARIANT, EXIT_OK, EXIT_VALIDATION, main
-from poacert.gamefile import load_game
-from poacert.oracle import worst_cce_value
+from poacert.cli import EXIT_INVARIANT, EXIT_OK, EXIT_VALIDATION, as_json, main
+from poacert.gamefile import emit_game, load_game, write_json
+from poacert.oracle import (NO_EQUILIBRIUM, enumerate_eps_pne, exact_ppoa, social_optimum,
+                            worst_cce_value)
 
 CFG = {
     "weights": [1, 1],
@@ -122,6 +124,89 @@ def test_exact_ppoa_command(capsys, game_path):
     assert doc["optimum"] == "2"
     assert doc["optimum_profile"] == [0, 1]
     assert doc["equilibrium_count"] == 2
+
+
+# player 0 picks a or b, player 1 only c; b costs 10^-11 more than a, so
+# in exact arithmetic (0, 0) is the one equilibrium and (1, 0) is not
+NEAR_TIE = {
+    "weights": [1, 1],
+    "resources": ["a", "b", "c"],
+    "strategies": [[["a"], ["b"]], [["c"]]],
+    "basis": [{"kind": "monomial", "degree": 1}],
+    "coefficients": {"a": [1], "b": ["100000000001/100000000000"], "c": [1]},
+    "alpha": [[1, 0], [0, 1]],
+}
+
+
+def test_exact_equilibrium_tests_compare_gaps_with_zero(capsys, tmp_path):
+    """An exact deviation gap of 10^-11 rules a profile out; FEAS_TOL
+    stays the slack of float gaps only."""
+    path = str(tmp_path / "near_tie.json")
+    write_json(path, NEAR_TIE)
+    game = load_game(path, True).game
+    for predicate in (games.EQ1, games.VERBATIM):
+        assert not games.is_eps_pne(game, (1, 0), 0, predicate)
+        assert not games.is_eps_cce(game, games.ProfileDistribution.point((1, 0)), 0, predicate)
+        assert enumerate_eps_pne(game, 0, predicate) == [(0, 0)]
+        assert exact_ppoa(game, load_game(path, True).spec("sum"), 0, predicate) == 1
+    code, doc = run(capsys, "exact-ppoa", "--game", path, "--exact")
+    assert code == EXIT_OK
+    assert (doc["value"], doc["equilibrium_count"], doc["worst_equilibria"]) == ("1", 1, [[0, 0]])
+    code, doc = run(capsys, "cce-poa", "--game", path, "--exact")
+    assert code == EXIT_OK and doc["ccpoa"] == "1"
+    code, doc = run(capsys, "exact-ppoa", "--game", path)
+    assert code == EXIT_OK and doc["equilibrium_count"] == 2
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_exact_ppoa_report_matches_the_oracles(capsys, tmp_path, game_path, exact):
+    """Every field of the exact-ppoa report, worst_equilibria included, is
+    what social_optimum, enumerate_eps_pne and social_value give: on the
+    two-link game (two worst equilibria at eps = 1) and seeded game files."""
+    basis = (games.BasisFunction.monomial(1), games.BasisFunction.monomial(2))
+    one = F(1) if exact else 1.0
+    flags = ["--exact"] if exact else []
+    paths = [game_path]
+    for seed in range(6):
+        rng = seeded(seed)
+        n = 2 + seed % 2
+        weights = tuple(one * rng.choice((1, 2, 3)) / 2 for _ in range(n))
+        alpha = games.identity_matrix(n, exact)
+        if seed % 3 == 0:
+            alpha = random_matrix(rng, n, -1, 1, exact)
+        beta = random_matrix(rng, n, 0, 1, exact)
+        if not any(b for row in beta for b in row):
+            beta = games.identity_matrix(n, exact)
+        paths.append(str(tmp_path / f"game{seed}.json"))
+        write_json(paths[-1], emit_game(random_game(rng, weights, basis, alpha, exact), beta))
+    checked = ties = 0
+    for path in paths:
+        loaded = load_game(path, exact)
+        for sf in (games.SUM, games.MAX):
+            spec = loaded.spec(sf)
+            opt_profile, opt = social_optimum(loaded.game, spec)
+            if opt == 0:
+                continue
+            for predicate in (games.EQ1, games.VERBATIM):
+                for eps in (0, 1):
+                    equilibria = enumerate_eps_pne(loaded.game, eps, predicate)
+                    values = [games.social_value(spec, loaded.game, p) for p in equilibria]
+                    worst = max(values, default=None)
+                    want = {
+                        "value": NO_EQUILIBRIUM if worst is None else worst / opt,
+                        "optimum": opt,
+                        "optimum_profile": opt_profile,
+                        "equilibrium_count": len(equilibria),
+                        "worst_equilibria": [p for p, v in zip(equilibria, values) if v == worst],
+                    }
+                    code, doc = run(capsys, "exact-ppoa", "--game", path, "--sf", sf,
+                                    "--predicate", predicate, "--epsilon", str(eps), *flags)
+                    assert code == EXIT_OK
+                    got = {key: doc[key] for key in want}
+                    assert got == json.loads(json.dumps(as_json(want))), (path, sf, predicate, eps)
+                    checked += 1
+                    ties += len(want["worst_equilibria"]) > 1
+    assert checked >= 40 and ties >= 2
 
 
 def test_exact_ppoa_epsilon_fraction_flag(capsys, game_path):

@@ -1,0 +1,93 @@
+"""Dead-code gate over src/poacert, read with the standard library's ast.
+
+Every function, class and module-level name that a poacert module defines
+is used again somewhere in the repository's Python code (src, tests,
+poabench, demos), and every name a poacert module imports is used in that
+module.  A refactor that leaves a helper without callers, or an import
+without a use, fails here.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "poacert"
+SEARCHED = ("src", "tests", "poabench", "demos")
+EXEMPT = {"__all__", "__version__"}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _definitions(tree):
+    """(name, node) of every function and class, at any depth, and of every
+    name bound at module level."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, name
+
+
+def _uses(tree):
+    """Every name a tree reads or imports: variables, attributes and the
+    names of from-imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _modules():
+    return sorted(PACKAGE.glob("*.py"))
+
+
+def test_every_definition_is_used_somewhere():
+    used = set()
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            tree = _tree(path)
+            if path.parent == PACKAGE and path.name == "__init__.py":
+                continue  # a re-export is not a use
+            used.update(_uses(tree))
+    unused = sorted(
+        f"{path.name}:{node.lineno} {name}"
+        for path in _modules()
+        for name, node in _definitions(_tree(path))
+        if name not in used and name not in EXEMPT and not _is_dunder(name)
+    )
+    assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+@pytest.mark.parametrize("path", [p for p in _modules() if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used_in_its_module(path):
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
+                    if name not in read)
+    assert not unused, "imported but never used: " + ", ".join(unused)

@@ -5,11 +5,14 @@ at the bottom cross-checks the pure and coarse oracles against each other
 on random instances.
 """
 
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import AA, AB, BA, BB, g1, g1_spec, random_game, seeded
+from conftest import AA, AB, BA, BB, g1, g1_spec, random_game, random_matrix, seeded
+from poacert import games
+from poacert import linprog as lp
 from poacert.games import (
     EQ1,
     MAX,
@@ -18,19 +21,24 @@ from poacert.games import (
     BasisFunction,
     GameError,
     GeneralizedGame,
+    ProfileDistribution,
     SocialSpec,
+    beta_cost,
+    deviation_gaps,
     identity_matrix,
     is_eps_cce,
     social_value,
 )
 from poacert.oracle import (
     NO_EQUILIBRIUM,
+    CCEReport,
     enumerate_eps_pne,
     exact_ppoa,
     social_optimum,
     worst_cce,
     worst_cce_value,
 )
+from poacert.smoothness import robust_poa
 
 CHASE_ALPHA = ((F(1), F(-1)), (F(0), F(1)))  # player 0 chases, player 1 flees
 
@@ -189,3 +197,125 @@ def test_pure_equilibria_embed_into_coarse():
         ppoa = exact_ppoa(g, spec, 0)
         ccpoa = worst_cce_value(g, spec, 0, exact=True) / opt
         assert ppoa <= ccpoa
+
+
+# ============================================================
+# one cost pass per oracle call
+# ============================================================
+
+
+def _reference_worst_cce(game, spec, epsilon, predicate, exact):
+    """worst_cce as it was written before it read a cost table: one program
+    per objective, each built from deviation_gaps, and objectives from
+    social_value and beta_cost."""
+    profiles = list(game.model.profiles())
+    variables = [f"p[{idx}]" for idx in range(len(profiles))]
+
+    def run(objective, player, name):
+        coeffs = {}
+        for idx, prof in enumerate(profiles):
+            for i, x_idx, gap in deviation_gaps(game, prof, epsilon, predicate):
+                row = coeffs.setdefault((i, x_idx), {})
+                if gap != 0:
+                    row[f"p[{idx}]"] = gap
+        rows = [lp.Row(row, lp.LE, 0, f"cce[{i}][{x_idx}]") for (i, x_idx), row in coeffs.items()]
+        rows.append(lp.Row({v: 1 for v in variables}, lp.EQ, 1, "mass"))
+        rep = lp.solve(lp.LinearProgram(lp.MAXIMIZE, variables, objective, rows, name=name),
+                       exact=exact)
+        assert rep.status == lp.OPTIMAL
+        masses = {}
+        total = 0
+        for idx, prof in enumerate(profiles):
+            m = rep.primal[f"p[{idx}]"]
+            if m > 0:
+                masses[prof] = m
+                total += m
+        if not exact:
+            masses = {prof: m / total for prof, m in masses.items()}
+        return rep.value, ProfileDistribution(masses), player
+
+    def objective(value):
+        out = {}
+        for idx, prof in enumerate(profiles):
+            v = value(prof)
+            if v != 0:
+                out[f"p[{idx}]"] = v
+        return out
+
+    if spec.kind == SUM:
+        return CCEReport(*run(objective(lambda prof: social_value(spec, game, prof)), None,
+                              "cce_sum"))
+    best = None
+    for i in range(game.n):
+        cand = run(objective(lambda prof: beta_cost(spec, game, prof, i)), i, f"cce_max_{i}")
+        if best is None or cand[0] > best[0]:
+            best = cand
+    return CCEReport(*best)
+
+
+def _seeded_games(count, exact):
+    basis = (BasisFunction.monomial(1), BasisFunction.monomial(2))
+    one = F(1) if exact else 1.0
+    for seed in range(count):
+        rng = seeded(seed)
+        n = 2 + seed % 2
+        weights = tuple(one * rng.choice((1, 2, 3)) / 2 for _ in range(n))
+        alpha = identity_matrix(n, exact) if seed % 3 else random_matrix(rng, n, 0, 1, exact)
+        game = random_game(rng, weights, basis, alpha, exact)
+        yield seed, game, random_matrix(rng, n, 0, 1, exact)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_worst_cce_equals_the_program_built_per_objective(exact):
+    """One cost table gives the rows and every objective: the report is
+    repr-identical to building one program per objective from
+    deviation_gaps, social_value and beta_cost."""
+    checked = 0
+    for seed, game, beta in _seeded_games(8, exact):
+        if all(b == 0 for row in beta for b in row):
+            beta = identity_matrix(game.n, exact)
+        for kind in (SUM, MAX):
+            spec = SocialSpec(kind, beta)
+            for predicate in (EQ1, VERBATIM):
+                for eps in (0, F(1, 2) if exact else 0.5):
+                    want = _reference_worst_cce(game, spec, eps, predicate, exact)
+                    got = worst_cce(game, spec, eps, predicate, exact=exact)
+                    assert repr(got) == repr(want), (seed, kind, predicate, eps)
+                    checked += 1
+    assert checked == 64
+
+
+def _count_individual_costs(monkeypatch):
+    """Wrap individual_costs in every poacert module that holds it; the
+    returned list grows by one entry per call."""
+    calls = []
+    original = games.individual_costs
+
+    def counted(game, profile):
+        calls.append(profile)
+        return original(game, profile)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "poacert" or name.startswith("poacert.")) and \
+                getattr(module, "individual_costs", None) is original:
+            monkeypatch.setattr(module, "individual_costs", counted)
+    return calls
+
+
+def test_oracle_calls_price_each_profile_once(monkeypatch):
+    """worst_cce (sum and max, verbatim rows), robust_poa and exact_ppoa
+    each make at most one individual_costs call per profile."""
+    calls = _count_individual_costs(monkeypatch)
+    for _, game, _ in _seeded_games(6, False):
+        profiles = game.model.profile_count()
+        for kind in (SUM, MAX):
+            spec = SocialSpec(kind, identity_matrix(game.n))
+            for run in (lambda: worst_cce(game, spec, 0, VERBATIM),
+                        lambda: robust_poa(game, spec),
+                        lambda: exact_ppoa(game, spec, 0, EQ1)):
+                calls.clear()
+                try:
+                    run()
+                except GameError:  # a zero optimum leaves no ratio
+                    pass
+                assert 0 < len(calls) <= profiles

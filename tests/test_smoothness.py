@@ -247,3 +247,43 @@ def test_smoothness_cap_errors_name_count_and_cap():
         robust_poa(g, spec, cap=3)
     with pytest.raises(GameError, match="4 profiles exceeds cap 3"):
         _pair_tables(g, spec, 3)
+
+
+def test_robust_poa_witness_is_is_sum_bounded_witness():
+    """robust_poa reads sum-boundedness off its pair tables' diagonal: its
+    NOT_SMOOTHABLE profile is the one is_sum_bounded names, and a
+    sum-bounded game gets no witness."""
+    basis = (BasisFunction.monomial(1), BasisFunction.monomial(2))
+    unbounded = 0
+    for seed in range(16):
+        rng = seeded(seed)
+        exact = seed % 2 == 0
+        n = 2 if exact else 3
+        one = F(1) if exact else 1.0
+        weights = tuple(one * rng.choice((1, 2, 3)) / 2 for _ in range(n))
+        game = random_game(rng, weights, basis, identity_matrix(n, exact), exact)
+        three = tuple(tuple(3 * b for b in row) for row in identity_matrix(n, exact))
+        lopsided = tuple(tuple(3 * one if (i, j) == (0, 0) else 0 * one for j in range(n))
+                         for i in range(n))
+        for spec in (SocialSpec(SUM, three), SocialSpec(MAX, three), SocialSpec(SUM, lopsided),
+                     SocialSpec(SUM, identity_matrix(n, exact))):
+            ok, witness = is_sum_bounded(game, spec)
+            if ok and exact:
+                continue  # the exact ratio LP is slow at no gain here
+            r = robust_poa(game, spec)
+            assert r.unbounded_witness == witness, (seed, spec)
+            assert (r.status == NOT_SMOOTHABLE) == (not ok)
+            unbounded += not ok
+    assert unbounded >= 24
+
+
+def test_exact_sum_bound_compares_with_zero():
+    """A social value 10^-11 above the cost sum breaks sum-boundedness in
+    exact arithmetic; a float excess that small stays within FEAS_TOL."""
+    tiny = F(1, 10 ** 11)
+    spec = SocialSpec(SUM, ((1 + tiny, F(0)), (F(0), F(1))))
+    assert is_sum_bounded(g1(), spec) == (False, AA)
+    r = robust_poa(g1(), spec)
+    assert (r.status, r.unbounded_witness) == (NOT_SMOOTHABLE, AA)
+    spec = SocialSpec(SUM, ((1 + float(tiny), 0.0), (0.0, 1.0)))
+    assert is_sum_bounded(g1(exact=False), spec) == (True, None)
