@@ -60,7 +60,7 @@ result = solve_worst_case(cfg, exact=True)
 game = extract_worst_game(cfg, result.rep, result.primal_solution, result.designated)
 
 sigma, o = result.rep.sigma_star, result.rep.o_star
-print("\nextracted worst-case game over the representative model:")
+print("\nextracted worst-case game, restricted to its latency-carrying resources:")
 active = {e: c for e, c in game.coefficients.items() if any(x != 0 for x in c)}
 for e, coeffs in sorted(active.items()):
     print(f"  latency on {e}: {coeffs[0]} * x")

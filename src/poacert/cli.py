@@ -58,6 +58,7 @@ from .oracle import (
     PROFILE_CAP,
     _equilibria,
     enumerate_eps_pne,
+    exact_ppoa,
     social_optimum,
     worst_cce,
 )
@@ -170,12 +171,18 @@ def cmd_solve_worst_case(args) -> int:
     if result.status != INFINITE:
         game = extract_worst_game(cfg, result.rep, result.primal_solution,
                                   result.designated)
+        try:  # at most 2^PLAYER_CAP profiles of at most 4n resources each
+            oracle_ppoa = exact_ppoa(game, cfg.spec, cfg.epsilon, EQ1)
+        except GameError:  # the witness's social optimum is 0
+            oracle_ppoa = None
         payload["witness"] = {
             "equilibrium_value": social_value(cfg.spec, game, result.rep.sigma_star),
             "o_star_value": social_value(cfg.spec, game, result.rep.o_star),
             "support": sorted(
                 e for e, c in game.coefficients.items() if any(x != 0 for x in c)
             ),
+            "resources": len(game.model.resources),
+            "oracle_ppoa": oracle_ppoa,
         }
         if args.emit_witness:
             write_json(args.emit_witness, emit_game(game, cfg.spec.beta, cfg.epsilon))

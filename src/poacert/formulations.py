@@ -653,11 +653,20 @@ def extract_worst_game(
     primal_values: Mapping,
     designated: Optional[int] = None,
 ) -> GeneralizedGame:
-    """Turn a feasible primal point into a concrete game on the
-    representative model.  Infeasible points are rejected with the first
-    violated row label: the point is checked against the closed-form
-    columns row by row, as lp.feasibility_report checks it on
-    build_pp_pne."""
+    """Turn a feasible primal point into a concrete game: the
+    representative model restricted to the resources the point uses.
+    Infeasible points are rejected with the first violated row label: the
+    point is checked against the closed-form columns row by row, as
+    lp.feasibility_report checks it on build_pp_pne.
+
+    A resource is kept when any of its columns is nonzero, solver dust
+    included, and keeps its id and representative order; strategies are
+    the representative ones intersected with the kept set, so
+    rep.sigma_star and rep.o_star index them as before.  When player i's
+    sigma*_i or o*_i would be left empty, e({i},{i}) is kept too: it has
+    latency 0 and lies in i's two strategies only.  Every dropped
+    resource has latency 0 at every load, so every cost, gap and social
+    value is that of the full representative game."""
     _check_designee(cfg, designated)
     _, rows = _row_table(cfg, *_closed_form(cfg, rep), designated)
     names = _variables(cfg, rep.model)
@@ -666,16 +675,17 @@ def extract_worst_game(
         names, rows, values, primal_values.get("t", 0), FEAS_TOL)
     if not ok:
         raise GameError(f"primal point violates {label} by {violation}")
-    r = len(cfg.basis)
-    coeffs = {}
-    for j, e in enumerate(rep.model.resources):
-        vec = []
-        for c in values[j * r:(j + 1) * r]:
-            if c < 0:
-                c = 0  # solver noise within FEAS_TOL, checked above
-            vec.append(c)
-        coeffs[e] = tuple(vec)
-    return GeneralizedGame(rep.model, cfg.basis, coeffs, cfg.alpha)
+    r, size, model = len(cfg.basis), 1 << cfg.n, rep.model
+    kept = {model.resources[j // r]: j // r for j, c in enumerate(values) if c != 0}
+    for i, per in enumerate(model.strategies):
+        if any(s.isdisjoint(kept) for s in per):
+            kept[rep.resource_for(1 << i, 1 << i)] = (size + 1) << i
+    ids = sorted(kept, key=kept.get)
+    coeffs = {e: tuple(0 if c < 0 else c  # solver noise within FEAS_TOL, checked above
+                       for c in values[kept[e] * r:(kept[e] + 1) * r]) for e in ids}
+    strategies = [[s.intersection(ids) for s in per] for per in model.strategies]
+    return GeneralizedGame(
+        CongestionModel(model.weights, ids, strategies), cfg.basis, coeffs, cfg.alpha)
 
 
 def normalize_game(game: GeneralizedGame, spec: SocialSpec):

@@ -84,11 +84,15 @@ def check_smooth(
     game: GeneralizedGame,
     spec: SocialSpec,
     cert: SmoothnessCertificate,
-    tol=FEAS_TOL,
+    tol=None,
 ):
     """Exhaustive check of the pair inequalities; (True, None) or
-    (False, first violating (sigma, sigma'))."""
+    (False, first violating (sigma, sigma')).  Without tol, a row may
+    exceed its bound by games._tol over lam, mu and the pair tables: 0 when
+    all of them are exact, FEAS_TOL otherwise."""
     profiles, sf, dev = _pair_tables(game, spec, PROFILE_CAP)
+    if tol is None:
+        tol = _tol(cert.lam, cert.mu, *sf, *(x for row in dev for x in row))
     for a, sigma in enumerate(profiles):
         for b, target in enumerate(profiles):
             if dev[a][b] > cert.lam * sf[b] + cert.mu * sf[a] + tol:

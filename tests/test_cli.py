@@ -117,6 +117,22 @@ def test_witness_round_trip_closes_the_loop(capsys, tmp_path, cfg_path):
     assert cce["ccpoa"] >= poa["value"] - 1e-6
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_solve_worst_case_rechecks_its_witness(capsys, tmp_path, cfg_path, exact):
+    """The witness block gives the witness's resource count, at most 4n,
+    and the oracle's pure PoA of the witness, which is gamma* itself."""
+    wit = tmp_path / "wit.json"
+    code, doc = run(capsys, "solve-worst-case", "--config", cfg_path,
+                    "--emit-witness", str(wit), *(["--exact"] if exact else []))
+    assert code == EXIT_OK
+    block = doc["witness"]
+    if exact:
+        assert block["oracle_ppoa"] == doc["gamma_star"] == "2"
+    else:
+        assert block["oracle_ppoa"] == pytest.approx(doc["gamma_star"], rel=1e-12)
+    assert block["resources"] == len(json.loads(wit.read_text())["resources"]) <= 4 * 2
+
+
 def test_exact_ppoa_command(capsys, game_path):
     code, doc = run(capsys, "exact-ppoa", "--game", game_path, "--exact")
     assert code == EXIT_OK

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import AA, AB, g1, g1_spec, random_game, random_matrix, seeded
+from conftest import AA, AB, BA, g1, g1_spec, random_game, random_matrix, seeded
 from poacert.games import (
     MAX,
     SUM,
@@ -85,6 +85,18 @@ def test_check_smooth_verifies_the_returned_pair():
     assert not ok
     a, b = profiles.index(sigma), profiles.index(target)
     assert dev[a][b] > cert.lam * sf[b] + cert.mu * sf[a]
+
+
+def test_check_smooth_compares_exact_data_with_zero():
+    """On exact data a pair row gets no slack: lam = 5/3 - 10^-11, mu = 1/3
+    fails the rows ((a,b), (b,a)) and ((b,a), (a,b)) of g1 by exactly
+    2 * 10^-11 (SF is 2 at both profiles).  An explicit tol still wins."""
+    cert = SmoothnessCertificate(F(5, 3) - F(1, 10**11), F(1, 3))
+    assert check_smooth(g1(), g1_spec(), cert) == (False, (AB, BA))
+    profiles, sf, dev = _pair_tables(g1(), g1_spec(), 10 ** 6)
+    a, b = profiles.index(AB), profiles.index(BA)
+    assert dev[a][b] - (cert.lam * sf[b] + cert.mu * sf[a]) == F(2, 10**11)
+    assert check_smooth(g1(), g1_spec(), cert, tol=1e-9) == (True, None)
 
 
 def test_robust_poa_brackets_known_ratios():
