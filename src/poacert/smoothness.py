@@ -4,10 +4,11 @@ A game is (lam, mu)-smooth when sum_i c_i(sigma_{-i}, sigma'_i) is at most
 lam*SF(sigma') + mu*SF(sigma) for every ordered profile pair; any such
 certificate with mu < 1 bounds every equilibrium notion's inefficiency by
 lam/(1-mu).  The infimum of that ratio over the certificate polyhedron is a
-linear-fractional program, solved as one LP after the Charnes-Cooper
-transform t = 1/(1-mu) (Charnes & Cooper 1962), exactly on Fraction input.
-mu may be negative but stays below 1 (t > 0): the closure point (0, 1)
-satisfies the pair rows of some degenerate games, certifying nothing.
+linear-fractional program, one LP after the Charnes-Cooper transform
+t = 1/(1-mu) (Charnes & Cooper 1962), exact on Fraction input.  It is
+solved as its 3-row dual; the certificate is read off the row duals and
+checked.  mu may be negative but stays below 1 (t > 0): the closure point
+(0, 1) satisfies the pair rows of some degenerate games, certifying nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional
 
 from . import linprog as lp
 from .games import (
+    EQ1,
     FEAS_TOL,
     GameError,
     GeneralizedGame,
@@ -26,13 +28,10 @@ from .games import (
     _tol,
     social_of_costs,
 )
-from .oracle import (NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, exact_ppoa, social_optimum,
-                     worst_cce_value)
+from .oracle import NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _equilibria, worst_cce_value
 
 NOT_SMOOTHABLE = "NOT_SMOOTHABLE"
 OPTIMAL = "OPTIMAL"
-
-_STRICT = 1e-12  # mu < 1 enforced up to this margin in the probe
 
 
 @dataclass(frozen=True)
@@ -127,39 +126,37 @@ def _pair_rows(sf, dev):
     return rows
 
 
-def _probe(rho: float, sf, dev) -> Optional[tuple]:
-    """Feasibility of a certificate with bound <= rho: returns (lam, mu) or
-    None.  delta keeps mu strictly below 1."""
-    rows = _pair_rows(sf, dev) + [
-        lp.Row({"lam": 1, "mu": rho}, lp.LE, rho, "cap"),
-        lp.Row({"mu": 1, "delta": 1}, lp.LE, 1, "strict"),
-        lp.Row({"t": 1}, lp.EQ, 1, "unit"),
-        lp.Row({"delta": 1}, lp.LE, 1, "delta_cap"),
-    ]
-    program = lp.LinearProgram(
-        lp.MAXIMIZE,
-        ["lam", "mu", "t", "delta"],
-        {"delta": 1},
-        rows,
-        bounds={"mu": lp.FREE},
-        name="smooth_probe",
-    )
-    rep = lp.solve(program)
-    if rep.status != lp.OPTIMAL or rep.value <= _STRICT:
-        return None
-    return float(rep.primal["lam"]), float(rep.primal["mu"])
+def _certificate_point(program: lp.LinearProgram, exact: bool) -> Optional[dict]:
+    """The Charnes-Cooper program's optimal point, off the row duals of its
+    3-row dual, or None when that dual is not OPTIMAL.  lp.solve checks
+    only the dual's point, so this one is checked against the program's
+    rows and bounds: exactly in exact mode, else within lp.RESIDUAL_TOL of
+    1 + max|x|, and a float point that fails is solved for in rationals."""
+    dual = lp.dualize(program)
+    dual.name = "smooth_probe_dual"
+    for arithmetic in (True,) if exact else (False, True):
+        rep = lp.solve(dual, arithmetic)
+        if rep.status != lp.OPTIMAL:
+            return None
+        x = {v: rep.duals[v] for v in program.variables}
+        worst = lp.feasibility_report(program, x, tol=0)[2]
+        if worst == 0 or not exact and worst / (1 + max(map(abs, x.values()))) <= lp.RESIDUAL_TOL:
+            return x
+    raise lp.SolverError(f"smoothness certificate point violates its rows by {worst}")
 
 
 def robust_poa(
     game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP
 ) -> RobustPoA:
-    """inf lam/(1-mu) over valid certificates, as one linear program.
+    """inf lam/(1-mu) over valid certificates, as one linear program,
+    solved as its 3-row dual; the certificate is read off the row duals
+    and checked.
 
     Only defined for sum-bounded (game, spec) pairs — everything else is
     NOT_SMOOTHABLE with is_sum_bounded's profile, read off the pair tables'
     diagonal.  On Fraction input value = lam/(1-mu) is the exact infimum,
     in Fractions; otherwise it is the optimum of one LP whose point passed
-    lp.solve's residual check.
+    _certificate_point's residual check.
     Where that point has t = 0, (lam, mu) are None: the value is then
     max SF / min SF, approached by certificates only as mu -> -inf.
     """
@@ -189,11 +186,12 @@ def robust_poa(
         bounds={"lam": lp.FREE, "mu": lp.FREE},
         name="smooth_probe_ratio",
     )
-    rep = lp.solve(program, exact)
-    if rep.status != lp.OPTIMAL:
+    x = _certificate_point(program, exact)
+    if x is None:
         return RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 1)
-    x = rep.primal if exact else {v: float(c) for v, c in rep.primal.items()}
-    if not x["t"]:
+    if not exact:
+        x = {v: float(c) for v, c in x.items()}
+    if x["t"] <= 0:
         return RobustPoA(OPTIMAL, x["lam"], None, None, None, 1)
     return RobustPoA(OPTIMAL, x["lam"], x["lam"] / x["t"], x["mu"] / x["t"], None, 1)
 
@@ -214,13 +212,14 @@ def validate_smoothness_claims(
     game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP
 ) -> SmoothnessValidation:
     """Cross-check the certificate machinery against the exact oracles:
-    the pure ratio at eps=0 and the coarse ratio must both sit below the
+    the pure ratio at eps=0 (exact_ppoa's, from the one enumeration that
+    also finds the optimum) and the coarse ratio must both sit below the
     robust bound.  Either failing indicates a bug, not a bad instance.
     Fraction input is compared exactly; otherwise the bound gets a relative
     FEAS_TOL of slack."""
     robust = robust_poa(game, spec, cap)
-    _, opt = social_optimum(game, spec, cap)
-    ppoa = exact_ppoa(game, spec, 0, cap=cap)
+    _, opt, equilibria = _equilibria(game, spec, 0, EQ1, cap)
+    ppoa = max(v for _, v in equilibria) / opt if equilibria else NO_EQUILIBRIUM
     exact = isinstance(opt, Fraction)
     ccpoa = worst_cce_value(game, spec, 0, cap=cap, exact=exact) / opt
     if robust.status != OPTIMAL:

@@ -5,6 +5,7 @@ invocation.
 """
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -299,6 +300,23 @@ def test_smoothness_command_exact(capsys, game_path):
     assert doc["robust_poa"] == "5/3"
     assert (doc["lambda"], doc["mu"]) == ("5/2", "-1/2")
     assert doc["exact_ccpoa"] == "3/2"
+    assert doc["bounds_hold"] == {"ppoa": True, "ccpoa": True}
+
+
+def test_smoothness_exact_on_eight_profiles_is_fast(capsys, tmp_path):
+    """smoothness --exact on three players with two strategies each prints
+    the exact robust PoA in under a second."""
+    basis = (games.BasisFunction.monomial(1), games.BasisFunction.monomial(2))
+    game = random_game(seeded(0), (F(1), F(3, 2), F(1)), basis,
+                       games.identity_matrix(3, True), exact=True)
+    assert game.model.profile_count() == 8
+    path = str(tmp_path / "eight.json")
+    write_json(path, emit_game(game))
+    start = time.perf_counter()
+    code, doc = run(capsys, "smoothness", "--game", path, "--exact")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert doc["robust_poa"] == "737483/241895"
     assert doc["bounds_hold"] == {"ppoa": True, "ccpoa": True}
 
 

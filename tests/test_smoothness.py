@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import AA, AB, BA, g1, g1_spec, random_game, random_matrix, seeded
+from poacert import linprog as lp
+from poacert.formulations import VALUE_RTOL
 from poacert.games import (
     MAX,
     SUM,
@@ -30,13 +32,39 @@ from poacert.smoothness import (
     OPTIMAL,
     RobustPoA,
     SmoothnessCertificate,
+    _pair_rows,
     _pair_tables,
-    _probe,
     check_smooth,
     is_sum_bounded,
     robust_poa,
     validate_smoothness_claims,
 )
+
+
+_STRICT = 1e-12  # mu < 1 enforced up to this margin in the probe
+
+
+def _probe(rho: float, sf, dev):
+    """Bisection reference: feasibility of a certificate with bound <= rho,
+    as (lam, mu) or None.  delta keeps mu strictly below 1."""
+    rows = _pair_rows(sf, dev) + [
+        lp.Row({"lam": 1, "mu": rho}, lp.LE, rho, "cap"),
+        lp.Row({"mu": 1, "delta": 1}, lp.LE, 1, "strict"),
+        lp.Row({"t": 1}, lp.EQ, 1, "unit"),
+        lp.Row({"delta": 1}, lp.LE, 1, "delta_cap"),
+    ]
+    program = lp.LinearProgram(
+        lp.MAXIMIZE,
+        ["lam", "mu", "t", "delta"],
+        {"delta": 1},
+        rows,
+        bounds={"mu": lp.FREE},
+        name="smooth_probe",
+    )
+    rep = lp.solve(program)
+    if rep.status != lp.OPTIMAL or rep.value <= _STRICT:
+        return None
+    return float(rep.primal["lam"]), float(rep.primal["mu"])
 
 
 def spec_3i():
@@ -299,3 +327,93 @@ def test_exact_sum_bound_compares_with_zero():
     assert (r.status, r.unbounded_witness) == (NOT_SMOOTHABLE, AA)
     spec = SocialSpec(SUM, ((1 + float(tiny), 0.0), (0.0, 1.0)))
     assert is_sum_bounded(g1(exact=False), spec) == (True, None)
+
+
+def _primal_value(sf, dev):
+    """Reference: the Charnes-Cooper program itself, solved in rationals."""
+    program = lp.LinearProgram(
+        lp.MINIMIZE,
+        ["lam", "mu", "t"],
+        {"lam": 1},
+        _pair_rows(sf, dev) + [lp.Row({"t": 1, "mu": -1}, lp.EQ, 1, "unit")],
+        bounds={"lam": lp.FREE, "mu": lp.FREE},
+        name="smooth_probe_ratio",
+    )
+    rep = lp.solve(program, exact=True)
+    assert rep.status == lp.OPTIMAL
+    return rep.value
+
+
+X2 = BasisFunction.monomial(2)
+
+
+@pytest.mark.parametrize("seed, value", [
+    (0, F(737483, 241895)),
+    (1, F(331, 275)),
+    (2, F(420173, 169785)),
+])
+def test_exact_robust_poa_on_eight_profiles_is_fast(seed, value):
+    """Three players with two strategies each: the rational solve of the
+    3-row dual takes a few pivots, where the P^2-row program took 13-23 s."""
+    g = random_game(seeded(seed), (F(1), F(3, 2), F(1)), (X, X2), identity_matrix(3, True),
+                    exact=True)
+    assert g.model.profile_count() == 8
+    spec = SocialSpec(SUM, identity_matrix(3, True))
+    start = time.perf_counter()
+    r = robust_poa(g, spec)
+    assert time.perf_counter() - start < 1.0
+    assert r.status == OPTIMAL and r.value == value
+    assert r.lam / (1 - r.mu) == value
+    assert check_smooth(g, spec, SmoothnessCertificate(r.lam, r.mu)) == (True, None)
+
+
+def test_exact_dual_value_equals_the_primal_value():
+    """On exact games of at most 4 profiles, sum and max, robust_poa's
+    value is the Charnes-Cooper primal's optimum, rational for rational."""
+    compared = 0
+    for seed in range(20):
+        rng = seeded(seed)
+        weights = tuple(F(rng.choice((1, 2, 3)), 2) for _ in range(2))
+        g = random_game(rng, weights, (X, X2), identity_matrix(2, True), exact=True)
+        assert g.model.profile_count() <= 4
+        for kind in (SUM, MAX):
+            spec = SocialSpec(kind, random_matrix(rng, 2, 0, 1, exact=True))
+            r = robust_poa(g, spec)
+            if r.status != OPTIMAL:
+                continue
+            _, sf, dev = _pair_tables(g, spec, PROFILE_CAP)
+            want = _primal_value(sf, dev)
+            assert type(r.value) is F and r.value == want, (seed, kind)
+            if r.lam is not None:
+                assert check_smooth(g, spec, SmoothnessCertificate(r.lam, r.mu)) == (True, None)
+            compared += 1
+    assert compared >= 24
+
+
+def test_float_infimum_at_t_zero_is_the_trivial_bound():
+    """The float twin of the t = 0 game: no certificate, value 22/15."""
+    g = random_game(seeded(4), (1.0, 1.0), (X,), identity_matrix(2))
+    r = robust_poa(g, g1_spec(MAX, exact=False))
+    assert r.status == OPTIMAL and (r.lam, r.mu) == (None, None)
+    assert r.value == pytest.approx(22 / 15, rel=VALUE_RTOL)
+
+
+def test_float_point_failing_its_check_is_solved_again_exactly(monkeypatch):
+    """A float dual whose lam row dual is off fails the residual check on
+    the pair rows; the same dual is then solved in rationals."""
+    solve = lp.solve
+    calls = []
+
+    def perturbed(program, exact=False):
+        rep = solve(program, exact)
+        calls.append((program.name, exact))
+        if not exact:
+            rep.duals["lam"] *= 0.5
+        return rep
+
+    monkeypatch.setattr(lp, "solve", perturbed)
+    g, spec = g1(exact=False), g1_spec(SUM, exact=False)
+    r = robust_poa(g, spec)
+    assert calls == [("smooth_probe_dual", False), ("smooth_probe_dual", True)]
+    assert r.status == OPTIMAL and r.value == pytest.approx(5 / 3, rel=VALUE_RTOL)
+    assert check_smooth(g, spec, SmoothnessCertificate(r.lam, r.mu)) == (True, None)
