@@ -54,9 +54,9 @@ from .gamefile import (
     write_json,
 )
 from .oracle import (
-    NO_EQUILIBRIUM,
     PROFILE_CAP,
     _equilibria,
+    _worst_ratio,
     enumerate_eps_pne,
     exact_ppoa,
     social_optimum,
@@ -205,11 +205,7 @@ def cmd_exact_ppoa(args) -> int:
     eps = _epsilon(args, doc.epsilon)
     spec = doc.spec(args.sf)
     opt_profile, opt, equilibria = _equilibria(doc.game, spec, eps, args.predicate, args.cap)
-    value, worst = NO_EQUILIBRIUM, []
-    if equilibria:
-        target = max(v for _, v in equilibria)
-        value = target / opt
-        worst = [prof for prof, v in equilibria if v == target]
+    value, worst = _worst_ratio(opt, equilibria)
     return _emit(args, {
         "value": value,
         "optimum": opt,

@@ -85,6 +85,14 @@ def _equilibria(game, spec, epsilon, predicate, cap):
     return opt_profile, values[opt_profile], equilibria
 
 
+def _worst_ratio(opt, equilibria):
+    """(worst equilibrium value / opt, the equilibria at it), or (NO_EQUILIBRIUM, [])."""
+    if not equilibria:
+        return NO_EQUILIBRIUM, []
+    target = max(v for _, v in equilibria)
+    return target / opt, [prof for prof, v in equilibria if v == target]
+
+
 def exact_ppoa(
     game: GeneralizedGame,
     spec: SocialSpec,
@@ -98,7 +106,7 @@ def exact_ppoa(
     Generalized games need not possess pure equilibria at all, so the
     empty case is a legitimate answer, not an error."""
     _, opt, equilibria = _equilibria(game, spec, epsilon, predicate, cap)
-    return max(v for _, v in equilibria) / opt if equilibria else NO_EQUILIBRIUM
+    return _worst_ratio(opt, equilibria)[0]
 
 
 # ============================================================

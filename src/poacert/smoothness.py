@@ -28,7 +28,8 @@ from .games import (
     _tol,
     social_of_costs,
 )
-from .oracle import NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _equilibria, worst_cce_value
+from .oracle import (NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _equilibria, _worst_ratio,
+                     worst_cce_value)
 
 NOT_SMOOTHABLE = "NOT_SMOOTHABLE"
 OPTIMAL = "OPTIMAL"
@@ -128,9 +129,9 @@ def _pair_rows(sf, dev):
 
 def _certificate_point(program: lp.LinearProgram, exact: bool) -> Optional[dict]:
     """The Charnes-Cooper program's optimal point, off the row duals of its
-    3-row dual, or None when that dual is not OPTIMAL.  lp.solve checks
-    only the dual's point, so this one is checked against the program's
-    rows and bounds: exactly in exact mode, else within lp.RESIDUAL_TOL of
+    3-row dual, or None when that dual is not OPTIMAL.  lp.solve checks only
+    the dual's point, so this one's rows, bounds and lam (against the dual's
+    optimum) are checked: exactly in exact mode, else within RESIDUAL_TOL of
     1 + max|x|, and a float point that fails is solved for in rationals."""
     dual = lp.dualize(program)
     dual.name = "smooth_probe_dual"
@@ -139,10 +140,10 @@ def _certificate_point(program: lp.LinearProgram, exact: bool) -> Optional[dict]
         if rep.status != lp.OPTIMAL:
             return None
         x = {v: rep.duals[v] for v in program.variables}
-        worst = lp.feasibility_report(program, x, tol=0)[2]
+        worst = max(lp.feasibility_report(program, x, tol=0)[2], abs(x["lam"] - rep.value))
         if worst == 0 or not exact and worst / (1 + max(map(abs, x.values()))) <= lp.RESIDUAL_TOL:
             return x
-    raise lp.SolverError(f"smoothness certificate point violates its rows by {worst}")
+    raise lp.SolverError(f"smoothness certificate point misses its rows or value by {worst}")
 
 
 def robust_poa(
@@ -157,8 +158,8 @@ def robust_poa(
     diagonal.  On Fraction input value = lam/(1-mu) is the exact infimum,
     in Fractions; otherwise it is the optimum of one LP whose point passed
     _certificate_point's residual check.
-    Where that point has t = 0, (lam, mu) are None: the value is then
-    max SF / min SF, approached by certificates only as mu -> -inf.
+    Where every optimal point has t = 0, (lam, mu) are None: the value is
+    then max SF / min SF, approached by certificates only as mu -> -inf.
     """
     profiles, sf, dev = _pair_tables(game, spec, cap)
     for a, prof in enumerate(profiles):
@@ -191,9 +192,17 @@ def robust_poa(
         return RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 1)
     if not exact:
         x = {v: float(c) for v, c in x.items()}
-    if x["t"] <= 0:
-        return RobustPoA(OPTIMAL, x["lam"], None, None, None, 1)
-    return RobustPoA(OPTIMAL, x["lam"], x["lam"] / x["t"], x["mu"] / x["t"], None, 1)
+    lam, mu, t = x["lam"], x["mu"], x["t"]
+    if t <= _tol(t):
+        # the row duals may pick the t = 0 end of an optimal face: hold lam*t at
+        # the optimum and mu*t at t - 1 (the unit row), and take the largest t
+        # each pair row lam*sf_b - sf_a >= t*(dev_ab - sf_a) allows (one when none bounds it)
+        t = min(((lam * sf_b - sf_a) / (dev[a][b] - sf_a) for a, sf_a in enumerate(sf)
+                 for b, sf_b in enumerate(sf) if dev[a][b] > sf_a), default=one)
+        mu = t - 1
+    if t <= _tol(t):  # a float t near 0 would scale its rounding by 1/t
+        return RobustPoA(OPTIMAL, lam, None, None, None, 1)
+    return RobustPoA(OPTIMAL, lam, lam / t, mu / t, None, 1)
 
 
 @dataclass
@@ -219,7 +228,7 @@ def validate_smoothness_claims(
     FEAS_TOL of slack."""
     robust = robust_poa(game, spec, cap)
     _, opt, equilibria = _equilibria(game, spec, 0, EQ1, cap)
-    ppoa = max(v for _, v in equilibria) / opt if equilibria else NO_EQUILIBRIUM
+    ppoa = _worst_ratio(opt, equilibria)[0]
     exact = isinstance(opt, Fraction)
     ccpoa = worst_cce_value(game, spec, 0, cap=cap, exact=exact) / opt
     if robust.status != OPTIMAL:

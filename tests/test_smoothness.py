@@ -398,9 +398,11 @@ def test_float_infimum_at_t_zero_is_the_trivial_bound():
     assert r.value == pytest.approx(22 / 15, rel=VALUE_RTOL)
 
 
-def test_float_point_failing_its_check_is_solved_again_exactly(monkeypatch):
-    """A float dual whose lam row dual is off fails the residual check on
-    the pair rows; the same dual is then solved in rationals."""
+@pytest.mark.parametrize("factor", [0.5, 2], ids=["shrunk", "inflated"])
+def test_float_point_failing_its_check_is_solved_again_exactly(monkeypatch, factor):
+    """A float dual whose lam row dual is off fails the check: shrunk, it
+    violates pair rows; inflated, it passes every row but misses the dual's
+    optimum.  The same dual is then solved in rationals."""
     solve = lp.solve
     calls = []
 
@@ -408,7 +410,7 @@ def test_float_point_failing_its_check_is_solved_again_exactly(monkeypatch):
         rep = solve(program, exact)
         calls.append((program.name, exact))
         if not exact:
-            rep.duals["lam"] *= 0.5
+            rep.duals["lam"] *= factor
         return rep
 
     monkeypatch.setattr(lp, "solve", perturbed)
@@ -416,4 +418,24 @@ def test_float_point_failing_its_check_is_solved_again_exactly(monkeypatch):
     r = robust_poa(g, spec)
     assert calls == [("smooth_probe_dual", False), ("smooth_probe_dual", True)]
     assert r.status == OPTIMAL and r.value == pytest.approx(5 / 3, rel=VALUE_RTOL)
+    assert check_smooth(g, spec, SmoothnessCertificate(r.lam, r.mu)) == (True, None)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_t_zero_end_of_an_optimal_face_is_moved_to_a_certificate(exact):
+    """Seed 147's max game: the dual's row duals land on the t = 0 end of
+    an optimal face whose other end has t > 0; that end's certificate,
+    (13/5, 3/16) with bound 16/5, is returned."""
+    one = F(1) if exact else 1.0
+    rng = seeded(147)
+    weights = tuple(one * rng.choice((1, 2, 3)) / 2 for _ in range(2))
+    g = random_game(rng, weights, (X,), identity_matrix(2, exact), exact)
+    random_matrix(rng, 2, 0, 1, exact)  # the sum spec drawn before it
+    spec = SocialSpec(MAX, random_matrix(rng, 2, 0, 1, exact))
+    r = robust_poa(g, spec)
+    assert r.status == OPTIMAL and r.lam is not None
+    if exact:
+        assert (r.value, r.lam, r.mu) == (F(16, 5), F(13, 5), F(3, 16))
+    assert r.value == pytest.approx(3.2, rel=VALUE_RTOL)
+    assert r.lam / (1 - r.mu) == pytest.approx(r.value, rel=VALUE_RTOL)
     assert check_smooth(g, spec, SmoothnessCertificate(r.lam, r.mu)) == (True, None)
