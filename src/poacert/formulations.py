@@ -19,7 +19,8 @@ representative program's come from a closed form over the (P, Q) bit
 masks of its resources (_closed_form); build_pp_cce's from enumerating the
 profiles of an arbitrary model (_coefficient_parts).  At a point mass on
 sigma* they give equal programs.  _row_table lays out the rows of both,
-and _primal names them as a LinearProgram.
+and _primal hands them to a LinearProgram as its coefficient array, with
+no name per entry.
 
 No check builds a dual program (build_dp_cce serves the tests, and
 build_dp_pne also --emit-lp).  solve_worst_case and verify_extension
@@ -177,7 +178,9 @@ def _coefficient_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_pro
 
 
 def _variables(cfg: WorstCaseConfig, model: CongestionModel) -> list:
-    return [vname(e, k) for e in model.resources for k in range(len(cfg.basis))]
+    """vname(e, k) of every column, resource major, each "][k]" formatted once."""
+    suffixes = [f"][{k}]" for k in range(len(cfg.basis))]
+    return [f"v[{e}{suffix}" for e in model.resources for suffix in suffixes]
 
 
 # ============================================================
@@ -226,22 +229,21 @@ def _row_table(cfg: WorstCaseConfig, eq, val, nrm, designated) -> tuple:
     return None, rows
 
 
-def _named(names: np.ndarray, coeffs: np.ndarray) -> dict:
-    flat = coeffs.ravel()
-    nz = np.flatnonzero(flat)
-    return dict(zip(names[nz].tolist(), flat[nz].tolist()))
-
-
 def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.LinearProgram:
-    """The program of a row table, its arrays named by the column names."""
-    lp_rows = [lp.Row({**_named(names, a), "t": t} if t else _named(names, a), rel, rhs, label)
-               for label, rel, rhs, a, t in rows]
+    """The program of a row table: its arrays, one row each and then the
+    objective, over the columns names (and t, under max) as the program's
+    coefficient array."""
+    lp_rows = [lp.Row(None, rel, rhs, label) for label, rel, rhs, *_ in rows]
+    last = np.zeros_like(rows[0][3]) if objective is None else objective
+    coefficients = np.stack([np.ravel(a) for *_, a, _ in rows] + [np.ravel(last)])
     if cfg.spec.kind == SUM:
-        return lp.LinearProgram(
-            lp.MAXIMIZE, names.tolist(), _named(names, objective), lp_rows, name="pp_sum")
-    return lp.LinearProgram(
-        lp.MAXIMIZE, names.tolist() + ["t"], {"t": 1}, lp_rows, name=f"pp_max_d{designated}"
-    )
+        name = "pp_sum"
+    else:
+        name, names = f"pp_max_d{designated}", names + ["t"]
+        level = np.array([[t] for *_, t in rows] + [[1]], dtype=coefficients.dtype)
+        coefficients = np.hstack([coefficients, level])
+    return lp.LinearProgram(lp.MAXIMIZE, names, None, lp_rows, name=name,
+                            coefficients=coefficients)
 
 
 def build_pp_cce(
@@ -256,7 +258,7 @@ def build_pp_cce(
     _check_designee(cfg, designated)
     objective, rows = _row_table(
         cfg, *_coefficient_parts(cfg, model, dist, o_profile), designated)
-    return _primal(cfg, np.array(_variables(cfg, model), dtype=object), objective, rows, designated)
+    return _primal(cfg, _variables(cfg, model), objective, rows, designated)
 
 
 def _subset_sums(terms, dtype) -> np.ndarray:
@@ -343,10 +345,10 @@ def _closed_form(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
     return (eq, val[0], nrm[0]) if cfg.spec.kind == SUM else (eq, val, nrm)
 
 
-def _column_names(cfg: WorstCaseConfig, rep: RepresentativeModel) -> np.ndarray:
+def _column_names(cfg: WorstCaseConfig, rep: RepresentativeModel) -> list:
     """Variable names of the v columns; resources are in (P, Q) order, P
     major, so flat column (P*size + Q)*r + k is v[e][k]."""
-    return np.array(_variables(cfg, rep.model), dtype=object)
+    return _variables(cfg, rep.model)
 
 
 def build_pp_pne(

@@ -7,6 +7,12 @@ fails or ends at a point violating its own rows is redone in rationals, so
 SolverError means the rational run failed too; the solver never reports
 OPTIMAL on an inconclusive run.
 
+A program keeps its coefficients in one array, rows by variables plus the
+objective as a last row, and that array is the one path into the tableau.
+Rows arrive either as dicts {variable: coefficient}, which the program
+compiles into the array in its one name-to-position pass, or as that array
+itself; either way Row.coeffs and LinearProgram.objective read as mappings.
+
 Conventions
 -----------
 * Rows are labeled; relations are "<=", "=", ">=".
@@ -23,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -61,25 +68,72 @@ class Row:
     label: str
 
 
+class _Nonzeros(Mapping):
+    """The nonzero entries of one row of a coefficient array, by variable
+    name in column order, as a dict built when first read."""
+
+    def __init__(self, names: Sequence[str], values: np.ndarray):
+        self._names, self._values, self._entries = names, values, None
+
+    def _dict(self) -> dict:
+        if self._entries is None:
+            nz = np.flatnonzero(self._values)
+            self._entries = dict(zip([self._names[j] for j in nz], self._values[nz].tolist()))
+        return self._entries
+
+    def __getitem__(self, name):
+        return self._dict()[name]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self):
+        return len(self._dict())
+
+    def items(self):
+        return self._dict().items()
+
+    def __repr__(self):
+        return repr(self._dict())
+
+
 @dataclass
 class LinearProgram:
+    """A program whose coefficients are one array, rows by variables with
+    the objective as a last row (float64, or object over Python numbers).
+
+    Given dict rows and a dict objective, the program compiles them into
+    that array.  Given the array as coefficients, the objective and every
+    row's coeffs are None and read back as the array's nonzero entries.
+    Either way programs compare by their mappings, not by the array."""
+
     sense: str
     variables: Sequence[str]
-    objective: Mapping[str, object]
+    objective: Optional[Mapping[str, object]]
     rows: Sequence[Row]
     bounds: Mapping[str, tuple] = field(default_factory=dict)
     name: str = "lp"
+    coefficients: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.sense not in (MAXIMIZE, MINIMIZE):
             raise ValueError(f"unknown sense {self.sense!r}")
         self.variables = tuple(self.variables)
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("duplicate variable names")
         declared = set(self.variables)
-        for v in self.objective:
-            if v not in declared:
-                raise ValueError(f"objective references undeclared variable {v!r}")
+        if len(declared) != len(self.variables):
+            raise ValueError("duplicate variable names")
+        shape = (len(self.rows) + 1, len(self.variables))
+        if self.coefficients is None:
+            self.coefficients = _compile(self.variables, self.objective, self.rows)
+        elif self.coefficients.shape != shape:
+            raise ValueError(f"coefficient array of shape {self.coefficients.shape}, "
+                             f"not rows + 1 (the objective) by variables {shape}")
+        elif self.objective is not None or any(row.coeffs is not None for row in self.rows):
+            raise ValueError("a program given its coefficient array takes no dict rows")
+        else:
+            self.objective = _Nonzeros(self.variables, self.coefficients[-1])
+            self.rows = [Row(_Nonzeros(self.variables, a), row.relation, row.rhs, row.label)
+                         for row, a in zip(self.rows, self.coefficients)]
         labels = set()
         for row in self.rows:
             if row.relation not in (LE, EQ, GE):
@@ -87,9 +141,6 @@ class LinearProgram:
             if row.label in labels:
                 raise ValueError(f"duplicate row label {row.label!r}")
             labels.add(row.label)
-            for v in row.coeffs:
-                if v not in declared:
-                    raise ValueError(f"row {row.label!r} references undeclared variable {v!r}")
         self.bounds = {v: tuple(b) for v, b in self.bounds.items()}
         for v, b in self.bounds.items():
             if v not in declared:
@@ -99,6 +150,26 @@ class LinearProgram:
 
     def bound(self, v: str) -> tuple:
         return self.bounds.get(v, _NONNEG)
+
+
+def _compile(variables: tuple, objective: Mapping, rows: Sequence[Row]) -> np.ndarray:
+    """The coefficient array of dict rows and a dict objective, every entry
+    placed by one lookup of its name, which also rejects a name the program
+    does not declare (the objective's first, then the rows' in order)."""
+    position = {v: j for j, v in enumerate(variables)}
+    forms = [row.coeffs for row in rows] + [objective]
+    try:
+        cols = np.fromiter(map(position.__getitem__, chain.from_iterable(forms)), dtype=np.intp)
+    except KeyError:
+        for what, form in [("objective", objective)] + [(f"row {r.label!r}", r.coeffs) for r in rows]:
+            for v in form:
+                if v not in position:
+                    raise ValueError(f"{what} references undeclared variable {v!r}") from None
+        raise
+    at = np.repeat(np.arange(len(forms)), [len(form) for form in forms])
+    out = np.zeros((len(forms), len(variables)), dtype=object)
+    out[at, cols] = np.array(list(chain.from_iterable(form.values() for form in forms)), dtype=object)
+    return out
 
 
 FREE = (None, None)
@@ -142,35 +213,34 @@ class _Standardizer:
         self.dtype = object if exact else np.float64
         self.zero = Fraction(0) if exact else 0.0
         self.one = Fraction(1) if exact else 1.0
-        self.index = {v: j for j, v in enumerate(lp.variables)}
+        index = {v: j for j, v in enumerate(lp.variables)} if lp.bounds else {}
         nvars = len(lp.variables)
         self.neg = np.zeros(nvars, dtype=bool)
-        self.neg[[self.index[v] for v, b in lp.bounds.items() if b == _NONPOS]] = True
+        self.neg[[index[v] for v, b in lp.bounds.items() if b == _NONPOS]] = True
         self.free = np.zeros(nvars, dtype=bool)
-        self.free[[self.index[v] for v, b in lp.bounds.items() if b == FREE]] = True
+        self.free[[index[v] for v, b in lp.bounds.items() if b == FREE]] = True
         self.col = np.arange(nvars, dtype=np.intp) + np.cumsum(self.free) - self.free
         self.ncols = nvars + int(self.free.sum())
 
-    def scatter(self, forms: Sequence[Mapping[str, object]], out) -> None:
-        """Write linear forms, form i into row i of out (a zero array), as
-        column coefficients: all forms in one pass."""
-        counts = np.fromiter(map(len, forms), dtype=np.intp, count=len(forms))
-        var = np.fromiter(map(self.index.__getitem__, chain.from_iterable(forms)),
-                          dtype=np.intp, count=int(counts.sum()))
-        coeffs = chain.from_iterable(form.values() for form in forms)
+    def columns(self, coefficients: np.ndarray) -> np.ndarray:
+        """A coefficient array over the standard columns, in the run's
+        arithmetic: its float64 values, with every zero +0.0, or the
+        Fractions of its nonzero entries, with every zero Fraction(0)."""
         if self.exact:
-            vals = np.array([_convert(c, True) for c in coeffs], dtype=object)
+            vals = np.full(coefficients.shape, self.zero, dtype=object)
+            nz = coefficients != 0
+            vals[nz] = [_convert(c, True) for c in coefficients[nz].tolist()]
         else:
-            vals = np.fromiter(map(float, coeffs), dtype=np.float64, count=len(var))
-        keep = vals != 0
-        rows = np.repeat(np.arange(len(forms)), counts)[keep]
-        var, vals = var[keep], vals[keep]
-        cols = self.col[var]
-        out[rows, cols] = vals
-        neg = self.neg[var]
-        out[rows[neg], cols[neg]] = -vals[neg]
-        free = self.free[var]
-        out[rows[free], cols[free] + 1] = -vals[free]
+            vals = coefficients.astype(np.float64)
+        vals[:, self.neg] *= -1
+        if self.free.any():
+            split = np.full((len(vals), self.ncols), self.zero, dtype=self.dtype)
+            split[:, self.col] = vals
+            split[:, self.col[self.free] + 1] = -vals[:, self.free]
+            vals = split
+        if not self.exact:
+            vals += 0.0  # -0.0 + 0.0 is 0.0
+        return vals
 
     def recover(self, colvals: Sequence) -> dict:
         x = np.array(colvals[:self.ncols], dtype=self.dtype)
@@ -428,9 +498,7 @@ def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
     zero = std.zero
     sense_flip = -std.one if lp.sense == MINIMIZE else std.one
 
-    # the rows and, last, the objective, scattered in one pass
-    forms = np.full((len(lp.rows) + 1, std.ncols), zero, dtype=std.dtype)
-    std.scatter([row.coeffs for row in lp.rows] + [lp.objective], forms)
+    forms = std.columns(lp.coefficients)
     A, costs = forms[:-1], forms[-1]
     b = np.array([_convert(row.rhs, exact) for row in lp.rows], dtype=std.dtype)
     rels = [row.relation for row in lp.rows]
@@ -592,15 +660,10 @@ def to_fixed_format(lp: LinearProgram) -> str:
     for row in lp.rows:
         out.append(f" {rel_code[row.relation]}  {rown[row.label]}")
     out.append("COLUMNS")
-    for v in lp.variables:
-        entries = []
-        c = lp.objective.get(v, 0)
-        if c != 0:
-            entries.append(("COST", c))
-        for row in lp.rows:
-            a = row.coeffs.get(v, 0)
-            if a != 0:
-                entries.append((rown[row.label], a))
+    # a column's entries: the objective's, then the rows' in order
+    labels = ["COST"] + [rown[row.label] for row in lp.rows]
+    for v, column in zip(lp.variables, np.roll(lp.coefficients, 1, axis=0).T):
+        entries = [(labels[i], column[i]) for i in np.flatnonzero(column)]
         for k in range(0, len(entries), 2):
             pair = entries[k : k + 2]
             line = f"    {coln[v]:<10}{pair[0][0]:<10}{_num(pair[0][1]):<12}"

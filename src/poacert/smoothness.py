@@ -167,8 +167,12 @@ def robust_poa(
             return RobustPoA(NOT_SMOOTHABLE, None, None, None, prof, 0)
     one = sf[0] / sf[0] if sf and sf[0] else 1
     if len(profiles) == 1:
-        # only the pair (sigma, sigma) exists; lam=1, mu=0 is tight
-        return RobustPoA(OPTIMAL, one, one, 0 * one, None, 0)
+        # only the pair (sigma, sigma) exists and the value is 1: lam=1, mu=0
+        # certifies it when dev(sigma, sigma) <= SF(sigma), as under the sum of
+        # the players' own costs; otherwise mu -> -inf only approaches it
+        if dev[0][0] <= sf[0] + _tol(sf[0], dev[0][0]):
+            return RobustPoA(OPTIMAL, one, one, 0 * one, None, 0)
+        return RobustPoA(OPTIMAL, one, None, None, None, 0)
     exact = isinstance(sf[0], Fraction)
     if not exact:
         # pair rows are homogeneous in the table scale, so dividing both

@@ -1,0 +1,186 @@
+"""Programs given as one coefficient array against their dict twins.
+
+build_pp_pne hands the closed-form arrays to lp.LinearProgram as its
+coefficient array.  The reference builder below names every nonzero entry
+as a dict row instead, the way build_pp_pne did before; the two programs
+must be equal, and every reader of a program (the solver, dualize,
+build_dp_pne, to_fixed_format, feasibility_report) must give the same
+answer, repr for repr, on both.
+"""
+
+import random
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from conftest import seeded
+from poacert import linprog as lp
+from poacert.formulations import (
+    WorstCaseConfig,
+    _certificate_program,
+    _closed_form,
+    _row_table,
+    build_dp_pne,
+    build_pp_pne,
+    vname,
+)
+from poacert.games import MAX, SUM, BasisFunction, SocialSpec
+from poacert.representative import build_representative
+
+
+def _named(names, coeffs):
+    flat = coeffs.ravel()
+    nz = np.flatnonzero(flat)
+    return dict(zip(names[nz].tolist(), flat[nz].tolist()))
+
+
+def reference_pp_pne(cfg, rep, designated=None):
+    """build_pp_pne written as dict rows: the closed-form row table with
+    every nonzero entry named by vname, then t."""
+    objective, rows = _row_table(cfg, *_closed_form(cfg, rep), designated)
+    names = np.array([vname(e, k) for e in rep.model.resources for k in range(len(cfg.basis))],
+                     dtype=object)
+    lp_rows = [lp.Row({**_named(names, a), "t": t} if t else _named(names, a), rel, rhs, label)
+               for label, rel, rhs, a, t in rows]
+    if cfg.spec.kind == SUM:
+        return lp.LinearProgram(
+            lp.MAXIMIZE, names.tolist(), _named(names, objective), lp_rows, name="pp_sum")
+    return lp.LinearProgram(lp.MAXIMIZE, names.tolist() + ["t"], {"t": 1}, lp_rows,
+                            name=f"pp_max_d{designated}")
+
+
+def seeded_classes():
+    """n = 2..6, sum and max, float and exact, alpha with signed
+    off-diagonal entries, eps in {0, 1/2}; basis {x, x^2} up to n = 4 and
+    {x} beyond.  Exact classes stop at n = 3 under max and at n = 5 under
+    sum, where one rational solve takes one to two seconds.  Entries are
+    sevenths, so float sums round."""
+    k = 0
+    for n in (2, 3, 4, 5, 6):
+        basis = (BasisFunction.monomial(1),) + ((BasisFunction.monomial(2),) if n <= 4 else ())
+        for exact in (False, True):
+            num = F if exact else float
+            for kind in (SUM, MAX):
+                if exact and n > (3 if kind == MAX else 5):
+                    continue
+                for eps in (0, F(1, 2)):
+                    rng = seeded(5000 + k)
+                    k += 1
+                    weights = [num(F(rng.randrange(1, 15), 7)) for _ in range(n)]
+                    alpha = [[num(1) if i == j else num(F(rng.randrange(-7, 8), 7))
+                              for j in range(n)] for i in range(n)]
+                    beta = [[num(F(rng.randrange(0, 8), 7)) for _ in range(n)] for _ in range(n)]
+                    beta[0][0] = num(1)
+                    cfg = WorstCaseConfig(weights, alpha, SocialSpec(kind, beta), num(eps), basis)
+                    arithmetic = "exact" if exact else "float"
+                    yield pytest.param(cfg, exact, id=f"n{n}-{arithmetic}-{kind}-eps{eps}")
+
+
+def designees(cfg):
+    return [None] if cfg.spec.kind == SUM else range(cfg.n)
+
+
+@pytest.mark.parametrize("cfg,exact", list(seeded_classes()))
+def test_pp_pne_is_its_dict_reference(cfg, exact):
+    """Equal programs and repr-identical solves; an exact class is also
+    solved in exact arithmetic, under max for its first designee only."""
+    rep = build_representative(cfg.weights)
+    for d in designees(cfg):
+        program, reference = build_pp_pne(cfg, rep, d), reference_pp_pne(cfg, rep, d)
+        assert program == reference
+        assert repr(lp.solve(program)) == repr(lp.solve(reference)), d
+        if exact and d in (None, 0):
+            assert repr(lp.solve(program, True)) == repr(lp.solve(reference, True)), d
+
+
+SMALL = [p for p in seeded_classes() if p.values[0].n <= 3]
+
+
+@pytest.mark.parametrize("cfg,exact", SMALL)
+def test_readers_of_array_programs_match_the_dict_reference(cfg, exact):
+    """dualize, build_dp_pne, to_fixed_format and feasibility_report give
+    the same program, text or report on build_pp_pne as on the reference,
+    and the dual programs solve repr for repr in float arithmetic."""
+    rep = build_representative(cfg.weights)
+    for d in designees(cfg):
+        program, reference = build_pp_pne(cfg, rep, d), reference_pp_pne(cfg, rep, d)
+        assert lp.to_fixed_format(program) == lp.to_fixed_format(reference)
+        dual, dual_ref = lp.dualize(program), lp.dualize(reference)
+        assert dual == dual_ref
+        assert repr(lp.solve(dual)) == repr(lp.solve(dual_ref))
+        dp, dp_ref = build_dp_pne(cfg, rep, d), _certificate_program(reference)
+        assert dp == dp_ref
+        assert lp.to_fixed_format(dp) == lp.to_fixed_format(dp_ref)
+        rp = lp.solve(program)
+        if rp.status != lp.OPTIMAL:
+            continue
+        cert = {v: rp.duals[label] for v, label in zip(dp.variables, (r.label for r in program.rows))}
+        assert repr(lp.feasibility_report(dp, cert)) == repr(lp.feasibility_report(dp_ref, cert))
+        moved = dict(rp.primal)
+        moved[program.variables[0]] -= 1
+        for point in (rp.primal, moved, {v: 2 * x for v, x in rp.primal.items()}):
+            for tol in (0, 1e-9):
+                got = lp.feasibility_report(program, point, tol)
+                assert repr(got) == repr(lp.feasibility_report(reference, point, tol))
+
+
+def _random_program(rng, exact):
+    """A seeded program with >= 0, <= 0 and free variables and some zero
+    entries, as dict rows, and the same program as a coefficient array."""
+    n, m = rng.randint(1, 5), rng.randint(1, 5)
+    names = [f"x{j}" for j in range(n)]
+    num = (lambda c: F(c, 3)) if exact else (lambda c: c / 3)
+    bounds = {v: rng.choice((lp.FREE, (None, 0))) for v in names if rng.random() < 0.5}
+    table = [[num(rng.randint(-4, 4)) if rng.random() < 0.7 else num(0) for _ in names]
+             for _ in range(m + 1)]
+    rows = [(rng.choice((lp.LE, lp.GE, lp.EQ)), num(rng.randint(-4, 4)), f"r{i}")
+            for i in range(m)]
+    rows.append((lp.LE, num(12), "box"))
+    table.insert(m, [num(1)] * n)  # the box row keeps the program bounded
+    sense = rng.choice((lp.MAXIMIZE, lp.MINIMIZE))
+    dict_rows = [lp.Row({v: a for v, a in zip(names, coeffs) if a != 0}, rel, rhs, label)
+                 for coeffs, (rel, rhs, label) in zip(table, rows)]
+    objective = {v: c for v, c in zip(names, table[-1]) if c != 0}
+    as_dicts = lp.LinearProgram(sense, names, objective, dict_rows, bounds)
+    array = np.array(table, dtype=object if exact else np.float64)
+    as_array = lp.LinearProgram(sense, names, None, [lp.Row(None, *row) for row in rows],
+                                bounds, coefficients=array)
+    return as_dicts, as_array
+
+
+def test_array_program_solves_as_its_dict_twin():
+    """Over >= 0, <= 0 and free variables, in float and exact arithmetic,
+    an array program equals its dict twin, solves repr for repr, and
+    writes the same fixed-format text and dual."""
+    rng = random.Random(18)
+    statuses = set()
+    for case in range(120):
+        exact = case % 2 == 1
+        as_dicts, as_array = _random_program(rng, exact)
+        assert as_array == as_dicts
+        report = lp.solve(as_array, exact)
+        assert repr(report) == repr(lp.solve(as_dicts, exact)), case
+        assert lp.to_fixed_format(as_array) == lp.to_fixed_format(as_dicts)
+        assert lp.dualize(as_array) == lp.dualize(as_dicts)
+        statuses.add(report.status)
+    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+
+
+def test_coefficient_array_must_be_rows_by_variables():
+    rows = [lp.Row(None, lp.LE, 1, "r")]
+    for shape in ((1, 2), (2, 1), (3, 2), (4,)):
+        with pytest.raises(ValueError, match="coefficient array of shape"):
+            lp.LinearProgram(lp.MAXIMIZE, ["x", "y"], None, rows, coefficients=np.ones(shape))
+    program = lp.LinearProgram(lp.MAXIMIZE, ["x", "y"], None, rows, coefficients=np.ones((2, 2)))
+    assert program.rows[0].coeffs == {"x": 1.0, "y": 1.0}
+    assert program.objective == {"x": 1, "y": 1}
+
+
+def test_coefficient_array_takes_no_dict_rows():
+    with pytest.raises(ValueError, match="takes no dict rows"):
+        lp.LinearProgram(lp.MAXIMIZE, ["x"], None, [lp.Row({"x": 1}, lp.LE, 1, "r")],
+                         coefficients=np.ones((2, 1)))
+    with pytest.raises(ValueError, match="takes no dict rows"):
+        lp.LinearProgram(lp.MAXIMIZE, ["x"], {"x": 1}, [lp.Row(None, lp.LE, 1, "r")],
+                         coefficients=np.ones((2, 1)))

@@ -210,6 +210,22 @@ def test_robust_poa_single_profile_is_exactly_one():
     assert (r.lam, r.mu) == (1.0, 0.0)
 
 
+def test_robust_poa_single_profile_certificate_is_checked():
+    """Two unit-weight players on one resource of latency x: each pays 2.
+    Under max, SF = 2 while the deviation sum of (sigma, sigma) is 4, so
+    (1, 0) is no certificate; the value 1 is approached only as mu -> -inf.
+    Under sum, SF = 4 and (1, 0) certifies the value."""
+    m = CongestionModel((F(1), F(1)), ("a",), ((("a",),), (("a",),)))
+    g = GeneralizedGame(m, (BasisFunction.monomial(1),), {"a": (F(1),)},
+                        identity_matrix(2, True))
+    assert check_smooth(g, g1_spec(MAX), SmoothnessCertificate(1, 0)) == (False, ((0, 0), (0, 0)))
+    r = robust_poa(g, g1_spec(MAX))
+    assert (r.status, r.value, r.lam, r.mu) == (OPTIMAL, 1, None, None)
+    r = robust_poa(g, g1_spec(SUM))
+    assert (r.status, r.value, r.lam, r.mu) == (OPTIMAL, 1, 1, 0)
+    assert check_smooth(g, g1_spec(SUM), SmoothnessCertificate(r.lam, r.mu)) == (True, None)
+
+
 def test_robust_poa_converges_quickly():
     g = g1(exact=False)
     start = time.perf_counter()
