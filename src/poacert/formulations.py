@@ -16,24 +16,29 @@ numerically.
 
 Both primals are written from coefficient arrays over their columns.  The
 representative program's come from a closed form over the (P, Q) bit
-masks of its resources (_closed_form); build_pp_cce's from enumerating the
-profiles of an arbitrary model (_coefficient_parts).  At a point mass on
-sigma* they give equal programs.  _row_table lays out the rows of both,
-and _primal hands them to a LinearProgram as its coefficient array, with
-no name per entry.
+masks of its resources: per-mask factor arrays of size O(n 2^n r)
+(_mask_factors), read at every column (_closed_form) or at chosen ones
+(_entries).  build_pp_cce's come from enumerating the profiles of an
+arbitrary model (_coefficient_parts).  At a point mass on sigma* they give
+equal programs.  _row_table lays out the rows of both, and _primal hands
+them to a LinearProgram as its coefficient array, with no name per entry.
+The representative program's column names are formatted from the masks,
+and nothing here reads rep.model.
 
 No check builds a dual program (build_dp_cce serves the tests, and
 build_dp_pne also --emit-lp).  solve_worst_case and verify_extension
 price a certificate from the primal's arrays in one reduced-cost pass,
-c - A^T y, and extract_worst_game checks a primal point from them row by
-row; each gives lp.feasibility_report's verdict, label and violation on
-the program it does not build.
+c - A^T y.  extract_worst_game reads the nonzero columns of a primal point
+back to their masks and checks the point row by row from the factors at
+those columns alone.  Each gives lp.feasibility_report's verdict, label
+and violation on the program it does not build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -50,7 +55,7 @@ from .games import (
     congestion,
     resource_users,
 )
-from .representative import RepresentativeModel, build_representative
+from .representative import RepresentativeModel, build_representative, id_parts
 
 OPTIMAL = "OPTIMAL"
 INFINITE = "INFINITE"
@@ -262,93 +267,133 @@ def build_pp_cce(
 
 
 def _subset_sums(terms, dtype) -> np.ndarray:
-    """sums[m] = the sum of terms[j] over the set bits j of mask m, for
-    every m < 2^len(terms).  The highest-bit recurrence adds the terms in
-    ascending j, the order congestion() and sum() over sorted players use;
-    a None term is skipped, as those sums skip zero factors."""
-    sums = np.zeros(1 << len(terms), dtype=dtype)
-    for j, t in enumerate(terms):
+    """sums[.., m] = the sum of terms[.., j] over the set bits j of mask m,
+    for every m < 2^n, where terms is a list of n numbers or a list of
+    such lists (one row of sums each).  The highest-bit recurrence adds the
+    terms in ascending j, the order congestion() and sum() over sorted
+    players use; a None term is skipped, as those sums skip zero factors."""
+    terms = np.array(terms, dtype=object)
+    sums = np.zeros(terms.shape[:-1] + (1 << terms.shape[-1],), dtype=dtype)
+    for j in range(terms.shape[-1]):
         lo = 1 << j
-        sums[lo:2 * lo] = sums[:lo] if t is None else sums[:lo] + t
+        t = terms[..., j, None]
+        skip = t == None  # noqa: E711 (elementwise)
+        added = sums[..., :lo] + np.where(skip, 0, t).astype(dtype)
+        sums[..., lo:2 * lo] = np.where(skip, sums[..., :lo], added)
     return sums
 
 
 def _basis_values(basis, loads, scale, dtype) -> np.ndarray:
     """out[.., k] = scale * basis[k].value(load), evaluated on Python
-    scalars once per distinct load; None loads give 0 and are never
-    evaluated."""
-    flat = loads.ravel().tolist()
-    cache: dict = {}
-    out = np.zeros((len(flat), len(basis)), dtype=dtype)
+    scalars once per distinct load of each row (the last axis of loads);
+    None loads give 0 and are never evaluated."""
     cast = float if dtype is np.float64 else (lambda x: x)
-    for idx, x in enumerate(flat):
-        if x is None:
-            continue
-        if x not in cache:
-            cache[x] = [cast(scale * f.value(x)) for f in basis]
-        out[idx] = cache[x]
-    return out.reshape(loads.shape + (len(basis),))
+    out = []
+    for row in loads.reshape(-1, loads.shape[-1]).tolist():
+        cache: dict = {None: [0] * len(basis)}
+        for x in row:
+            if x not in cache:
+                cache[x] = [cast(scale * f.value(x)) for f in basis]
+        out += [cache[x] for x in row]
+    return np.array(out, dtype=dtype).reshape(loads.shape + (len(basis),))
 
 
-def _closed_form(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
-    """(eq, val, nrm) of the representative primal for _row_table, written
-    from the closed form over the (P, Q) masks of the resources: eq[i] as
-    an array over (P, Q, k), val[i] over (P, 1, k) and nrm[i] over
-    (1, Q, k); under a sum objective, val and nrm are one total of costs.
+def _mask_factors(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
+    """The closed form of the representative primal as per-mask factor
+    arrays (joins, leaves, costs), each of shape (n, 2^n, r).
 
-    Column (P, Q, k) has load w(P) under sigma* and w(Q) under o*:
-    eq[i] = f_k(w(P)) * sum_{j in P} alpha_ij w_j for i in P\\Q and
-    -(1+eps) * f_k(w(P)+w_i) * (alpha_ii w_i + sum_{j in P} alpha_ij w_j)
-    for i in Q\\P; val[i] = f_k(w(P)) * sum_{j in P} beta_ij w_j and
-    nrm[i] = f_k(w(Q)) * sum_{j in Q} beta_ij w_j.  Each factor is
-    computed once per mask, in build_pp_cce's order of operations, so the
-    two programs are equal value for value: in float64 when every weight
-    is a float, else over Python numbers in object arrays.  A float
-    coefficient that overflows raises OverflowError.
+    Column (P, Q, k) has load w(P) under sigma* and w(Q) under o*.  Its
+    eq[i] entry is leaves[i, P, k] = f_k(w(P)) * sum_{j in P} alpha_ij w_j
+    for i in P\\Q, joins[i, P, k] = -(1+eps) * f_k(w(P)+w_i) *
+    (alpha_ii w_i + sum_{j in P} alpha_ij w_j) for i in Q\\P, and 0 else;
+    leaves[i] is 0 at the P without i and joins[i] at the P with i.  Player
+    i's beta-cost at load w(M) is costs[i, M, k] = f_k(w(M)) * sum_{j in M}
+    beta_ij w_j, its val[i] entry at M = P and its nrm[i] entry at M = Q;
+    under a sum objective costs holds their one total, as its one row.
+    Each factor is computed once per mask, in build_pp_cce's order of
+    operations, so the two programs are equal value for value: in float64
+    when every weight is a float, else over Python numbers in object
+    arrays.  A float coefficient that overflows raises OverflowError.
     """
-    n, r = cfg.n, len(cfg.basis)
+    n = cfg.n
     w, alpha, beta = cfg.weights, cfg.alpha, cfg.spec.beta
-    if tuple(rep.model.weights) != tuple(w):
+    if rep.weights != tuple(w):
         raise GameError("model weights differ from configuration weights")
     dtype = np.float64 if all(isinstance(x, float) for x in w) else object
-    size = 1 << n
-    masks = np.arange(size)
-    shape = (size, size, r)
+    masks = np.arange(1 << n)
+    has = masks >> np.arange(n)[:, None] & 1 == 1  # has[i, M]: i in M
 
-    def weighted(mat, i):
-        return _subset_sums([mat[i][j] * w[j] if mat[i][j] != 0 else None for j in range(n)], dtype)
+    def weighted(mat):
+        return _subset_sums([[mat[i][j] * w[j] if mat[i][j] != 0 else None for j in range(n)]
+                             for i in range(n)], dtype)
 
     # an overflow shows as a coefficient that is not finite, checked below
     with np.errstate(over="ignore", invalid="ignore"):
         loads = _subset_sums(list(w), dtype)
         f_load = _basis_values(cfg.basis, np.where(masks > 0, loads, None), 1, dtype)
-        neg = -(1 + cfg.epsilon)
-        eq = []
-        for i in range(n):
-            bit = 1 << i
-            aw = weighted(alpha, i)
-            aw_join = alpha[i][i] * w[i] + aw
-            joins = (masks & bit == 0) & (aw_join != 0)
-            f_join = _basis_values(
-                cfg.basis, np.where(joins, loads + w[i], None), neg, dtype)
-            coeffs = np.zeros(shape, dtype=dtype)
-            p_in, p_out = np.flatnonzero(masks & bit), np.flatnonzero(masks & bit == 0)
-            coeffs[np.ix_(p_in, p_out)] = (f_load * aw[:, None])[p_in, None, :]
-            coeffs[np.ix_(p_out, p_in)] = (f_join * aw_join[:, None])[p_out, None, :]
-            eq.append(coeffs)
-        costs = [f_load * weighted(beta, i)[:, None] for i in range(n)]
+        aw = weighted(alpha)
+        aw_join = np.array([[alpha[i][i] * w[i]] for i in range(n)], dtype=dtype) + aw
+        join_loads = loads + np.array([[x] for x in w], dtype=dtype)
+        f_join = _basis_values(cfg.basis, np.where(~has & (aw_join != 0), join_loads, None),
+                               -(1 + cfg.epsilon), dtype)
+        joins, leaves = f_join * aw_join[..., None], f_load * aw[..., None]
+        joins[has], leaves[~has] = 0, 0
+        costs = f_load * weighted(beta)[..., None]
         if cfg.spec.kind == SUM:
-            costs = [_summed(costs)]
-    if dtype is np.float64 and not all(np.isfinite(a).all() for a in eq + costs):
+            costs = _summed(costs)[None]
+    if dtype is np.float64 and not all(np.isfinite(a).all() for a in (joins, leaves, costs)):
         raise OverflowError("a coefficient of the worst-case program exceeds the float range")
-    val, nrm = [c[:, None, :] for c in costs], [c[None, :, :] for c in costs]
+    return joins, leaves, costs
+
+
+def _entries(cfg: WorstCaseConfig, factors, p, q, k) -> tuple:
+    """(eq, val, nrm) for _row_table at the columns (P, Q, k) = (p, q, k),
+    integer arrays that broadcast together, read off _mask_factors: eq[i]
+    over the broadcast shape, val over that of (p, k) and nrm over that of
+    (q, k), per player under max and one total under sum."""
+    joins, leaves, costs = factors
+    player = np.arange(cfg.n).reshape((-1,) + (1,) * np.ndim(q))
+    eq = np.where(q >> player & 1, joins[:, p, k], leaves[:, p, k])
+    val, nrm = costs[:, p, k], costs[:, q, k]
     return (eq, val[0], nrm[0]) if cfg.spec.kind == SUM else (eq, val, nrm)
 
 
+def _closed_form(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
+    """(eq, val, nrm) of the representative primal for _row_table, every
+    column's entries from _mask_factors: eq[i] as an array over (P, Q, k),
+    val[i] over (P, 1, k) and nrm[i] over (1, Q, k); under a sum
+    objective, val and nrm are one total of costs."""
+    masks = np.arange(1 << cfg.n)
+    return _entries(cfg, _mask_factors(cfg, rep), masks[:, None, None], masks[None, :, None],
+                    np.arange(len(cfg.basis)))
+
+
 def _column_names(cfg: WorstCaseConfig, rep: RepresentativeModel) -> list:
-    """Variable names of the v columns; resources are in (P, Q) order, P
-    major, so flat column (P*size + Q)*r + k is v[e][k]."""
-    return _variables(cfg, rep.model)
+    """Variable names of the v columns, vname(e(P, Q), k) formatted from
+    the masks; resources are in (P, Q) order, P major, so flat column
+    (P*size + Q)*r + k is vname(e(P, Q), k)."""
+    heads, tails = id_parts(cfg.n)
+    heads = ["v[" + h for h in heads]
+    tails = [f"{t}][{k}]" for t in tails for k in range(len(cfg.basis))]
+    return [h + t for h in heads for t in tails]
+
+
+def _support(rep: RepresentativeModel, r: int, values: Mapping) -> list:
+    """((P, Q, k), name, value) of every nonzero value whose key is the
+    name of a v column, in column order: each such key is read back to its
+    (P, Q, k), the inverse of vname over the representative's columns, and
+    every other key is ignored."""
+    suffixes = {f"][{k}]": k for k in range(r)}
+    out = []
+    for key in compress(values, values.values()):
+        if not isinstance(key, str) or not key.startswith("v["):
+            continue
+        cut = key.rfind("][")
+        k = suffixes.get(key[cut:])
+        masks = None if k is None else rep.masks_of(key[2:cut])
+        if masks is not None:
+            out.append((masks + (k,), key, values[key]))
+    return sorted(out)
 
 
 def build_pp_pne(
@@ -546,25 +591,21 @@ def _certificate_report(names, objective, rows, duals, tol):
     return lp.fold_checks(bounds, tol, first, worst)
 
 
-def _point_report(names, rows, values, level, tol):
-    """lp.feasibility_report(build_pp_pne(...), point, tol) from the
-    closed-form row table, for the point's values over the v columns, in
-    column order, and its level t.  Each row's lhs sums its nonzero
-    coefficients times the nonzero values in column order, then t, with
-    the builtin sum, as lp.evaluate_row does (a zero term leaves such a sum
-    unchanged); then every variable's bound x >= 0."""
-    x = np.array(values, dtype=object)
-    support = np.flatnonzero(x)
-    x = x[support]
-    at = np.unravel_index(support, rows[0][3].shape)
+def _point_report(rows, support, level, tol):
+    """lp.feasibility_report(build_pp_pne(...), point, tol) from the row
+    table of the closed form at the point's support, (column, name, value)
+    of its nonzero v columns in column order, and its level t.  Each row's
+    lhs sums its nonzero coefficients times the values in column order,
+    then t, with the builtin sum, as lp.evaluate_row does (a zero term
+    leaves such a sum unchanged); then every variable's bound x >= 0."""
+    x = np.array([value for *_, value in support], dtype=object)
     checks = []
     for label, rel, rhs, a, t in rows:
-        coeffs = a[at]
-        keep = coeffs != 0
-        terms = (coeffs[keep] * x[keep]).tolist() + ([t * level] if t else [])
+        keep = a != 0
+        terms = (a[keep] * x[keep]).tolist() + ([t * level] if t else [])
         gap = sum(terms) - rhs
         checks.append((label, abs(gap) if rel == lp.EQ else gap))
-    checks += [(f"bound[{names[j]}]", 0 - values[j]) for j in support]
+    checks += [(f"bound[{name}]", 0 - value) for _, name, value in support]
     if any(t for *_, t in rows):
         checks.append(("bound[t]", 0 - level))
     return lp.fold_checks(checks, tol)
@@ -658,36 +699,39 @@ def extract_worst_game(
     """Turn a feasible primal point into a concrete game: the
     representative model restricted to the resources the point uses.
     Infeasible points are rejected with the first violated row label: the
-    point is checked against the closed-form columns row by row, as
-    lp.feasibility_report checks it on build_pp_pne.
+    point's nonzero columns are checked against the closed form row by
+    row, as lp.feasibility_report checks it on build_pp_pne.  A key of
+    primal_values that names no v column (see _support) is ignored, and
+    t is read as the level.
 
     A resource is kept when any of its columns is nonzero, solver dust
     included, and keeps its id and representative order; strategies are
-    the representative ones intersected with the kept set, so
-    rep.sigma_star and rep.o_star index them as before.  When player i's
+    the representative ones restricted to the kept set, each frozenset
+    filled in representative order, so rep.sigma_star and rep.o_star
+    index them as before.  When player i's
     sigma*_i or o*_i would be left empty, e({i},{i}) is kept too: it has
     latency 0 and lies in i's two strategies only.  Every dropped
     resource has latency 0 at every load, so every cost, gap and social
     value is that of the full representative game."""
     _check_designee(cfg, designated)
-    _, rows = _row_table(cfg, *_closed_form(cfg, rep), designated)
-    names = _variables(cfg, rep.model)
-    values = [primal_values.get(v, 0) for v in names]
-    ok, label, violation = _point_report(
-        names, rows, values, primal_values.get("t", 0), FEAS_TOL)
+    r = len(cfg.basis)
+    support = _support(rep, r, primal_values)
+    columns = np.array([c for c, *_ in support], dtype=np.intp).reshape(-1, 3).T
+    _, rows = _row_table(cfg, *_entries(cfg, _mask_factors(cfg, rep), *columns), designated)
+    ok, label, violation = _point_report(rows, support, primal_values.get("t", 0), FEAS_TOL)
     if not ok:
         raise GameError(f"primal point violates {label} by {violation}")
-    r, size, model = len(cfg.basis), 1 << cfg.n, rep.model
-    kept = {model.resources[j // r]: j // r for j, c in enumerate(values) if c != 0}
-    for i, per in enumerate(model.strategies):
-        if any(s.isdisjoint(kept) for s in per):
-            kept[rep.resource_for(1 << i, 1 << i)] = (size + 1) << i
-    ids = sorted(kept, key=kept.get)
+    kept = {(p, q) for (p, q, _), *_ in support}
+    for i in range(cfg.n):
+        if not any(p >> i & 1 for p, _ in kept) or not any(q >> i & 1 for _, q in kept):
+            kept.add((1 << i, 1 << i))
+    ids = {rep.resource_for(p, q): (p, q) for p, q in sorted(kept)}
     coeffs = {e: tuple(0 if c < 0 else c  # solver noise within FEAS_TOL, checked above
-                       for c in values[kept[e] * r:(kept[e] + 1) * r]) for e in ids}
-    strategies = [[s.intersection(ids) for s in per] for per in model.strategies]
+                       for c in (primal_values.get(vname(e, k), 0) for k in range(r))) for e in ids}
+    strategies = [[frozenset(e for e, (p, _) in ids.items() if p >> i & 1),
+                   frozenset(e for e, (_, q) in ids.items() if q >> i & 1)] for i in range(cfg.n)]
     return GeneralizedGame(
-        CongestionModel(model.weights, ids, strategies), cfg.basis, coeffs, cfg.alpha)
+        CongestionModel(rep.weights, list(ids), strategies), cfg.basis, coeffs, cfg.alpha)
 
 
 def normalize_game(game: GeneralizedGame, spec: SocialSpec):

@@ -121,6 +121,18 @@ class BasisFunction:
 # ============================================================
 
 
+def check_weights(weights) -> int:
+    """The number of players, after checking that there are at least two
+    and that every weight is positive."""
+    n = len(weights)
+    if n < 2:
+        raise GameError(f"need at least 2 players, got {n}")
+    for i, w in enumerate(weights):
+        if w <= 0:
+            raise GameError(f"weight of player {i} must be positive, got {w}")
+    return n
+
+
 @dataclass(frozen=True)
 class CongestionModel:
     weights: tuple
@@ -135,12 +147,7 @@ class CongestionModel:
             "strategies",
             tuple(tuple(frozenset(s) for s in per) for per in self.strategies),
         )
-        n = len(self.weights)
-        if n < 2:
-            raise GameError(f"need at least 2 players, got {n}")
-        for i, w in enumerate(self.weights):
-            if w <= 0:
-                raise GameError(f"weight of player {i} must be positive, got {w}")
+        n = check_weights(self.weights)
         if len(set(self.resources)) != len(self.resources):
             raise GameError("duplicate resource ids")
         known = set(self.resources)

@@ -7,17 +7,29 @@ e(P, Q) with i in Q.  Any (profile, profile) pair of any congestion model
 with the same weights maps resource-wise into this one: send e to
 e(users under the first profile, users under the second); loads and user
 sets are preserved, which is what makes the worst-case programs over this
-single model speak for the whole class.  e(P, Q) is model.resources[P * 2^n + Q].
+single model speak for the whole class.
+
+A RepresentativeModel holds the weights and the two profiles only: the
+worst-case programs read a resource as its (P, Q) bit masks, and
+resource_for formats its id straight from them (masks_of reads one back).
+The CongestionModel, with its 4^n ids and frozenset strategies, is built
+when rep.model is first read; e(P, Q) is model.resources[P * 2^n + Q].
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
+
 import numpy as np
 
-from .games import CongestionModel, GameError
+from .games import CongestionModel, GameError, check_weights
 
 PLAYER_CAP = 10  # 4^n resources; past this the model is no longer a desk object
+
+_ID = re.compile(r"P:\{([0-9,]*)\}\|Q:\{([0-9,]*)\}")
 
 
 def _players(mask: int) -> str:
@@ -25,50 +37,84 @@ def _players(mask: int) -> str:
     return ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _head(p: int) -> str:
+    """The part of every id e(P, .) that P fixes; e(P, Q) is _head(P) + _tail(Q)."""
+    return f"P:{{{_players(p)}}}|Q:{{"
+
+
+def _tail(q: int) -> str:
+    return f"{_players(q)}}}"
+
+
+def id_parts(n: int) -> tuple:
+    """(heads, tails) over all masks below 2^n: e(P, Q) is heads[P] + tails[Q]."""
+    size = 1 << n
+    return [_head(m) for m in range(size)], [_tail(m) for m in range(size)]
+
+
+def _mask_of(players, n: int) -> int:
+    m = 0
+    for i in players:
+        if not 0 <= i < n:
+            raise GameError(f"no player {i} among {n}")
+        m |= 1 << i
+    return m
+
+
 @dataclass(frozen=True)
 class RepresentativeModel:
-    model: CongestionModel
+    weights: tuple
     sigma_star: tuple  # profile of first strategies
     o_star: tuple  # profile of second strategies
 
     @property
     def n(self) -> int:
-        return self.model.n
+        return len(self.weights)
+
+    @cached_property
+    def model(self) -> CongestionModel:
+        heads, tails = id_parts(self.n)
+        names = [h + t for h in heads for t in tails]
+        size = len(heads)
+        # ids[p, q] is the id of e(P, Q)
+        ids = np.array(names, dtype=object).reshape(size, size)
+        masks = np.arange(size)
+        strategies = []
+        for i in range(self.n):
+            has = masks >> i & 1 == 1
+            sigma, omega = ids[has].ravel().tolist(), ids[:, has].ravel().tolist()
+            strategies.append((frozenset(sigma), frozenset(omega)))
+        return CongestionModel(self.weights, tuple(names), tuple(strategies))
 
     def resource_for(self, p_players, q_players) -> str:
-        p = p_players if isinstance(p_players, int) else _mask_of(p_players)
-        q = q_players if isinstance(q_players, int) else _mask_of(q_players)
+        """The id of e(P, Q), from bit masks or from 0-based player lists."""
+        p, q = (x if isinstance(x, int) else _mask_of(x, self.n) for x in (p_players, q_players))
         size = 1 << self.n
         if not (0 <= p < size and 0 <= q < size):
             raise GameError(f"no resource for masks P={p:b}, Q={q:b}")
-        return self.model.resources[p * size + q]
+        return _head(p) + _tail(q)
 
-
-def _mask_of(players) -> int:
-    m = 0
-    for i in players:
-        m |= 1 << i
-    return m
+    def masks_of(self, resource: str) -> Optional[tuple]:
+        """(P, Q) of the id e(P, Q), the inverse of resource_for; None for
+        a string that resource_for formats for no (P, Q) of this model."""
+        found = _ID.fullmatch(resource)
+        if found is None:
+            return None
+        try:
+            p, q = (_mask_of([int(x) - 1 for x in g.split(",")] if g else [], self.n)
+                    for g in found.groups())
+        except ValueError:  # an empty or over-long number, or no such player
+            return None
+        return (p, q) if self.resource_for(p, q) == resource else None
 
 
 def build_representative(weights, cap: int = PLAYER_CAP) -> RepresentativeModel:
     n = len(weights)
     if n > cap:
         raise GameError(f"{n} players would need {4**n} resources (cap {cap})")
-    size = 1 << n
-    players = [_players(m) for m in range(size)]
-    names = [f"P:{{{players[p]}}}|Q:{{{players[q]}}}" for p in range(size) for q in range(size)]
-    # ids[p, q] is the id of e(P, Q)
-    ids = np.array(names, dtype=object).reshape(size, size)
-    masks = np.arange(size)
-    strategies = []
-    for i in range(n):
-        has = masks >> i & 1 == 1
-        sigma, omega = ids[has].ravel().tolist(), ids[:, has].ravel().tolist()
-        strategies.append((frozenset(sigma), frozenset(omega)))
-    model = CongestionModel(tuple(weights), tuple(names), tuple(strategies))
+    check_weights(weights)
     return RepresentativeModel(
-        model=model,
+        weights=tuple(weights),
         sigma_star=tuple(0 for _ in range(n)),
         o_star=tuple(1 for _ in range(n)),
     )
@@ -80,11 +126,11 @@ def map_profile_pair(rep: RepresentativeModel, model: CongestionModel, sigma, ta
     Returns {resource of `model` -> representative resource id}; requires
     matching weight vectors, since the embedding must preserve loads.
     """
-    if tuple(model.weights) != tuple(rep.model.weights):
+    if tuple(model.weights) != rep.weights:
         raise GameError("profile mapping requires identical weight vectors")
     out = {}
     for e in model.resources:
-        p = _mask_of(i for i in range(model.n) if e in model.strategies[i][sigma[i]])
-        q = _mask_of(i for i in range(model.n) if e in model.strategies[i][tau[i]])
+        p = _mask_of((i for i in range(model.n) if e in model.strategies[i][sigma[i]]), rep.n)
+        q = _mask_of((i for i in range(model.n) if e in model.strategies[i][tau[i]]), rep.n)
         out[e] = rep.resource_for(p, q)
     return out

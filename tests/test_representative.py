@@ -44,6 +44,14 @@ def test_resource_for_rejects_foreign_players():
         rep.resource_for((0, 2), ())
 
 
+def test_resource_for_rejects_negative_players():
+    rep = build_representative((1, 1))
+    with pytest.raises(GameError):
+        rep.resource_for([-1], [])
+    with pytest.raises(GameError):
+        rep.resource_for((), (0, -2))
+
+
 def test_weights_preserved():
     rep = build_representative((F(1), F(3, 2)))
     assert rep.model.weights == (F(1), F(3, 2))
