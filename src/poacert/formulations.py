@@ -27,11 +27,12 @@ and nothing here reads rep.model.
 
 No check builds a dual program (build_dp_cce serves the tests, and
 build_dp_pne also --emit-lp).  solve_worst_case and verify_extension
-price a certificate from the primal's arrays in one reduced-cost pass,
-c - A^T y.  extract_worst_game reads the nonzero columns of a primal point
-back to their masks and checks the point row by row from the factors at
-those columns alone.  Each gives lp.feasibility_report's verdict, label
-and violation on the program it does not build.
+check a certificate as row duals of the primal that _primal built, with
+lp.dual_violations on its array: the dual row of column v is r[v], and
+that of the max programs' level t is zsum.  extract_worst_game reads the
+nonzero columns of a primal point back to their masks, builds the
+program of those columns alone from the factors, and checks the point
+with lp.feasibility_report.
 """
 
 from __future__ import annotations
@@ -238,16 +239,16 @@ def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.Line
     """The program of a row table: its arrays, one row each and then the
     objective, over the columns names (and t, under max) as the program's
     coefficient array."""
-    lp_rows = [lp.Row(None, rel, rhs, label) for label, rel, rhs, *_ in rows]
-    last = np.zeros_like(rows[0][3]) if objective is None else objective
-    coefficients = np.stack([np.ravel(a) for *_, a, _ in rows] + [np.ravel(last)])
-    if cfg.spec.kind == SUM:
-        name = "pp_sum"
-    else:
-        name, names = f"pp_max_d{designated}", names + ["t"]
-        level = np.array([[t] for *_, t in rows] + [[1]], dtype=coefficients.dtype)
-        coefficients = np.hstack([coefficients, level])
-    return lp.LinearProgram(lp.MAXIMIZE, names, None, lp_rows, name=name,
+    lp_rows = [lp.Row(None, rel, rhs, label) for label, rel, rhs, _, _ in rows]
+    forms = np.array([a for _, _, _, a, _ in rows] + ([] if objective is None else [objective]))
+    size, level = rows[0][3].size, cfg.spec.kind != SUM
+    coefficients = np.zeros((len(rows) + 1, size + level), dtype=forms.dtype)
+    coefficients[:len(forms), :size] = forms.reshape(len(forms), size)
+    if level:
+        names = names + ["t"]
+        coefficients[:, size] = [t for _, _, _, _, t in rows] + [1]
+    return lp.LinearProgram(lp.MAXIMIZE, names, None, lp_rows,
+                            name=f"pp_max_d{designated}" if level else "pp_sum",
                             coefficients=coefficients)
 
 
@@ -412,6 +413,11 @@ def build_pp_pne(
 # ============================================================
 
 
+def _dual_row_name(variable: str) -> str:
+    """The certificate row of primal variable v[e][k], r[v[e][k]]; t's is zsum."""
+    return "zsum" if variable == "t" else f"r[{variable}]"
+
+
 def _certificate_name(label: str) -> str:
     """The certificate variable of primal row label: eq[i] -> y[i],
     val[i] -> z[i], norm -> gamma, norm[i] -> gamma[i]."""
@@ -425,19 +431,15 @@ def _certificate_program(pp: lp.LinearProgram) -> lp.LinearProgram:
     variable v[e][k] is labelled r[v[e][k]], and the last row, that of the
     max programs' level variable t, zsum."""
     dual = lp.dualize(pp)
-    name = {label: _certificate_name(label) for label in dual.variables}
-    rows = [
-        lp.Row({name[v]: a for v, a in row.coeffs.items()}, row.relation, row.rhs,
-               "zsum" if row.label == "t" else f"r[{row.label}]")
-        for row in dual.rows
-    ]
+    rows = [lp.Row(None, row.relation, row.rhs, _dual_row_name(row.label)) for row in dual.rows]
     return lp.LinearProgram(
         dual.sense,
-        list(name.values()),
-        {name[v]: c for v, c in dual.objective.items()},
+        [_certificate_name(label) for label in dual.variables],
+        None,
         rows,
-        bounds={name[v]: b for v, b in dual.bounds.items()},
+        bounds={_certificate_name(v): b for v, b in dual.bounds.items()},
         name="d" + pp.name[1:],
+        coefficients=dual.coefficients,
     )
 
 
@@ -551,64 +553,24 @@ def _close(a, b, rtol):
     return abs(a - b) <= rtol * max(1, abs(a), abs(b))
 
 
-def _reduced_cost_pass(names, objective, rows, duals, tol):
+def _dual_report(program: lp.LinearProgram, duals, tol) -> tuple:
     """lp.feasibility_report's (ok, first violated label, worst violation)
-    on the rows of the certificate program of a row table, for the
-    certificate duals, one per row of the table and in its order, priced
-    from the columns in one reduced-cost pass.
-
-    Column v's dual row r[v] reads c_v - sum_rows a_row,v y_row <= tol.
-    Each column's sum runs over its nonzero coefficients in row order, the
-    order lp.evaluate_row adds the dual row in, one rounding per addition
-    as the builtin sum adds floats (before Python 3.12, which compensates
-    it), and in the same arithmetic (a float column's duals are floats, as
-    a float times a Fraction is), so its value is the same to the bit.
-    Then, as in the dual program, the max objectives' zsum row,
-    1 + sum z_i <= tol.  The sign bounds of the duals are not checked."""
-    dtype = rows[0][3].dtype
-    lhs = np.zeros(rows[0][3].shape, dtype=dtype)
-    for (_, _, _, a, _), y in zip(rows, duals):
-        nz = a != 0
-        lhs[nz] += a[nz] * (float(y) if dtype == np.float64 else y)
-    # the dual row's rhs is the objective coefficient, an int 0 where it is 0
-    viol = ((0 if objective is None else np.where(objective != 0, objective, 0)) - lhs).ravel()
+    on the rows of _certificate_program(program), at certificate duals, one
+    per row of program and in its order, read by lp.dual_violations off
+    program's own array.  The sign bounds of the duals are not checked."""
+    viol = lp.dual_violations(program, duals)
     bad = np.flatnonzero(viol > tol)
-    first = f"r[{names[bad[0]]}]" if len(bad) else None
-    positive = viol[viol > 0].tolist()
-    worst = max(positive) if positive else 0
-    checks = []
-    if objective is None:
-        checks.append(("zsum", 1 - sum(t * y for (*_, t), y in zip(rows, duals) if t)))
-    return lp.fold_checks(checks, tol, first, worst)
+    first = _dual_row_name(program.variables[bad[0]]) if len(bad) else None
+    return first is None, first, max(viol[viol > 0].tolist(), default=0)
 
 
-def _certificate_report(names, objective, rows, duals, tol):
-    """lp.feasibility_report(build_dp_pne(...), cert, tol): the reduced-cost
-    pass, then the sign bounds of the duals of <= rows."""
-    _, first, worst = _reduced_cost_pass(names, objective, rows, duals, tol)
-    bounds = [(f"bound[{_certificate_name(label)}]", 0 - y)
-              for (label, rel, *_), y in zip(rows, duals) if rel == lp.LE]
+def _certificate_report(program: lp.LinearProgram, duals, tol) -> tuple:
+    """lp.feasibility_report(_certificate_program(program), cert, tol): the
+    dual rows, then the sign bounds of the duals of <= rows."""
+    _, first, worst = _dual_report(program, duals, tol)
+    bounds = [(f"bound[{_certificate_name(row.label)}]", 0 - y)
+              for row, y in zip(program.rows, duals) if row.relation == lp.LE]
     return lp.fold_checks(bounds, tol, first, worst)
-
-
-def _point_report(rows, support, level, tol):
-    """lp.feasibility_report(build_pp_pne(...), point, tol) from the row
-    table of the closed form at the point's support, (column, name, value)
-    of its nonzero v columns in column order, and its level t.  Each row's
-    lhs sums its nonzero coefficients times the values in column order,
-    then t, with the builtin sum, as lp.evaluate_row does (a zero term
-    leaves such a sum unchanged); then every variable's bound x >= 0."""
-    x = np.array([value for *_, value in support], dtype=object)
-    checks = []
-    for label, rel, rhs, a, t in rows:
-        keep = a != 0
-        terms = (a[keep] * x[keep]).tolist() + ([t * level] if t else [])
-        gap = sum(terms) - rhs
-        checks.append((label, abs(gap) if rel == lp.EQ else gap))
-    checks += [(f"bound[{name}]", 0 - value) for _, name, value in support]
-    if any(t for *_, t in rows):
-        checks.append(("bound[t]", 0 - level))
-    return lp.fold_checks(checks, tol)
 
 
 def _exact_config(cfg: WorstCaseConfig) -> WorstCaseConfig:
@@ -634,9 +596,9 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     largest optimum wins; an unbounded primal makes gamma* infinite.  The
     row duals, in certificate names, must be feasible for build_dp_pne with
     objective equal to the primal optimum, which by weak duality proves
-    it.  Feasibility is priced from the closed-form columns, which every
-    designee's program shares, in one reduced-cost pass that gives
-    lp.feasibility_report's verdict on build_dp_pne.  These checks and the
+    it.  Feasibility is read by lp.dual_violations off the program just
+    solved, which gives lp.feasibility_report's verdict on build_dp_pne
+    without building it.  These checks and the
     optimum being at least 1 are guaranteed by the theory; violations raise
     InvariantViolation rather than returning a bad number.
     Exact mode first reads every float of cfg as its exact binary value,
@@ -650,20 +612,19 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     names = _column_names(cfg, rep)
     variants = []
     for d in designees:
-        objective, rows = _row_table(cfg, *columns, d)
-        rp = lp.solve(_primal(cfg, names, objective, rows, d), exact)
+        program = _primal(cfg, names, *_row_table(cfg, *columns, d), d)
+        rp = lp.solve(program, exact)
         if rp.status == lp.UNBOUNDED:
             variants.append(VariantResult(d, INFINITE, None, None, {}, {}, rp.iterations))
             continue
         if rp.status != lp.OPTIMAL:
             raise InvariantViolation(f"primal is {rp.status}; the unit witness is feasible")
-        duals = [rp.duals[label] for label, *_ in rows]
-        ok, label, violation = _certificate_report(
-            names, objective, rows, duals, 0 if exact else FEAS_TOL)
+        duals = [rp.duals[row.label] for row in program.rows]
+        ok, label, violation = _certificate_report(program, duals, 0 if exact else FEAS_TOL)
         if not ok:
             raise InvariantViolation(f"certificate violates {label} by {violation}")
-        cert = {_certificate_name(label): y for (label, *_), y in zip(rows, duals)}
-        bound = sum(rhs * y for (_, _, rhs, *_), y in zip(rows, duals) if rhs != 0)
+        cert = {_certificate_name(row.label): y for row, y in zip(program.rows, duals)}
+        bound = sum(row.rhs * y for row, y in zip(program.rows, duals) if row.rhs != 0)
         if not _close(bound, rp.value, 0 if exact else VALUE_RTOL):
             raise InvariantViolation(f"duality gap: primal {rp.value} vs certificate {bound}")
         variants.append(
@@ -699,8 +660,9 @@ def extract_worst_game(
     """Turn a feasible primal point into a concrete game: the
     representative model restricted to the resources the point uses.
     Infeasible points are rejected with the first violated row label: the
-    point's nonzero columns are checked against the closed form row by
-    row, as lp.feasibility_report checks it on build_pp_pne.  A key of
+    point is checked by lp.feasibility_report on the program of its
+    nonzero columns alone, built from the closed form at those columns,
+    as it would be on build_pp_pne.  A key of
     primal_values that names no v column (see _support) is ignored, and
     t is read as the level.
 
@@ -717,8 +679,9 @@ def extract_worst_game(
     r = len(cfg.basis)
     support = _support(rep, r, primal_values)
     columns = np.array([c for c, *_ in support], dtype=np.intp).reshape(-1, 3).T
-    _, rows = _row_table(cfg, *_entries(cfg, _mask_factors(cfg, rep), *columns), designated)
-    ok, label, violation = _point_report(rows, support, primal_values.get("t", 0), FEAS_TOL)
+    table = _row_table(cfg, *_entries(cfg, _mask_factors(cfg, rep), *columns), designated)
+    program = _primal(cfg, [name for _, name, _ in support], *table, designated)
+    ok, label, violation = lp.feasibility_report(program, primal_values, FEAS_TOL)
     if not ok:
         raise GameError(f"primal point violates {label} by {violation}")
     kept = {(p, q) for (p, q, _), *_ in support}
@@ -768,15 +731,14 @@ def verify_extension(
 ) -> ExtensionReport:
     """Check that a dual-feasible certificate for the representative pure
     program stays feasible for the coarse program of (model, dist, o): the
-    rows of build_dp_cce, priced in the reduced-cost pass from build_pp_cce's
-    arrays, without the duals' sign bounds.
+    rows of build_dp_cce, read by lp.dual_violations off build_pp_cce's
+    array, without the duals' sign bounds.
 
     Holds for every input by convexity of the row family; a failure means
     an implementation bug, so callers normally escalate it."""
     _check_designee(cfg, designated)
-    objective, rows = _row_table(
-        cfg, *_coefficient_parts(cfg, model, dist, o_profile), designated)
-    names = _variables(cfg, model)
-    duals = [dual_values.get(_certificate_name(label), 0) for label, *_ in rows]
-    ok, label, violation = _reduced_cost_pass(names, objective, rows, duals, FEAS_TOL)
-    return ExtensionReport(ok, len(names) + (objective is None), violation, label)
+    table = _row_table(cfg, *_coefficient_parts(cfg, model, dist, o_profile), designated)
+    program = _primal(cfg, _variables(cfg, model), *table, designated)
+    duals = [dual_values.get(_certificate_name(row.label), 0) for row in program.rows]
+    ok, label, violation = _dual_report(program, duals, FEAS_TOL)
+    return ExtensionReport(ok, len(program.variables), violation, label)

@@ -12,6 +12,10 @@ objective as a last row, and that array is the one path into the tableau.
 Rows arrive either as dicts {variable: coefficient}, which the program
 compiles into the array in its one name-to-position pass, or as that array
 itself; either way Row.coeffs and LinearProgram.objective read as mappings.
+dualize is the array's transpose.  feasibility_report (rows at a point)
+and dual_violations (the dual's rows at row duals, no dual built) read the
+array through one linear combination of its slices, _combination, whose
+sums do not depend on the Python version's builtin sum.
 
 Conventions
 -----------
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from collections.abc import Mapping, Sequence
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -60,8 +64,10 @@ class SolverError(Exception):
     """Iteration cap hit or internal inconsistency; result is unusable."""
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
+    """coeffs R rhs, labelled; a named tuple builds faster than a frozen
+    dataclass, and every program builds one per row."""
+
     coeffs: Mapping[str, object]
     relation: str
     rhs: object
@@ -550,12 +556,27 @@ def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
 
 
 # ============================================================
-# point feasibility
+# rows at a point
 # ============================================================
 
 
-def evaluate_row(row: Row, point: Mapping) -> object:
-    return sum(a * point.get(v, 0) for v, a in row.coeffs.items())
+def _combination(slices: np.ndarray, scalars: Sequence) -> np.ndarray:
+    """sum_k slices[k] * scalars[k] over the rows k of a 2-D array, entry
+    by entry: from 0, in the order of k, one rounding per addition, a term
+    whose slice entry is 0 skipped, in the slices' arithmetic (a float64
+    array reads its scalars as floats, as a float times a Fraction does).
+    A zero scalar is not skipped: its terms set the type of an exact sum."""
+    y = np.array(scalars, dtype=slices.dtype)
+    nz = slices != 0
+    # terms[0] is the 0 each sum starts from
+    terms = np.zeros((len(slices) + 1,) + slices.shape[1:], dtype=slices.dtype)
+    np.multiply(slices, y[:, None], out=terms[1:], where=nz)
+    if slices.dtype == object:  # a rational addition is dear: skip the 0 terms
+        for term, keep in zip(terms[1:], nz):
+            np.add(terms[0], term, out=terms[0], where=keep)
+        return terms[0]
+    # in float, a skipped term's +0.0 leaves a sum that starts at +0.0 unchanged
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]
 
 
 def fold_checks(checks, tol, first=None, worst=0):
@@ -574,19 +595,35 @@ def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9):
     """(ok, first_violated_label, worst_violation) of a candidate point.
 
     Rows are checked in declaration order, then variable bounds (labeled
-    bound[var]).  Variables absent from the point count as 0."""
+    bound[var]).  Variables absent from the point count as 0.  Each row's
+    lhs is one _combination of the coefficient array's columns."""
+    x = [point.get(v, 0) for v in lp.variables]
+    checks = []
+    for row, lhs in zip(lp.rows, _combination(lp.coefficients[:-1].T, x).tolist()):
+        gap = lhs - row.rhs
+        checks.append((row.label, -gap if row.relation == GE else abs(gap) if row.relation == EQ
+                       else gap))
+    for var, value in zip(lp.variables, x):
+        lo, hi = lp.bound(var)
+        label = f"bound[{var}]"
+        checks += [(label, (lo - value) if lo is not None else 0),
+                   (label, (value - hi) if hi is not None else 0)]
+    return fold_checks(checks, tol)
 
-    def checks():
-        for row in lp.rows:
-            gap = evaluate_row(row, point) - row.rhs
-            yield row.label, gap if row.relation == LE else -gap if row.relation == GE else abs(gap)
-        for var in lp.variables:
-            lo, hi = lp.bound(var)
-            x = point.get(var, 0)
-            for v in ((lo - x) if lo is not None else 0, (x - hi) if hi is not None else 0):
-                yield f"bound[{var}]", v
 
-    return fold_checks(checks(), tol)
+def dual_violations(lp: LinearProgram, duals: Sequence) -> np.ndarray:
+    """The violation of every row of dualize(lp) at duals, one value per
+    row of lp and in its order, without building the dual: one per
+    variable of lp, in its order, as feasibility_report gives it on that
+    row.  Each row's lhs is one _combination of the coefficient array's
+    rows, and its rhs is the variable's objective coefficient."""
+    signs = _Standardizer(lp, exact=False)
+    gap = _combination(lp.coefficients[:-1], duals) - lp.coefficients[-1]
+    # the row of a >= 0 variable reads lhs >= c in the dual of a max
+    # program and lhs <= c in that of a min program; <= 0 swaps them
+    viol = np.where(signs.neg ^ (lp.sense == MINIMIZE), gap, -gap)
+    viol[signs.free] = abs(gap[signs.free])
+    return viol
 
 
 # ============================================================
@@ -601,34 +638,27 @@ _DUAL_ROW_MIN = {_NONNEG: LE, FREE: EQ, _NONPOS: GE}
 
 
 def dualize(lp: LinearProgram) -> LinearProgram:
-    """Textbook dual.  Dual variables are named after primal row labels,
-    dual rows after primal variables, so dualize(dualize(lp)) restores the
-    original names."""
+    """Textbook dual: the transpose of the coefficient array, the rhs as
+    its objective (in the array's dtype when that holds them exactly).
+    Dual variables are named after primal row labels, dual rows after
+    primal variables, so dualize(dualize(lp)) restores the original names."""
     primal_max = lp.sense == MAXIMIZE
-    dvars = tuple(row.label for row in lp.rows)
-    dbounds = {}
-    for row in lp.rows:
-        bnd = (_DUAL_BOUND_MAX if primal_max else _DUAL_BOUND_MIN)[row.relation]
-        if bnd != _NONNEG:
-            dbounds[row.label] = bnd
-    # transpose
-    col_coeffs: dict[str, dict[str, object]] = {v: {} for v in lp.variables}
-    for row in lp.rows:
-        for v, a in row.coeffs.items():
-            if a != 0:
-                col_coeffs[v][row.label] = a
-    drows = []
+    dual_bound = _DUAL_BOUND_MAX if primal_max else _DUAL_BOUND_MIN
     row_rel = _DUAL_ROW_MAX if primal_max else _DUAL_ROW_MIN
-    for v in lp.variables:
-        drows.append(Row(col_coeffs[v], row_rel[lp.bound(v)], lp.objective.get(v, 0), v))
-    dobj = {row.label: row.rhs for row in lp.rows if row.rhs != 0}
+    A = lp.coefficients
+    rhs = np.array([row.rhs for row in lp.rows], dtype=object)
+    if A.dtype != object and (rhs.astype(A.dtype) == rhs).all():
+        rhs = rhs.astype(A.dtype)
+    drows = [Row(None, row_rel[lp.bound(v)], c, v) for v, c in zip(lp.variables, A[-1].tolist())]
     return LinearProgram(
         sense=MINIMIZE if primal_max else MAXIMIZE,
-        variables=dvars,
-        objective=dobj,
+        variables=[row.label for row in lp.rows],
+        objective=None,
         rows=drows,
-        bounds=dbounds,
+        bounds={row.label: dual_bound[row.relation] for row in lp.rows
+                if dual_bound[row.relation] != _NONNEG},
         name=f"dual({lp.name})",
+        coefficients=np.vstack([A[:-1].T, rhs]),
     )
 
 

@@ -5,10 +5,12 @@ lam*SF(sigma') + mu*SF(sigma) for every ordered profile pair; any such
 certificate with mu < 1 bounds every equilibrium notion's inefficiency by
 lam/(1-mu).  The infimum of that ratio over the certificate polyhedron is a
 linear-fractional program, one LP after the Charnes-Cooper transform
-t = 1/(1-mu) (Charnes & Cooper 1962), exact on Fraction input.  It is
-solved as its 3-row dual; the certificate is read off the row duals and
-checked.  mu may be negative but stays below 1 (t > 0): the closure point
-(0, 1) satisfies the pair rows of some degenerate games, certifying nothing.
+t = 1/(1-mu) (Charnes & Cooper 1962), exact on Fraction input.  Only its
+3-row dual is written, from the pair tables as one coefficient array; the
+certificate is read off that dual's row duals and checked against the
+Charnes-Cooper rows, which are the dual's own dual rows.  mu may be
+negative but stays below 1 (t > 0): the closure point (0, 1) satisfies the
+pair rows of some degenerate games, certifying nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from . import linprog as lp
 from .games import (
@@ -110,38 +114,43 @@ class RobustPoA:
     probes: int  # LP solves
 
 
-def _pair_rows(sf, dev):
-    """lam*SF(sigma') + mu*SF(sigma) - t*dev(sigma, sigma') >= 0 for every
-    ordered pair; t = 1 gives the certificate rows themselves."""
-    rows = []
-    for a, sf_a in enumerate(sf):
-        for b, sf_b in enumerate(sf):
-            coeffs = {}
-            if sf_b:
-                coeffs["lam"] = sf_b
-            if sf_a:
-                coeffs["mu"] = sf_a
-            if dev[a][b]:
-                coeffs["t"] = -dev[a][b]
-            rows.append(lp.Row(coeffs, lp.GE, 0, f"pair[{a}][{b}]"))
-    return rows
+def _ratio_dual(sf, dev, exact: bool) -> lp.LinearProgram:
+    """The dual of the Charnes-Cooper program, written from the pair tables
+    as one coefficient array.  Its rows lam, mu and t are the program's
+    variables ("lam" and "mu" standing for lam*t and mu*t), its columns
+    pair[a][b] and unit its rows: lam*SF(sigma_b) + mu*SF(sigma_a) -
+    t*dev(sigma_a, sigma_b) >= 0 for every ordered pair and t - mu = 1.
+    Those rows are this program's dual rows, so lp.dual_violations checks
+    a certificate point against them."""
+    sf = np.array(sf, dtype=object if exact else np.float64)
+    pairs = len(sf) ** 2
+    coefficients = np.zeros((4, pairs + 1), dtype=sf.dtype)
+    coefficients[:3, :pairs] = [np.tile(sf, len(sf)), np.repeat(sf, len(sf)),
+                                -np.array(dev, dtype=sf.dtype).ravel()]
+    coefficients[:, pairs] = (0, -1, 1, 1)  # unit's column: t - mu = 1; maximize unit
+    labels = [f"pair[{a}][{b}]" for a in range(len(sf)) for b in range(len(sf))]
+    rows = [lp.Row(None, lp.EQ, 1, "lam"), lp.Row(None, lp.EQ, 0, "mu"),
+            lp.Row(None, lp.LE, 0, "t")]
+    return lp.LinearProgram(lp.MAXIMIZE, labels + ["unit"], None, rows,
+                            bounds={"unit": lp.FREE}, name="smooth_probe_dual",
+                            coefficients=coefficients)
 
 
-def _certificate_point(program: lp.LinearProgram, exact: bool) -> Optional[dict]:
-    """The Charnes-Cooper program's optimal point, off the row duals of its
-    3-row dual, or None when that dual is not OPTIMAL.  lp.solve checks only
-    the dual's point, so this one's rows, bounds and lam (against the dual's
-    optimum) are checked: exactly in exact mode, else within RESIDUAL_TOL of
-    1 + max|x|, and a float point that fails is solved for in rationals."""
-    dual = lp.dualize(program)
-    dual.name = "smooth_probe_dual"
+def _certificate_point(dual: lp.LinearProgram, exact: bool) -> Optional[tuple]:
+    """The Charnes-Cooper program's optimal point (lam, mu, t), off the row
+    duals of its 3-row dual, or None when that dual is not OPTIMAL.
+    lp.solve checks only the dual's point, so this one's rows (the dual's
+    dual rows), t >= 0 and lam (against the dual's optimum) are checked:
+    exactly in exact mode, else within RESIDUAL_TOL of 1 + max|x|, and a
+    float point that fails is solved for in rationals."""
     for arithmetic in (True,) if exact else (False, True):
         rep = lp.solve(dual, arithmetic)
         if rep.status != lp.OPTIMAL:
             return None
-        x = {v: rep.duals[v] for v in program.variables}
-        worst = max(lp.feasibility_report(program, x, tol=0)[2], abs(x["lam"] - rep.value))
-        if worst == 0 or not exact and worst / (1 + max(map(abs, x.values()))) <= lp.RESIDUAL_TOL:
+        x = [rep.duals[row.label] for row in dual.rows]
+        lam, _, t = x
+        worst = max(0, *lp.dual_violations(dual, x).tolist(), 0 - t, abs(lam - rep.value))
+        if worst == 0 or not exact and worst / (1 + max(map(abs, x))) <= lp.RESIDUAL_TOL:
             return x
     raise lp.SolverError(f"smoothness certificate point misses its rows or value by {worst}")
 
@@ -181,22 +190,12 @@ def robust_poa(
         big = float(max(max(sf), max(abs(x) for row in dev for x in row), 1.0))
         sf = [v / big for v in sf]
         dev = [[x / big for x in row] for row in dev]
-    # Charnes-Cooper: "lam" and "mu" stand for lam*t and mu*t with
-    # t = 1/(1-mu), so the ratio is the objective and mu < 1 is t > 0
-    program = lp.LinearProgram(
-        lp.MINIMIZE,
-        ["lam", "mu", "t"],
-        {"lam": 1},
-        _pair_rows(sf, dev) + [lp.Row({"t": 1, "mu": -1}, lp.EQ, 1, "unit")],
-        bounds={"lam": lp.FREE, "mu": lp.FREE},
-        name="smooth_probe_ratio",
-    )
-    x = _certificate_point(program, exact)
+    # Charnes-Cooper: lam*t and mu*t with t = 1/(1-mu), so the ratio is the
+    # objective and mu < 1 is t > 0
+    x = _certificate_point(_ratio_dual(sf, dev, exact), exact)
     if x is None:
         return RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 1)
-    if not exact:
-        x = {v: float(c) for v, c in x.items()}
-    lam, mu, t = x["lam"], x["mu"], x["t"]
+    lam, mu, t = x if exact else map(float, x)
     if t <= _tol(t):
         # the row duals may pick the t = 0 end of an optimal face: hold lam*t at
         # the optimum and mu*t at t - 1 (the unit row), and take the largest t

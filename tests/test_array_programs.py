@@ -167,6 +167,36 @@ def test_array_program_solves_as_its_dict_twin():
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 
 
+def test_dual_violations_are_the_rows_of_dualize():
+    """lp.dual_violations at row duals gives, value for value and type for
+    type, each row's part of lp.feasibility_report on lp.dualize of the
+    program, array or dict form: over both senses and >= 0, <= 0 and free
+    variables, with float duals on float programs, Fraction duals on
+    exact ones and Fraction duals on float ones."""
+    rng = random.Random(20)
+    seen = set()
+    for case in range(150):
+        exact, fractions = case % 3 == 1, case % 3 != 0
+        as_dicts, as_array = _random_program(rng, exact)
+        duals = [F(rng.randint(-6, 6), 4) for _ in as_array.rows]
+        if not fractions:
+            duals = [float(y) for y in duals]
+        violations = lp.dual_violations(as_array, duals).tolist()
+        for program in (as_array, as_dicts):
+            dual = lp.dualize(program)
+            point = dict(zip(dual.variables, duals))
+            free = {v: lp.FREE for v in dual.variables}
+            for j, (row, v) in enumerate(zip(dual.rows, violations)):
+                alone = lp.LinearProgram(dual.sense, dual.variables, None,
+                                         [lp.Row(None, row.relation, row.rhs, row.label)],
+                                         free, coefficients=dual.coefficients[[j, -1]])
+                want = (False, row.label, v) if v > 0 else (True, None, 0)
+                assert repr(lp.feasibility_report(alone, point, 0)) == repr(want), (case, j)
+        seen.add(as_array.sense)
+        seen.update(as_array.bound(v) for v in as_array.variables)
+    assert seen == {lp.MAXIMIZE, lp.MINIMIZE, (0, None), (None, 0), lp.FREE}
+
+
 def test_coefficient_array_must_be_rows_by_variables():
     rows = [lp.Row(None, lp.LE, 1, "r")]
     for shape in ((1, 2), (2, 1), (3, 2), (4,)):

@@ -26,3 +26,9 @@ def test_demo_runs(demo):
 def test_cli_tour_runs():
     done = run_demo(["bash", str(ROOT / "demos" / "cli_tour.sh")])
     assert done.returncode == 0, done.stderr
+
+
+def test_simplex_kernel_demo_prints_the_dual():
+    done = run_demo([sys.executable, str(ROOT / "demos" / "simplex_kernel.py")])
+    assert ("dual program:   2 rows over 2 variables\n"
+            "dual optimum:   12.0  (strong duality: equals the primal optimum)\n") in done.stdout

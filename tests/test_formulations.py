@@ -13,7 +13,9 @@ the increased load; right side / gamma side: the social values |P|^2 and
 |Q|^2).  Everything else about the programs is tested structurally.
 """
 
+import builtins
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -490,7 +492,7 @@ CHECK_CASES = list(check_cases())
 
 
 def test_certificate_pass_is_feasibility_report_on_dp():
-    """The reduced-cost pass gives lp.feasibility_report's (ok, first
+    """The certificate check gives lp.feasibility_report's (ok, first
     violated label, worst violation) on build_dp_pne, repr for repr, for
     the solved certificate and for certificates with one dual moved by
     -1e-6, 1e-6, -1 or 1 (-1e-6 or 1 in exact arithmetic).  An exact
@@ -498,35 +500,33 @@ def test_certificate_pass_is_feasibility_report_on_dp():
     to denominators of at most 10^6, and at n = 2 also against its exact
     duals.  Among the moved certificates every kind of first
     violation occurs: a column row, zsum and a sign bound."""
-    from poacert.formulations import (
-        _certificate_name, _certificate_report, _closed_form, _column_names, _row_table)
+    from poacert.formulations import _certificate_name, _certificate_report
 
     firsts = set()
     for param in CHECK_CASES:
         cfg, exact = param.values
         rep = build_representative(cfg.weights)
-        columns, names = _closed_form(cfg, rep), _column_names(cfg, rep)
         tol = 0 if exact else FEAS_TOL
         num = (lambda y: F(y).limit_denominator(10**6)) if exact else float
         for d, rp in float_optima(cfg):
             if rp.status != lp.OPTIMAL:
                 continue
-            objective, rows = _row_table(cfg, *columns, d)
-            dp = build_dp_pne(cfg, rep, d)
-            solved = [[num(rp.duals[label]) for label, *_ in rows]]
+            program, dp = build_pp_pne(cfg, rep, d), build_dp_pne(cfg, rep, d)
+            labels = [row.label for row in program.rows]
+            solved = [[num(rp.duals[label]) for label in labels]]
             if exact and cfg.n == 2:
-                exact_rp = lp.solve(build_pp_pne(cfg, rep, d), exact=True)
-                solved.append([exact_rp.duals[label] for label, *_ in rows])
+                exact_rp = lp.solve(program, exact=True)
+                solved.append([exact_rp.duals[label] for label in labels])
             moved = []
-            for i in range(len(rows)):
+            for i in range(len(labels)):
                 for delta in (F(-1, 10**6), 1) if exact else (F(-1, 10**6), F(1, 10**6), -1, 1):
                     duals = list(solved[0])
                     duals[i] += num(delta)
                     moved.append(duals)
             for k, duals in enumerate(solved + moved):
-                cert = {_certificate_name(label): y for (label, *_), y in zip(rows, duals)}
+                cert = {_certificate_name(label): y for label, y in zip(labels, duals)}
                 want = lp.feasibility_report(dp, cert, tol)
-                got = _certificate_report(names, objective, rows, duals, tol)
+                got = _certificate_report(program, duals, tol)
                 assert repr(got) == repr(want), (param.id, d, k)
                 if k >= len(solved) and not got[0]:
                     firsts.add(got[1].split("[")[0])
@@ -803,3 +803,68 @@ def test_extension_pass_is_feasibility_report_on_dp_cce():
                     if k and not report.ok:
                         firsts.add(report.first_violated.split("[")[0])
     assert firsts == {"r", "zsum"}
+
+
+def _compensated_sum(iterable, start=0):
+    """The builtin sum of CPython 3.12 and later, on this interpreter: ints
+    are added exactly; from the first float on, floats are added with
+    Neumaier's compensation, the correction added once at the end (or
+    before the first item that is neither float nor int); any other item
+    is added with +."""
+    items = iter(iterable)
+    total = start
+    for item in items:
+        if type(total) is int and type(item) in (int, bool):
+            total += item
+            continue
+        total = total + item
+        break
+    else:
+        return total
+    if type(total) is not float:
+        for item in items:
+            total = total + item
+        return total
+    correction = 0.0
+    for item in items:
+        if type(item) is float:
+            t = total + item
+            if abs(total) >= abs(item):
+                correction += (total - t) + item
+            else:
+                correction += (item - t) + total
+            total = t
+        elif type(item) in (int, bool):
+            total += float(item)
+        else:
+            if correction and math.isfinite(correction):
+                total += correction
+            total = total + item
+            for rest in items:
+                total = total + rest
+            return total
+    if correction and math.isfinite(correction):
+        total += correction
+    return total
+
+
+def test_compensated_sum_is_the_newer_builtin_sum():
+    """The emulation compensates where the older builtin sum rounds."""
+    assert _compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    assert _compensated_sum([0.1] * 10) == 1.0
+    assert _compensated_sum([1, 2, F(1, 2)]) == F(7, 2)
+    assert _compensated_sum([]) == 0 and type(_compensated_sum([])) is int
+
+
+@pytest.mark.parametrize("check", [
+    test_certificate_pass_is_feasibility_report_on_dp,
+    test_extension_pass_is_feasibility_report_on_dp_cce,
+    test_witness_check_is_feasibility_report_on_pp,
+], ids=["certificate", "extension", "witness"])
+def test_checks_do_not_depend_on_the_builtin_sum(monkeypatch, check):
+    """Each check gives lp.feasibility_report's verdict, label and
+    violation on the program it stands for, repr for repr, also when the
+    builtin sum compensates float sums, as it does from Python 3.12: no
+    check reads its rows through the builtin sum."""
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    check()

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from conftest import g1, g1_spec
@@ -20,6 +21,7 @@ from poacert.linprog import (
     LinearProgram,
     Row,
     SolverError,
+    dual_violations,
     dualize,
     feasibility_report,
     solve,
@@ -417,6 +419,31 @@ def _reference_feasibility_report(lp, point, tol):
             if v > tol and first is None:
                 first = f"bound[{var}]"
     return first is None, first, worst
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_rows_add_in_array_order_with_one_rounding_per_addition(exact):
+    """1e16 x + y - 1e16 z at (1, 1, 1): in float, 1e16 + 1 rounds back to
+    1e16 and the lhs is 0; exactly, it is 1.  As a primal row <= 1/2 the
+    row holds in float and fails by 1/2 exactly.  As the dual row of a
+    >= 0 variable of a max program, the same terms read >= 1/2, and the
+    verdicts swap.  A compensated or reordered sum would give 1 in float."""
+    num = F if exact else float
+    terms = [num(10**16), num(1), num(-10**16)]
+    dtype = object if exact else np.float64
+    row = LinearProgram(MAXIMIZE, ["x", "y", "z"], None, [Row(None, LE, num(F(1, 2)), "r")],
+                        coefficients=np.array([terms, [0, 0, 0]], dtype=dtype))
+    column = LinearProgram(MAXIMIZE, ["v"], None, [Row(None, LE, 0, f"r{i}") for i in range(3)],
+                           coefficients=np.array([[c] for c in terms + [num(F(1, 2))]], dtype=dtype))
+    ones = [num(1)] * 3
+    report = feasibility_report(row, dict(zip("xyz", ones)), 0)
+    violation = dual_violations(column, ones).tolist()
+    if exact:
+        assert repr(report) == repr((False, "r", F(1, 2)))
+        assert repr(violation) == repr([F(-1, 2)])
+    else:
+        assert report == (True, None, 0)
+        assert repr(violation) == repr([0.5])
 
 
 def test_feasibility_report_matches_a_reference_loop():

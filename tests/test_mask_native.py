@@ -10,6 +10,8 @@ code must give the same arrays bit for bit and the same witness games,
 repr for repr.
 """
 
+import functools
+import operator
 import random
 import sys
 from fractions import Fraction as F
@@ -144,7 +146,7 @@ def _reference_point_report(names, rows, values, level, tol):
         coeffs = a[at]
         keep = coeffs != 0
         terms = (coeffs[keep] * x[keep]).tolist() + ([t * level] if t else [])
-        gap = sum(terms) - rhs
+        gap = functools.reduce(operator.add, terms, 0) - rhs
         checks.append((label, abs(gap) if rel == lp.EQ else gap))
     checks += [(f"bound[{names[j]}]", 0 - values[j]) for j in support]
     if any(t for *_, t in rows):

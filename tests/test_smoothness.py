@@ -32,13 +32,31 @@ from poacert.smoothness import (
     OPTIMAL,
     RobustPoA,
     SmoothnessCertificate,
-    _pair_rows,
     _pair_tables,
+    _ratio_dual,
     check_smooth,
     is_sum_bounded,
     robust_poa,
     validate_smoothness_claims,
 )
+
+
+def _pair_rows(sf, dev):
+    """Reference: lam*SF(sigma') + mu*SF(sigma) - t*dev(sigma, sigma') >= 0
+    for every ordered pair, as dict rows; t = 1 gives the certificate rows
+    themselves."""
+    rows = []
+    for a, sf_a in enumerate(sf):
+        for b, sf_b in enumerate(sf):
+            coeffs = {}
+            if sf_b:
+                coeffs["lam"] = sf_b
+            if sf_a:
+                coeffs["mu"] = sf_a
+            if dev[a][b]:
+                coeffs["t"] = -dev[a][b]
+            rows.append(lp.Row(coeffs, lp.GE, 0, f"pair[{a}][{b}]"))
+    return rows
 
 
 _STRICT = 1e-12  # mu < 1 enforced up to this margin in the probe
@@ -345,9 +363,9 @@ def test_exact_sum_bound_compares_with_zero():
     assert is_sum_bounded(g1(exact=False), spec) == (True, None)
 
 
-def _primal_value(sf, dev):
-    """Reference: the Charnes-Cooper program itself, solved in rationals."""
-    program = lp.LinearProgram(
+def _charnes_cooper(sf, dev):
+    """Reference: the Charnes-Cooper program itself, as dict rows."""
+    return lp.LinearProgram(
         lp.MINIMIZE,
         ["lam", "mu", "t"],
         {"lam": 1},
@@ -355,7 +373,11 @@ def _primal_value(sf, dev):
         bounds={"lam": lp.FREE, "mu": lp.FREE},
         name="smooth_probe_ratio",
     )
-    rep = lp.solve(program, exact=True)
+
+
+def _primal_value(sf, dev):
+    """Reference: the Charnes-Cooper program, solved in rationals."""
+    rep = lp.solve(_charnes_cooper(sf, dev), exact=True)
     assert rep.status == lp.OPTIMAL
     return rep.value
 
@@ -455,3 +477,32 @@ def test_t_zero_end_of_an_optimal_face_is_moved_to_a_certificate(exact):
     assert r.value == pytest.approx(3.2, rel=VALUE_RTOL)
     assert r.lam / (1 - r.mu) == pytest.approx(r.value, rel=VALUE_RTOL)
     assert check_smooth(g, spec, SmoothnessCertificate(r.lam, r.mu)) == (True, None)
+
+
+def _fields(program):
+    """A program's contents, without its name."""
+    return program.sense, program.variables, program.objective, program.rows, program.bounds
+
+
+def test_ratio_dual_is_the_dual_of_the_charnes_cooper_program():
+    """lp.dualize of robust_poa's 3-row dual, written from the pair tables,
+    is the Charnes-Cooper program, and dualizing twice gives the 3-row dual
+    back: on seeded two-player games, float and exact, sum and max, and on
+    seed 147's max game, whose row duals land at t = 0."""
+    cases = []
+    for seed in (147, *range(12)):
+        for exact in (False, True):
+            one = F(1) if exact else 1.0
+            rng = seeded(seed)
+            weights = tuple(one * rng.choice((1, 2, 3)) / 2 for _ in range(2))
+            g = random_game(rng, weights, (X,), identity_matrix(2, exact), exact)
+            for kind in (SUM, MAX):
+                beta = random_matrix(rng, 2, 0, 1, exact)
+                if any(any(row) for row in beta):
+                    cases.append((g, SocialSpec(kind, beta), exact))
+    for g, spec, exact in cases:
+        _, sf, dev = _pair_tables(g, spec, PROFILE_CAP)
+        dual = _ratio_dual(sf, dev, exact)
+        assert _fields(lp.dualize(dual)) == _fields(_charnes_cooper(sf, dev))
+        assert _fields(lp.dualize(lp.dualize(dual))) == _fields(dual)
+    assert len(cases) >= 40
