@@ -14,18 +14,17 @@ except ImportError:  # running from a source checkout without installing
 
 from fractions import Fraction as F
 
+import numpy as np
+
 from poacert import linprog as lp
 
-program = lp.LinearProgram(
-    lp.MAXIMIZE,
-    ["x", "y"],
-    {"x": 3, "y": 2},
-    [
-        lp.Row({"x": 1, "y": 1}, lp.LE, 4, "capacity"),
-        lp.Row({"x": 1, "y": 3}, lp.LE, 6, "budget"),
-    ],
-    name="tiny",
-)
+# one row of coefficients per constraint, then the objective, one column
+# per variable
+rows = [lp.Row(lp.LE, 4, "capacity"), lp.Row(lp.LE, 6, "budget")]
+table = [[1, 1], [1, 3], [3, 2]]
+
+program = lp.LinearProgram(lp.MAXIMIZE, ["x", "y"], rows,
+                           np.array(table, dtype=np.float64), name="tiny")
 
 rep = lp.solve(program)
 print(f"float solve:    value {rep.value}, point {rep.primal}")
@@ -34,11 +33,8 @@ print(f"row duals:      {rep.duals}")
 exact = lp.LinearProgram(
     lp.MAXIMIZE,
     ["x", "y"],
-    {"x": F(3), "y": F(2)},
-    [
-        lp.Row({"x": F(1), "y": F(1)}, lp.LE, F(4), "capacity"),
-        lp.Row({"x": F(1), "y": F(3)}, lp.LE, F(6), "budget"),
-    ],
+    [lp.Row(lp.LE, F(4), "capacity"), lp.Row(lp.LE, F(6), "budget")],
+    np.array([[F(c) for c in row] for row in table], dtype=object),
     name="tiny",
 )
 rex = lp.solve(exact, exact=True)

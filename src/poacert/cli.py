@@ -362,7 +362,8 @@ def cmd_selftest(args) -> int:
         wit = lemma1_witness(cfg, rep)
         pp = build_pp_pne(cfg, rep, wit.designated)
         feas, label, viol = lp.feasibility_report(pp, wit.values, FEAS_TOL)
-        obj = sum(pp.objective.get(v, 0) * x for v, x in wit.values.items())
+        objective = dict(zip(pp.variables, pp.coefficients[-1].tolist()))
+        obj = sum(objective[v] * x for v, x in wit.values.items())
         record(f"{tag} witness", feas and abs(obj - 1) <= FEAS_TOL,
                f"objective {obj}, worst violation {viol}")
         if result.status == INFINITE:

@@ -239,7 +239,7 @@ def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.Line
     """The program of a row table: its arrays, one row each and then the
     objective, over the columns names (and t, under max) as the program's
     coefficient array."""
-    lp_rows = [lp.Row(None, rel, rhs, label) for label, rel, rhs, _, _ in rows]
+    lp_rows = [lp.Row(rel, rhs, label) for label, rel, rhs, _, _ in rows]
     forms = np.array([a for _, _, _, a, _ in rows] + ([] if objective is None else [objective]))
     size, level = rows[0][3].size, cfg.spec.kind != SUM
     coefficients = np.zeros((len(rows) + 1, size + level), dtype=forms.dtype)
@@ -247,9 +247,8 @@ def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.Line
     if level:
         names = names + ["t"]
         coefficients[:, size] = [t for _, _, _, _, t in rows] + [1]
-    return lp.LinearProgram(lp.MAXIMIZE, names, None, lp_rows,
-                            name=f"pp_max_d{designated}" if level else "pp_sum",
-                            coefficients=coefficients)
+    return lp.LinearProgram(lp.MAXIMIZE, names, lp_rows, coefficients,
+                            name=f"pp_max_d{designated}" if level else "pp_sum")
 
 
 def build_pp_cce(
@@ -431,15 +430,13 @@ def _certificate_program(pp: lp.LinearProgram) -> lp.LinearProgram:
     variable v[e][k] is labelled r[v[e][k]], and the last row, that of the
     max programs' level variable t, zsum."""
     dual = lp.dualize(pp)
-    rows = [lp.Row(None, row.relation, row.rhs, _dual_row_name(row.label)) for row in dual.rows]
     return lp.LinearProgram(
         dual.sense,
         [_certificate_name(label) for label in dual.variables],
-        None,
-        rows,
+        [row._replace(label=_dual_row_name(row.label)) for row in dual.rows],
+        dual.coefficients,
         bounds={_certificate_name(v): b for v, b in dual.bounds.items()},
         name="d" + pp.name[1:],
-        coefficients=dual.coefficients,
     )
 
 
@@ -624,7 +621,10 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
         if not ok:
             raise InvariantViolation(f"certificate violates {label} by {violation}")
         cert = {_certificate_name(row.label): y for row, y in zip(program.rows, duals)}
-        bound = sum(row.rhs * y for row, y in zip(program.rows, duals) if row.rhs != 0)
+        # rhs times duals added in row order by lp._combination, not by the
+        # builtin sum, which compensates float sums from Python 3.12
+        rhs = np.array([[row.rhs] for row in program.rows], dtype=object)
+        bound = lp._combination(rhs, duals)[0]
         if not _close(bound, rp.value, 0 if exact else VALUE_RTOL):
             raise InvariantViolation(f"duality gap: primal {rp.value} vs certificate {bound}")
         variants.append(

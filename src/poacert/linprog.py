@@ -7,11 +7,9 @@ fails or ends at a point violating its own rows is redone in rationals, so
 SolverError means the rational run failed too; the solver never reports
 OPTIMAL on an inconclusive run.
 
-A program keeps its coefficients in one array, rows by variables plus the
-objective as a last row, and that array is the one path into the tableau.
-Rows arrive either as dicts {variable: coefficient}, which the program
-compiles into the array in its one name-to-position pass, or as that array
-itself; either way Row.coeffs and LinearProgram.objective read as mappings.
+A program is stated as one coefficient array, rows by variables plus the
+objective as a last row, and that array is the one path into the tableau;
+each Row holds only the relation, rhs and label of its row of the array.
 dualize is the array's transpose.  feasibility_report (rows at a point)
 and dual_violations (the dual's rows at row duals, no dual built) read the
 array through one linear combination of its slices, _combination, whose
@@ -32,9 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from collections.abc import Mapping, Sequence
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,61 +62,27 @@ class SolverError(Exception):
 
 
 class Row(NamedTuple):
-    """coeffs R rhs, labelled; a named tuple builds faster than a frozen
-    dataclass, and every program builds one per row."""
+    """One row of a program, lhs R rhs, labelled; its lhs coefficients are
+    the matching row of the program's coefficient array."""
 
-    coeffs: Mapping[str, object]
     relation: str
     rhs: object
     label: str
 
 
-class _Nonzeros(Mapping):
-    """The nonzero entries of one row of a coefficient array, by variable
-    name in column order, as a dict built when first read."""
-
-    def __init__(self, names: Sequence[str], values: np.ndarray):
-        self._names, self._values, self._entries = names, values, None
-
-    def _dict(self) -> dict:
-        if self._entries is None:
-            nz = np.flatnonzero(self._values)
-            self._entries = dict(zip([self._names[j] for j in nz], self._values[nz].tolist()))
-        return self._entries
-
-    def __getitem__(self, name):
-        return self._dict()[name]
-
-    def __iter__(self):
-        return iter(self._dict())
-
-    def __len__(self):
-        return len(self._dict())
-
-    def items(self):
-        return self._dict().items()
-
-    def __repr__(self):
-        return repr(self._dict())
-
-
-@dataclass
+@dataclass(eq=False)
 class LinearProgram:
-    """A program whose coefficients are one array, rows by variables with
-    the objective as a last row (float64, or object over Python numbers).
-
-    Given dict rows and a dict objective, the program compiles them into
-    that array.  Given the array as coefficients, the objective and every
-    row's coeffs are None and read back as the array's nonzero entries.
-    Either way programs compare by their mappings, not by the array."""
+    """A program stated as one coefficient array, rows by variables with
+    the objective as a last row: float64, or object over Python numbers.
+    rows[i] holds the relation, rhs and label of the array's row i.
+    Programs compare by identity."""
 
     sense: str
     variables: Sequence[str]
-    objective: Optional[Mapping[str, object]]
     rows: Sequence[Row]
+    coefficients: np.ndarray
     bounds: Mapping[str, tuple] = field(default_factory=dict)
     name: str = "lp"
-    coefficients: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.sense not in (MAXIMIZE, MINIMIZE):
@@ -129,17 +92,13 @@ class LinearProgram:
         if len(declared) != len(self.variables):
             raise ValueError("duplicate variable names")
         shape = (len(self.rows) + 1, len(self.variables))
-        if self.coefficients is None:
-            self.coefficients = _compile(self.variables, self.objective, self.rows)
-        elif self.coefficients.shape != shape:
+        if self.coefficients.shape != shape:
             raise ValueError(f"coefficient array of shape {self.coefficients.shape}, "
                              f"not rows + 1 (the objective) by variables {shape}")
-        elif self.objective is not None or any(row.coeffs is not None for row in self.rows):
-            raise ValueError("a program given its coefficient array takes no dict rows")
-        else:
-            self.objective = _Nonzeros(self.variables, self.coefficients[-1])
-            self.rows = [Row(_Nonzeros(self.variables, a), row.relation, row.rhs, row.label)
-                         for row, a in zip(self.rows, self.coefficients)]
+        if self.coefficients.dtype not in (np.float64, object):
+            # an integer array would cast a point or duals read against it to int
+            raise ValueError(f"coefficient array of dtype {self.coefficients.dtype}, "
+                             "not float64 or object")
         labels = set()
         for row in self.rows:
             if row.relation not in (LE, EQ, GE):
@@ -156,26 +115,6 @@ class LinearProgram:
 
     def bound(self, v: str) -> tuple:
         return self.bounds.get(v, _NONNEG)
-
-
-def _compile(variables: tuple, objective: Mapping, rows: Sequence[Row]) -> np.ndarray:
-    """The coefficient array of dict rows and a dict objective, every entry
-    placed by one lookup of its name, which also rejects a name the program
-    does not declare (the objective's first, then the rows' in order)."""
-    position = {v: j for j, v in enumerate(variables)}
-    forms = [row.coeffs for row in rows] + [objective]
-    try:
-        cols = np.fromiter(map(position.__getitem__, chain.from_iterable(forms)), dtype=np.intp)
-    except KeyError:
-        for what, form in [("objective", objective)] + [(f"row {r.label!r}", r.coeffs) for r in rows]:
-            for v in form:
-                if v not in position:
-                    raise ValueError(f"{what} references undeclared variable {v!r}") from None
-        raise
-    at = np.repeat(np.arange(len(forms)), [len(form) for form in forms])
-    out = np.zeros((len(forms), len(variables)), dtype=object)
-    out[at, cols] = np.array(list(chain.from_iterable(form.values() for form in forms)), dtype=object)
-    return out
 
 
 FREE = (None, None)
@@ -649,16 +588,14 @@ def dualize(lp: LinearProgram) -> LinearProgram:
     rhs = np.array([row.rhs for row in lp.rows], dtype=object)
     if A.dtype != object and (rhs.astype(A.dtype) == rhs).all():
         rhs = rhs.astype(A.dtype)
-    drows = [Row(None, row_rel[lp.bound(v)], c, v) for v, c in zip(lp.variables, A[-1].tolist())]
     return LinearProgram(
         sense=MINIMIZE if primal_max else MAXIMIZE,
         variables=[row.label for row in lp.rows],
-        objective=None,
-        rows=drows,
+        rows=[Row(row_rel[lp.bound(v)], c, v) for v, c in zip(lp.variables, A[-1].tolist())],
+        coefficients=np.vstack([A[:-1].T, rhs]),
         bounds={row.label: dual_bound[row.relation] for row in lp.rows
                 if dual_bound[row.relation] != _NONNEG},
         name=f"dual({lp.name})",
-        coefficients=np.vstack([A[:-1].T, rhs]),
     )
 
 

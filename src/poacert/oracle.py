@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import linprog as lp
 from .games import (
     EQ1,
@@ -139,24 +141,26 @@ def worst_cce(
     individual_costs pass over the profiles."""
     costs = _cost_table(game, cap, "worst_cce")
     variables = [f"p[{idx}]" for idx in range(len(costs))]
-    coeffs: dict = {}  # (i, x) -> row coefficients, filled one profile at a time
-    for var, prof in zip(variables, costs):
+    gap_rows: dict = {}  # (i, x) -> its row's entries, filled one profile at a time
+    for col, prof in enumerate(costs):
         gaps = (_verbatim_gaps(game, prof, epsilon, costs.__getitem__) if predicate == VERBATIM
                 else deviation_gaps(game, prof, epsilon, predicate))
         for i, x_idx, gap in gaps:
-            row = coeffs.setdefault((i, x_idx), {})
+            row = gap_rows.setdefault((i, x_idx), [0] * len(costs))
             if gap != 0:
-                row[var] = gap
-    rows = [lp.Row(row, lp.LE, 0, f"cce[{i}][{x_idx}]") for (i, x_idx), row in coeffs.items()]
-    rows.append(lp.Row({v: 1 for v in variables}, lp.EQ, 1, "mass"))
+                row[col] = gap
+    # rows cce[i][x] in first-seen order, then mass, then the objective, one
+    # column per profile; an entry is int 0 where its value is 0
+    coefficients = np.array([*gap_rows.values(), [1] * len(costs), [0] * len(costs)],
+                            dtype=object)
+    rows = [lp.Row(lp.LE, 0, f"cce[{i}][{x_idx}]") for i, x_idx in gap_rows]
+    rows.append(lp.Row(lp.EQ, 1, "mass"))
 
     def run(player, name):
-        objective = {}
-        for var, c in zip(variables, costs.values()):
-            v = social_of_costs(spec, c) if player is None else _weighted(spec.beta[player], c)
-            if v != 0:
-                objective[var] = v
-        program = lp.LinearProgram(lp.MAXIMIZE, variables, objective, rows, name=name)
+        values = (social_of_costs(spec, c) if player is None else _weighted(spec.beta[player], c)
+                  for c in costs.values())
+        coefficients[-1] = [v or 0 for v in values]
+        program = lp.LinearProgram(lp.MAXIMIZE, variables, rows, coefficients, name=name)
         rep = lp.solve(program, exact=exact)
         if rep.status != lp.OPTIMAL:
             # the literal definition admits empty coarse sets when

@@ -129,11 +129,9 @@ def _ratio_dual(sf, dev, exact: bool) -> lp.LinearProgram:
                                 -np.array(dev, dtype=sf.dtype).ravel()]
     coefficients[:, pairs] = (0, -1, 1, 1)  # unit's column: t - mu = 1; maximize unit
     labels = [f"pair[{a}][{b}]" for a in range(len(sf)) for b in range(len(sf))]
-    rows = [lp.Row(None, lp.EQ, 1, "lam"), lp.Row(None, lp.EQ, 0, "mu"),
-            lp.Row(None, lp.LE, 0, "t")]
-    return lp.LinearProgram(lp.MAXIMIZE, labels + ["unit"], None, rows,
-                            bounds={"unit": lp.FREE}, name="smooth_probe_dual",
-                            coefficients=coefficients)
+    rows = [lp.Row(lp.EQ, 1, "lam"), lp.Row(lp.EQ, 0, "mu"), lp.Row(lp.LE, 0, "t")]
+    return lp.LinearProgram(lp.MAXIMIZE, labels + ["unit"], rows, coefficients,
+                            bounds={"unit": lp.FREE}, name="smooth_probe_dual")
 
 
 def _certificate_point(dual: lp.LinearProgram, exact: bool) -> Optional[tuple]:

@@ -1,9 +1,12 @@
-"""Shared fixtures: the canonical two-player game, seeded generators and
-the hand-built certificate program."""
+"""Shared fixtures: the canonical two-player game, seeded generators, the
+hand-built certificate program, and programs written as dict rows and
+read back entry by entry."""
 
 import itertools
 import random
 from fractions import Fraction as F
+
+import numpy as np
 
 # one verdict line per acceptance criterion, filled by test_acceptance and
 # replayed after the run (fd-level capture swallows prints made mid-test)
@@ -99,6 +102,47 @@ def seeded(seed):
     return random.Random(seed)
 
 
+def dict_program(sense, variables, objective, rows, bounds=None, name="lp"):
+    """The lp.LinearProgram of dict rows: each row (coefficients, relation,
+    rhs, label) with coefficients {variable: value}, and the objective such
+    a dict.  One name-to-position pass places every entry in an object
+    array, int 0 wherever a dict leaves one out; a name the program does
+    not declare is a ValueError (the objective's first, then the rows' in
+    order)."""
+    position = {v: j for j, v in enumerate(variables)}
+    named = [("objective", objective)] + [(f"row {label!r}", coeffs)
+                                          for coeffs, _, _, label in rows]
+    for what, form in named:
+        for v in form:
+            if v not in position:
+                raise ValueError(f"{what} references undeclared variable {v!r}")
+    forms = [coeffs for coeffs, _, _, _ in rows] + [objective]
+    coefficients = np.zeros((len(forms), len(variables)), dtype=object)
+    for i, form in enumerate(forms):
+        coefficients[i, [position[v] for v in form]] = np.array(list(form.values()), dtype=object)
+    lp_rows = [lp.Row(rel, rhs, label) for _, rel, rhs, label in rows]
+    return lp.LinearProgram(sense, variables, lp_rows, coefficients, bounds or {}, name)
+
+
+def nonzeros(program, i):
+    """{variable: value} of the nonzero entries of row i of a program's
+    coefficient array, in column order; row -1 is the objective."""
+    values = program.coefficients[i]
+    nz = np.flatnonzero(values)
+    return dict(zip([program.variables[j] for j in nz], values[nz].tolist()))
+
+
+def same_program(a, b):
+    """Whether two programs agree in sense, variables, rows, bounds and
+    name, and in their coefficient arrays entry by entry, by value (a
+    float64 entry equals the same number in an object array)."""
+    def fields(p):
+        return p.sense, p.variables, list(p.rows), p.bounds, p.name, p.coefficients.shape
+
+    return fields(a) == fields(b) and all(
+        x == y for x, y in zip(a.coefficients.ravel().tolist(), b.coefficients.ravel().tolist()))
+
+
 def closed_form_dual(n):
     """Independent certificate program for unit weights / identity matrices
     / latency x / sum objective: rows enumerated directly over ordered
@@ -114,6 +158,6 @@ def closed_form_dual(n):
         for i in q - p:
             coeffs[f"y[{i}]"] = -F(len(p) + 1)
         coeffs["gamma"] = F(len(q) ** 2)
-        rows.append(lp.Row(coeffs, lp.GE, F(len(p) ** 2), f"pq{pq}"))
+        rows.append((coeffs, lp.GE, F(len(p) ** 2), f"pq{pq}"))
     variables = [f"y[{i}]" for i in players] + ["gamma"]
-    return lp.LinearProgram(lp.MINIMIZE, variables, {"gamma": 1}, rows)
+    return dict_program(lp.MINIMIZE, variables, {"gamma": 1}, rows)

@@ -121,7 +121,7 @@ def rel_ok(a, b, tol=REL):
 
 
 def objective_at(program, values):
-    return sum(c * values.get(v, 0) for v, c in program.objective.items())
+    return sum(c * values.get(v, 0) for v, c in conftest.nonzeros(program, -1).items())
 
 
 # ============================================================

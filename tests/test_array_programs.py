@@ -2,10 +2,11 @@
 
 build_pp_pne hands the closed-form arrays to lp.LinearProgram as its
 coefficient array.  The reference builder below names every nonzero entry
-as a dict row instead, the way build_pp_pne did before; the two programs
-must be equal, and every reader of a program (the solver, dualize,
-build_dp_pne, to_fixed_format, feasibility_report) must give the same
-answer, repr for repr, on both.
+as a dict row instead, the way build_pp_pne did before, and conftest's
+dict_program places them; the two programs must agree entry by entry, and
+every reader of a program (the solver, dualize, build_dp_pne,
+to_fixed_format, feasibility_report) must give the same answer, repr for
+repr, on both.
 """
 
 import random
@@ -14,7 +15,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import seeded
+from conftest import dict_program, nonzeros, same_program, seeded
 from poacert import linprog as lp
 from poacert.formulations import (
     WorstCaseConfig,
@@ -41,13 +42,13 @@ def reference_pp_pne(cfg, rep, designated=None):
     objective, rows = _row_table(cfg, *_closed_form(cfg, rep), designated)
     names = np.array([vname(e, k) for e in rep.model.resources for k in range(len(cfg.basis))],
                      dtype=object)
-    lp_rows = [lp.Row({**_named(names, a), "t": t} if t else _named(names, a), rel, rhs, label)
-               for label, rel, rhs, a, t in rows]
+    dict_rows = [({**_named(names, a), "t": t} if t else _named(names, a), rel, rhs, label)
+                 for label, rel, rhs, a, t in rows]
     if cfg.spec.kind == SUM:
-        return lp.LinearProgram(
-            lp.MAXIMIZE, names.tolist(), _named(names, objective), lp_rows, name="pp_sum")
-    return lp.LinearProgram(lp.MAXIMIZE, names.tolist() + ["t"], {"t": 1}, lp_rows,
-                            name=f"pp_max_d{designated}")
+        return dict_program(
+            lp.MAXIMIZE, names.tolist(), _named(names, objective), dict_rows, name="pp_sum")
+    return dict_program(lp.MAXIMIZE, names.tolist() + ["t"], {"t": 1}, dict_rows,
+                        name=f"pp_max_d{designated}")
 
 
 def seeded_classes():
@@ -83,12 +84,13 @@ def designees(cfg):
 
 @pytest.mark.parametrize("cfg,exact", list(seeded_classes()))
 def test_pp_pne_is_its_dict_reference(cfg, exact):
-    """Equal programs and repr-identical solves; an exact class is also
-    solved in exact arithmetic, under max for its first designee only."""
+    """Programs equal entry by entry, and repr-identical solves; an exact
+    class is also solved in exact arithmetic, under max for its first
+    designee only."""
     rep = build_representative(cfg.weights)
     for d in designees(cfg):
         program, reference = build_pp_pne(cfg, rep, d), reference_pp_pne(cfg, rep, d)
-        assert program == reference
+        assert same_program(program, reference)
         assert repr(lp.solve(program)) == repr(lp.solve(reference)), d
         if exact and d in (None, 0):
             assert repr(lp.solve(program, True)) == repr(lp.solve(reference, True)), d
@@ -107,10 +109,10 @@ def test_readers_of_array_programs_match_the_dict_reference(cfg, exact):
         program, reference = build_pp_pne(cfg, rep, d), reference_pp_pne(cfg, rep, d)
         assert lp.to_fixed_format(program) == lp.to_fixed_format(reference)
         dual, dual_ref = lp.dualize(program), lp.dualize(reference)
-        assert dual == dual_ref
+        assert same_program(dual, dual_ref)
         assert repr(lp.solve(dual)) == repr(lp.solve(dual_ref))
         dp, dp_ref = build_dp_pne(cfg, rep, d), _certificate_program(reference)
-        assert dp == dp_ref
+        assert same_program(dp, dp_ref)
         assert lp.to_fixed_format(dp) == lp.to_fixed_format(dp_ref)
         rp = lp.solve(program)
         if rp.status != lp.OPTIMAL:
@@ -139,30 +141,29 @@ def _random_program(rng, exact):
     rows.append((lp.LE, num(12), "box"))
     table.insert(m, [num(1)] * n)  # the box row keeps the program bounded
     sense = rng.choice((lp.MAXIMIZE, lp.MINIMIZE))
-    dict_rows = [lp.Row({v: a for v, a in zip(names, coeffs) if a != 0}, rel, rhs, label)
+    dict_rows = [({v: a for v, a in zip(names, coeffs) if a != 0}, rel, rhs, label)
                  for coeffs, (rel, rhs, label) in zip(table, rows)]
     objective = {v: c for v, c in zip(names, table[-1]) if c != 0}
-    as_dicts = lp.LinearProgram(sense, names, objective, dict_rows, bounds)
+    as_dicts = dict_program(sense, names, objective, dict_rows, bounds)
     array = np.array(table, dtype=object if exact else np.float64)
-    as_array = lp.LinearProgram(sense, names, None, [lp.Row(None, *row) for row in rows],
-                                bounds, coefficients=array)
+    as_array = lp.LinearProgram(sense, names, [lp.Row(*row) for row in rows], array, bounds)
     return as_dicts, as_array
 
 
 def test_array_program_solves_as_its_dict_twin():
     """Over >= 0, <= 0 and free variables, in float and exact arithmetic,
-    an array program equals its dict twin, solves repr for repr, and
-    writes the same fixed-format text and dual."""
+    an array program equals its dict twin entry by entry, solves repr for
+    repr, and writes the same fixed-format text and dual."""
     rng = random.Random(18)
     statuses = set()
     for case in range(120):
         exact = case % 2 == 1
         as_dicts, as_array = _random_program(rng, exact)
-        assert as_array == as_dicts
+        assert same_program(as_array, as_dicts)
         report = lp.solve(as_array, exact)
         assert repr(report) == repr(lp.solve(as_dicts, exact)), case
         assert lp.to_fixed_format(as_array) == lp.to_fixed_format(as_dicts)
-        assert lp.dualize(as_array) == lp.dualize(as_dicts)
+        assert same_program(lp.dualize(as_array), lp.dualize(as_dicts))
         statuses.add(report.status)
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 
@@ -187,9 +188,8 @@ def test_dual_violations_are_the_rows_of_dualize():
             point = dict(zip(dual.variables, duals))
             free = {v: lp.FREE for v in dual.variables}
             for j, (row, v) in enumerate(zip(dual.rows, violations)):
-                alone = lp.LinearProgram(dual.sense, dual.variables, None,
-                                         [lp.Row(None, row.relation, row.rhs, row.label)],
-                                         free, coefficients=dual.coefficients[[j, -1]])
+                alone = lp.LinearProgram(dual.sense, dual.variables, [row],
+                                         dual.coefficients[[j, -1]], free)
                 want = (False, row.label, v) if v > 0 else (True, None, 0)
                 assert repr(lp.feasibility_report(alone, point, 0)) == repr(want), (case, j)
         seen.add(as_array.sense)
@@ -198,19 +198,10 @@ def test_dual_violations_are_the_rows_of_dualize():
 
 
 def test_coefficient_array_must_be_rows_by_variables():
-    rows = [lp.Row(None, lp.LE, 1, "r")]
+    rows = [lp.Row(lp.LE, 1, "r")]
     for shape in ((1, 2), (2, 1), (3, 2), (4,)):
         with pytest.raises(ValueError, match="coefficient array of shape"):
-            lp.LinearProgram(lp.MAXIMIZE, ["x", "y"], None, rows, coefficients=np.ones(shape))
-    program = lp.LinearProgram(lp.MAXIMIZE, ["x", "y"], None, rows, coefficients=np.ones((2, 2)))
-    assert program.rows[0].coeffs == {"x": 1.0, "y": 1.0}
-    assert program.objective == {"x": 1, "y": 1}
-
-
-def test_coefficient_array_takes_no_dict_rows():
-    with pytest.raises(ValueError, match="takes no dict rows"):
-        lp.LinearProgram(lp.MAXIMIZE, ["x"], None, [lp.Row({"x": 1}, lp.LE, 1, "r")],
-                         coefficients=np.ones((2, 1)))
-    with pytest.raises(ValueError, match="takes no dict rows"):
-        lp.LinearProgram(lp.MAXIMIZE, ["x"], {"x": 1}, [lp.Row(None, lp.LE, 1, "r")],
-                         coefficients=np.ones((2, 1)))
+            lp.LinearProgram(lp.MAXIMIZE, ["x", "y"], rows, np.ones(shape))
+    program = lp.LinearProgram(lp.MAXIMIZE, ["x", "y"], rows, np.ones((2, 2)))
+    assert nonzeros(program, 0) == {"x": 1.0, "y": 1.0}
+    assert nonzeros(program, -1) == {"x": 1, "y": 1}

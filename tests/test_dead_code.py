@@ -2,9 +2,11 @@
 
 Every function, class and module-level name that a poacert module defines
 is used again somewhere in the repository's Python code (src, tests,
-poabench, demos), and every name a poacert module imports is used in that
-module.  A refactor that leaves a helper without callers, or an import
-without a use, fails here.
+poabench, demos); a private (_-prefixed) one is used outside the tests
+(src, poabench, demos), so a path only tests take does not live in src.
+Every name a poacert module imports is used in that module.  A refactor
+that leaves a helper without callers, or an import without a use, fails
+here.
 """
 
 import ast
@@ -15,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "poacert"
 SEARCHED = ("src", "tests", "poabench", "demos")
+PRODUCTION = ("src", "poabench", "demos")
 EXEMPT = {"__all__", "__version__"}
 
 
@@ -57,21 +60,34 @@ def _modules():
     return sorted(PACKAGE.glob("*.py"))
 
 
-def test_every_definition_is_used_somewhere():
+def _used_in(tops):
     used = set()
-    for top in SEARCHED:
+    for top in tops:
         for path in (ROOT / top).rglob("*.py"):
-            tree = _tree(path)
             if path.parent == PACKAGE and path.name == "__init__.py":
                 continue  # a re-export is not a use
-            used.update(_uses(tree))
-    unused = sorted(
+            used.update(_uses(_tree(path)))
+    return used
+
+
+def _unused(used, private_only=False):
+    return sorted(
         f"{path.name}:{node.lineno} {name}"
         for path in _modules()
         for name, node in _definitions(_tree(path))
         if name not in used and name not in EXEMPT and not _is_dunder(name)
+        and (name.startswith("_") or not private_only)
     )
+
+
+def test_every_definition_is_used_somewhere():
+    unused = _unused(_used_in(SEARCHED))
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def test_every_private_definition_is_used_outside_the_tests():
+    unused = _unused(_used_in(PRODUCTION), private_only=True)
+    assert not unused, "private, and used by tests alone: " + ", ".join(unused)
 
 
 @pytest.mark.parametrize("path", [p for p in _modules() if p.name != "__init__.py"],

@@ -20,7 +20,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import AA, AB, BB, closed_form_dual, g1, random_model, seeded
+from conftest import (
+    AA,
+    AB,
+    BB,
+    closed_form_dual,
+    dict_program,
+    g1,
+    nonzeros,
+    random_model,
+    same_program,
+    seeded,
+)
 from poacert import linprog as lp
 from poacert.games import (
     FEAS_TOL,
@@ -67,7 +78,7 @@ def unit_cfg(n=2, kind=SUM, eps=F(0), basis=None, alpha=None, beta=None):
 
 
 def objective_at(program, values):
-    return sum(c * values.get(v, 0) for v, c in program.objective.items())
+    return sum(c * values.get(v, 0) for v, c in nonzeros(program, -1).items())
 
 
 # ============================================================
@@ -157,12 +168,13 @@ def test_production_dual_rows_match_hand_rows(n):
     cfg = unit_cfg(n=n)
     rep = build_representative(cfg.weights)
     program = build_dp_pne(cfg, rep)
-    by_label = {row.label: row for row in program.rows}
+    by_label = {row.label: i for i, row in enumerate(program.rows)}
     for pq in itertools.product([0, 1], repeat=2 * n):
         p = tuple(i for i in range(n) if pq[i])
         q = tuple(i for i in range(n) if pq[n + i])
         eid = rep.resource_for(p, q)
-        row = by_label[f"r[{vname(eid, 0)}]"]
+        at = by_label[f"r[{vname(eid, 0)}]"]
+        row = program.rows[at]
         want = {}
         for i in set(p) - set(q):
             want[f"y[{i}]"] = F(len(p))
@@ -170,8 +182,7 @@ def test_production_dual_rows_match_hand_rows(n):
             want[f"y[{i}]"] = -F(len(p) + 1)
         if q:
             want["gamma"] = F(len(q) ** 2)
-        got = {v: c for v, c in row.coeffs.items() if c != 0}
-        assert got == want, (p, q)
+        assert nonzeros(program, at) == want, (p, q)
         assert row.rhs == F(len(p) ** 2)
         assert row.relation == lp.GE
 
@@ -405,21 +416,8 @@ def test_closed_form_primal_equals_profile_enumeration(cfg):
     sigma = ProfileDistribution.point(rep.sigma_star)
     for d in [None] if cfg.spec.kind == SUM else range(cfg.n):
         closed = build_pp_pne(cfg, rep, d)
-        assert closed == build_pp_cce(cfg, rep.model, sigma, rep.o_star, d)
-        assert any(row.coeffs for row in closed.rows)
-
-
-def without_zeros(program):
-    """The program with every zero-valued objective and row entry dropped."""
-    return lp.LinearProgram(
-        program.sense,
-        program.variables,
-        {v: c for v, c in program.objective.items() if c != 0},
-        [lp.Row({v: a for v, a in row.coeffs.items() if a != 0}, row.relation, row.rhs, row.label)
-         for row in program.rows],
-        program.bounds,
-        program.name,
-    )
+        assert same_program(closed, build_pp_cce(cfg, rep.model, sigma, rep.o_star, d))
+        assert any(nonzeros(closed, i) for i in range(len(closed.rows)))
 
 
 @pytest.mark.parametrize("kind", [SUM, MAX])
@@ -427,29 +425,29 @@ def test_pp_cce_drops_entries_that_cancel(kind):
     """build_pp_cce on g1 with alpha_01 = -2, o = (b, b) and masses 1/3 on
     (a, a) and 2/3 on (a, b): player 0's eq entry on a sums -2/3 and 2/3.
     The program, written out by hand in the terms of the profile
-    enumeration, carries that entry as a zero, which build_pp_cce leaves
-    out; every other entry is equal."""
+    enumeration, carries that entry as an explicit zero; build_pp_cce's
+    array holds a zero there too, and every entry is equal."""
     alpha = ((F(1), F(-2)), (F(0), F(1)))
     cfg = unit_cfg(kind=kind, alpha=alpha)
     dist = ProfileDistribution({AA: F(1, 3), AB: F(2, 3)})
     a, b = vname("a", 0), vname("b", 0)
-    rows = [lp.Row({a: F(0), b: F(1)}, lp.LE, 0, "eq[0]"),
-            lp.Row({a: F(2, 3), b: F(-1, 3)}, lp.LE, 0, "eq[1]")]
+    rows = [({a: F(0), b: F(1)}, lp.LE, 0, "eq[0]"),
+            ({a: F(2, 3), b: F(-1, 3)}, lp.LE, 0, "eq[1]")]
     if kind == SUM:
-        rows.append(lp.Row({b: F(4)}, lp.LE, 1, "norm"))
-        enumerated = lp.LinearProgram(
+        rows.append(({b: F(4)}, lp.LE, 1, "norm"))
+        enumerated = dict_program(
             lp.MAXIMIZE, [a, b], {a: F(2), b: F(2, 3)}, rows, name="pp_sum")
         d = None
     else:
-        rows += [lp.Row({a: F(4, 3), "t": -1}, lp.EQ, 0, "val[0]"),
-                 lp.Row({a: F(2, 3), b: F(2, 3), "t": -1}, lp.LE, 0, "val[1]"),
-                 lp.Row({b: F(2)}, lp.LE, 1, "norm[0]"),
-                 lp.Row({b: F(2)}, lp.LE, 1, "norm[1]")]
-        enumerated = lp.LinearProgram(lp.MAXIMIZE, [a, b, "t"], {"t": 1}, rows, name="pp_max_d0")
+        rows += [({a: F(4, 3), "t": -1}, lp.EQ, 0, "val[0]"),
+                 ({a: F(2, 3), b: F(2, 3), "t": -1}, lp.LE, 0, "val[1]"),
+                 ({b: F(2)}, lp.LE, 1, "norm[0]"),
+                 ({b: F(2)}, lp.LE, 1, "norm[1]")]
+        enumerated = dict_program(lp.MAXIMIZE, [a, b, "t"], {"t": 1}, rows, name="pp_max_d0")
         d = 0
     program = build_pp_cce(cfg, g1().model, dist, BB, d)
-    assert program != enumerated
-    assert program == without_zeros(enumerated)
+    assert nonzeros(program, 0) == {b: F(1)}
+    assert same_program(program, enumerated)
 
 
 # ============================================================
@@ -707,21 +705,21 @@ def test_dp_cce_rows_are_profile_mixtures_of_dp_pne_rows():
     dist = ProfileDistribution({profiles[0]: F(1, 2), profiles[1]: F(1, 4),
                                 profiles[3]: F(1, 4)})
     o_prof = AB
-    pne_rows = {row.label: row for row in build_dp_pne(cfg, rep).rows}
+    pne = build_dp_pne(cfg, rep)
+    pne_rows = {row.label: (row, nonzeros(pne, i)) for i, row in enumerate(pne.rows)}
     cce = build_dp_cce(cfg, g.model, dist, o_prof)
-    for row in cce.rows:
+    for at, row in enumerate(cce.rows):
         e = row.label[len("r[v["):].split("]")[0]
         mixed: dict = {}
         mixed_rhs = F(0)
         for sigma, mass in dist.masses.items():
             rid = map_profile_pair(rep, g.model, sigma, o_prof)[e]
-            ref = pne_rows[f"r[{vname(rid, 0)}]"]
-            for v, c in ref.coeffs.items():
+            ref, ref_coeffs = pne_rows[f"r[{vname(rid, 0)}]"]
+            for v, c in ref_coeffs.items():
                 mixed[v] = mixed.get(v, F(0)) + mass * c
             mixed_rhs += mass * ref.rhs
-        got = {v: c for v, c in row.coeffs.items() if c != 0}
         want = {v: c for v, c in mixed.items() if c != 0}
-        assert got == want, row.label
+        assert nonzeros(cce, at) == want, row.label
         assert row.rhs == mixed_rhs
 
 
@@ -792,7 +790,7 @@ def test_extension_pass_is_feasibility_report_on_dp_cce():
                     {p: num(F(m, sum(raw))) for p, m in zip(support, raw)})
                 o_profile = rng.choice(profiles)
                 dp = build_dp_cce(cfg, model, dist, o_profile, d)
-                free = lp.LinearProgram(dp.sense, dp.variables, dp.objective, dp.rows,
+                free = lp.LinearProgram(dp.sense, dp.variables, dp.rows, dp.coefficients,
                                         {v: lp.FREE for v in dp.variables}, dp.name)
                 for k, cert in enumerate(certs):
                     report = verify_extension(cfg, cert, model, dist, o_profile, d)
@@ -868,3 +866,30 @@ def test_checks_do_not_depend_on_the_builtin_sum(monkeypatch, check):
     check reads its rows through the builtin sum."""
     monkeypatch.setattr(builtins, "sum", _compensated_sum)
     check()
+
+
+def _sevenths_max_config(seed):
+    """A seeded max-objective class over {x, x^2} with entries in sevenths:
+    n in {3, 4}, weights in [1/7, 2], alpha 1 on the diagonal and in
+    [0, 1] off it, beta in [0, 1], eps in {0, 1/2}."""
+    rng = seeded(seed)
+    n = rng.choice((3, 4))
+    weights = [rng.randrange(1, 15) / 7 for _ in range(n)]
+    alpha = [[1.0 if i == j else rng.randrange(0, 8) / 7 for j in range(n)] for i in range(n)]
+    beta = [[rng.randrange(0, 8) / 7 for _ in range(n)] for _ in range(n)]
+    eps = rng.choice((0.0, 0.5))
+    return WorstCaseConfig(weights, alpha, SocialSpec(MAX, beta), eps,
+                           (BasisFunction.monomial(1), BasisFunction.monomial(2)))
+
+
+@pytest.mark.parametrize("seed", [7, 38, 50])
+def test_dp_value_does_not_depend_on_the_builtin_sum(monkeypatch, seed):
+    """Each designee's dp_value, the certificate's rhs-weighted dual sum, is
+    repr-identical when the builtin sum compensates float sums.  On these
+    three classes a compensated sum of the same terms moves one designee's
+    value in its last bit (15.320395947257643 to 15.32039594725764 at seed
+    7)."""
+    cfg = _sevenths_max_config(seed)
+    plain = [repr(v.dp_value) for v in solve_worst_case(cfg).variants]
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert [repr(v.dp_value) for v in solve_worst_case(cfg).variants] == plain

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import g1, g1_spec
+from conftest import dict_program, g1, g1_spec, nonzeros
 from poacert import linprog, oracle
 from poacert.linprog import (
     EQ,
@@ -34,11 +34,11 @@ FEAS_ATOL = 1e-9
 
 def lp_prod_mix():
     # max 3x+2y st x+y<=4, x+3y<=6
-    return LinearProgram(
+    return dict_program(
         MAXIMIZE,
         ["x", "y"],
         {"x": 3, "y": 2},
-        [Row({"x": 1, "y": 1}, LE, 4, "cap"), Row({"x": 1, "y": 3}, LE, 6, "labor")],
+        [({"x": 1, "y": 1}, LE, 4, "cap"), ({"x": 1, "y": 3}, LE, 6, "labor")],
     )
 
 
@@ -63,11 +63,11 @@ def test_exact_mode_fractions():
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_minimize_with_free_variable(exact):
-    lp = LinearProgram(
+    lp = dict_program(
         MINIMIZE,
         ["x", "z"],
         {"x": 1, "z": 2},
-        [Row({"x": 1, "z": 1}, EQ, 3, "bal"), Row({"z": 1}, GE, -5, "floor")],
+        [({"x": 1, "z": 1}, EQ, 3, "bal"), ({"z": 1}, GE, -5, "floor")],
         bounds={"z": FREE},
     )
     r = solve(lp, exact=exact)
@@ -80,34 +80,34 @@ def test_minimize_with_free_variable(exact):
 
 
 def test_infeasible_and_unbounded():
-    bad = LinearProgram(
+    bad = dict_program(
         MAXIMIZE,
         ["x"],
         {"x": 1},
-        [Row({"x": 1}, LE, 1, "a"), Row({"x": 1}, GE, 2, "b")],
+        [({"x": 1}, LE, 1, "a"), ({"x": 1}, GE, 2, "b")],
     )
     assert solve(bad).status == INFEASIBLE
-    ray = LinearProgram(MAXIMIZE, ["x"], {"x": 1}, [Row({"x": -1}, LE, 1, "a")])
+    ray = dict_program(MAXIMIZE, ["x"], {"x": 1}, [({"x": -1}, LE, 1, "a")])
     assert solve(ray).status == UNBOUNDED
     assert solve(ray, exact=True).status == UNBOUNDED
 
 
 def test_no_rows():
-    lp = LinearProgram(MAXIMIZE, ["x"], {"x": 1}, [])
+    lp = dict_program(MAXIMIZE, ["x"], {"x": 1}, [])
     assert solve(lp).status == UNBOUNDED
-    lp2 = LinearProgram(MINIMIZE, ["x"], {"x": 1}, [])
+    lp2 = dict_program(MINIMIZE, ["x"], {"x": 1}, [])
     r = solve(lp2)
     assert r.status == OPTIMAL and r.value == 0.0
 
 
 def test_double_bounds_and_nonpos():
     # u in [2, 5] is stated by two rows: bounds are sign classes only
-    lp = LinearProgram(
+    lp = dict_program(
         MAXIMIZE,
         ["u", "v"],
         {"u": 1, "v": 1},
-        [Row({"u": 1, "v": -1}, LE, 10, "r"),
-         Row({"u": 1}, GE, 2, "u_lo"), Row({"u": 1}, LE, 5, "u_hi")],
+        [({"u": 1, "v": -1}, LE, 10, "r"),
+         ({"u": 1}, GE, 2, "u_lo"), ({"u": 1}, LE, 5, "u_hi")],
         bounds={"v": (None, 0)},
     )
     r = solve(lp, exact=True)
@@ -119,14 +119,14 @@ def test_double_bounds_and_nonpos():
 
 def test_beale_cycling_instance():
     # classic degenerate instance; Bland fallback must terminate at 1/20
-    lp = LinearProgram(
+    lp = dict_program(
         MAXIMIZE,
         ["x1", "x2", "x3", "x4"],
         {"x1": F(3, 4), "x2": -150, "x3": F(1, 50), "x4": -6},
         [
-            Row({"x1": F(1, 4), "x2": -60, "x3": F(-1, 25), "x4": 9}, LE, 0, "r1"),
-            Row({"x1": F(1, 2), "x2": -90, "x3": F(-1, 50), "x4": 3}, LE, 0, "r2"),
-            Row({"x3": 1}, LE, 1, "r3"),
+            ({"x1": F(1, 4), "x2": -60, "x3": F(-1, 25), "x4": 9}, LE, 0, "r1"),
+            ({"x1": F(1, 2), "x2": -90, "x3": F(-1, 50), "x4": 3}, LE, 0, "r2"),
+            ({"x3": 1}, LE, 1, "r3"),
         ],
     )
     r = solve(lp, exact=True)
@@ -135,14 +135,14 @@ def test_beale_cycling_instance():
 
 
 def test_redundant_rows_get_consistent_duals():
-    lp = LinearProgram(
+    lp = dict_program(
         MAXIMIZE,
         ["x", "y"],
         {"x": 1, "y": 1},
         [
-            Row({"x": 1, "y": 1}, EQ, 2, "e1"),
-            Row({"x": 2, "y": 2}, EQ, 4, "e2"),  # dependent copy
-            Row({"x": 1}, LE, 2, "cap"),
+            ({"x": 1, "y": 1}, EQ, 2, "e1"),
+            ({"x": 2, "y": 2}, EQ, 4, "e2"),  # dependent copy
+            ({"x": 1}, LE, 2, "cap"),
         ],
     )
     r = solve(lp, exact=True)
@@ -184,11 +184,11 @@ def _random_feasible_lp(rng, m=4, n=5):
     rows = []
     for i in range(m):
         lhs = sum(A[i][j] * x0[j] for j in range(n))
-        rows.append(Row(dict(zip(names, A[i])), LE, lhs + rng.randint(0, 3), f"r{i}"))
+        rows.append((dict(zip(names, A[i])), LE, lhs + rng.randint(0, 3), f"r{i}"))
     c = {nm: rng.randint(-3, 3) for nm in names}
     # cap the box so everything stays bounded
-    rows.append(Row({nm: 1 for nm in names}, LE, 25, "box"))
-    return LinearProgram(MAXIMIZE, names, c, rows)
+    rows.append(({nm: 1 for nm in names}, LE, 25, "box"))
+    return dict_program(MAXIMIZE, names, c, rows)
 
 
 def test_strong_duality_random():
@@ -203,9 +203,9 @@ def test_strong_duality_random():
         # weak duality identity on reported duals
         assert sum(rp.duals[row.label] * row.rhs for row in lp.rows) == rp.value
         # complementary slackness
-        for row in lp.rows:
+        for i, row in enumerate(lp.rows):
             slack = row.rhs - sum(
-                row.coeffs.get(v, 0) * rp.primal[v] for v in lp.variables
+                nonzeros(lp, i).get(v, 0) * rp.primal[v] for v in lp.variables
             )
             assert rp.duals[row.label] * slack == 0 or abs(rp.duals[row.label] * slack) == 0
 
@@ -286,12 +286,12 @@ def test_array_pricing_pivots_like_the_loop(monkeypatch, exact, streak):
     streak of 1, Bland's rule takes over after the first degenerate
     pivot, which these programs reach."""
     monkeypatch.setattr(linprog, "DEGENERATE_STREAK", streak)
-    beale = LinearProgram(
+    beale = dict_program(
         MAXIMIZE, ["x1", "x2", "x3", "x4"],
         {"x1": F(3, 4), "x2": -150, "x3": F(1, 50), "x4": -6},
-        [Row({"x1": F(1, 4), "x2": -60, "x3": F(-1, 25), "x4": 9}, LE, 0, "r1"),
-         Row({"x1": F(1, 2), "x2": -90, "x3": F(-1, 50), "x4": 3}, LE, 0, "r2"),
-         Row({"x3": 1}, LE, 1, "r3")],
+        [({"x1": F(1, 4), "x2": -60, "x3": F(-1, 25), "x4": 9}, LE, 0, "r1"),
+         ({"x1": F(1, 2), "x2": -90, "x3": F(-1, 50), "x4": 3}, LE, 0, "r2"),
+         ({"x3": 1}, LE, 1, "r3")],
     )
     programs = pricing_cases() + [beale, dualize(lp_prod_mix())]
     arrays = [linprog._simplex(p, exact) for p in programs]
@@ -358,28 +358,42 @@ def test_float_callers_get_the_rational_retry(kernel_calls):
 
 
 def test_validation_errors():
+    with pytest.raises(ValueError, match="objective references undeclared variable 'y'"):
+        dict_program(MAXIMIZE, ["x"], {"y": 1}, [({"y": 1}, LE, 0, "r")])
+    with pytest.raises(ValueError, match="row 'r' references undeclared variable 'y'"):
+        dict_program(MAXIMIZE, ["x"], {"x": 1}, [({"y": 1}, LE, 0, "r")])
     with pytest.raises(ValueError):
-        LinearProgram(MAXIMIZE, ["x"], {"y": 1}, [])
+        dict_program(MAXIMIZE, ["x", "x"], {}, [])
     with pytest.raises(ValueError):
-        LinearProgram(MAXIMIZE, ["x", "x"], {}, [])
+        dict_program(MAXIMIZE, ["x"], {}, [({"x": 1}, "<", 0, "r")])
     with pytest.raises(ValueError):
-        LinearProgram(MAXIMIZE, ["x"], {}, [Row({"x": 1}, "<", 0, "r")])
-    with pytest.raises(ValueError):
-        LinearProgram(
-            MAXIMIZE, ["x"], {}, [Row({"x": 1}, LE, 0, "r"), Row({"x": 1}, LE, 1, "r")]
+        dict_program(
+            MAXIMIZE, ["x"], {}, [({"x": 1}, LE, 0, "r"), ({"x": 1}, LE, 1, "r")]
         )
     with pytest.raises(ValueError):
-        LinearProgram(MAXIMIZE, ["x"], {}, [], bounds={"x": (3, 1)})
+        dict_program(MAXIMIZE, ["x"], {}, [], bounds={"x": (3, 1)})
+
+
+def test_integer_coefficient_arrays_are_rejected():
+    """Read against an int64 array, the point of feasibility_report and the
+    duals of dual_violations would be cast to int: x + y <= 1 would hold at
+    x = y = 0.6, and its dual rows at y = 0.5 would be violated by 1."""
+    rows = [Row(LE, 1, "r")]
+    with pytest.raises(ValueError, match="dtype int64, not float64 or object"):
+        LinearProgram(MAXIMIZE, ["x", "y"], rows, np.ones((2, 2), dtype=np.int64))
+    program = LinearProgram(MAXIMIZE, ["x", "y"], rows, np.ones((2, 2)))
+    assert feasibility_report(program, {"x": 0.6, "y": 0.6}) == (False, "r", pytest.approx(0.2))
+    assert dual_violations(program, [0.5]).tolist() == [0.5, 0.5]
 
 
 @pytest.mark.parametrize("bound", [(2, 5), (1, 1), (0, 5), (1, None), (None, 3)])
 def test_bounds_other_than_sign_classes_are_rejected(bound):
     with pytest.raises(ValueError, match="variables are >= 0, <= 0 or free"):
-        LinearProgram(MAXIMIZE, ["x"], {}, [], bounds={"x": bound})
+        dict_program(MAXIMIZE, ["x"], {}, [], bounds={"x": bound})
 
 
 def test_bounds_given_as_lists_are_tuples():
-    lp = LinearProgram(MAXIMIZE, ["x", "y"], {}, [], bounds={"x": [None, 0], "y": [None, None]})
+    lp = dict_program(MAXIMIZE, ["x", "y"], {}, [], bounds={"x": [None, 0], "y": [None, None]})
     assert lp.bounds == {"x": (None, 0), "y": FREE}
     assert [row.relation for row in dualize(lp).rows] == [LE, EQ]
 
@@ -398,8 +412,8 @@ def _reference_feasibility_report(lp, point, tol):
     """feasibility_report as one hand-written loop over rows, then bounds."""
     first = None
     worst = 0
-    for row in lp.rows:
-        lhs = sum(a * point.get(v, 0) for v, a in row.coeffs.items())
+    for i, row in enumerate(lp.rows):
+        lhs = sum(a * point.get(v, 0) for v, a in nonzeros(lp, i).items())
         if row.relation == LE:
             v = lhs - row.rhs
         elif row.relation == GE:
@@ -431,10 +445,10 @@ def test_rows_add_in_array_order_with_one_rounding_per_addition(exact):
     num = F if exact else float
     terms = [num(10**16), num(1), num(-10**16)]
     dtype = object if exact else np.float64
-    row = LinearProgram(MAXIMIZE, ["x", "y", "z"], None, [Row(None, LE, num(F(1, 2)), "r")],
-                        coefficients=np.array([terms, [0, 0, 0]], dtype=dtype))
-    column = LinearProgram(MAXIMIZE, ["v"], None, [Row(None, LE, 0, f"r{i}") for i in range(3)],
-                           coefficients=np.array([[c] for c in terms + [num(F(1, 2))]], dtype=dtype))
+    row = LinearProgram(MAXIMIZE, ["x", "y", "z"], [Row(LE, num(F(1, 2)), "r")],
+                        np.array([terms, [0, 0, 0]], dtype=dtype))
+    column = LinearProgram(MAXIMIZE, ["v"], [Row(LE, 0, f"r{i}") for i in range(3)],
+                           np.array([[c] for c in terms + [num(F(1, 2))]], dtype=dtype))
     ones = [num(1)] * 3
     report = feasibility_report(row, dict(zip("xyz", ones)), 0)
     violation = dual_violations(column, ones).tolist()
@@ -459,10 +473,10 @@ def test_feasibility_report_matches_a_reference_loop():
         bounds = {v: rng.choice((FREE, (None, 0))) for v in names if rng.random() < 0.6}
         kind = case % 3
         num = [lambda c: c / 4, lambda c: F(c, 4), lambda c: c][kind]
-        rows = [Row({v: num(rng.randint(-4, 4)) for v in names if rng.random() < 0.8},
+        rows = [({v: num(rng.randint(-4, 4)) for v in names if rng.random() < 0.8},
                     rng.choice((LE, GE, EQ)), num(rng.randint(-4, 4)), f"r{i}")
                 for i in range(m)]
-        lp = LinearProgram(MAXIMIZE, names, {}, rows, bounds=bounds)
+        lp = dict_program(MAXIMIZE, names, {}, rows, bounds=bounds)
         point = {v: num(rng.randint(-8, 8)) for v in names if rng.random() < 0.8}
         for tol in (0, 1e-9, 0.5):
             got = feasibility_report(lp, point, tol)

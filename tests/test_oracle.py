@@ -10,7 +10,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import AA, AB, BA, BB, g1, g1_spec, random_game, random_matrix, seeded
+from conftest import (
+    AA,
+    AB,
+    BA,
+    BB,
+    dict_program,
+    g1,
+    g1_spec,
+    random_game,
+    random_matrix,
+    seeded,
+)
 from poacert import games
 from poacert import linprog as lp
 from poacert.games import (
@@ -218,9 +229,9 @@ def _reference_worst_cce(game, spec, epsilon, predicate, exact):
                 row = coeffs.setdefault((i, x_idx), {})
                 if gap != 0:
                     row[f"p[{idx}]"] = gap
-        rows = [lp.Row(row, lp.LE, 0, f"cce[{i}][{x_idx}]") for (i, x_idx), row in coeffs.items()]
-        rows.append(lp.Row({v: 1 for v in variables}, lp.EQ, 1, "mass"))
-        rep = lp.solve(lp.LinearProgram(lp.MAXIMIZE, variables, objective, rows, name=name),
+        rows = [(row, lp.LE, 0, f"cce[{i}][{x_idx}]") for (i, x_idx), row in coeffs.items()]
+        rows.append(({v: 1 for v in variables}, lp.EQ, 1, "mass"))
+        rep = lp.solve(dict_program(lp.MAXIMIZE, variables, objective, rows, name=name),
                        exact=exact)
         assert rep.status == lp.OPTIMAL
         masses = {}
