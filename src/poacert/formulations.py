@@ -14,16 +14,16 @@ the same weights; every dual-feasible point of the pure program stays
 feasible there row by row, which is what verify_extension checks
 numerically.
 
-Both primals are written from coefficient arrays over their columns.  The
-representative program's come from a closed form over the (P, Q) bit
-masks of its resources: per-mask factor arrays of size O(n 2^n r)
-(_mask_factors), read at every column (_closed_form) or at chosen ones
-(_entries).  build_pp_cce's come from enumerating the profiles of an
-arbitrary model (_coefficient_parts).  At a point mass on sigma* they give
-equal programs.  _row_table lays out the rows of both, and _primal hands
-them to a LinearProgram as its coefficient array, with no name per entry.
-The representative program's column names are formatted from the masks,
-and nothing here reads rep.model.
+Both primals are written from one closed form over the (P, Q) bit masks
+of the representative resources: per-mask factor arrays of size
+O(n 2^n r) (_mask_factors), read at every column (_closed_form), at
+chosen ones (_entries), or mixed: the coarse column of resource e is the
+mass-weighted sum of the columns (P, Q, k) of its players under each
+profile and under o (_coarse_parts), the extension argument itself.
+_row_table lays out the rows of both, and _primal hands them to a
+LinearProgram as its coefficient array, with no name per entry.  The
+representative program's column names are formatted from the masks, and
+nothing here reads rep.model.
 
 No check builds a dual program (build_dp_cce serves the tests, and
 build_dp_pne also --emit-lp).  solve_worst_case and verify_extension
@@ -53,8 +53,6 @@ from .games import (
     GeneralizedGame,
     ProfileDistribution,
     SocialSpec,
-    congestion,
-    resource_users,
 )
 from .representative import RepresentativeModel, build_representative, id_parts
 
@@ -104,85 +102,6 @@ def vname(e, k: int) -> str:
     return f"v[{e}][{k}]"
 
 
-def _add(a: np.ndarray, key, val):
-    if val != 0:
-        a[key] += val
-
-
-def _add_beta_costs(out, cfg: WorstCaseConfig, model: CongestionModel, loads, users, mass):
-    """Add mass times each player i's beta-cost at one profile, given its
-    loads and resource users, to out[i]."""
-    n = cfg.n
-    w = cfg.weights
-    beta = cfg.spec.beta
-    basis = cfg.basis
-    for col, e in enumerate(model.resources):
-        if loads[e] == 0:
-            continue
-        fvals = [f.value(loads[e]) for f in basis]
-        for i in range(n):
-            b = sum(beta[i][j] * w[j] for j in users[e] if beta[i][j] != 0)
-            if b == 0:
-                continue
-            for k, fv in enumerate(fvals):
-                _add(out[i], (col, k), mass * fv * b)
-
-
-def _coefficient_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_profile):
-    """(eq, val, nrm) of the coarse programs over an arbitrary model, as
-    object arrays over (resource, k), by enumerating the distribution's
-    profiles.
-
-    eq[i]: expected grouped-deviation expression of player i against o_i,
-    val[i]: expected beta-cost of player i, nrm[i]: beta-cost of i at the
-    comparison profile; under a sum objective, val and nrm are summed once.
-    """
-    n = cfg.n
-    w = cfg.weights
-    alpha = cfg.alpha
-    eps = cfg.epsilon
-    basis = cfg.basis
-    if tuple(model.weights) != tuple(w):
-        raise GameError("model weights differ from configuration weights")
-
-    shape = (len(model.resources), len(basis))
-    col = {e: j for j, e in enumerate(model.resources)}
-    eq, val, nrm = ([np.zeros(shape, dtype=object) for _ in range(n)] for _ in range(3))
-    o_sets = model.profile_strategies(o_profile)
-    for prof, mass in dist.masses.items():
-        loads = congestion(model, prof)
-        users = resource_users(model, prof)
-        s_sets = model.profile_strategies(prof)
-        _add_beta_costs(val, cfg, model, loads, users, mass)
-        for i in range(n):
-            si, oi = s_sets[i], o_sets[i]
-            for e in si - oi:
-                aw = sum(alpha[i][j] * w[j] for j in users[e] if alpha[i][j] != 0)
-                if aw == 0:
-                    continue
-                for k, f in enumerate(basis):
-                    fv = f.value(loads[e])
-                    if fv != 0:
-                        _add(eq[i], (col[e], k), mass * fv * aw)
-            for e in oi - si:
-                aw = alpha[i][i] * w[i] + sum(
-                    alpha[i][j] * w[j] for j in users[e] if alpha[i][j] != 0
-                )
-                if aw == 0:
-                    continue
-                for k, f in enumerate(basis):
-                    fv = f.value(loads[e] + w[i])
-                    if fv != 0:
-                        _add(eq[i], (col[e], k), -(1 + eps) * mass * fv * aw)
-
-    _add_beta_costs(
-        nrm, cfg, model, congestion(model, o_profile), resource_users(model, o_profile), 1
-    )
-    if cfg.spec.kind == SUM:
-        return eq, _summed(val), _summed(nrm)
-    return eq, val, nrm
-
-
 def _variables(cfg: WorstCaseConfig, model: CongestionModel) -> list:
     """vname(e, k) of every column, resource major, each "][k]" formatted once."""
     suffixes = [f"][{k}]" for k in range(len(cfg.basis))]
@@ -204,7 +123,7 @@ def _check_designee(cfg: WorstCaseConfig, designated: Optional[int]) -> None:
 
 def _summed(parts) -> np.ndarray:
     """The sum of per-player arrays in player order, each zero entry
-    skipped, as _add skips it."""
+    skipped, so an entry that only zeros reach stays the starting 0."""
     total = np.zeros_like(parts[0])
     for c in parts:
         total = np.where(c != 0, total + c, total)
@@ -251,21 +170,6 @@ def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.Line
                             name=f"pp_max_d{designated}" if level else "pp_sum")
 
 
-def build_pp_cce(
-    cfg: WorstCaseConfig,
-    model: CongestionModel,
-    dist: ProfileDistribution,
-    o_profile,
-    designated: Optional[int] = None,
-) -> lp.LinearProgram:
-    """Worst-case primal over latency coefficients for a fixed model,
-    distribution and comparison profile."""
-    _check_designee(cfg, designated)
-    objective, rows = _row_table(
-        cfg, *_coefficient_parts(cfg, model, dist, o_profile), designated)
-    return _primal(cfg, _variables(cfg, model), objective, rows, designated)
-
-
 def _subset_sums(terms, dtype) -> np.ndarray:
     """sums[.., m] = the sum of terms[.., j] over the set bits j of mask m,
     for every m < 2^n, where terms is a list of n numbers or a list of
@@ -298,7 +202,7 @@ def _basis_values(basis, loads, scale, dtype) -> np.ndarray:
     return np.array(out, dtype=dtype).reshape(loads.shape + (len(basis),))
 
 
-def _mask_factors(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
+def _mask_factors(cfg: WorstCaseConfig, weights: tuple) -> tuple:
     """The closed form of the representative primal as per-mask factor
     arrays (joins, leaves, costs), each of shape (n, 2^n, r).
 
@@ -310,14 +214,16 @@ def _mask_factors(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
     i's beta-cost at load w(M) is costs[i, M, k] = f_k(w(M)) * sum_{j in M}
     beta_ij w_j, its val[i] entry at M = P and its nrm[i] entry at M = Q;
     under a sum objective costs holds their one total, as its one row.
-    Each factor is computed once per mask, in build_pp_cce's order of
-    operations, so the two programs are equal value for value: in float64
+    Each factor is computed once per mask, in the order of operations of
+    the profile-enumeration writer the tests keep as reference, so at a
+    point mass on sigma* the programs are equal value for value: in float64
     when every weight is a float, else over Python numbers in object
-    arrays.  A float coefficient that overflows raises OverflowError.
+    arrays.  weights, the served model's, must be cfg's.  A float
+    coefficient that overflows raises OverflowError.
     """
     n = cfg.n
     w, alpha, beta = cfg.weights, cfg.alpha, cfg.spec.beta
-    if rep.weights != tuple(w):
+    if tuple(weights) != w:
         raise GameError("model weights differ from configuration weights")
     dtype = np.float64 if all(isinstance(x, float) for x in w) else object
     masks = np.arange(1 << n)
@@ -364,8 +270,30 @@ def _closed_form(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
     val[i] over (P, 1, k) and nrm[i] over (1, Q, k); under a sum
     objective, val and nrm are one total of costs."""
     masks = np.arange(1 << cfg.n)
-    return _entries(cfg, _mask_factors(cfg, rep), masks[:, None, None], masks[None, :, None],
-                    np.arange(len(cfg.basis)))
+    return _entries(cfg, _mask_factors(cfg, rep.weights), masks[:, None, None],
+                    masks[None, :, None], np.arange(len(cfg.basis)))
+
+
+def _coarse_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_profile) -> tuple:
+    """(eq, val, nrm) of the coarse programs for _row_table over (resource,
+    k), gathered from _mask_factors: eq and val sum, over the profiles of
+    dist in its order, mass times the entries at (P, Q, k), with P the
+    players on resource e under the profile and Q those on e under
+    o_profile; nrm reads Q alone."""
+    col = {e: j for j, e in enumerate(model.resources)}
+
+    def users(profile):  # the mask of each resource's players, as a column
+        masks = np.zeros((len(col), 1), dtype=np.intp)
+        for i, strategy in enumerate(model.profile_strategies(profile)):
+            masks[[col[e] for e in strategy]] |= 1 << i
+        return masks
+
+    factors, q, k = _mask_factors(cfg, model.weights), users(o_profile), np.arange(len(cfg.basis))
+    eq = val = 0
+    for prof, mass in dist.masses.items():
+        e, v, nrm = _entries(cfg, factors, users(prof), q, k)
+        eq, val = eq + mass * e, val + mass * v
+    return eq, val, nrm
 
 
 def _column_names(cfg: WorstCaseConfig, rep: RepresentativeModel) -> list:
@@ -405,6 +333,20 @@ def build_pp_pne(
     _check_designee(cfg, designated)
     objective, rows = _row_table(cfg, *_closed_form(cfg, rep), designated)
     return _primal(cfg, _column_names(cfg, rep), objective, rows, designated)
+
+
+def build_pp_cce(
+    cfg: WorstCaseConfig,
+    model: CongestionModel,
+    dist: ProfileDistribution,
+    o_profile,
+    designated: Optional[int] = None,
+) -> lp.LinearProgram:
+    """Worst-case primal over latency coefficients for a fixed model,
+    distribution and comparison profile."""
+    _check_designee(cfg, designated)
+    objective, rows = _row_table(cfg, *_coarse_parts(cfg, model, dist, o_profile), designated)
+    return _primal(cfg, _variables(cfg, model), objective, rows, designated)
 
 
 # ============================================================
@@ -679,7 +621,7 @@ def extract_worst_game(
     r = len(cfg.basis)
     support = _support(rep, r, primal_values)
     columns = np.array([c for c, *_ in support], dtype=np.intp).reshape(-1, 3).T
-    table = _row_table(cfg, *_entries(cfg, _mask_factors(cfg, rep), *columns), designated)
+    table = _row_table(cfg, *_entries(cfg, _mask_factors(cfg, rep.weights), *columns), designated)
     program = _primal(cfg, [name for _, name, _ in support], *table, designated)
     ok, label, violation = lp.feasibility_report(program, primal_values, FEAS_TOL)
     if not ok:
@@ -734,11 +676,12 @@ def verify_extension(
     rows of build_dp_cce, read by lp.dual_violations off build_pp_cce's
     array, without the duals' sign bounds.
 
-    Holds for every input by convexity of the row family; a failure means
-    an implementation bug, so callers normally escalate it."""
-    _check_designee(cfg, designated)
-    table = _row_table(cfg, *_coefficient_parts(cfg, model, dist, o_profile), designated)
-    program = _primal(cfg, _variables(cfg, model), *table, designated)
+    Each row is a mixture of rows of build_dp_pne, so the check holds for
+    every input by convexity; a failure means an implementation bug, so
+    callers normally escalate it.  Like solve_worst_case, it raises
+    GameError for a lookup table that misses a load of the class, even
+    one that model never reaches."""
+    program = build_pp_cce(cfg, model, dist, o_profile, designated)
     duals = [dual_values.get(_certificate_name(row.label), 0) for row in program.rows]
     ok, label, violation = _dual_report(program, duals, FEAS_TOL)
     return ExtensionReport(ok, len(program.variables), violation, label)

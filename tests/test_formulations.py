@@ -63,6 +63,7 @@ from poacert.formulations import (
 )
 from poacert.oracle import exact_ppoa, social_optimum
 from poacert.representative import build_representative, map_profile_pair
+from test_coarse_programs import reference_pp_cce
 
 
 def unit_cfg(n=2, kind=SUM, eps=F(0), basis=None, alpha=None, beta=None):
@@ -410,12 +411,14 @@ def equality_cases():
 @pytest.mark.parametrize("cfg", list(equality_cases()))
 def test_closed_form_primal_equals_profile_enumeration(cfg):
     """build_pp_pne, written from the (P, Q)-mask formula, is the coarse
-    program build_pp_cce enumerates at the point mass on sigma*, value for
-    value, for every designee."""
+    program that the reference writer enumerates at the point mass on
+    sigma*, value for value, for every designee; so is build_pp_cce's
+    gather of the same columns."""
     rep = build_representative(cfg.weights)
     sigma = ProfileDistribution.point(rep.sigma_star)
     for d in [None] if cfg.spec.kind == SUM else range(cfg.n):
         closed = build_pp_pne(cfg, rep, d)
+        assert same_program(closed, reference_pp_cce(cfg, rep.model, sigma, rep.o_star, d))
         assert same_program(closed, build_pp_cce(cfg, rep.model, sigma, rep.o_star, d))
         assert any(nonzeros(closed, i) for i in range(len(closed.rows)))
 
@@ -425,8 +428,9 @@ def test_pp_cce_drops_entries_that_cancel(kind):
     """build_pp_cce on g1 with alpha_01 = -2, o = (b, b) and masses 1/3 on
     (a, a) and 2/3 on (a, b): player 0's eq entry on a sums -2/3 and 2/3.
     The program, written out by hand in the terms of the profile
-    enumeration, carries that entry as an explicit zero; build_pp_cce's
-    array holds a zero there too, and every entry is equal."""
+    enumeration, carries that entry as an explicit zero; the arrays of
+    build_pp_cce and of the reference writer hold a zero there too, and
+    every entry is equal."""
     alpha = ((F(1), F(-2)), (F(0), F(1)))
     cfg = unit_cfg(kind=kind, alpha=alpha)
     dist = ProfileDistribution({AA: F(1, 3), AB: F(2, 3)})
@@ -448,6 +452,7 @@ def test_pp_cce_drops_entries_that_cancel(kind):
     program = build_pp_cce(cfg, g1().model, dist, BB, d)
     assert nonzeros(program, 0) == {b: F(1)}
     assert same_program(program, enumerated)
+    assert same_program(reference_pp_cce(cfg, g1().model, dist, BB, d), enumerated)
 
 
 # ============================================================
@@ -763,9 +768,12 @@ def test_extension_pass_is_feasibility_report_on_dp_cce():
     repr, over seeded (model, distribution, o) triples of the check
     configurations with n <= 3: for the solved certificate (rounded to
     denominators of at most 10^6 for an exact configuration) and for
-    certificates with one dual moved by -1e-6, 1e-6, -1 or 1.  Among the
-    moved certificates the first violation is a column row and zsum."""
-    from poacert.formulations import _certificate_name
+    certificates with one dual moved by -1e-6, 1e-6, -1 or 1.  Its (ok,
+    first violated label) is also that of the same report on the dual of
+    the reference writer's program, whose float entries may differ in the
+    last bits.  Among the moved certificates the first violation is a
+    column row and zsum."""
+    from poacert.formulations import _certificate_name, _certificate_program
 
     rng = seeded(23)
     firsts = set()
@@ -790,13 +798,18 @@ def test_extension_pass_is_feasibility_report_on_dp_cce():
                     {p: num(F(m, sum(raw))) for p, m in zip(support, raw)})
                 o_profile = rng.choice(profiles)
                 dp = build_dp_cce(cfg, model, dist, o_profile, d)
-                free = lp.LinearProgram(dp.sense, dp.variables, dp.rows, dp.coefficients,
-                                        {v: lp.FREE for v in dp.variables}, dp.name)
+                ref = _certificate_program(reference_pp_cce(cfg, model, dist, o_profile, d))
+                free, free_ref = (
+                    lp.LinearProgram(p.sense, p.variables, p.rows, p.coefficients,
+                                     {v: lp.FREE for v in p.variables}, p.name)
+                    for p in (dp, ref))
                 for k, cert in enumerate(certs):
                     report = verify_extension(cfg, cert, model, dist, o_profile, d)
                     got = (report.ok, report.first_violated, report.worst_violation)
                     want = lp.feasibility_report(free, cert, FEAS_TOL)
                     assert repr(got) == repr(want), (param.id, d, k)
+                    assert got[:2] == lp.feasibility_report(free_ref, cert, FEAS_TOL)[:2], (
+                        param.id, d, k)
                     assert report.rows_checked == len(dp.rows)
                     if k and not report.ok:
                         firsts.add(report.first_violated.split("[")[0])
