@@ -163,6 +163,7 @@ def cmd_solve_worst_case(args) -> int:
                 "dp_value": v.dp_value,
                 "pp_value": v.pp_value,
                 "iterations": v.iterations,
+                "fallback": v.fallback,
             }
             for v in result.variants
         ],
@@ -252,12 +253,16 @@ def cmd_normalize(args) -> int:
     return _emit(args, {"optimum_before": factor, "game": emitted}, epsilon=doc.epsilon)
 
 
-def _random_trials(rng, model, count: int):
+def _random_trials(rng, model, count: int, exact: bool = False):
     """count random (distribution, comparison profile) pairs over model's
-    pure profiles, lazily: each draws the profile masses, then o."""
+    pure profiles, lazily: each draws the profile masses, then o.  Exact
+    trials read the same draws as Fractions, normalised by their exact
+    total."""
     profiles = list(model.profiles())
     for _ in range(count):
         raw = [rng.random() for _ in profiles]
+        if exact:
+            raw = [Fraction(m) for m in raw]
         total = sum(raw)
         dist = ProfileDistribution({prof: m / total for prof, m in zip(profiles, raw)})
         yield dist, tuple(rng.randrange(len(per)) for per in model.strategies)
@@ -273,7 +278,8 @@ def cmd_verify_extension(args) -> int:
     trials = 50
     failures = []
     worst = 0
-    for t, (dist, o_profile) in enumerate(_random_trials(random.Random(args.seed), model, trials)):
+    draws = _random_trials(random.Random(args.seed), model, trials, args.exact)
+    for t, (dist, o_profile) in enumerate(draws):
         rep = verify_extension(cfg, result.dual_solution, model, dist, o_profile,
                                result.designated)
         if rep.worst_violation > worst:

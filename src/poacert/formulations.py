@@ -468,6 +468,7 @@ class VariantResult:
     dual: dict
     primal: dict
     iterations: int
+    fallback: Optional[str] = None  # the designee program's SolveReport.fallback
 
 
 @dataclass
@@ -554,7 +555,8 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
         program = _primal(cfg, names, *_row_table(cfg, *columns, d), d)
         rp = lp.solve(program, exact)
         if rp.status == lp.UNBOUNDED:
-            variants.append(VariantResult(d, INFINITE, None, None, {}, {}, rp.iterations))
+            variants.append(VariantResult(d, INFINITE, None, None, {}, {}, rp.iterations,
+                                          rp.fallback))
             continue
         if rp.status != lp.OPTIMAL:
             raise InvariantViolation(f"primal is {rp.status}; the unit witness is feasible")
@@ -570,7 +572,8 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
         if not _close(bound, rp.value, 0 if exact else VALUE_RTOL):
             raise InvariantViolation(f"duality gap: primal {rp.value} vs certificate {bound}")
         variants.append(
-            VariantResult(d, OPTIMAL, bound, rp.value, cert, rp.primal, rp.iterations)
+            VariantResult(d, OPTIMAL, bound, rp.value, cert, rp.primal, rp.iterations,
+                          rp.fallback)
         )
 
     infinite = [v for v in variants if v.status == INFINITE]

@@ -2,10 +2,14 @@
 
 Self-contained primal simplex (two-phase, tableau form) plus a mechanical
 dualizer.  Two arithmetic backends share one kernel: float64 numpy arrays,
-or object arrays of fractions.Fraction when exact=True.  A float run that
-fails or ends at a point violating its own rows is redone in rationals, so
-SolverError means the rational run failed too; the solver never reports
-OPTIMAL on an inconclusive run.
+or object arrays of fractions.Fraction.  A float run that fails or ends at
+a point violating its own rows is redone in rationals, so SolverError
+means the rational run failed too; the solver never reports OPTIMAL on an
+inconclusive run.  An exact solve runs the float kernel on the float image
+of the program first and certifies its final basis in rationals (one
+m x m Gauss-Jordan solve and exact checks of the basic point, the duals
+and, at an UNBOUNDED stop, the ray), as QSopt_ex and SoPlex do; the
+rational simplex runs only when that certificate fails.
 
 A program is stated as one coefficient array, rows by variables plus the
 objective as a last row, and that array is the one path into the tableau;
@@ -28,10 +32,10 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from collections.abc import Mapping, Sequence
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -125,12 +129,23 @@ _SIGN_CLASSES = (_NONNEG, _NONPOS, FREE)
 
 @dataclass
 class SolveReport:
+    """A solve's answer.  iterations counts the pivots of every run that
+    answered or led to the answer: the float run's, plus the rational
+    run's when that one had to run (a float run that raised counts
+    none).  fallback is None when the first arithmetic tried gave
+    the answer; otherwise it says why the rational simplex ran: the float
+    run's SolverError text, or the exact check its basis failed."""
+
     status: str
     value: object
     primal: dict
     duals: dict
     iterations: int
     exact: bool
+    fallback: Optional[str] = None
+    # the final tableau's basis, slack columns, live rows and the entering
+    # column of an UNBOUNDED stop (else None), for _certify
+    _basis: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 # ============================================================
@@ -144,6 +159,15 @@ def _convert(x, exact: bool):
             return x
         return Fraction(x)  # exact binary value of a float
     return float(x)
+
+
+def _fractions(coefficients: np.ndarray) -> np.ndarray:
+    """The Fractions of an array's nonzero entries, with every zero
+    Fraction(0)."""
+    vals = np.full(coefficients.shape, Fraction(0), dtype=object)
+    nz = coefficients != 0
+    vals[nz] = [_convert(c, True) for c in coefficients[nz].tolist()]
+    return vals
 
 
 class _Standardizer:
@@ -169,14 +193,9 @@ class _Standardizer:
 
     def columns(self, coefficients: np.ndarray) -> np.ndarray:
         """A coefficient array over the standard columns, in the run's
-        arithmetic: its float64 values, with every zero +0.0, or the
-        Fractions of its nonzero entries, with every zero Fraction(0)."""
-        if self.exact:
-            vals = np.full(coefficients.shape, self.zero, dtype=object)
-            nz = coefficients != 0
-            vals[nz] = [_convert(c, True) for c in coefficients[nz].tolist()]
-        else:
-            vals = coefficients.astype(np.float64)
+        arithmetic: its float64 values, with every zero +0.0; an exact run
+        takes the array of Fractions that _fractions gives."""
+        vals = coefficients.astype(self.dtype)
         vals[:, self.neg] *= -1
         if self.free.any():
             split = np.full((len(vals), self.ncols), self.zero, dtype=self.dtype)
@@ -253,6 +272,7 @@ class _Tableau:
         self.artificials = {c for c in self.art_col if c is not None}
         self.row_alive = [True] * self.m
         self.iterations = 0
+        self.entering = None  # the column of an UNBOUNDED stop
 
     # ---- pivoting ----
 
@@ -363,6 +383,7 @@ class _Tableau:
                     allowed = np.delete(allowed, pick)
                     continue
                 self._B = B
+                self.entering = enter
                 return UNBOUNDED
             degenerate = self.M[leave, -1] <= self.tol
             self._pivot(leave, enter, B)
@@ -423,16 +444,132 @@ def _float_residual(A, b, relations, tab):
 
 
 def solve(lp: LinearProgram, exact: bool = False) -> SolveReport:
-    """Two-phase simplex, in float unless exact.  A float run that raises
-    SolverError is redone in rationals, which are slow but never lie;
-    report.exact says which arithmetic answered.  SolverError from here
-    means the rational run failed too."""
+    """Two-phase simplex.  A float solve that raises SolverError is redone
+    in rationals, which are slow but never lie; report.exact says which
+    arithmetic answered.  An exact solve runs the float kernel on the float
+    image of the program first; its basis answers when it passes the exact
+    checks of _certify, and the rational simplex runs from scratch when it
+    does not, when the float run raises SolverError or when the image
+    leaves float range.  report.fallback says why the rational run ran.
+    SolverError from here means the rational run failed too."""
+    pivots = 0
     if not exact:
         try:
             return _simplex(lp, exact=False)
-        except SolverError:
-            pass
-    return _simplex(lp, exact=True)
+        except SolverError as err:
+            fallback = str(err)
+    else:
+        try:
+            # an overflow, or an inf or nan reached by a pivot, ends the float run
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                guess = _simplex(lp, exact=False)
+        except SolverError as err:
+            fallback = str(err)
+        except ArithmeticError as err:  # OverflowError, FloatingPointError
+            fallback = f"float image: {err}"
+        else:
+            try:
+                return _certify(lp, guess)
+            except SolverError as err:
+                fallback, pivots = str(err), guess.iterations
+    report = _simplex(lp, exact=True)
+    report.iterations += pivots
+    report.fallback = fallback
+    return report
+
+
+def _gauss_jordan(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
+    """X with matrix @ X = rhs, for a square object array of Fractions and
+    a 2-D rhs, by Gauss-Jordan elimination; None if matrix is singular."""
+    table = np.concatenate([matrix, rhs], axis=1)
+    m = len(table)
+    for r in range(m):
+        candidates = np.flatnonzero(table[r:, r])
+        if not len(candidates):
+            return None
+        p = r + candidates[0]
+        table[[r, p]] = table[[p, r]]
+        # a rational operation is dear: touch only the nonzero entries
+        live = np.flatnonzero(table[r])
+        table[r, live] = table[r, live] / table[r, r]
+        hit = np.flatnonzero(table[:, r])
+        hit = hit[hit != r]
+        table[np.ix_(hit, live)] -= np.outer(table[hit, r], table[r, live])
+    return table[:, m:]
+
+
+def _certify(lp: LinearProgram, guess: SolveReport) -> SolveReport:
+    """The exact report at the final basis of guess, a float run of lp, in
+    rationals over lp's exact standard form (a slack column per inequality
+    row: +1 on a <= row, -1 on a >= row).  OPTIMAL needs a basic point
+    x_B >= 0, dual rows that dual_violations finds unviolated, and row
+    duals of their sign; UNBOUNDED needs x_B >= 0 and an entering column j
+    whose ray B^-1 A_j is <= 0 and whose reduced cost improves.  Raises
+    SolverError naming the first check that fails."""
+    if guess.status == INFEASIBLE:
+        raise SolverError("float phase 1 found no feasible point")
+    values = _fractions(lp.coefficients)
+    std = _Standardizer(lp, exact=True)
+    forms = std.columns(values)
+    m, n = len(lp.rows), std.ncols
+    tableau_basis, slack_col, row_alive, entering = guess._basis
+    slacks = {c: n + i for i, c in enumerate(slack_col) if c is not None}
+
+    def number(j):
+        """A tableau column's standard column: structural j is j, the slack
+        of row i is n + i, and an artificial has none."""
+        return j if j < n else slacks.get(j)
+
+    basis = [number(j) if alive else None for j, alive in zip(tableau_basis, row_alive)]
+    if None in basis:
+        label = lp.rows[basis.index(None)].label
+        raise SolverError(f"float basis keeps an artificial or drops row {label}")
+    if entering is not None:
+        entering = number(entering)
+    sense_flip = -std.one if lp.sense == MINIMIZE else std.one
+    slack = np.full((m, m), std.zero, dtype=object)
+    np.fill_diagonal(slack, [{LE: std.one, GE: -std.one, EQ: std.zero}[row.relation]
+                             for row in lp.rows])
+    A = np.concatenate([forms[:-1], slack], axis=1)
+    costs = np.concatenate([forms[-1] * sense_flip, np.full(m, std.zero, dtype=object)])
+
+    def name(j):
+        if j >= n:
+            return f"the slack of {lp.rows[j - n].label}"
+        return lp.variables[np.searchsorted(std.col, j, side="right") - 1]
+
+    B, c_B = A[:, basis], costs[basis]
+    # the basic point, and the ray's direction B^-1 A_j
+    rhs = np.full((m, 1 if entering is None else 2), std.zero, dtype=object)
+    rhs[:, 0] = [_convert(row.rhs, True) for row in lp.rows]
+    if entering is not None:
+        rhs[:, 1] = A[:, entering]
+    solution = _gauss_jordan(B, rhs)
+    if solution is None:
+        raise SolverError("float basis is singular in rationals")
+    x = solution[:, 0]
+    below = np.flatnonzero(x < 0)
+    if len(below):
+        raise SolverError(f"basic {name(basis[below[0]])} is {x[below[0]]} at the float basis")
+    if entering is not None:
+        if (solution[:, 1] > 0).any():
+            raise SolverError(f"entering {name(entering)} meets a row: no ray")
+        if not costs[entering] - c_B @ solution[:, 1] > 0:
+            raise SolverError(f"entering {name(entering)} does not improve")
+        return SolveReport(UNBOUNDED, None, {}, {}, guess.iterations, True)
+
+    y = _gauss_jordan(B.T, c_B[:, None])[:, 0]
+    for row, dual in zip(lp.rows, y):
+        if {LE: dual < 0, GE: dual > 0, EQ: False}[row.relation]:
+            raise SolverError(f"row dual of {row.label} has the wrong sign at the float basis")
+    duals = (y * sense_flip).tolist()
+    violated = np.flatnonzero(dual_violations(replace(lp, coefficients=values), duals) > 0)
+    if len(violated):
+        raise SolverError(f"dual row {lp.variables[violated[0]]} is violated at the float basis")
+    colvals = np.full(n + m, std.zero, dtype=object)
+    colvals[basis] = x
+    return SolveReport(OPTIMAL, sense_flip * (c_B @ x), std.recover(colvals),
+                       dict(zip([row.label for row in lp.rows], duals)), guess.iterations, True)
 
 
 def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
@@ -443,7 +580,7 @@ def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
     zero = std.zero
     sense_flip = -std.one if lp.sense == MINIMIZE else std.one
 
-    forms = std.columns(lp.coefficients)
+    forms = std.columns(_fractions(lp.coefficients) if exact else lp.coefficients)
     A, costs = forms[:-1], forms[-1]
     b = np.array([_convert(row.rhs, exact) for row in lp.rows], dtype=std.dtype)
     rels = [row.relation for row in lp.rows]
@@ -465,7 +602,8 @@ def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
         return SolveReport(INFEASIBLE, None, {}, {}, tab.iterations, exact)
     status = tab.run(costs, banned=frozenset(tab.artificials))
     if status == UNBOUNDED:
-        return SolveReport(UNBOUNDED, None, {}, {}, tab.iterations, exact)
+        return SolveReport(UNBOUNDED, None, {}, {}, tab.iterations, exact,
+                           _basis=(tab.basis, tab.slack_col, tab.row_alive, tab.entering))
 
     if not exact:
         # a drifted float tableau can call an infeasible point optimal
@@ -491,7 +629,8 @@ def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
         idcol = tab.art_col[i] if tab.art_col[i] is not None else tab.slack_col[i]
         y = B[idcol] * tab.sign[i] * sense_flip * row_scale[i]
         duals[row.label] = y if exact else float(y)
-    return SolveReport(OPTIMAL, value, primal, duals, tab.iterations, exact)
+    return SolveReport(OPTIMAL, value, primal, duals, tab.iterations, exact,
+                       _basis=(tab.basis, tab.slack_col, tab.row_alive, None))
 
 
 # ============================================================

@@ -4,6 +4,7 @@ read back entry by entry."""
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -122,6 +123,23 @@ def dict_program(sense, variables, objective, rows, bounds=None, name="lp"):
         coefficients[i, [position[v] for v in form]] = np.array(list(form.values()), dtype=object)
     lp_rows = [lp.Row(rel, rhs, label) for _, rel, rhs, label in rows]
     return lp.LinearProgram(sense, variables, lp_rows, coefficients, bounds or {}, name)
+
+
+def assert_certified(program, report):
+    """report, an exact solve of program, has the status and value of a
+    cold rational simplex run, and an OPTIMAL one passes
+    feasibility_report and dual_violations at tolerance 0, read in
+    rationals, with duals whose rhs sum is the value."""
+    cold = lp._simplex(program, exact=True)
+    assert report.exact is True
+    assert (report.status, report.value) == (cold.status, cold.value), program.name
+    if report.status != lp.OPTIMAL:
+        return
+    exact = replace(program, coefficients=lp._fractions(program.coefficients))
+    duals = [report.duals[row.label] for row in program.rows]
+    assert lp.feasibility_report(exact, report.primal, 0)[0], program.name
+    assert max(lp.dual_violations(exact, duals).tolist(), default=0) <= 0, program.name
+    assert sum(F(row.rhs) * y for row, y in zip(program.rows, duals)) == report.value
 
 
 def nonzeros(program, i):

@@ -88,6 +88,8 @@ def test_solve_worst_case_exact_mode(capsys, cfg_path):
     assert code == EXIT_OK
     assert doc["gamma_star"] == "2"
     assert doc["settings"]["arithmetic"] == "rational"
+    # certified at the float basis: the rational simplex did not run
+    assert [v["fallback"] for v in doc["variants"]] == [None]
 
 
 def test_solve_worst_case_emits_files(capsys, tmp_path, cfg_path):
@@ -283,6 +285,17 @@ def test_verify_extension_command(capsys, cfg_path, game_path):
     assert doc["ok"] is True
     assert doc["trials"] >= 50
     assert doc["failures"] == []
+
+
+def test_exact_verify_extension_draws_exact_masses(capsys, cfg_path, game_path):
+    """Under --exact the trials' masses are the float draws read as
+    Fractions and normalised exactly, so the coarse check runs in
+    rationals: the tight unit certificate has no rounding to report."""
+    code, doc = run(capsys, "verify-extension", "--config", cfg_path,
+                    "--game", game_path, "--exact")
+    assert code == EXIT_OK
+    assert doc["ok"] is True
+    assert doc["worst_violation"] == 0
 
 
 def test_smoothness_command(capsys, game_path):

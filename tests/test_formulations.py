@@ -24,6 +24,7 @@ from conftest import (
     AA,
     AB,
     BB,
+    assert_certified,
     closed_form_dual,
     dict_program,
     g1,
@@ -364,6 +365,57 @@ def test_exact_solve_of_seeded_float_configurations_is_certified():
         res = solve_worst_case(WorstCaseConfig(weights, uniform(), spec, 0.0, basis), exact=True)
         assert res.status in (OPTIMAL, INFINITE), seed
         assert res.status == INFINITE or isinstance(res.gamma_star, F), seed
+
+
+def seeded_float_configurations():
+    """The 30 seeded float configurations of the test above, drawn alike."""
+    basis = (BasisFunction.monomial(1), BasisFunction.monomial(2))
+    for seed in range(30):
+        rng = seeded(seed)
+        n = rng.choice((2, 3))
+        weights = tuple(rng.choice((0.3, 0.5, 1.0, 1.5, 2.0)) for _ in range(n))
+
+        def uniform():
+            return tuple(tuple(rng.uniform(0, 1) for _ in range(n)) for _ in range(n))
+
+        spec = SocialSpec(rng.choice((SUM, MAX)), uniform())
+        yield WorstCaseConfig(weights, uniform(), spec, 0.0, basis)
+
+
+def test_exact_solve_agrees_with_the_rational_simplex(monkeypatch):
+    """Every designee program that solve_worst_case(exact=True) solves, on
+    the 30 seeded float configurations and on the signed-alpha mixed cell
+    (two UNBOUNDED designees), gets the status and value of a cold
+    rational simplex run, and each OPTIMAL answer passes its checks at
+    tolerance 0 in rationals."""
+    solved = []
+    solve = lp.solve
+
+    def recorded(program, exact=False):
+        report = solve(program, exact)
+        solved.append((program, report))
+        return report
+
+    monkeypatch.setattr(lp, "solve", recorded)
+    for cfg in [*seeded_float_configurations(), mixed_cell(True)]:
+        solve_worst_case(cfg, exact=True)
+    for program, report in solved:
+        assert_certified(program, report)
+    assert [r.status for _, r in solved].count(lp.UNBOUNDED) >= 2
+    assert all(r.fallback is None for _, r in solved)
+
+
+def test_exact_solve_of_the_1331_max_class():
+    """Weights (1, 3, 3, 1), basis x, x^2, x^3, identity alpha and beta,
+    eps = 0, max: a float solve of this class once failed its certificate
+    by 4.6e-9; the exact solve answers 6760/243, certified at tolerance 0."""
+    eye = identity_matrix(4, True)
+    basis = tuple(BasisFunction.monomial(k) for k in (1, 2, 3))
+    cfg = WorstCaseConfig((F(1), F(3), F(3), F(1)), eye, SocialSpec(MAX, eye), F(0), basis)
+    r = solve_worst_case(cfg, exact=True)
+    assert r.status == OPTIMAL
+    assert r.gamma_star == F(6760, 243)
+    assert_certifies(cfg, r)
 
 
 # ============================================================

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import dict_program, g1, g1_spec, nonzeros
+from conftest import assert_certified, dict_program, g1, g1_spec, nonzeros
 from poacert import linprog, oracle
 from poacert.linprog import (
     EQ,
@@ -278,6 +278,17 @@ def pricing_cases():
     return programs
 
 
+def beale():
+    """Beale's cycling program, in the maximizing form of Chvatal."""
+    return dict_program(
+        MAXIMIZE, ["x1", "x2", "x3", "x4"],
+        {"x1": F(3, 4), "x2": -150, "x3": F(1, 50), "x4": -6},
+        [({"x1": F(1, 4), "x2": -60, "x3": F(-1, 25), "x4": 9}, LE, 0, "r1"),
+         ({"x1": F(1, 2), "x2": -90, "x3": F(-1, 50), "x4": 3}, LE, 0, "r2"),
+         ({"x3": 1}, LE, 1, "r3")],
+    )
+
+
 @pytest.mark.parametrize("streak", [linprog.DEGENERATE_STREAK, 1])
 @pytest.mark.parametrize("exact", [False, True])
 def test_array_pricing_pivots_like_the_loop(monkeypatch, exact, streak):
@@ -286,14 +297,7 @@ def test_array_pricing_pivots_like_the_loop(monkeypatch, exact, streak):
     streak of 1, Bland's rule takes over after the first degenerate
     pivot, which these programs reach."""
     monkeypatch.setattr(linprog, "DEGENERATE_STREAK", streak)
-    beale = dict_program(
-        MAXIMIZE, ["x1", "x2", "x3", "x4"],
-        {"x1": F(3, 4), "x2": -150, "x3": F(1, 50), "x4": -6},
-        [({"x1": F(1, 4), "x2": -60, "x3": F(-1, 25), "x4": 9}, LE, 0, "r1"),
-         ({"x1": F(1, 2), "x2": -90, "x3": F(-1, 50), "x4": 3}, LE, 0, "r2"),
-         ({"x3": 1}, LE, 1, "r3")],
-    )
-    programs = pricing_cases() + [beale, dualize(lp_prod_mix())]
+    programs = pricing_cases() + [beale(), dualize(lp_prod_mix())]
     arrays = [linprog._simplex(p, exact) for p in programs]
     monkeypatch.setattr(linprog, "_Tableau", LoopPricing)
     loops = [linprog._simplex(p, exact) for p in programs]
@@ -326,6 +330,7 @@ def test_float_failure_is_redone_in_rationals(kernel_calls):
     assert calls == [False, True]
     assert r.status == OPTIMAL
     assert r.exact is True
+    assert r.fallback == "float run refused"
     assert r.value == F(12) and isinstance(r.value, F)
     assert r.primal == {"x": F(4), "y": F(0)}
 
@@ -346,7 +351,109 @@ def test_exact_failure_propagates(kernel_calls):
     calls.clear()
     with pytest.raises(SolverError, match="exact run refused"):
         solve(lp_prod_mix(), exact=True)
-    assert calls == [True]
+    assert calls == [False, True]
+
+
+def test_exact_answer_is_certified_at_the_float_basis(kernel_calls):
+    calls, _ = kernel_calls
+    r = solve(lp_prod_mix(), exact=True)
+    assert calls == [False]
+    assert r.exact is True and r.fallback is None
+    assert r.value == F(12) and isinstance(r.value, F)
+    assert r.primal == {"x": F(4), "y": F(0)}
+    assert r.duals == {"cap": F(3), "labor": F(0)}
+
+
+def test_exact_solve_agrees_with_the_rational_simplex():
+    """Certified at the float basis or repaired, an exact solve has the
+    status and value of a cold rational run, on programs with free and
+    <= 0 variables, >= and = rows, degenerate pivots and unbounded rays."""
+    ray = dict_program(MINIMIZE, ["x", "y"], {"x": 1, "y": -1},
+                       [({"x": 1, "y": -2}, LE, 3, "a"), ({"x": 1}, EQ, 2, "b")],
+                       bounds={"y": FREE})
+    void = dict_program(MAXIMIZE, ["x"], {"x": 1},
+                        [({"x": 1}, LE, 1, "a"), ({"x": 1}, GE, 2, "b")])
+    programs = pricing_cases() + [beale(), dualize(lp_prod_mix()), ray, void]
+    reports = [solve(p, exact=True) for p in programs]
+    for program, report in zip(programs, reports):
+        assert_certified(program, report)
+    assert [r.status for r in reports[-2:]] == [UNBOUNDED, INFEASIBLE]
+    assert reports[-2].fallback is None  # the ray is certified
+    assert reports[-1].fallback == "float phase 1 found no feasible point"
+
+
+def test_exact_solve_outside_float_range_goes_to_rationals(kernel_calls):
+    calls, _ = kernel_calls
+    huge = 10 ** 400
+    program = dict_program(MAXIMIZE, ["x"], {"x": 1}, [({"x": huge}, LE, huge, "r")])
+    r = solve(program, exact=True)
+    assert calls == [False, True]
+    assert r.fallback.startswith("float image:")
+    assert (r.status, r.value, r.primal) == (OPTIMAL, F(1), {"x": F(1)})
+
+
+@pytest.mark.parametrize("status, check", [(OPTIMAL, "dual row x is violated"),
+                                           (UNBOUNDED, "entering x meets a row")])
+def test_float_basis_that_fails_its_check_is_repaired(monkeypatch, status, check):
+    """A float phase 2 that stops at its first basis, calling it OPTIMAL,
+    or UNBOUNDED along the first improving column, fails the exact check
+    named, and the rational simplex answers."""
+    run = linprog._Tableau.run
+
+    def stop_at_once(self, costs, banned, ray_free=False):
+        if self.exact or ray_free:
+            return run(self, costs, banned, ray_free)
+        self._B = self._reduced_row(costs)
+        self.entering = int(np.flatnonzero(self._B[:self.ncols] < 0)[0])
+        return status
+
+    monkeypatch.setattr(linprog._Tableau, "run", stop_at_once)
+    r = solve(lp_prod_mix(), exact=True)
+    assert r.fallback.startswith(check)
+    assert r == linprog.SolveReport(OPTIMAL, F(12), {"x": F(4), "y": F(0)},
+                                    {"cap": F(3), "labor": F(0)}, 1, True, r.fallback)
+
+
+def falling_ray():
+    # max -x st -x <= 1: x may grow without end, but the objective falls
+    return dict_program(MAXIMIZE, ["x"], {"x": -1}, [({"x": -1}, LE, 1, "a")])
+
+
+@pytest.mark.parametrize("program, basis, entering, check", [
+    (lp_prod_mix, [0, 2], None, "basic the slack of cap is -2 "),
+    (lp_prod_mix, [0, 1], None, "row dual of labor has the wrong sign"),
+    (lp_prod_mix, [2, 3], None, "dual row x is violated"),
+    (lp_prod_mix, [2, 3], 0, "entering x meets a row"),
+    (falling_ray, [1], 0, "entering x does not improve"),
+    (lp_prod_mix, [0, 3], None, None),
+], ids=["point", "sign", "dual-row", "no-ray", "no-gain", "optimal"])
+def test_certify_checks_the_basis_exactly(program, basis, entering, check):
+    """_certify on hand-picked bases of the tableau: columns x, y, then
+    the slacks; prod-mix's optimal basis is x and labor's slack."""
+    program = program()
+    m, n = len(program.rows), len(program.variables)
+    guess = linprog.SolveReport(OPTIMAL if entering is None else UNBOUNDED, None, {}, {}, 0,
+                                False, _basis=(basis, list(range(n, n + m)), [True] * m, entering))
+    if check is not None:
+        with pytest.raises(SolverError, match=check):
+            linprog._certify(program, guess)
+        return
+    r = linprog._certify(program, guess)
+    assert (r.value, r.primal, r.duals) == (F(12), {"x": F(4), "y": F(0)},
+                                           {"cap": F(3), "labor": F(0)})
+
+
+def test_iterations_count_the_float_and_the_rational_pivots(monkeypatch):
+    program = beale()
+    pivots = [linprog._simplex(program, exact).iterations for exact in (False, True)]
+
+    def refuse(lp, guess):
+        raise SolverError("refused")
+
+    monkeypatch.setattr(linprog, "_certify", refuse)
+    r = solve(program, exact=True)
+    assert (r.fallback, r.iterations) == ("refused", sum(pivots))
+    assert min(pivots) > 0
 
 
 def test_float_callers_get_the_rational_retry(kernel_calls):
