@@ -2,14 +2,16 @@
 
 Self-contained primal simplex (two-phase, tableau form) plus a mechanical
 dualizer.  Two arithmetic backends share one kernel: float64 numpy arrays,
-or object arrays of fractions.Fraction.  A float run that fails or ends at
-a point violating its own rows is redone in rationals, so SolverError
-means the rational run failed too; the solver never reports OPTIMAL on an
-inconclusive run.  An exact solve runs the float kernel on the float image
-of the program first and certifies its final basis in rationals (one
-m x m Gauss-Jordan solve and exact checks of the basic point, the duals
-and, at an UNBOUNDED stop, the ray), as QSopt_ex and SoPlex do; the
-rational simplex runs only when that certificate fails.
+or object arrays of fractions.Fraction.  Every answer comes from one
+reader, _read, at the run's final basis: it solves B x_B = b and
+B^T y = c_B with one inverse of the basic block and checks the point, the
+rows, the duals' signs and the dual rows, or at an UNBOUNDED stop the
+ray.  A float answer is read on the run's own equilibrated system and
+checked to RESIDUAL_TOL; an exact one reads the float run's basis on the
+program's rational data and checks it with tolerance 0, as QSopt_ex and
+SoPlex do.  A run whose reading fails, or that fails itself, is redone by
+the rational simplex, so SolverError means the rational run failed too;
+the solver never reports OPTIMAL on an inconclusive run.
 
 A program is stated as one coefficient array, rows by variables plus the
 objective as a last row, and that array is the one path into the tableau;
@@ -32,7 +34,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from collections.abc import Mapping, Sequence
 from typing import NamedTuple, Optional
@@ -56,8 +58,9 @@ DEGENERATE_STREAK = 40
 # float pivot, ratio-test and phase-1 feasibility tolerance; exact runs use 0
 PIVOT_TOL = 1e-9
 
-# largest relative row or bound residual a float optimum may carry; honest
-# runs stay below 1e-8, a drifted tableau is off by O(1)
+# largest violation a float reading may carry: of a row or x >= 0 relative
+# to 1 + max|x|, of a dual row or a row dual's sign relative to 1 + max|y|;
+# honest runs stay below 1e-8, a drifted tableau is off by O(1)
 RESIDUAL_TOL = 1e-6
 
 
@@ -129,12 +132,15 @@ _SIGN_CLASSES = (_NONNEG, _NONPOS, FREE)
 
 @dataclass
 class SolveReport:
-    """A solve's answer.  iterations counts the pivots of every run that
-    answered or led to the answer: the float run's, plus the rational
-    run's when that one had to run (a float run that raised counts
-    none).  fallback is None when the first arithmetic tried gave
-    the answer; otherwise it says why the rational simplex ran: the float
-    run's SolverError text, or the exact check its basis failed."""
+    """A solve's answer, read at a final basis by _read: a float answer
+    has row duals of their sign, and its point and duals meet every row
+    and dual row within RESIDUAL_TOL; an exact one meets them exactly.
+    iterations counts the pivots of every run that answered or led to the
+    answer: the float run's, plus the rational run's when that one had to
+    run (a float run that raised counts none).  fallback is None when the
+    float run's basis gave the answer; otherwise it says why the rational
+    simplex ran: the float run's SolverError text, or the check its
+    reading failed."""
 
     status: str
     value: object
@@ -143,9 +149,6 @@ class SolveReport:
     iterations: int
     exact: bool
     fallback: Optional[str] = None
-    # the final tableau's basis, slack columns, live rows and the entering
-    # column of an UNBOUNDED stop (else None), for _certify
-    _basis: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 # ============================================================
@@ -206,12 +209,58 @@ class _Standardizer:
             vals += 0.0  # -0.0 + 0.0 is 0.0
         return vals
 
-    def recover(self, colvals: Sequence) -> dict:
-        x = np.array(colvals[:self.ncols], dtype=self.dtype)
+    def recover(self, x: np.ndarray) -> dict:
+        """The program's point at the standard columns' values x."""
         prim = x[self.col]
         prim[self.neg] = self.zero - prim[self.neg]
         prim[self.free] -= x[self.col[self.free] + 1]
         return dict(zip(self.lp.variables, prim.tolist()))
+
+
+class _System(NamedTuple):
+    """max costs'x over A x R b and x >= 0 with b >= 0, in one arithmetic:
+    a program's standard form with every row of negative rhs negated and,
+    in float, every row equilibrated.  slack[i] is the sign of row i's
+    slack column: 1 on a <= row, -1 on a >= row, 0 on an = row (none).
+    A dual of row i here times scale[i] is the program's row dual."""
+
+    A: np.ndarray
+    b: np.ndarray
+    costs: np.ndarray
+    slack: np.ndarray
+    scale: np.ndarray
+    std: _Standardizer
+
+
+_SLACK = {LE: 1, GE: -1, EQ: 0}
+
+
+def _system(lp: LinearProgram, exact: bool) -> _System:
+    std = _Standardizer(lp, exact)
+    forms = std.columns(_fractions(lp.coefficients) if exact else lp.coefficients)
+    A, costs = forms[:-1], forms[-1]
+    b = np.array([_convert(row.rhs, exact) for row in lp.rows], dtype=std.dtype)
+    scale = np.full(len(b), std.one, dtype=std.dtype)
+    if lp.sense == MINIMIZE:
+        nz = np.flatnonzero(costs)
+        costs[nz] = -costs[nz]
+        scale = -scale
+    if not exact:
+        # equilibrate: float tolerances are absolute, so rows must share a
+        # scale for them to mean anything
+        biggest = np.abs(A).max(axis=1, initial=0.0)
+        row_scale = 1.0 / np.where(biggest > 0, biggest, 1.0)
+        A *= row_scale[:, None]
+        b *= row_scale
+        scale *= row_scale
+    slack = np.array([_SLACK[row.relation] for row in lp.rows], dtype=std.dtype)
+    flip = b < 0
+    if flip.any():
+        A[flip] = -A[flip]
+        b[flip] = -b[flip]
+        scale[flip] = -scale[flip]
+        slack[flip] = -slack[flip]
+    return _System(A, b, costs, slack, scale, std)
 
 
 # ============================================================
@@ -220,56 +269,31 @@ class _Standardizer:
 
 
 class _Tableau:
-    def __init__(self, A, b, relations, n_struct, exact):
-        """A is the m x n_struct constraint array (float64, or object of
-        Fractions when exact); rows with a negative rhs are flipped in place."""
-        self.exact = exact
-        self.tol = Fraction(0) if exact else PIVOT_TOL
-        self.m = len(b)
-        zero = Fraction(0) if exact else 0.0
-        one = Fraction(1) if exact else 1.0
-        self.sign = [one] * self.m
-        # normalize rhs >= 0
-        rels = list(relations)
-        for i in range(self.m):
-            if b[i] < 0:
-                b[i] = -b[i]
-                A[i] = -A[i]
-                self.sign[i] = -one
-                rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
-        self.n_struct = n_struct
-        ncols = self.n_struct
-        self.slack_col = [None] * self.m
-        self.art_col = [None] * self.m
-        for i, rel in enumerate(rels):
-            if rel == LE:
-                self.slack_col[i] = ncols
-                ncols += 1
-            elif rel == GE:
-                self.slack_col[i] = ncols
-                self.art_col[i] = ncols + 1
-                ncols += 2
-            else:
-                self.art_col[i] = ncols
-                ncols += 1
-        self.ncols = ncols
-        self.max_iters = 2000 + 100 * (self.m + ncols)
-        M = np.zeros((self.m, ncols + 1), dtype=object if exact else np.float64)
-        if exact:
-            M[:, :] = zero
-        M[:, :n_struct] = A
-        for i in range(self.m):
-            if self.slack_col[i] is not None:
-                M[i, self.slack_col[i]] = one if rels[i] == LE else -one
-            if self.art_col[i] is not None:
-                M[i, self.art_col[i]] = one
-            M[i, ncols] = b[i]
+    def __init__(self, system: _System):
+        std = system.std
+        self.exact, self.zero = std.exact, std.zero
+        self.tol = Fraction(0) if std.exact else PIVOT_TOL
+        self.m, n_struct = system.A.shape
+        signs = system.slack.tolist()
+        self.ncols = n_struct + sum(s != 0 for s in signs) + sum(s <= 0 for s in signs)
+        self.max_iters = 2000 + 100 * (self.m + self.ncols)
+        M = np.full((self.m, self.ncols + 1), std.zero, dtype=std.dtype)
+        M[:, :n_struct] = system.A
+        M[:, -1] = system.b
+        # the standard number of each column: structural j is j, the slack of
+        # row i is n_struct + i and its artificial n_struct + m + i
+        self.standard = list(range(n_struct))
+        self.basis, self.artificials = [], set()
+        for i, sign in enumerate(signs):
+            if sign:  # a slack: +1 on a <= row, -1 on a >= row
+                M[i, len(self.standard)] = std.one if sign > 0 else -std.one
+                self.standard.append(n_struct + i)
+            if sign <= 0:  # an artificial, on a >= or = row
+                M[i, len(self.standard)] = std.one
+                self.artificials.add(len(self.standard))
+                self.standard.append(n_struct + self.m + i)
+            self.basis.append(len(self.standard) - 1)
         self.M = M
-        self.basis = [
-            self.art_col[i] if self.art_col[i] is not None else self.slack_col[i]
-            for i in range(self.m)
-        ]
-        self.artificials = {c for c in self.art_col if c is not None}
         self.row_alive = [True] * self.m
         self.iterations = 0
         self.entering = None  # the column of an UNBOUNDED stop
@@ -278,12 +302,11 @@ class _Tableau:
 
     def _pivot(self, r, j, B):
         M = self.M
-        piv = M[r, j]
-        M[r] = M[r] / piv
+        M[r] /= M[r, j]
         col = M[:, j].copy()
-        col[r] = self.zero_scalar()
+        col[r] = self.zero
         # rank-1 elimination of column j everywhere but the pivot row
-        M -= np.outer(col, M[r])
+        M -= col[:, None] * M[r]
         if B[j] != 0:
             B -= B[j] * M[r]
         if not self.exact:
@@ -293,17 +316,11 @@ class _Tableau:
         self.basis[r] = j
         self.iterations += 1
 
-    def zero_scalar(self):
-        return Fraction(0) if self.exact else 0.0
-
     def _reduced_row(self, costs):
         """Build the z - c row (plus objective value cell) for given costs
         of the leading columns; the rest cost 0."""
-        dtype = object if self.exact else np.float64
-        B = np.zeros(self.M.shape[1], dtype=dtype)
-        if self.exact:
-            B[:] = Fraction(0)
-        costs = np.asarray(costs, dtype=dtype)
+        B = np.full(self.M.shape[1], self.zero, dtype=self.M.dtype)
+        costs = np.asarray(costs, dtype=self.M.dtype)
         nz = np.flatnonzero(costs)
         B[nz] = -costs[nz]
         for r in range(self.m):
@@ -370,7 +387,7 @@ class _Tableau:
                 below = np.flatnonzero(reduced < -self.tol)
                 pick = below[0] if len(below) else None
             else:
-                pick = int(np.argmin(reduced)) if len(reduced) else None
+                pick = int(reduced.argmin()) if len(reduced) else None
                 if pick is not None and not reduced[pick] < -self.tol:
                     pick = None
             if pick is None:
@@ -397,7 +414,7 @@ class _Tableau:
     def phase1(self):
         if not self.artificials:
             return True
-        costs = [self.zero_scalar()] * self.ncols
+        costs = [self.zero] * self.ncols
         for c in self.artificials:
             costs[c] = -(Fraction(1) if self.exact else 1.0)
         status = self.run(costs, banned=frozenset(), ray_free=True)
@@ -419,74 +436,76 @@ class _Tableau:
                 self.row_alive[r] = False
         return True
 
-    def column_values(self):
-        vals = [self.zero_scalar()] * self.ncols
-        for r in range(self.m):
-            if self.row_alive[r]:
-                vals[self.basis[r]] = self.M[r, -1]
-        return vals
+
+class _Stop(NamedTuple):
+    """Where a run of the kernel stopped: its status, the standard number
+    of each row's basic column (see _Tableau.standard), the entering
+    column of an UNBOUNDED stop, its pivots and the system it ran on."""
+
+    status: str
+    basis: Optional[list]
+    entering: Optional[int]
+    iterations: int
+    system: _System
 
 
-def _float_residual(A, b, relations, tab):
-    """(worst violation relative to 1 + max|x|, row index or None for
-    x >= 0) of the basic point against the equilibrated rows A x R b, in
-    O(m^2): only basic columns are nonzero.  _Tableau flipped the rows with
-    a negative rhs in place; tab.sign turns them back to `relations`."""
-    basic = [(r, j) for r, j in enumerate(tab.basis) if tab.row_alive[r] and j < tab.n_struct]
-    x = np.array([tab.M[r, -1] for r, _ in basic], dtype=float)
-    sub = A[:, [j for _, j in basic]]
-    gap = (sub @ x - np.asarray(b, dtype=float)) * tab.sign
-    rel = np.asarray(relations)
-    by_row = np.where(rel == EQ, abs(gap), np.where(rel == GE, -gap, gap))
-    viol = np.concatenate([by_row, -x, [0]])
-    i = int(np.argmax(viol))
-    return viol[i] / (1 + np.abs(x).max(initial=0)), (i if i < len(A) else None)
+def _run(lp: LinearProgram, exact: bool) -> _Stop:
+    """One run of the kernel in one arithmetic, to its final basis."""
+    system = _system(lp, exact)
+    tab = _Tableau(system)
+    if not tab.phase1():
+        return _Stop(INFEASIBLE, None, None, tab.iterations, system)
+    status = tab.run(system.costs, banned=frozenset(tab.artificials))
+    entering = None if status == OPTIMAL else tab.standard[tab.entering]
+    return _Stop(status, [tab.standard[j] for j in tab.basis], entering, tab.iterations, system)
+
+
+def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
+    """One run of the kernel in one arithmetic, read in it."""
+    return _read(lp, _run(lp, exact), exact)
 
 
 def solve(lp: LinearProgram, exact: bool = False) -> SolveReport:
-    """Two-phase simplex.  A float solve that raises SolverError is redone
-    in rationals, which are slow but never lie; report.exact says which
-    arithmetic answered.  An exact solve runs the float kernel on the float
-    image of the program first; its basis answers when it passes the exact
-    checks of _certify, and the rational simplex runs from scratch when it
-    does not, when the float run raises SolverError or when the image
-    leaves float range.  report.fallback says why the rational run ran.
-    SolverError from here means the rational run failed too."""
+    """Two-phase simplex: one float run, read at its final basis by _read
+    in the arithmetic asked for; report.exact says which arithmetic
+    answered.  The rational simplex runs from scratch only when that
+    fails: the float run raises SolverError, leaves float range or stops
+    at a basis whose reading fails its checks.  report.fallback says why
+    it ran, and SolverError from here means it failed too."""
     pivots = 0
-    if not exact:
-        try:
-            return _simplex(lp, exact=False)
-        except SolverError as err:
-            fallback = str(err)
-    else:
-        try:
-            # an overflow, or an inf or nan reached by a pivot, ends the float run
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                guess = _simplex(lp, exact=False)
-        except SolverError as err:
-            fallback = str(err)
-        except ArithmeticError as err:  # OverflowError, FloatingPointError
-            fallback = f"float image: {err}"
-        else:
-            try:
-                return _certify(lp, guess)
-            except SolverError as err:
-                fallback, pivots = str(err), guess.iterations
+    try:
+        # an overflow, or an inf or nan reached by a pivot, ends the float run
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            stop = _run(lp, exact=False)
+            pivots = stop.iterations
+            return _read(lp, stop, exact)
+    except SolverError as err:
+        fallback = str(err)
+    except ArithmeticError as err:  # OverflowError, FloatingPointError
+        fallback = f"float image: {err}"
     report = _simplex(lp, exact=True)
     report.iterations += pivots
     report.fallback = fallback
     return report
 
 
-def _gauss_jordan(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """X with matrix @ X = rhs, for a square object array of Fractions and
-    a 2-D rhs, by Gauss-Jordan elimination; None if matrix is singular."""
-    table = np.concatenate([matrix, rhs], axis=1)
-    m = len(table)
+def _inverse(matrix: np.ndarray, exact: bool) -> np.ndarray:
+    """The inverse of a square basis matrix: by np.linalg in float, by
+    Gauss-Jordan elimination over Fractions when exact.  SolverError when
+    it is singular."""
+    m = len(matrix)
+    if not exact:
+        try:
+            return np.linalg.inv(matrix)
+        except np.linalg.LinAlgError:
+            raise SolverError("basis is singular") from None
+    table = np.full((m, 2 * m), Fraction(0), dtype=object)
+    table[:, :m] = matrix
+    table[range(m), range(m, 2 * m)] = Fraction(1)
     for r in range(m):
         candidates = np.flatnonzero(table[r:, r])
         if not len(candidates):
-            return None
+            raise SolverError("basis is singular")
         p = r + candidates[0]
         table[[r, p]] = table[[p, r]]
         # a rational operation is dear: touch only the nonzero entries
@@ -498,139 +517,103 @@ def _gauss_jordan(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     return table[:, m:]
 
 
-def _certify(lp: LinearProgram, guess: SolveReport) -> SolveReport:
-    """The exact report at the final basis of guess, a float run of lp, in
-    rationals over lp's exact standard form (a slack column per inequality
-    row: +1 on a <= row, -1 on a >= row).  OPTIMAL needs a basic point
-    x_B >= 0, dual rows that dual_violations finds unviolated, and row
-    duals of their sign; UNBOUNDED needs x_B >= 0 and an entering column j
-    whose ray B^-1 A_j is <= 0 and whose reduced cost improves.  Raises
-    SolverError naming the first check that fails."""
-    if guess.status == INFEASIBLE:
-        raise SolverError("float phase 1 found no feasible point")
-    values = _fractions(lp.coefficients)
-    std = _Standardizer(lp, exact=True)
-    forms = std.columns(values)
-    m, n = len(lp.rows), std.ncols
-    tableau_basis, slack_col, row_alive, entering = guess._basis
-    slacks = {c: n + i for i, c in enumerate(slack_col) if c is not None}
+def _tol(values: np.ndarray, exact: bool):
+    """0 when exact, else RESIDUAL_TOL relative to 1 + max|values|."""
+    return 0 if exact else RESIDUAL_TOL * (1 + max(map(abs, values.tolist()), default=0.0))
 
-    def number(j):
-        """A tableau column's standard column: structural j is j, the slack
-        of row i is n + i, and an artificial has none."""
-        return j if j < n else slacks.get(j)
 
-    basis = [number(j) if alive else None for j, alive in zip(tableau_basis, row_alive)]
-    if None in basis:
-        label = lp.rows[basis.index(None)].label
-        raise SolverError(f"float basis keeps an artificial or drops row {label}")
-    if entering is not None:
-        entering = number(entering)
-    sense_flip = -std.one if lp.sense == MINIMIZE else std.one
-    slack = np.full((m, m), std.zero, dtype=object)
-    np.fill_diagonal(slack, [{LE: std.one, GE: -std.one, EQ: std.zero}[row.relation]
-                             for row in lp.rows])
-    A = np.concatenate([forms[:-1], slack], axis=1)
-    costs = np.concatenate([forms[-1] * sense_flip, np.full(m, std.zero, dtype=object)])
+def _check(violations: np.ndarray, tol, message):
+    """SolverError(message(i)) for the first i whose violation exceeds tol
+    or is nan."""
+    if not np.maximum.reduce(violations, initial=0) <= tol:
+        raise SolverError(message(int(np.flatnonzero(~(violations <= tol))[0])))
+
+
+def _violations(excess: np.ndarray, slack: np.ndarray, tight) -> np.ndarray:
+    """How far each row's lhs - rhs, excess, breaks the row's relation
+    (see _System.slack), or = where tight."""
+    return np.absolute(excess, out=slack * excess, where=tight | (slack == 0))
+
+
+def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
+    """The report of a run at its final basis, in rationals when exact: a
+    float run's basis is then read on lp's exact system and checked with
+    tolerance 0; a float reading is checked on the run's own system to
+    RESIDUAL_TOL relative to 1 + max|x| or 1 + max|y|.
+
+    The structural basic columns S and the rows R whose slack and
+    artificial are nonbasic meet in a square block K of the basis
+    matrix, and x_S = K^-1 b_R, y_R = c_S K^-1.  A row whose artificial
+    stayed basic was dropped by phase 1 as dependent; like a row whose
+    slack is basic, it gets dual 0.  Every stop needs x_S >= 0 and every
+    row to hold at x, tightly on R.  OPTIMAL needs row duals of their
+    sign and every dual row to hold, tightly on S; UNBOUNDED needs the
+    entering column's ray to keep x >= 0 and every row, and to improve
+    the objective.  SolverError names the first check that fails."""
+    if stop.status == INFEASIBLE:
+        if exact and not stop.system.std.exact:
+            raise SolverError("float phase 1 found no feasible point")
+        return SolveReport(INFEASIBLE, None, {}, {}, stop.iterations, exact)
+    A, b, costs, slack, scale, std = (
+        stop.system if stop.system.std.exact == exact else _system(lp, exact))
+    m, n = A.shape
+    zero, basis = std.zero, stop.basis
 
     def name(j):
         if j >= n:
             return f"the slack of {lp.rows[j - n].label}"
         return lp.variables[np.searchsorted(std.col, j, side="right") - 1]
 
-    B, c_B = A[:, basis], costs[basis]
-    # the basic point, and the ray's direction B^-1 A_j
-    rhs = np.full((m, 1 if entering is None else 2), std.zero, dtype=object)
-    rhs[:, 0] = [_convert(row.rhs, True) for row in lp.rows]
-    if entering is not None:
-        rhs[:, 1] = A[:, entering]
-    solution = _gauss_jordan(B, rhs)
-    if solution is None:
-        raise SolverError("float basis is singular in rationals")
-    x = solution[:, 0]
-    below = np.flatnonzero(x < 0)
-    if len(below):
-        raise SolverError(f"basic {name(basis[below[0]])} is {x[below[0]]} at the float basis")
-    if entering is not None:
-        if (solution[:, 1] > 0).any():
-            raise SolverError(f"entering {name(entering)} meets a row: no ray")
-        if not costs[entering] - c_B @ solution[:, 1] > 0:
-            raise SolverError(f"entering {name(entering)} does not improve")
-        return SolveReport(UNBOUNDED, None, {}, {}, guess.iterations, True)
+    S = np.array([j for j in basis if j < n], dtype=np.intp)
+    off = {(j - n) % m for j in basis if j >= n}  # basic slacks' and artificials' rows
+    square = np.array([i not in off for i in range(m)], dtype=bool)
+    R = square.nonzero()[0]
+    if len(R) != len(S):
+        raise SolverError("basis is singular")
+    A_S = A[:, S]
+    inverse = _inverse(A_S[R], exact)
+    x = inverse @ b[R]
+    tol = _tol(x, exact)
+    _check(-x, tol, lambda j: f"basic {name(S[j])} is {float(x[j]):.3g}")
+    # float dust within tol (and -0.0) read as 0: the point has x >= 0
+    x = np.maximum(x, zero)
+    excess = _violations(A_S @ x - b, slack, square)
+    _check(excess, tol, lambda i: f"row {lp.rows[i].label} is violated by {float(excess[i]):.3g}")
 
-    y = _gauss_jordan(B.T, c_B[:, None])[:, 0]
-    for row, dual in zip(lp.rows, y):
-        if {LE: dual < 0, GE: dual > 0, EQ: False}[row.relation]:
-            raise SolverError(f"row dual of {row.label} has the wrong sign at the float basis")
-    duals = (y * sense_flip).tolist()
-    violated = np.flatnonzero(dual_violations(replace(lp, coefficients=values), duals) > 0)
-    if len(violated):
-        raise SolverError(f"dual row {lp.variables[violated[0]]} is violated at the float basis")
-    colvals = np.full(n + m, std.zero, dtype=object)
-    colvals[basis] = x
-    return SolveReport(OPTIMAL, sense_flip * (c_B @ x), std.recover(colvals),
-                       dict(zip([row.label for row in lp.rows], duals)), guess.iterations, True)
+    if stop.status == UNBOUNDED:
+        j = stop.entering
+        if j < n:
+            lhs, gain = A[:, j], costs[j]
+            column = lhs
+        else:  # a slack's column is a unit column, and moves no row's lhs
+            lhs, gain = np.zeros(m, dtype=std.dtype), zero
+            column = lhs.copy()
+            column[j - n] = slack[j - n]
+        # along the ray x_j grows and x_S falls by d = K^-1 a_j per unit
+        d = inverse @ column[R]
+        tol = _tol(d, exact)
+        _check(np.concatenate([d, _violations(lhs - A_S @ d, slack, False)]), tol,
+               lambda _: f"entering {name(j)} meets a row: no ray")
+        if not gain - costs[S] @ d > tol:
+            raise SolverError(f"entering {name(j)} does not improve")
+        return SolveReport(UNBOUNDED, None, {}, {}, stop.iterations, exact)
 
-
-def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
-    """One run of the kernel in one arithmetic.  Raises SolverError rather
-    than guessing, also when a float run ends at a point that violates its
-    own rows."""
-    std = _Standardizer(lp, exact)
-    zero = std.zero
+    y = np.zeros(m, dtype=std.dtype)  # exact: int 0 off R, a Fraction once scaled
+    y[R] = costs[S] @ inverse
+    tol = _tol(y * scale, exact)
+    wrong = -slack * y * abs(scale)
+    _check(wrong, tol, lambda i: f"row dual of {lp.rows[i].label} has the wrong sign")
+    y[wrong > 0] = zero  # float dust within tol: the duals are read with their signs
+    short = costs - (_combination(A[R], y[R]) if exact else y @ A)
+    short[S] = abs(short[S])  # a basic column's dual row is tight
+    _check(short, tol, lambda j: f"dual row {name(j)} is violated")
     sense_flip = -std.one if lp.sense == MINIMIZE else std.one
-
-    forms = std.columns(_fractions(lp.coefficients) if exact else lp.coefficients)
-    A, costs = forms[:-1], forms[-1]
-    b = np.array([_convert(row.rhs, exact) for row in lp.rows], dtype=std.dtype)
-    rels = [row.relation for row in lp.rows]
-    if exact:
-        row_scale = np.full(len(b), std.one, dtype=object)
-    else:
-        # equilibrate: float tolerances are absolute, so rows must share a
-        # scale for them to mean anything
-        biggest = np.abs(A).max(axis=1, initial=0.0)
-        row_scale = 1.0 / np.where(biggest > 0, biggest, 1.0)
-        A *= row_scale[:, None]
-        b *= row_scale
-
-    nz = np.flatnonzero(costs)
-    costs[nz] = costs[nz] * sense_flip
-
-    tab = _Tableau(A, b, rels, std.ncols, exact)
-    if not tab.phase1():
-        return SolveReport(INFEASIBLE, None, {}, {}, tab.iterations, exact)
-    status = tab.run(costs, banned=frozenset(tab.artificials))
-    if status == UNBOUNDED:
-        return SolveReport(UNBOUNDED, None, {}, {}, tab.iterations, exact,
-                           _basis=(tab.basis, tab.slack_col, tab.row_alive, tab.entering))
-
-    if not exact:
-        # a drifted float tableau can call an infeasible point optimal
-        worst, i = _float_residual(A, b, rels, tab)
-        if worst > RESIDUAL_TOL:
-            where = "x >= 0" if i is None else lp.rows[i].label
-            raise SolverError(f"float optimum violates {where} by {worst:.3g} (relative)")
-
-    primal = std.recover(tab.column_values())
-    # + zero turns a -0.0 optimum into 0.0
-    value = sense_flip * tab._B[-1] + zero
-    if not exact:
-        value = float(value)
-
-    # duals off the identity columns, undoing row sign normalization and
-    # equilibration
-    duals = {}
-    B = tab._B
-    for i, row in enumerate(lp.rows):
-        if not tab.row_alive[i]:
-            duals[row.label] = zero  # dependent row, any consistent dual works
-            continue
-        idcol = tab.art_col[i] if tab.art_col[i] is not None else tab.slack_col[i]
-        y = B[idcol] * tab.sign[i] * sense_flip * row_scale[i]
-        duals[row.label] = y if exact else float(y)
-    return SolveReport(OPTIMAL, value, primal, duals, tab.iterations, exact,
-                       _basis=(tab.basis, tab.slack_col, tab.row_alive, None))
+    value = sense_flip * (costs[S] @ x) + zero
+    colvals = np.full(n, zero, dtype=std.dtype)
+    colvals[S] = x
+    return SolveReport(OPTIMAL, value if exact else float(value), std.recover(colvals),
+                       dict(zip([row.label for row in lp.rows], (y * scale + zero).tolist())),
+                       stop.iterations, exact)
 
 
 # ============================================================

@@ -7,8 +7,9 @@ lam/(1-mu).  The infimum of that ratio over the certificate polyhedron is a
 linear-fractional program, one LP after the Charnes-Cooper transform
 t = 1/(1-mu) (Charnes & Cooper 1962), exact on Fraction input.  Only its
 3-row dual is written, from the pair tables as one coefficient array; the
-certificate is read off that dual's row duals and checked against the
-Charnes-Cooper rows, which are the dual's own dual rows.  mu may be
+certificate is that dual's row duals, which lp.solve checks as it checks
+every answer's: against the Charnes-Cooper rows, which are the dual's own
+dual rows, and for their signs.  mu may be
 negative but stays below 1 (t > 0): the closure point (0, 1) satisfies the
 pair rows of some degenerate games, certifying nothing.
 """
@@ -134,23 +135,16 @@ def _ratio_dual(sf, dev, exact: bool) -> lp.LinearProgram:
                             bounds={"unit": lp.FREE}, name="smooth_probe_dual")
 
 
-def _certificate_point(dual: lp.LinearProgram, exact: bool) -> Optional[tuple]:
-    """The Charnes-Cooper program's optimal point (lam, mu, t), off the row
+def _certificate_point(dual: lp.LinearProgram, exact: bool) -> Optional[list]:
+    """The Charnes-Cooper program's optimal point (lam, mu, t): the row
     duals of its 3-row dual, or None when that dual is not OPTIMAL.
-    lp.solve checks only the dual's point, so this one's rows (the dual's
-    dual rows), t >= 0 and lam (against the dual's optimum) are checked:
-    exactly in exact mode, else within RESIDUAL_TOL of 1 + max|x|, and a
-    float point that fails is solved for in rationals."""
-    for arithmetic in (True,) if exact else (False, True):
-        rep = lp.solve(dual, arithmetic)
-        if rep.status != lp.OPTIMAL:
-            return None
-        x = [rep.duals[row.label] for row in dual.rows]
-        lam, _, t = x
-        worst = max(0, *lp.dual_violations(dual, x).tolist(), 0 - t, abs(lam - rep.value))
-        if worst == 0 or not exact and worst / (1 + max(map(abs, x))) <= lp.RESIDUAL_TOL:
-            return x
-    raise lp.SolverError(f"smoothness certificate point misses its rows or value by {worst}")
+    lp.solve reads them at its final basis and checks them, exactly in
+    exact mode: the Charnes-Cooper rows are the dual's dual rows, t >= 0
+    is the sign of t's row dual, and lam = b'y is the dual's optimum."""
+    rep = lp.solve(dual, exact)
+    if rep.status != lp.OPTIMAL:
+        return None
+    return [rep.duals[row.label] for row in dual.rows]
 
 
 def robust_poa(
@@ -163,8 +157,8 @@ def robust_poa(
     Only defined for sum-bounded (game, spec) pairs — everything else is
     NOT_SMOOTHABLE with is_sum_bounded's profile, read off the pair tables'
     diagonal.  On Fraction input value = lam/(1-mu) is the exact infimum,
-    in Fractions; otherwise it is the optimum of one LP whose point passed
-    _certificate_point's residual check.
+    in Fractions; otherwise it is the optimum of one LP whose point
+    lp.solve checked to its RESIDUAL_TOL.
     Where every optimal point has t = 0, (lam, mu) are None: the value is
     then max SF / min SF, approached by certificates only as mu -> -inf.
     """

@@ -92,6 +92,20 @@ def test_solve_worst_case_exact_mode(capsys, cfg_path):
     assert [v["fallback"] for v in doc["variants"]] == [None]
 
 
+def test_solve_worst_case_on_the_1331_max_class(capsys, tmp_path):
+    """Weights (1, 3, 3, 1), basis x, x^2, x^3, max, in float: the command
+    exited 4 when the float duals missed a certificate row by 4.6e-9; it
+    now answers 6760/243 with no designee falling back to rationals."""
+    p = tmp_path / "cfg.json"
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    p.write_text(json.dumps({"weights": [1, 3, 3, 1], "alpha": eye, "sf": "max",
+                             "basis": [{"kind": "monomial", "degree": k} for k in (1, 2, 3)]}))
+    code, doc = run(capsys, "solve-worst-case", "--config", str(p))
+    assert code == EXIT_OK
+    assert doc["gamma_star"] == pytest.approx(6760 / 243, rel=formulations.VALUE_RTOL)
+    assert [v["fallback"] for v in doc["variants"]] == [None] * 4
+
+
 def test_solve_worst_case_emits_files(capsys, tmp_path, cfg_path):
     wit = tmp_path / "wit.json"
     prog = tmp_path / "prog.mps"

@@ -50,6 +50,7 @@ from poacert.games import (
 from poacert.formulations import (
     INFINITE,
     OPTIMAL,
+    VALUE_RTOL,
     WorstCaseConfig,
     build_dp_cce,
     build_dp_pne,
@@ -416,6 +417,35 @@ def test_exact_solve_of_the_1331_max_class():
     assert r.status == OPTIMAL
     assert r.gamma_star == F(6760, 243)
     assert_certifies(cfg, r)
+
+
+def float_class(weights, kind, degrees):
+    """Float weights, identity alpha and beta, eps = 0, basis x^k for k in
+    degrees."""
+    eye = identity_matrix(len(weights))
+    basis = tuple(BasisFunction.monomial(k) for k in degrees)
+    return WorstCaseConfig(tuple(map(float, weights)), eye, SocialSpec(kind, eye), 0.0, basis)
+
+
+def test_float_solve_of_the_1331_max_class():
+    """The float twin of the class above: each designee's float basis is
+    read with duals from B^T y = c_B, so the certificate holds, and no
+    designee falls back to rationals."""
+    r = solve_worst_case(float_class((1, 3, 3, 1), MAX, (1, 2, 3)))
+    assert r.status == OPTIMAL
+    assert r.gamma_star == pytest.approx(6760 / 243, rel=VALUE_RTOL)
+    assert [v.fallback for v in r.variants] == [None] * 4
+
+
+def test_float_solve_of_the_nine_player_cubic_sum_class():
+    """n = 9, r = 3, sum, weights (1, 3, 3, 1, 2, 3, 2, 3, 1), basis x,
+    x^2, x^3: the largest r = 3 class the float path reaches once raised
+    InvariantViolation (its certificate missed a row by 3.2e-9).  About
+    10 s."""
+    r = solve_worst_case(float_class((1, 3, 3, 1, 2, 3, 2, 3, 1), SUM, (1, 2, 3)))
+    assert r.status == OPTIMAL
+    assert r.gamma_star == pytest.approx(47.6214973690439, rel=VALUE_RTOL)
+    assert r.variants[0].fallback is None
 
 
 # ============================================================

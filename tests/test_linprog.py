@@ -151,6 +151,8 @@ def test_redundant_rows_get_consistent_duals():
     assert set(r.duals) == {"e1", "e2", "cap"}
     rhs = {"e1": 2, "e2": 4, "cap": 2}
     assert sum(r.duals[k] * rhs[k] for k in rhs) == F(2)
+    # float phase 1 drops the copy; the float basis is read without it
+    assert r.fallback is None and r.duals["e2"] == 0
 
 
 def test_dualize_shapes_and_involution():
@@ -195,6 +197,13 @@ def test_strong_duality_random():
     rng = random.Random(20260818)
     for _ in range(60):
         lp = _random_feasible_lp(rng)
+        # a float answer's duals have their sign and meet every dual row
+        # within RESIDUAL_TOL of 1 + max|y|
+        rf = solve(lp)
+        assert rf.status == OPTIMAL
+        y = [rf.duals[row.label] for row in lp.rows]
+        assert min(y) >= 0  # every row is <= in a max program
+        assert max(dual_violations(lp, y)) <= linprog.RESIDUAL_TOL * (1 + max(map(abs, y)))
         rp = solve(lp, exact=True)
         assert rp.status == OPTIMAL
         rd = solve(dualize(lp), exact=True)
@@ -252,6 +261,7 @@ class LoopPricing(linprog._Tableau):
                     dead.add(enter)
                     continue
                 self._B = B
+                self.entering = enter
                 return UNBOUNDED
             degenerate = self.M[leave, -1] <= self.tol
             self._pivot(leave, enter, B)
@@ -310,7 +320,7 @@ def kernel_calls(monkeypatch):
     """Route solve's kernel runs through a recorder: a run whose arithmetic
     is in the returned `failing` set raises SolverError, the others go to
     the real kernel.  Each run appends its `exact` flag to `calls`."""
-    kernel = linprog._simplex
+    kernel = linprog._run
     calls, failing = [], set()
 
     def recorded(lp, exact):
@@ -319,7 +329,7 @@ def kernel_calls(monkeypatch):
             raise SolverError(f"{'exact' if exact else 'float'} run refused")
         return kernel(lp, exact)
 
-    monkeypatch.setattr(linprog, "_simplex", recorded)
+    monkeypatch.setattr(linprog, "_run", recorded)
     return calls, failing
 
 
@@ -373,12 +383,14 @@ def test_exact_solve_agrees_with_the_rational_simplex():
                        bounds={"y": FREE})
     void = dict_program(MAXIMIZE, ["x"], {"x": 1},
                         [({"x": 1}, LE, 1, "a"), ({"x": 1}, GE, 2, "b")])
-    programs = pricing_cases() + [beale(), dualize(lp_prod_mix()), ray, void]
+    # x >= 1: the float run stops with the row's slack entering
+    slack_ray = dict_program(MAXIMIZE, ["x"], {"x": 1}, [({"x": 1}, GE, 1, "a")])
+    programs = pricing_cases() + [beale(), dualize(lp_prod_mix()), slack_ray, ray, void]
     reports = [solve(p, exact=True) for p in programs]
     for program, report in zip(programs, reports):
         assert_certified(program, report)
-    assert [r.status for r in reports[-2:]] == [UNBOUNDED, INFEASIBLE]
-    assert reports[-2].fallback is None  # the ray is certified
+    assert [r.status for r in reports[-3:]] == [UNBOUNDED, UNBOUNDED, INFEASIBLE]
+    assert reports[-3].fallback is reports[-2].fallback is None  # the rays are certified
     assert reports[-1].fallback == "float phase 1 found no feasible point"
 
 
@@ -419,26 +431,32 @@ def falling_ray():
     return dict_program(MAXIMIZE, ["x"], {"x": -1}, [({"x": -1}, LE, 1, "a")])
 
 
-@pytest.mark.parametrize("program, basis, entering, check", [
-    (lp_prod_mix, [0, 2], None, "basic the slack of cap is -2 "),
-    (lp_prod_mix, [0, 1], None, "row dual of labor has the wrong sign"),
-    (lp_prod_mix, [2, 3], None, "dual row x is violated"),
-    (lp_prod_mix, [2, 3], 0, "entering x meets a row"),
-    (falling_ray, [1], 0, "entering x does not improve"),
-    (lp_prod_mix, [0, 3], None, None),
-], ids=["point", "sign", "dual-row", "no-ray", "no-gain", "optimal"])
-def test_certify_checks_the_basis_exactly(program, basis, entering, check):
-    """_certify on hand-picked bases of the tableau: columns x, y, then
-    the slacks; prod-mix's optimal basis is x and labor's slack."""
+HAND_BASES = {
+    "point": (lp_prod_mix, [0, 2], None, "row cap is violated by 2$"),
+    "sign": (lp_prod_mix, [0, 1], None, "row dual of labor has the wrong sign"),
+    "dual-row": (lp_prod_mix, [2, 3], None, "dual row x is violated"),
+    "no-ray": (lp_prod_mix, [2, 3], 0, "entering x meets a row"),
+    "no-gain": (falling_ray, [1], 0, "entering x does not improve"),
+    "optimal": (lp_prod_mix, [0, 3], None, None),
+}
+
+
+@pytest.mark.parametrize("program, basis, entering, check, exact", [
+    pytest.param(*case, exact, id=label if exact else f"{label}-float")
+    for exact in (True, False) for label, case in HAND_BASES.items()])
+def test_certify_checks_the_basis_exactly(program, basis, entering, check, exact):
+    """_read on hand-picked bases, by standard number: columns x, y, then
+    the slacks; prod-mix's optimal basis is x and labor's slack.  Each
+    check fails with the same message in both arithmetics."""
     program = program()
-    m, n = len(program.rows), len(program.variables)
-    guess = linprog.SolveReport(OPTIMAL if entering is None else UNBOUNDED, None, {}, {}, 0,
-                                False, _basis=(basis, list(range(n, n + m)), [True] * m, entering))
+    stop = linprog._Stop(OPTIMAL if entering is None else UNBOUNDED, basis,
+                         entering, 0, linprog._system(program, exact))
     if check is not None:
         with pytest.raises(SolverError, match=check):
-            linprog._certify(program, guess)
+            linprog._read(program, stop, exact)
         return
-    r = linprog._certify(program, guess)
+    r = linprog._read(program, stop, exact)
+    assert r.exact is exact
     assert (r.value, r.primal, r.duals) == (F(12), {"x": F(4), "y": F(0)},
                                            {"cap": F(3), "labor": F(0)})
 
@@ -446,11 +464,14 @@ def test_certify_checks_the_basis_exactly(program, basis, entering, check):
 def test_iterations_count_the_float_and_the_rational_pivots(monkeypatch):
     program = beale()
     pivots = [linprog._simplex(program, exact).iterations for exact in (False, True)]
+    read = linprog._read
 
-    def refuse(lp, guess):
-        raise SolverError("refused")
+    def refuse(lp, stop, exact):
+        if not stop.system.std.exact:
+            raise SolverError("refused")
+        return read(lp, stop, exact)
 
-    monkeypatch.setattr(linprog, "_certify", refuse)
+    monkeypatch.setattr(linprog, "_read", refuse)
     r = solve(program, exact=True)
     assert (r.fallback, r.iterations) == ("refused", sum(pivots))
     assert min(pivots) > 0

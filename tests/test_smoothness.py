@@ -448,26 +448,47 @@ def test_float_infimum_at_t_zero_is_the_trivial_bound():
     assert r.value == pytest.approx(22 / 15, rel=VALUE_RTOL)
 
 
-@pytest.mark.parametrize("factor", [0.5, 2], ids=["shrunk", "inflated"])
-def test_float_point_failing_its_check_is_solved_again_exactly(monkeypatch, factor):
-    """A float dual whose lam row dual is off fails the check: shrunk, it
-    violates pair rows; inflated, it passes every row but misses the dual's
-    optimum.  The same dual is then solved in rationals."""
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_robust_poa_solves_its_program_once(monkeypatch, exact):
+    """One fallback policy: on seeded two- and three-player games, sum and
+    max, each robust_poa makes exactly one lp.solve call; a float reading
+    that fails its checks is redone in rationals inside lp.solve."""
     solve = lp.solve
-    calls = []
+    calls, reports = [], []
 
-    def perturbed(program, exact=False):
-        rep = solve(program, exact)
+    def counted(program, exact=False):
         calls.append((program.name, exact))
-        if not exact:
-            rep.duals["lam"] *= factor
-        return rep
+        reports.append(solve(program, exact))
+        return reports[-1]
 
-    monkeypatch.setattr(lp, "solve", perturbed)
-    g, spec = g1(exact=False), g1_spec(SUM, exact=False)
+    monkeypatch.setattr(lp, "solve", counted)
+    num = F if exact else float
+    for seed in range(12):
+        weights = (num(1), num(1)) if seed % 2 else (num(1), num(3) / 2, num(1))
+        g = random_game(seeded(seed), weights, (X,), identity_matrix(len(weights), exact),
+                        exact=exact)
+        spec = SocialSpec(SUM if seed % 3 else MAX, identity_matrix(len(weights), exact))
+        before = len(calls)
+        r = robust_poa(g, spec)
+        assert len(calls) - before == r.probes <= 1, seed
+        if r.lam is not None:  # the point lp.solve checked is a certificate
+            assert check_smooth(g, spec, SmoothnessCertificate(r.lam, r.mu)) == (True, None)
+    assert set(calls) == {("smooth_probe_dual", exact)} and len(calls) >= 8
+
+    read = lp._read
+
+    def refuse(program, stop, exact):
+        if not stop.system.std.exact:
+            raise lp.SolverError("refused")
+        return read(program, stop, exact)
+
+    monkeypatch.setattr(lp, "_read", refuse)
+    before = len(calls)
+    g, spec = g1(exact=exact), g1_spec(SUM, exact)
     r = robust_poa(g, spec)
-    assert calls == [("smooth_probe_dual", False), ("smooth_probe_dual", True)]
-    assert r.status == OPTIMAL and r.value == pytest.approx(5 / 3, rel=VALUE_RTOL)
+    assert len(calls) - before == r.probes == 1
+    assert reports[-1].fallback == "refused"
+    assert r.status == OPTIMAL and r.value == pytest.approx(F(5, 3), rel=VALUE_RTOL)
     assert check_smooth(g, spec, SmoothnessCertificate(r.lam, r.mu)) == (True, None)
 
 
