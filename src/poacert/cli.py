@@ -164,6 +164,7 @@ def cmd_solve_worst_case(args) -> int:
                 "pp_value": v.pp_value,
                 "iterations": v.iterations,
                 "fallback": v.fallback,
+                "stats": v.stats._asdict(),
             }
             for v in result.variants
         ],

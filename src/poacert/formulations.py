@@ -37,7 +37,7 @@ with lp.feasibility_report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress
 from typing import Mapping, Optional, Sequence
@@ -469,6 +469,8 @@ class VariantResult:
     primal: dict
     iterations: int
     fallback: Optional[str] = None  # the designee program's SolveReport.fallback
+    # and its SolveReport.stats, which take no part in == or repr either
+    stats: Optional[lp.KernelStats] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -556,7 +558,7 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
         rp = lp.solve(program, exact)
         if rp.status == lp.UNBOUNDED:
             variants.append(VariantResult(d, INFINITE, None, None, {}, {}, rp.iterations,
-                                          rp.fallback))
+                                          rp.fallback, rp.stats))
             continue
         if rp.status != lp.OPTIMAL:
             raise InvariantViolation(f"primal is {rp.status}; the unit witness is feasible")
@@ -573,7 +575,7 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
             raise InvariantViolation(f"duality gap: primal {rp.value} vs certificate {bound}")
         variants.append(
             VariantResult(d, OPTIMAL, bound, rp.value, cert, rp.primal, rp.iterations,
-                          rp.fallback)
+                          rp.fallback, rp.stats)
         )
 
     infinite = [v for v in variants if v.status == INFINITE]

@@ -1,9 +1,10 @@
-"""Dense linear programming with explicit duals.
+"""Linear programming with explicit duals.
 
-Self-contained primal simplex (two-phase, tableau form) plus a mechanical
-dualizer.  Two arithmetic backends share one kernel: float64 numpy arrays,
-or object arrays of fractions.Fraction.  Every answer comes from one
-reader, _read, at the run's final basis: it solves B x_B = b and
+Self-contained primal simplex (two-phase, revised: an m x m basis
+inverse and one y @ A pricing product per pivot, no tableau) plus a
+mechanical dualizer.  Two arithmetic backends share one kernel: float64
+numpy arrays, or object arrays of fractions.Fraction.  Every answer comes
+from one reader, _read, at the run's final basis: it solves B x_B = b and
 B^T y = c_B with one inverse of the basic block and checks the point, the
 rows, the duals' signs and the dual rows, or at an UNBOUNDED stop the
 ray.  A float answer is read on the run's own equilibrated system and
@@ -14,7 +15,7 @@ the rational simplex, so SolverError means the rational run failed too;
 the solver never reports OPTIMAL on an inconclusive run.
 
 A program is stated as one coefficient array, rows by variables plus the
-objective as a last row, and that array is the one path into the tableau;
+objective as a last row, and that array is the one path into the kernel;
 each Row holds only the relation, rhs and label of its row of the array.
 dualize is the array's transpose.  feasibility_report (rows at a point)
 and dual_violations (the dual's rows at row duals, no dual built) read the
@@ -60,8 +61,11 @@ PIVOT_TOL = 1e-9
 
 # largest violation a float reading may carry: of a row or x >= 0 relative
 # to 1 + max|x|, of a dual row or a row dual's sign relative to 1 + max|y|;
-# honest runs stay below 1e-8, a drifted tableau is off by O(1)
+# honest runs stay below 1e-8, the basis of a drifted run is off by O(1)
 RESIDUAL_TOL = 1e-6
+
+# most terms _combination sums in one pass
+_BLOCK = 1 << 16
 
 
 class SolverError(Exception):
@@ -130,6 +134,24 @@ _NONPOS = (None, 0)
 _SIGN_CLASSES = (_NONNEG, _NONPOS, FREE)
 
 
+class KernelStats(NamedTuple):
+    """What the simplex runs behind a report did: pivots per phase (phase 1
+    includes driving artificials out), pivots that moved no value, phases
+    handed to Bland's rule, dust columns phase 1 retired, dependent rows
+    it dropped."""
+
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
+    degenerate_pivots: int = 0
+    bland_switches: int = 0
+    retired_columns: int = 0
+    dropped_rows: int = 0
+
+    @property
+    def pivots(self) -> int:
+        return self.phase1_pivots + self.phase2_pivots
+
+
 @dataclass
 class SolveReport:
     """A solve's answer, read at a final basis by _read: a float answer
@@ -140,7 +162,8 @@ class SolveReport:
     run (a float run that raised counts none).  fallback is None when the
     float run's basis gave the answer; otherwise it says why the rational
     simplex ran: the float run's SolverError text, or the check its
-    reading failed."""
+    reading failed.  stats holds the same runs' KernelStats, summed; it
+    takes no part in == or repr."""
 
     status: str
     value: object
@@ -149,6 +172,7 @@ class SolveReport:
     iterations: int
     exact: bool
     fallback: Optional[str] = None
+    stats: Optional[KernelStats] = field(default=None, compare=False, repr=False)
 
 
 # ============================================================
@@ -268,102 +292,92 @@ def _system(lp: LinearProgram, exact: bool) -> _System:
 # ============================================================
 
 
-class _Tableau:
+class _Revised:
+    """The two-phase revised simplex on a _System: T = [B^-1 | x_B], m by
+    m + 1, takes one rank-1 step per pivot, and every column is priced by
+    one y @ A product, y = c_B B^-1, on the system's own A.  Columns are
+    numbered in standard form (see _Stop): column n + k is unit_sign[k]
+    on row unit_row[k] = k % m, and 0, so never entering, where that row
+    has no slack or no artificial.  Phase 2 prices the first n + m
+    columns, all but the artificials."""
+
     def __init__(self, system: _System):
         std = system.std
         self.exact, self.zero = std.exact, std.zero
         self.tol = Fraction(0) if std.exact else PIVOT_TOL
-        self.m, n_struct = system.A.shape
+        self.A = system.A
+        self.m, self.n = m, n = system.A.shape
+        self.width = n + m
+        # a slack: +1 on a <= row, -1 on a >= row; an artificial on a >= or = row
         signs = system.slack.tolist()
-        self.ncols = n_struct + sum(s != 0 for s in signs) + sum(s <= 0 for s in signs)
-        self.max_iters = 2000 + 100 * (self.m + self.ncols)
-        M = np.full((self.m, self.ncols + 1), std.zero, dtype=std.dtype)
-        M[:, :n_struct] = system.A
-        M[:, -1] = system.b
-        # the standard number of each column: structural j is j, the slack of
-        # row i is n_struct + i and its artificial n_struct + m + i
-        self.standard = list(range(n_struct))
-        self.basis, self.artificials = [], set()
-        for i, sign in enumerate(signs):
-            if sign:  # a slack: +1 on a <= row, -1 on a >= row
-                M[i, len(self.standard)] = std.one if sign > 0 else -std.one
-                self.standard.append(n_struct + i)
-            if sign <= 0:  # an artificial, on a >= or = row
-                M[i, len(self.standard)] = std.one
-                self.artificials.add(len(self.standard))
-                self.standard.append(n_struct + self.m + i)
-            self.basis.append(len(self.standard) - 1)
-        self.M = M
-        self.row_alive = [True] * self.m
-        self.iterations = 0
+        units = signs + [int(s <= 0) for s in signs]
+        self.unit_sign = np.array(units, dtype=std.dtype)
+        self.unit_row = np.array(list(range(m)) * 2, dtype=np.intp)
+        # the first basis is the identity: each row's slack on a <= row, else its artificial
+        self.basis = [n + i if s > 0 else n + m + i for i, s in enumerate(signs)]
+        self.T = np.full((m, m + 1), std.zero, dtype=std.dtype)
+        self.T.flat[::m + 2] = std.one  # B^-1 = I
+        self.T[:, m] = system.b
+        self.inverse, self.x = self.T[:, :m], self.T[:, m]
+        self.row_alive = [True] * m
+        self.max_iters = 2000 + 100 * (m + n + len(units) - units.count(0))
+        self.iterations = self.degenerate = self.bland_switches = self.retired = 0
         self.entering = None  # the column of an UNBOUNDED stop
 
     # ---- pivoting ----
 
-    def _pivot(self, r, j, B):
-        M = self.M
-        M[r] /= M[r, j]
-        col = M[:, j].copy()
-        col[r] = self.zero
+    def _prices(self, y, costs, width):
+        """y a_j - costs[j] for the first width columns."""
+        n = self.n
+        reduced = np.empty(width, dtype=self.T.dtype)
+        np.matmul(y, self.A, out=reduced[:n])
+        units = width - n
+        np.multiply(y[self.unit_row[:units]], self.unit_sign[:units], out=reduced[n:])
+        reduced -= costs[:width]
+        return reduced
+
+    def _column(self, j):
+        """B^-1 a_j."""
+        if j < self.n:
+            return self.inverse @ self.A[:, j]
+        k = j - self.n
+        return self.inverse[:, self.unit_row[k]] * self.unit_sign[k]
+
+    def _pivot(self, r, j, column):
+        pivot_row = self.T[r]
+        pivot_row /= column[r]
+        column[r] = self.zero
         # rank-1 elimination of column j everywhere but the pivot row
-        M -= col[:, None] * M[r]
-        if B[j] != 0:
-            B -= B[j] * M[r]
-        if not self.exact:
-            M[:, j] = 0.0
-            M[r, j] = 1.0
-            B[j] = 0.0
+        self.T -= column[:, None] * pivot_row
         self.basis[r] = j
         self.iterations += 1
 
-    def _reduced_row(self, costs):
-        """Build the z - c row (plus objective value cell) for given costs
-        of the leading columns; the rest cost 0."""
-        B = np.full(self.M.shape[1], self.zero, dtype=self.M.dtype)
-        costs = np.asarray(costs, dtype=self.M.dtype)
-        nz = np.flatnonzero(costs)
-        B[nz] = -costs[nz]
-        for r in range(self.m):
-            if not self.row_alive[r]:
-                continue
-            jb = self.basis[r]
-            if B[jb] != 0:
-                B -= B[jb] * self.M[r]
-        return B
-
-    def _ratio_row(self, j, bland=False):
-        """Leaving row for entering column j, or None if unbounded.
+    def _ratio_row(self, column, bland=False):
+        """Leaving row for the entering column B^-1 a_j, or None if
+        unbounded.
 
         Ties on the minimum ratio are rampant in degenerate programs; among
-        tied rows the largest pivot entry wins (tiny pivots shred float
-        tableaus), except under Bland's rule in exact mode, where the
+        tied rows the largest pivot entry wins (tiny pivots shred a float
+        basis inverse), except under Bland's rule in exact mode, where the
         lowest basis index keeps the termination guarantee."""
-        best_ratio = None
-        M = self.M
-        rows = []
-        for i in range(self.m):
-            if not self.row_alive[i]:
-                continue
-            a = M[i, j]
-            if a <= self.tol:
-                continue
-            ratio = M[i, -1] / a
-            rows.append((i, ratio, a))
-            if best_ratio is None or ratio < best_ratio:
-                best_ratio = ratio
-        if best_ratio is None:
+        alive = self.row_alive
+        rows = [(x / a, a, i) for i, (a, x) in enumerate(zip(column.tolist(), self.x.tolist()))
+                if a > self.tol and alive[i]]
+        if not rows:
             return None
+        best_ratio = min(rows)[0]
         if self.exact:
-            tied = [t for t in rows if t[1] == best_ratio]
+            tied = [t for t in rows if t[0] == best_ratio]
             if bland:
-                return min(tied, key=lambda t: self.basis[t[0]])[0]
+                return min(tied, key=lambda t: self.basis[t[2]])[2]
         else:
             slack = self.tol * (1 + abs(best_ratio))
-            tied = [t for t in rows if t[1] <= best_ratio + slack]
-        return max(tied, key=lambda t: (t[2], -self.basis[t[0]]))[0]
+            tied = [t for t in rows if t[0] <= best_ratio + slack]
+        return max(tied, key=lambda t: (t[1], -self.basis[t[2]]))[2]
 
-    def run(self, costs, banned, ray_free=False):
-        """Maximize costs'x from the current basis.  Returns status string.
+    def run(self, costs, width, ray_free=False):
+        """Maximize costs'x over the first width columns from the current
+        basis.  Returns status string.
 
         Dantzig's rule enters the first column of most negative reduced
         cost; after DEGENERATE_STREAK degenerate pivots in a row, Bland's
@@ -372,66 +386,71 @@ class _Tableau:
         pivot row is float dust, not a ray; it gets retired instead of
         triggering an UNBOUNDED verdict.
         """
-        B = self._reduced_row(costs)
+        basic_costs = costs[self.basis]
+        reduced = self._prices(basic_costs @ self.inverse, costs, width)
         bland = False
         streak = 0
-        # columns that may enter, ascending; shrinks only when one retires
-        allowed = np.ones(self.ncols, dtype=bool)
-        allowed[list(banned)] = False
-        allowed = np.flatnonzero(allowed)
+        retired = []
         while True:
             if self.iterations > self.max_iters:
                 raise SolverError(f"iteration cap {self.max_iters} exceeded")
-            reduced = B[allowed]
             if bland:
                 below = np.flatnonzero(reduced < -self.tol)
-                pick = below[0] if len(below) else None
+                enter = int(below[0]) if len(below) else None
             else:
-                pick = int(reduced.argmin()) if len(reduced) else None
-                if pick is not None and not reduced[pick] < -self.tol:
-                    pick = None
-            if pick is None:
-                self._B = B
+                enter = int(reduced.argmin()) if width else None
+                if enter is not None and not reduced[enter] < -self.tol:
+                    enter = None
+            if enter is None:
                 return OPTIMAL
-            enter = int(allowed[pick])
-            leave = self._ratio_row(enter, bland)
+            if enter in self.basis:  # float dust: a basic column's reduced cost is 0
+                reduced[enter] = self.zero
+                continue
+            column = self._column(enter)
+            leave = self._ratio_row(column, bland)
             if leave is None:
                 if ray_free:
-                    allowed = np.delete(allowed, pick)
+                    retired.append(enter)
+                    reduced[enter] = self.zero
+                    self.retired += 1
                     continue
-                self._B = B
                 self.entering = enter
                 return UNBOUNDED
-            degenerate = self.M[leave, -1] <= self.tol
-            self._pivot(leave, enter, B)
+            degenerate = self.x[leave] <= self.tol
+            self._pivot(leave, enter, column)
+            basic_costs[leave] = costs[enter]
+            reduced = self._prices(basic_costs @ self.inverse, costs, width)
+            if retired:
+                reduced[retired] = self.zero
             if degenerate:
+                self.degenerate += 1
                 streak += 1
-                if streak >= DEGENERATE_STREAK:
+                if streak >= DEGENERATE_STREAK and not bland:
                     bland = True
+                    self.bland_switches += 1
             else:
                 streak = 0
 
     def phase1(self):
-        if not self.artificials:
+        """Drive the artificials to 0: False when they cannot be."""
+        if all(j < self.width for j in self.basis):  # no artificial
             return True
-        costs = [self.zero] * self.ncols
-        for c in self.artificials:
-            costs[c] = -(Fraction(1) if self.exact else 1.0)
-        status = self.run(costs, banned=frozenset(), ray_free=True)
+        costs = np.full(self.width + self.m, self.zero, dtype=self.T.dtype)
+        costs[self.width:] = self.zero - self.unit_sign[self.m:]
+        status = self.run(costs, len(costs), ray_free=True)
         if status != OPTIMAL:  # phase-1 objective is bounded by 0
             raise SolverError("phase 1 reported unbounded")
-        if self._B[-1] < -self.tol:
-            return False
+        if sum(x for j, x in zip(self.basis, self.x.tolist()) if j >= self.width) > self.tol:
+            return False  # an artificial stays positive
         # drive zero-level artificials out of the basis; drop dependent rows
-        structural = np.ones(self.ncols, dtype=bool)
-        structural[list(self.artificials)] = False
         for r in range(self.m):
-            if not self.row_alive[r] or self.basis[r] not in self.artificials:
+            if self.basis[r] < self.width:
                 continue
-            row = self.M[r, :self.ncols]
-            hits = np.flatnonzero(((row > self.tol) | (row < -self.tol)) & structural)
+            row = self._prices(self.inverse[r], costs, self.width)  # costs 0 below width
+            row[[j for j in self.basis if j < self.width]] = self.zero  # float dust
+            hits = np.flatnonzero((row > self.tol) | (row < -self.tol))
             if len(hits):
-                self._pivot(r, int(hits[0]), self._B)
+                self._pivot(r, int(hits[0]), self._column(int(hits[0])))
             else:
                 self.row_alive[r] = False
         return True
@@ -439,25 +458,29 @@ class _Tableau:
 
 class _Stop(NamedTuple):
     """Where a run of the kernel stopped: its status, the standard number
-    of each row's basic column (see _Tableau.standard), the entering
-    column of an UNBOUNDED stop, its pivots and the system it ran on."""
+    of each row's basic column (structural j is j, the slack of row i is
+    n + i and its artificial n + m + i), the entering column of an
+    UNBOUNDED stop, the system it ran on and the run's counts."""
 
     status: str
-    basis: Optional[list]
+    basis: list
     entering: Optional[int]
-    iterations: int
     system: _System
+    stats: KernelStats
 
 
 def _run(lp: LinearProgram, exact: bool) -> _Stop:
     """One run of the kernel in one arithmetic, to its final basis."""
     system = _system(lp, exact)
-    tab = _Tableau(system)
-    if not tab.phase1():
-        return _Stop(INFEASIBLE, None, None, tab.iterations, system)
-    status = tab.run(system.costs, banned=frozenset(tab.artificials))
-    entering = None if status == OPTIMAL else tab.standard[tab.entering]
-    return _Stop(status, [tab.standard[j] for j in tab.basis], entering, tab.iterations, system)
+    kernel = _Revised(system)
+    feasible = kernel.phase1()
+    phase1 = kernel.iterations
+    costs = np.full(kernel.width + kernel.m, system.std.zero, dtype=system.std.dtype)
+    costs[:kernel.n] = system.costs
+    status = kernel.run(costs, kernel.width) if feasible else INFEASIBLE
+    stats = KernelStats(phase1, kernel.iterations - phase1, kernel.degenerate,
+                        kernel.bland_switches, kernel.retired, kernel.row_alive.count(False))
+    return _Stop(status, kernel.basis, kernel.entering, system, stats)
 
 
 def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
@@ -472,19 +495,20 @@ def solve(lp: LinearProgram, exact: bool = False) -> SolveReport:
     fails: the float run raises SolverError, leaves float range or stops
     at a basis whose reading fails its checks.  report.fallback says why
     it ran, and SolverError from here means it failed too."""
-    pivots = 0
+    counts = KernelStats()
     try:
         # an overflow, or an inf or nan reached by a pivot, ends the float run
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             stop = _run(lp, exact=False)
-            pivots = stop.iterations
+            counts = stop.stats
             return _read(lp, stop, exact)
     except SolverError as err:
         fallback = str(err)
     except ArithmeticError as err:  # OverflowError, FloatingPointError
         fallback = f"float image: {err}"
     report = _simplex(lp, exact=True)
-    report.iterations += pivots
+    report.stats = KernelStats(*[a + b for a, b in zip(counts, report.stats)])
+    report.iterations = report.stats.pivots
     report.fallback = fallback
     return report
 
@@ -553,7 +577,7 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
     if stop.status == INFEASIBLE:
         if exact and not stop.system.std.exact:
             raise SolverError("float phase 1 found no feasible point")
-        return SolveReport(INFEASIBLE, None, {}, {}, stop.iterations, exact)
+        return SolveReport(INFEASIBLE, None, {}, {}, stop.stats.pivots, exact, stats=stop.stats)
     A, b, costs, slack, scale, std = (
         stop.system if stop.system.std.exact == exact else _system(lp, exact))
     m, n = A.shape
@@ -596,7 +620,7 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
                lambda _: f"entering {name(j)} meets a row: no ray")
         if not gain - costs[S] @ d > tol:
             raise SolverError(f"entering {name(j)} does not improve")
-        return SolveReport(UNBOUNDED, None, {}, {}, stop.iterations, exact)
+        return SolveReport(UNBOUNDED, None, {}, {}, stop.stats.pivots, exact, stats=stop.stats)
 
     y = np.zeros(m, dtype=std.dtype)  # exact: int 0 off R, a Fraction once scaled
     y[R] = costs[S] @ inverse
@@ -613,7 +637,7 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
     colvals[S] = x
     return SolveReport(OPTIMAL, value if exact else float(value), std.recover(colvals),
                        dict(zip([row.label for row in lp.rows], (y * scale + zero).tolist())),
-                       stop.iterations, exact)
+                       stop.stats.pivots, exact, stats=stop.stats)
 
 
 # ============================================================
@@ -626,18 +650,20 @@ def _combination(slices: np.ndarray, scalars: Sequence) -> np.ndarray:
     by entry: from 0, in the order of k, one rounding per addition, a term
     whose slice entry is 0 skipped, in the slices' arithmetic (a float64
     array reads its scalars as floats, as a float times a Fraction does).
-    A zero scalar is not skipped: its terms set the type of an exact sum."""
+    A zero scalar is not skipped: its terms set the type of an exact sum.
+    The rows are summed in blocks of at most _BLOCK entries, so no array
+    of terms the size of slices is built."""
     y = np.array(scalars, dtype=slices.dtype)
-    nz = slices != 0
-    # terms[0] is the 0 each sum starts from
-    terms = np.zeros((len(slices) + 1,) + slices.shape[1:], dtype=slices.dtype)
-    np.multiply(slices, y[:, None], out=terms[1:], where=nz)
-    if slices.dtype == object:  # a rational addition is dear: skip the 0 terms
-        for term, keep in zip(terms[1:], nz):
-            np.add(terms[0], term, out=terms[0], where=keep)
-        return terms[0]
-    # in float, a skipped term's +0.0 leaves a sum that starts at +0.0 unchanged
-    return np.add.accumulate(terms, axis=0, out=terms)[-1]
+    total = np.zeros(slices.shape[1:], dtype=slices.dtype)
+    step = max(1, _BLOCK // max(1, total.size))
+    for k in range(0, len(slices), step):
+        block = slices[k:k + step]
+        # a skipped term is a 0, which leaves a sum that starts at 0 unchanged
+        terms = np.multiply(block, y[k:k + step, None], where=block != 0,
+                            out=np.zeros(block.shape, dtype=slices.dtype))
+        terms[0] += total  # the sum so far, then this block's terms in order
+        total = np.add.accumulate(terms, axis=0, out=terms)[-1]
+    return total
 
 
 def fold_checks(checks, tol, first=None, worst=0):

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_game, random_matrix, seeded
-from poacert import formulations, games
+from poacert import formulations, games, linprog as lp
 from poacert.cli import EXIT_INVARIANT, EXIT_OK, EXIT_VALIDATION, as_json, main
 from poacert.gamefile import emit_game, load_game, write_json
 from poacert.oracle import (NO_EQUILIBRIUM, enumerate_eps_pne, exact_ppoa, social_optimum,
@@ -90,6 +90,17 @@ def test_solve_worst_case_exact_mode(capsys, cfg_path):
     assert doc["settings"]["arithmetic"] == "rational"
     # certified at the float basis: the rational simplex did not run
     assert [v["fallback"] for v in doc["variants"]] == [None]
+
+
+def test_solve_worst_case_reports_kernel_stats(capsys, cfg_path):
+    """Each variant carries its designee program's SolveReport.stats; the
+    pivots of its two phases add up to its iterations."""
+    code, doc = run(capsys, "solve-worst-case", "--config", cfg_path)
+    assert code == EXIT_OK
+    for v in doc["variants"]:
+        stats = v["stats"]
+        assert set(stats) == set(lp.KernelStats._fields)
+        assert stats["phase1_pivots"] + stats["phase2_pivots"] == v["iterations"] > 0
 
 
 def test_solve_worst_case_on_the_1331_max_class(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Solver-level tests: textbook instances, duality, exact arithmetic."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -134,18 +135,17 @@ def test_beale_cycling_instance():
     assert r.value == F(1, 20)
 
 
-def test_redundant_rows_get_consistent_duals():
-    lp = dict_program(
-        MAXIMIZE,
-        ["x", "y"],
-        {"x": 1, "y": 1},
-        [
-            ({"x": 1, "y": 1}, EQ, 2, "e1"),
-            ({"x": 2, "y": 2}, EQ, 4, "e2"),  # dependent copy
-            ({"x": 1}, LE, 2, "cap"),
-        ],
+def duplicated_row():
+    """x + y = 2 stated twice, the second time times 2, and x <= 2."""
+    return dict_program(
+        MAXIMIZE, ["x", "y"], {"x": 1, "y": 1},
+        [({"x": 1, "y": 1}, EQ, 2, "e1"), ({"x": 2, "y": 2}, EQ, 4, "e2"),
+         ({"x": 1}, LE, 2, "cap")],
     )
-    r = solve(lp, exact=True)
+
+
+def test_redundant_rows_get_consistent_duals():
+    r = solve(duplicated_row(), exact=True)
     assert r.status == OPTIMAL
     assert r.value == F(2)
     assert set(r.duals) == {"e1", "e2", "cap"}
@@ -229,42 +229,42 @@ def test_float_tracks_exact():
         assert rf.value == pytest.approx(float(re.value), rel=VALUE_RTOL, abs=1e-9)
 
 
-class LoopPricing(linprog._Tableau):
+class LoopPricing(linprog._Revised):
     """The simplex with its entering column chosen by a plain loop over
-    the columns: the reference for the array pricing of _Tableau.run."""
+    the reduced costs: the reference for the array pricing of
+    _Revised.run."""
 
-    def run(self, costs, banned, ray_free=False):
-        B = self._reduced_row(costs)
+    def run(self, costs, width, ray_free=False):
         bland = False
         streak = 0
         dead = set()
         while True:
             if self.iterations > self.max_iters:
                 raise SolverError(f"iteration cap {self.max_iters} exceeded")
+            reduced = self._prices(costs[self.basis] @ self.inverse, costs, width)
             enter = None
             best = -self.tol
-            for j in range(self.ncols):
-                if j in banned or j in dead:
+            for j in range(width):
+                if j in dead or j in self.basis:
                     continue
-                if bland and B[j] < -self.tol:
+                if bland and reduced[j] < -self.tol:
                     enter = j
                     break
-                if not bland and B[j] < best:
-                    best = B[j]
+                if not bland and reduced[j] < best:
+                    best = reduced[j]
                     enter = j
             if enter is None:
-                self._B = B
                 return OPTIMAL
-            leave = self._ratio_row(enter, bland)
+            column = self._column(enter)
+            leave = self._ratio_row(column, bland)
             if leave is None:
                 if ray_free:
                     dead.add(enter)
                     continue
-                self._B = B
                 self.entering = enter
                 return UNBOUNDED
-            degenerate = self.M[leave, -1] <= self.tol
-            self._pivot(leave, enter, B)
+            degenerate = self.x[leave] <= self.tol
+            self._pivot(leave, enter, column)
             streak = streak + 1 if degenerate else 0
             bland = bland or streak >= linprog.DEGENERATE_STREAK
 
@@ -309,7 +309,7 @@ def test_array_pricing_pivots_like_the_loop(monkeypatch, exact, streak):
     monkeypatch.setattr(linprog, "DEGENERATE_STREAK", streak)
     programs = pricing_cases() + [beale(), dualize(lp_prod_mix())]
     arrays = [linprog._simplex(p, exact) for p in programs]
-    monkeypatch.setattr(linprog, "_Tableau", LoopPricing)
+    monkeypatch.setattr(linprog, "_Revised", LoopPricing)
     loops = [linprog._simplex(p, exact) for p in programs]
     assert [r.iterations for r in arrays] == [r.iterations for r in loops]
     assert arrays == loops
@@ -410,16 +410,16 @@ def test_float_basis_that_fails_its_check_is_repaired(monkeypatch, status, check
     """A float phase 2 that stops at its first basis, calling it OPTIMAL,
     or UNBOUNDED along the first improving column, fails the exact check
     named, and the rational simplex answers."""
-    run = linprog._Tableau.run
+    run = linprog._Revised.run
 
-    def stop_at_once(self, costs, banned, ray_free=False):
+    def stop_at_once(self, costs, width, ray_free=False):
         if self.exact or ray_free:
-            return run(self, costs, banned, ray_free)
-        self._B = self._reduced_row(costs)
-        self.entering = int(np.flatnonzero(self._B[:self.ncols] < 0)[0])
+            return run(self, costs, width, ray_free)
+        reduced = self._prices(costs[self.basis] @ self.inverse, costs, width)
+        self.entering = int(np.flatnonzero(reduced < 0)[0])
         return status
 
-    monkeypatch.setattr(linprog._Tableau, "run", stop_at_once)
+    monkeypatch.setattr(linprog._Revised, "run", stop_at_once)
     r = solve(lp_prod_mix(), exact=True)
     assert r.fallback.startswith(check)
     assert r == linprog.SolveReport(OPTIMAL, F(12), {"x": F(4), "y": F(0)},
@@ -449,8 +449,8 @@ def test_certify_checks_the_basis_exactly(program, basis, entering, check, exact
     the slacks; prod-mix's optimal basis is x and labor's slack.  Each
     check fails with the same message in both arithmetics."""
     program = program()
-    stop = linprog._Stop(OPTIMAL if entering is None else UNBOUNDED, basis,
-                         entering, 0, linprog._system(program, exact))
+    stop = linprog._Stop(OPTIMAL if entering is None else UNBOUNDED, basis, entering,
+                         linprog._system(program, exact), linprog.KernelStats())
     if check is not None:
         with pytest.raises(SolverError, match=check):
             linprog._read(program, stop, exact)
@@ -475,6 +475,25 @@ def test_iterations_count_the_float_and_the_rational_pivots(monkeypatch):
     r = solve(program, exact=True)
     assert (r.fallback, r.iterations) == ("refused", sum(pivots))
     assert min(pivots) > 0
+    # the counts of both runs are summed too
+    assert r.stats == linprog.KernelStats(phase2_pivots=sum(pivots), degenerate_pivots=2)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_stats_count_what_the_kernel_did(monkeypatch, exact):
+    """Beale's program takes one degenerate pivot of its two in phase 2;
+    with a DEGENERATE_STREAK of 1, Bland's rule takes over after it.  On
+    the duplicated row, phase 1 drops the copy.  stats takes no part in
+    == or repr."""
+    r = solve(beale(), exact)
+    assert r.stats == linprog.KernelStats(phase2_pivots=2, degenerate_pivots=1)
+    assert "stats" not in repr(r) and r == dataclasses.replace(r, stats=None)
+    monkeypatch.setattr(linprog, "DEGENERATE_STREAK", 1)
+    r = solve(beale(), exact)
+    assert r.stats == linprog.KernelStats(phase2_pivots=2, degenerate_pivots=1, bland_switches=1)
+    r = solve(duplicated_row(), exact)
+    assert r.stats.dropped_rows == 1
+    assert r.stats.phase1_pivots + r.stats.phase2_pivots == r.iterations > 0
 
 
 def test_float_callers_get_the_rational_retry(kernel_calls):
@@ -586,6 +605,40 @@ def test_rows_add_in_array_order_with_one_rounding_per_addition(exact):
     else:
         assert report == (True, None, 0)
         assert repr(violation) == repr([0.5])
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, linprog._BLOCK])
+def test_combination_is_the_sum_in_row_order_at_every_block_size(monkeypatch, block):
+    """_combination against a plain loop, repr for repr: each entry summed
+    from 0 over the rows in order, a term skipped where its slice entry is
+    0.  Float arrays, wide and tall (a transposed program), take scalars
+    of every kind (0.0, -0.0, inf, nan); exact ones take Fractions, and
+    zero scalars, whose terms make a sum a Fraction.  The blocks the rows
+    are summed in, each starting from the sum so far, change no bit."""
+    monkeypatch.setattr(linprog, "_BLOCK", block)
+    rng = random.Random(55)
+    for rows, cols in ((4, 9), (9, 4), (1, 3), (12, 1), (10, 2)):
+        for exact in (False, True):
+            if exact:
+                values = [0, 0, F(1, 3), F(-5, 7), 2, F(10**16)]
+                scalars = [F(rng.randint(-4, 4), 3) for _ in range(rows)]
+            else:
+                values = [0.0, 0.0, 1e16, 1.0, -1e16, 0.1, -3.5, 2.0**-60]
+                scalars = [0.0, -0.0, float("inf"), float("nan")][:rows]
+                scalars += [rng.randint(-4, 4) / 3 for _ in range(rows - len(scalars))]
+                rng.shuffle(scalars)
+            table = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+            want = []
+            for j in range(cols):
+                total = 0 if exact else 0.0
+                for row, scalar in zip(table, scalars):
+                    if row[j] != 0:
+                        total = total + row[j] * scalar
+                want.append(total)
+            slices = np.array(table, dtype=object if exact else np.float64)
+            with np.errstate(invalid="ignore"):  # inf - inf is nan, as in the loop
+                got = linprog._combination(slices, scalars).tolist()
+            assert repr(got) == repr(want), (rows, cols, exact)
 
 
 def test_feasibility_report_matches_a_reference_loop():
