@@ -16,14 +16,16 @@ numerically.
 
 Both primals are written from one closed form over the (P, Q) bit masks
 of the representative resources: per-mask factor arrays of size
-O(n 2^n r) (_mask_factors), read at every column (_closed_form), at
-chosen ones (_entries), or mixed: the coarse column of resource e is the
+O(n len(masks) r) (_mask_factors), evaluated at the masks a caller reads:
+every mask, for every column (_closed_form); the masks of chosen columns
+(_entries); or mixed: the coarse column of resource e is the
 mass-weighted sum of the columns (P, Q, k) of its players under each
 profile and under o (_coarse_parts), the extension argument itself.
-_row_table lays out the rows of both, and _primal hands them to a
-LinearProgram as its coefficient array, with no name per entry.  The
-representative program's column names are formatted from the masks, and
-nothing here reads rep.model.
+_row_table lays out the rows of both, and _primal writes them into a
+LinearProgram's coefficient array, with no name per entry.  The
+representative program names its columns on demand (_ColumnNames), so a
+solve formats only the names of its support, and nothing here reads
+rep.model.
 
 No check builds a dual program (build_dp_cce serves the tests, and
 build_dp_pne also --emit-lp).  solve_worst_case and verify_extension
@@ -31,16 +33,18 @@ check a certificate as row duals of the primal that _primal built, with
 lp.dual_violations on its array: the dual row of column v is r[v], and
 that of the max programs' level t is zsum.  extract_worst_game reads the
 nonzero columns of a primal point back to their masks, builds the
-program of those columns alone from the factors, and checks the point
-with lp.feasibility_report.
+program of those columns alone from the factors at their masks, and
+checks the point with lp.feasibility_report.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import compress
-from typing import Mapping, Optional, Sequence
+from itertools import chain, compress
+from math import prod
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -48,13 +52,14 @@ from . import linprog as lp
 from .games import (
     FEAS_TOL,
     SUM,
+    TABLE,
     CongestionModel,
     GameError,
     GeneralizedGame,
     ProfileDistribution,
     SocialSpec,
 )
-from .representative import RepresentativeModel, build_representative, id_parts
+from .representative import RepresentativeModel, build_representative
 
 OPTIMAL = "OPTIMAL"
 INFINITE = "INFINITE"
@@ -102,10 +107,38 @@ def vname(e, k: int) -> str:
     return f"v[{e}][{k}]"
 
 
+def _level(cfg: WorstCaseConfig) -> list:
+    """The names after the v columns: the max programs' level t."""
+    return [] if cfg.spec.kind == SUM else ["t"]
+
+
 def _variables(cfg: WorstCaseConfig, model: CongestionModel) -> list:
-    """vname(e, k) of every column, resource major, each "][k]" formatted once."""
+    """vname(e, k) of every column, resource major, each "][k]" formatted
+    once, then _level."""
     suffixes = [f"][{k}]" for k in range(len(cfg.basis))]
-    return [f"v[{e}{suffix}" for e in model.resources for suffix in suffixes]
+    return [f"v[{e}{suffix}" for e in model.resources for suffix in suffixes] + _level(cfg)
+
+
+class _ColumnNames(Sequence):
+    """The variables of a representative program, read-only and named on
+    demand: column j = (P 2^n + Q) r + k is vname(e(P, Q), k), formatted
+    only when read, and a last column t under max.  Distinct by
+    construction, so a program of 4^n r columns holds no list of names."""
+
+    def __init__(self, cfg: WorstCaseConfig, rep: RepresentativeModel):
+        self.rep, self.r = rep, len(cfg.basis)
+        self.level = _level(cfg)
+        self.size = (1 << 2 * cfg.n) * self.r
+
+    def __len__(self) -> int:
+        return self.size + len(self.level)
+
+    def __getitem__(self, j: int) -> str:
+        j = range(len(self))[j]  # IndexError past either end
+        if j >= self.size:
+            return self.level[j - self.size]
+        pq, k = divmod(j, self.r)
+        return vname(self.rep.resource_for(*divmod(pq, 1 << self.rep.n)), k)
 
 
 # ============================================================
@@ -155,35 +188,34 @@ def _row_table(cfg: WorstCaseConfig, eq, val, nrm, designated) -> tuple:
 
 
 def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.LinearProgram:
-    """The program of a row table: its arrays, one row each and then the
-    objective, over the columns names (and t, under max) as the program's
-    coefficient array."""
-    lp_rows = [lp.Row(rel, rhs, label) for label, rel, rhs, _, _ in rows]
-    forms = np.array([a for _, _, _, a, _ in rows] + ([] if objective is None else [objective]))
+    """The program of a row table over the columns names (the v columns,
+    then t under max): each row's array, then the objective's, written
+    straight into the program's coefficient array."""
+    forms = [a for _, _, _, a, _ in rows] + ([] if objective is None else [objective])
     size, level = rows[0][3].size, cfg.spec.kind != SUM
-    coefficients = np.zeros((len(rows) + 1, size + level), dtype=forms.dtype)
-    coefficients[:len(forms), :size] = forms.reshape(len(forms), size)
+    coefficients = np.zeros((len(rows) + 1, size + level), dtype=np.result_type(*{a.dtype for a in forms}))
+    for i, a in enumerate(forms):
+        coefficients[i, :size] = a.reshape(-1)
     if level:
-        names = names + ["t"]
         coefficients[:, size] = [t for _, _, _, _, t in rows] + [1]
+    lp_rows = [lp.Row(rel, rhs, label) for label, rel, rhs, _, _ in rows]
     return lp.LinearProgram(lp.MAXIMIZE, names, lp_rows, coefficients,
                             name=f"pp_max_d{designated}" if level else "pp_sum")
 
 
-def _subset_sums(terms, dtype) -> np.ndarray:
-    """sums[.., m] = the sum of terms[.., j] over the set bits j of mask m,
-    for every m < 2^n, where terms is a list of n numbers or a list of
-    such lists (one row of sums each).  The highest-bit recurrence adds the
-    terms in ascending j, the order congestion() and sum() over sorted
-    players use; a None term is skipped, as those sums skip zero factors."""
+def _subset_sums(terms, has, dtype) -> np.ndarray:
+    """sums[.., m] = the sum of terms[.., j] over the j with has[j, m],
+    where terms is a list of n numbers or a list of such lists (one row
+    of sums each) and has[j] marks the masks with bit j set.  One masked
+    accumulation adds the terms in ascending j from 0, the order
+    congestion() and sum() over sorted players use; a None term is
+    skipped, as those sums skip zero factors."""
     terms = np.array(terms, dtype=object)
-    sums = np.zeros(terms.shape[:-1] + (1 << terms.shape[-1],), dtype=dtype)
+    skip = terms == None  # noqa: E711 (elementwise)
+    values = np.where(skip, 0, terms).astype(dtype)[..., None]
+    sums = np.zeros(terms.shape[:-1] + has.shape[1:], dtype=dtype)
     for j in range(terms.shape[-1]):
-        lo = 1 << j
-        t = terms[..., j, None]
-        skip = t == None  # noqa: E711 (elementwise)
-        added = sums[..., :lo] + np.where(skip, 0, t).astype(dtype)
-        sums[..., lo:2 * lo] = np.where(skip, sums[..., :lo], added)
+        np.add(sums, values[..., j, :], out=sums, where=has[j] & ~skip[..., j, None])
     return sums
 
 
@@ -193,7 +225,7 @@ def _basis_values(basis, loads, scale, dtype) -> np.ndarray:
     None loads give 0 and are never evaluated."""
     cast = float if dtype is np.float64 else (lambda x: x)
     out = []
-    for row in loads.reshape(-1, loads.shape[-1]).tolist():
+    for row in loads.reshape(prod(loads.shape[:-1]), loads.shape[-1]).tolist():
         cache: dict = {None: [0] * len(basis)}
         for x in row:
             if x not in cache:
@@ -202,9 +234,11 @@ def _basis_values(basis, loads, scale, dtype) -> np.ndarray:
     return np.array(out, dtype=dtype).reshape(loads.shape + (len(basis),))
 
 
-def _mask_factors(cfg: WorstCaseConfig, weights: tuple) -> tuple:
+def _mask_factors(cfg: WorstCaseConfig, weights: tuple, masks: np.ndarray) -> tuple:
     """The closed form of the representative primal as per-mask factor
-    arrays (joins, leaves, costs), each of shape (n, 2^n, r).
+    arrays (masks, joins, leaves, costs), joins, leaves and costs of shape
+    (n, len(masks), r), evaluated at the given ascending masks alone:
+    position j holds mask masks[j].
 
     Column (P, Q, k) has load w(P) under sigma* and w(Q) under o*.  Its
     eq[i] entry is leaves[i, P, k] = f_k(w(P)) * sum_{j in P} alpha_ij w_j
@@ -218,24 +252,28 @@ def _mask_factors(cfg: WorstCaseConfig, weights: tuple) -> tuple:
     the profile-enumeration writer the tests keep as reference, so at a
     point mass on sigma* the programs are equal value for value: in float64
     when every weight is a float, else over Python numbers in object
-    arrays.  weights, the served model's, must be cfg's.  A float
-    coefficient that overflows raises OverflowError.
+    arrays.  A lookup table is read at every load of the class, whatever
+    the masks, and raises GameError at the first it misses.  weights, the
+    served model's, must be cfg's.  A float coefficient that overflows
+    raises OverflowError.
     """
     n = cfg.n
     w, alpha, beta = cfg.weights, cfg.alpha, cfg.spec.beta
     if tuple(weights) != w:
         raise GameError("model weights differ from configuration weights")
     dtype = np.float64 if all(isinstance(x, float) for x in w) else object
-    masks = np.arange(1 << n)
-    has = masks >> np.arange(n)[:, None] & 1 == 1  # has[i, M]: i in M
+    has = masks >> np.arange(n)[:, None] & 1 == 1  # has[i, j]: i in masks[j]
 
     def weighted(mat):
         return _subset_sums([[mat[i][j] * w[j] if mat[i][j] != 0 else None for j in range(n)]
-                             for i in range(n)], dtype)
+                             for i in range(n)], has, dtype)
 
     # an overflow shows as a coefficient that is not finite, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        loads = _subset_sums(list(w), dtype)
+        if len(masks) < 1 << n and any(f.kind == TABLE for f in cfg.basis):
+            every = np.arange(1, 1 << n) >> np.arange(n)[:, None] & 1 == 1
+            _basis_values(cfg.basis, _subset_sums(list(w), every, dtype), 1, dtype)
+        loads = _subset_sums(list(w), has, dtype)
         f_load = _basis_values(cfg.basis, np.where(masks > 0, loads, None), 1, dtype)
         aw = weighted(alpha)
         aw_join = np.array([[alpha[i][i] * w[i]] for i in range(n)], dtype=dtype) + aw
@@ -249,61 +287,57 @@ def _mask_factors(cfg: WorstCaseConfig, weights: tuple) -> tuple:
             costs = _summed(costs)[None]
     if dtype is np.float64 and not all(np.isfinite(a).all() for a in (joins, leaves, costs)):
         raise OverflowError("a coefficient of the worst-case program exceeds the float range")
-    return joins, leaves, costs
+    return masks, joins, leaves, costs
 
 
 def _entries(cfg: WorstCaseConfig, factors, p, q, k) -> tuple:
     """(eq, val, nrm) for _row_table at the columns (P, Q, k) = (p, q, k),
-    integer arrays that broadcast together, read off _mask_factors: eq[i]
-    over the broadcast shape, val over that of (p, k) and nrm over that of
-    (q, k), per player under max and one total under sum."""
-    joins, leaves, costs = factors
+    integer arrays that broadcast together, read off _mask_factors at
+    masks that include every P and Q: eq[i] over the broadcast shape, val
+    over that of (p, k) and nrm over that of (q, k), per player under max
+    and one total under sum."""
+    masks, joins, leaves, costs = factors
+    at_p, at_q = np.searchsorted(masks, p), np.searchsorted(masks, q)
     player = np.arange(cfg.n).reshape((-1,) + (1,) * np.ndim(q))
-    eq = np.where(q >> player & 1, joins[:, p, k], leaves[:, p, k])
-    val, nrm = costs[:, p, k], costs[:, q, k]
+    eq = np.where(q >> player & 1, joins[:, at_p, k], leaves[:, at_p, k])
+    val, nrm = costs[:, at_p, k], costs[:, at_q, k]
     return (eq, val[0], nrm[0]) if cfg.spec.kind == SUM else (eq, val, nrm)
 
 
 def _closed_form(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
     """(eq, val, nrm) of the representative primal for _row_table, every
-    column's entries from _mask_factors: eq[i] as an array over (P, Q, k),
-    val[i] over (P, 1, k) and nrm[i] over (1, Q, k); under a sum
-    objective, val and nrm are one total of costs."""
+    column's entries from _mask_factors at every mask: eq[i] as an array
+    over (P, Q, k), val[i] over (P, 1, k) and nrm[i] over (1, Q, k); under
+    a sum objective, val and nrm are one total of costs."""
     masks = np.arange(1 << cfg.n)
-    return _entries(cfg, _mask_factors(cfg, rep.weights), masks[:, None, None],
+    return _entries(cfg, _mask_factors(cfg, rep.weights, masks), masks[:, None, None],
                     masks[None, :, None], np.arange(len(cfg.basis)))
 
 
 def _coarse_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_profile) -> tuple:
     """(eq, val, nrm) of the coarse programs for _row_table over (resource,
-    k), gathered from _mask_factors: eq and val sum, over the profiles of
-    dist in its order, mass times the entries at (P, Q, k), with P the
-    players on resource e under the profile and Q those on e under
-    o_profile; nrm reads Q alone."""
+    k), gathered from _mask_factors at the masks read: eq and val sum,
+    over the profiles of dist in its order, mass times the entries at (P,
+    Q, k), with P the players on resource e under the profile and Q those
+    on e under o_profile; nrm reads Q alone."""
     col = {e: j for j, e in enumerate(model.resources)}
 
-    def users(profile):  # the mask of each resource's players, as a column
-        masks = np.zeros((len(col), 1), dtype=np.intp)
+    def users(profile):  # the mask of each resource's players
+        masks = [0] * len(col)
         for i, strategy in enumerate(model.profile_strategies(profile)):
-            masks[[col[e] for e in strategy]] |= 1 << i
+            for e in strategy:
+                masks[col[e]] |= 1 << i
         return masks
 
-    factors, q, k = _mask_factors(cfg, model.weights), users(o_profile), np.arange(len(cfg.basis))
+    ps, q = [users(prof) for prof in dist.masses], users(o_profile)
+    factors = _mask_factors(cfg, model.weights,
+                            np.array(sorted({*q, *chain.from_iterable(ps)}), dtype=np.intp))
+    q, k = np.array(q)[:, None], np.arange(len(cfg.basis))
     eq = val = 0
-    for prof, mass in dist.masses.items():
-        e, v, nrm = _entries(cfg, factors, users(prof), q, k)
+    for p, mass in zip(ps, dist.masses.values()):
+        e, v, nrm = _entries(cfg, factors, np.array(p)[:, None], q, k)
         eq, val = eq + mass * e, val + mass * v
     return eq, val, nrm
-
-
-def _column_names(cfg: WorstCaseConfig, rep: RepresentativeModel) -> list:
-    """Variable names of the v columns, vname(e(P, Q), k) formatted from
-    the masks; resources are in (P, Q) order, P major, so flat column
-    (P*size + Q)*r + k is vname(e(P, Q), k)."""
-    heads, tails = id_parts(cfg.n)
-    heads = ["v[" + h for h in heads]
-    tails = [f"{t}][{k}]" for t in tails for k in range(len(cfg.basis))]
-    return [h + t for h in heads for t in tails]
 
 
 def _support(rep: RepresentativeModel, r: int, values: Mapping) -> list:
@@ -328,11 +362,11 @@ def build_pp_pne(
     cfg: WorstCaseConfig, rep: RepresentativeModel, designated: Optional[int] = None
 ) -> lp.LinearProgram:
     """Pure-equilibrium primal: the coarse program at a point mass on the
-    representative first profile, named from the closed-form columns of
-    _closed_form."""
+    representative first profile, over the closed-form columns of
+    _closed_form, named on demand by _ColumnNames."""
     _check_designee(cfg, designated)
     objective, rows = _row_table(cfg, *_closed_form(cfg, rep), designated)
-    return _primal(cfg, _column_names(cfg, rep), objective, rows, designated)
+    return _primal(cfg, _ColumnNames(cfg, rep), objective, rows, designated)
 
 
 def build_pp_cce(
@@ -551,7 +585,7 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     rep = build_representative(cfg.weights)
     designees = [None] if cfg.spec.kind == SUM else list(range(cfg.n))
     columns = _closed_form(cfg, rep)
-    names = _column_names(cfg, rep)
+    names = _ColumnNames(cfg, rep)
     variants = []
     for d in designees:
         program = _primal(cfg, names, *_row_table(cfg, *columns, d), d)
@@ -608,10 +642,12 @@ def extract_worst_game(
     representative model restricted to the resources the point uses.
     Infeasible points are rejected with the first violated row label: the
     point is checked by lp.feasibility_report on the program of its
-    nonzero columns alone, built from the closed form at those columns,
-    as it would be on build_pp_pne.  A key of
-    primal_values that names no v column (see _support) is ignored, and
-    t is read as the level.
+    nonzero columns alone, built from the closed form at those columns'
+    masks, as it would be on build_pp_pne.  A column the point lacks is
+    0, as in lp.solve's support-only primal; a key of primal_values that
+    names no v column (see _support) is ignored, and t is read as the
+    level.  Like solve_worst_case, it raises GameError for a lookup table
+    that misses a load of the class, even one the point never reaches.
 
     A resource is kept when any of its columns is nonzero, solver dust
     included, and keeps its id and representative order; strategies are
@@ -626,18 +662,22 @@ def extract_worst_game(
     r = len(cfg.basis)
     support = _support(rep, r, primal_values)
     columns = np.array([c for c, *_ in support], dtype=np.intp).reshape(-1, 3).T
-    table = _row_table(cfg, *_entries(cfg, _mask_factors(cfg, rep.weights), *columns), designated)
-    program = _primal(cfg, [name for _, name, _ in support], *table, designated)
+    masks = np.array(sorted({m for (p, q, _), *_ in support for m in (p, q)}), dtype=np.intp)
+    factors = _mask_factors(cfg, rep.weights, masks)
+    table = _row_table(cfg, *_entries(cfg, factors, *columns), designated)
+    program = _primal(cfg, [name for _, name, _ in support] + _level(cfg), *table, designated)
     ok, label, violation = lp.feasibility_report(program, primal_values, FEAS_TOL)
     if not ok:
         raise GameError(f"primal point violates {label} by {violation}")
-    kept = {(p, q) for (p, q, _), *_ in support}
+    values = {c: x for c, _, x in support}
+    kept = {(p, q) for p, q, _ in values}
     for i in range(cfg.n):
         if not any(p >> i & 1 for p, _ in kept) or not any(q >> i & 1 for _, q in kept):
             kept.add((1 << i, 1 << i))
     ids = {rep.resource_for(p, q): (p, q) for p, q in sorted(kept)}
     coeffs = {e: tuple(0 if c < 0 else c  # solver noise within FEAS_TOL, checked above
-                       for c in (primal_values.get(vname(e, k), 0) for k in range(r))) for e in ids}
+                       for c in (values.get((p, q, k), 0) for k in range(r)))
+              for e, (p, q) in ids.items()}
     strategies = [[frozenset(e for e, (p, _) in ids.items() if p >> i & 1),
                    frozenset(e for e, (_, q) in ids.items() if q >> i & 1)] for i in range(cfg.n)]
     return GeneralizedGame(

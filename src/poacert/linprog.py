@@ -86,7 +86,10 @@ class LinearProgram:
     """A program stated as one coefficient array, rows by variables with
     the objective as a last row: float64, or object over Python numbers.
     rows[i] holds the relation, rhs and label of the array's row i.
-    Programs compare by identity."""
+    variables given as a list or tuple are kept as a tuple and checked for
+    duplicates; any other sequence is kept as it is, unread, so a program
+    of many columns can name them on demand.  Programs compare by
+    identity."""
 
     sense: str
     variables: Sequence[str]
@@ -98,10 +101,12 @@ class LinearProgram:
     def __post_init__(self):
         if self.sense not in (MAXIMIZE, MINIMIZE):
             raise ValueError(f"unknown sense {self.sense!r}")
-        self.variables = tuple(self.variables)
-        declared = set(self.variables)
-        if len(declared) != len(self.variables):
-            raise ValueError("duplicate variable names")
+        declared = self.variables
+        if isinstance(declared, (list, tuple)):
+            self.variables = tuple(declared)
+            declared = set(self.variables)
+            if len(declared) != len(self.variables):
+                raise ValueError("duplicate variable names")
         shape = (len(self.rows) + 1, len(self.variables))
         if self.coefficients.shape != shape:
             raise ValueError(f"coefficient array of shape {self.coefficients.shape}, "
@@ -157,6 +162,9 @@ class SolveReport:
     """A solve's answer, read at a final basis by _read: a float answer
     has row duals of their sign, and its point and duals meet every row
     and dual row within RESIDUAL_TOL; an exact one meets them exactly.
+    primal holds the point's support: its nonzero variables, in the
+    program's order; a variable it lacks is 0, as feasibility_report
+    reads it.
     iterations counts the pivots of every run that answered or led to the
     answer: the float run's, plus the rational run's when that one had to
     run (a float run that raised counts none).  fallback is None when the
@@ -233,12 +241,23 @@ class _Standardizer:
             vals += 0.0  # -0.0 + 0.0 is 0.0
         return vals
 
-    def recover(self, x: np.ndarray) -> dict:
-        """The program's point at the standard columns' values x."""
-        prim = x[self.col]
-        prim[self.neg] = self.zero - prim[self.neg]
-        prim[self.free] -= x[self.col[self.free] + 1]
-        return dict(zip(self.lp.variables, prim.tolist()))
+    def recover(self, columns: np.ndarray, values: np.ndarray) -> dict:
+        """The nonzero variables, in variable order, of the program's point
+        at which the standard columns hold values and every other column
+        0; only their names are read."""
+        at = dict(zip(columns.tolist(), values.tolist()))
+        used = np.searchsorted(self.col, [c for c, x in at.items() if x], side="right") - 1
+        point = {}
+        for v in sorted(set(used.tolist())):
+            c = int(self.col[v])
+            value = at.get(c, self.zero)
+            if self.neg[v]:
+                value = self.zero - value
+            if self.free[v]:
+                value -= at.get(c + 1, self.zero)
+            if value:
+                point[self.lp.variables[v]] = value
+        return point
 
 
 class _System(NamedTuple):
@@ -272,7 +291,8 @@ def _system(lp: LinearProgram, exact: bool) -> _System:
     if not exact:
         # equilibrate: float tolerances are absolute, so rows must share a
         # scale for them to mean anything
-        biggest = np.abs(A).max(axis=1, initial=0.0)
+        # max |a_ij| by row, without an |A| temporary the size of A
+        biggest = np.maximum(A.max(axis=1, initial=0.0), -A.min(axis=1, initial=0.0))
         row_scale = 1.0 / np.where(biggest > 0, biggest, 1.0)
         A *= row_scale[:, None]
         b *= row_scale
@@ -633,9 +653,7 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
     _check(short, tol, lambda j: f"dual row {name(j)} is violated")
     sense_flip = -std.one if lp.sense == MINIMIZE else std.one
     value = sense_flip * (costs[S] @ x) + zero
-    colvals = np.full(n, zero, dtype=std.dtype)
-    colvals[S] = x
-    return SolveReport(OPTIMAL, value if exact else float(value), std.recover(colvals),
+    return SolveReport(OPTIMAL, value if exact else float(value), std.recover(S, x),
                        dict(zip([row.label for row in lp.rows], (y * scale + zero).tolist())),
                        stop.stats.pivots, exact, stats=stop.stats)
 

@@ -166,7 +166,8 @@ def worst_cce(
             # the literal definition admits empty coarse sets when
             # perceived costs go negative and epsilon > 0
             raise GameError(f"coarse constraint set is {rep.status}")
-        masses = {prof: m for var, prof in zip(variables, costs) if (m := rep.primal[var]) > 0}
+        masses = {prof: m for var, prof in zip(variables, costs)
+                  if (m := rep.primal.get(var, 0)) > 0}
         if not exact:  # shed solver rounding before re-validation
             total = sum(masses.values())
             masses = {prof: m / total for prof, m in masses.items()}

@@ -46,12 +46,6 @@ def _tail(q: int) -> str:
     return f"{_players(q)}}}"
 
 
-def id_parts(n: int) -> tuple:
-    """(heads, tails) over all masks below 2^n: e(P, Q) is heads[P] + tails[Q]."""
-    size = 1 << n
-    return [_head(m) for m in range(size)], [_tail(m) for m in range(size)]
-
-
 def _mask_of(players, n: int) -> int:
     m = 0
     for i in players:
@@ -73,9 +67,9 @@ class RepresentativeModel:
 
     @cached_property
     def model(self) -> CongestionModel:
-        heads, tails = id_parts(self.n)
+        size = 1 << self.n
+        heads, tails = [_head(m) for m in range(size)], [_tail(m) for m in range(size)]
         names = [h + t for h in heads for t in tails]
-        size = len(heads)
         # ids[p, q] is the id of e(P, Q)
         ids = np.array(names, dtype=object).reshape(size, size)
         masks = np.arange(size)

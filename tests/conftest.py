@@ -155,7 +155,7 @@ def same_program(a, b):
     name, and in their coefficient arrays entry by entry, by value (a
     float64 entry equals the same number in an object array)."""
     def fields(p):
-        return p.sense, p.variables, list(p.rows), p.bounds, p.name, p.coefficients.shape
+        return p.sense, tuple(p.variables), list(p.rows), p.bounds, p.name, p.coefficients.shape
 
     return fields(a) == fields(b) and all(
         x == y for x, y in zip(a.coefficients.ravel().tolist(), b.coefficients.ravel().tolist()))

@@ -120,7 +120,7 @@ def test_readers_of_array_programs_match_the_dict_reference(cfg, exact):
         cert = {v: rp.duals[label] for v, label in zip(dp.variables, (r.label for r in program.rows))}
         assert repr(lp.feasibility_report(dp, cert)) == repr(lp.feasibility_report(dp_ref, cert))
         moved = dict(rp.primal)
-        moved[program.variables[0]] -= 1
+        moved[program.variables[0]] = moved.get(program.variables[0], 0.0) - 1
         for point in (rp.primal, moved, {v: 2 * x for v, x in rp.primal.items()}):
             for tol in (0, 1e-9):
                 got = lp.feasibility_report(program, point, tol)

@@ -639,10 +639,10 @@ def test_witness_check_is_feasibility_report_on_pp():
             solved = {v: num(x) for v, x in rp.primal.items()}
             points = [solved, {v: 2 * x for v, x in solved.items()}]
             if d is not None:
-                points.append({**solved, "t": solved["t"] * num(1.5)})
+                points.append({**solved, "t": solved.get("t", num(0)) * num(1.5)})
             for delta in (1e-12, -1e-12, 1e-6, -1e-6, 1, -1):
                 v = rng.choice(program.variables)
-                points.append({**solved, v: solved[v] + num(delta)})
+                points.append({**solved, v: solved.get(v, num(0)) + num(delta)})
             for point in points:
                 ok, label, violation = lp.feasibility_report(program, point, FEAS_TOL)
                 if ok:

@@ -25,7 +25,6 @@ from poacert.formulations import (
     FEAS_TOL,
     WorstCaseConfig,
     _closed_form,
-    _column_names,
     _row_table,
     _support,
     build_pp_pne,
@@ -72,6 +71,27 @@ def reference_model(weights):
         sigma, omega = ids[has].ravel().tolist(), ids[:, has].ravel().tolist()
         strategies.append((frozenset(sigma), frozenset(omega)))
     return CongestionModel(tuple(weights), tuple(names), tuple(strategies))
+
+
+def reference_id_parts(n):
+    """(heads, tails) over all masks below 2^n: e(P, Q) is heads[P] + tails[Q]."""
+
+    def players(mask):
+        return ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
+
+    size = 1 << n
+    return ([f"P:{{{players(m)}}}|Q:{{" for m in range(size)],
+            [f"{players(m)}}}" for m in range(size)])
+
+
+def reference_column_names(cfg):
+    """Variable names of the v columns, every one formatted: resources in
+    (P, Q) order, P major, so flat column (P*size + Q)*r + k is
+    vname(e(P, Q), k)."""
+    heads, tails = reference_id_parts(cfg.n)
+    heads = ["v[" + h for h in heads]
+    tails = [f"{t}][{k}]" for t in tails for k in range(len(cfg.basis))]
+    return [h + t for h in heads for t in tails]
 
 
 def _reference_subset_sums(terms, dtype):
@@ -246,12 +266,17 @@ def assert_same_witness(got, want):
 
 def perturbed(point, designated):
     """Points that violate a row or a bound, and some that stay feasible;
-    new values keep the point's arithmetic."""
-    one = next(iter(point.values())) * 0 + 1
+    new values keep the point's arithmetic.  A solution lists its nonzero
+    variables only, so the empty one (a max program's at t = 0) takes
+    float values."""
+    one = next(iter(point.values()), 0.0) * 0 + 1
     support = [v for v, x in point.items() if x and v != "t"] or [None]
     first, last = support[0], support[-1]
     x0 = point.get(first, one)
-    zero = next(v for v, x in point.items() if not x and v != "t")
+    # the first column at 0, as the point lists only its support: column
+    # 0, e({}, {}), has no nonzero coefficient and is never basic
+    zero = "v[P:{}|Q:{}][0]"
+    assert not point.get(zero, 0)
     out = [
         {**point, zero: x0 / 1000},
         {**point, zero: -x0 / 10**12},
@@ -262,7 +287,8 @@ def perturbed(point, designated):
         out += [{**point, first: point[first] * 2}, {**point, last: point[last] / 2},
                 {**point, first: -point[first]}]
     if designated is not None:
-        out += [{**point, "t": point["t"] * 2}, {**point, "t": point["t"] - one}]
+        level = point.get("t", 0 * one)
+        out += [{**point, "t": level * 2}, {**point, "t": level - one}]
     return out
 
 
@@ -369,7 +395,7 @@ def test_column_name_inverse_round_trips(n, r):
     rep = build_representative((1,) * n)
     cfg = WorstCaseConfig((1,) * n, identity_matrix(n), SocialSpec(SUM, identity_matrix(n)), 0,
                           (X,) * r)
-    names = _column_names(cfg, rep)
+    names = reference_column_names(cfg)
     assert len(names) == 4**n * r
     size = 1 << n
     for j, name in enumerate(names):

@@ -237,7 +237,7 @@ def _reference_worst_cce(game, spec, epsilon, predicate, exact):
         masses = {}
         total = 0
         for idx, prof in enumerate(profiles):
-            m = rep.primal[f"p[{idx}]"]
+            m = rep.primal.get(f"p[{idx}]", 0)
             if m > 0:
                 masses[prof] = m
                 total += m

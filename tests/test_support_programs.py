@@ -1,0 +1,243 @@
+"""Solve and extract touch only the support.
+
+lp.solve reports the nonzero variables alone; the representative programs
+name their 4^n r columns on demand, so a solve formats at most one name
+per row; _mask_factors evaluates only the masks it is given, while a
+lookup table is still read at every load of the class; and the float
+system and the closed-form program are written without a temporary the
+size of their coefficient array.  The references are the full name list
+of test_mask_native and the expressions the code used before.
+"""
+
+import random
+import sys
+import tracemalloc
+from fractions import Fraction as F
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from poacert import formulations
+from poacert import linprog as lp
+from poacert.formulations import (
+    WorstCaseConfig,
+    _mask_factors,
+    build_pp_pne,
+    extract_worst_game,
+    vname,
+)
+from poacert.games import (
+    MAX,
+    SUM,
+    BasisFunction,
+    GameError,
+    SocialSpec,
+    identity_matrix,
+)
+from poacert.representative import build_representative
+from test_array_programs import designees, seeded_classes
+from test_mask_native import reference_column_names
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "poabench"))
+import workloads  # noqa: E402
+
+X = BasisFunction.monomial(1)
+X2 = BasisFunction.monomial(2)
+
+
+def unit_class(n, r, kind):
+    eye = identity_matrix(n)
+    return WorstCaseConfig((1,) * n, eye, SocialSpec(kind, eye), 0, (X, X2, X)[:r])
+
+
+def heavy_class():
+    """n = 8, r = 1, sum, float weights 1, 3, 3, 1, 2, 3, 2, 3: a 10 x 4^8
+    float coefficient array of 5.0 MiB."""
+    eye = identity_matrix(8, False)
+    weights = (1.0, 3.0, 3.0, 1.0, 2.0, 3.0, 2.0, 3.0)
+    return WorstCaseConfig(weights, eye, SocialSpec(SUM, eye), 0.0, (X,))
+
+
+# ============================================================
+# names on demand
+# ============================================================
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("kind", [SUM, MAX])
+def test_column_names_are_the_reference_list(n, r, kind):
+    cfg = unit_class(n, r, kind)
+    program = build_pp_pne(cfg, build_representative(cfg.weights), None if kind == SUM else 0)
+    want = reference_column_names(cfg) + ([] if kind == SUM else ["t"])
+    got = list(program.variables)
+    assert got == want
+    assert len(program.variables) == len(want) == len(set(got))
+    assert [program.variables[j] for j in (0, -1, len(want) // 2)] == \
+        [want[j] for j in (0, -1, len(want) // 2)]
+    with pytest.raises(IndexError):
+        program.variables[len(want)]
+
+
+def test_a_frontier_job_formats_a_name_per_row_at_most(monkeypatch):
+    """An n = 6 max witness-frontier job (build, solve, extract) formats
+    at most m + |support| column names, of 4^6 = 4,096."""
+    job = next(j for j in workloads.witness_frontier(random.Random("witness-frontier:2026"))
+               if j.cfg.n == 6 and j.cfg.spec.kind == MAX)
+    formatted = []
+
+    def counted(e, k):
+        formatted.append((e, k))
+        return vname(e, k)
+
+    monkeypatch.setattr(formulations, "vname", counted)
+    rep, sol, game = job.run()
+    monkeypatch.undo()
+    m = len(build_pp_pne(job.cfg, rep, job.designated).rows)
+    assert not job.check((rep, sol, game))
+    assert 0 < len(formatted) <= m + len(sol.primal)
+
+
+def test_listed_variables_are_still_checked_for_duplicates():
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        lp.LinearProgram(lp.MAXIMIZE, ["x", "x"], [], np.zeros((1, 2)))
+
+
+# ============================================================
+# the support-only primal
+# ============================================================
+
+
+@pytest.mark.parametrize("cfg,exact", list(seeded_classes()))
+def test_primal_is_the_support_of_the_full_point(cfg, exact):
+    """Every reported value is nonzero, every absent variable is 0, and
+    the point meets the program as feasibility_report reads it."""
+    rep = build_representative(cfg.weights)
+    for d in designees(cfg):
+        program = build_pp_pne(cfg, rep, d)
+        report = lp.solve(program)
+        if report.status != lp.OPTIMAL:
+            continue
+        assert all(report.primal.values())
+        names = list(program.variables)
+        assert list(report.primal) == [v for v in names if v in report.primal]
+        assert len(report.primal) <= len(program.rows)
+        assert lp.feasibility_report(program, report.primal, 1e-7)[0]
+
+
+def test_nonpositive_and_free_variables_keep_their_sign():
+    """x free, y <= 0, z >= 0: max -2x + y - z over x - y >= 3, x <= -1,
+    y >= -10 gives x = -7, y = -10 and z absent."""
+    coefficients = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                             [-2.0, 1.0, -1.0]])
+    rows = [lp.Row(lp.GE, 3, "a"), lp.Row(lp.LE, -1, "b"), lp.Row(lp.GE, -10, "c")]
+    program = lp.LinearProgram(lp.MAXIMIZE, ["x", "y", "z"], rows, coefficients,
+                               bounds={"x": lp.FREE, "y": (None, 0)})
+    for exact in (False, True):
+        report = lp.solve(program, exact)
+        assert report.primal == {"x": -7, "y": -10}
+        assert report.value == 4
+
+
+# ============================================================
+# factors at the masks read
+# ============================================================
+
+
+@pytest.mark.parametrize("cfg,exact", [p for p in seeded_classes() if p.values[0].n <= 5])
+def test_factors_at_some_masks_are_the_full_ones_bit_for_bit(cfg, exact):
+    n = cfg.n
+    full = _mask_factors(cfg, cfg.weights, np.arange(1 << n))
+    rng = np.random.default_rng(n)
+    for masks in (np.arange(0), np.array([0]), np.array([(1 << n) - 1]),
+                  np.unique(rng.integers(0, 1 << n, size=5))):
+        got = _mask_factors(cfg, cfg.weights, masks)
+        assert got[0] is masks
+        for a, b in zip(got[1:], full[1:]):
+            b = b[:, masks]
+            assert a.shape == b.shape and a.dtype == b.dtype
+            if a.dtype == object:
+                assert list(map(repr, a.ravel())) == list(map(repr, b.ravel()))
+            else:
+                assert a.tobytes() == b.tobytes()
+
+
+def test_extraction_needs_the_class_loads_its_support_never_reaches():
+    """The twin of the extension test: weights (1, 2) and a table defined
+    at loads 1 and 3 only.  A point whose columns have loads 0 and 1 reads
+    no factor at load 2, yet the class reaches it (player 1 alone), so
+    extract_worst_game raises the error solve_worst_case raises."""
+    eye = identity_matrix(2, True)
+    cfg = WorstCaseConfig((F(1), F(2)), eye, SocialSpec(SUM, eye), F(0),
+                          (BasisFunction.lookup({F(1): F(1), F(3): F(1)}),))
+    rep = build_representative(cfg.weights)
+    point = {vname(rep.resource_for([0], []), 0): F(1),
+             vname(rep.resource_for([], [0]), 0): F(1)}
+    message = "lookup table does not cover congestion value 2"
+    with pytest.raises(GameError, match=message):
+        formulations.solve_worst_case(cfg, exact=True)
+    with pytest.raises(GameError, match=message):
+        extract_worst_game(cfg, rep, point)
+
+
+# ============================================================
+# no temporary the size of the array
+# ============================================================
+
+
+def _benchmark_programs():
+    """The pure-equilibrium programs of every class-ladder and
+    witness-frontier job at seed 2026, one per designee."""
+    jobs = workloads.class_ladder(random.Random("class-ladder:2026"))
+    cfgs = {id(job.cfg): (job.cfg, None if job.cfg.spec.kind == SUM else range(job.cfg.n))
+            for job in jobs}
+    for job in workloads.witness_frontier(random.Random("witness-frontier:2026")):
+        cfgs.setdefault((id(job.cfg), job.designated), (job.cfg, [job.designated]))
+    for cfg, ds in cfgs.values():
+        rep = build_representative(cfg.weights)
+        for d in [None] if ds is None else ds:
+            yield build_pp_pne(cfg, rep, d)
+
+
+def test_equilibration_is_the_abs_max_bit_for_bit():
+    """_system's row scales, and so A and b, are byte-identical to those
+    of np.abs(A).max(axis=1), which built an |A| temporary."""
+    count = 0
+    for program in _benchmark_programs():
+        system = lp._system(program, False)
+        forms = lp._Standardizer(program, False).columns(program.coefficients)
+        A = forms[:-1]
+        biggest = np.abs(A).max(axis=1, initial=0.0)
+        row_scale = 1.0 / np.where(biggest > 0, biggest, 1.0)
+        b = np.array([float(row.rhs) for row in program.rows]) * row_scale
+        assert system.scale.tobytes() == row_scale.tobytes()
+        assert system.A.tobytes() == (A * row_scale[:, None]).tobytes()
+        assert system.b.tobytes() == b.tobytes()
+        count += 1
+    assert count > 100
+
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_peak_is_within_one_and_a_half_arrays():
+    cfg = heavy_class()
+    program = build_pp_pne(cfg, build_representative(cfg.weights))
+    assert program.coefficients.nbytes == 10 * 4**8 * 8
+    report, peak = _peak(lambda: lp.solve(program))
+    assert report.status == lp.OPTIMAL
+    assert peak <= 1.5 * program.coefficients.nbytes
+
+
+def test_build_peak_is_within_two_and_a_half_arrays():
+    cfg = heavy_class()
+    rep = build_representative(cfg.weights)
+    program, peak = _peak(lambda: build_pp_pne(cfg, rep))
+    assert peak <= 2.5 * program.coefficients.nbytes
