@@ -55,12 +55,12 @@ from .gamefile import (
 )
 from .oracle import (
     PROFILE_CAP,
+    _cost_table,
     _equilibria,
+    _worst_cce,
     _worst_ratio,
     enumerate_eps_pne,
     exact_ppoa,
-    social_optimum,
-    worst_cce,
 )
 from .representative import build_representative
 from .smoothness import NOT_SMOOTHABLE, validate_smoothness_claims
@@ -206,7 +206,8 @@ def cmd_exact_ppoa(args) -> int:
     doc = load_game(_need(args, "--game"), args.exact)
     eps = _epsilon(args, doc.epsilon)
     spec = doc.spec(args.sf)
-    opt_profile, opt, equilibria = _equilibria(doc.game, spec, eps, args.predicate, args.cap)
+    table = _cost_table(doc.game, args.cap, "exact_ppoa")
+    opt_profile, opt, equilibria = _equilibria(doc.game, table, spec, eps, args.predicate)
     value, worst = _worst_ratio(opt, equilibria)
     return _emit(args, {
         "value": value,
@@ -221,10 +222,11 @@ def cmd_cce_poa(args) -> int:
     doc = load_game(_need(args, "--game"), args.exact)
     eps = _epsilon(args, doc.epsilon)
     spec = doc.spec(args.sf)
-    _, opt = social_optimum(doc.game, spec, args.cap)
+    table = _cost_table(doc.game, args.cap, "worst_cce")
+    opt = min(table.social_values(spec))
     if opt == 0:
         raise GameError("social optimum is 0; the ratio is undefined")
-    report = worst_cce(doc.game, spec, eps, args.predicate, args.cap, args.exact)
+    report = _worst_cce(doc.game, table, spec, eps, args.predicate, args.exact)
     return _emit(args, {
         "value": report.value,
         "optimum": opt,

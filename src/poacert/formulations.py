@@ -572,9 +572,11 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     largest optimum wins; an unbounded primal makes gamma* infinite.  The
     row duals, in certificate names, must be feasible for build_dp_pne with
     objective equal to the primal optimum, which by weak duality proves
-    it.  Feasibility is read by lp.dual_violations off the program just
-    solved, which gives lp.feasibility_report's verdict on build_dp_pne
-    without building it.  These checks and the
+    it.  A float answer's feasibility is read again by lp.dual_violations
+    off the program just solved, to FEAS_TOL, which gives
+    lp.feasibility_report's verdict on build_dp_pne without building it;
+    an exact answer's dual rows and signs were read by lp.solve on the
+    same rational data with tolerance 0.  These checks and the
     optimum being at least 1 are guaranteed by the theory; violations raise
     InvariantViolation rather than returning a bad number.
     Exact mode first reads every float of cfg as its exact binary value,
@@ -597,9 +599,10 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
         if rp.status != lp.OPTIMAL:
             raise InvariantViolation(f"primal is {rp.status}; the unit witness is feasible")
         duals = [rp.duals[row.label] for row in program.rows]
-        ok, label, violation = _certificate_report(program, duals, 0 if exact else FEAS_TOL)
-        if not ok:
-            raise InvariantViolation(f"certificate violates {label} by {violation}")
+        if not exact:  # an exact reading checked these dual rows and signs with tolerance 0
+            ok, label, violation = _certificate_report(program, duals, FEAS_TOL)
+            if not ok:
+                raise InvariantViolation(f"certificate violates {label} by {violation}")
         cert = {_certificate_name(row.label): y for row, y in zip(program.rows, duals)}
         # rhs times duals added in row order by lp._combination, not by the
         # builtin sum, which compensates float sums from Python 3.12

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -166,6 +167,21 @@ class CongestionModel:
     @property
     def n(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def _position(self) -> dict:
+        return {e: k for k, e in enumerate(self.resources)}
+
+    def in_order(self, resources) -> list:
+        """resources sorted into the model's resource order.  Float sums
+        over resource sets run in this order, not in the set's, which
+        follows the hash seed of string ids."""
+        return sorted(resources, key=self._position.__getitem__)
+
+    @cached_property
+    def ordered_strategies(self) -> tuple:
+        """strategies, each one a tuple of its resources in_order."""
+        return tuple(tuple(tuple(self.in_order(s)) for s in per) for per in self.strategies)
 
     def profile_strategies(self, profile) -> list:
         return [self.strategies[i][profile[i]] for i in range(self.n)]
@@ -345,7 +361,7 @@ def individual_cost(game: GeneralizedGame, profile, i: int):
     model = game.model
     loads = congestion(model, profile)
     return model.weights[i] * sum(
-        game.latency(e, loads[e]) for e in model.strategies[i][profile[i]]
+        game.latency(e, loads[e]) for e in model.ordered_strategies[i][profile[i]]
     )
 
 
@@ -362,7 +378,7 @@ def individual_costs(game: GeneralizedGame, profile) -> list:
     loads = congestion(model, profile)
     lat = _used_latencies(game, loads)
     return [
-        model.weights[i] * sum(lat[e] for e in model.strategies[i][s])
+        model.weights[i] * sum(lat[e] for e in model.ordered_strategies[i][s])
         for i, s in enumerate(profile)
     ]
 
@@ -411,23 +427,25 @@ def _gap_inputs(game: GeneralizedGame, profile) -> tuple:
     return loads, resource_users(model, profile), _used_latencies(game, loads, idle), idle
 
 
-def _grouped_gap(game: GeneralizedGame, profile, i: int, target, eps, inputs):
-    """deviation_gap towards the resource set target, given _gap_inputs.  A
-    resource of latency 0 adds 0, so its alpha-weighted users are not summed."""
+def _grouped_gap(game: GeneralizedGame, profile, i: int, target, order, eps, inputs):
+    """deviation_gap towards the resource set target, given its resources
+    in_order as order and the profile's _gap_inputs.  Resources are added
+    in_order; one of latency 0 adds 0, so its alpha-weighted users are not
+    summed."""
     loads, users, lat, idle = inputs
     model = game.model
     current = model.strategies[i][profile[i]]
     w = model.weights
     gain = 0
-    for e in current - target:
-        if lat[e] == 0:
+    for e in model.ordered_strategies[i][profile[i]]:
+        if e in target or lat[e] == 0:
             continue
         aw = sum(game.alpha[i][j] * w[j] for j in users[e])
         if aw != 0:
             gain += lat[e] * aw
     pay = 0
-    for e in target - current:
-        if e in idle:
+    for e in order:
+        if e in current or e in idle:
             continue
         aw = game.alpha[i][i] * w[i] + sum(game.alpha[i][j] * w[j] for j in users[e])
         if aw != 0:
@@ -447,8 +465,12 @@ def deviation_gap(game: GeneralizedGame, profile, i: int, x, eps=0):
     literal perceived-cost difference, even at eps = 0.
     """
     model = game.model
-    target = model.strategies[i][x] if isinstance(x, int) else frozenset(x)
-    return _grouped_gap(game, profile, i, target, eps, _gap_inputs(game, profile))
+    if isinstance(x, int):
+        target, order = model.strategies[i][x], model.ordered_strategies[i][x]
+    else:
+        target = frozenset(x)
+        order = model.in_order(target)
+    return _grouped_gap(game, profile, i, target, order, eps, _gap_inputs(game, profile))
 
 
 def _deviate(profile, i: int, x) -> tuple:
@@ -468,16 +490,6 @@ def deviation_gap_verbatim(game: GeneralizedGame, profile, i: int, x, eps=0):
         game, _deviate(profile, i, x), i)
 
 
-def _verbatim_gaps(game: GeneralizedGame, profile, eps, costs_of):
-    """deviation_gaps under the verbatim predicate, reading the individual
-    costs of the profile and of each deviation through costs_of(profile)."""
-    costs = costs_of(profile)
-    for i, row in enumerate(game.alpha):
-        here = _weighted(row, costs)
-        for x in range(len(game.model.strategies[i])):
-            yield i, x, here - (1 + eps) * _weighted(row, costs_of(_deviate(profile, i, x)))
-
-
 def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
     """(i, x, gap) for every player i and strategy index x, in that order,
     equal to deviation_gap or deviation_gap_verbatim but from one load pass
@@ -490,9 +502,15 @@ def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
         inputs = _gap_inputs(game, profile)
         for i in range(game.n):
             for x, target in enumerate(model.strategies[i]):
-                yield i, x, _grouped_gap(game, profile, i, target, eps, inputs)
+                order = model.ordered_strategies[i][x]
+                yield i, x, _grouped_gap(game, profile, i, target, order, eps, inputs)
         return
-    yield from _verbatim_gaps(game, profile, eps, lambda prof: individual_costs(game, prof))
+    costs = individual_costs(game, profile)
+    for i, row in enumerate(game.alpha):
+        here = _weighted(row, costs)
+        for x in range(len(model.strategies[i])):
+            there = individual_costs(game, _deviate(profile, i, x))
+            yield i, x, here - (1 + eps) * _weighted(row, there)
 
 
 def _tol(*values):

@@ -10,7 +10,7 @@ answers end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .games import (
     GeneralizedGame,
     ProfileDistribution,
     SocialSpec,
-    _verbatim_gaps,
-    _weighted,
     deviation_gaps,
     individual_costs,
     is_eps_pne,
@@ -43,9 +41,49 @@ def _profiles(game: GeneralizedGame, cap: int, what: str):
     return game.model.profiles()
 
 
-def _cost_table(game: GeneralizedGame, cap: int, what: str) -> dict:
-    """{profile: individual_costs} over _profiles: an oracle call's one cost pass."""
-    return {prof: individual_costs(game, prof) for prof in _profiles(game, cap, what)}
+class _CostTable(NamedTuple):
+    """An oracle call's one individual_costs pass: the game's profiles in
+    lexicographic order, the individual cost of player i at profiles[a] as
+    costs[a, i] (float64 when every cost is a float, else object), and the
+    mixed-radix strides of the profile order with each row's strategy
+    indices, so the deviation (sigma_{-i}, x) of row a is row a + (x -
+    sigma_i) * strides[i]."""
+
+    profiles: list
+    costs: np.ndarray
+    strides: np.ndarray
+    strategies: np.ndarray  # rows by players: the strategy indices of each profile
+
+    def deviations(self, i: int, targets) -> np.ndarray:
+        """Rows by targets: the row of (sigma_{-i}, x) for every row sigma
+        and every strategy index x of player i in targets."""
+        shift = (np.asarray(targets)[None, :] - self.strategies[:, i, None]) * self.strides[i]
+        return np.arange(len(self.profiles))[:, None] + shift
+
+    def social_values(self, spec: SocialSpec) -> list:
+        """social_of_costs of every row, in row order."""
+        return [social_of_costs(spec, c) for c in self.costs.tolist()]
+
+
+def _cost_table(game: GeneralizedGame, cap: int, what: str) -> _CostTable:
+    """The _CostTable of the game's profiles, after the cap check."""
+    profiles = list(_profiles(game, cap, what))
+    rows = [individual_costs(game, prof) for prof in profiles]
+    floats = all(isinstance(c, float) for row in rows for c in row)
+    sizes = [len(per) for per in game.model.strategies]
+    strides = np.cumprod([1, *sizes[:0:-1]])[::-1]
+    return _CostTable(profiles, np.array(rows, dtype=np.float64 if floats else object), strides,
+                      np.array(profiles, dtype=np.intp))
+
+
+def _weighted_rows(row, costs: np.ndarray) -> np.ndarray:
+    """games._weighted(row, c) for every row c of a cost array: the same
+    terms, added in the same order, from a float64 zero or an int one."""
+    total = np.zeros(len(costs), dtype=costs.dtype)
+    for j, r in enumerate(row):
+        if r != 0:
+            total = total + (float(r) if costs.dtype == np.float64 else r) * costs[:, j]
+    return total
 
 
 def social_optimum(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP):
@@ -75,10 +113,10 @@ def enumerate_eps_pne(
     ]
 
 
-def _equilibria(game, spec, epsilon, predicate, cap):
+def _equilibria(game, table: _CostTable, spec, epsilon, predicate):
     """(optimum profile, optimum, [(equilibrium, its social value)]) as
-    social_optimum and enumerate_eps_pne give them, from one enumeration."""
-    values = {prof: social_value(spec, game, prof) for prof in _profiles(game, cap, "exact_ppoa")}
+    social_optimum and enumerate_eps_pne give them, from one cost table."""
+    values = dict(zip(table.profiles, table.social_values(spec)))
     opt_profile = min(values, key=values.get)
     if values[opt_profile] == 0:
         raise GameError("social optimum is 0; the ratio is undefined")
@@ -107,7 +145,8 @@ def exact_ppoa(
 
     Generalized games need not possess pure equilibria at all, so the
     empty case is a legitimate answer, not an error."""
-    _, opt, equilibria = _equilibria(game, spec, epsilon, predicate, cap)
+    table = _cost_table(game, cap, "exact_ppoa")
+    _, opt, equilibria = _equilibria(game, table, spec, epsilon, predicate)
     return _worst_ratio(opt, equilibria)[0]
 
 
@@ -138,27 +177,48 @@ def worst_cce(
     times the expected perceived cost after switching i to x.  One program
     for sum objectives; for max objectives one per player (a max of linear
     functionals), keeping the winner.  Rows and objectives read one
-    individual_costs pass over the profiles."""
-    costs = _cost_table(game, cap, "worst_cce")
-    variables = [f"p[{idx}]" for idx in range(len(costs))]
-    gap_rows: dict = {}  # (i, x) -> its row's entries, filled one profile at a time
-    for col, prof in enumerate(costs):
-        gaps = (_verbatim_gaps(game, prof, epsilon, costs.__getitem__) if predicate == VERBATIM
-                else deviation_gaps(game, prof, epsilon, predicate))
-        for i, x_idx, gap in gaps:
-            row = gap_rows.setdefault((i, x_idx), [0] * len(costs))
+    cost table."""
+    return _worst_cce(game, _cost_table(game, cap, "worst_cce"), spec, epsilon, predicate, exact)
+
+
+def _coarse_rows(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
+    """The rows cce[i][x] of worst_cce, players then strategies, one column
+    per profile, in the table's dtype; an object row holds int 0 where its
+    entry is 0.  A verbatim entry is the perceived cost at the profile less
+    (1 + eps) times that at its deviation, both read off the table."""
+    sizes = [len(per) for per in game.model.strategies]
+    rows = np.zeros((sum(sizes), len(table.profiles)), dtype=table.costs.dtype)
+    if predicate == VERBATIM:
+        scale = 1 + epsilon
+        if rows.dtype == np.float64:
+            scale = float(scale)
+        first = np.cumsum([0, *sizes])
+        for i, alpha in enumerate(game.alpha):
+            perceived = _weighted_rows(alpha, table.costs)
+            gaps = perceived[:, None] - scale * perceived[table.deviations(i, range(sizes[i]))]
+            rows[first[i]:first[i + 1]] = np.where(gaps != 0, gaps, 0).T
+        return rows
+    for col, prof in enumerate(table.profiles):
+        for k, (_, _, gap) in enumerate(deviation_gaps(game, prof, epsilon, predicate)):
             if gap != 0:
-                row[col] = gap
-    # rows cce[i][x] in first-seen order, then mass, then the objective, one
-    # column per profile; an entry is int 0 where its value is 0
-    coefficients = np.array([*gap_rows.values(), [1] * len(costs), [0] * len(costs)],
-                            dtype=object)
-    rows = [lp.Row(lp.LE, 0, f"cce[{i}][{x_idx}]") for i, x_idx in gap_rows]
+                rows[k, col] = gap
+    return rows
+
+
+def _worst_cce(game, table: _CostTable, spec, epsilon, predicate, exact) -> CCEReport:
+    """worst_cce on a cost table of the game."""
+    profiles = table.profiles
+    variables = [f"p[{idx}]" for idx in range(len(profiles))]
+    gap_rows = _coarse_rows(game, table, epsilon, predicate)
+    # rows cce[i][x], then mass, then the objective
+    coefficients = np.concatenate([gap_rows, np.ones((2, len(profiles)), dtype=gap_rows.dtype)])
+    rows = [lp.Row(lp.LE, 0, f"cce[{i}][{x}]") for i, per in enumerate(game.model.strategies)
+            for x in range(len(per))]
     rows.append(lp.Row(lp.EQ, 1, "mass"))
 
     def run(player, name):
-        values = (social_of_costs(spec, c) if player is None else _weighted(spec.beta[player], c)
-                  for c in costs.values())
+        values = (table.social_values(spec) if player is None
+                  else _weighted_rows(spec.beta[player], table.costs).tolist())
         coefficients[-1] = [v or 0 for v in values]
         program = lp.LinearProgram(lp.MAXIMIZE, variables, rows, coefficients, name=name)
         rep = lp.solve(program, exact=exact)
@@ -166,7 +226,7 @@ def worst_cce(
             # the literal definition admits empty coarse sets when
             # perceived costs go negative and epsilon > 0
             raise GameError(f"coarse constraint set is {rep.status}")
-        masses = {prof: m for var, prof in zip(variables, costs)
+        masses = {prof: m for var, prof in zip(variables, profiles)
                   if (m := rep.primal.get(var, 0)) > 0}
         if not exact:  # shed solver rounding before re-validation
             total = sum(masses.values())

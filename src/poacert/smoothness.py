@@ -26,15 +26,15 @@ from . import linprog as lp
 from .games import (
     EQ1,
     FEAS_TOL,
+    VERBATIM,
     GameError,
     GeneralizedGame,
     SocialSpec,
-    _deviate,
     _tol,
     social_of_costs,
 )
-from .oracle import (NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _equilibria, _worst_ratio,
-                     worst_cce_value)
+from .oracle import (NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _CostTable, _equilibria,
+                     _worst_cce, _worst_ratio)
 
 NOT_SMOOTHABLE = "NOT_SMOOTHABLE"
 OPTIMAL = "OPTIMAL"
@@ -64,25 +64,24 @@ def _exceeds_sum(social, total) -> bool:
 def is_sum_bounded(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP):
     """(True, None), or (False, first profile whose social value exceeds the
     sum of individual costs)."""
-    for prof, costs in _cost_table(game, cap, "is_sum_bounded").items():
+    table = _cost_table(game, cap, "is_sum_bounded")
+    for prof, costs in zip(table.profiles, table.costs.tolist()):
         if _exceeds_sum(social_of_costs(spec, costs), sum(costs)):
             return False, prof
     return True, None
 
 
-def _pair_tables(game, spec, cap):
-    """Profiles, their social values and the deviation sums of every
-    ordered profile pair: up to cap^2 entries for cap profiles, all read
-    from one individual_costs pass per profile (a deviation is a profile)."""
-    costs = _cost_table(game, cap, "smoothness pair tables")
-    profiles = list(costs)
-    sf = [social_of_costs(spec, c) for c in costs.values()]
-    n = game.model.n
-    dev = [
-        [sum(costs[_deviate(prof, i, other[i])][i] for i in range(n)) for other in profiles]
-        for prof in profiles
-    ]
-    return profiles, sf, dev
+def _pair_tables(table: _CostTable, spec):
+    """The social values of a cost table's profiles, as a list, and the
+    deviation sums of every ordered profile pair, as an array in the
+    table's dtype: dev[a, b] = sum_i c_i(sigma_{-i}, sigma'_i) for sigma the
+    profile of row a and sigma' that of row b, each c_i read off the table
+    at the deviation's row and added from 0 in player order."""
+    sf = table.social_values(spec)
+    dev = np.zeros((len(sf), len(sf)), dtype=table.costs.dtype)
+    for i in range(table.costs.shape[1]):
+        dev = dev + table.costs[table.deviations(i, table.strategies[:, i]), i]
+    return sf, dev
 
 
 def check_smooth(
@@ -92,16 +91,21 @@ def check_smooth(
     tol=None,
 ):
     """Exhaustive check of the pair inequalities; (True, None) or
-    (False, first violating (sigma, sigma')).  Without tol, a row may
-    exceed its bound by games._tol over lam, mu and the pair tables: 0 when
-    all of them are exact, FEAS_TOL otherwise."""
-    profiles, sf, dev = _pair_tables(game, spec, PROFILE_CAP)
+    (False, first violating (sigma, sigma')) in row-major order.  Without
+    tol, a row may exceed its bound by games._tol over lam, mu and the pair
+    tables: 0 when all of them are exact, FEAS_TOL otherwise."""
+    table = _cost_table(game, PROFILE_CAP, "smoothness pair tables")
+    sf, dev = _pair_tables(table, spec)
     if tol is None:
-        tol = _tol(cert.lam, cert.mu, *sf, *(x for row in dev for x in row))
-    for a, sigma in enumerate(profiles):
-        for b, target in enumerate(profiles):
-            if dev[a][b] > cert.lam * sf[b] + cert.mu * sf[a] + tol:
-                return False, (sigma, target)
+        tol = FEAS_TOL if dev.dtype == np.float64 else _tol(cert.lam, cert.mu, *sf, *dev.flat)
+    lam, mu = cert.lam, cert.mu
+    if not all(isinstance(v, float) for v in (lam, mu, tol)):
+        dev = dev.astype(object)  # Python arithmetic on mixed number types
+    sf = np.array(sf, dtype=dev.dtype)
+    violated = np.flatnonzero(dev > lam * sf[None, :] + mu * sf[:, None] + tol)
+    if violated.size:
+        a, b = divmod(int(violated[0]), len(sf))
+        return False, (table.profiles[a], table.profiles[b])
     return True, None
 
 
@@ -162,16 +166,22 @@ def robust_poa(
     Where every optimal point has t = 0, (lam, mu) are None: the value is
     then max SF / min SF, approached by certificates only as mu -> -inf.
     """
-    profiles, sf, dev = _pair_tables(game, spec, cap)
-    for a, prof in enumerate(profiles):
-        if _exceeds_sum(sf[a], dev[a][a]):
+    return _robust_poa(_cost_table(game, cap, "smoothness pair tables"), spec)
+
+
+def _robust_poa(table: _CostTable, spec) -> RobustPoA:
+    """robust_poa on a cost table of the game."""
+    sf, dev = _pair_tables(table, spec)
+    diagonal = dev.diagonal().tolist()
+    for prof, social, total in zip(table.profiles, sf, diagonal):
+        if _exceeds_sum(social, total):
             return RobustPoA(NOT_SMOOTHABLE, None, None, None, prof, 0)
     one = sf[0] / sf[0] if sf and sf[0] else 1
-    if len(profiles) == 1:
+    if len(sf) == 1:
         # only the pair (sigma, sigma) exists and the value is 1: lam=1, mu=0
         # certifies it when dev(sigma, sigma) <= SF(sigma), as under the sum of
         # the players' own costs; otherwise mu -> -inf only approaches it
-        if dev[0][0] <= sf[0] + _tol(sf[0], dev[0][0]):
+        if diagonal[0] <= sf[0] + _tol(sf[0], diagonal[0]):
             return RobustPoA(OPTIMAL, one, one, 0 * one, None, 0)
         return RobustPoA(OPTIMAL, one, None, None, None, 0)
     exact = isinstance(sf[0], Fraction)
@@ -179,9 +189,9 @@ def robust_poa(
         # pair rows are homogeneous in the table scale, so dividing both
         # tables by a common factor leaves the feasible set untouched while
         # keeping the LP's data near unit scale
-        big = float(max(max(sf), max(abs(x) for row in dev for x in row), 1.0))
+        big = float(max(max(sf), abs(dev).max(), 1.0))
         sf = [v / big for v in sf]
-        dev = [[x / big for x in row] for row in dev]
+        dev = dev / big
     # Charnes-Cooper: lam*t and mu*t with t = 1/(1-mu), so the ratio is the
     # objective and mu < 1 is t > 0
     x = _certificate_point(_ratio_dual(sf, dev, exact), exact)
@@ -192,8 +202,9 @@ def robust_poa(
         # the row duals may pick the t = 0 end of an optimal face: hold lam*t at
         # the optimum and mu*t at t - 1 (the unit row), and take the largest t
         # each pair row lam*sf_b - sf_a >= t*(dev_ab - sf_a) allows (one when none bounds it)
-        t = min(((lam * sf_b - sf_a) / (dev[a][b] - sf_a) for a, sf_a in enumerate(sf)
-                 for b, sf_b in enumerate(sf) if dev[a][b] > sf_a), default=one)
+        pairs = dev.tolist()
+        t = min(((lam * sf_b - sf_a) / (pairs[a][b] - sf_a) for a, sf_a in enumerate(sf)
+                 for b, sf_b in enumerate(sf) if pairs[a][b] > sf_a), default=one)
         mu = t - 1
     if t <= _tol(t):  # a float t near 0 would scale its rounding by 1/t
         return RobustPoA(OPTIMAL, lam, None, None, None, 1)
@@ -221,11 +232,12 @@ def validate_smoothness_claims(
     robust bound.  Either failing indicates a bug, not a bad instance.
     Fraction input is compared exactly; otherwise the bound gets a relative
     FEAS_TOL of slack."""
-    robust = robust_poa(game, spec, cap)
-    _, opt, equilibria = _equilibria(game, spec, 0, EQ1, cap)
+    table = _cost_table(game, cap, "smoothness pair tables")
+    robust = _robust_poa(table, spec)
+    _, opt, equilibria = _equilibria(game, table, spec, 0, EQ1)
     ppoa = _worst_ratio(opt, equilibria)[0]
     exact = isinstance(opt, Fraction)
-    ccpoa = worst_cce_value(game, spec, 0, cap=cap, exact=exact) / opt
+    ccpoa = _worst_cce(game, table, spec, 0, VERBATIM, exact).value / opt
     if robust.status != OPTIMAL:
         return SmoothnessValidation(
             False, robust.unbounded_witness, robust, ppoa, ccpoa, None, None, None

@@ -388,7 +388,10 @@ def test_exact_solve_agrees_with_the_rational_simplex(monkeypatch):
     the 30 seeded float configurations and on the signed-alpha mixed cell
     (two UNBOUNDED designees), gets the status and value of a cold
     rational simplex run, and each OPTIMAL answer passes its checks at
-    tolerance 0 in rationals."""
+    tolerance 0 in rationals, the certificate pass that solve_worst_case
+    leaves to lp.solve's exact reading among them."""
+    from poacert.formulations import _certificate_report
+
     solved = []
     solve = lp.solve
 
@@ -402,6 +405,9 @@ def test_exact_solve_agrees_with_the_rational_simplex(monkeypatch):
         solve_worst_case(cfg, exact=True)
     for program, report in solved:
         assert_certified(program, report)
+        if report.status == lp.OPTIMAL:
+            duals = [report.duals[row.label] for row in program.rows]
+            assert _certificate_report(program, duals, 0)[0], program.name
     assert [r.status for _, r in solved].count(lp.UNBOUNDED) >= 2
     assert all(r.fallback is None for _, r in solved)
 

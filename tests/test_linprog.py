@@ -1,6 +1,7 @@
 """Solver-level tests: textbook instances, duality, exact arithmetic."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -643,9 +644,11 @@ def test_combination_is_the_sum_in_row_order_at_every_block_size(monkeypatch, bl
 
 def test_feasibility_report_matches_a_reference_loop():
     """Seeded programs over >= 0, <= 0 and free variables, at points in
-    float, Fraction and int arithmetic (some variables absent), checked at
-    three tolerances: the same (ok, first, worst), repr for repr.  Rows and
-    bounds both come first among the violations."""
+    float, Fraction and int arithmetic (some variables absent), and at the
+    same points with each value's type drawn from the three, checked at
+    three tolerances: the same (ok, first, worst), repr for repr.  A float
+    program is also checked as a float64 array.  Rows and bounds both come
+    first among the violations."""
     rng = random.Random(2026)
     firsts = set()
     for case in range(150):
@@ -658,10 +661,15 @@ def test_feasibility_report_matches_a_reference_loop():
                     rng.choice((LE, GE, EQ)), num(rng.randint(-4, 4)), f"r{i}")
                 for i in range(m)]
         lp = dict_program(MAXIMIZE, names, {}, rows, bounds=bounds)
+        programs = [lp]
+        if kind == 0:
+            programs.append(dataclasses.replace(lp, coefficients=lp.coefficients.astype(np.float64)))
         point = {v: num(rng.randint(-8, 8)) for v in names if rng.random() < 0.8}
-        for tol in (0, 1e-9, 0.5):
-            got = feasibility_report(lp, point, tol)
-            assert repr(got) == repr(_reference_feasibility_report(lp, point, tol)), (case, tol)
+        types = random.Random(case)
+        mixed = {v: types.choice((float, F, lambda c: c))(x) for v, x in point.items()}
+        for program, at, tol in itertools.product(programs, (point, mixed), (0, 1e-9, 0.5)):
+            got = feasibility_report(program, at, tol)
+            assert repr(got) == repr(_reference_feasibility_report(program, at, tol)), (case, tol)
             if not got[0]:
                 firsts.add(got[1][0])
     assert firsts == {"r", "b"}

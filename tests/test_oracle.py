@@ -22,7 +22,8 @@ from conftest import (
     random_matrix,
     seeded,
 )
-from poacert import games
+from poacert import cli, games
+from poacert.gamefile import emit_game, write_json
 from poacert import linprog as lp
 from poacert.games import (
     EQ1,
@@ -49,7 +50,7 @@ from poacert.oracle import (
     worst_cce,
     worst_cce_value,
 )
-from poacert.smoothness import robust_poa
+from poacert.smoothness import robust_poa, validate_smoothness_claims
 
 CHASE_ALPHA = ((F(1), F(-1)), (F(0), F(1)))  # player 0 chases, player 1 flees
 
@@ -313,17 +314,22 @@ def _count_individual_costs(monkeypatch):
     return calls
 
 
-def test_oracle_calls_price_each_profile_once(monkeypatch):
-    """worst_cce (sum and max, verbatim rows), robust_poa and exact_ppoa
-    each make at most one individual_costs call per profile."""
+def test_oracle_calls_price_each_profile_once(monkeypatch, tmp_path):
+    """worst_cce (sum and max, verbatim rows), robust_poa, exact_ppoa,
+    validate_smoothness_claims and the cce-poa command each make at most
+    one individual_costs call per profile."""
     calls = _count_individual_costs(monkeypatch)
+    path = str(tmp_path / "game.json")
     for _, game, _ in _seeded_games(6, False):
         profiles = game.model.profile_count()
+        write_json(path, emit_game(game))
         for kind in (SUM, MAX):
             spec = SocialSpec(kind, identity_matrix(game.n))
             for run in (lambda: worst_cce(game, spec, 0, VERBATIM),
                         lambda: robust_poa(game, spec),
-                        lambda: exact_ppoa(game, spec, 0, EQ1)):
+                        lambda: exact_ppoa(game, spec, 0, EQ1),
+                        lambda: validate_smoothness_claims(game, spec),
+                        lambda: cli.main(["cce-poa", "--game", path, "--sf", kind])):
                 calls.clear()
                 try:
                     run()

@@ -35,6 +35,7 @@ from poacert.games import (
 from poacert.oracle import (
     NO_EQUILIBRIUM,
     PROFILE_CAP,
+    _cost_table,
     exact_ppoa,
     social_optimum,
     worst_cce_value,
@@ -51,6 +52,14 @@ from poacert.smoothness import (
     robust_poa,
     validate_smoothness_claims,
 )
+
+
+def _tables(game, spec, cap):
+    """(profiles, SF, the deviation sums as nested lists) of the pair
+    tables of the game's cost table."""
+    table = _cost_table(game, cap, "smoothness pair tables")
+    sf, dev = _pair_tables(table, spec)
+    return table.profiles, sf, dev.tolist()
 
 
 def _pair_rows(sf, dev):
@@ -138,7 +147,7 @@ def test_check_smooth_finds_violating_pair():
 
 def test_check_smooth_verifies_the_returned_pair():
     cert = SmoothnessCertificate(1, 0)
-    profiles, sf, dev = _pair_tables(g1(), g1_spec(), 10 ** 6)
+    profiles, sf, dev = _tables(g1(), g1_spec(), 10 ** 6)
     ok, (sigma, target) = check_smooth(g1(), g1_spec(), cert)
     assert not ok
     a, b = profiles.index(sigma), profiles.index(target)
@@ -151,7 +160,7 @@ def test_check_smooth_compares_exact_data_with_zero():
     2 * 10^-11 (SF is 2 at both profiles).  An explicit tol still wins."""
     cert = SmoothnessCertificate(F(5, 3) - F(1, 10**11), F(1, 3))
     assert check_smooth(g1(), g1_spec(), cert) == (False, (AB, BA))
-    profiles, sf, dev = _pair_tables(g1(), g1_spec(), 10 ** 6)
+    profiles, sf, dev = _tables(g1(), g1_spec(), 10 ** 6)
     a, b = profiles.index(AB), profiles.index(BA)
     assert dev[a][b] - (cert.lam * sf[b] + cert.mu * sf[a]) == F(2, 10**11)
     assert check_smooth(g1(), g1_spec(), cert, tol=1e-9) == (True, None)
@@ -199,7 +208,7 @@ def test_robust_poa_infimum_at_t_zero_is_the_trivial_bound():
     g = random_game(seeded(4), (F(1), F(1)), (X,), identity_matrix(2, True), exact=True)
     spec = g1_spec(MAX)
     r = robust_poa(g, spec)
-    _, sf, dev = _pair_tables(g, spec, 10 ** 6)
+    _, sf, dev = _tables(g, spec, 10 ** 6)
     assert r.status == OPTIMAL and (r.lam, r.mu) == (None, None)
     assert r.value == max(sf) / min(sf) == F(22, 15)
     # unattained, yet approached: certificates exist just above the value
@@ -215,7 +224,7 @@ def test_robust_poa_value_is_tight():
     g = g1(exact=False)
     spec = g1_spec(SUM, exact=False)
     r = robust_poa(g, spec)
-    _, sf, dev = _pair_tables(g, spec, 10 ** 6)
+    _, sf, dev = _tables(g, spec, 10 ** 6)
     sf = [float(v) for v in sf]
     dev = [[float(v) for v in row] for row in dev]
     # just below the returned value no certificate exists
@@ -317,7 +326,7 @@ def test_pair_tables_match_individual_costs(exact):
         weights = tuple(one * rng.choice((1, 2, 3)) / 2 for _ in range(n))
         game = random_game(rng, weights, basis, random_matrix(rng, n, -1, 1, exact), exact)
         spec = SocialSpec(SUM if seed % 4 < 2 else MAX, random_matrix(rng, n, 0, 1, exact))
-        profiles, sf, dev = _pair_tables(game, spec, PROFILE_CAP)
+        profiles, sf, dev = _tables(game, spec, PROFILE_CAP)
         assert profiles == list(game.model.profiles())
         assert sf == [social_value(spec, game, prof) for prof in profiles]
         for a, prof in enumerate(profiles):
@@ -332,7 +341,7 @@ def test_smoothness_cap_errors_name_count_and_cap():
     with pytest.raises(GameError, match="4 profiles exceeds cap 3"):
         robust_poa(g, spec, cap=3)
     with pytest.raises(GameError, match="4 profiles exceeds cap 3"):
-        _pair_tables(g, spec, 3)
+        _tables(g, spec, 3)
 
 
 def test_robust_poa_witness_is_is_sum_bounded_witness():
@@ -431,7 +440,7 @@ def test_exact_dual_value_equals_the_primal_value():
             r = robust_poa(g, spec)
             if r.status != OPTIMAL:
                 continue
-            _, sf, dev = _pair_tables(g, spec, PROFILE_CAP)
+            _, sf, dev = _tables(g, spec, PROFILE_CAP)
             want = _primal_value(sf, dev)
             assert type(r.value) is F and r.value == want, (seed, kind)
             if r.lam is not None:
@@ -534,7 +543,7 @@ def test_ratio_dual_is_the_dual_of_the_charnes_cooper_program():
                 if any(any(row) for row in beta):
                     cases.append((g, SocialSpec(kind, beta), exact))
     for g, spec, exact in cases:
-        _, sf, dev = _pair_tables(g, spec, PROFILE_CAP)
+        _, sf, dev = _tables(g, spec, PROFILE_CAP)
         dual = _ratio_dual(sf, dev, exact)
         assert _same_but_name(lp.dualize(dual), _charnes_cooper(sf, dev))
         assert _same_but_name(lp.dualize(lp.dualize(dual)), dual)
