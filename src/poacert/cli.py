@@ -55,12 +55,10 @@ from .gamefile import (
 )
 from .oracle import (
     PROFILE_CAP,
-    _cost_table,
-    _equilibria,
-    _worst_cce,
-    _worst_ratio,
+    cce_poa,
     enumerate_eps_pne,
     exact_ppoa,
+    ppoa_report,
 )
 from .representative import build_representative
 from .smoothness import NOT_SMOOTHABLE, validate_smoothness_claims
@@ -206,15 +204,13 @@ def cmd_exact_ppoa(args) -> int:
     doc = load_game(_need(args, "--game"), args.exact)
     eps = _epsilon(args, doc.epsilon)
     spec = doc.spec(args.sf)
-    table = _cost_table(doc.game, args.cap, "exact_ppoa")
-    opt_profile, opt, equilibria = _equilibria(doc.game, table, spec, eps, args.predicate)
-    value, worst = _worst_ratio(opt, equilibria)
+    report = ppoa_report(doc.game, spec, eps, args.predicate, args.cap)
     return _emit(args, {
-        "value": value,
-        "optimum": opt,
-        "optimum_profile": opt_profile,
-        "equilibrium_count": len(equilibria),
-        "worst_equilibria": worst,
+        "value": report.value,
+        "optimum": report.optimum,
+        "optimum_profile": report.optimum_profile,
+        "equilibrium_count": report.equilibrium_count,
+        "worst_equilibria": report.worst_equilibria,
     }, epsilon=eps)
 
 
@@ -222,11 +218,7 @@ def cmd_cce_poa(args) -> int:
     doc = load_game(_need(args, "--game"), args.exact)
     eps = _epsilon(args, doc.epsilon)
     spec = doc.spec(args.sf)
-    table = _cost_table(doc.game, args.cap, "worst_cce")
-    opt = min(table.social_values(spec))
-    if opt == 0:
-        raise GameError("social optimum is 0; the ratio is undefined")
-    report = _worst_cce(doc.game, table, spec, eps, args.predicate, args.exact)
+    opt, report = cce_poa(doc.game, spec, eps, args.predicate, args.cap, args.exact)
     return _emit(args, {
         "value": report.value,
         "optimum": opt,

@@ -427,9 +427,9 @@ def _gap_inputs(game: GeneralizedGame, profile) -> tuple:
     return loads, resource_users(model, profile), _used_latencies(game, loads, idle), idle
 
 
-def _grouped_gap(game: GeneralizedGame, profile, i: int, target, order, eps, inputs):
-    """deviation_gap towards the resource set target, given its resources
-    in_order as order and the profile's _gap_inputs.  Resources are added
+def _grouped_gap(game: GeneralizedGame, profile, i: int, target: tuple, eps, inputs):
+    """deviation_gap towards the resources of target, a tuple of them
+    in_order, given the profile's _gap_inputs.  Resources are added
     in_order; one of latency 0 adds 0, so its alpha-weighted users are not
     summed."""
     loads, users, lat, idle = inputs
@@ -444,7 +444,7 @@ def _grouped_gap(game: GeneralizedGame, profile, i: int, target, order, eps, inp
         if aw != 0:
             gain += lat[e] * aw
     pay = 0
-    for e in order:
+    for e in target:
         if e in current or e in idle:
             continue
         aw = game.alpha[i][i] * w[i] + sum(game.alpha[i][j] * w[j] for j in users[e])
@@ -465,12 +465,8 @@ def deviation_gap(game: GeneralizedGame, profile, i: int, x, eps=0):
     literal perceived-cost difference, even at eps = 0.
     """
     model = game.model
-    if isinstance(x, int):
-        target, order = model.strategies[i][x], model.ordered_strategies[i][x]
-    else:
-        target = frozenset(x)
-        order = model.in_order(target)
-    return _grouped_gap(game, profile, i, target, order, eps, _gap_inputs(game, profile))
+    target = model.ordered_strategies[i][x] if isinstance(x, int) else tuple(model.in_order(set(x)))
+    return _grouped_gap(game, profile, i, target, eps, _gap_inputs(game, profile))
 
 
 def _deviate(profile, i: int, x) -> tuple:
@@ -501,9 +497,8 @@ def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
     if predicate == EQ1:
         inputs = _gap_inputs(game, profile)
         for i in range(game.n):
-            for x, target in enumerate(model.strategies[i]):
-                order = model.ordered_strategies[i][x]
-                yield i, x, _grouped_gap(game, profile, i, target, order, eps, inputs)
+            for x, target in enumerate(model.ordered_strategies[i]):
+                yield i, x, _grouped_gap(game, profile, i, target, eps, inputs)
         return
     costs = individual_costs(game, profile)
     for i, row in enumerate(game.alpha):

@@ -700,38 +700,20 @@ def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9):
     """(ok, first_violated_label, worst_violation) of a candidate point.
 
     Rows are checked in declaration order, then variable bounds (labeled
-    bound[var]), a variable's lower bound before its upper, a bound it
-    lacks counting as 0.  Variables absent from the point count as 0.
-    Each row's lhs is one _combination of the coefficient array's
-    columns; the bounds are folded from arrays of the point's values and
-    the variables' signs, and only the first violated one is named."""
+    bound[var]).  Variables absent from the point count as 0.  Each row's
+    lhs is one _combination of the coefficient array's columns."""
     x = [point.get(v, 0) for v in lp.variables]
     checks = []
     for row, lhs in zip(lp.rows, _combination(lp.coefficients[:-1].T, x).tolist()):
         gap = lhs - row.rhs
         checks.append((row.label, -gap if row.relation == GE else abs(gap) if row.relation == EQ
                        else gap))
-    _, first, worst = fold_checks(checks, tol)
-    # an absent variable's 0 never sets the worst violation, so only the
-    # point's own values decide whether float64 holds them as they are
-    values = np.array(x, dtype=np.float64 if all(isinstance(v, float) for v in point.values())
-                      else object)
-    viol = 0 - values  # lo - value, under the default lower bound 0
-    if lp.bounds:
-        signs = _Standardizer(lp, exact=False)
-        viol[signs.free] = 0
-        viol[signs.neg] = values[signs.neg] - 0  # value - hi, under the upper bound 0
-    # a variable's other check reads 0, so its larger check is the one to fold
-    viol = np.maximum(viol, 0)
-    if len(viol):
-        k = int(np.argmax(viol))  # the first of the largest, as fold_checks keeps it
-        if viol[k] > worst:
-            worst = viol[k:k + 1].tolist()[0]
-        if first is None:
-            over = np.flatnonzero(viol > tol)
-            if over.size:
-                first = f"bound[{lp.variables[over[0]]}]"
-    return first is None, first, worst
+    for var, value in zip(lp.variables, x):
+        lo, hi = lp.bound(var)
+        label = f"bound[{var}]"
+        checks += [(label, (lo - value) if lo is not None else 0),
+                   (label, (value - hi) if hi is not None else 0)]
+    return fold_checks(checks, tol)
 
 
 def dual_violations(lp: LinearProgram, duals: Sequence) -> np.ndarray:

@@ -43,21 +43,28 @@ def _profiles(game: GeneralizedGame, cap: int, what: str):
 
 class _CostTable(NamedTuple):
     """An oracle call's one individual_costs pass: the game's profiles in
-    lexicographic order, the individual cost of player i at profiles[a] as
-    costs[a, i] (float64 when every cost is a float, else object), and the
-    mixed-radix strides of the profile order with each row's strategy
-    indices, so the deviation (sigma_{-i}, x) of row a is row a + (x -
-    sigma_i) * strides[i]."""
+    lexicographic order as rows of strategy indices (profiles[a, i] is
+    player i's strategy at row a), the individual cost of player i at row
+    a as costs[a, i] (float64 when every cost is a float, else object),
+    and the mixed-radix strides of the profile order, so the deviation
+    (sigma_{-i}, x) of row a is row a + (x - sigma_i) * strides[i]."""
 
-    profiles: list
+    profiles: np.ndarray
     costs: np.ndarray
     strides: np.ndarray
-    strategies: np.ndarray  # rows by players: the strategy indices of each profile
+
+    def profile(self, a: int) -> tuple:
+        """The profile of row a, as the tuple games reads."""
+        return tuple(self.profiles[a].tolist())
+
+    def profile_tuples(self) -> list:
+        """Every row's profile, in row order."""
+        return list(map(tuple, self.profiles.tolist()))
 
     def deviations(self, i: int, targets) -> np.ndarray:
         """Rows by targets: the row of (sigma_{-i}, x) for every row sigma
         and every strategy index x of player i in targets."""
-        shift = (np.asarray(targets)[None, :] - self.strategies[:, i, None]) * self.strides[i]
+        shift = (np.asarray(targets)[None, :] - self.profiles[:, i, None]) * self.strides[i]
         return np.arange(len(self.profiles))[:, None] + shift
 
     def social_values(self, spec: SocialSpec) -> list:
@@ -72,8 +79,8 @@ def _cost_table(game: GeneralizedGame, cap: int, what: str) -> _CostTable:
     floats = all(isinstance(c, float) for row in rows for c in row)
     sizes = [len(per) for per in game.model.strategies]
     strides = np.cumprod([1, *sizes[:0:-1]])[::-1]
-    return _CostTable(profiles, np.array(rows, dtype=np.float64 if floats else object), strides,
-                      np.array(profiles, dtype=np.intp))
+    return _CostTable(np.array(profiles, dtype=np.intp),
+                      np.array(rows, dtype=np.float64 if floats else object), strides)
 
 
 def _weighted_rows(row, costs: np.ndarray) -> np.ndarray:
@@ -113,24 +120,44 @@ def enumerate_eps_pne(
     ]
 
 
-def _equilibria(game, table: _CostTable, spec, epsilon, predicate):
-    """(optimum profile, optimum, [(equilibrium, its social value)]) as
-    social_optimum and enumerate_eps_pne give them, from one cost table."""
-    values = dict(zip(table.profiles, table.social_values(spec)))
+class PPoAReport(NamedTuple):
+    """exact_ppoa with what it read: the optimum, the first profile at it,
+    how many profiles pass the equilibrium predicate, and those at the
+    worst equilibrium value (empty when value is NO_EQUILIBRIUM)."""
+
+    value: object
+    optimum: object
+    optimum_profile: tuple
+    equilibrium_count: int
+    worst_equilibria: list
+
+
+def _ppoa(game, table: _CostTable, spec, epsilon, predicate) -> PPoAReport:
+    """ppoa_report on a cost table of the game: the optimum as
+    social_optimum gives it and the equilibria as enumerate_eps_pne does."""
+    values = dict(zip(table.profile_tuples(), table.social_values(spec)))
     opt_profile = min(values, key=values.get)
-    if values[opt_profile] == 0:
+    opt = values[opt_profile]
+    if opt == 0:
         raise GameError("social optimum is 0; the ratio is undefined")
     equilibria = [(prof, v) for prof, v in values.items()
                   if is_eps_pne(game, prof, epsilon, predicate)]
-    return opt_profile, values[opt_profile], equilibria
-
-
-def _worst_ratio(opt, equilibria):
-    """(worst equilibrium value / opt, the equilibria at it), or (NO_EQUILIBRIUM, [])."""
     if not equilibria:
-        return NO_EQUILIBRIUM, []
+        return PPoAReport(NO_EQUILIBRIUM, opt, opt_profile, 0, [])
     target = max(v for _, v in equilibria)
-    return target / opt, [prof for prof, v in equilibria if v == target]
+    return PPoAReport(target / opt, opt, opt_profile, len(equilibria),
+                      [prof for prof, v in equilibria if v == target])
+
+
+def ppoa_report(
+    game: GeneralizedGame,
+    spec: SocialSpec,
+    epsilon=0,
+    predicate: str = EQ1,
+    cap: int = PROFILE_CAP,
+) -> PPoAReport:
+    """exact_ppoa's PPoAReport, from one enumeration of the game."""
+    return _ppoa(game, _cost_table(game, cap, "exact_ppoa"), spec, epsilon, predicate)
 
 
 def exact_ppoa(
@@ -145,9 +172,7 @@ def exact_ppoa(
 
     Generalized games need not possess pure equilibria at all, so the
     empty case is a legitimate answer, not an error."""
-    table = _cost_table(game, cap, "exact_ppoa")
-    _, opt, equilibria = _equilibria(game, table, spec, epsilon, predicate)
-    return _worst_ratio(opt, equilibria)[0]
+    return ppoa_report(game, spec, epsilon, predicate, cap).value
 
 
 # ============================================================
@@ -181,6 +206,23 @@ def worst_cce(
     return _worst_cce(game, _cost_table(game, cap, "worst_cce"), spec, epsilon, predicate, exact)
 
 
+def cce_poa(
+    game: GeneralizedGame,
+    spec: SocialSpec,
+    epsilon=0,
+    predicate: str = VERBATIM,
+    cap: int = PROFILE_CAP,
+    exact: bool = False,
+):
+    """(social optimum, worst_cce's CCEReport), both read off one cost
+    table; a zero optimum raises GameError before any program is solved."""
+    table = _cost_table(game, cap, "social_optimum")
+    opt = min(table.social_values(spec))
+    if opt == 0:
+        raise GameError("social optimum is 0; the ratio is undefined")
+    return opt, _worst_cce(game, table, spec, epsilon, predicate, exact)
+
+
 def _coarse_rows(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
     """The rows cce[i][x] of worst_cce, players then strategies, one column
     per profile, in the table's dtype; an object row holds int 0 where its
@@ -198,7 +240,7 @@ def _coarse_rows(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
             gaps = perceived[:, None] - scale * perceived[table.deviations(i, range(sizes[i]))]
             rows[first[i]:first[i + 1]] = np.where(gaps != 0, gaps, 0).T
         return rows
-    for col, prof in enumerate(table.profiles):
+    for col, prof in enumerate(table.profile_tuples()):
         for k, (_, _, gap) in enumerate(deviation_gaps(game, prof, epsilon, predicate)):
             if gap != 0:
                 rows[k, col] = gap
@@ -207,11 +249,11 @@ def _coarse_rows(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
 
 def _worst_cce(game, table: _CostTable, spec, epsilon, predicate, exact) -> CCEReport:
     """worst_cce on a cost table of the game."""
-    profiles = table.profiles
-    variables = [f"p[{idx}]" for idx in range(len(profiles))]
+    size = len(table.profiles)
+    variables = [f"p[{idx}]" for idx in range(size)]
     gap_rows = _coarse_rows(game, table, epsilon, predicate)
     # rows cce[i][x], then mass, then the objective
-    coefficients = np.concatenate([gap_rows, np.ones((2, len(profiles)), dtype=gap_rows.dtype)])
+    coefficients = np.concatenate([gap_rows, np.ones((2, size), dtype=gap_rows.dtype)])
     rows = [lp.Row(lp.LE, 0, f"cce[{i}][{x}]") for i, per in enumerate(game.model.strategies)
             for x in range(len(per))]
     rows.append(lp.Row(lp.EQ, 1, "mass"))
@@ -226,7 +268,7 @@ def _worst_cce(game, table: _CostTable, spec, epsilon, predicate, exact) -> CCER
             # the literal definition admits empty coarse sets when
             # perceived costs go negative and epsilon > 0
             raise GameError(f"coarse constraint set is {rep.status}")
-        masses = {prof: m for var, prof in zip(variables, profiles)
+        masses = {table.profile(a): m for a, var in enumerate(variables)
                   if (m := rep.primal.get(var, 0)) > 0}
         if not exact:  # shed solver rounding before re-validation
             total = sum(masses.values())

@@ -33,8 +33,7 @@ from .games import (
     _tol,
     social_of_costs,
 )
-from .oracle import (NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _CostTable, _equilibria,
-                     _worst_cce, _worst_ratio)
+from .oracle import NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _CostTable, _ppoa, _worst_cce
 
 NOT_SMOOTHABLE = "NOT_SMOOTHABLE"
 OPTIMAL = "OPTIMAL"
@@ -65,9 +64,9 @@ def is_sum_bounded(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_C
     """(True, None), or (False, first profile whose social value exceeds the
     sum of individual costs)."""
     table = _cost_table(game, cap, "is_sum_bounded")
-    for prof, costs in zip(table.profiles, table.costs.tolist()):
+    for a, costs in enumerate(table.costs.tolist()):
         if _exceeds_sum(social_of_costs(spec, costs), sum(costs)):
-            return False, prof
+            return False, table.profile(a)
     return True, None
 
 
@@ -80,7 +79,7 @@ def _pair_tables(table: _CostTable, spec):
     sf = table.social_values(spec)
     dev = np.zeros((len(sf), len(sf)), dtype=table.costs.dtype)
     for i in range(table.costs.shape[1]):
-        dev = dev + table.costs[table.deviations(i, table.strategies[:, i]), i]
+        dev = dev + table.costs[table.deviations(i, table.profiles[:, i]), i]
     return sf, dev
 
 
@@ -105,7 +104,7 @@ def check_smooth(
     violated = np.flatnonzero(dev > lam * sf[None, :] + mu * sf[:, None] + tol)
     if violated.size:
         a, b = divmod(int(violated[0]), len(sf))
-        return False, (table.profiles[a], table.profiles[b])
+        return False, (table.profile(a), table.profile(b))
     return True, None
 
 
@@ -173,9 +172,9 @@ def _robust_poa(table: _CostTable, spec) -> RobustPoA:
     """robust_poa on a cost table of the game."""
     sf, dev = _pair_tables(table, spec)
     diagonal = dev.diagonal().tolist()
-    for prof, social, total in zip(table.profiles, sf, diagonal):
+    for a, (social, total) in enumerate(zip(sf, diagonal)):
         if _exceeds_sum(social, total):
-            return RobustPoA(NOT_SMOOTHABLE, None, None, None, prof, 0)
+            return RobustPoA(NOT_SMOOTHABLE, None, None, None, table.profile(a), 0)
     one = sf[0] / sf[0] if sf and sf[0] else 1
     if len(sf) == 1:
         # only the pair (sigma, sigma) exists and the value is 1: lam=1, mu=0
@@ -234,8 +233,8 @@ def validate_smoothness_claims(
     FEAS_TOL of slack."""
     table = _cost_table(game, cap, "smoothness pair tables")
     robust = _robust_poa(table, spec)
-    _, opt, equilibria = _equilibria(game, table, spec, 0, EQ1)
-    ppoa = _worst_ratio(opt, equilibria)[0]
+    pure = _ppoa(game, table, spec, 0, EQ1)
+    ppoa, opt = pure.value, pure.optimum
     exact = isinstance(opt, Fraction)
     ccpoa = _worst_cce(game, table, spec, 0, VERBATIM, exact).value / opt
     if robust.status != OPTIMAL:

@@ -37,8 +37,7 @@ from poacert.games import (
     social_of_costs,
     social_value,
 )
-from poacert.oracle import (NO_EQUILIBRIUM, PROFILE_CAP, _coarse_rows, _cost_table, _worst_ratio,
-                            worst_cce)
+from poacert.oracle import NO_EQUILIBRIUM, PROFILE_CAP, _coarse_rows, _cost_table, worst_cce
 from poacert.smoothness import (
     NOT_SMOOTHABLE,
     OPTIMAL,
@@ -173,7 +172,7 @@ def reference_validate(game, spec):
     if opt == 0:
         raise GameError("social optimum is 0; the ratio is undefined")
     equilibria = [(prof, v) for prof, v in values.items() if is_eps_pne(game, prof, 0, EQ1)]
-    ppoa = _worst_ratio(opt, equilibria)[0]
+    ppoa = max(v for _, v in equilibria) / opt if equilibria else NO_EQUILIBRIUM
     exact = isinstance(opt, F)
     ccpoa = reference_worst_cce(game, spec, 0, VERBATIM, exact)[0] / opt
     if robust.status != OPTIMAL:
@@ -233,7 +232,7 @@ def test_pair_tables_and_check_smooth_match_the_dict_path(exact):
         for spec in specs:
             profiles, sf, dev = reference_pair_tables(game, spec)
             got_sf, got_dev = _pair_tables(table, spec)
-            assert table.profiles == profiles
+            assert table.profile_tuples() == profiles
             assert repr(got_sf) == repr(sf), label
             assert repr(got_dev.tolist()) == _array_repr(dev, got_dev.dtype), label
             robust = robust_poa(game, spec)

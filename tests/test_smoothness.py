@@ -59,7 +59,7 @@ def _tables(game, spec, cap):
     tables of the game's cost table."""
     table = _cost_table(game, cap, "smoothness pair tables")
     sf, dev = _pair_tables(table, spec)
-    return table.profiles, sf, dev.tolist()
+    return table.profile_tuples(), sf, dev.tolist()
 
 
 def _pair_rows(sf, dev):
