@@ -16,16 +16,18 @@ numerically.
 
 Both primals are written from one closed form over the (P, Q) bit masks
 of the representative resources: per-mask factor arrays of size
-O(n len(masks) r) (_mask_factors), evaluated at the masks a caller reads:
-every mask, for every column (_closed_form); the masks of chosen columns
-(_entries); or mixed: the coarse column of resource e is the
-mass-weighted sum of the columns (P, Q, k) of its players under each
-profile and under o (_coarse_parts), the extension argument itself.
-_row_table lays out the rows of both, and _primal writes them into a
-LinearProgram's coefficient array, with no name per entry.  The
-representative program names its columns on demand (_ColumnNames), so a
-solve formats only the names of its support, and nothing here reads
-rep.model.
+O(n len(masks) r) (_mask_factors: one masked accumulation of the loads
+and weighted sums, the basis read once per distinct load), evaluated at
+the masks a caller reads: every mask, for every column (_closed_form);
+the masks of chosen columns (_entries); or mixed: the coarse column of
+resource e is the mass-weighted sum of the columns (P, Q, k) of its
+players under each profile and under o (_coarse_parts), the extension
+argument itself.  _row_table lays out the rows of both as copies of
+factor slices that broadcast over the columns, and _primal writes each
+row straight into a LinearProgram's coefficient array, with no array of
+a row's entries built first and no name per entry.  The representative
+program names its columns on demand (_ColumnNames), so a solve formats
+only the names of its support, and nothing here reads rep.model.
 
 No check builds a dual program (build_dp_cce serves the tests, and
 build_dp_pne also --emit-lp).  solve_worst_case and verify_extension
@@ -159,43 +161,53 @@ def _summed(parts) -> np.ndarray:
     skipped, so an entry that only zeros reach stays the starting 0."""
     total = np.zeros_like(parts[0])
     for c in parts:
-        total = np.where(c != 0, total + c, total)
+        np.add(total, c, out=total, where=c != 0)
     return total
 
 
 def _row_table(cfg: WorstCaseConfig, eq, val, nrm, designated) -> tuple:
     """The primal as (objective, rows), each row (label, relation, rhs,
-    coefficients over the v columns, coefficient of t): eq[i] <= 0, one
-    per player, then the beta-cost rows.  eq holds per-player arrays over
-    the columns; val and nrm hold the cost rows as the program uses them,
-    per player under max and summed by the producer under sum (the
-    objective and its norm row), and may broadcast to eq's shape, as the
-    closed form's (P, 1, k) and (1, Q, k) costs do.  The max programs
-    maximize t, and their objective is None."""
+    copies, coefficient of t): eq[i] <= 0, one per player, then the
+    beta-cost rows.  A row's copies are the (source, where) pairs that
+    _primal writes, in order, into its entries over the v columns, each
+    source broadcasting to their shape.  eq is (base, joins, joined):
+    player i's row is base[i], overwritten by joins[i] where joined[i]
+    (joins is None when nothing overwrites it).  val and nrm hold the cost
+    rows as the program uses them, per player under max and summed by the
+    producer under sum (the objective and its norm row), and may
+    broadcast, as the closed form's (P, 1, k) and (1, Q, k) costs do.  The
+    max programs maximize t, and their objective is None."""
     n = cfg.n
+    base, joins, joined = eq
 
-    def full(a):
-        return np.broadcast_to(a, eq[0].shape)
+    def player(i):
+        return ((base[i], True),) + (() if joins is None else ((joins[i], joined[i]),))
 
-    rows = [(f"eq[{i}]", lp.LE, 0, eq[i], 0) for i in range(n)]
+    rows = [(f"eq[{i}]", lp.LE, 0, player(i), 0) for i in range(n)]
     if cfg.spec.kind == SUM:
-        rows.append(("norm", lp.LE, 1, full(nrm), 0))
-        return full(val), rows
-    rows += [(f"val[{i}]", lp.EQ if i == designated else lp.LE, 0, full(val[i]), -1)
+        rows.append(("norm", lp.LE, 1, ((nrm, True),), 0))
+        return ((val, True),), rows
+    rows += [(f"val[{i}]", lp.EQ if i == designated else lp.LE, 0, ((val[i], True),), -1)
              for i in range(n)]
-    rows += [(f"norm[{i}]", lp.LE, 1, full(nrm[i]), 0) for i in range(n)]
+    rows += [(f"norm[{i}]", lp.LE, 1, ((nrm[i], True),), 0) for i in range(n)]
     return None, rows
 
 
 def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.LinearProgram:
     """The program of a row table over the columns names (the v columns,
-    then t under max): each row's array, then the objective's, written
-    straight into the program's coefficient array."""
-    forms = [a for _, _, _, a, _ in rows] + ([] if objective is None else [objective])
-    size, level = rows[0][3].size, cfg.spec.kind != SUM
-    coefficients = np.zeros((len(rows) + 1, size + level), dtype=np.result_type(*{a.dtype for a in forms}))
-    for i, a in enumerate(forms):
-        coefficients[i, :size] = a.reshape(-1)
+    then t under max): each row's copies, then the objective's, written
+    by np.copyto straight into the program's coefficient array, whose v
+    entries of a row take the shape the copies broadcast to."""
+    forms = [c for _, _, _, c, _ in rows] + ([] if objective is None else [objective])
+    # the first row, eq[0], spans the v columns' shape; every other row broadcasts to it
+    shape = np.broadcast_shapes(*map(np.shape, chain.from_iterable(forms[0])))
+    size, level = prod(shape), cfg.spec.kind != SUM
+    dtype = np.result_type(*{a.dtype for copies in forms for a, _ in copies})
+    coefficients = np.zeros((len(rows) + 1, size + level), dtype=dtype)
+    for i, copies in enumerate(forms):
+        out = coefficients[i, :size].reshape(shape)
+        for a, where in copies:
+            np.copyto(out, a, where=where)
     if level:
         coefficients[:, size] = [t for _, _, _, _, t in rows] + [1]
     lp_rows = [lp.Row(rel, rhs, label) for label, rel, rhs, _, _ in rows]
@@ -203,35 +215,45 @@ def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.Line
                             name=f"pp_max_d{designated}" if level else "pp_sum")
 
 
-def _subset_sums(terms, has, dtype) -> np.ndarray:
-    """sums[.., m] = the sum of terms[.., j] over the j with has[j, m],
-    where terms is a list of n numbers or a list of such lists (one row
-    of sums each) and has[j] marks the masks with bit j set.  One masked
-    accumulation adds the terms in ascending j from 0, the order
-    congestion() and sum() over sorted players use; a None term is
-    skipped, as those sums skip zero factors."""
-    terms = np.array(terms, dtype=object)
-    skip = terms == None  # noqa: E711 (elementwise)
-    values = np.where(skip, 0, terms).astype(dtype)[..., None]
-    sums = np.zeros(terms.shape[:-1] + has.shape[1:], dtype=dtype)
-    for j in range(terms.shape[-1]):
-        np.add(sums, values[..., j, :], out=sums, where=has[j] & ~skip[..., j, None])
+def _subset_sums(terms: np.ndarray, live: np.ndarray, has: np.ndarray) -> np.ndarray:
+    """sums[t, m] = the sum of terms[t, j] over the j with live[t, j] and
+    has[j, m], where has[j] marks the masks with bit j set: one masked
+    accumulation over every row of terms, adding them in ascending j from
+    0, the order congestion() and sum() over sorted players use.  A term
+    that is not live is skipped, as those sums skip zero factors."""
+    sums = np.zeros((len(terms), has.shape[1]), dtype=terms.dtype)
+    adds = live[:, :, None] & has  # adds[t, j, m]: term j of row t enters mask m's sum
+    for j in range(terms.shape[1]):
+        np.add(sums, terms[:, j, None], out=sums, where=adds[:, j])
     return sums
 
 
-def _basis_values(basis, loads, scale, dtype) -> np.ndarray:
-    """out[.., k] = scale * basis[k].value(load), evaluated on Python
-    scalars once per distinct load of each row (the last axis of loads);
-    None loads give 0 and are never evaluated."""
+def _basis_values(basis, dtype, *blocks) -> list:
+    """For each block (loads, live, scale), the array out[.., k] = scale *
+    basis[k].value(load) at its live loads and 0 elsewhere.  Each distinct
+    live load is read once per call, in the order the loads first appear,
+    block by block and in row-major order within one, so a lookup table
+    raises GameError at the first load it misses; within a block, a load
+    equal to an earlier one (3 and Fraction(3)) takes that one's values.
+    A block scales each of its distinct loads' values once."""
     cast = float if dtype is np.float64 else (lambda x: x)
+    read: dict = {}  # (type, load) -> the basis at that load
     out = []
-    for row in loads.reshape(prod(loads.shape[:-1]), loads.shape[-1]).tolist():
-        cache: dict = {None: [0] * len(basis)}
-        for x in row:
-            if x not in cache:
-                cache[x] = [cast(scale * f.value(x)) for f in basis]
-        out += [cache[x] for x in row]
-    return np.array(out, dtype=dtype).reshape(loads.shape + (len(basis),))
+    for loads, live, scale in blocks:
+        flat = loads[live].tolist()
+        first = dict.fromkeys(flat)  # the block's distinct loads, as each first appears
+        table = []
+        for x in first:
+            fx = read.get((type(x), x))
+            if fx is None:
+                fx = read[type(x), x] = [f.value(x) for f in basis]
+            table.append([cast(scale * v) for v in fx])
+        place = dict(zip(first, range(len(first))))
+        values = np.zeros(loads.shape + (len(basis),), dtype=dtype)
+        values[live] = np.array(table, dtype=dtype).reshape(-1, len(basis))[
+            list(map(place.__getitem__, flat))]
+        out.append(values)
+    return out
 
 
 def _mask_factors(cfg: WorstCaseConfig, weights: tuple, masks: np.ndarray) -> tuple:
@@ -248,41 +270,45 @@ def _mask_factors(cfg: WorstCaseConfig, weights: tuple, masks: np.ndarray) -> tu
     i's beta-cost at load w(M) is costs[i, M, k] = f_k(w(M)) * sum_{j in M}
     beta_ij w_j, its val[i] entry at M = P and its nrm[i] entry at M = Q;
     under a sum objective costs holds their one total, as its one row.
-    Each factor is computed once per mask, in the order of operations of
-    the profile-enumeration writer the tests keep as reference, so at a
-    point mass on sigma* the programs are equal value for value: in float64
-    when every weight is a float, else over Python numbers in object
-    arrays.  A lookup table is read at every load of the class, whatever
-    the masks, and raises GameError at the first it misses.  weights, the
-    served model's, must be cfg's.  A float coefficient that overflows
-    raises OverflowError.
+    The loads, every alpha_i . w and every beta_i . w are one masked
+    accumulation (_subset_sums), and the basis is read once per distinct
+    live load (_basis_values), in the order of operations of the
+    profile-enumeration writer the tests keep as reference, so at a point
+    mass on sigma* the programs are equal value for value: in float64 when
+    every weight is a float, else over Python numbers in object arrays.  A
+    lookup table is read at every load of the class, whatever the masks,
+    and raises GameError at the first it misses, in mask order.  weights,
+    the served model's, must be cfg's.  A float coefficient that
+    overflows raises OverflowError.
     """
     n = cfg.n
     w, alpha, beta = cfg.weights, cfg.alpha, cfg.spec.beta
     if tuple(weights) != w:
         raise GameError("model weights differ from configuration weights")
     dtype = np.float64 if all(isinstance(x, float) for x in w) else object
-    has = masks >> np.arange(n)[:, None] & 1 == 1  # has[i, j]: i in masks[j]
+    # the rows summed: the load, then alpha_i . w and beta_i . w for each i
+    terms = np.array([w, *alpha, *beta], dtype=dtype)
+    live = terms != 0  # every weight is positive
+    terms[1:] *= terms[0]
 
-    def weighted(mat):
-        return _subset_sums([[mat[i][j] * w[j] if mat[i][j] != 0 else None for j in range(n)]
-                             for i in range(n)], has, dtype)
+    def has_bits(at):  # has[i, j]: i in at[j]
+        return at >> np.arange(n)[:, None] & 1 == 1
 
+    has = has_bits(masks)
     # an overflow shows as a coefficient that is not finite, checked below
     with np.errstate(over="ignore", invalid="ignore"):
+        sums = _subset_sums(terms, live, has)
+        loads, aw, bw = sums[0], sums[1:n + 1], sums[n + 1:]
+        aw_join = np.diagonal(terms[1:n + 1])[:, None] + aw  # alpha_ii w_i + sum_{j in P} alpha_ij w_j
+        join_loads = loads + terms[0][:, None]
+        blocks = [(loads, masks > 0, 1), (join_loads, ~has & (aw_join != 0), -(1 + cfg.epsilon))]
         if len(masks) < 1 << n and any(f.kind == TABLE for f in cfg.basis):
-            every = np.arange(1, 1 << n) >> np.arange(n)[:, None] & 1 == 1
-            _basis_values(cfg.basis, _subset_sums(list(w), every, dtype), 1, dtype)
-        loads = _subset_sums(list(w), has, dtype)
-        f_load = _basis_values(cfg.basis, np.where(masks > 0, loads, None), 1, dtype)
-        aw = weighted(alpha)
-        aw_join = np.array([[alpha[i][i] * w[i]] for i in range(n)], dtype=dtype) + aw
-        join_loads = loads + np.array([[x] for x in w], dtype=dtype)
-        f_join = _basis_values(cfg.basis, np.where(~has & (aw_join != 0), join_loads, None),
-                               -(1 + cfg.epsilon), dtype)
+            every = _subset_sums(terms[:1], live[:1], has_bits(np.arange(1, 1 << n)))[0]
+            blocks.insert(0, (every, np.ones(every.shape, dtype=bool), 1))
+        f_load, f_join = _basis_values(cfg.basis, dtype, *blocks)[-2:]
         joins, leaves = f_join * aw_join[..., None], f_load * aw[..., None]
         joins[has], leaves[~has] = 0, 0
-        costs = f_load * weighted(beta)[..., None]
+        costs = f_load * bw[..., None]
         if cfg.spec.kind == SUM:
             costs = _summed(costs)[None]
     if dtype is np.float64 and not all(np.isfinite(a).all() for a in (joins, leaves, costs)):
@@ -293,13 +319,15 @@ def _mask_factors(cfg: WorstCaseConfig, weights: tuple, masks: np.ndarray) -> tu
 def _entries(cfg: WorstCaseConfig, factors, p, q, k) -> tuple:
     """(eq, val, nrm) for _row_table at the columns (P, Q, k) = (p, q, k),
     integer arrays that broadcast together, read off _mask_factors at
-    masks that include every P and Q: eq[i] over the broadcast shape, val
-    over that of (p, k) and nrm over that of (q, k), per player under max
-    and one total under sum."""
+    masks that include every P and Q.  eq is (leaves, joins, joined) over
+    the players, each broadcasting to the columns' shape: player i's entry
+    is joins[i] where i is in Q and leaves[i] elsewhere, left for _primal
+    to write.  val is over the shape of (p, k) and nrm over that of (q,
+    k), per player under max and one total under sum."""
     masks, joins, leaves, costs = factors
     at_p, at_q = np.searchsorted(masks, p), np.searchsorted(masks, q)
     player = np.arange(cfg.n).reshape((-1,) + (1,) * np.ndim(q))
-    eq = np.where(q >> player & 1, joins[:, at_p, k], leaves[:, at_p, k])
+    eq = (leaves[:, at_p, k], joins[:, at_p, k], q >> player & 1 == 1)
     val, nrm = costs[:, at_p, k], costs[:, at_q, k]
     return (eq, val[0], nrm[0]) if cfg.spec.kind == SUM else (eq, val, nrm)
 
@@ -319,7 +347,8 @@ def _coarse_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_profile)
     k), gathered from _mask_factors at the masks read: eq and val sum,
     over the profiles of dist in its order, mass times the entries at (P,
     Q, k), with P the players on resource e under the profile and Q those
-    on e under o_profile; nrm reads Q alone."""
+    on e under o_profile; nrm reads Q alone.  eq is (mixture, None, None),
+    each player's mixed row whole."""
     col = {e: j for j, e in enumerate(model.resources)}
 
     def users(profile):  # the mask of each resource's players
@@ -335,26 +364,27 @@ def _coarse_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_profile)
     q, k = np.array(q)[:, None], np.arange(len(cfg.basis))
     eq = val = 0
     for p, mass in zip(ps, dist.masses.values()):
-        e, v, nrm = _entries(cfg, factors, np.array(p)[:, None], q, k)
-        eq, val = eq + mass * e, val + mass * v
-    return eq, val, nrm
+        (leaves, joins, joined), v, nrm = _entries(cfg, factors, np.array(p)[:, None], q, k)
+        eq, val = eq + mass * np.where(joined, joins, leaves), val + mass * v
+    return (eq, None, None), val, nrm
 
 
 def _support(rep: RepresentativeModel, r: int, values: Mapping) -> list:
-    """((P, Q, k), name, value) of every nonzero value whose key is the
-    name of a v column, in column order: each such key is read back to its
-    (P, Q, k), the inverse of vname over the representative's columns, and
-    every other key is ignored."""
+    """((P, Q, k), name, e, value) of every nonzero value whose key is the
+    name vname(e, k) of a v column, in column order: each such key is read
+    back to its resource id e = e(P, Q) and its (P, Q, k), the inverse of
+    vname over the representative's columns, and every other key is
+    ignored."""
     suffixes = {f"][{k}]": k for k in range(r)}
     out = []
     for key in compress(values, values.values()):
         if not isinstance(key, str) or not key.startswith("v["):
             continue
         cut = key.rfind("][")
-        k = suffixes.get(key[cut:])
-        masks = None if k is None else rep.masks_of(key[2:cut])
+        k, e = suffixes.get(key[cut:]), key[2:cut]
+        masks = None if k is None else rep.masks_of(e)
         if masks is not None:
-            out.append((masks + (k,), key, values[key]))
+            out.append((masks + (k,), key, e, values[key]))
     return sorted(out)
 
 
@@ -668,16 +698,16 @@ def extract_worst_game(
     masks = np.array(sorted({m for (p, q, _), *_ in support for m in (p, q)}), dtype=np.intp)
     factors = _mask_factors(cfg, rep.weights, masks)
     table = _row_table(cfg, *_entries(cfg, factors, *columns), designated)
-    program = _primal(cfg, [name for _, name, _ in support] + _level(cfg), *table, designated)
+    program = _primal(cfg, [name for _, name, _, _ in support] + _level(cfg), *table, designated)
     ok, label, violation = lp.feasibility_report(program, primal_values, FEAS_TOL)
     if not ok:
         raise GameError(f"primal point violates {label} by {violation}")
-    values = {c: x for c, _, x in support}
-    kept = {(p, q) for p, q, _ in values}
+    values = {c: x for c, _, _, x in support}
+    kept = {(p, q): e for (p, q, _), _, e, _ in support}  # each id as its support names it
     for i in range(cfg.n):
         if not any(p >> i & 1 for p, _ in kept) or not any(q >> i & 1 for _, q in kept):
-            kept.add((1 << i, 1 << i))
-    ids = {rep.resource_for(p, q): (p, q) for p, q in sorted(kept)}
+            kept.setdefault((1 << i, 1 << i), rep.resource_for(1 << i, 1 << i))
+    ids = {kept[pq]: pq for pq in sorted(kept)}
     coeffs = {e: tuple(0 if c < 0 else c  # solver noise within FEAS_TOL, checked above
                        for c in (values.get((p, q, k), 0) for k in range(r)))
               for e, (p, q) in ids.items()}

@@ -1,7 +1,8 @@
 """Linear programming with explicit duals.
 
 Self-contained primal simplex (two-phase, revised: an m x m basis
-inverse and one y @ A pricing product per pivot, no tableau) plus a
+inverse and one y @ W pricing product per pivot over the standard columns
+and their slack and artificial unit columns, no tableau) plus a
 mechanical dualizer.  Two arithmetic backends share one kernel: float64
 numpy arrays, or object arrays of fractions.Fraction.  Every answer comes
 from one reader, _read, at the run's final basis: it solves B x_B = b and
@@ -209,7 +210,8 @@ class _Standardizer:
     """Rewrites an LP into max c'x, Ax R b, x >= 0 and maps solutions back.
 
     Variable j is column col[j], negated when it is nonpositive; a free
-    variable is column col[j] minus column col[j] + 1."""
+    variable is column col[j] minus column col[j] + 1.  A program that
+    declares no bounds keeps its columns as they are."""
 
     def __init__(self, lp: LinearProgram, exact: bool):
         self.lp = lp
@@ -217,29 +219,37 @@ class _Standardizer:
         self.dtype = object if exact else np.float64
         self.zero = Fraction(0) if exact else 0.0
         self.one = Fraction(1) if exact else 1.0
-        index = {v: j for j, v in enumerate(lp.variables)} if lp.bounds else {}
         nvars = len(lp.variables)
         self.neg = np.zeros(nvars, dtype=bool)
-        self.neg[[index[v] for v, b in lp.bounds.items() if b == _NONPOS]] = True
         self.free = np.zeros(nvars, dtype=bool)
-        self.free[[index[v] for v, b in lp.bounds.items() if b == FREE]] = True
-        self.col = np.arange(nvars, dtype=np.intp) + np.cumsum(self.free) - self.free
-        self.ncols = nvars + int(self.free.sum())
+        self.col = np.arange(nvars, dtype=np.intp)
+        self.ncols = nvars
+        if lp.bounds:
+            index = {v: j for j, v in enumerate(lp.variables)}
+            self.neg[[index[v] for v, b in lp.bounds.items() if b == _NONPOS]] = True
+            self.free[[index[v] for v, b in lp.bounds.items() if b == FREE]] = True
+            self.col += np.cumsum(self.free) - self.free
+            self.ncols += int(self.free.sum())
 
-    def columns(self, coefficients: np.ndarray) -> np.ndarray:
+    def columns(self, coefficients: np.ndarray, extra: int = 0) -> np.ndarray:
         """A coefficient array over the standard columns, in the run's
-        arithmetic: its float64 values, with every zero +0.0; an exact run
-        takes the array of Fractions that _fractions gives."""
-        vals = coefficients.astype(self.dtype)
-        vals[:, self.neg] *= -1
-        if self.free.any():
-            split = np.full((len(vals), self.ncols), self.zero, dtype=self.dtype)
-            split[:, self.col] = vals
-            split[:, self.col[self.free] + 1] = -vals[:, self.free]
-            vals = split
+        arithmetic, then extra columns of 0: its float64 values, with
+        every zero +0.0; an exact run takes the array of Fractions that
+        _fractions gives.  The values are written once, into the array
+        returned."""
+        out = np.full((len(coefficients), self.ncols + extra), self.zero, dtype=self.dtype)
+        if not self.lp.bounds:
+            if self.exact:
+                out[:, :self.ncols] = coefficients
+            else:  # -0.0 + 0.0 is 0.0
+                np.add(coefficients, 0.0, out=out[:, :self.ncols], casting="unsafe")
+            return out
+        out[:, self.col] = coefficients
+        out[:, self.col[self.neg]] *= -1
+        out[:, self.col[self.free] + 1] = -out[:, self.col[self.free]]
         if not self.exact:
-            vals += 0.0  # -0.0 + 0.0 is 0.0
-        return vals
+            out += 0.0
+        return out
 
     def recover(self, columns: np.ndarray, values: np.ndarray) -> dict:
         """The nonzero variables, in variable order, of the program's point
@@ -265,7 +275,11 @@ class _System(NamedTuple):
     a program's standard form with every row of negative rhs negated and,
     in float, every row equilibrated.  slack[i] is the sign of row i's
     slack column: 1 on a <= row, -1 on a >= row, 0 on an = row (none).
-    A dual of row i here times scale[i] is the program's row dual."""
+    A dual of row i here times scale[i] is the program's row dual.
+    standard holds every standard column, m by n + 2m, with the costs
+    below as its last row: A, then the unit column of the slack of row i
+    (n + i) and of its artificial (n + m + i), 0 where the row has none,
+    at cost 0.  A and costs are views of it."""
 
     A: np.ndarray
     b: np.ndarray
@@ -273,6 +287,7 @@ class _System(NamedTuple):
     slack: np.ndarray
     scale: np.ndarray
     std: _Standardizer
+    standard: np.ndarray
 
 
 _SLACK = {LE: 1, GE: -1, EQ: 0}
@@ -280,8 +295,9 @@ _SLACK = {LE: 1, GE: -1, EQ: 0}
 
 def _system(lp: LinearProgram, exact: bool) -> _System:
     std = _Standardizer(lp, exact)
-    forms = std.columns(_fractions(lp.coefficients) if exact else lp.coefficients)
-    A, costs = forms[:-1], forms[-1]
+    m, n = len(lp.rows), std.ncols
+    standard = std.columns(_fractions(lp.coefficients) if exact else lp.coefficients, 2 * m)
+    A, costs = standard[:m, :n], standard[m, :n]
     b = np.array([_convert(row.rhs, exact) for row in lp.rows], dtype=std.dtype)
     scale = np.full(len(b), std.one, dtype=std.dtype)
     if lp.sense == MINIMIZE:
@@ -304,7 +320,11 @@ def _system(lp: LinearProgram, exact: bool) -> _System:
         b[flip] = -b[flip]
         scale[flip] = -scale[flip]
         slack[flip] = -slack[flip]
-    return _System(A, b, costs, slack, scale, std)
+    # a slack: +1 on a <= row, -1 on a >= row; an artificial on a >= or = row
+    rows = np.arange(m)
+    standard[rows, n + rows] = slack
+    standard[rows, n + m + rows] = np.where(slack <= 0, std.one, std.zero)
+    return _System(A, b, costs, slack, scale, std, standard)
 
 
 # ============================================================
@@ -315,24 +335,21 @@ def _system(lp: LinearProgram, exact: bool) -> _System:
 class _Revised:
     """The two-phase revised simplex on a _System: T = [B^-1 | x_B], m by
     m + 1, takes one rank-1 step per pivot, and every column is priced by
-    one y @ A product, y = c_B B^-1, on the system's own A.  Columns are
-    numbered in standard form (see _Stop): column n + k is unit_sign[k]
-    on row unit_row[k] = k % m, and 0, so never entering, where that row
-    has no slack or no artificial.  Phase 2 prices the first n + m
+    one y @ W product, y = c_B B^-1, on the system's own standard array
+    W = [A | slack and artificial unit columns].  Columns are numbered in
+    standard form (see _Stop); a row with no slack or no artificial has a
+    column of 0 there, which never enters.  Phase 2 prices the first n + m
     columns, all but the artificials."""
 
     def __init__(self, system: _System):
         std = system.std
         self.exact, self.zero = std.exact, std.zero
         self.tol = Fraction(0) if std.exact else PIVOT_TOL
-        self.A = system.A
         self.m, self.n = m, n = system.A.shape
+        self.W = system.standard[:m]
         self.width = n + m
-        # a slack: +1 on a <= row, -1 on a >= row; an artificial on a >= or = row
         signs = system.slack.tolist()
-        units = signs + [int(s <= 0) for s in signs]
-        self.unit_sign = np.array(units, dtype=std.dtype)
-        self.unit_row = np.array(list(range(m)) * 2, dtype=np.intp)
+        self.artificial = [int(s <= 0) for s in signs]
         # the first basis is the identity: each row's slack on a <= row, else its artificial
         self.basis = [n + i if s > 0 else n + m + i for i, s in enumerate(signs)]
         self.T = np.full((m, m + 1), std.zero, dtype=std.dtype)
@@ -340,7 +357,8 @@ class _Revised:
         self.T[:, m] = system.b
         self.inverse, self.x = self.T[:, :m], self.T[:, m]
         self.row_alive = [True] * m
-        self.max_iters = 2000 + 100 * (m + n + len(units) - units.count(0))
+        units = sum(s != 0 for s in signs) + sum(self.artificial)
+        self.max_iters = 2000 + 100 * (m + n + units)
         self.iterations = self.degenerate = self.bland_switches = self.retired = 0
         self.entering = None  # the column of an UNBOUNDED stop
 
@@ -348,20 +366,13 @@ class _Revised:
 
     def _prices(self, y, costs, width):
         """y a_j - costs[j] for the first width columns."""
-        n = self.n
-        reduced = np.empty(width, dtype=self.T.dtype)
-        np.matmul(y, self.A, out=reduced[:n])
-        units = width - n
-        np.multiply(y[self.unit_row[:units]], self.unit_sign[:units], out=reduced[n:])
+        reduced = y @ self.W[:, :width]
         reduced -= costs[:width]
         return reduced
 
     def _column(self, j):
         """B^-1 a_j."""
-        if j < self.n:
-            return self.inverse @ self.A[:, j]
-        k = j - self.n
-        return self.inverse[:, self.unit_row[k]] * self.unit_sign[k]
+        return self.inverse @ self.W[:, j]
 
     def _pivot(self, r, j, column):
         pivot_row = self.T[r]
@@ -456,7 +467,7 @@ class _Revised:
         if all(j < self.width for j in self.basis):  # no artificial
             return True
         costs = np.full(self.width + self.m, self.zero, dtype=self.T.dtype)
-        costs[self.width:] = self.zero - self.unit_sign[self.m:]
+        costs[self.width:] = [self.zero - a for a in self.artificial]
         status = self.run(costs, len(costs), ray_free=True)
         if status != OPTIMAL:  # phase-1 objective is bounded by 0
             raise SolverError("phase 1 reported unbounded")
@@ -495,9 +506,8 @@ def _run(lp: LinearProgram, exact: bool) -> _Stop:
     kernel = _Revised(system)
     feasible = kernel.phase1()
     phase1 = kernel.iterations
-    costs = np.full(kernel.width + kernel.m, system.std.zero, dtype=system.std.dtype)
-    costs[:kernel.n] = system.costs
-    status = kernel.run(costs, kernel.width) if feasible else INFEASIBLE
+    # the costs row of the standard array: 0 at every slack and artificial
+    status = kernel.run(system.standard[-1], kernel.width) if feasible else INFEASIBLE
     stats = KernelStats(phase1, kernel.iterations - phase1, kernel.degenerate,
                         kernel.bland_switches, kernel.retired, kernel.row_alive.count(False))
     return _Stop(status, kernel.basis, kernel.entering, system, stats)
@@ -598,7 +608,7 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
         if exact and not stop.system.std.exact:
             raise SolverError("float phase 1 found no feasible point")
         return SolveReport(INFEASIBLE, None, {}, {}, stop.stats.pivots, exact, stats=stop.stats)
-    A, b, costs, slack, scale, std = (
+    A, b, costs, slack, scale, std, standard = (
         stop.system if stop.system.std.exact == exact else _system(lp, exact))
     m, n = A.shape
     zero, basis = std.zero, stop.basis
@@ -626,13 +636,9 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
 
     if stop.status == UNBOUNDED:
         j = stop.entering
-        if j < n:
-            lhs, gain = A[:, j], costs[j]
-            column = lhs
-        else:  # a slack's column is a unit column, and moves no row's lhs
-            lhs, gain = np.zeros(m, dtype=std.dtype), zero
-            column = lhs.copy()
-            column[j - n] = slack[j - n]
+        column, gain = standard[:m, j], standard[m, j]
+        # a slack's column is a unit column, and moves no row's lhs
+        lhs = column if j < n else np.zeros(m, dtype=std.dtype)
         # along the ray x_j grows and x_S falls by d = K^-1 a_j per unit
         d = inverse @ column[R]
         tol = _tol(d, exact)

@@ -36,10 +36,30 @@ def _named(names, coeffs):
     return dict(zip(names[nz].tolist(), flat[nz].tolist()))
 
 
+def dense(copies):
+    """The entries a row's (source, where) copies give, whole, by np.where
+    over the broadcast sources rather than by _primal's np.copyto."""
+    out = np.asarray(copies[0][0])
+    for a, where in copies[1:]:
+        out = np.where(where, a, out)
+    shape = np.broadcast_shapes(*(np.shape(x) for pair in copies for x in pair))
+    return np.broadcast_to(out, shape)
+
+
+def dense_rows(rows, shape):
+    """A row table's rows with each row's copies written out whole over
+    the v columns' shape."""
+    return [(label, rel, rhs, np.broadcast_to(dense(copies), shape), t)
+            for label, rel, rhs, copies, t in rows]
+
+
 def reference_pp_pne(cfg, rep, designated=None):
     """build_pp_pne written as dict rows: the closed-form row table with
     every nonzero entry named by vname, then t."""
     objective, rows = _row_table(cfg, *_closed_form(cfg, rep), designated)
+    shape = (1 << cfg.n, 1 << cfg.n, len(cfg.basis))
+    rows = dense_rows(rows, shape)
+    objective = None if objective is None else np.broadcast_to(dense(objective), shape)
     names = np.array([vname(e, k) for e in rep.model.resources for k in range(len(cfg.basis))],
                      dtype=object)
     dict_rows = [({**_named(names, a), "t": t} if t else _named(names, a), rel, rhs, label)

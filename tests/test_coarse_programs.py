@@ -114,8 +114,8 @@ def _reference_coefficient_parts(cfg, model, dist, o_profile):
 def reference_pp_cce(cfg, model, dist, o_profile, designated=None):
     """build_pp_cce with the enumerated coefficients, laid out as the
     production program is."""
-    table = _row_table(
-        cfg, *_reference_coefficient_parts(cfg, model, dist, o_profile), designated)
+    eq, val, nrm = _reference_coefficient_parts(cfg, model, dist, o_profile)
+    table = _row_table(cfg, (eq, None, None), val, nrm, designated)
     return _primal(cfg, _variables(cfg, model), *table, designated)
 
 

@@ -43,7 +43,7 @@ from poacert.games import (
     identity_matrix,
 )
 from poacert.representative import build_representative
-from test_array_programs import designees, seeded_classes
+from test_array_programs import dense_rows, designees, seeded_classes
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "poabench"))
 import workloads  # noqa: E402
@@ -178,7 +178,9 @@ def reference_extract_worst_game(cfg, rep, primal_values, designated=None):
     """extract_worst_game over every column: the full closed form, every
     column name looked up in the point, and the witness cut out of the
     eager model's frozensets."""
-    _, rows = _row_table(cfg, *reference_closed_form(cfg), designated)
+    eq, val, nrm = reference_closed_form(cfg)
+    _, rows = _row_table(cfg, (eq, None, None), val, nrm, designated)
+    rows = dense_rows(rows, eq[0].shape)
     model = reference_model(cfg.weights)
     names = [vname(e, k) for e in model.resources for k in range(len(cfg.basis))]
     values = [primal_values.get(v, 0) for v in names]
@@ -306,13 +308,30 @@ def _same_array(got, want):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("cfg,exact", [p for p in CLASSES if p.values[0].n <= 5])
+def frontier_classes():
+    """The n = 6 float classes of the seeded corpus and one n = 7 float
+    class like them (max, eps 1/2, basis x), the sizes witness-frontier
+    runs."""
+    yield from (p for p in seeded_classes() if p.values[0].n == 6)
+    rng = random.Random(7007)
+    n = 7
+    weights = [float(F(rng.randrange(1, 15), 7)) for _ in range(n)]
+    alpha = [[1.0 if i == j else float(F(rng.randrange(-7, 8), 7)) for j in range(n)]
+             for i in range(n)]
+    beta = [[float(F(rng.randrange(0, 8), 7)) for _ in range(n)] for _ in range(n)]
+    cfg = WorstCaseConfig(weights, alpha, SocialSpec(MAX, beta), 0.5, (X,))
+    yield pytest.param(cfg, False, id="n7-float-max-eps1/2")
+
+
+@pytest.mark.parametrize("cfg,exact", [p for p in CLASSES if p.values[0].n <= 5]
+                         + list(frontier_classes()))
 def test_closed_form_is_the_scattered_reference_bit_for_bit(cfg, exact):
     """Same values, types, shapes and float bits (signed zeros included)."""
     rep = build_representative(cfg.weights)
     got, want = _closed_form(cfg, rep), reference_closed_form(cfg)
+    leaves, joins, joined = got[0]
     for i in range(cfg.n):
-        _same_array(got[0][i], want[0][i])
+        _same_array(np.where(joined[i], joins[i], leaves[i]), want[0][i])
     if cfg.spec.kind == SUM:
         _same_array(got[1], want[1])
         _same_array(got[2], want[2])
@@ -400,7 +419,8 @@ def test_column_name_inverse_round_trips(n, r):
     size = 1 << n
     for j, name in enumerate(names):
         column = (j // r // size, j // r % size, j % r)
-        assert _support(rep, r, {name: 1}) == [(column, name, 1)]
+        e = rep.resource_for(*column[:2])
+        assert _support(rep, r, {name: 1}) == [(column, name, e, 1)]
     for p in range(size):
         for q in range(size):
             assert rep.masks_of(rep.resource_for(p, q)) == (p, q)
