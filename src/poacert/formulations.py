@@ -160,8 +160,8 @@ def _summed(parts) -> np.ndarray:
     """The sum of per-player arrays in player order, each zero entry
     skipped, so an entry that only zeros reach stays the starting 0."""
     total = np.zeros_like(parts[0])
-    for c in parts:
-        np.add(total, c, out=total, where=c != 0)
+    for c in parts:  # a float +-0.0 added to a sum begun at +0.0 leaves it as skipping would
+        np.add(total, c, out=total, where=True if c.dtype == np.float64 else c != 0)
     return total
 
 
@@ -193,18 +193,19 @@ def _row_table(cfg: WorstCaseConfig, eq, val, nrm, designated) -> tuple:
     return None, rows
 
 
-def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.LinearProgram:
+def _primal(cfg: WorstCaseConfig, names, objective, rows, designated,
+            forms=None) -> lp.LinearProgram:
     """The program of a row table over the columns names (the v columns,
-    then t under max): each row's copies, then the objective's, written
-    by np.copyto straight into the program's coefficient array, whose v
-    entries of a row take the shape the copies broadcast to."""
-    forms = [c for _, _, _, c, _ in rows] + ([] if objective is None else [objective])
+    then t under max), with forms: each row's copies, then the objective's,
+    written by np.copyto straight into the program's coefficient array,
+    whose v entries of a row take the shape the copies broadcast to."""
+    tables = [c for _, _, _, c, _ in rows] + ([] if objective is None else [objective])
     # the first row, eq[0], spans the v columns' shape; every other row broadcasts to it
-    shape = np.broadcast_shapes(*map(np.shape, chain.from_iterable(forms[0])))
+    shape = np.broadcast(*chain.from_iterable(tables[0])).shape
     size, level = prod(shape), cfg.spec.kind != SUM
-    dtype = np.result_type(*{a.dtype for copies in forms for a, _ in copies})
+    dtype = np.result_type(*{a.dtype for copies in tables for a, _ in copies})
     coefficients = np.zeros((len(rows) + 1, size + level), dtype=dtype)
-    for i, copies in enumerate(forms):
+    for i, copies in enumerate(tables):
         out = coefficients[i, :size].reshape(shape)
         for a, where in copies:
             np.copyto(out, a, where=where)
@@ -212,7 +213,7 @@ def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.Line
         coefficients[:, size] = [t for _, _, _, _, t in rows] + [1]
     lp_rows = [lp.Row(rel, rhs, label) for label, rel, rhs, _, _ in rows]
     return lp.LinearProgram(lp.MAXIMIZE, names, lp_rows, coefficients,
-                            name=f"pp_max_d{designated}" if level else "pp_sum")
+                            name=f"pp_max_d{designated}" if level else "pp_sum", forms=forms)
 
 
 def _subset_sums(terms: np.ndarray, live: np.ndarray, has: np.ndarray) -> np.ndarray:
@@ -241,17 +242,15 @@ def _basis_values(basis, dtype, *blocks) -> list:
     out = []
     for loads, live, scale in blocks:
         flat = loads[live].tolist()
-        first = dict.fromkeys(flat)  # the block's distinct loads, as each first appears
-        table = []
-        for x in first:
+        row = dict.fromkeys(flat)  # the block's distinct loads, as each first appears
+        for x in row:
             fx = read.get((type(x), x))
             if fx is None:
                 fx = read[type(x), x] = [f.value(x) for f in basis]
-            table.append([cast(scale * v) for v in fx])
-        place = dict(zip(first, range(len(first))))
+            row[x] = [cast(scale * v) for v in fx]
         values = np.zeros(loads.shape + (len(basis),), dtype=dtype)
-        values[live] = np.array(table, dtype=dtype).reshape(-1, len(basis))[
-            list(map(place.__getitem__, flat))]
+        if flat:
+            values[live] = [row[x] for x in flat]
         out.append(values)
     return out
 
@@ -311,7 +310,7 @@ def _mask_factors(cfg: WorstCaseConfig, weights: tuple, masks: np.ndarray) -> tu
         costs = f_load * bw[..., None]
         if cfg.spec.kind == SUM:
             costs = _summed(costs)[None]
-    if dtype is np.float64 and not all(np.isfinite(a).all() for a in (joins, leaves, costs)):
+    if dtype is np.float64 and not np.isfinite(np.concatenate((joins, leaves, costs))).all():
         raise OverflowError("a coefficient of the worst-case program exceeds the float range")
     return masks, joins, leaves, costs
 
@@ -376,15 +375,17 @@ def _support(rep: RepresentativeModel, r: int, values: Mapping) -> list:
     vname over the representative's columns, and every other key is
     ignored."""
     suffixes = {f"][{k}]": k for k in range(r)}
+    masks = {}  # each id's masks, read once
     out = []
     for key in compress(values, values.values()):
         if not isinstance(key, str) or not key.startswith("v["):
             continue
         cut = key.rfind("][")
         k, e = suffixes.get(key[cut:]), key[2:cut]
-        masks = None if k is None else rep.masks_of(e)
-        if masks is not None:
-            out.append((masks + (k,), key, e, values[key]))
+        if k is not None and e not in masks:
+            masks[e] = rep.masks_of(e)
+        if k is not None and masks[e] is not None:
+            out.append((masks[e] + (k,), key, e, values[key]))
     return sorted(out)
 
 
@@ -574,9 +575,9 @@ def _certificate_report(program: lp.LinearProgram, duals, tol) -> tuple:
     """lp.feasibility_report(_certificate_program(program), cert, tol): the
     dual rows, then the sign bounds of the duals of <= rows."""
     _, first, worst = _dual_report(program, duals, tol)
-    bounds = [(f"bound[{_certificate_name(row.label)}]", 0 - y)
-              for row, y in zip(program.rows, duals) if row.relation == lp.LE]
-    return lp.fold_checks(bounds, tol, first, worst)
+    signs = ((row.label, 0 - y) for row, y in zip(program.rows, duals) if row.relation == lp.LE)
+    ok, sign, worst = lp.fold_checks(signs, tol, None, worst)  # the first sign's label, built alone
+    return first is None and ok, first or sign and f"bound[{_certificate_name(sign)}]", worst
 
 
 def _exact_config(cfg: WorstCaseConfig) -> WorstCaseConfig:
@@ -617,10 +618,14 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     rep = build_representative(cfg.weights)
     designees = [None] if cfg.spec.kind == SUM else list(range(cfg.n))
     columns = _closed_form(cfg, rep)
-    names = _ColumnNames(cfg, rep)
+    program = _primal(cfg, _ColumnNames(cfg, rep), *_row_table(cfg, *columns, designees[0]),
+                      designees[0], forms={})
     variants = []
     for d in designees:
-        program = _primal(cfg, names, *_row_table(cfg, *columns, d), d)
+        if d != designees[0]:  # the same array and forms: only the val rows' relations differ
+            rows = [lp.Row(rel, rhs, name) for name, rel, rhs, *_ in _row_table(cfg, *columns, d)[1]]
+            program = lp.LinearProgram(lp.MAXIMIZE, program.variables, rows, program.coefficients,
+                                       name=f"pp_max_d{d}", forms=program.forms)
         rp = lp.solve(program, exact)
         if rp.status == lp.UNBOUNDED:
             variants.append(VariantResult(d, INFINITE, None, None, {}, {}, rp.iterations,

@@ -90,7 +90,8 @@ class LinearProgram:
     variables given as a list or tuple are kept as a tuple and checked for
     duplicates; any other sequence is kept as it is, unread, so a program
     of many columns can name them on demand.  Programs compare by
-    identity."""
+    identity; those that differ only in relations and objective may share
+    one forms dict, where _system keeps one standard form for them all."""
 
     sense: str
     variables: Sequence[str]
@@ -98,6 +99,7 @@ class LinearProgram:
     coefficients: np.ndarray
     bounds: Mapping[str, tuple] = field(default_factory=dict)
     name: str = "lp"
+    forms: Optional[dict] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.sense not in (MAXIMIZE, MINIMIZE):
@@ -214,7 +216,7 @@ class _Standardizer:
     declares no bounds keeps its columns as they are."""
 
     def __init__(self, lp: LinearProgram, exact: bool):
-        self.lp = lp
+        self.variables, self.bounds = lp.variables, lp.bounds  # not lp: lp.forms may hold this
         self.exact = exact
         self.dtype = object if exact else np.float64
         self.zero = Fraction(0) if exact else 0.0
@@ -238,11 +240,11 @@ class _Standardizer:
         _fractions gives.  The values are written once, into the array
         returned."""
         out = np.full((len(coefficients), self.ncols + extra), self.zero, dtype=self.dtype)
-        if not self.lp.bounds:
+        if not self.bounds:
             if self.exact:
                 out[:, :self.ncols] = coefficients
-            else:  # -0.0 + 0.0 is 0.0
-                np.add(coefficients, 0.0, out=out[:, :self.ncols], casting="unsafe")
+            else:  # -0.0 + 0.0 is 0.0; an object array's entries are read by float()
+                np.add(coefficients.astype(np.float64, copy=False), 0.0, out=out[:, :self.ncols])
             return out
         out[:, self.col] = coefficients
         out[:, self.col[self.neg]] *= -1
@@ -255,6 +257,9 @@ class _Standardizer:
         """The nonzero variables, in variable order, of the program's point
         at which the standard columns hold values and every other column
         0; only their names are read."""
+        if not self.bounds:  # column j is variable j
+            return {self.variables[j]: x for j, x in sorted(zip(columns.tolist(), values.tolist()))
+                    if x}
         at = dict(zip(columns.tolist(), values.tolist()))
         used = np.searchsorted(self.col, [c for c, x in at.items() if x], side="right") - 1
         point = {}
@@ -266,7 +271,7 @@ class _Standardizer:
             if self.free[v]:
                 value -= at.get(c + 1, self.zero)
             if value:
-                point[self.lp.variables[v]] = value
+                point[self.variables[v]] = value
         return point
 
 
@@ -294,32 +299,42 @@ _SLACK = {LE: 1, GE: -1, EQ: 0}
 
 
 def _system(lp: LinearProgram, exact: bool) -> _System:
-    std = _Standardizer(lp, exact)
-    m, n = len(lp.rows), std.ncols
-    standard = std.columns(_fractions(lp.coefficients) if exact else lp.coefficients, 2 * m)
+    shared = None if lp.forms is None else lp.forms.get(exact)
+    if shared is None:
+        std = _Standardizer(lp, exact)
+        m, n = len(lp.rows), std.ncols
+        standard = std.columns(_fractions(lp.coefficients) if exact else lp.coefficients, 2 * m)
+        A = standard[:m, :n]
+        b = np.array([_convert(r.rhs, True) if exact else r.rhs for r in lp.rows], dtype=std.dtype)
+        scale = np.full(len(b), std.one, dtype=std.dtype)
+        if lp.sense == MINIMIZE:
+            scale = -scale
+        if not exact:
+            # equilibrate: float tolerances are absolute, so rows must share a
+            # scale for them to mean anything
+            # max |a_ij| by row, without an |A| temporary the size of A
+            biggest = np.maximum(A.max(axis=1, initial=0.0), -A.min(axis=1, initial=0.0))
+            row_scale = 1.0 / np.where(biggest > 0, biggest, 1.0)
+            A *= row_scale[:, None]
+            b *= row_scale
+            scale *= row_scale
+        flip = b < 0
+        if flip.any():
+            A[flip] = -A[flip]
+            b[flip] = -b[flip]
+            scale[flip] = -scale[flip]
+        if lp.forms is not None:
+            lp.forms[exact] = std, standard, b, scale, flip
+    else:  # the system of a program that shares lp's forms: lp's objective replaces its own
+        std, standard, b, scale, flip = shared
+        m, n, objective = len(b), std.ncols, lp.coefficients[-1:]
+        standard[m:] = std.columns(_fractions(objective) if exact else objective, 2 * m)
     A, costs = standard[:m, :n], standard[m, :n]
-    b = np.array([_convert(row.rhs, exact) for row in lp.rows], dtype=std.dtype)
-    scale = np.full(len(b), std.one, dtype=std.dtype)
     if lp.sense == MINIMIZE:
         nz = np.flatnonzero(costs)
         costs[nz] = -costs[nz]
-        scale = -scale
-    if not exact:
-        # equilibrate: float tolerances are absolute, so rows must share a
-        # scale for them to mean anything
-        # max |a_ij| by row, without an |A| temporary the size of A
-        biggest = np.maximum(A.max(axis=1, initial=0.0), -A.min(axis=1, initial=0.0))
-        row_scale = 1.0 / np.where(biggest > 0, biggest, 1.0)
-        A *= row_scale[:, None]
-        b *= row_scale
-        scale *= row_scale
     slack = np.array([_SLACK[row.relation] for row in lp.rows], dtype=std.dtype)
-    flip = b < 0
-    if flip.any():
-        A[flip] = -A[flip]
-        b[flip] = -b[flip]
-        scale[flip] = -scale[flip]
-        slack[flip] = -slack[flip]
+    slack[flip] = -slack[flip]
     # a slack: +1 on a <= row, -1 on a >= row; an artificial on a >= or = row
     rows = np.arange(m)
     standard[rows, n + rows] = slack
@@ -350,12 +365,14 @@ class _Revised:
         self.width = n + m
         signs = system.slack.tolist()
         self.artificial = [int(s <= 0) for s in signs]
+        self.units = np.concatenate([system.slack, self.artificial])  # the unit block's diagonal
         # the first basis is the identity: each row's slack on a <= row, else its artificial
         self.basis = [n + i if s > 0 else n + m + i for i, s in enumerate(signs)]
         self.T = np.full((m, m + 1), std.zero, dtype=std.dtype)
         self.T.flat[::m + 2] = std.one  # B^-1 = I
         self.T[:, m] = system.b
         self.inverse, self.x = self.T[:, :m], self.T[:, m]
+        self.step = np.empty_like(self.T)  # _pivot's rank-1 term
         self.row_alive = [True] * m
         units = sum(s != 0 for s in signs) + sum(self.artificial)
         self.max_iters = 2000 + 100 * (m + n + units)
@@ -365,9 +382,19 @@ class _Revised:
     # ---- pivoting ----
 
     def _prices(self, y, costs, width):
-        """y a_j - costs[j] for the first width columns."""
-        reduced = y @ self.W[:, :width]
-        reduced -= costs[:width]
+        """y a_j - costs[j] for the first width columns: in float by one
+        product over W (a near tie between reduced costs can break another
+        way when its width changes); in rationals a unit column is priced
+        from y alone, y_i times its entry on row i."""
+        return self._priced(y, self.W[:, :width], costs[:width])
+
+    def _priced(self, y, W, costs):
+        if self.exact:
+            units = self.units[:len(costs) - self.n]
+            reduced = np.concatenate([y @ W[:, :self.n], np.resize(y, len(units)) * units])
+        else:
+            reduced = y @ W
+        reduced -= costs
         return reduced
 
     def _column(self, j):
@@ -379,7 +406,7 @@ class _Revised:
         pivot_row /= column[r]
         column[r] = self.zero
         # rank-1 elimination of column j everywhere but the pivot row
-        self.T -= column[:, None] * pivot_row
+        self.T -= np.multiply(column[:, None], pivot_row, out=self.step)
         self.basis[r] = j
         self.iterations += 1
 
@@ -391,20 +418,25 @@ class _Revised:
         tied rows the largest pivot entry wins (tiny pivots shred a float
         basis inverse), except under Bland's rule in exact mode, where the
         lowest basis index keeps the termination guarantee."""
-        alive = self.row_alive
-        rows = [(x / a, a, i) for i, (a, x) in enumerate(zip(column.tolist(), self.x.tolist()))
-                if a > self.tol and alive[i]]
-        if not rows:
+        tol, alive, basis = self.tol, self.row_alive, self.basis
+        a, x = column.tolist(), self.x.tolist()
+        best = None
+        for i, a_i in enumerate(a):
+            if a_i > tol and alive[i]:
+                ratio = x[i] / a_i
+                if best is None or ratio < best:
+                    best = ratio
+        if best is None:
             return None
-        best_ratio = min(rows)[0]
-        if self.exact:
-            tied = [t for t in rows if t[0] == best_ratio]
-            if bland:
-                return min(tied, key=lambda t: self.basis[t[2]])[2]
-        else:
-            slack = self.tol * (1 + abs(best_ratio))
-            tied = [t for t in rows if t[0] <= best_ratio + slack]
-        return max(tied, key=lambda t: (t[1], -self.basis[t[2]]))[2]
+        limit = best if self.exact else best + tol * (1 + abs(best))
+        bland = bland and self.exact
+        leave = None
+        for i, a_i in enumerate(a):
+            if a_i > tol and alive[i] and x[i] / a_i <= limit and (leave is None or (
+                    basis[i] < basis[leave] if bland
+                    else (a_i, -basis[i]) > (a[leave], -basis[leave]))):
+                leave = i
+        return leave
 
     def run(self, costs, width, ray_free=False):
         """Maximize costs'x over the first width columns from the current
@@ -418,7 +450,8 @@ class _Revised:
         triggering an UNBOUNDED verdict.
         """
         basic_costs = costs[self.basis]
-        reduced = self._prices(basic_costs @ self.inverse, costs, width)
+        W, priced_costs = self.W[:, :width], costs[:width]  # the views every pricing reads
+        reduced = self._priced(basic_costs @ self.inverse, W, priced_costs)
         bland = False
         streak = 0
         retired = []
@@ -450,7 +483,7 @@ class _Revised:
             degenerate = self.x[leave] <= self.tol
             self._pivot(leave, enter, column)
             basic_costs[leave] = costs[enter]
-            reduced = self._prices(basic_costs @ self.inverse, costs, width)
+            reduced = self._priced(basic_costs @ self.inverse, W, priced_costs)
             if retired:
                 reduced[retired] = self.zero
             if degenerate:

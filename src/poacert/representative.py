@@ -34,7 +34,7 @@ _ID = re.compile(r"P:\{([0-9,]*)\}\|Q:\{([0-9,]*)\}")
 
 def _players(mask: int) -> str:
     """Comma-separated 1-based players of a bit mask, as in resource ids."""
-    return ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
+    return ",".join([str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1])
 
 
 def _head(p: int) -> str:
@@ -99,7 +99,7 @@ class RepresentativeModel:
                     for g in found.groups())
         except ValueError:  # an empty or over-long number, or no such player
             return None
-        return (p, q) if self.resource_for(p, q) == resource else None
+        return (p, q) if _head(p) + _tail(q) == resource else None
 
 
 def build_representative(weights, cap: int = PLAYER_CAP) -> RepresentativeModel:

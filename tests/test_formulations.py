@@ -383,6 +383,60 @@ def seeded_float_configurations():
         yield WorstCaseConfig(weights, uniform(), spec, 0.0, basis)
 
 
+def test_designees_sharing_one_array_answer_as_alone(monkeypatch):
+    """On the max classes of seeded_float_configurations(), in float and
+    as exact twins, every VariantResult of solve_worst_case is lp.solve's
+    report on build_pp_pne(cfg, rep, d) built and solved alone: value,
+    certificate duals, primal, iterations, fallback and stats.  In float,
+    the class writes one array (one _primal call), its designee programs
+    share that coefficients object, and every designee's _System holds one
+    standard array."""
+    from poacert import formulations
+    from poacert.formulations import _certificate_name, _exact_config
+
+    primal, system, solve = formulations._primal, lp._system, lp.solve
+    arrays, standards, programs = [], [], []
+
+    def written(*args, **kwargs):
+        arrays.append(primal(*args, **kwargs))
+        return arrays[-1]
+
+    def standardized(program, exact):
+        standards.append(system(program, exact))
+        return standards[-1]
+
+    def solved(program, exact=False):
+        programs.append(program)
+        return solve(program, exact)
+
+    classes = [cfg for cfg in seeded_float_configurations() if cfg.spec.kind == MAX]
+    assert len(classes) >= 10
+    for cfg, exact in itertools.product(classes, (False, True)):
+        arrays.clear(), standards.clear(), programs.clear()
+        monkeypatch.setattr(formulations, "_primal", written)
+        monkeypatch.setattr(lp, "_system", standardized)
+        monkeypatch.setattr(lp, "solve", solved)
+        result = solve_worst_case(cfg, exact)
+        monkeypatch.undo()
+        assert len(arrays) == 1 and len(programs) == cfg.n
+        assert all(p.coefficients is arrays[0].coefficients for p in programs)
+        if not exact:
+            assert len(standards) == cfg.n
+            assert all(s.standard is standards[0].standard for s in standards)
+        model = _exact_config(cfg) if exact else cfg
+        rep = build_representative(model.weights)
+        for variant in result.variants:
+            alone = lp.solve(build_pp_pne(model, rep, variant.designated), exact)
+            duals = {_certificate_name(label): y for label, y in alone.duals.items()}
+            if alone.status == lp.UNBOUNDED:
+                assert variant.status == INFINITE and not variant.dual
+            else:
+                assert repr((variant.pp_value, variant.dual)) == repr((alone.value, duals))
+            assert repr(variant.primal) == repr(alone.primal)
+            assert variant.iterations == alone.iterations
+            assert (variant.fallback, variant.stats) == (alone.fallback, alone.stats)
+
+
 def test_exact_solve_agrees_with_the_rational_simplex(monkeypatch):
     """Every designee program that solve_worst_case(exact=True) solves, on
     the 30 seeded float configurations and on the signed-alpha mixed cell

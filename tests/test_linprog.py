@@ -316,6 +316,65 @@ def test_array_pricing_pivots_like_the_loop(monkeypatch, exact, streak):
     assert arrays == loops
 
 
+def tuple_ratio_row(kernel, column, bland=False):
+    """The ratio test as a list of (ratio, pivot entry, row) tuples, the
+    reference for _Revised._ratio_row's two passes: the least ratio (within
+    tol * (1 + |ratio|) in float), then the largest pivot entry and the
+    lowest basis index, or under Bland's rule in exact the lowest index."""
+    alive = kernel.row_alive
+    rows = [(x / a, a, i) for i, (a, x) in enumerate(zip(column.tolist(), kernel.x.tolist()))
+            if a > kernel.tol and alive[i]]
+    if not rows:
+        return None
+    best_ratio = min(rows)[0]
+    if kernel.exact:
+        tied = [t for t in rows if t[0] == best_ratio]
+        if bland:
+            return min(tied, key=lambda t: kernel.basis[t[2]])[2]
+    else:
+        slack = kernel.tol * (1 + abs(best_ratio))
+        tied = [t for t in rows if t[0] <= best_ratio + slack]
+    return max(tied, key=lambda t: (t[1], -kernel.basis[t[2]]))[2]
+
+
+@pytest.mark.parametrize("bland", [False, True])
+@pytest.mark.parametrize("exact", [False, True])
+def test_ratio_row_is_the_tuple_reference(exact, bland):
+    """Seeded columns and basic values drawn from a few values each, so
+    that ratios tie, pivot entries repeat and entries fall below the pivot
+    tolerance; in float, some values are moved by less than the tie
+    tolerance, planting near ties.  Dead rows and shuffled bases too."""
+    rng = random.Random(2029)
+    num = F if exact else float
+    hits = set()
+    for _ in range(400):
+        m = rng.randint(1, 9)
+        program = LinearProgram(MAXIMIZE, ["x"], [Row(LE, 1, f"r{i}") for i in range(m)],
+                                np.ones((m + 1, 1)))
+        kernel = linprog._Revised(linprog._system(program, exact))
+        kernel.basis = rng.sample(range(3 * m + 1), m)
+        kernel.row_alive = [rng.random() < 0.85 for _ in range(m)]
+        entries = [num(rng.choice((-1, 0, 1, 1, 2, 2, 4))) for _ in range(m)]
+        values = [num(rng.choice((0, 1, 2, 2, 4))) for _ in range(m)]
+        if not exact:
+            entries = [a + rng.choice((0, 0, 1e-10, 2e-11)) for a in entries]
+            values = [x + rng.choice((0, 0, 1e-10, -1e-11)) if x else x for x in values]
+        column = np.array(entries, dtype=kernel.T.dtype)
+        kernel.x[:] = values
+        leave = kernel._ratio_row(column, bland)
+        assert leave == tuple_ratio_row(kernel, column, bland)
+        if leave is None:
+            hits.add("no row")
+            continue
+        # the rows the reference ties with the row it picks, and their entries
+        ratio = values[leave] / entries[leave]
+        tied = [a for alive, a, x in zip(kernel.row_alive, entries, values)
+                if alive and a > kernel.tol and x / a <= ratio + kernel.tol * (1 + abs(ratio))]
+        hits.add("one row" if len(tied) == 1 else "equal entries" if tied.count(max(tied)) > 1
+                 else "a tie")
+    assert hits == {"no row", "one row", "a tie", "equal entries"}
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Route solve's kernel runs through a recorder: a run whose arithmetic

@@ -259,9 +259,10 @@ def test_rational_runs_of_both_kernels_agree(monkeypatch):
 def test_the_revised_kernel_holds_no_copy_of_the_program():
     """n = 7, r = 1, sum (weights 1, 3, 3, 1, 2, 3, 2; basis x): 16,384
     columns.  The tableau's peak in linprog._run was 3.8 times the
-    coefficient array; with the revised kernel it is about 2, _system's
-    float copy of the array and the |A| that equilibrates it, for the
-    kernel adds only m x (m + 1) and a few vectors of length N."""
+    coefficient array; with the revised kernel it is about 1.4: _system's
+    one standardized float copy of the array, its slack and artificial
+    unit columns beside it, for the kernel adds only m x (m + 1) arrays and
+    a few vectors of length N."""
     cfg = float_class((1, 3, 3, 1, 2, 3, 2), SUM, (1,))
     program = build_pp_pne(cfg, build_representative(cfg.weights), None)
     tracemalloc.start()
