@@ -1,8 +1,8 @@
 """Linear programming with explicit duals.
 
 Self-contained primal simplex (two-phase, revised: an m x m basis
-inverse and one y @ W pricing product per pivot over the standard columns
-and their slack and artificial unit columns, no tableau) plus a
+inverse and one y @ W pricing product per float pivot over the standard
+columns and their slack and artificial unit columns, no tableau) plus a
 mechanical dualizer.  Two arithmetic backends share one kernel: float64
 numpy arrays, or object arrays of fractions.Fraction.  Every answer comes
 from one reader, _read, at the run's final basis: it solves B x_B = b and
