@@ -63,7 +63,7 @@ from .games import (
 )
 from .representative import RepresentativeModel, build_representative
 
-OPTIMAL = "OPTIMAL"
+OPTIMAL = lp.OPTIMAL
 INFINITE = "INFINITE"
 
 VALUE_RTOL = 1e-6
@@ -193,12 +193,11 @@ def _row_table(cfg: WorstCaseConfig, eq, val, nrm, designated) -> tuple:
     return None, rows
 
 
-def _primal(cfg: WorstCaseConfig, names, objective, rows, designated,
-            forms=None) -> lp.LinearProgram:
+def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.LinearProgram:
     """The program of a row table over the columns names (the v columns,
-    then t under max), with forms: each row's copies, then the objective's,
-    written by np.copyto straight into the program's coefficient array,
-    whose v entries of a row take the shape the copies broadcast to."""
+    then t under max): each row's copies, then the objective's, written
+    by np.copyto straight into the program's coefficient array, whose v
+    entries of a row take the shape the copies broadcast to."""
     tables = [c for _, _, _, c, _ in rows] + ([] if objective is None else [objective])
     # the first row, eq[0], spans the v columns' shape; every other row broadcasts to it
     shape = np.broadcast(*chain.from_iterable(tables[0])).shape
@@ -213,7 +212,7 @@ def _primal(cfg: WorstCaseConfig, names, objective, rows, designated,
         coefficients[:, size] = [t for _, _, _, _, t in rows] + [1]
     lp_rows = [lp.Row(rel, rhs, label) for label, rel, rhs, _, _ in rows]
     return lp.LinearProgram(lp.MAXIMIZE, names, lp_rows, coefficients,
-                            name=f"pp_max_d{designated}" if level else "pp_sum", forms=forms)
+                            name=f"pp_max_d{designated}" if level else "pp_sum")
 
 
 def _subset_sums(terms: np.ndarray, live: np.ndarray, has: np.ndarray) -> np.ndarray:
@@ -619,13 +618,13 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     designees = [None] if cfg.spec.kind == SUM else list(range(cfg.n))
     columns = _closed_form(cfg, rep)
     program = _primal(cfg, _ColumnNames(cfg, rep), *_row_table(cfg, *columns, designees[0]),
-                      designees[0], forms={})
+                      designees[0])
     variants = []
     for d in designees:
-        if d != designees[0]:  # the same array and forms: only the val rows' relations differ
-            rows = [lp.Row(rel, rhs, name) for name, rel, rhs, *_ in _row_table(cfg, *columns, d)[1]]
-            program = lp.LinearProgram(lp.MAXIMIZE, program.variables, rows, program.coefficients,
-                                       name=f"pp_max_d{d}", forms=program.forms)
+        if d != designees[0]:  # the same array; every row but val[d] is <=, as _row_table writes
+            rows = [row._replace(relation=lp.EQ if row.label == f"val[{d}]" else lp.LE)
+                    for row in program.rows]
+            program = replace(program, rows=rows, name=f"pp_max_d{d}")
         rp = lp.solve(program, exact)
         if rp.status == lp.UNBOUNDED:
             variants.append(VariantResult(d, INFINITE, None, None, {}, {}, rp.iterations,

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from collections.abc import Mapping, Sequence
 from typing import NamedTuple, Optional
 
@@ -90,8 +91,8 @@ class LinearProgram:
     variables given as a list or tuple are kept as a tuple and checked for
     duplicates; any other sequence is kept as it is, unread, so a program
     of many columns can name them on demand.  Programs compare by
-    identity; those that differ only in relations and objective may share
-    one forms dict, where _system keeps one standard form for them all."""
+    identity, and several may share one coefficient array, which no
+    solve writes to; each is standardized on its own."""
 
     sense: str
     variables: Sequence[str]
@@ -99,7 +100,6 @@ class LinearProgram:
     coefficients: np.ndarray
     bounds: Mapping[str, tuple] = field(default_factory=dict)
     name: str = "lp"
-    forms: Optional[dict] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.sense not in (MAXIMIZE, MINIMIZE):
@@ -216,7 +216,7 @@ class _Standardizer:
     declares no bounds keeps its columns as they are."""
 
     def __init__(self, lp: LinearProgram, exact: bool):
-        self.variables, self.bounds = lp.variables, lp.bounds  # not lp: lp.forms may hold this
+        self.variables, self.bounds = lp.variables, lp.bounds
         self.exact = exact
         self.dtype = object if exact else np.float64
         self.zero = Fraction(0) if exact else 0.0
@@ -299,42 +299,32 @@ _SLACK = {LE: 1, GE: -1, EQ: 0}
 
 
 def _system(lp: LinearProgram, exact: bool) -> _System:
-    shared = None if lp.forms is None else lp.forms.get(exact)
-    if shared is None:
-        std = _Standardizer(lp, exact)
-        m, n = len(lp.rows), std.ncols
-        standard = std.columns(_fractions(lp.coefficients) if exact else lp.coefficients, 2 * m)
-        A = standard[:m, :n]
-        b = np.array([_convert(r.rhs, True) if exact else r.rhs for r in lp.rows], dtype=std.dtype)
-        scale = np.full(len(b), std.one, dtype=std.dtype)
-        if lp.sense == MINIMIZE:
-            scale = -scale
-        if not exact:
-            # equilibrate: float tolerances are absolute, so rows must share a
-            # scale for them to mean anything
-            # max |a_ij| by row, without an |A| temporary the size of A
-            biggest = np.maximum(A.max(axis=1, initial=0.0), -A.min(axis=1, initial=0.0))
-            row_scale = 1.0 / np.where(biggest > 0, biggest, 1.0)
-            A *= row_scale[:, None]
-            b *= row_scale
-            scale *= row_scale
-        flip = b < 0
-        if flip.any():
-            A[flip] = -A[flip]
-            b[flip] = -b[flip]
-            scale[flip] = -scale[flip]
-        if lp.forms is not None:
-            lp.forms[exact] = std, standard, b, scale, flip
-    else:  # the system of a program that shares lp's forms: lp's objective replaces its own
-        std, standard, b, scale, flip = shared
-        m, n, objective = len(b), std.ncols, lp.coefficients[-1:]
-        standard[m:] = std.columns(_fractions(objective) if exact else objective, 2 * m)
+    std = _Standardizer(lp, exact)
+    m, n = len(lp.rows), std.ncols
+    standard = std.columns(_fractions(lp.coefficients) if exact else lp.coefficients, 2 * m)
     A, costs = standard[:m, :n], standard[m, :n]
+    b = np.array([_convert(r.rhs, True) if exact else r.rhs for r in lp.rows], dtype=std.dtype)
+    scale = np.full(len(b), std.one, dtype=std.dtype)
     if lp.sense == MINIMIZE:
         nz = np.flatnonzero(costs)
         costs[nz] = -costs[nz]
+        scale = -scale
+    if not exact:
+        # equilibrate: float tolerances are absolute, so rows must share a
+        # scale for them to mean anything
+        # max |a_ij| by row, without an |A| temporary the size of A
+        biggest = np.maximum(A.max(axis=1, initial=0.0), -A.min(axis=1, initial=0.0))
+        row_scale = 1.0 / np.where(biggest > 0, biggest, 1.0)
+        A *= row_scale[:, None]
+        b *= row_scale
+        scale *= row_scale
     slack = np.array([_SLACK[row.relation] for row in lp.rows], dtype=std.dtype)
-    slack[flip] = -slack[flip]
+    flip = b < 0
+    if flip.any():
+        A[flip] = -A[flip]
+        b[flip] = -b[flip]
+        scale[flip] = -scale[flip]
+        slack[flip] = -slack[flip]
     # a slack: +1 on a <= row, -1 on a >= row; an artificial on a >= or = row
     rows = np.arange(m)
     standard[rows, n + rows] = slack
@@ -747,12 +737,15 @@ def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9):
         gap = lhs - row.rhs
         checks.append((row.label, -gap if row.relation == GE else abs(gap) if row.relation == EQ
                        else gap))
-    for var, value in zip(lp.variables, x):
-        lo, hi = lp.bound(var)
-        label = f"bound[{var}]"
-        checks += [(label, (lo - value) if lo is not None else 0),
-                   (label, (value - hi) if hi is not None else 0)]
-    return fold_checks(checks, tol)
+    _, first, worst = fold_checks(checks, tol)
+    # each variable's violation below its bound, then above it
+    bounds = map(lp.bound, lp.variables) if lp.bounds else repeat(_NONNEG)
+    signs = [v for (lo, hi), value in zip(bounds, x)
+             for v in ((lo - value) if lo is not None else 0, (value - hi) if hi is not None else 0)]
+    _, sign, worst = fold_checks(enumerate(signs), tol, None, worst)  # its label, built alone
+    if first is None and sign is not None:
+        first = f"bound[{lp.variables[sign // 2]}]"
+    return first is None, first, worst
 
 
 def dual_violations(lp: LinearProgram, duals: Sequence) -> np.ndarray:

@@ -257,13 +257,12 @@ def _worst_cce(game, table: _CostTable, spec, epsilon, predicate, exact) -> CCER
     rows = [lp.Row(lp.LE, 0, f"cce[{i}][{x}]") for i, per in enumerate(game.model.strategies)
             for x in range(len(per))]
     rows.append(lp.Row(lp.EQ, 1, "mass"))
-    forms = {}  # the players' programs differ only in the objective: one standard form
 
     def run(player, name):
         values = (table.social_values(spec) if player is None
                   else _weighted_rows(spec.beta[player], table.costs).tolist())
         coefficients[-1] = [v or 0 for v in values]
-        program = lp.LinearProgram(lp.MAXIMIZE, variables, rows, coefficients, name=name, forms=forms)
+        program = lp.LinearProgram(lp.MAXIMIZE, variables, rows, coefficients, name=name)
         rep = lp.solve(program, exact=exact)
         if rep.status != lp.OPTIMAL:
             # the literal definition admits empty coarse sets when

@@ -36,7 +36,7 @@ from .games import (
 from .oracle import NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _CostTable, _ppoa, _worst_cce
 
 NOT_SMOOTHABLE = "NOT_SMOOTHABLE"
-OPTIMAL = "OPTIMAL"
+OPTIMAL = lp.OPTIMAL
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ Every function, class and module-level name that a poacert module defines
 is used again somewhere in the repository's Python code (src, tests,
 poabench, demos); a private (_-prefixed) one is used outside the tests
 (src, poabench, demos), so a path only tests take does not live in src.
-Every name a poacert module imports is used in that module.  A refactor
-that leaves a helper without callers, or an import without a use, fails
-here.
+Every name a poacert module imports is used in that module.  Every
+defaulted parameter of a private function or method (one whose own name
+begins with one _) is passed, by keyword or at its position, at some call
+outside the tests, so no knob stays that only its default sets.  A
+refactor that leaves a helper without callers, an import without a use or
+an option without a caller fails here.
 """
 
 import ast
@@ -107,3 +110,48 @@ def test_every_import_is_used_in_its_module(path):
     unused = sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
                     if name not in read)
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def _knobs(tree):
+    """(node, position, name) of every defaulted parameter of a function
+    or method whose own name begins with one _: its position among the
+    arguments a call passes (a method's self or cls is not one), or None
+    for a keyword-only one."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                not node.name.startswith("_") or node.name.startswith("__")):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        first = len(positional) - len(args.defaults)
+        for k, arg in enumerate(positional[first:], first):
+            yield node, k - bound, arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node, None, arg.arg
+
+
+def _passes(call, position, name):
+    """Whether a call passes a parameter: by keyword, at its position, or
+    through a * or ** argument that may hold it."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_private_knob_is_set_by_a_caller():
+    calls = {}
+    for top in PRODUCTION:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(_tree(path)):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    unset = sorted(f"{path.name}:{node.lineno} {node.name}({name}=...)"
+                   for path in _modules() for node, position, name in _knobs(_tree(path))
+                   if not any(_passes(call, position, name) for call in calls.get(node.name, ())))
+    assert not unset, "defaulted, and set by no caller: " + ", ".join(unset)

@@ -389,8 +389,9 @@ def test_designees_sharing_one_array_answer_as_alone(monkeypatch):
     report on build_pp_pne(cfg, rep, d) built and solved alone: value,
     certificate duals, primal, iterations, fallback and stats.  In float,
     the class writes one array (one _primal call), its designee programs
-    share that coefficients object, and every designee's _System holds one
-    standard array."""
+    share that coefficients object, and every designee's _System (standard
+    array, b, scale and slack) is bit for bit the one _system builds on
+    build_pp_pne(cfg, rep, d) alone."""
     from poacert import formulations
     from poacert.formulations import _certificate_name, _exact_config
 
@@ -420,11 +421,15 @@ def test_designees_sharing_one_array_answer_as_alone(monkeypatch):
         monkeypatch.undo()
         assert len(arrays) == 1 and len(programs) == cfg.n
         assert all(p.coefficients is arrays[0].coefficients for p in programs)
-        if not exact:
-            assert len(standards) == cfg.n
-            assert all(s.standard is standards[0].standard for s in standards)
         model = _exact_config(cfg) if exact else cfg
         rep = build_representative(model.weights)
+        if not exact:
+            assert len(standards) == cfg.n
+            for d, s in enumerate(standards):
+                alone = lp._system(build_pp_pne(cfg, rep, d), exact)
+                for a, b in ((s.standard, alone.standard), (s.b, alone.b),
+                             (s.scale, alone.scale), (s.slack, alone.slack)):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         for variant in result.variants:
             alone = lp.solve(build_pp_pne(model, rep, variant.designated), exact)
             duals = {_certificate_name(label): y for label, y in alone.duals.items()}
