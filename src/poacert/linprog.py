@@ -8,12 +8,16 @@ numpy arrays, or object arrays of fractions.Fraction.  Every answer comes
 from one reader, _read, at the run's final basis: it solves B x_B = b and
 B^T y = c_B with one inverse of the basic block and checks the point, the
 rows, the duals' signs and the dual rows, or at an UNBOUNDED stop the
-ray.  A float answer is read on the run's own equilibrated system and
-checked to RESIDUAL_TOL; an exact one reads the float run's basis on the
-program's rational data and checks it with tolerance 0, as QSopt_ex and
-SoPlex do.  A run whose reading fails, or that fails itself, is redone by
-the rational simplex, so SolverError means the rational run failed too;
-the solver never reports OPTIMAL on an inconclusive run.
+ray.  A float run works on the program with its rows, then its columns,
+each divided by its largest |a_ij|, so Dantzig's rule prices a column per
+unit of its edge's length at the slack basis, in the max norm.  A float
+answer is read on the run's own system, its point and dual rows taken
+back to the program's columns, and checked to RESIDUAL_TOL; an exact one
+reads the float run's basis on the program's rational data and checks it
+with tolerance 0, as QSopt_ex and SoPlex do.  A run whose reading fails,
+or that fails itself, is redone by the rational simplex, so SolverError
+means the rational run failed too; the solver never reports OPTIMAL on an
+inconclusive run.
 
 A program is stated as one coefficient array, rows by variables plus the
 objective as a last row, and that array is the one path into the kernel;
@@ -213,7 +217,8 @@ class _Standardizer:
 
     Variable j is column col[j], negated when it is nonpositive; a free
     variable is column col[j] minus column col[j] + 1.  A program that
-    declares no bounds keeps its columns as they are."""
+    declares no bounds keeps its columns as they are: column j is
+    variable j, and col, neg and free are not built."""
 
     def __init__(self, lp: LinearProgram, exact: bool):
         self.variables, self.bounds = lp.variables, lp.bounds
@@ -221,12 +226,11 @@ class _Standardizer:
         self.dtype = object if exact else np.float64
         self.zero = Fraction(0) if exact else 0.0
         self.one = Fraction(1) if exact else 1.0
-        nvars = len(lp.variables)
-        self.neg = np.zeros(nvars, dtype=bool)
-        self.free = np.zeros(nvars, dtype=bool)
-        self.col = np.arange(nvars, dtype=np.intp)
-        self.ncols = nvars
+        self.ncols = nvars = len(lp.variables)
         if lp.bounds:
+            self.neg = np.zeros(nvars, dtype=bool)
+            self.free = np.zeros(nvars, dtype=bool)
+            self.col = np.arange(nvars, dtype=np.intp)
             index = {v: j for j, v in enumerate(lp.variables)}
             self.neg[[index[v] for v, b in lp.bounds.items() if b == _NONPOS]] = True
             self.free[[index[v] for v, b in lp.bounds.items() if b == FREE]] = True
@@ -278,19 +282,24 @@ class _Standardizer:
 class _System(NamedTuple):
     """max costs'x over A x R b and x >= 0 with b >= 0, in one arithmetic:
     a program's standard form with every row of negative rhs negated and,
-    in float, every row equilibrated.  slack[i] is the sign of row i's
-    slack column: 1 on a <= row, -1 on a >= row, 0 on an = row (none).
-    A dual of row i here times scale[i] is the program's row dual.
-    standard holds every standard column, m by n + 2m, with the costs
-    below as its last row: A, then the unit column of the slack of row i
-    (n + i) and of its artificial (n + m + i), 0 where the row has none,
-    at cost 0.  A and costs are views of it."""
+    in float, equilibrated as LAPACK's dgeequ does: every row divided by
+    its largest |a_ij|, then every structural column, its cost included,
+    by its largest |a_ij| over those rows.  slack[i] is the sign of row
+    i's slack column: 1 on a <= row, -1 on a >= row, 0 on an = row
+    (none).  A dual of row i here times scale[i] is the program's row
+    dual, and a value of structural column j here times columns[j] is the
+    program's value (columns is None when exact).  standard holds every
+    standard column, m by n + 2m, with the costs below as its last row:
+    A, then the unit column of the slack of row i (n + i) and of its
+    artificial (n + m + i), 0 where the row has none, at cost 0.  A and
+    costs are views of it."""
 
     A: np.ndarray
     b: np.ndarray
     costs: np.ndarray
     slack: np.ndarray
     scale: np.ndarray
+    columns: Optional[np.ndarray]
     std: _Standardizer
     standard: np.ndarray
 
@@ -304,20 +313,24 @@ def _system(lp: LinearProgram, exact: bool) -> _System:
     standard = std.columns(_fractions(lp.coefficients) if exact else lp.coefficients, 2 * m)
     A, costs = standard[:m, :n], standard[m, :n]
     b = np.array([_convert(r.rhs, True) if exact else r.rhs for r in lp.rows], dtype=std.dtype)
-    scale = np.full(len(b), std.one, dtype=std.dtype)
+    if exact:
+        scale, columns = np.full(m, std.one, dtype=object), None
+    else:
+        # equilibrate: float tolerances are absolute, so rows must share a
+        # scale for them to mean anything; equal column scales let Dantzig's
+        # rule price each column per unit of its edge, as steepest edge does
+        # max |a_ij| by row, then by column, without an |A| temporary
+        biggest = np.maximum(A.max(axis=1, initial=0.0), -A.min(axis=1, initial=0.0))
+        scale = 1.0 / np.where(biggest > 0, biggest, 1.0)
+        A *= scale[:, None]
+        b *= scale
+        biggest = np.maximum(A.max(axis=0, initial=0.0), -A.min(axis=0, initial=0.0))
+        columns = 1.0 / np.where(biggest > 0, biggest, 1.0)
+        standard[:, :n] *= columns
     if lp.sense == MINIMIZE:
         nz = np.flatnonzero(costs)
         costs[nz] = -costs[nz]
         scale = -scale
-    if not exact:
-        # equilibrate: float tolerances are absolute, so rows must share a
-        # scale for them to mean anything
-        # max |a_ij| by row, without an |A| temporary the size of A
-        biggest = np.maximum(A.max(axis=1, initial=0.0), -A.min(axis=1, initial=0.0))
-        row_scale = 1.0 / np.where(biggest > 0, biggest, 1.0)
-        A *= row_scale[:, None]
-        b *= row_scale
-        scale *= row_scale
     slack = np.array([_SLACK[row.relation] for row in lp.rows], dtype=std.dtype)
     flip = b < 0
     if flip.any():
@@ -329,7 +342,7 @@ def _system(lp: LinearProgram, exact: bool) -> _System:
     rows = np.arange(m)
     standard[rows, n + rows] = slack
     standard[rows, n + m + rows] = np.where(slack <= 0, std.one, std.zero)
-    return _System(A, b, costs, slack, scale, std, standard)
+    return _System(A, b, costs, slack, scale, columns, std, standard)
 
 
 # ============================================================
@@ -355,7 +368,8 @@ class _Revised:
         self.width = n + m
         signs = system.slack.tolist()
         self.artificial = [int(s <= 0) for s in signs]
-        self.units = np.concatenate([system.slack, self.artificial])  # the unit block's diagonal
+        if std.exact:  # the unit block's diagonal, which prices the unit columns
+            self.units = np.concatenate([system.slack, self.artificial])
         # the first basis is the identity: each row's slack on a <= row, else its artificial
         self.basis = [n + i if s > 0 else n + m + i for i, s in enumerate(signs)]
         self.T = np.full((m, m + 1), std.zero, dtype=std.dtype)
@@ -433,11 +447,14 @@ class _Revised:
         basis.  Returns status string.
 
         Dantzig's rule enters the first column of most negative reduced
-        cost; after DEGENERATE_STREAK degenerate pivots in a row, Bland's
-        rule enters the first column below -tol.  ray_free callers
-        guarantee the objective is bounded, so a column with no admissible
-        pivot row is float dust, not a ray; it gets retired instead of
-        triggering an UNBOUNDED verdict.
+        cost: on a float system's equilibrated columns, steepest edge's
+        choice with its reference weights frozen at the slack basis
+        (Forrest and Goldfarb 1992), in the max norm.  After
+        DEGENERATE_STREAK degenerate pivots in a row, Bland's rule enters
+        the first column below -tol.  ray_free callers guarantee the
+        objective is bounded, so a column with no admissible pivot row is
+        float dust, not a ray; it gets retired instead of triggering an
+        UNBOUNDED verdict.
         """
         basic_costs = costs[self.basis]
         W, priced_costs = self.W[:, :width], costs[:width]  # the views every pricing reads
@@ -631,7 +648,7 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
         if exact and not stop.system.std.exact:
             raise SolverError("float phase 1 found no feasible point")
         return SolveReport(INFEASIBLE, None, {}, {}, stop.stats.pivots, exact, stats=stop.stats)
-    A, b, costs, slack, scale, std, standard = (
+    A, b, costs, slack, scale, columns, std, standard = (
         stop.system if stop.system.std.exact == exact else _system(lp, exact))
     m, n = A.shape
     zero, basis = std.zero, stop.basis
@@ -639,7 +656,7 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
     def name(j):
         if j >= n:
             return f"the slack of {lp.rows[j - n].label}"
-        return lp.variables[np.searchsorted(std.col, j, side="right") - 1]
+        return lp.variables[np.searchsorted(std.col, j, side="right") - 1 if lp.bounds else j]
 
     S = np.array([j for j in basis if j < n], dtype=np.intp)
     off = {(j - n) % m for j in basis if j >= n}  # basic slacks' and artificials' rows
@@ -649,11 +666,12 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
         raise SolverError("basis is singular")
     A_S = A[:, S]
     inverse = _inverse(A_S[R], exact)
-    x = inverse @ b[R]
-    tol = _tol(x, exact)
-    _check(-x, tol, lambda j: f"basic {name(S[j])} is {float(x[j]):.3g}")
+    x = inverse @ b[R]  # on the run's columns: x_S divided by their scales
+    point = x if columns is None else x * columns[S]
+    tol = _tol(point, exact)
+    _check(-point, tol, lambda j: f"basic {name(S[j])} is {float(point[j]):.3g}")
     # float dust within tol (and -0.0) read as 0: the point has x >= 0
-    x = np.maximum(x, zero)
+    x, point = np.maximum(x, zero), np.maximum(point, zero)
     excess = _violations(A_S @ x - b, slack, square)
     _check(excess, tol, lambda i: f"row {lp.rows[i].label} is violated by {float(excess[i]):.3g}")
 
@@ -678,11 +696,13 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
     _check(wrong, tol, lambda i: f"row dual of {lp.rows[i].label} has the wrong sign")
     y[wrong > 0] = zero  # float dust within tol: the duals are read with their signs
     short = costs - (_combination(A[R], y[R]) if exact else y @ A)
+    if columns is not None:
+        short /= columns  # the program's dual rows, each divided by its column's scale
     short[S] = abs(short[S])  # a basic column's dual row is tight
     _check(short, tol, lambda j: f"dual row {name(j)} is violated")
     sense_flip = -std.one if lp.sense == MINIMIZE else std.one
     value = sense_flip * (costs[S] @ x) + zero
-    return SolveReport(OPTIMAL, value if exact else float(value), std.recover(S, x),
+    return SolveReport(OPTIMAL, value if exact else float(value), std.recover(S, point),
                        dict(zip([row.label for row in lp.rows], (y * scale + zero).tolist())),
                        stop.stats.pivots, exact, stats=stop.stats)
 
@@ -754,10 +774,12 @@ def dual_violations(lp: LinearProgram, duals: Sequence) -> np.ndarray:
     variable of lp, in its order, as feasibility_report gives it on that
     row.  Each row's lhs is one _combination of the coefficient array's
     rows, and its rhs is the variable's objective coefficient."""
-    signs = _Standardizer(lp, exact=False)
     gap = _combination(lp.coefficients[:-1], duals) - lp.coefficients[-1]
     # the row of a >= 0 variable reads lhs >= c in the dual of a max
     # program and lhs <= c in that of a min program; <= 0 swaps them
+    if not lp.bounds:  # every variable is >= 0
+        return gap if lp.sense == MINIMIZE else -gap
+    signs = _Standardizer(lp, exact=False)
     viol = np.where(signs.neg ^ (lp.sense == MINIMIZE), gap, -gap)
     viol[signs.free] = abs(gap[signs.free])
     return viol

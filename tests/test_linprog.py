@@ -230,6 +230,45 @@ def test_float_tracks_exact():
         assert rf.value == pytest.approx(float(re.value), rel=VALUE_RTOL, abs=1e-9)
 
 
+@pytest.mark.parametrize("power", [-20, 20])
+def test_a_column_times_a_power_of_two_is_read_in_the_program_units(power):
+    """Beale's program, the 25 programs of test_float_tracks_exact and an
+    unbounded program, with one column times 2**power (the first variable
+    of the support, else the first column): the float solve keeps its
+    status and value, its point with that variable times 2**power is
+    feasible, the scaled variable's value moves by 2**-power when the
+    solve ends at the same support (one program has another optimal
+    vertex), and every row dual stays within RESIDUAL_TOL of 1 + max|y|.
+    The column pass undoes the factor, and _read unscales x_S and checks
+    the dual rows in the program's units."""
+    rng = random.Random(7)
+    ray = dict_program(MAXIMIZE, ["x", "y"], {"x": 1, "y": 1}, [({"x": 1, "y": -1}, LE, 1, "a")])
+    programs = [beale()] + [_random_feasible_lp(rng, m=3, n=4) for _ in range(25)] + [ray]
+    factor = F(2) ** power
+    same = 0
+    for program in programs:
+        before = solve(program)
+        v = next(iter(before.primal), program.variables[0])
+        coefficients = program.coefficients.copy()
+        coefficients[:, program.variables.index(v)] *= factor
+        after = solve(dataclasses.replace(program, coefficients=coefficients))
+        assert (after.status, after.fallback) == (before.status, before.fallback)
+        if before.status != OPTIMAL:
+            assert before.status == UNBOUNDED
+            continue
+        assert after.value == pytest.approx(before.value, rel=VALUE_RTOL)
+        point = {**after.primal, v: after.primal.get(v, 0) * factor}
+        assert feasibility_report(program, point, FEAS_ATOL)[0]
+        if set(after.primal) == set(before.primal):
+            same += 1
+            assert after.primal.get(v, 0) == pytest.approx(before.primal.get(v, 0) / factor,
+                                                           rel=VALUE_RTOL)
+        y = [before.duals[row.label] for row in program.rows]
+        moved = [abs(after.duals[row.label] - y_i) for row, y_i in zip(program.rows, y)]
+        assert max(moved) <= linprog.RESIDUAL_TOL * (1 + max(map(abs, y)))
+    assert before.status == UNBOUNDED and same >= 25
+
+
 class LoopPricing(linprog._Revised):
     """The simplex with its entering column chosen by a plain loop over
     the reduced costs: the reference for the array pricing of

@@ -9,6 +9,7 @@ size of their coefficient array.  The references are the full name list
 of test_mask_native and the expressions the code used before.
 """
 
+import itertools
 import random
 import sys
 import tracemalloc
@@ -28,15 +29,19 @@ from poacert.formulations import (
     vname,
 )
 from poacert.games import (
+    EQ1,
     MAX,
     SUM,
+    VERBATIM,
     BasisFunction,
     GameError,
     SocialSpec,
     identity_matrix,
 )
+from poacert.oracle import worst_cce
 from poacert.representative import build_representative
 from test_array_programs import designees, seeded_classes
+from test_cost_table import corpus
 from test_mask_native import reference_column_names
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "poabench"))
@@ -228,8 +233,10 @@ def _benchmark_programs():
 
 
 def test_equilibration_is_the_abs_max_bit_for_bit():
-    """_system's row scales, and so A and b, are byte-identical to those
-    of np.abs(A).max(axis=1), which built an |A| temporary."""
+    """_system's row scales, then its column scales over the equilibrated
+    rows, and so A, costs and b, are byte-identical to those of
+    np.abs(A).max(axis=1) and np.abs(...).max(axis=0), which built |A|
+    temporaries."""
     count = 0
     for program in _benchmark_programs():
         system = lp._system(program, False)
@@ -238,11 +245,37 @@ def test_equilibration_is_the_abs_max_bit_for_bit():
         biggest = np.abs(A).max(axis=1, initial=0.0)
         row_scale = 1.0 / np.where(biggest > 0, biggest, 1.0)
         b = np.array([float(row.rhs) for row in program.rows]) * row_scale
+        rows = A * row_scale[:, None]
+        biggest = np.abs(rows).max(axis=0, initial=0.0)
+        columns = 1.0 / np.where(biggest > 0, biggest, 1.0)
         assert system.scale.tobytes() == row_scale.tobytes()
-        assert system.A.tobytes() == (A * row_scale[:, None]).tobytes()
+        assert system.columns.tobytes() == columns.tobytes()
+        assert system.A.tobytes() == (rows * columns).tobytes()
+        assert system.costs.tobytes() == (forms[-1] * columns).tobytes()
         assert system.b.tobytes() == b.tobytes()
         count += 1
     assert count > 100
+
+
+def test_worst_cce_programs_keep_their_columns(monkeypatch):
+    """The column pass scales no column of a worst-CCE program: its mass
+    row of ones is every column's largest entry once each row is divided
+    by its own, so every column scale is exactly 1.0.  (A pass by the
+    2-norm would scale them, and grow the worst CCE's support.)"""
+    systems, build = [], lp._system
+
+    def built(program, exact):
+        systems.append(build(program, exact))
+        return systems[-1]
+
+    monkeypatch.setattr(lp, "_system", built)
+    for _, game, specs in corpus(False):
+        for spec, predicate in itertools.product(specs, (EQ1, VERBATIM)):
+            worst_cce(game, spec, 0, predicate)
+    monkeypatch.undo()
+    assert len(systems) > 50
+    for system in systems:
+        assert system.columns.tolist() == [1.0] * system.A.shape[1]
 
 
 def _peak(call):
