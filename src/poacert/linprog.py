@@ -307,6 +307,13 @@ class _System(NamedTuple):
 _SLACK = {LE: 1, GE: -1, EQ: 0}
 
 
+def _equilibrator(A: np.ndarray, axis: int) -> np.ndarray:
+    """1 / max |a_ij| along axis, 1 where that is 0, without an |A|
+    temporary the size of A."""
+    biggest = np.maximum(A.max(axis=axis, initial=0.0), -A.min(axis=axis, initial=0.0))
+    return 1.0 / np.where(biggest > 0, biggest, 1.0)
+
+
 def _system(lp: LinearProgram, exact: bool) -> _System:
     std = _Standardizer(lp, exact)
     m, n = len(lp.rows), std.ncols
@@ -317,15 +324,13 @@ def _system(lp: LinearProgram, exact: bool) -> _System:
         scale, columns = np.full(m, std.one, dtype=object), None
     else:
         # equilibrate: float tolerances are absolute, so rows must share a
-        # scale for them to mean anything; equal column scales let Dantzig's
-        # rule price each column per unit of its edge, as steepest edge does
-        # max |a_ij| by row, then by column, without an |A| temporary
-        biggest = np.maximum(A.max(axis=1, initial=0.0), -A.min(axis=1, initial=0.0))
-        scale = 1.0 / np.where(biggest > 0, biggest, 1.0)
+        # scale for them to mean anything; columns of largest entry 1 let
+        # Dantzig's rule price each one per unit of its edge at the slack
+        # basis, as steepest edge does there
+        scale = _equilibrator(A, axis=1)
         A *= scale[:, None]
         b *= scale
-        biggest = np.maximum(A.max(axis=0, initial=0.0), -A.min(axis=0, initial=0.0))
-        columns = 1.0 / np.where(biggest > 0, biggest, 1.0)
+        columns = _equilibrator(A, axis=0)
         standard[:, :n] *= columns
     if lp.sense == MINIMIZE:
         nz = np.flatnonzero(costs)

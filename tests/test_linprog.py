@@ -560,6 +560,28 @@ def test_certify_checks_the_basis_exactly(program, basis, entering, check, exact
                                            {"cap": F(3), "labor": F(0)})
 
 
+@pytest.mark.parametrize("excess, refused", [(1e-6, False), (1e-5, True)])
+def test_float_dual_rows_are_checked_in_the_program_units(excess, refused):
+    """Prod-mix with y's column times 2**-20 and y's cost above its dual
+    row by excess, read at the basis of x and labor's slack: the float
+    reading refuses the basis exactly when y's dual row, as
+    dual_violations gives it, is violated by more than RESIDUAL_TOL of
+    1 + max|y| (here 4e-6).  On the run's system y's column is divided by
+    its largest entry, 3 * 2**-20, and its dual row with it."""
+    program = lp_prod_mix()
+    program.coefficients[:, 1] *= F(1, 2**20)
+    program.coefficients[-1, 1] = F(3, 2**20) + excess
+    stop = linprog._Stop(OPTIMAL, [0, 3], None, linprog._system(program, False),
+                         linprog.KernelStats())
+    tol = linprog.RESIDUAL_TOL * (1 + 3)  # y = (3, 0)
+    assert (max(dual_violations(program, [3, 0])) > tol) is refused
+    if refused:
+        with pytest.raises(SolverError, match="dual row y is violated"):
+            linprog._read(program, stop, False)
+    else:
+        assert linprog._read(program, stop, False).value == 12
+
+
 def test_iterations_count_the_float_and_the_rational_pivots(monkeypatch):
     program = beale()
     pivots = [linprog._simplex(program, exact).iterations for exact in (False, True)]
