@@ -11,13 +11,14 @@ rows, the duals' signs and the dual rows, or at an UNBOUNDED stop the
 ray.  A float run works on the program with its rows, then its columns,
 each divided by its largest |a_ij|, so Dantzig's rule prices a column per
 unit of its edge's length at the slack basis, in the max norm.  A float
-answer is read on the run's own system, its point and dual rows taken
-back to the program's columns, and checked to RESIDUAL_TOL; an exact one
-reads the float run's basis on the program's rational data and checks it
-with tolerance 0, as QSopt_ex and SoPlex do.  A run whose reading fails,
-or that fails itself, is redone by the rational simplex, so SolverError
-means the rational run failed too; the solver never reports OPTIMAL on an
-inconclusive run.
+answer is read and checked on the run's own system, dual rows included,
+to RESIDUAL_TOL, and only its point is taken back to the program's
+columns; an exact one reads the float run's basis on the program's
+rational data, every row and column scale 1, and checks it with
+tolerance 0, as QSopt_ex and SoPlex do.  A run whose reading fails, or
+that fails itself, is redone by the rational simplex, so SolverError
+means the rational run failed too; the solver never reports OPTIMAL on
+an inconclusive run.
 
 A program is stated as one coefficient array, rows by variables plus the
 objective as a last row, and that array is the one path into the kernel;
@@ -31,7 +32,9 @@ Conventions
 -----------
 * Rows are labeled; relations are "<=", "=", ">=".
 * Every variable is >= 0 (the default bound (0, None)), <= 0 (bound
-  (None, 0)) or free (FREE); any other bound is a ValueError.
+  (None, 0)) or free (FREE); any other bound is a ValueError.  In
+  standard form variable j is column j, negated when it is <= 0, and the
+  negative part of each free variable is a column after all of them.
 * Dual values follow the textbook convention for the stated sense:
   for a MAX program, "<=" rows get duals >= 0, ">=" rows get duals <= 0,
   "=" rows are free; for a MIN program the signs swap.  sum(dual_i *
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from collections.abc import Mapping, Sequence
 from typing import NamedTuple, Optional
 
@@ -215,68 +217,53 @@ def _fractions(coefficients: np.ndarray) -> np.ndarray:
 class _Standardizer:
     """Rewrites an LP into max c'x, Ax R b, x >= 0 and maps solutions back.
 
-    Variable j is column col[j], negated when it is nonpositive; a free
-    variable is column col[j] minus column col[j] + 1.  A program that
-    declares no bounds keeps its columns as they are: column j is
-    variable j, and col, neg and free are not built."""
+    Variable j is standard column j, negated when it is <= 0, and the k-th
+    free variable, in variable order, is column j minus column nvars + k.
+    neg and free are the sorted indices of the <= 0 and the free
+    variables, both empty for a program that declares no bounds."""
 
     def __init__(self, lp: LinearProgram, exact: bool):
-        self.variables, self.bounds = lp.variables, lp.bounds
-        self.exact = exact
+        self.variables, self.exact = lp.variables, exact
         self.dtype = object if exact else np.float64
         self.zero = Fraction(0) if exact else 0.0
         self.one = Fraction(1) if exact else 1.0
-        self.ncols = nvars = len(lp.variables)
-        if lp.bounds:
-            self.neg = np.zeros(nvars, dtype=bool)
-            self.free = np.zeros(nvars, dtype=bool)
-            self.col = np.arange(nvars, dtype=np.intp)
+        self.nvars = len(lp.variables)
+        self.neg, self.free = [], []
+        if lp.bounds:  # the names of a program without bounds are never read
             index = {v: j for j, v in enumerate(lp.variables)}
-            self.neg[[index[v] for v, b in lp.bounds.items() if b == _NONPOS]] = True
-            self.free[[index[v] for v, b in lp.bounds.items() if b == FREE]] = True
-            self.col += np.cumsum(self.free) - self.free
-            self.ncols += int(self.free.sum())
+            self.neg, self.free = (sorted(index[v] for v, b in lp.bounds.items() if b == sign)
+                                   for sign in (_NONPOS, FREE))
+        self.ncols = self.nvars + len(self.free)
 
     def columns(self, coefficients: np.ndarray, extra: int = 0) -> np.ndarray:
         """A coefficient array over the standard columns, in the run's
         arithmetic, then extra columns of 0: its float64 values, with
         every zero +0.0; an exact run takes the array of Fractions that
         _fractions gives.  The values are written once, into the array
-        returned."""
+        returned, then negated column by column as 0 - a (+0.0 stays)."""
         out = np.full((len(coefficients), self.ncols + extra), self.zero, dtype=self.dtype)
-        if not self.bounds:
-            if self.exact:
-                out[:, :self.ncols] = coefficients
-            else:  # -0.0 + 0.0 is 0.0; an object array's entries are read by float()
-                np.add(coefficients.astype(np.float64, copy=False), 0.0, out=out[:, :self.ncols])
-            return out
-        out[:, self.col] = coefficients
-        out[:, self.col[self.neg]] *= -1
-        out[:, self.col[self.free] + 1] = -out[:, self.col[self.free]]
-        if not self.exact:
-            out += 0.0
+        if self.exact:
+            out[:, :self.nvars] = coefficients
+        else:  # -0.0 + 0.0 is 0.0; an object array's entries are read by float()
+            np.add(coefficients.astype(np.float64, copy=False), 0.0, out=out[:, :self.nvars])
+        for j in self.neg:
+            out[:, j] = self.zero - out[:, j]
+        for k, j in enumerate(self.free, self.nvars):
+            out[:, k] = self.zero - out[:, j]
         return out
 
     def recover(self, columns: np.ndarray, values: np.ndarray) -> dict:
         """The nonzero variables, in variable order, of the program's point
         at which the standard columns hold values and every other column
         0; only their names are read."""
-        if not self.bounds:  # column j is variable j
-            return {self.variables[j]: x for j, x in sorted(zip(columns.tolist(), values.tolist()))
-                    if x}
-        at = dict(zip(columns.tolist(), values.tolist()))
-        used = np.searchsorted(self.col, [c for c, x in at.items() if x], side="right") - 1
-        point = {}
-        for v in sorted(set(used.tolist())):
-            c = int(self.col[v])
-            value = at.get(c, self.zero)
-            if self.neg[v]:
-                value = self.zero - value
-            if self.free[v]:
-                value -= at.get(c + 1, self.zero)
-            if value:
-                point[self.variables[v]] = value
-        return point
+        negated, point = set(self.neg), {}
+        for c, x in zip(columns.tolist(), values.tolist()):
+            if c >= self.nvars:  # a free variable's negative part
+                c, x = self.free[c - self.nvars], self.zero - x
+            elif c in negated:
+                x = self.zero - x
+            point[c] = point.get(c, self.zero) + x
+        return {self.variables[j]: x for j, x in sorted(point.items()) if x}
 
 
 class _System(NamedTuple):
@@ -287,19 +274,19 @@ class _System(NamedTuple):
     by its largest |a_ij| over those rows.  slack[i] is the sign of row
     i's slack column: 1 on a <= row, -1 on a >= row, 0 on an = row
     (none).  A dual of row i here times scale[i] is the program's row
-    dual, and a value of structural column j here times columns[j] is the
-    program's value (columns is None when exact).  standard holds every
-    standard column, m by n + 2m, with the costs below as its last row:
-    A, then the unit column of the slack of row i (n + i) and of its
-    artificial (n + m + i), 0 where the row has none, at cost 0.  A and
-    costs are views of it."""
+    dual, a value of structural column j here times columns[j] is that
+    standard column's value (each scale is 1 when exact), and dual rows
+    are checked here.  standard holds every standard column, m by n + 2m,
+    with the costs below as its last row: A, then the unit column of the
+    slack of row i (n + i) and of its artificial (n + m + i), 0 where the
+    row has none, at cost 0.  A and costs are views of it."""
 
     A: np.ndarray
     b: np.ndarray
     costs: np.ndarray
     slack: np.ndarray
     scale: np.ndarray
-    columns: Optional[np.ndarray]
+    columns: np.ndarray
     std: _Standardizer
     standard: np.ndarray
 
@@ -321,7 +308,7 @@ def _system(lp: LinearProgram, exact: bool) -> _System:
     A, costs = standard[:m, :n], standard[m, :n]
     b = np.array([_convert(r.rhs, True) if exact else r.rhs for r in lp.rows], dtype=std.dtype)
     if exact:
-        scale, columns = np.full(m, std.one, dtype=object), None
+        scale, columns = np.full(m, std.one, dtype=object), np.full(n, std.one, dtype=object)
     else:
         # equilibrate: float tolerances are absolute, so rows must share a
         # scale for them to mean anything; columns of largest entry 1 let
@@ -661,7 +648,7 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
     def name(j):
         if j >= n:
             return f"the slack of {lp.rows[j - n].label}"
-        return lp.variables[np.searchsorted(std.col, j, side="right") - 1 if lp.bounds else j]
+        return lp.variables[j if j < std.nvars else std.free[j - std.nvars]]
 
     S = np.array([j for j in basis if j < n], dtype=np.intp)
     off = {(j - n) % m for j in basis if j >= n}  # basic slacks' and artificials' rows
@@ -672,7 +659,7 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
     A_S = A[:, S]
     inverse = _inverse(A_S[R], exact)
     x = inverse @ b[R]  # on the run's columns: x_S divided by their scales
-    point = x if columns is None else x * columns[S]
+    point = x * columns[S]
     tol = _tol(point, exact)
     _check(-point, tol, lambda j: f"basic {name(S[j])} is {float(point[j]):.3g}")
     # float dust within tol (and -0.0) read as 0: the point has x >= 0
@@ -701,8 +688,6 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
     _check(wrong, tol, lambda i: f"row dual of {lp.rows[i].label} has the wrong sign")
     y[wrong > 0] = zero  # float dust within tol: the duals are read with their signs
     short = costs - (_combination(A[R], y[R]) if exact else y @ A)
-    if columns is not None:
-        short /= columns  # the program's dual rows, each divided by its column's scale
     short[S] = abs(short[S])  # a basic column's dual row is tight
     _check(short, tol, lambda j: f"dual row {name(j)} is violated")
     sense_flip = -std.one if lp.sense == MINIMIZE else std.one
@@ -763,11 +748,15 @@ def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9):
         checks.append((row.label, -gap if row.relation == GE else abs(gap) if row.relation == EQ
                        else gap))
     _, first, worst = fold_checks(checks, tol)
-    # each variable's violation below its bound, then above it
-    bounds = map(lp.bound, lp.variables) if lp.bounds else repeat(_NONNEG)
-    signs = [v for (lo, hi), value in zip(bounds, x)
-             for v in ((lo - value) if lo is not None else 0, (value - hi) if hi is not None else 0)]
-    _, sign, worst = fold_checks(enumerate(signs), tol, None, worst)  # its label, built alone
+    # each variable's violation below its bound, then above it, folded by
+    # index: the label of the first one past tol is built alone
+    std = _Standardizer(lp, exact=False)
+    signs = [v for value in x for v in (0 - value, 0)]
+    for j in std.neg:
+        signs[2 * j], signs[2 * j + 1] = 0, x[j] - 0
+    for j in std.free:
+        signs[2 * j] = 0
+    _, sign, worst = fold_checks(enumerate(signs), tol, None, worst)
     if first is None and sign is not None:
         first = f"bound[{lp.variables[sign // 2]}]"
     return first is None, first, worst
@@ -782,11 +771,12 @@ def dual_violations(lp: LinearProgram, duals: Sequence) -> np.ndarray:
     gap = _combination(lp.coefficients[:-1], duals) - lp.coefficients[-1]
     # the row of a >= 0 variable reads lhs >= c in the dual of a max
     # program and lhs <= c in that of a min program; <= 0 swaps them
-    if not lp.bounds:  # every variable is >= 0
-        return gap if lp.sense == MINIMIZE else -gap
-    signs = _Standardizer(lp, exact=False)
-    viol = np.where(signs.neg ^ (lp.sense == MINIMIZE), gap, -gap)
-    viol[signs.free] = abs(gap[signs.free])
+    viol = gap if lp.sense == MINIMIZE else -gap
+    std = _Standardizer(lp, exact=False)
+    for j in std.neg:
+        viol[j] = -viol[j]
+    for j in std.free:
+        viol[j] = abs(gap[j])
     return viol
 
 

@@ -102,10 +102,10 @@ class RepresentativeModel:
         return (p, q) if _head(p) + _tail(q) == resource else None
 
 
-def build_representative(weights, cap: int = PLAYER_CAP) -> RepresentativeModel:
+def build_representative(weights) -> RepresentativeModel:
     n = len(weights)
-    if n > cap:
-        raise GameError(f"{n} players would need {4**n} resources (cap {cap})")
+    if n > PLAYER_CAP:
+        raise GameError(f"{n} players would need {4**n} resources (cap {PLAYER_CAP})")
     check_weights(weights)
     return RepresentativeModel(
         weights=tuple(weights),

@@ -125,6 +125,36 @@ def dict_program(sense, variables, objective, rows, bounds=None, name="lp"):
     return lp.LinearProgram(sense, variables, lp_rows, coefficients, bounds or {}, name)
 
 
+def assert_standard_round_trip(program, rng):
+    """Check the standard layout at a seeded point of a program, Fractions
+    that keep each variable's sign class: the standard point holds
+    variable j at column j, negated when it is <= 0, and the k-th free
+    variable's positive part at column j and its negative part at column
+    len(variables) + k.  The standard columns times it are the
+    coefficient array times the point, row by row, and recover, given its
+    support in reverse, gives back the point's nonzero entries in
+    variable order."""
+    std = lp._Standardizer(program, True)
+    values, s, k = [], [F(0)] * std.ncols, len(program.variables)
+    for j, v in enumerate(program.variables):
+        x = F(rng.randint(0, 8), 4)
+        if program.bound(v) == lp.FREE:  # x in one of its two parts
+            s[j if rng.random() < 0.5 else k] = x
+            values.append(s[j] - s[k])
+            k += 1
+        else:
+            s[j] = x
+            values.append(-x if program.bound(v) == (None, 0) else x)
+    assert k == std.ncols
+    coefficients = lp._fractions(program.coefficients)
+    s = np.array(s, dtype=object)
+    assert (std.columns(coefficients) @ s).tolist() == (
+        coefficients @ np.array(values, dtype=object)).tolist()
+    support = np.flatnonzero(s)[::-1]
+    assert list(std.recover(support, s[support]).items()) == [
+        (v, x) for v, x in zip(program.variables, values) if x]
+
+
 def assert_certified(program, report):
     """report, an exact solve of program, has the status and value of a
     cold rational simplex run, and an OPTIMAL one passes

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import dict_program, nonzeros, same_program, seeded
+from conftest import assert_standard_round_trip, dict_program, nonzeros, same_program, seeded
 from poacert import linprog as lp
 from poacert.formulations import (
     WorstCaseConfig,
@@ -186,6 +186,14 @@ def test_array_program_solves_as_its_dict_twin():
         assert same_program(lp.dualize(as_array), lp.dualize(as_dicts))
         statuses.add(report.status)
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+
+
+def test_standard_columns_round_trip_a_point():
+    """On the array corpus, float and exact, the standard columns and
+    recover agree with the layout at a point of each program."""
+    rng = random.Random(32)
+    for case in range(120):
+        assert_standard_round_trip(_random_program(rng, case % 2 == 1)[1], rng)
 
 
 def test_dual_violations_are_the_rows_of_dualize():

@@ -155,3 +155,27 @@ def test_every_private_knob_is_set_by_a_caller():
                    for path in _modules() for node, position, name in _knobs(_tree(path))
                    if not any(_passes(call, position, name) for call in calls.get(node.name, ())))
     assert not unset, "defaulted, and set by no caller: " + ", ".join(unset)
+
+
+def _attribute_reads(tree, attr, scope=""):
+    """(scope, line) of every read of the attribute attr in a tree, scope
+    being the dotted names of the classes and functions around it."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}".lstrip(".")
+        elif isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load):
+            yield scope, node.lineno
+        yield from _attribute_reads(node, attr, inner)
+
+
+def test_sign_classes_are_read_through_one_map():
+    """In linprog a program's bounds are read only by LinearProgram and
+    _Standardizer.__init__; every other reader of a variable's sign class
+    reads the standardizer's neg and free lists, so the map from variables
+    to standard columns is written once."""
+    allowed = ("LinearProgram", "_Standardizer.__init__")
+    reads = [f"linprog.py:{line} {scope}"
+             for scope, line in _attribute_reads(_tree(PACKAGE / "linprog.py"), "bounds")
+             if not any(scope == a or scope.startswith(a + ".") for a in allowed)]
+    assert not reads, "bounds read outside the standardizer: " + ", ".join(reads)

@@ -8,7 +8,14 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import assert_certified, dict_program, g1, g1_spec, nonzeros
+from conftest import (
+    assert_certified,
+    assert_standard_round_trip,
+    dict_program,
+    g1,
+    g1_spec,
+    nonzeros,
+)
 from poacert import linprog, oracle
 from poacert.linprog import (
     EQ,
@@ -239,8 +246,8 @@ def test_a_column_times_a_power_of_two_is_read_in_the_program_units(power):
     feasible, the scaled variable's value moves by 2**-power when the
     solve ends at the same support (one program has another optimal
     vertex), and every row dual stays within RESIDUAL_TOL of 1 + max|y|.
-    The column pass undoes the factor, and _read unscales x_S and checks
-    the dual rows in the program's units."""
+    The column pass undoes the factor, so _read unscales x_S and checks
+    the dual rows on the run's system, where the factor is gone."""
     rng = random.Random(7)
     ray = dict_program(MAXIMIZE, ["x", "y"], {"x": 1, "y": 1}, [({"x": 1, "y": -1}, LE, 1, "a")])
     programs = [beale()] + [_random_feasible_lp(rng, m=3, n=4) for _ in range(25)] + [ray]
@@ -560,26 +567,25 @@ def test_certify_checks_the_basis_exactly(program, basis, entering, check, exact
                                            {"cap": F(3), "labor": F(0)})
 
 
-@pytest.mark.parametrize("excess, refused", [(1e-6, False), (1e-5, True)])
-def test_float_dual_rows_are_checked_in_the_program_units(excess, refused):
+@pytest.mark.parametrize("excess, value", [(1e-6, 13.048576), (1e-5, 26.97152)])
+def test_float_dual_rows_are_checked_on_the_run_system(excess, value):
     """Prod-mix with y's column times 2**-20 and y's cost above its dual
-    row by excess, read at the basis of x and labor's slack: the float
-    reading refuses the basis exactly when y's dual row, as
-    dual_violations gives it, is violated by more than RESIDUAL_TOL of
-    1 + max|y| (here 4e-6).  On the run's system y's column is divided by
-    its largest entry, 3 * 2**-20, and its dual row with it."""
+    row by excess, read at the basis of x and labor's slack (x = 4, value
+    12).  On the run's system y's column is divided by its largest entry,
+    3 * 2**-20, and its dual row with it, so the float reading refuses the
+    basis at both excesses, though at 1e-6 the program's own dual row, as
+    dual_violations gives it, is within RESIDUAL_TOL of 1 + max|y| (here
+    4e-6).  solve goes on to the optimum, where y is basic."""
     program = lp_prod_mix()
     program.coefficients[:, 1] *= F(1, 2**20)
     program.coefficients[-1, 1] = F(3, 2**20) + excess
     stop = linprog._Stop(OPTIMAL, [0, 3], None, linprog._system(program, False),
                          linprog.KernelStats())
     tol = linprog.RESIDUAL_TOL * (1 + 3)  # y = (3, 0)
-    assert (max(dual_violations(program, [3, 0])) > tol) is refused
-    if refused:
-        with pytest.raises(SolverError, match="dual row y is violated"):
-            linprog._read(program, stop, False)
-    else:
-        assert linprog._read(program, stop, False).value == 12
+    assert (max(dual_violations(program, [3, 0])) > tol) is (excess > 1e-6)
+    with pytest.raises(SolverError, match="dual row y is violated"):
+        linprog._read(program, stop, False)
+    assert solve(program).value == pytest.approx(value, rel=VALUE_RTOL)
 
 
 def test_iterations_count_the_float_and_the_rational_pivots(monkeypatch):
@@ -793,3 +799,34 @@ def test_feasibility_report_matches_a_reference_loop():
             if not got[0]:
                 firsts.add(got[1][0])
     assert firsts == {"r", "b"}
+
+
+def test_standard_columns_round_trip_a_point():
+    """On seeded programs over >= 0, <= 0 and free variables in float,
+    Fraction and int arithmetic, drawn as the feasibility corpus is, the
+    standard columns and recover agree with the layout at a point of each
+    program."""
+    rng = random.Random(32)
+    for case in range(150):
+        n, m = rng.randint(1, 4), rng.randint(0, 4)
+        names = [f"x{j}" for j in range(n)]
+        bounds = {v: rng.choice((FREE, (None, 0))) for v in names if rng.random() < 0.6}
+        num = [lambda c: c / 4, lambda c: F(c, 4), lambda c: c][case % 3]
+        rows = [({v: num(rng.randint(-4, 4)) for v in names if rng.random() < 0.8},
+                 rng.choice((LE, GE, EQ)), num(rng.randint(-4, 4)), f"r{i}")
+                for i in range(m)]
+        objective = {v: num(rng.randint(-4, 4)) for v in names}
+        assert_standard_round_trip(dict_program(MAXIMIZE, names, objective, rows, bounds), rng)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_refusal_names_the_free_variable_of_a_negative_part(exact):
+    """x and y are free around a >= 0, so x's negative part is standard
+    column 3, after all three variables.  A basis of that column alone
+    puts it at -1 on the row x + a + y = 1, and the reading names x."""
+    program = dict_program(MAXIMIZE, ["x", "a", "y"], {},
+                           [({"x": 1, "a": 1, "y": 1}, EQ, 1, "r")], {"x": FREE, "y": FREE})
+    stop = linprog._Stop(OPTIMAL, [3], None, linprog._system(program, False),
+                         linprog.KernelStats())
+    with pytest.raises(SolverError, match="^basic x is -1$"):
+        linprog._read(program, stop, exact)

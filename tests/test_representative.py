@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import AA, AB, BA, BB, g1
+from poacert import representative
 from poacert.games import GameError, congestion
 from poacert.representative import build_representative, map_profile_pair
 
@@ -57,12 +58,13 @@ def test_weights_preserved():
     assert rep.model.weights == (F(1), F(3, 2))
 
 
-def test_player_cap():
+def test_player_cap(monkeypatch):
     with pytest.raises(GameError):
         build_representative((1,) * 11)
-    # explicit cap overrides the default
-    with pytest.raises(GameError):
-        build_representative((1, 1, 1), cap=2)
+    # the cap is read when the model is built
+    monkeypatch.setattr(representative, "PLAYER_CAP", 2)
+    with pytest.raises(GameError, match=r"3 players would need 64 resources \(cap 2\)"):
+        build_representative((1, 1, 1))
 
 
 def test_map_profile_pair_canonical_cases():

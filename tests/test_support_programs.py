@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poacert import formulations
+from poacert import formulations, smoothness
 from poacert import linprog as lp
 from poacert.formulations import (
     WorstCaseConfig,
@@ -276,6 +276,47 @@ def test_worst_cce_programs_keep_their_columns(monkeypatch):
     assert len(systems) > 50
     for system in systems:
         assert system.columns.tolist() == [1.0] * system.A.shape[1]
+
+
+def _interleaved(program, coefficients, extra):
+    """The standard columns of a float program in the layout that placed
+    each free variable's negative part right after it: variable by
+    variable, its column, negated when it is <= 0, then a free one's
+    negative part; every zero +0.0, then extra columns of 0."""
+    source, negated = [], []
+    for j in range(coefficients.shape[1]):
+        bound = program.bound(program.variables[j]) if program.bounds else (0, None)
+        source.append(j)
+        negated.append(bound == (None, 0))
+        if bound == lp.FREE:
+            source.append(j)
+            negated.append(True)
+    negated = np.flatnonzero(negated)
+    out = np.zeros((len(coefficients), len(source) + extra))
+    out[:, :len(source)] = coefficients.astype(np.float64)[:, source] + 0.0
+    out[:, negated] = 0.0 - out[:, negated]
+    return out
+
+
+def test_benchmark_systems_keep_the_interleaved_layout(monkeypatch):
+    """The float system of every benchmark program, the pure-equilibrium
+    programs and each game-audit smooth_probe_dual at seed 2026, is byte
+    for byte the one built from the interleaved layout: those programs
+    declare no bounds, or one free variable, their last."""
+    jobs, _ = workloads.prepare("game-audit", 2026)
+    duals, ratio_dual = [], smoothness._ratio_dual
+    monkeypatch.setattr(smoothness, "_ratio_dual",
+                        lambda *args: duals.append(ratio_dual(*args)) or duals[-1])
+    for job in jobs:
+        smoothness.robust_poa(job.game, job.spec)
+    monkeypatch.undo()
+    assert len(duals) == len(jobs)
+    for program in itertools.chain(_benchmark_programs(), duals):
+        standard = lp._system(program, False).standard
+        monkeypatch.setattr(lp._Standardizer, "columns", lambda std, coefficients, extra=0:
+                            _interleaved(program, coefficients, extra))
+        assert lp._system(program, False).standard.tobytes() == standard.tobytes()
+        monkeypatch.undo()
 
 
 def _peak(call):
