@@ -26,8 +26,15 @@ table = [[1, 1], [1, 3], [3, 2]]
 program = lp.LinearProgram(lp.MAXIMIZE, ["x", "y"], rows,
                            np.array(table, dtype=np.float64), name="tiny")
 
+
+def by_name(program, point):
+    """A solve's point is keyed by position, j for program.variables[j]
+    (absent means 0); the names are put on at the edge, for printing."""
+    return {program.variables[j]: x for j, x in point.items()}
+
+
 rep = lp.solve(program)
-print(f"float solve:    value {rep.value}, point {rep.primal}")
+print(f"float solve:    value {rep.value}, point {by_name(program, rep.primal)}")
 print(f"row duals:      {rep.duals}")
 
 exact = lp.LinearProgram(
@@ -38,7 +45,7 @@ exact = lp.LinearProgram(
     name="tiny",
 )
 rex = lp.solve(exact, exact=True)
-print(f"rational solve: value {rex.value}, point {rex.primal}")
+print(f"rational solve: value {rex.value}, point {by_name(exact, rex.primal)}")
 
 dual = lp.dualize(program)
 red = lp.solve(dual)

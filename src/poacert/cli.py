@@ -363,8 +363,8 @@ def cmd_selftest(args) -> int:
         wit = lemma1_witness(cfg, rep)
         pp = build_pp_pne(cfg, rep, wit.designated)
         feas, label, viol = lp.feasibility_report(pp, wit.values, FEAS_TOL)
-        objective = dict(zip(pp.variables, pp.coefficients[-1].tolist()))
-        obj = sum(objective[v] * x for v, x in wit.values.items())
+        objective = pp.coefficients[-1][list(wit.values)].tolist()
+        obj = sum(c * x for c, x in zip(objective, wit.values.values()))
         record(f"{tag} witness", feas and abs(obj - 1) <= FEAS_TOL,
                f"objective {obj}, worst violation {viol}")
         if result.status == INFINITE:

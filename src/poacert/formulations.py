@@ -25,18 +25,20 @@ players under each profile and under o (_coarse_parts), the extension
 argument itself.  _row_table lays out the rows of both as copies of
 factor slices that broadcast over the columns, and _primal writes each
 row straight into a LinearProgram's coefficient array, with no array of
-a row's entries built first and no name per entry.  The representative
-program names its columns on demand (_ColumnNames), so a solve formats
-only the names of its support, and nothing here reads rep.model.
+a row's entries built first and no name per entry.  A point of the
+representative program is keyed by position: column (P, Q, k) is j = (P
+2^n + Q) r + k, and the max programs' level t is j = 4^n r.  Its columns
+are named on demand (_ColumnNames), for an error message, a violated
+bound's label or --emit-lp alone, and nothing here reads rep.model.
 
 No check builds a dual program (build_dp_cce serves the tests, and
 build_dp_pne also --emit-lp).  solve_worst_case and verify_extension
 check a certificate as row duals of the primal that _primal built, with
 lp.dual_violations on its array: the dual row of column v is r[v], and
-that of the max programs' level t is zsum.  extract_worst_game reads the
-nonzero columns of a primal point back to their masks, builds the
-program of those columns alone from the factors at their masks, and
-checks the point with lp.feasibility_report.
+that of the max programs' level t is zsum.  extract_worst_game decodes
+the nonzero positions of a primal point to their masks with divmod,
+builds the program of those columns alone from the factors at their
+masks, and checks the point with lp.feasibility_report.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from math import prod
 from typing import Mapping, Optional
 
@@ -114,6 +116,18 @@ def _level(cfg: WorstCaseConfig) -> list:
     return [] if cfg.spec.kind == SUM else ["t"]
 
 
+def _width(cfg: WorstCaseConfig) -> int:
+    """4^n r: the number of v columns of the representative program, and
+    the position of the max programs' level t after them."""
+    return (1 << 2 * cfg.n) * len(cfg.basis)
+
+
+def _masks(j: int, n: int, r: int) -> tuple:
+    """(P, Q, k) of the representative program's v column j = (P 2^n + Q) r + k."""
+    pq, k = divmod(j, r)
+    return (*divmod(pq, 1 << n), k)
+
+
 def _variables(cfg: WorstCaseConfig, model: CongestionModel) -> list:
     """vname(e, k) of every column, resource major, each "][k]" formatted
     once, then _level."""
@@ -122,25 +136,27 @@ def _variables(cfg: WorstCaseConfig, model: CongestionModel) -> list:
 
 
 class _ColumnNames(Sequence):
-    """The variables of a representative program, read-only and named on
-    demand: column j = (P 2^n + Q) r + k is vname(e(P, Q), k), formatted
+    """The variables of a program over the given representative columns,
+    read-only and named on demand: its i-th column is representative
+    column j = columns[i] = (P 2^n + Q) r + k, named vname(e(P, Q), k)
     only when read, and a last column t under max.  Distinct by
-    construction, so a program of 4^n r columns holds no list of names."""
+    construction, so a program of 4^n r columns holds no list of names;
+    a point of the program is keyed by position, and a solve or check
+    that succeeds reads no name."""
 
-    def __init__(self, cfg: WorstCaseConfig, rep: RepresentativeModel):
-        self.rep, self.r = rep, len(cfg.basis)
+    def __init__(self, cfg: WorstCaseConfig, rep: RepresentativeModel, columns: Sequence):
+        self.rep, self.r, self.columns = rep, len(cfg.basis), columns
         self.level = _level(cfg)
-        self.size = (1 << 2 * cfg.n) * self.r
 
     def __len__(self) -> int:
-        return self.size + len(self.level)
+        return len(self.columns) + len(self.level)
 
-    def __getitem__(self, j: int) -> str:
-        j = range(len(self))[j]  # IndexError past either end
-        if j >= self.size:
-            return self.level[j - self.size]
-        pq, k = divmod(j, self.r)
-        return vname(self.rep.resource_for(*divmod(pq, 1 << self.rep.n)), k)
+    def __getitem__(self, i: int) -> str:
+        i = range(len(self))[i]  # IndexError past either end
+        if i >= len(self.columns):
+            return self.level[i - len(self.columns)]
+        p, q, k = _masks(self.columns[i], self.rep.n, self.r)
+        return vname(self.rep.resource_for(p, q), k)
 
 
 # ============================================================
@@ -367,36 +383,16 @@ def _coarse_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_profile)
     return (eq, None, None), val, nrm
 
 
-def _support(rep: RepresentativeModel, r: int, values: Mapping) -> list:
-    """((P, Q, k), name, e, value) of every nonzero value whose key is the
-    name vname(e, k) of a v column, in column order: each such key is read
-    back to its resource id e = e(P, Q) and its (P, Q, k), the inverse of
-    vname over the representative's columns, and every other key is
-    ignored."""
-    suffixes = {f"][{k}]": k for k in range(r)}
-    masks = {}  # each id's masks, read once
-    out = []
-    for key in compress(values, values.values()):
-        if not isinstance(key, str) or not key.startswith("v["):
-            continue
-        cut = key.rfind("][")
-        k, e = suffixes.get(key[cut:]), key[2:cut]
-        if k is not None and e not in masks:
-            masks[e] = rep.masks_of(e)
-        if k is not None and masks[e] is not None:
-            out.append((masks[e] + (k,), key, e, values[key]))
-    return sorted(out)
-
-
 def build_pp_pne(
     cfg: WorstCaseConfig, rep: RepresentativeModel, designated: Optional[int] = None
 ) -> lp.LinearProgram:
     """Pure-equilibrium primal: the coarse program at a point mass on the
     representative first profile, over the closed-form columns of
-    _closed_form, named on demand by _ColumnNames."""
+    _closed_form, named on demand by _ColumnNames: v column (P, Q, k) at
+    position (P 2^n + Q) r + k, then t under max."""
     _check_designee(cfg, designated)
     objective, rows = _row_table(cfg, *_closed_form(cfg, rep), designated)
-    return _primal(cfg, _ColumnNames(cfg, rep), objective, rows, designated)
+    return _primal(cfg, _ColumnNames(cfg, rep, range(_width(cfg))), objective, rows, designated)
 
 
 def build_pp_cce(
@@ -471,7 +467,7 @@ def build_dp_pne(
 
 @dataclass(frozen=True)
 class Witness:
-    values: Mapping  # LP variable name -> value
+    values: Mapping  # position in build_pp_pne's variables -> value
     designated: Optional[int]  # player whose row is the equality, max only
 
 
@@ -505,16 +501,16 @@ def lemma1_witness(cfg: WorstCaseConfig, rep: RepresentativeModel) -> Witness:
         rowsum = [sum(beta[i][j] for j in range(n)) for i in range(n)]
         designated = max(range(n), key=lambda i: (rowsum[i], -i))
         players, count, scale = list(range(n)), 1, [rowsum[designated]] * n
-    k = _witness_basis_index(cfg, players)
+    k, r = _witness_basis_index(cfg, players), len(cfg.basis)
     f = cfg.basis[k]
     values: dict = {}
     for j in players:
         base = one / (count * f.value(w[j]) * w[j] * scale[j])
-        values[vname(rep.resource_for([j], []), k)] = base
+        values[(1 << j << n) * r + k] = base  # e({j}, {})
         repair = one / (1 + cfg.epsilon) if cfg.alpha[j][j] < 0 else 1
-        values[vname(rep.resource_for([], [j]), k)] = base * repair
+        values[(1 << j) * r + k] = base * repair  # e({}, {j})
     if designated is not None:
-        values["t"] = one
+        values[_width(cfg)] = one
     return Witness(values, designated)
 
 
@@ -530,7 +526,7 @@ class VariantResult:
     dp_value: object
     pp_value: object
     dual: dict
-    primal: dict
+    primal: dict  # SolveReport.primal: the support, keyed by position
     iterations: int
     fallback: Optional[str] = None  # the designee program's SolveReport.fallback
     # and its SolveReport.stats, which take no part in == or repr either
@@ -545,7 +541,7 @@ class WorstCaseResult:
     rep: RepresentativeModel
     variants: list
     dual_solution: dict
-    primal_solution: dict
+    primal_solution: dict  # the best variant's primal, keyed by position
     exact: bool
 
     def variant(self, designated) -> VariantResult:
@@ -617,8 +613,8 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     rep = build_representative(cfg.weights)
     designees = [None] if cfg.spec.kind == SUM else list(range(cfg.n))
     columns = _closed_form(cfg, rep)
-    program = _primal(cfg, _ColumnNames(cfg, rep), *_row_table(cfg, *columns, designees[0]),
-                      designees[0])
+    program = _primal(cfg, _ColumnNames(cfg, rep, range(_width(cfg))),
+                      *_row_table(cfg, *columns, designees[0]), designees[0])
     variants = []
     for d in designees:
         if d != designees[0]:  # the same array; every row but val[d] is <=, as _row_table writes
@@ -677,14 +673,19 @@ def extract_worst_game(
 ) -> GeneralizedGame:
     """Turn a feasible primal point into a concrete game: the
     representative model restricted to the resources the point uses.
-    Infeasible points are rejected with the first violated row label: the
-    point is checked by lp.feasibility_report on the program of its
+
+    The point is keyed by position in build_pp_pne's variables, as
+    lp.solve's primal is: v column (P, Q, k) at (P 2^n + Q) r + k, and t
+    at 4^n r under max.  A key that is no such position (a str, a float,
+    a bool, a negative int or one past the last column) raises GameError
+    naming it, before any program is built.  A column the point lacks is
+    0.  Infeasible points are rejected with the first violated row label:
+    the point is checked by lp.feasibility_report on the program of its
     nonzero columns alone, built from the closed form at those columns'
-    masks, as it would be on build_pp_pne.  A column the point lacks is
-    0, as in lp.solve's support-only primal; a key of primal_values that
-    names no v column (see _support) is ignored, and t is read as the
-    level.  Like solve_worst_case, it raises GameError for a lookup table
-    that misses a load of the class, even one the point never reaches.
+    masks, as it would be on build_pp_pne.  Like solve_worst_case, it
+    raises GameError for a lookup table that misses a load of the class,
+    even one the point never reaches.  Only the witness's resource ids
+    are formatted, and a column name only for an error message.
 
     A resource is kept when any of its columns is nonzero, solver dust
     included, and keeps its id and representative order; strategies are
@@ -696,27 +697,34 @@ def extract_worst_game(
     resource has latency 0 at every load, so every cost, gap and social
     value is that of the full representative game."""
     _check_designee(cfg, designated)
-    r = len(cfg.basis)
-    support = _support(rep, r, primal_values)
-    columns = np.array([c for c, *_ in support], dtype=np.intp).reshape(-1, 3).T
-    masks = np.array(sorted({m for (p, q, _), *_ in support for m in (p, q)}), dtype=np.intp)
+    n, r, width = cfg.n, len(cfg.basis), _width(cfg)
+    end = width + len(_level(cfg))
+    for j in primal_values:
+        if not (type(j) is int and 0 <= j < end):  # a bool, an int subclass, is no position
+            raise GameError(f"primal point key {j!r} is not a column position (0 to {end - 1})")
+    support = sorted(j for j, x in primal_values.items() if x and j < width)
+    triples = [_masks(j, n, r) for j in support]
+    columns = np.array(triples, dtype=np.intp).reshape(-1, 3).T
+    masks = np.array(sorted({m for p, q, _ in triples for m in (p, q)}), dtype=np.intp)
     factors = _mask_factors(cfg, rep.weights, masks)
     table = _row_table(cfg, *_entries(cfg, factors, *columns), designated)
-    program = _primal(cfg, [name for _, name, _, _ in support] + _level(cfg), *table, designated)
-    ok, label, violation = lp.feasibility_report(program, primal_values, FEAS_TOL)
+    program = _primal(cfg, _ColumnNames(cfg, rep, support), *table, designated)
+    # the point on that program's positions: the support, then t at len(support)
+    at = {i: primal_values[j] for i, j in enumerate(support + [width]) if j in primal_values}
+    ok, label, violation = lp.feasibility_report(program, at, FEAS_TOL)
     if not ok:
         raise GameError(f"primal point violates {label} by {violation}")
-    values = {c: x for c, _, _, x in support}
-    kept = {(p, q): e for (p, q, _), _, e, _ in support}  # each id as its support names it
-    for i in range(cfg.n):
+    values = dict(zip(triples, (primal_values[j] for j in support)))
+    kept = {(p, q) for p, q, _ in values}
+    for i in range(n):
         if not any(p >> i & 1 for p, _ in kept) or not any(q >> i & 1 for _, q in kept):
-            kept.setdefault((1 << i, 1 << i), rep.resource_for(1 << i, 1 << i))
-    ids = {kept[pq]: pq for pq in sorted(kept)}
+            kept.add((1 << i, 1 << i))
+    ids = {rep.resource_for(p, q): (p, q) for p, q in sorted(kept)}
     coeffs = {e: tuple(0 if c < 0 else c  # solver noise within FEAS_TOL, checked above
                        for c in (values.get((p, q, k), 0) for k in range(r)))
               for e, (p, q) in ids.items()}
     strategies = [[frozenset(e for e, (p, _) in ids.items() if p >> i & 1),
-                   frozenset(e for e, (_, q) in ids.items() if q >> i & 1)] for i in range(cfg.n)]
+                   frozenset(e for e, (_, q) in ids.items() if q >> i & 1)] for i in range(n)]
     return GeneralizedGame(
         CongestionModel(rep.weights, list(ids), strategies), cfg.basis, coeffs, cfg.alpha)
 

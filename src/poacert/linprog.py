@@ -26,7 +26,9 @@ each Row holds only the relation, rhs and label of its row of the array.
 dualize is the array's transpose.  feasibility_report (rows at a point)
 and dual_violations (the dual's rows at row duals, no dual built) read the
 array through one linear combination of its slices, _combination, whose
-sums do not depend on the Python version's builtin sum.
+sums do not depend on the Python version's builtin sum.  A point is
+keyed by position, {j: x} for variables[j]; a name is formatted only on
+demand, for a message, a violated bound's label or the fixed format.
 
 Conventions
 -----------
@@ -171,9 +173,9 @@ class SolveReport:
     """A solve's answer, read at a final basis by _read: a float answer
     has row duals of their sign, and its point and duals meet every row
     and dual row within RESIDUAL_TOL; an exact one meets them exactly.
-    primal holds the point's support: its nonzero variables, in the
-    program's order; a variable it lacks is 0, as feasibility_report
-    reads it.
+    primal holds the point's support, keyed by position: {j: x} for each
+    nonzero variable j, the index into the program's variables, in
+    ascending j; a position it lacks is 0, as feasibility_report reads it.
     iterations counts the pivots of every run that answered or led to the
     answer: the float run's, plus the rational run's when that one had to
     run (a float run that raised counts none).  fallback is None when the
@@ -223,7 +225,7 @@ class _Standardizer:
     variables, both empty for a program that declares no bounds."""
 
     def __init__(self, lp: LinearProgram, exact: bool):
-        self.variables, self.exact = lp.variables, exact
+        self.exact = exact
         self.dtype = object if exact else np.float64
         self.zero = Fraction(0) if exact else 0.0
         self.one = Fraction(1) if exact else 1.0
@@ -253,9 +255,9 @@ class _Standardizer:
         return out
 
     def recover(self, columns: np.ndarray, values: np.ndarray) -> dict:
-        """The nonzero variables, in variable order, of the program's point
-        at which the standard columns hold values and every other column
-        0; only their names are read."""
+        """{j: x} of the nonzero variables, in position order, of the
+        program's point at which the standard columns hold values and
+        every other column 0; no name is read."""
         negated, point = set(self.neg), {}
         for c, x in zip(columns.tolist(), values.tolist()):
             if c >= self.nvars:  # a free variable's negative part
@@ -263,7 +265,7 @@ class _Standardizer:
             elif c in negated:
                 x = self.zero - x
             point[c] = point.get(c, self.zero) + x
-        return {self.variables[j]: x for j, x in sorted(point.items()) if x}
+        return {j: x for j, x in sorted(point.items()) if x}
 
 
 class _System(NamedTuple):
@@ -736,12 +738,15 @@ def fold_checks(checks, tol, first=None, worst=0):
 
 
 def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9):
-    """(ok, first_violated_label, worst_violation) of a candidate point.
+    """(ok, first_violated_label, worst_violation) of a candidate point
+    {j: x}, keyed by position as SolveReport.primal is.
 
     Rows are checked in declaration order, then variable bounds (labeled
-    bound[var]).  Variables absent from the point count as 0.  Each row's
-    lhs is one _combination of the coefficient array's columns."""
-    x = [point.get(v, 0) for v in lp.variables]
+    bound[var]).  A position absent from the point counts as 0, and a key
+    that is no position is ignored.  Each row's lhs is one _combination
+    of the coefficient array's columns.  Only the first violated bound's
+    variable is named."""
+    x = [point.get(j, 0) for j in range(len(lp.variables))]
     checks = []
     for row, lhs in zip(lp.rows, _combination(lp.coefficients[:-1].T, x).tolist()):
         gap = lhs - row.rhs

@@ -268,8 +268,7 @@ def _worst_cce(game, table: _CostTable, spec, epsilon, predicate, exact) -> CCER
             # the literal definition admits empty coarse sets when
             # perceived costs go negative and epsilon > 0
             raise GameError(f"coarse constraint set is {rep.status}")
-        masses = {table.profile(a): m for a, var in enumerate(variables)
-                  if (m := rep.primal.get(var, 0)) > 0}
+        masses = {table.profile(a): m for a, m in rep.primal.items() if m > 0}
         if not exact:  # shed solver rounding before re-validation
             total = sum(masses.values())
             masses = {prof: m / total for prof, m in masses.items()}

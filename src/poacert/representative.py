@@ -11,25 +11,22 @@ single model speak for the whole class.
 
 A RepresentativeModel holds the weights and the two profiles only: the
 worst-case programs read a resource as its (P, Q) bit masks, and
-resource_for formats its id straight from them (masks_of reads one back).
+resource_for formats its id straight from them, for a witness's resources
+and a name asked for; no id is read back.
 The CongestionModel, with its 4^n ids and frozenset strategies, is built
 when rep.model is first read; e(P, Q) is model.resources[P * 2^n + Q].
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .games import CongestionModel, GameError, check_weights
 
 PLAYER_CAP = 10  # 4^n resources; past this the model is no longer a desk object
-
-_ID = re.compile(r"P:\{([0-9,]*)\}\|Q:\{([0-9,]*)\}")
 
 
 def _players(mask: int) -> str:
@@ -87,19 +84,6 @@ class RepresentativeModel:
         if not (0 <= p < size and 0 <= q < size):
             raise GameError(f"no resource for masks P={p:b}, Q={q:b}")
         return _head(p) + _tail(q)
-
-    def masks_of(self, resource: str) -> Optional[tuple]:
-        """(P, Q) of the id e(P, Q), the inverse of resource_for; None for
-        a string that resource_for formats for no (P, Q) of this model."""
-        found = _ID.fullmatch(resource)
-        if found is None:
-            return None
-        try:
-            p, q = (_mask_of([int(x) - 1 for x in g.split(",")] if g else [], self.n)
-                    for g in found.groups())
-        except ValueError:  # an empty or over-long number, or no such player
-            return None
-        return (p, q) if _head(p) + _tail(q) == resource else None
 
 
 def build_representative(weights) -> RepresentativeModel:

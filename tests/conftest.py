@@ -1,6 +1,7 @@
 """Shared fixtures: the canonical two-player game, seeded generators, the
-hand-built certificate program, and programs written as dict rows and
-read back entry by entry."""
+hand-built certificate program, programs written as dict rows and read
+back entry by entry, and points relabelled between positions, as lp
+reads them, and variable names, as assertions read them."""
 
 import itertools
 import random
@@ -111,9 +112,9 @@ def dict_program(sense, variables, objective, rows, bounds=None, name="lp"):
     not declare is a ValueError (the objective's first, then the rows' in
     order)."""
     position = {v: j for j, v in enumerate(variables)}
-    named = [("objective", objective)] + [(f"row {label!r}", coeffs)
-                                          for coeffs, _, _, label in rows]
-    for what, form in named:
+    labelled = [("objective", objective)] + [(f"row {label!r}", coeffs)
+                                             for coeffs, _, _, label in rows]
+    for what, form in labelled:
         for v in form:
             if v not in position:
                 raise ValueError(f"{what} references undeclared variable {v!r}")
@@ -125,6 +126,26 @@ def dict_program(sense, variables, objective, rows, bounds=None, name="lp"):
     return lp.LinearProgram(sense, variables, lp_rows, coefficients, bounds or {}, name)
 
 
+def named(program, point):
+    """A point keyed by position, as lp.solve's primal is, relabelled
+    {program.variables[j]: x}, so an assertion can read it by name."""
+    return {program.variables[j]: x for j, x in point.items()}
+
+
+def positional(program, point):
+    """A point keyed by variable name, relabelled {j: x} by the position
+    j of each name in program.variables, as feasibility_report and
+    extract_worst_game read one."""
+    index = {v: j for j, v in enumerate(program.variables)}
+    return {index[v]: x for v, x in point.items()}
+
+
+def column(cfg, p, q, k=0):
+    """The position of representative column (P, Q, k), P and Q bit
+    masks, in build_pp_pne's variables: (P 2^n + Q) r + k."""
+    return ((p << cfg.n) + q) * len(cfg.basis) + k
+
+
 def assert_standard_round_trip(program, rng):
     """Check the standard layout at a seeded point of a program, Fractions
     that keep each variable's sign class: the standard point holds
@@ -132,8 +153,8 @@ def assert_standard_round_trip(program, rng):
     variable's positive part at column j and its negative part at column
     len(variables) + k.  The standard columns times it are the
     coefficient array times the point, row by row, and recover, given its
-    support in reverse, gives back the point's nonzero entries in
-    variable order."""
+    support in reverse, gives back the point's nonzero entries by
+    position, in variable order."""
     std = lp._Standardizer(program, True)
     values, s, k = [], [F(0)] * std.ncols, len(program.variables)
     for j, v in enumerate(program.variables):
@@ -152,7 +173,7 @@ def assert_standard_round_trip(program, rng):
         coefficients @ np.array(values, dtype=object)).tolist()
     support = np.flatnonzero(s)[::-1]
     assert list(std.recover(support, s[support]).items()) == [
-        (v, x) for v, x in zip(program.variables, values) if x]
+        (j, x) for j, x in enumerate(values) if x]
 
 
 def assert_certified(program, report):

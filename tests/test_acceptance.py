@@ -246,7 +246,7 @@ def test_criterion_02_witness_objective_one(grid):
             program = build_pp_pne(run.cfg, rep, w.designated)
             ok, label, viol = lp.feasibility_report(program, w.values)
             c.check(ok, f"{run.label}: violates {label} by {viol}")
-            val = objective_at(program, w.values)
+            val = objective_at(program, conftest.named(program, w.values))
             c.check(abs(val - 1) <= 1e-9, f"{run.label}: objective {val}")
         c.note("all 224 configurations")
 

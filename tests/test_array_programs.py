@@ -137,11 +137,11 @@ def test_readers_of_array_programs_match_the_dict_reference(cfg, exact):
         rp = lp.solve(program)
         if rp.status != lp.OPTIMAL:
             continue
-        cert = {v: rp.duals[label] for v, label in zip(dp.variables, (r.label for r in program.rows))}
+        cert = {j: rp.duals[row.label] for j, row in enumerate(program.rows)}
         assert repr(lp.feasibility_report(dp, cert)) == repr(lp.feasibility_report(dp_ref, cert))
         moved = dict(rp.primal)
-        moved[program.variables[0]] = moved.get(program.variables[0], 0.0) - 1
-        for point in (rp.primal, moved, {v: 2 * x for v, x in rp.primal.items()}):
+        moved[0] = moved.get(0, 0.0) - 1
+        for point in (rp.primal, moved, {j: 2 * x for j, x in rp.primal.items()}):
             for tol in (0, 1e-9):
                 got = lp.feasibility_report(program, point, tol)
                 assert repr(got) == repr(lp.feasibility_report(reference, point, tol))
@@ -213,7 +213,7 @@ def test_dual_violations_are_the_rows_of_dualize():
         violations = lp.dual_violations(as_array, duals).tolist()
         for program in (as_array, as_dicts):
             dual = lp.dualize(program)
-            point = dict(zip(dual.variables, duals))
+            point = dict(enumerate(duals))
             free = {v: lp.FREE for v in dual.variables}
             for j, (row, v) in enumerate(zip(dual.rows, violations)):
                 alone = lp.LinearProgram(dual.sense, dual.variables, [row],

@@ -153,8 +153,7 @@ def reference_worst_cce(game, spec, epsilon, predicate, exact):
         rep = lp.solve(dict_program(lp.MAXIMIZE, variables, objective, rows, name=name), exact)
         if rep.status != lp.OPTIMAL:
             raise GameError(f"coarse constraint set is {rep.status}")
-        masses = {prof: m for var, prof in zip(variables, costs)
-                  if (m := rep.primal.get(var, 0)) > 0}
+        masses = {prof: m for j, prof in enumerate(costs) if (m := rep.primal.get(j, 0)) > 0}
         if not exact:
             total = sum(masses.values())
             masses = {prof: m / total for prof, m in masses.items()}

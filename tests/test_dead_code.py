@@ -4,6 +4,8 @@ Every function, class and module-level name that a poacert module defines
 is used again somewhere in the repository's Python code (src, tests,
 poabench, demos); a private (_-prefixed) one is used outside the tests
 (src, poabench, demos), so a path only tests take does not live in src.
+Only gamefile.py, where input text enters, imports re: no other module
+parses text, such as a name it formatted itself.
 Every name a poacert module imports is used in that module.  Every
 defaulted parameter of a private function or method (one whose own name
 begins with one _) is passed, by keyword or at its position, at some call
@@ -179,3 +181,13 @@ def test_sign_classes_are_read_through_one_map():
              for scope, line in _attribute_reads(_tree(PACKAGE / "linprog.py"), "bounds")
              if not any(scope == a or scope.startswith(a + ".") for a in allowed)]
     assert not reads, "bounds read outside the standardizer: " + ", ".join(reads)
+
+
+def test_text_is_parsed_only_where_input_enters():
+    """Only gamefile.py imports re: the other modules pass positions,
+    masks and numbers between them, and format names only to show them."""
+    importers = sorted(
+        path.name for path in _modules() for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Import) and any(alias.name == "re" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "re"))
+    assert importers == ["gamefile.py"]

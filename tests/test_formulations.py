@@ -26,9 +26,12 @@ from conftest import (
     BB,
     assert_certified,
     closed_form_dual,
+    column,
     dict_program,
     g1,
+    named,
     nonzeros,
+    positional,
     random_model,
     same_program,
     seeded,
@@ -160,8 +163,8 @@ def test_hand_dual_n2_has_value_two():
     assert r.status == lp.OPTIMAL
     assert r.value == F(2)
     # the certificate itself: uniform unit multipliers
-    assert r.primal["y[0]"] == F(1)
-    assert r.primal["y[1]"] == F(1)
+    assert named(program, r.primal)["y[0]"] == F(1)
+    assert named(program, r.primal)["y[1]"] == F(1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -194,7 +197,7 @@ def assert_certifies(cfg, r):
     """r.dual_solution is exactly feasible for the dual program of the
     winning designee, with objective gamma*: weak duality proves gamma*."""
     program = build_dp_pne(cfg, r.rep, r.designated)
-    ok, label, violation = lp.feasibility_report(program, r.dual_solution, 0)
+    ok, label, violation = lp.feasibility_report(program, positional(program, r.dual_solution), 0)
     assert ok, f"certificate violates {label} by {violation}"
     assert objective_at(program, r.dual_solution) == r.gamma_star
 
@@ -297,7 +300,7 @@ def test_mixed_cell_is_infinite(exact):
     certified = r.variant(2)
     program = build_dp_pne(cfg, r.rep, 2)
     ok, label, violation = lp.feasibility_report(
-        program, certified.dual, 0 if exact else 1e-9)
+        program, positional(program, certified.dual), 0 if exact else 1e-9)
     assert ok, f"certificate violates {label} by {violation}"
     if exact:
         assert certified.pp_value == certified.dp_value == 1
@@ -691,7 +694,7 @@ def test_certificate_pass_is_feasibility_report_on_dp():
                     moved.append(duals)
             for k, duals in enumerate(solved + moved):
                 cert = {_certificate_name(label): y for label, y in zip(labels, duals)}
-                want = lp.feasibility_report(dp, cert, tol)
+                want = lp.feasibility_report(dp, positional(dp, cert), tol)
                 got = _certificate_report(program, duals, tol)
                 assert repr(got) == repr(want), (param.id, d, k)
                 if k >= len(solved) and not got[0]:
@@ -717,13 +720,14 @@ def test_witness_check_is_feasibility_report_on_pp():
             if rp.status != lp.OPTIMAL:
                 continue
             program = build_pp_pne(cfg, rep, d)
-            solved = {v: num(x) for v, x in rp.primal.items()}
-            points = [solved, {v: 2 * x for v, x in solved.items()}]
+            solved = {j: num(x) for j, x in rp.primal.items()}
+            points = [solved, {j: 2 * x for j, x in solved.items()}]
             if d is not None:
-                points.append({**solved, "t": solved.get("t", num(0)) * num(1.5)})
+                t = len(program.variables) - 1
+                points.append({**solved, t: solved.get(t, num(0)) * num(1.5)})
             for delta in (1e-12, -1e-12, 1e-6, -1e-6, 1, -1):
-                v = rng.choice(program.variables)
-                points.append({**solved, v: solved.get(v, num(0)) + num(delta)})
+                j = rng.randrange(len(program.variables))  # the draw of rng.choice
+                points.append({**solved, j: solved.get(j, num(0)) + num(delta)})
             for point in points:
                 ok, label, violation = lp.feasibility_report(program, point, FEAS_TOL)
                 if ok:
@@ -766,7 +770,7 @@ def test_witness_feasible_with_objective_one(cfg):
     program = build_pp_pne(cfg, rep, w.designated)
     ok, label, violation = lp.feasibility_report(program, w.values)
     assert ok, f"witness violates {label} by {violation}"
-    assert objective_at(program, w.values) == F(1)
+    assert objective_at(program, named(program, w.values)) == F(1)
 
 
 def test_witness_mass_sits_on_singletons():
@@ -775,8 +779,8 @@ def test_witness_mass_sits_on_singletons():
     w = lemma1_witness(cfg, rep)
     allowed = set()
     for j in range(2):
-        allowed.add(vname(rep.resource_for((j,), ()), 0))
-        allowed.add(vname(rep.resource_for((), (j,)), 0))
+        allowed.add(column(cfg, 1 << j, 0))
+        allowed.add(column(cfg, 0, 1 << j))
     assert set(v for v, c in w.values.items() if c != 0) <= allowed
 
 
@@ -819,8 +823,7 @@ def test_extraction_clamps_solver_dust():
     cfg = unit_cfg()
     r = solve_worst_case(cfg)
     noisy = dict(r.primal_solution)
-    spare = vname(r.rep.resource_for((), ()), 0)
-    noisy[spare] = -1e-12
+    noisy[column(cfg, 0, 0)] = -1e-12  # e({}, {})
     game = extract_worst_game(cfg, r.rep, noisy)
     assert game.coefficients[r.rep.resource_for((), ())][0] == 0
 
@@ -969,9 +972,10 @@ def test_extension_pass_is_feasibility_report_on_dp_cce():
                 for k, cert in enumerate(certs):
                     report = verify_extension(cfg, cert, model, dist, o_profile, d)
                     got = (report.ok, report.first_violated, report.worst_violation)
-                    want = lp.feasibility_report(free, cert, FEAS_TOL)
+                    want = lp.feasibility_report(free, positional(free, cert), FEAS_TOL)
                     assert repr(got) == repr(want), (param.id, d, k)
-                    assert got[:2] == lp.feasibility_report(free_ref, cert, FEAS_TOL)[:2], (
+                    assert got[:2] == lp.feasibility_report(
+                        free_ref, positional(free_ref, cert), FEAS_TOL)[:2], (
                         param.id, d, k)
                     assert report.rows_checked == len(dp.rows)
                     if k and not report.ok:

@@ -14,7 +14,9 @@ from conftest import (
     dict_program,
     g1,
     g1_spec,
+    named,
     nonzeros,
+    positional,
 )
 from poacert import linprog, oracle
 from poacert.linprog import (
@@ -52,21 +54,24 @@ def lp_prod_mix():
 
 
 def test_maximize_basic():
-    r = solve(lp_prod_mix())
+    program = lp_prod_mix()
+    r = solve(program)
     assert r.status == OPTIMAL
     assert r.value == pytest.approx(12.0)
-    assert r.primal["x"] == pytest.approx(4.0)
-    assert r.primal.get("y", 0) == pytest.approx(0.0)
+    primal = named(program, r.primal)
+    assert primal["x"] == pytest.approx(4.0)
+    assert primal.get("y", 0) == pytest.approx(0.0)
     # binding row carries the whole objective
     assert r.duals["cap"] == pytest.approx(3.0)
     assert r.duals["labor"] == pytest.approx(0.0)
 
 
 def test_exact_mode_fractions():
-    r = solve(lp_prod_mix(), exact=True)
+    program = lp_prod_mix()
+    r = solve(program, exact=True)
     assert r.status == OPTIMAL
     assert r.value == F(12)
-    assert r.primal["x"] == F(4)
+    assert named(program, r.primal)["x"] == F(4)
     assert isinstance(r.value, F)
 
 
@@ -83,7 +88,8 @@ def test_minimize_with_free_variable(exact):
     assert r.status == OPTIMAL
     assert r.exact is exact
     assert r.value == -2
-    assert r.primal == {"x": 8, "z": -5}
+    assert r.primal == {0: 8, 1: -5}
+    assert named(lp, r.primal) == {"x": 8, "z": -5}
     assert r.duals["bal"] == 1
     assert r.duals["floor"] == 1
 
@@ -121,8 +127,9 @@ def test_double_bounds_and_nonpos():
     )
     r = solve(lp, exact=True)
     assert r.status == OPTIMAL
-    assert r.primal["u"] == F(5)
-    assert r.primal.get("v", 0) == F(0)
+    primal = named(lp, r.primal)
+    assert primal["u"] == F(5)
+    assert primal.get("v", 0) == F(0)
     assert r.value == F(5)
 
 
@@ -179,11 +186,13 @@ def test_dualize_shapes_and_involution():
 def test_dual_values_match_dual_solve():
     lp = lp_prod_mix()
     rp = solve(lp, exact=True)
-    rd = solve(dualize(lp), exact=True)
+    dual = dualize(lp)
+    rd = solve(dual, exact=True)
     assert rd.status == OPTIMAL
     assert rp.value == rd.value  # strong duality, exactly
     # reported duals of the primal solve are optimal for the dual program
-    assert sum(rd.primal[k] * {"cap": 4, "labor": 6}[k] for k in rd.primal) == F(12)
+    y = named(dual, rd.primal)
+    assert sum(y[k] * {"cap": 4, "labor": 6}[k] for k in y) == F(12)
 
 
 def _random_feasible_lp(rng, m=4, n=5):
@@ -220,10 +229,9 @@ def test_strong_duality_random():
         # weak duality identity on reported duals
         assert sum(rp.duals[row.label] * row.rhs for row in lp.rows) == rp.value
         # complementary slackness
+        x = named(lp, rp.primal)
         for i, row in enumerate(lp.rows):
-            slack = row.rhs - sum(
-                nonzeros(lp, i).get(v, 0) * rp.primal.get(v, 0) for v in lp.variables
-            )
+            slack = row.rhs - sum(nonzeros(lp, i).get(v, 0) * x.get(v, 0) for v in lp.variables)
             assert rp.duals[row.label] * slack == 0 or abs(rp.duals[row.label] * slack) == 0
 
 
@@ -255,9 +263,9 @@ def test_a_column_times_a_power_of_two_is_read_in_the_program_units(power):
     same = 0
     for program in programs:
         before = solve(program)
-        v = next(iter(before.primal), program.variables[0])
+        v = next(iter(before.primal), 0)  # a position
         coefficients = program.coefficients.copy()
-        coefficients[:, program.variables.index(v)] *= factor
+        coefficients[:, v] *= factor
         after = solve(dataclasses.replace(program, coefficients=coefficients))
         assert (after.status, after.fallback) == (before.status, before.fallback)
         if before.status != OPTIMAL:
@@ -448,7 +456,7 @@ def test_float_failure_is_redone_in_rationals(kernel_calls):
     assert r.exact is True
     assert r.fallback == "float run refused"
     assert r.value == F(12) and isinstance(r.value, F)
-    assert r.primal == {"x": F(4)}
+    assert r.primal == {0: F(4)}  # x
 
 
 def test_float_success_is_not_redone(kernel_calls):
@@ -476,7 +484,7 @@ def test_exact_answer_is_certified_at_the_float_basis(kernel_calls):
     assert calls == [False]
     assert r.exact is True and r.fallback is None
     assert r.value == F(12) and isinstance(r.value, F)
-    assert r.primal == {"x": F(4)}
+    assert r.primal == {0: F(4)}  # x
     assert r.duals == {"cap": F(3), "labor": F(0)}
 
 
@@ -507,7 +515,7 @@ def test_exact_solve_outside_float_range_goes_to_rationals(kernel_calls):
     r = solve(program, exact=True)
     assert calls == [False, True]
     assert r.fallback.startswith("float image:")
-    assert (r.status, r.value, r.primal) == (OPTIMAL, F(1), {"x": F(1)})
+    assert (r.status, r.value, r.primal) == (OPTIMAL, F(1), {0: F(1)})
 
 
 @pytest.mark.parametrize("status, check", [(OPTIMAL, "dual row x is violated"),
@@ -528,7 +536,7 @@ def test_float_basis_that_fails_its_check_is_repaired(monkeypatch, status, check
     monkeypatch.setattr(linprog._Revised, "run", stop_at_once)
     r = solve(lp_prod_mix(), exact=True)
     assert r.fallback.startswith(check)
-    assert r == linprog.SolveReport(OPTIMAL, F(12), {"x": F(4)},
+    assert r == linprog.SolveReport(OPTIMAL, F(12), {0: F(4)},
                                     {"cap": F(3), "labor": F(0)}, 1, True, r.fallback)
 
 
@@ -563,7 +571,7 @@ def test_certify_checks_the_basis_exactly(program, basis, entering, check, exact
         return
     r = linprog._read(program, stop, exact)
     assert r.exact is exact
-    assert (r.value, r.primal, r.duals) == (F(12), {"x": F(4)},
+    assert (r.value, r.primal, r.duals) == (F(12), {0: F(4)},
                                            {"cap": F(3), "labor": F(0)})
 
 
@@ -656,7 +664,7 @@ def test_integer_coefficient_arrays_are_rejected():
     with pytest.raises(ValueError, match="dtype int64, not float64 or object"):
         LinearProgram(MAXIMIZE, ["x", "y"], rows, np.ones((2, 2), dtype=np.int64))
     program = LinearProgram(MAXIMIZE, ["x", "y"], rows, np.ones((2, 2)))
-    assert feasibility_report(program, {"x": 0.6, "y": 0.6}) == (False, "r", pytest.approx(0.2))
+    assert feasibility_report(program, {0: 0.6, 1: 0.6}) == (False, "r", pytest.approx(0.2))
     assert dual_violations(program, [0.5]).tolist() == [0.5, 0.5]
 
 
@@ -724,7 +732,7 @@ def test_rows_add_in_array_order_with_one_rounding_per_addition(exact):
     column = LinearProgram(MAXIMIZE, ["v"], [Row(LE, 0, f"r{i}") for i in range(3)],
                            np.array([[c] for c in terms + [num(F(1, 2))]], dtype=dtype))
     ones = [num(1)] * 3
-    report = feasibility_report(row, dict(zip("xyz", ones)), 0)
+    report = feasibility_report(row, dict(enumerate(ones)), 0)
     violation = dual_violations(column, ones).tolist()
     if exact:
         assert repr(report) == repr((False, "r", F(1, 2)))
@@ -768,6 +776,15 @@ def test_combination_is_the_sum_in_row_order_at_every_block_size(monkeypatch, bl
             assert repr(got) == repr(want), (rows, cols, exact)
 
 
+def test_a_point_is_read_by_position():
+    """feasibility_report reads a point {j: x}, j the index into the
+    program's variables, as solve reports one; a key that is no position,
+    a variable's name included, is ignored."""
+    program = lp_prod_mix()
+    assert feasibility_report(program, {0: 5}) == (False, "cap", 1)
+    assert feasibility_report(program, {"x": 5, 2: 5, -1: 5, 0.5: 5}) == (True, None, 0)
+
+
 def test_feasibility_report_matches_a_reference_loop():
     """Seeded programs over >= 0, <= 0 and free variables, at points in
     float, Fraction and int arithmetic (some variables absent), and at the
@@ -794,7 +811,7 @@ def test_feasibility_report_matches_a_reference_loop():
         types = random.Random(case)
         mixed = {v: types.choice((float, F, lambda c: c))(x) for v, x in point.items()}
         for program, at, tol in itertools.product(programs, (point, mixed), (0, 1e-9, 0.5)):
-            got = feasibility_report(program, at, tol)
+            got = feasibility_report(program, positional(program, at), tol)
             assert repr(got) == repr(_reference_feasibility_report(program, at, tol)), (case, tol)
             if not got[0]:
                 firsts.add(got[1][0])

@@ -5,14 +5,15 @@ when rep.model is read, and nothing on the solve or witness path reads it.
 extract_worst_game reads the closed form's per-mask factors at the point's
 nonzero columns alone.  The references below are the eager model, the
 closed form scattered column by column, and extraction over every column
-name, written as they were before the model became mask-native; the new
-code must give the same arrays bit for bit and the same witness games,
-repr for repr.
+position, written as they were before the model became mask-native; the
+new code must give the same arrays bit for bit and the same witness
+games, repr for repr.
 """
 
 import functools
 import operator
 import random
+import re
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -20,13 +21,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from poacert import formulations
 from poacert import linprog as lp
 from poacert.formulations import (
     FEAS_TOL,
     WorstCaseConfig,
     _closed_form,
+    _ColumnNames,
     _row_table,
-    _support,
     build_pp_pne,
     extract_worst_game,
     solve_worst_case,
@@ -50,7 +52,7 @@ import workloads  # noqa: E402
 
 # ============================================================
 # references: the eager model, the scattered closed form, and extraction
-# over every column name
+# over every column position
 # ============================================================
 
 
@@ -176,16 +178,16 @@ def _reference_point_report(names, rows, values, level, tol):
 
 def reference_extract_worst_game(cfg, rep, primal_values, designated=None):
     """extract_worst_game over every column: the full closed form, every
-    column name looked up in the point, and the witness cut out of the
-    eager model's frozensets."""
+    column position looked up in the point (t after the v columns), and
+    the witness cut out of the eager model's frozensets."""
     eq, val, nrm = reference_closed_form(cfg)
     _, rows = _row_table(cfg, (eq, None, None), val, nrm, designated)
     rows = dense_rows(rows, eq[0].shape)
     model = reference_model(cfg.weights)
     names = [vname(e, k) for e in model.resources for k in range(len(cfg.basis))]
-    values = [primal_values.get(v, 0) for v in names]
+    values = [primal_values.get(j, 0) for j in range(len(names))]
     ok, label, violation = _reference_point_report(
-        names, rows, values, primal_values.get("t", 0), FEAS_TOL)
+        names, rows, values, primal_values.get(len(names), 0), FEAS_TOL)
     if not ok:
         raise GameError(f"primal point violates {label} by {violation}")
     r, size = len(cfg.basis), 1 << cfg.n
@@ -266,31 +268,32 @@ def assert_same_witness(got, want):
     assert list(got.coefficients) == list(want.coefficients)
 
 
-def perturbed(point, designated):
+def perturbed(cfg, point, designated):
     """Points that violate a row or a bound, and some that stay feasible;
     new values keep the point's arithmetic.  A solution lists its nonzero
     variables only, so the empty one (a max program's at t = 0) takes
     float values."""
     one = next(iter(point.values()), 0.0) * 0 + 1
-    support = [v for v, x in point.items() if x and v != "t"] or [None]
+    t = 4**cfg.n * len(cfg.basis)  # the level's position
+    support = [j for j, x in point.items() if x and j != t] or [None]
     first, last = support[0], support[-1]
     x0 = point.get(first, one)
     # the first column at 0, as the point lists only its support: column
     # 0, e({}, {}), has no nonzero coefficient and is never basic
-    zero = "v[P:{}|Q:{}][0]"
+    zero = 0
     assert not point.get(zero, 0)
     out = [
         {**point, zero: x0 / 1000},
         {**point, zero: -x0 / 10**12},
-        {v: x * 3 for v, x in point.items()},
-        {**point, "v[P:{}|Q:{}][0]": -one},  # a column with no nonzero coefficient
+        {j: x * 3 for j, x in point.items()},
+        {**point, zero: -one},  # a column with no nonzero coefficient
     ]
     if first is not None:
         out += [{**point, first: point[first] * 2}, {**point, last: point[last] / 2},
                 {**point, first: -point[first]}]
     if designated is not None:
-        level = point.get("t", 0 * one)
-        out += [{**point, "t": level * 2}, {**point, "t": level - one}]
+        level = point.get(t, 0 * one)
+        out += [{**point, t: level * 2}, {**point, t: level - one}]
     return out
 
 
@@ -351,7 +354,7 @@ def test_extraction_matches_the_full_column_reference(cfg, exact):
         for point in points(cfg, exact, rep, d):
             assert_same_witness(extract_worst_game(cfg, rep, point, d),
                                 reference_extract_worst_game(cfg, rep, point, d))
-            for moved in perturbed(point, d):
+            for moved in perturbed(cfg, point, d):
                 assert_same_witness(outcome(extract_worst_game, cfg, rep, moved, d),
                                     outcome(reference_extract_worst_game, cfg, rep, moved, d))
     assert "model" not in vars(rep)
@@ -365,7 +368,7 @@ def test_perturbed_points_raise_the_reference_message():
     rep = build_representative(cfg.weights)
     point = lp.solve(build_pp_pne(cfg, rep, 0)).primal
     messages = set()
-    for moved in perturbed(point, 0):
+    for moved in perturbed(cfg, point, 0):
         got = outcome(extract_worst_game, cfg, rep, moved, 0)
         assert got == outcome(reference_extract_worst_game, cfg, rep, moved, 0)
         if isinstance(got, str):
@@ -409,51 +412,45 @@ def test_lazy_model_is_the_eager_one(weights):
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("r", [1, 3])
 def test_column_name_inverse_round_trips(n, r):
-    """Every column name reads back to its own position, and every id to
-    its own masks."""
+    """Every column name, formatted on demand, is the reference's name of
+    its position; no name is read back to its masks."""
     rep = build_representative((1,) * n)
     cfg = WorstCaseConfig((1,) * n, identity_matrix(n), SocialSpec(SUM, identity_matrix(n)), 0,
                           (X,) * r)
     names = reference_column_names(cfg)
     assert len(names) == 4**n * r
-    size = 1 << n
-    for j, name in enumerate(names):
-        column = (j // r // size, j // r % size, j % r)
-        e = rep.resource_for(*column[:2])
-        assert _support(rep, r, {name: 1}) == [(column, name, e, 1)]
-    for p in range(size):
-        for q in range(size):
-            assert rep.masks_of(rep.resource_for(p, q)) == (p, q)
+    columns = _ColumnNames(cfg, rep, range(len(names)))
+    assert [columns[j] for j in range(len(names))] == names
     assert "model" not in vars(rep)
 
 
-def test_stray_keys_change_no_witness():
-    """Keys that name no column are ignored, whatever their value: a
-    non-column name, a non-canonical id, k >= r and a player >= n."""
-    cfg = list(seeded_classes())[0].values[0]  # n = 2, float, sum, r = 2
+@pytest.mark.parametrize("kind", [SUM, MAX])
+def test_a_key_that_is_no_column_position_raises(kind):
+    """extract_worst_game reads a point keyed by position alone: a str, a
+    float, a bool, a negative int or an int past the last column (4^n r
+    under sum, 4^n r + 1 under max, t being 4^n r) raises GameError
+    naming the key, before any program is built, even at value 0."""
+    cfg = list(seeded_classes())[0 if kind == SUM else 2].values[0]  # n = 2, float
+    assert cfg.spec.kind == kind
     rep = build_representative(cfg.weights)
-    point = lp.solve(build_pp_pne(cfg, rep)).primal
-    r = len(cfg.basis)
-    strays = {
-        "x": 5.0,
-        "v[P:{2,1}|Q:{}][0]": 3.0,
-        "v[P:{1,1}|Q:{}][0]": 3.0,
-        "v[P:{01}|Q:{}][0]": 3.0,
-        "v[P:{0}|Q:{}][0]": 3.0,
-        "v[P:{}|Q:{}][00]": 3.0,
-        "v[P:{}|Q:{}][-1]": 3.0,
-        vname(rep.resource_for(1, 2), r): 2.0,
-        "v[P:{3}|Q:{}][0]": 1.0,
-        "v[P:{1}|Q:{" + "9" * 5000 + "}][0]": 1.0,
-        "v[P:{1}|Q:{}][0][0]": 1.0,
-        "P:{1}|Q:{}": 1.0,
-        7: 1.0,
-    }
-    want = extract_worst_game(cfg, rep, point)
-    assert _support(rep, r, strays) == []
-    assert_same_witness(extract_worst_game(cfg, rep, {**point, **strays}), want)
-    assert_same_witness(extract_worst_game(cfg, rep, {**point, **strays}),
-                        reference_extract_worst_game(cfg, rep, {**point, **strays}))
+    d = None if kind == SUM else 0
+    point = lp.solve(build_pp_pne(cfg, rep, d)).primal
+    end = 4**cfg.n * len(cfg.basis) + (kind == MAX)
+    extract_worst_game(cfg, rep, {**point, end - 1: point.get(end - 1, 0)}, d)
+    built = []
+    original = formulations._primal
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formulations, "_primal", counted)
+        for key in ["v[P:{1}|Q:{}][0]", "t", 1.0, True, False, -1, end, end + 1, 10**30]:
+            for value in (1.0, 0):
+                with pytest.raises(GameError, match=re.escape(f"key {key!r} is not a column position")):
+                    extract_worst_game(cfg, rep, {**point, key: value}, d)
+    assert not built
 
 
 def test_build_representative_still_checks_weights():

@@ -238,7 +238,7 @@ def _reference_worst_cce(game, spec, epsilon, predicate, exact):
         masses = {}
         total = 0
         for idx, prof in enumerate(profiles):
-            m = rep.primal.get(f"p[{idx}]", 0)
+            m = rep.primal.get(idx, 0)  # p[idx]
             if m > 0:
                 masses[prof] = m
                 total += m

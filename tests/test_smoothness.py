@@ -13,6 +13,7 @@ from conftest import (
     dict_program,
     g1,
     g1_spec,
+    named,
     random_game,
     random_matrix,
     same_program,
@@ -103,7 +104,8 @@ def _probe(rho: float, sf, dev):
     rep = lp.solve(program)
     if rep.status != lp.OPTIMAL or rep.value <= _STRICT:
         return None
-    return float(rep.primal["lam"]), float(rep.primal["mu"])
+    point = named(program, rep.primal)
+    return float(point["lam"]), float(point["mu"])
 
 
 def spec_3i():

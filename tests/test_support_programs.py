@@ -1,8 +1,9 @@
 """Solve and extract touch only the support.
 
-lp.solve reports the nonzero variables alone; the representative programs
-name their 4^n r columns on demand, so a solve formats at most one name
-per row; _mask_factors evaluates only the masks it is given, while a
+lp.solve reports the nonzero variables alone, keyed by position; the
+representative programs name their 4^n r columns on demand, so a solve,
+an extraction and a whole-primal check format no name; _mask_factors
+evaluates only the masks it is given, while a
 lookup table is still read at every load of the class; and the float
 system and the closed-form program are written without a temporary the
 size of their coefficient array.  The references are the full name list
@@ -22,10 +23,12 @@ import pytest
 from poacert import formulations, smoothness
 from poacert import linprog as lp
 from poacert.formulations import (
+    FEAS_TOL,
     WorstCaseConfig,
     _mask_factors,
     build_pp_pne,
     extract_worst_game,
+    lemma1_witness,
     vname,
 )
 from poacert.games import (
@@ -40,6 +43,7 @@ from poacert.games import (
 )
 from poacert.oracle import worst_cce
 from poacert.representative import build_representative
+from conftest import column
 from test_array_programs import designees, seeded_classes
 from test_cost_table import corpus
 from test_mask_native import reference_column_names
@@ -85,9 +89,10 @@ def test_column_names_are_the_reference_list(n, r, kind):
         program.variables[len(want)]
 
 
-def test_a_frontier_job_formats_a_name_per_row_at_most(monkeypatch):
+def test_a_frontier_job_formats_no_name(monkeypatch):
     """An n = 6 max witness-frontier job (build, solve, extract) formats
-    at most m + |support| column names, of 4^6 = 4,096."""
+    none of its 4^6 = 4,096 column names: the point is keyed by position
+    from the solve to the extraction."""
     job = next(j for j in workloads.witness_frontier(random.Random("witness-frontier:2026"))
                if j.cfg.n == 6 and j.cfg.spec.kind == MAX)
     formatted = []
@@ -99,9 +104,27 @@ def test_a_frontier_job_formats_a_name_per_row_at_most(monkeypatch):
     monkeypatch.setattr(formulations, "vname", counted)
     rep, sol, game = job.run()
     monkeypatch.undo()
-    m = len(build_pp_pne(job.cfg, rep, job.designated).rows)
     assert not job.check((rep, sol, game))
-    assert 0 < len(formatted) <= m + len(sol.primal)
+    assert sol.primal and formatted == []
+
+
+def test_the_whole_primal_is_checked_without_a_name(monkeypatch):
+    """feasibility_report of the whole n = 8, r = 3 sum primal (196,608
+    columns) at lemma1_witness formats no column name: _ColumnNames
+    raises if one is read."""
+    eye = identity_matrix(8, False)
+    cfg = WorstCaseConfig((1.0, 3.0, 3.0, 1.0, 2.0, 3.0, 2.0, 3.0), eye, SocialSpec(SUM, eye),
+                          0.0, (X, X2, BasisFunction.monomial(3)))
+    rep = build_representative(cfg.weights)
+    program = build_pp_pne(cfg, rep)
+    assert len(program.variables) == 4**8 * 3
+
+    def unread(self, j):
+        raise AssertionError(f"column name {j} formatted")
+
+    monkeypatch.setattr(formulations._ColumnNames, "__getitem__", unread)
+    witness = lemma1_witness(cfg, rep)
+    assert lp.feasibility_report(program, witness.values, FEAS_TOL) == (True, None, 0)
 
 
 def test_listed_variables_are_still_checked_for_duplicates():
@@ -125,8 +148,8 @@ def test_primal_is_the_support_of_the_full_point(cfg, exact):
         if report.status != lp.OPTIMAL:
             continue
         assert all(report.primal.values())
-        names = list(program.variables)
-        assert list(report.primal) == [v for v in names if v in report.primal]
+        assert list(report.primal) == sorted(report.primal)
+        assert set(report.primal) <= set(range(len(program.variables)))
         assert len(report.primal) <= len(program.rows)
         assert lp.feasibility_report(program, report.primal, 1e-7)[0]
 
@@ -141,7 +164,7 @@ def test_nonpositive_and_free_variables_keep_their_sign():
                                bounds={"x": lp.FREE, "y": (None, 0)})
     for exact in (False, True):
         report = lp.solve(program, exact)
-        assert report.primal == {"x": -7, "y": -10}
+        assert report.primal == {0: -7, 1: -10}  # x and y
         assert report.value == 4
 
 
@@ -177,8 +200,7 @@ def test_extraction_needs_the_class_loads_its_support_never_reaches():
     cfg = WorstCaseConfig((F(1), F(2)), eye, SocialSpec(SUM, eye), F(0),
                           (BasisFunction.lookup({F(1): F(1), F(3): F(1)}),))
     rep = build_representative(cfg.weights)
-    point = {vname(rep.resource_for([0], []), 0): F(1),
-             vname(rep.resource_for([], [0]), 0): F(1)}
+    point = {column(cfg, 1, 0): F(1), column(cfg, 0, 1): F(1)}
     message = "lookup table does not cover congestion value 2"
     with pytest.raises(GameError, match=message):
         formulations.solve_worst_case(cfg, exact=True)
@@ -208,7 +230,9 @@ def test_a_table_raises_at_the_first_load_it_misses_in_mask_order(num, kind):
     message = f"lookup table does not cover congestion value {num(6)}$"
     with pytest.raises(GameError, match=message):
         formulations.solve_worst_case(cfg, exact=num is F)
-    point = {vname(rep.resource_for([2], []), 0): num(1), "t": num(1)}
+    point = {column(cfg, 4, 0): num(1)}
+    if kind == MAX:
+        point[4**3 * 2] = num(1)  # t
     with pytest.raises(GameError, match=message):
         extract_worst_game(cfg, rep, point, None if kind == SUM else 0)
 

@@ -20,7 +20,6 @@ from poacert.formulations import (
     WorstCaseConfig,
     extract_worst_game,
     solve_worst_case,
-    vname,
 )
 from poacert.games import (
     EQ1,
@@ -47,10 +46,12 @@ FLOAT_RTOL = 1e-12
 
 def full_game(cfg, rep, point):
     """The game of a primal point over all 4^n representative resources,
-    negative values clamped to 0: the witness before restriction."""
+    negative values clamped to 0: the witness before restriction.  The
+    point is keyed by position, and resource i of the model, e(P, Q) with
+    i = P 2^n + Q, has its columns at i r + k."""
     r = len(cfg.basis)
-    coeffs = {e: tuple(max(point.get(vname(e, k), 0), 0) for k in range(r))
-              for e in rep.model.resources}
+    coeffs = {e: tuple(max(point.get(i * r + k, 0), 0) for k in range(r))
+              for i, e in enumerate(rep.model.resources)}
     return GeneralizedGame(rep.model, cfg.basis, coeffs, cfg.alpha)
 
 
@@ -180,10 +181,10 @@ def test_placeholder_keeps_strategies_nonempty(grid_witnesses):
     stands in: zero coefficients, in player i's two strategies only."""
     cells = 0
     for cfg, result, witness in grid_witnesses:
-        rep, model = result.rep, witness.model
+        rep, model, r = result.rep, witness.model, len(cfg.basis)
+        index = {e: i for i, e in enumerate(rep.model.resources)}
         used = {e for e in model.resources
-                if any(result.primal_solution.get(vname(e, k), 0) != 0
-                       for k in range(len(cfg.basis)))}
+                if any(result.primal_solution.get(index[e] * r + k, 0) != 0 for k in range(r))}
         extra = set(model.resources) - used
         cells += bool(extra)
         for i, per in enumerate(model.strategies):
