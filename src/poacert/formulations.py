@@ -555,24 +555,24 @@ def _close(a, b, rtol):
     return abs(a - b) <= rtol * max(1, abs(a), abs(b))
 
 
-def _dual_report(program: lp.LinearProgram, duals, tol) -> tuple:
+def _dual_report(program: lp.LinearProgram, duals, tol, signed=()) -> tuple:
     """lp.feasibility_report's (ok, first violated label, worst violation)
     on the rows of _certificate_program(program), at certificate duals, one
     per row of program and in its order, read by lp.dual_violations off
-    program's own array.  The sign bounds of the duals are not checked."""
+    program's own array, then on the sign bounds of the duals of signed."""
     viol = lp.dual_violations(program, duals)
-    bad = np.flatnonzero(viol > tol)
-    first = _dual_row_name(program.variables[bad[0]]) if len(bad) else None
-    return first is None, first, max(viol[viol > 0].tolist(), default=0)
+    first, worst = lp._fold(np.concatenate([viol, np.array([0 - duals[i] for i in signed])]), tol)
+    if first is not None:
+        first = (_dual_row_name(program.variables[first]) if first < len(viol)
+                 else f"bound[{_certificate_name(program.rows[signed[first - len(viol)]].label)}]")
+    return first is None, first, worst
 
 
 def _certificate_report(program: lp.LinearProgram, duals, tol) -> tuple:
     """lp.feasibility_report(_certificate_program(program), cert, tol): the
     dual rows, then the sign bounds of the duals of <= rows."""
-    _, first, worst = _dual_report(program, duals, tol)
-    signs = ((row.label, 0 - y) for row, y in zip(program.rows, duals) if row.relation == lp.LE)
-    ok, sign, worst = lp.fold_checks(signs, tol, None, worst)  # the first sign's label, built alone
-    return first is None and ok, first or sign and f"bound[{_certificate_name(sign)}]", worst
+    return _dual_report(program, duals, tol,
+                        [i for i, row in enumerate(program.rows) if row.relation == lp.LE])
 
 
 def _exact_config(cfg: WorstCaseConfig) -> WorstCaseConfig:
@@ -679,23 +679,23 @@ def extract_worst_game(
     at 4^n r under max.  A key that is no such position (a str, a float,
     a bool, a negative int or one past the last column) raises GameError
     naming it, before any program is built.  A column the point lacks is
-    0.  Infeasible points are rejected with the first violated row label:
-    the point is checked by lp.feasibility_report on the program of its
-    nonzero columns alone, built from the closed form at those columns'
-    masks, as it would be on build_pp_pne.  Like solve_worst_case, it
-    raises GameError for a lookup table that misses a load of the class,
-    even one the point never reaches.  Only the witness's resource ids
-    are formatted, and a column name only for an error message.
+    0.  An infeasible point (a nan is a violation) raises GameError with
+    the first violated row label, from lp.feasibility_report on the
+    program of its nonzero columns alone, built from the closed form at
+    their masks.  Like solve_worst_case, it raises GameError for a lookup
+    table that misses a load of the class, even one the point never
+    reaches.  Only the witness's resource ids are formatted, and a column
+    name only for an error message.
 
     A resource is kept when any of its columns is nonzero, solver dust
     included, and keeps its id and representative order; strategies are
-    the representative ones restricted to the kept set, each frozenset
-    filled in representative order, so rep.sigma_star and rep.o_star
-    index them as before.  When player i's
-    sigma*_i or o*_i would be left empty, e({i},{i}) is kept too: it has
-    latency 0 and lies in i's two strategies only.  Every dropped
-    resource has latency 0 at every load, so every cost, gap and social
-    value is that of the full representative game."""
+    the representative ones restricted to the kept set, so rep.sigma_star
+    and rep.o_star index them as before.  A frozenset iterates by string
+    hash, so a strategy's repr follows PYTHONHASHSEED (gamefile.emit_game
+    sorts each one).  When player i's sigma*_i or o*_i would be left
+    empty, e({i},{i}) is kept too: it has latency 0 and lies in i's two
+    strategies only.  Every dropped resource has latency 0 at every load,
+    so every cost, gap and social value is that of the full game."""
     _check_designee(cfg, designated)
     n, r, width = cfg.n, len(cfg.basis), _width(cfg)
     end = width + len(_level(cfg))

@@ -13,6 +13,7 @@ floats for speed.  Nothing in this module rounds.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -66,17 +67,14 @@ class BasisFunction:
 
     @staticmethod
     def lookup(table: Mapping) -> "BasisFunction":
-        items = []
         for x, v in table.items():
-            if x <= 0:
+            if not x > 0:  # nan included
                 raise GameError(f"lookup key {x} must be positive (f(0)=0 is implied)")
-            if v < 0:
+            if not v >= 0:
                 raise GameError(f"lookup value f({x})={v} must be non-negative")
-            items.append((x, v))
-        if not items:
+        if not table:
             raise GameError("empty lookup table")
-        items.sort(key=lambda kv: kv[0])
-        return BasisFunction(TABLE, table=tuple(items))
+        return BasisFunction(TABLE, table=tuple(sorted(table.items(), key=lambda kv: kv[0])))
 
     def __post_init__(self):
         if self.kind not in (MONOMIAL, INDICATOR, TABLE):
@@ -230,6 +228,8 @@ class GeneralizedGame:
                 raise GameError(f"no coefficients for resource {e!r}")
             if len(self.coefficients[e]) != r:
                 raise GameError(f"resource {e!r} needs {r} coefficients")
+            if any(isinstance(c, float) and not math.isfinite(c) for c in self.coefficients[e]):
+                raise GameError(f"resource {e!r} has a coefficient that is not finite")
         self._check_latencies()
 
     def _check_latencies(self):

@@ -26,9 +26,10 @@ each Row holds only the relation, rhs and label of its row of the array.
 dualize is the array's transpose.  feasibility_report (rows at a point)
 and dual_violations (the dual's rows at row duals, no dual built) read the
 array through one linear combination of its slices, _combination, whose
-sums do not depend on the Python version's builtin sum.  A point is
-keyed by position, {j: x} for variables[j]; a name is formatted only on
-demand, for a message, a violated bound's label or the fixed format.
+sums do not depend on the Python version's builtin sum.  Every check
+folds its violations through _fold (a nan is one).  A point is keyed by
+position, {j: x} for variables[j], and read on its support; a name is
+formatted only for a message, a violated bound's label or fixed format.
 
 Conventions
 -----------
@@ -610,11 +611,25 @@ def _tol(values: np.ndarray, exact: bool):
     return 0 if exact else RESIDUAL_TOL * (1 + max(map(abs, values.tolist()), default=0.0))
 
 
+def _fold(violations, tol) -> tuple:
+    """(first, worst) of an array or list (read as objects) of violations:
+    the first index not <= tol, nan included, or None; the first largest
+    positive one, nan if one is, or 0."""
+    v = violations if isinstance(violations, np.ndarray) else np.array(violations, dtype=object)
+    nan = (v != v).nonzero()[0]
+    k = nan[0] if len(nan) else v.argmax() if len(v) else None
+    worst = 0 if k is None or v[k] <= 0 else v.item(k)
+    if k is None or v[k] <= tol:  # the largest entry, or the first nan, decides
+        return None, worst
+    with np.errstate(invalid="ignore"):  # a float nan among objects flags their comparisons
+        return int((~(v <= tol)).nonzero()[0][0]), worst
+
+
 def _check(violations: np.ndarray, tol, message):
-    """SolverError(message(i)) for the first i whose violation exceeds tol
-    or is nan."""
-    if not np.maximum.reduce(violations, initial=0) <= tol:
-        raise SolverError(message(int(np.flatnonzero(~(violations <= tol))[0])))
+    """SolverError(message(i)) for _fold's first violation i."""
+    first, _ = _fold(violations, tol)
+    if first is not None:
+        raise SolverError(message(first))
 
 
 def _violations(excess: np.ndarray, slack: np.ndarray, tight) -> np.ndarray:
@@ -725,45 +740,29 @@ def _combination(slices: np.ndarray, scalars: Sequence) -> np.ndarray:
     return total
 
 
-def fold_checks(checks, tol, first=None, worst=0):
-    """Fold (label, violation) checks, in order, into (ok, first label
-    whose violation exceeds tol, worst violation), starting from a first
-    label and worst violation already found."""
-    for label, v in checks:
-        if v > worst:
-            worst = v
-        if v > tol and first is None:
-            first = label
-    return first is None, first, worst
-
-
 def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9):
     """(ok, first_violated_label, worst_violation) of a candidate point
-    {j: x}, keyed by position as SolveReport.primal is.
+    {j: x}, keyed by position as SolveReport.primal is: _fold over the
+    rows, in declaration order, then the bounds (labeled bound[var]).
 
-    Rows are checked in declaration order, then variable bounds (labeled
-    bound[var]).  A position absent from the point counts as 0, and a key
-    that is no position is ignored.  Each row's lhs is one _combination
-    of the coefficient array's columns.  Only the first violated bound's
-    variable is named."""
-    x = [point.get(j, 0) for j in range(len(lp.variables))]
-    checks = []
-    for row, lhs in zip(lp.rows, _combination(lp.coefficients[:-1].T, x).tolist()):
-        gap = lhs - row.rhs
-        checks.append((row.label, -gap if row.relation == GE else abs(gap) if row.relation == EQ
-                       else gap))
-    _, first, worst = fold_checks(checks, tol)
-    # each variable's violation below its bound, then above it, folded by
-    # index: the label of the first one past tol is built alone
+    Only the support is read, each key in range(len(variables)) in
+    position order; any other key is ignored, and an absent position is
+    0.  The rows' lhs are one _combination of the support's columns.  An
+    entry x of a variable >= 0 breaks its bound by -x, of one <= 0 by x;
+    only the first violated bound's variable is named."""
+    keys = sorted(k for k in point if k in range(len(lp.variables)))
+    columns, x = [int(k) for k in keys], [point[k] for k in keys]
+    A = lp.coefficients
+    rhs = np.array([row.rhs for row in lp.rows], dtype=A.dtype)
+    slack = np.array([_SLACK[row.relation] for row in lp.rows], dtype=A.dtype)
+    rows = _violations(_combination(A[:-1, columns].T, x) - rhs, slack, False).tolist()
     std = _Standardizer(lp, exact=False)
-    signs = [v for value in x for v in (0 - value, 0)]
-    for j in std.neg:
-        signs[2 * j], signs[2 * j + 1] = 0, x[j] - 0
-    for j in std.free:
-        signs[2 * j] = 0
-    _, sign, worst = fold_checks(enumerate(signs), tol, None, worst)
-    if first is None and sign is not None:
-        first = f"bound[{lp.variables[sign // 2]}]"
+    neg, free = set(std.neg), set(std.free)
+    bounded = [(j, v - 0 if j in neg else 0 - v) for j, v in zip(columns, x) if j not in free]
+    first, worst = _fold(rows + [v for _, v in bounded], tol)
+    if first is not None:
+        first = (lp.rows[first].label if first < len(rows)
+                 else f"bound[{lp.variables[bounded[first - len(rows)][0]]}]")
     return first is None, first, worst
 
 

@@ -10,6 +10,13 @@ STACS 2006; SIAM J. Comput. 2011).  The bound holds for coarse
 correlated equilibria too, so it bounds gamma* of every sum class with
 alpha = beta = I, eps = 0 and basis x, ..., x^d.  With d = 1 and weights
 (1, 1, phi, phi) the class attains it: Phi_1^2 = (3 + sqrt 5)/2.
+
+Fair cost sharing, where the players on a resource split its cost
+equally (latency c/x at load x), has price of anarchy exactly n for n
+players (Anshelevich, Dasgupta, Kleinberg, Tardos, Wexler and Roughgarden,
+"The price of stability for network design with fair cost allocation",
+FOCS 2004): gamma* of the unit-weight class with alpha = beta = I,
+eps = 0 and the lookup basis {k: 1/k} is n.
 """
 
 import math
@@ -19,7 +26,7 @@ from fractions import Fraction as F
 import pytest
 
 from poacert.formulations import VALUE_RTOL, WorstCaseConfig, solve_worst_case
-from poacert.games import SUM, BasisFunction, SocialSpec, identity_matrix
+from poacert.games import MAX, SUM, BasisFunction, SocialSpec, identity_matrix
 
 WEIGHTS = (0.5, 1.0, 1.618, 2.0, 2.618, 3.0, 5.0)
 
@@ -89,3 +96,29 @@ def test_golden_weights_attain_the_linear_bound():
     phi = (1 + math.sqrt(5)) / 2
     result = solve_worst_case(polynomial_class((1.0, 1.0, phi, phi), 1))
     assert result.gamma_star == pytest.approx((3 + math.sqrt(5)) / 2, rel=VALUE_RTOL)
+
+
+def fair_cost_class(n, kind, exact=False):
+    """n unit-weight players, alpha = beta = I, eps = 0, and one basis
+    function, the fair share 1/k at load k."""
+    one = F(1) if exact else 1.0
+    eye = identity_matrix(n, exact)
+    share = BasisFunction.lookup({k * one: one / k for k in range(1, n + 1)})
+    return WorstCaseConfig((one,) * n, eye, SocialSpec(kind, eye), 0 * one, (share,))
+
+
+@pytest.mark.parametrize("kind", [SUM, MAX])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_fair_cost_sharing_attains_n(n, kind):
+    """Float gamma* of fair cost sharing is n, to VALUE_RTOL."""
+    result = solve_worst_case(fair_cost_class(n, kind))
+    assert result.gamma_star == pytest.approx(n, rel=VALUE_RTOL)
+
+
+@pytest.mark.parametrize("kind", [SUM, MAX])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_fair_cost_sharing_is_n(n, kind):
+    """Rational gamma* of fair cost sharing is n, with no slack."""
+    result = solve_worst_case(fair_cost_class(n, kind, exact=True), exact=True)
+    assert isinstance(result.gamma_star, F)
+    assert result.gamma_star == n

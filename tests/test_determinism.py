@@ -16,11 +16,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # float games of 2 and 3 players over six string resources (non-dyadic
 # data, so a reordered sum rounds differently), then the witnesses of two
-# float classes: costs, eq1 and verbatim gaps at every profile, and the
-# oracle and smoothness answers
+# float classes: costs, eq1 and verbatim gaps at every profile, the
+# oracle and smoothness answers, and each witness's file form, whose
+# strategies emit_game sorts
 PASS = """
+import json
 import random
 from poacert import formulations, smoothness
+from poacert.gamefile import emit_game
 from poacert.games import (EQ1, MAX, SUM, VERBATIM, BasisFunction, CongestionModel,
                            GeneralizedGame, SocialSpec, deviation_gaps, individual_costs)
 from poacert.oracle import exact_ppoa, worst_cce
@@ -51,6 +54,7 @@ for n in (3, 4):
     game = formulations.extract_worst_game(cfg, res.rep, res.primal_solution, res.designated)
     for prof in game.model.profiles():
         print(individual_costs(game, prof), list(deviation_gaps(game, prof, cfg.epsilon, EQ1)))
+    print(json.dumps(emit_game(game)))
 """
 
 

@@ -819,6 +819,22 @@ def test_extraction_rejects_infeasible_point():
         extract_worst_game(cfg, r.rep, bad)
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_extraction_rejects_a_nan_value(exact):
+    """A nan in a solved primal point is a violation, as lp.solve's own
+    reading counts one: GameError names the first row it reaches, and no
+    game with a nan coefficient is built."""
+    eye = identity_matrix(2, exact)
+    one = F(1) if exact else 1.0
+    cfg = WorstCaseConfig((one, one), eye, SocialSpec(SUM, eye), 0 * one,
+                          (BasisFunction.monomial(1),))
+    r = solve_worst_case(cfg, exact)
+    bad = dict(r.primal_solution)
+    bad[sorted(bad)[0]] = float("nan")
+    with pytest.raises(GameError, match=r"primal point violates eq\[0\] by nan"):
+        extract_worst_game(cfg, r.rep, bad)
+
+
 def test_extraction_clamps_solver_dust():
     cfg = unit_cfg()
     r = solve_worst_case(cfg)
@@ -926,6 +942,26 @@ def test_verify_extension_flags_weak_certificate():
     assert not report.ok
     assert report.first_violated is not None
     assert report.worst_violation > 0
+
+
+def test_verify_extension_refuses_a_nan_certificate():
+    """No tolerance admits a nan: a certificate of nan duals fails."""
+    nan = float("nan")
+    report = verify_extension(unit_cfg(), {"y[0]": nan, "y[1]": nan, "gamma": nan}, g1().model,
+                              ProfileDistribution.point(AA), AB)
+    assert not report.ok and report.first_violated is not None
+    assert math.isnan(report.worst_violation)
+
+
+def test_certificate_pass_refuses_nan_duals():
+    """The float certificate pass of solve_worst_case fails nan duals."""
+    from poacert.formulations import _certificate_report
+
+    cfg = unit_cfg()
+    nan = float("nan")
+    program = build_pp_pne(cfg, build_representative(cfg.weights))
+    ok, label, worst = _certificate_report(program, [nan] * len(program.rows), FEAS_TOL)
+    assert not ok and label is not None and math.isnan(worst)
 
 
 def test_extension_pass_is_feasibility_report_on_dp_cce():

@@ -85,6 +85,14 @@ def test_lookup_rejects_nonpositive_keys():
         BasisFunction.lookup({})
 
 
+def test_lookup_rejects_nan_keys_and_values():
+    nan = float("nan")
+    with pytest.raises(GameError, match="lookup key nan"):
+        BasisFunction.lookup({nan: 1.0, 1.0: 2.0})
+    with pytest.raises(GameError, match="lookup value"):
+        BasisFunction.lookup({1.0: nan})
+
+
 # ============================================================
 # model and game validation
 # ============================================================
@@ -119,6 +127,14 @@ def test_game_requires_full_coefficient_map():
     m = g1().model
     with pytest.raises(GameError):
         GeneralizedGame(m, (BasisFunction.monomial(1),), {"a": (1,)}, identity_matrix(2))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_game_rejects_a_coefficient_that_is_not_finite(bad):
+    m = g1().model
+    with pytest.raises(GameError, match="resource 'a' has a coefficient that is not finite"):
+        GeneralizedGame(m, (BasisFunction.monomial(1),), {"a": (bad,), "b": (1.0,)},
+                        identity_matrix(2))
 
 
 def test_game_rejects_negative_latency():

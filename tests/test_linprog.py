@@ -785,6 +785,36 @@ def test_a_point_is_read_by_position():
     assert feasibility_report(program, {"x": 5, 2: 5, -1: 5, 0.5: 5}) == (True, None, 0)
 
 
+def test_a_nan_entry_is_a_violation():
+    """No tolerance admits a nan: a nan entry makes the first row it
+    reaches fail, and the worst violation is nan."""
+    ok, label, worst = feasibility_report(lp_prod_mix(), {0: float("nan")})
+    assert (ok, label, np.isnan(worst)) == (False, "cap", True)
+
+
+def test_a_row_that_reads_nan_is_violated():
+    """x0 - x1 <= 1 at x0 = x1 = inf: its lhs inf - inf is nan, and the
+    point is refused."""
+    program = LinearProgram(MAXIMIZE, ["x0", "x1"], [Row(LE, 1.0, "r")],
+                            np.array([[1.0, -1.0], [0.0, 0.0]]))
+    with np.errstate(invalid="ignore"):  # inf - inf is nan
+        ok, label, worst = feasibility_report(program, {0: float("inf"), 1: float("inf")})
+    assert (ok, label, np.isnan(worst)) == (False, "r", True)
+
+
+def test_the_fold_names_the_first_failure_and_the_worst_violation():
+    """_fold over a list keeps each entry's type: the first index not <=
+    tol, nan included, and the first largest positive entry (nan when one
+    is nan, 0 when none is positive)."""
+    nan = float("nan")
+    assert repr(linprog._fold([F(1, 2), 0.5, -1, 0.25], 0.3)) == repr((0, F(1, 2)))
+    assert repr(linprog._fold([-1, 0.0, -0.5], 0)) == repr((None, 0))
+    assert repr(linprog._fold(np.array([0.1, 2.0, 2.0]), 1.0)) == repr((1, 2.0))
+    first, worst = linprog._fold([0.0, 5, nan, 7], 1)
+    assert first == 1 and np.isnan(worst)
+    assert repr(linprog._fold([], 0)) == repr((None, 0))
+
+
 def test_feasibility_report_matches_a_reference_loop():
     """Seeded programs over >= 0, <= 0 and free variables, at points in
     float, Fraction and int arithmetic (some variables absent), and at the

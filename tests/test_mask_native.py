@@ -173,7 +173,13 @@ def _reference_point_report(names, rows, values, level, tol):
     checks += [(f"bound[{names[j]}]", 0 - values[j]) for j in support]
     if any(t for *_, t in rows):
         checks.append(("bound[t]", 0 - level))
-    return lp.fold_checks(checks, tol)
+    first, worst = None, 0
+    for label, v in checks:
+        if v > worst:
+            worst = v
+        if v > tol and first is None:
+            first = label
+    return first is None, first, worst
 
 
 def reference_extract_worst_game(cfg, rep, primal_values, designated=None):
