@@ -62,6 +62,7 @@ from .games import (
     GeneralizedGame,
     ProfileDistribution,
     SocialSpec,
+    check_weights,
 )
 from .representative import RepresentativeModel, build_representative
 
@@ -88,11 +89,7 @@ class WorstCaseConfig:
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "alpha", tuple(tuple(row) for row in self.alpha))
         object.__setattr__(self, "basis", tuple(self.basis))
-        n = len(self.weights)
-        if n < 2:
-            raise GameError("need at least 2 players")
-        if any(w <= 0 for w in self.weights):
-            raise GameError("weights must be positive")
+        n = check_weights(self.weights)
         if len(self.alpha) != n or any(len(row) != n for row in self.alpha):
             raise GameError(f"alpha must be {n}x{n}")
         if self.spec.n != n:

@@ -504,7 +504,7 @@ def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
     for i, row in enumerate(game.alpha):
         here = _weighted(row, costs)
         for x in range(len(model.strategies[i])):
-            there = individual_costs(game, _deviate(profile, i, x))
+            there = costs if x == profile[i] else individual_costs(game, _deviate(profile, i, x))
             yield i, x, here - (1 + eps) * _weighted(row, there)
 
 

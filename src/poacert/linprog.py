@@ -745,13 +745,14 @@ def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9):
     {j: x}, keyed by position as SolveReport.primal is: _fold over the
     rows, in declaration order, then the bounds (labeled bound[var]).
 
-    Only the support is read, each key in range(len(variables)) in
-    position order; any other key is ignored, and an absent position is
-    0.  The rows' lhs are one _combination of the support's columns.  An
-    entry x of a variable >= 0 breaks its bound by -x, of one <= 0 by x;
-    only the first violated bound's variable is named."""
-    keys = sorted(k for k in point if k in range(len(lp.variables)))
-    columns, x = [int(k) for k in keys], [point[k] for k in keys]
+    Only the support is read, in position order: a key k with k == hash(k)
+    in range(len(variables)) at position hash(k), as point.get(j) finds it
+    (1.0 and True at 1), in O(1); any other key is ignored, and an absent
+    position is 0.  The rows' lhs are one _combination of the support's
+    columns.  An entry x of a variable >= 0 breaks its bound by -x, of one
+    <= 0 by x; only the first violated bound's variable is named."""
+    keys = sorted(k for k in point if 0 <= hash(k) < len(lp.variables) and k == hash(k))
+    columns, x = [hash(k) for k in keys], [point[k] for k in keys]
     A = lp.coefficients
     rhs = np.array([row.rhs for row in lp.rows], dtype=A.dtype)
     slack = np.array([_SLACK[row.relation] for row in lp.rows], dtype=A.dtype)

@@ -2,9 +2,9 @@
 
 Everything here is brute force on purpose: optimum and equilibria by full
 profile enumeration, worst coarse value by a linear program over the
-profile simplex.  Arithmetic exactness follows the inputs — feed Fraction
-data and pass exact=True where a solver is involved to get rational
-answers end to end.
+profile simplex, each read off one _CostTable and its gaps (_gaps).
+Arithmetic exactness follows the inputs — feed Fraction data and pass
+exact=True where a solver is involved to get rational answers end to end.
 """
 
 from __future__ import annotations
@@ -23,22 +23,14 @@ from .games import (
     GeneralizedGame,
     ProfileDistribution,
     SocialSpec,
+    _tol,
     deviation_gaps,
     individual_costs,
-    is_eps_pne,
     social_of_costs,
-    social_value,
 )
 
 PROFILE_CAP = 10**6
 NO_EQUILIBRIUM = "NO_EQUILIBRIUM"
-
-
-def _profiles(game: GeneralizedGame, cap: int, what: str):
-    """The game's profiles in lexicographic order, after the cap check."""
-    if game.model.profile_count() > cap:
-        raise GameError(f"{what}: {game.model.profile_count()} profiles exceeds cap {cap}")
-    return game.model.profiles()
 
 
 class _CostTable(NamedTuple):
@@ -57,10 +49,6 @@ class _CostTable(NamedTuple):
         """The profile of row a, as the tuple games reads."""
         return tuple(self.profiles[a].tolist())
 
-    def profile_tuples(self) -> list:
-        """Every row's profile, in row order."""
-        return list(map(tuple, self.profiles.tolist()))
-
     def deviations(self, i: int, targets) -> np.ndarray:
         """Rows by targets: the row of (sigma_{-i}, x) for every row sigma
         and every strategy index x of player i in targets."""
@@ -74,7 +62,9 @@ class _CostTable(NamedTuple):
 
 def _cost_table(game: GeneralizedGame, cap: int, what: str) -> _CostTable:
     """The _CostTable of the game's profiles, after the cap check."""
-    profiles = list(_profiles(game, cap, what))
+    if game.model.profile_count() > cap:
+        raise GameError(f"{what}: {game.model.profile_count()} profiles exceeds cap {cap}")
+    profiles = list(game.model.profiles())
     rows = [individual_costs(game, prof) for prof in profiles]
     floats = all(isinstance(c, float) for row in rows for c in row)
     sizes = [len(per) for per in game.model.strategies]
@@ -93,16 +83,41 @@ def _weighted_rows(row, costs: np.ndarray) -> np.ndarray:
     return total
 
 
+def _optimum(values: list) -> tuple:
+    """The first row of least social value, and that value."""
+    return min(enumerate(values), key=lambda pair: pair[1])
+
+
+def _gaps(game, table: _CostTable, epsilon, predicate):
+    """Every row's gaps in deviation_gaps order: for verbatim a profiles x
+    deviations array read off the table, in its dtype; for eq1 deviation_gaps
+    of each row, lazily, so a reader may stop at a row's first bad gap."""
+    if predicate != VERBATIM:
+        return ((gap for _, _, gap in deviation_gaps(game, prof, epsilon, predicate))
+                for prof in map(tuple, table.profiles.tolist()))
+    scale = 1 + epsilon
+    if table.costs.dtype == np.float64:
+        scale = float(scale)
+    blocks = []
+    for i, alpha in enumerate(game.alpha):
+        perceived = _weighted_rows(alpha, table.costs)
+        deviations = table.deviations(i, range(len(game.model.strategies[i])))
+        blocks.append(perceived[:, None] - scale * perceived[deviations])
+    return np.concatenate(blocks, axis=1)
+
+
+def _equilibria(game, table: _CostTable, epsilon, predicate) -> list:
+    """The rows whose every gap g passes is_eps_pne's test, g <= _tol(g)."""
+    return [a for a, gaps in enumerate(_gaps(game, table, epsilon, predicate))
+            if all(g <= _tol(g) for g in gaps)]
+
+
 def social_optimum(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP):
     """Minimal-social-value pure profile, ties broken by lexicographic
     profile order.  Returns (profile, value)."""
-    best = None
-    best_value = None
-    for prof in _profiles(game, cap, "social_optimum"):
-        v = social_value(spec, game, prof)
-        if best_value is None or v < best_value:
-            best, best_value = prof, v
-    return best, best_value
+    table = _cost_table(game, cap, "social_optimum")
+    best, value = _optimum(table.social_values(spec))
+    return table.profile(best), value
 
 
 def enumerate_eps_pne(
@@ -111,13 +126,10 @@ def enumerate_eps_pne(
     predicate: str = EQ1,
     cap: int = PROFILE_CAP,
 ):
-    """All pure profiles passing the chosen equilibrium predicate, in
-    lexicographic order."""
-    return [
-        prof
-        for prof in _profiles(game, cap, "enumerate_eps_pne")
-        if is_eps_pne(game, prof, epsilon, predicate)
-    ]
+    """All pure profiles passing is_eps_pne under the chosen predicate, in
+    lexicographic order: the _equilibria of one cost table."""
+    table = _cost_table(game, cap, "enumerate_eps_pne")
+    return [table.profile(a) for a in _equilibria(game, table, epsilon, predicate)]
 
 
 class PPoAReport(NamedTuple):
@@ -133,20 +145,18 @@ class PPoAReport(NamedTuple):
 
 
 def _ppoa(game, table: _CostTable, spec, epsilon, predicate) -> PPoAReport:
-    """ppoa_report on a cost table of the game: the optimum as
-    social_optimum gives it and the equilibria as enumerate_eps_pne does."""
-    values = dict(zip(table.profile_tuples(), table.social_values(spec)))
-    opt_profile = min(values, key=values.get)
-    opt = values[opt_profile]
+    """ppoa_report on a cost table of the game: _optimum and _equilibria,
+    as social_optimum and enumerate_eps_pne read them."""
+    values = table.social_values(spec)
+    best, opt = _optimum(values)
     if opt == 0:
         raise GameError("social optimum is 0; the ratio is undefined")
-    equilibria = [(prof, v) for prof, v in values.items()
-                  if is_eps_pne(game, prof, epsilon, predicate)]
+    equilibria = _equilibria(game, table, epsilon, predicate)
     if not equilibria:
-        return PPoAReport(NO_EQUILIBRIUM, opt, opt_profile, 0, [])
-    target = max(v for _, v in equilibria)
-    return PPoAReport(target / opt, opt, opt_profile, len(equilibria),
-                      [prof for prof, v in equilibria if v == target])
+        return PPoAReport(NO_EQUILIBRIUM, opt, table.profile(best), 0, [])
+    target = max(values[a] for a in equilibria)
+    return PPoAReport(target / opt, opt, table.profile(best), len(equilibria),
+                      [table.profile(a) for a in equilibria if values[a] == target])
 
 
 def ppoa_report(
@@ -217,7 +227,7 @@ def cce_poa(
     """(social optimum, worst_cce's CCEReport), both read off one cost
     table; a zero optimum raises GameError before any program is solved."""
     table = _cost_table(game, cap, "social_optimum")
-    opt = min(table.social_values(spec))
+    _, opt = _optimum(table.social_values(spec))
     if opt == 0:
         raise GameError("social optimum is 0; the ratio is undefined")
     return opt, _worst_cce(game, table, spec, epsilon, predicate, exact)
@@ -225,26 +235,12 @@ def cce_poa(
 
 def _coarse_rows(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
     """The rows cce[i][x] of worst_cce, players then strategies, one column
-    per profile, in the table's dtype; an object row holds int 0 where its
-    entry is 0.  A verbatim entry is the perceived cost at the profile less
-    (1 + eps) times that at its deviation, both read off the table."""
-    sizes = [len(per) for per in game.model.strategies]
-    rows = np.zeros((sum(sizes), len(table.profiles)), dtype=table.costs.dtype)
-    if predicate == VERBATIM:
-        scale = 1 + epsilon
-        if rows.dtype == np.float64:
-            scale = float(scale)
-        first = np.cumsum([0, *sizes])
-        for i, alpha in enumerate(game.alpha):
-            perceived = _weighted_rows(alpha, table.costs)
-            gaps = perceived[:, None] - scale * perceived[table.deviations(i, range(sizes[i]))]
-            rows[first[i]:first[i + 1]] = np.where(gaps != 0, gaps, 0).T
-        return rows
-    for col, prof in enumerate(table.profile_tuples()):
-        for k, (_, _, gap) in enumerate(deviation_gaps(game, prof, epsilon, predicate)):
-            if gap != 0:
-                rows[k, col] = gap
-    return rows
+    per profile, in the table's dtype: _gaps stacked, an object row
+    holding int 0 where its entry is 0."""
+    gaps = _gaps(game, table, epsilon, predicate)
+    if not isinstance(gaps, np.ndarray):
+        gaps = np.array([list(row) for row in gaps], dtype=table.costs.dtype)
+    return np.where(gaps != 0, gaps, 0).T
 
 
 def _worst_cce(game, table: _CostTable, spec, epsilon, predicate, exact) -> CCEReport:

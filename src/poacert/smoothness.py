@@ -3,15 +3,16 @@
 A game is (lam, mu)-smooth when sum_i c_i(sigma_{-i}, sigma'_i) is at most
 lam*SF(sigma') + mu*SF(sigma) for every ordered profile pair; any such
 certificate with mu < 1 bounds every equilibrium notion's inefficiency by
-lam/(1-mu).  The infimum of that ratio over the certificate polyhedron is a
-linear-fractional program, one LP after the Charnes-Cooper transform
-t = 1/(1-mu) (Charnes & Cooper 1962), exact on Fraction input.  Only its
-3-row dual is written, from the pair tables as one coefficient array; the
-certificate is that dual's row duals, which lp.solve checks as it checks
-every answer's: against the Charnes-Cooper rows, which are the dual's own
-dual rows, and for their signs.  mu may be
-negative but stays below 1 (t > 0): the closure point (0, 1) satisfies the
-pair rows of some degenerate games, certifying nothing.
+lam/(1-mu).  Every answer reads one oracle cost table: SF, the sum bound
+and the pair tables.  The infimum of that ratio over the certificate
+polyhedron is a linear-fractional program, one LP after the
+Charnes-Cooper transform t = 1/(1-mu) (Charnes & Cooper 1962), exact on
+Fraction input.  Only its 3-row dual is written, from the pair tables as
+one coefficient array; the certificate is that dual's row duals, which
+lp.solve checks as it checks every answer's: against the Charnes-Cooper
+rows, which are the dual's own dual rows, and for their signs.  mu may
+be negative but stays below 1 (t > 0): the closure point (0, 1)
+satisfies the pair rows of some degenerate games, certifying nothing.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .games import (
     GeneralizedGame,
     SocialSpec,
     _tol,
-    social_of_costs,
 )
-from .oracle import NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _CostTable, _ppoa, _worst_cce
+from .oracle import (NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _CostTable, _ppoa, _weighted_rows,
+                     _worst_cce)
 
 NOT_SMOOTHABLE = "NOT_SMOOTHABLE"
 OPTIMAL = lp.OPTIMAL
@@ -60,27 +61,31 @@ def _exceeds_sum(social, total) -> bool:
     return social > total + _tol(social, total)
 
 
+def _unbounded_row(table: _CostTable, sf: list) -> Optional[int]:
+    """The first row whose social value exceeds its individual costs added
+    from 0 in player order, as the pair tables' diagonal adds them, or None."""
+    totals = _weighted_rows([1] * table.costs.shape[1], table.costs)
+    return next((a for a, (social, total) in enumerate(zip(sf, totals.tolist()))
+                 if _exceeds_sum(social, total)), None)
+
+
 def is_sum_bounded(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP):
     """(True, None), or (False, first profile whose social value exceeds the
-    sum of individual costs)."""
+    sum of individual costs): _unbounded_row, as robust_poa reads it."""
     table = _cost_table(game, cap, "is_sum_bounded")
-    for a, costs in enumerate(table.costs.tolist()):
-        if _exceeds_sum(social_of_costs(spec, costs), sum(costs)):
-            return False, table.profile(a)
-    return True, None
+    a = _unbounded_row(table, table.social_values(spec))
+    return (True, None) if a is None else (False, table.profile(a))
 
 
-def _pair_tables(table: _CostTable, spec):
-    """The social values of a cost table's profiles, as a list, and the
-    deviation sums of every ordered profile pair, as an array in the
+def _deviation_sums(table: _CostTable) -> np.ndarray:
+    """The deviation sums of every ordered profile pair, as an array in the
     table's dtype: dev[a, b] = sum_i c_i(sigma_{-i}, sigma'_i) for sigma the
     profile of row a and sigma' that of row b, each c_i read off the table
     at the deviation's row and added from 0 in player order."""
-    sf = table.social_values(spec)
-    dev = np.zeros((len(sf), len(sf)), dtype=table.costs.dtype)
+    dev = np.zeros((len(table.profiles),) * 2, dtype=table.costs.dtype)
     for i in range(table.costs.shape[1]):
         dev = dev + table.costs[table.deviations(i, table.profiles[:, i]), i]
-    return sf, dev
+    return dev
 
 
 def check_smooth(
@@ -94,7 +99,7 @@ def check_smooth(
     tol, a row may exceed its bound by games._tol over lam, mu and the pair
     tables: 0 when all of them are exact, FEAS_TOL otherwise."""
     table = _cost_table(game, PROFILE_CAP, "smoothness pair tables")
-    sf, dev = _pair_tables(table, spec)
+    sf, dev = table.social_values(spec), _deviation_sums(table)
     if tol is None:
         tol = FEAS_TOL if dev.dtype == np.float64 else _tol(cert.lam, cert.mu, *sf, *dev.flat)
     lam, mu = cert.lam, cert.mu
@@ -158,9 +163,9 @@ def robust_poa(
     and checked.
 
     Only defined for sum-bounded (game, spec) pairs — everything else is
-    NOT_SMOOTHABLE with is_sum_bounded's profile, read off the pair tables'
-    diagonal.  On Fraction input value = lam/(1-mu) is the exact infimum,
-    in Fractions; otherwise it is the optimum of one LP whose point
+    NOT_SMOOTHABLE with is_sum_bounded's profile, found before the pair
+    tables are built.  On Fraction input value = lam/(1-mu) is the exact
+    infimum, in Fractions; otherwise it is the optimum of one LP whose point
     lp.solve checked to its RESIDUAL_TOL.
     Where every optimal point has t = 0, (lam, mu) are None: the value is
     then max SF / min SF, approached by certificates only as mu -> -inf.
@@ -170,17 +175,17 @@ def robust_poa(
 
 def _robust_poa(table: _CostTable, spec) -> RobustPoA:
     """robust_poa on a cost table of the game."""
-    sf, dev = _pair_tables(table, spec)
-    diagonal = dev.diagonal().tolist()
-    for a, (social, total) in enumerate(zip(sf, diagonal)):
-        if _exceeds_sum(social, total):
-            return RobustPoA(NOT_SMOOTHABLE, None, None, None, table.profile(a), 0)
+    sf = table.social_values(spec)
+    a = _unbounded_row(table, sf)
+    if a is not None:
+        return RobustPoA(NOT_SMOOTHABLE, None, None, None, table.profile(a), 0)
+    dev = _deviation_sums(table)
     one = sf[0] / sf[0] if sf and sf[0] else 1
     if len(sf) == 1:
         # only the pair (sigma, sigma) exists and the value is 1: lam=1, mu=0
         # certifies it when dev(sigma, sigma) <= SF(sigma), as under the sum of
         # the players' own costs; otherwise mu -> -inf only approaches it
-        if diagonal[0] <= sf[0] + _tol(sf[0], diagonal[0]):
+        if dev.item(0) <= sf[0] + _tol(sf[0], dev.item(0)):
             return RobustPoA(OPTIMAL, one, one, 0 * one, None, 0)
         return RobustPoA(OPTIMAL, one, None, None, None, 0)
     exact = isinstance(sf[0], Fraction)

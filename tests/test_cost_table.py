@@ -45,8 +45,8 @@ from poacert.smoothness import (
     SmoothnessCertificate,
     SmoothnessValidation,
     _certificate_point,
+    _deviation_sums,
     _exceeds_sum,
-    _pair_tables,
     _ratio_dual,
     check_smooth,
     robust_poa,
@@ -230,8 +230,8 @@ def test_pair_tables_and_check_smooth_match_the_dict_path(exact):
         sizes.add(len(table.profiles))
         for spec in specs:
             profiles, sf, dev = reference_pair_tables(game, spec)
-            got_sf, got_dev = _pair_tables(table, spec)
-            assert table.profile_tuples() == profiles
+            got_sf, got_dev = table.social_values(spec), _deviation_sums(table)
+            assert [table.profile(a) for a in range(len(got_sf))] == profiles
             assert repr(got_sf) == repr(sf), label
             assert repr(got_dev.tolist()) == _array_repr(dev, got_dev.dtype), label
             robust = robust_poa(game, spec)

@@ -5,7 +5,9 @@ is used again somewhere in the repository's Python code (src, tests,
 poabench, demos); a private (_-prefixed) one is used outside the tests
 (src, poabench, demos), so a path only tests take does not live in src.
 Only gamefile.py, where input text enters, imports re: no other module
-parses text, such as a name it formatted itself.
+parses text, such as a name it formatted itself.  In oracle.py and
+smoothness.py only _cost_table enumerates profiles and prices them, and
+only _gaps calls deviation_gaps.
 Every name a poacert module imports is used in that module.  Every
 defaulted parameter of a private function or method (one whose own name
 begins with one _) is passed, by keyword or at its position, at some call
@@ -181,6 +183,39 @@ def test_sign_classes_are_read_through_one_map():
              for scope, line in _attribute_reads(_tree(PACKAGE / "linprog.py"), "bounds")
              if not any(scope == a or scope.startswith(a + ".") for a in allowed)]
     assert not reads, "bounds read outside the standardizer: " + ", ".join(reads)
+
+
+def _calls(tree, scope=""):
+    """(scope, name, line) of every call in a tree, name being the called
+    function's name or the called method's attribute, scope as in
+    _attribute_reads."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}".lstrip(".")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            yield scope, name, node.lineno
+        yield from _calls(node, inner)
+
+
+@pytest.mark.parametrize("module", ["oracle.py", "smoothness.py"])
+def test_profiles_are_priced_and_gapped_in_one_place(module):
+    """In the oracle and smoothness layer only _cost_table enumerates the
+    game (.profiles()) and calls individual_costs, only _gaps calls
+    deviation_gaps, and nothing prices a profile through is_eps_pne or
+    social_value: every whole-game answer reads one cost table and one
+    gap evaluator."""
+    owner = {"individual_costs": "_cost_table", "profiles": "_cost_table",
+             "deviation_gaps": "_gaps", "is_eps_pne": None, "social_value": None}
+    calls = [(scope, name, line) for scope, name, line in _calls(_tree(PACKAGE / module))
+             if name in owner]
+    stray = [f"{module}:{line} {scope} calls {name}" for scope, name, line in calls
+             if scope != owner[name]]
+    assert not stray, "priced, enumerated or gapped outside its owner: " + ", ".join(stray)
+    if module == "oracle.py":
+        assert {name for _, name, _ in calls} == {n for n, o in owner.items() if o}
 
 
 def test_text_is_parsed_only_where_input_enters():

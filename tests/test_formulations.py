@@ -104,6 +104,12 @@ def test_config_rejects_bad_shapes():
     with pytest.raises(GameError):
         WorstCaseConfig((F(1), F(1)), identity_matrix(2, True),
                         SocialSpec(SUM, identity_matrix(2, True)), F(0), ())
+    # the weights are checked by games.check_weights, as a model's are
+    eye = identity_matrix(2, True)
+    for weights, message in (((F(1),), "need at least 2 players, got 1"),
+                             ((F(1), F(0)), "weight of player 1 must be positive, got 0")):
+        with pytest.raises(GameError, match=message):
+            WorstCaseConfig(weights, eye, SocialSpec(SUM, eye), F(0), (BasisFunction.monomial(1),))
 
 
 def test_designated_player_bookkeeping():

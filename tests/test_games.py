@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import AA, AB, BA, BB, g1, g1_spec, random_game, seeded
+from poacert import games
 from poacert.games import (
     EQ1,
     MAX,
@@ -314,6 +315,21 @@ def test_one_load_pass_matches_the_per_player_functions(seed):
                 want = [(i, x, gap(g, prof, i, x, 0.5))
                         for i in range(3) for x in range(len(g.model.strategies[i]))]
                 assert list(deviation_gaps(g, prof, 0.5, predicate)) == want
+
+
+def test_verbatim_gaps_price_each_profile_once(monkeypatch):
+    """Under verbatim, deviation_gaps prices the profile once, for its own
+    cost and for every x = sigma_i, and each other deviation once."""
+    priced = []
+    original = games.individual_costs
+
+    def counted(game, profile):
+        priced.append(tuple(profile))
+        return original(game, profile)
+
+    monkeypatch.setattr(games, "individual_costs", counted)
+    list(deviation_gaps(g1(), AB, 0, VERBATIM))
+    assert priced == [AB, BB, AA]
 
 
 # ============================================================

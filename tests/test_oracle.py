@@ -38,19 +38,29 @@ from poacert.games import (
     beta_cost,
     deviation_gaps,
     identity_matrix,
+    individual_costs,
     is_eps_cce,
+    is_eps_pne,
+    social_of_costs,
     social_value,
 )
 from poacert.oracle import (
     NO_EQUILIBRIUM,
     CCEReport,
+    PPoAReport,
     enumerate_eps_pne,
     exact_ppoa,
+    ppoa_report,
     social_optimum,
     worst_cce,
     worst_cce_value,
 )
-from poacert.smoothness import robust_poa, validate_smoothness_claims
+from poacert.smoothness import (
+    _exceeds_sum,
+    is_sum_bounded,
+    robust_poa,
+    validate_smoothness_claims,
+)
 
 CHASE_ALPHA = ((F(1), F(-1)), (F(0), F(1)))  # player 0 chases, player 1 flees
 
@@ -297,6 +307,79 @@ def test_worst_cce_equals_the_program_built_per_objective(exact):
     assert checked == 64
 
 
+def _reference_social_optimum(game, spec):
+    """The strict-< loop over profiles that social_optimum was."""
+    best, best_value = None, None
+    for prof in game.model.profiles():
+        v = social_value(spec, game, prof)
+        if best_value is None or v < best_value:
+            best, best_value = prof, v
+    return best, best_value
+
+
+def _reference_equilibria(game, epsilon, predicate):
+    """The is_eps_pne filter that enumerate_eps_pne was."""
+    return [prof for prof in game.model.profiles() if is_eps_pne(game, prof, epsilon, predicate)]
+
+
+def _reference_ppoa(game, spec, epsilon, predicate):
+    """ppoa_report from the strict-< optimum and the is_eps_pne filter."""
+    opt_profile, opt = _reference_social_optimum(game, spec)
+    if opt == 0:
+        raise GameError("social optimum is 0; the ratio is undefined")
+    values = {prof: social_value(spec, game, prof)
+              for prof in _reference_equilibria(game, epsilon, predicate)}
+    if not values:
+        return PPoAReport(NO_EQUILIBRIUM, opt, opt_profile, 0, [])
+    target = max(values.values())
+    return PPoAReport(target / opt, opt, opt_profile, len(values),
+                      [prof for prof, v in values.items() if v == target])
+
+
+def _reference_sum_bounded(game, spec):
+    """The loop that is_sum_bounded was, each profile's costs added by the
+    builtin sum."""
+    for prof in game.model.profiles():
+        costs = individual_costs(game, prof)
+        if _exceeds_sum(social_of_costs(spec, costs), sum(costs)):
+            return False, prof
+    return True, None
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_table_answers_match_the_profile_loops(exact):
+    """social_optimum, is_sum_bounded, enumerate_eps_pne and ppoa_report
+    read one cost table and its gaps; each answer is repr-identical to the
+    loop over profiles it replaced, under both predicates at eps 0 and 1/2,
+    on seeded games and the chase game, which has no pure equilibrium."""
+    chase = tuple(tuple(a if exact else float(a) for a in row) for row in CHASE_ALPHA)
+    bounded, counts = set(), set()
+    for seed, game, beta in [*_seeded_games(8, exact),
+                             ("chase", g1(exact, chase), identity_matrix(2, exact))]:
+        if all(b == 0 for row in beta for b in row):
+            beta = identity_matrix(game.n, exact)
+        for kind in (SUM, MAX):
+            spec = SocialSpec(kind, beta)
+            assert repr(social_optimum(game, spec)) == repr(_reference_social_optimum(game, spec))
+            want = _reference_sum_bounded(game, spec)
+            assert repr(is_sum_bounded(game, spec)) == repr(want), (seed, kind)
+            bounded.add(want[0])
+            for predicate in (EQ1, VERBATIM):
+                for eps in (0, F(1, 2) if exact else 0.5):
+                    want = _reference_equilibria(game, eps, predicate)
+                    assert repr(enumerate_eps_pne(game, eps, predicate)) == repr(want)
+                    counts.add(min(len(want), 2))
+                    try:
+                        want = _reference_ppoa(game, spec, eps, predicate)
+                    except GameError as exc:
+                        with pytest.raises(GameError, match=str(exc)):
+                            ppoa_report(game, spec, eps, predicate)
+                        continue
+                    got = ppoa_report(game, spec, eps, predicate)
+                    assert repr(got) == repr(want), (seed, kind, predicate, eps)
+    assert bounded == {True, False} and counts == {0, 1, 2}
+
+
 def _count_individual_costs(monkeypatch):
     """Wrap individual_costs in every poacert module that holds it; the
     returned list grows by one entry per call."""
@@ -315,9 +398,11 @@ def _count_individual_costs(monkeypatch):
 
 
 def test_oracle_calls_price_each_profile_once(monkeypatch, tmp_path):
-    """worst_cce (sum and max, verbatim rows), robust_poa, exact_ppoa,
-    validate_smoothness_claims and the cce-poa command each make at most
-    one individual_costs call per profile."""
+    """worst_cce (sum and max, verbatim rows), robust_poa, exact_ppoa and
+    enumerate_eps_pne under both predicates, social_optimum,
+    is_sum_bounded, validate_smoothness_claims and the cce-poa, exact-ppoa
+    and enumerate-pne commands (these two under the verbatim predicate)
+    each make at most one individual_costs call per profile."""
     calls = _count_individual_costs(monkeypatch)
     path = str(tmp_path / "game.json")
     for _, game, _ in _seeded_games(6, False):
@@ -325,11 +410,19 @@ def test_oracle_calls_price_each_profile_once(monkeypatch, tmp_path):
         write_json(path, emit_game(game))
         for kind in (SUM, MAX):
             spec = SocialSpec(kind, identity_matrix(game.n))
+            verbatim = ["--game", path, "--predicate", VERBATIM]
             for run in (lambda: worst_cce(game, spec, 0, VERBATIM),
                         lambda: robust_poa(game, spec),
                         lambda: exact_ppoa(game, spec, 0, EQ1),
+                        lambda: exact_ppoa(game, spec, 0, VERBATIM),
+                        lambda: enumerate_eps_pne(game, 0, EQ1),
+                        lambda: enumerate_eps_pne(game, 0, VERBATIM),
+                        lambda: social_optimum(game, spec),
+                        lambda: is_sum_bounded(game, spec),
                         lambda: validate_smoothness_claims(game, spec),
-                        lambda: cli.main(["cce-poa", "--game", path, "--sf", kind])):
+                        lambda: cli.main(["cce-poa", "--game", path, "--sf", kind]),
+                        lambda: cli.main(["exact-ppoa", "--sf", kind, *verbatim]),
+                        lambda: cli.main(["enumerate-pne", *verbatim])):
                 calls.clear()
                 try:
                     run()

@@ -46,7 +46,7 @@ from poacert.smoothness import (
     OPTIMAL,
     RobustPoA,
     SmoothnessCertificate,
-    _pair_tables,
+    _deviation_sums,
     _ratio_dual,
     check_smooth,
     is_sum_bounded,
@@ -59,8 +59,8 @@ def _tables(game, spec, cap):
     """(profiles, SF, the deviation sums as nested lists) of the pair
     tables of the game's cost table."""
     table = _cost_table(game, cap, "smoothness pair tables")
-    sf, dev = _pair_tables(table, spec)
-    return table.profile_tuples(), sf, dev.tolist()
+    profiles = [table.profile(a) for a in range(len(table.profiles))]
+    return profiles, table.social_values(spec), _deviation_sums(table).tolist()
 
 
 def _pair_rows(sf, dev):
