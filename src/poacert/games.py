@@ -491,6 +491,12 @@ def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
     equal to deviation_gap or deviation_gap_verbatim but from one load pass
     over the profile (eq1) or one individual_costs call per profile read
     (verbatim).  Lazy, so a caller may stop at the first bad gap."""
+    return _deviation_gaps(game, profile, eps, predicate, lambda prof: individual_costs(game, prof))
+
+
+def _deviation_gaps(game: GeneralizedGame, profile, eps, predicate: str, priced):
+    """deviation_gaps, a verbatim gap reading each profile's
+    individual_costs as priced(profile) gives them."""
     if predicate not in (EQ1, VERBATIM):
         raise GameError(f"unknown predicate {predicate!r}")
     model = game.model
@@ -500,11 +506,11 @@ def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
             for x, target in enumerate(model.ordered_strategies[i]):
                 yield i, x, _grouped_gap(game, profile, i, target, eps, inputs)
         return
-    costs = individual_costs(game, profile)
+    costs = priced(profile)
     for i, row in enumerate(game.alpha):
         here = _weighted(row, costs)
         for x in range(len(model.strategies[i])):
-            there = costs if x == profile[i] else individual_costs(game, _deviate(profile, i, x))
+            there = costs if x == profile[i] else priced(_deviate(profile, i, x))
             yield i, x, here - (1 + eps) * _weighted(row, there)
 
 
@@ -537,9 +543,17 @@ def is_eps_cce(
 ) -> bool:
     """Coarse correlated test: no player gains (1+eps)-factor in
     expectation by a constant pure deviation.  An exact expected gap must
-    be <= 0; a float one may exceed 0 by FEAS_TOL."""
+    be <= 0; a float one may exceed 0 by FEAS_TOL.  Each distinct profile
+    the verbatim gaps read is priced once per call."""
+    prices = {}
+
+    def priced(prof):
+        if prof not in prices:
+            prices[prof] = individual_costs(game, prof)
+        return prices[prof]
+
     gaps = {
-        prof: [gap for _, _, gap in deviation_gaps(game, prof, eps, predicate)]
+        prof: [gap for _, _, gap in _deviation_gaps(game, prof, eps, predicate, priced)]
         for prof in dist.masses
     }
     k = 0

@@ -18,7 +18,10 @@ rational data, every row and column scale 1, and checks it with
 tolerance 0, as QSopt_ex and SoPlex do.  A run whose reading fails, or
 that fails itself, is redone by the rational simplex, so SolverError
 means the rational run failed too; the solver never reports OPTIMAL on
-an inconclusive run.
+an inconclusive run.  solve_each solves several objectives over one
+program's rows (a _Region): one float standard form and one phase 1,
+then each objective's phase 2 from phase 1's basis, read and falling
+back on its own; solve is its one-objective case.
 
 A program is stated as one coefficient array, rows by variables plus the
 objective as a last row, and that array is the one path into the kernel;
@@ -46,7 +49,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from collections.abc import Mapping, Sequence
 from typing import NamedTuple, Optional
@@ -321,10 +324,8 @@ def _system(lp: LinearProgram, exact: bool) -> _System:
         A *= scale[:, None]
         b *= scale
         columns = _equilibrator(A, axis=0)
-        standard[:, :n] *= columns
+        A *= columns
     if lp.sense == MINIMIZE:
-        nz = np.flatnonzero(costs)
-        costs[nz] = -costs[nz]
         scale = -scale
     slack = np.array([_SLACK[row.relation] for row in lp.rows], dtype=std.dtype)
     flip = b < 0
@@ -337,7 +338,23 @@ def _system(lp: LinearProgram, exact: bool) -> _System:
     rows = np.arange(m)
     standard[rows, n + rows] = slack
     standard[rows, n + m + rows] = np.where(slack <= 0, std.one, std.zero)
-    return _System(A, b, costs, slack, scale, columns, std, standard)
+    system = _System(A, b, costs, slack, scale, columns, std, standard)
+    _scale_costs(system, lp.sense)
+    return system
+
+
+def _scale_costs(system: _System, sense: str):
+    """Turn the system's costs row, over the standard columns as
+    _Standardizer.columns writes them, into the costs the kernel maximizes,
+    in place: each times its column's scale in float, negated under min.
+    _system writes its program's objective this way, and _Region a later
+    objective over the same rows."""
+    costs = system.costs
+    if not system.std.exact:
+        costs *= system.columns
+    if sense == MINIMIZE:
+        nz = np.flatnonzero(costs)
+        costs[nz] = -costs[nz]
 
 
 # ============================================================
@@ -497,6 +514,18 @@ class _Revised:
             else:
                 streak = 0
 
+    def snapshot(self) -> tuple:
+        """What a run changes: T, the basis, the live rows and the counts."""
+        return (self.T.copy(), self.basis.copy(), self.row_alive.copy(),
+                self.iterations, self.degenerate, self.bland_switches, self.retired)
+
+    def restore(self, snapshot: tuple):
+        """Return to a snapshot, bit for bit, with no entering column."""
+        T, basis, alive, self.iterations, self.degenerate, self.bland_switches, self.retired = snapshot
+        self.T[...] = T  # in place: inverse and x are views of T
+        self.basis, self.row_alive = basis.copy(), alive.copy()
+        self.entering = None
+
     def phase1(self):
         """Drive the artificials to 0: False when they cannot be."""
         if all(j < self.width for j in self.basis):  # no artificial
@@ -526,26 +555,61 @@ class _Stop(NamedTuple):
     """Where a run of the kernel stopped: its status, the standard number
     of each row's basic column (structural j is j, the slack of row i is
     n + i and its artificial n + m + i), the entering column of an
-    UNBOUNDED stop, the system it ran on and the run's counts."""
+    UNBOUNDED stop, the system it ran on, the run's counts and the
+    _Region it ran in, from which another objective over the same rows
+    may run (None where no region was kept)."""
 
     status: str
     basis: list
     entering: Optional[int]
     system: _System
     stats: KernelStats
+    region: Optional["_Region"] = None
+
+
+class _Region:
+    """A program's rows in one arithmetic: one _system and one phase 1 on
+    it, then a phase 2 per objective.  The first run maximizes the
+    objective _system wrote; a later one restores the kernel to where
+    phase 1 left it (T, basis, live rows and counts, so the iteration cap
+    counts as in a cold run), writes its program's objective into the
+    costs row and reports only its own phase 2's counts.  Every stop
+    shares the region's system, whose costs row the next run rewrites, so
+    a stop is read before the region runs again."""
+
+    def __init__(self, lp: LinearProgram, exact: bool):
+        self.system = system = _system(lp, exact)
+        self.kernel = kernel = _Revised(system)
+        self.feasible = kernel.phase1()
+        self.start = kernel.snapshot()
+        self.phase1 = KernelStats(kernel.iterations, 0, kernel.degenerate, kernel.bland_switches,
+                                  kernel.retired, kernel.row_alive.count(False))
+        self.runs = 0
+
+    def run(self, lp: LinearProgram) -> _Stop:
+        """Phase 2 on lp's objective, lp having the region's rows."""
+        system, kernel = self.system, self.kernel
+        if self.runs:
+            kernel.restore(self.start)
+            objective = lp.coefficients[-1:]
+            system.costs[:] = system.std.columns(
+                _fractions(objective) if system.std.exact else objective)[0]
+            _scale_costs(system, lp.sense)
+        # the costs row of the standard array: 0 at every slack and artificial
+        status = kernel.run(system.standard[-1], kernel.width) if self.feasible else INFEASIBLE
+        p1 = self.phase1
+        stats = KernelStats(p1.phase1_pivots, kernel.iterations - p1.phase1_pivots,
+                            kernel.degenerate, kernel.bland_switches, kernel.retired,
+                            p1.dropped_rows)
+        if self.runs:  # phase 1 was reported by the first run
+            stats = KernelStats(*[a - b for a, b in zip(stats, p1)])
+        self.runs += 1
+        return _Stop(status, kernel.basis.copy(), kernel.entering, system, stats, self)
 
 
 def _run(lp: LinearProgram, exact: bool) -> _Stop:
     """One run of the kernel in one arithmetic, to its final basis."""
-    system = _system(lp, exact)
-    kernel = _Revised(system)
-    feasible = kernel.phase1()
-    phase1 = kernel.iterations
-    # the costs row of the standard array: 0 at every slack and artificial
-    status = kernel.run(system.standard[-1], kernel.width) if feasible else INFEASIBLE
-    stats = KernelStats(phase1, kernel.iterations - phase1, kernel.degenerate,
-                        kernel.bland_switches, kernel.retired, kernel.row_alive.count(False))
-    return _Stop(status, kernel.basis, kernel.entering, system, stats)
+    return _Region(lp, exact).run(lp)
 
 
 def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
@@ -559,23 +623,56 @@ def solve(lp: LinearProgram, exact: bool = False) -> SolveReport:
     answered.  The rational simplex runs from scratch only when that
     fails: the float run raises SolverError, leaves float range or stops
     at a basis whose reading fails its checks.  report.fallback says why
-    it ran, and SolverError from here means it failed too."""
-    counts = KernelStats()
-    try:
-        # an overflow, or an inf or nan reached by a pivot, ends the float run
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            stop = _run(lp, exact=False)
-            counts = stop.stats
-            return _read(lp, stop, exact)
-    except SolverError as err:
-        fallback = str(err)
-    except ArithmeticError as err:  # OverflowError, FloatingPointError
-        fallback = f"float image: {err}"
-    report = _simplex(lp, exact=True)
-    report.stats = KernelStats(*[a + b for a, b in zip(counts, report.stats)])
-    report.iterations = report.stats.pivots
-    report.fallback = fallback
-    return report
+    it ran, and SolverError from here means it failed too.  This is
+    solve_each with lp's own objective."""
+    return _solve_each([lp], exact)[0]
+
+
+def solve_each(program: LinearProgram, objectives, exact: bool = False) -> list:
+    """solve of each objective over the program's rows: one SolveReport
+    per row of objectives (k by the program's variables; the program's own
+    objective row is not read), each equal to solve of the program with
+    that objective row in status, value, primal, duals and fallback.  One
+    float _system and one phase 1 serve every objective, and each
+    objective's phase 2 starts from phase 1's basis.  The first report's
+    counts are a cold solve's; a later one counts only its own phase 2
+    (and any rational run), so the reports' pivots add up to those run.
+    Each objective is read, and falls back to the rational simplex, on
+    its own."""
+    rows = program.coefficients[:-1]
+    objectives = np.asarray(objectives, dtype=rows.dtype)
+    if objectives.ndim != 2 or objectives.shape[1] != len(program.variables):
+        raise ValueError(f"objectives of shape {objectives.shape}, not k by "
+                         f"{len(program.variables)} variables")
+    return _solve_each((replace(program, coefficients=np.concatenate([rows, objective[None]]))
+                        for objective in objectives), exact)
+
+
+def _solve_each(programs, exact: bool) -> list:
+    """The report of each program, the programs sharing their rows: the
+    one try-float-then-rational policy of solve and solve_each.  The first
+    program's float run keeps its _Region, and each later one runs phase 2
+    in it; while no float run has returned, the next one starts its own."""
+    reports, region = [], None
+    for lp in programs:
+        counts = KernelStats()
+        try:
+            # an overflow, or an inf or nan reached by a pivot, ends the float run
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                stop = _run(lp, exact=False) if region is None else region.run(lp)
+                region, counts = stop.region, stop.stats
+                reports.append(_read(lp, stop, exact))
+            continue
+        except SolverError as err:
+            fallback = str(err)
+        except ArithmeticError as err:  # OverflowError, FloatingPointError
+            fallback = f"float image: {err}"
+        report = _simplex(lp, exact=True)
+        report.stats = KernelStats(*[a + b for a, b in zip(counts, report.stats)])
+        report.iterations = report.stats.pivots
+        report.fallback = fallback
+        reports.append(report)
+    return reports
 
 
 def _inverse(matrix: np.ndarray, exact: bool) -> np.ndarray:
@@ -614,7 +711,12 @@ def _tol(values: np.ndarray, exact: bool):
 def _fold(violations, tol) -> tuple:
     """(first, worst) of an array or list (read as objects) of violations:
     the first index not <= tol, nan included, or None; the first largest
-    positive one, nan if one is, or 0."""
+    positive one, nan if one is, or 0.  A float array whose largest
+    entry is <= tol, no nan among them, is decided by that one reduction."""
+    if isinstance(violations, np.ndarray) and violations.dtype.kind == "f" and violations.size:
+        top = violations.max()  # nan when an entry is
+        if top <= tol:
+            return None, top.item() if top > 0 else 0
     v = violations if isinstance(violations, np.ndarray) else np.array(violations, dtype=object)
     nan = (v != v).nonzero()[0]
     k = nan[0] if len(nan) else v.argmax() if len(v) else None

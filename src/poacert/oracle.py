@@ -144,10 +144,10 @@ class PPoAReport(NamedTuple):
     worst_equilibria: list
 
 
-def _ppoa(game, table: _CostTable, spec, epsilon, predicate) -> PPoAReport:
-    """ppoa_report on a cost table of the game: _optimum and _equilibria,
-    as social_optimum and enumerate_eps_pne read them."""
-    values = table.social_values(spec)
+def _ppoa(game, table: _CostTable, values: list, epsilon, predicate) -> PPoAReport:
+    """ppoa_report on a cost table of the game and its social values:
+    _optimum and _equilibria, as social_optimum and enumerate_eps_pne read
+    them."""
     best, opt = _optimum(values)
     if opt == 0:
         raise GameError("social optimum is 0; the ratio is undefined")
@@ -167,7 +167,8 @@ def ppoa_report(
     cap: int = PROFILE_CAP,
 ) -> PPoAReport:
     """exact_ppoa's PPoAReport, from one enumeration of the game."""
-    return _ppoa(game, _cost_table(game, cap, "exact_ppoa"), spec, epsilon, predicate)
+    table = _cost_table(game, cap, "exact_ppoa")
+    return _ppoa(game, table, table.social_values(spec), epsilon, predicate)
 
 
 def exact_ppoa(
@@ -211,9 +212,11 @@ def worst_cce(
     and every fixed deviation x, E[perceived cost of i] is at most (1+eps)
     times the expected perceived cost after switching i to x.  One program
     for sum objectives; for max objectives one per player (a max of linear
-    functionals), keeping the winner.  Rows and objectives read one
-    cost table."""
-    return _worst_cce(game, _cost_table(game, cap, "worst_cce"), spec, epsilon, predicate, exact)
+    functionals) over one feasible region, solved by lp.solve_each,
+    keeping the winner.  Rows and objectives read one cost table."""
+    table = _cost_table(game, cap, "worst_cce")
+    sf = table.social_values(spec) if spec.kind == SUM else None
+    return _worst_cce(game, table, spec, sf, epsilon, predicate, exact)
 
 
 def cce_poa(
@@ -227,10 +230,11 @@ def cce_poa(
     """(social optimum, worst_cce's CCEReport), both read off one cost
     table; a zero optimum raises GameError before any program is solved."""
     table = _cost_table(game, cap, "social_optimum")
-    _, opt = _optimum(table.social_values(spec))
+    sf = table.social_values(spec)
+    _, opt = _optimum(sf)
     if opt == 0:
         raise GameError("social optimum is 0; the ratio is undefined")
-    return opt, _worst_cce(game, table, spec, epsilon, predicate, exact)
+    return opt, _worst_cce(game, table, spec, sf, epsilon, predicate, exact)
 
 
 def _coarse_rows(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
@@ -243,36 +247,39 @@ def _coarse_rows(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
     return np.where(gaps != 0, gaps, 0).T
 
 
-def _worst_cce(game, table: _CostTable, spec, epsilon, predicate, exact) -> CCEReport:
-    """worst_cce on a cost table of the game."""
+def _worst_cce(game, table: _CostTable, spec, sf, epsilon, predicate, exact) -> CCEReport:
+    """worst_cce on a cost table of the game; sf, its social values, is
+    the objective under sum and is not read under max, whose objectives
+    are the players' beta-costs, all solved over one region."""
     size = len(table.profiles)
     variables = [f"p[{idx}]" for idx in range(size)]
     gap_rows = _coarse_rows(game, table, epsilon, predicate)
-    # rows cce[i][x], then mass, then the objective
-    coefficients = np.concatenate([gap_rows, np.ones((2, size), dtype=gap_rows.dtype)])
+    objectives = [sf] if spec.kind == SUM else [
+        _weighted_rows(row, table.costs).tolist() for row in spec.beta]
+    objectives = np.array([[v or 0 for v in values] for values in objectives],
+                          dtype=gap_rows.dtype)
+    # rows cce[i][x], then mass, then the first objective
+    coefficients = np.concatenate([gap_rows, np.ones((1, size), dtype=gap_rows.dtype),
+                                   objectives[:1]])
     rows = [lp.Row(lp.LE, 0, f"cce[{i}][{x}]") for i, per in enumerate(game.model.strategies)
             for x in range(len(per))]
     rows.append(lp.Row(lp.EQ, 1, "mass"))
-
-    def run(player, name):
-        values = (table.social_values(spec) if player is None
-                  else _weighted_rows(spec.beta[player], table.costs).tolist())
-        coefficients[-1] = [v or 0 for v in values]
-        program = lp.LinearProgram(lp.MAXIMIZE, variables, rows, coefficients, name=name)
-        rep = lp.solve(program, exact=exact)
+    program = lp.LinearProgram(lp.MAXIMIZE, variables, rows, coefficients, name=f"cce_{spec.kind}")
+    if spec.kind == SUM:
+        reports, players = [lp.solve(program, exact=exact)], [None]
+    else:
+        reports, players = lp.solve_each(program, objectives, exact=exact), range(game.model.n)
+    for rep in reports:
         if rep.status != lp.OPTIMAL:
             # the literal definition admits empty coarse sets when
             # perceived costs go negative and epsilon > 0
             raise GameError(f"coarse constraint set is {rep.status}")
-        masses = {table.profile(a): m for a, m in rep.primal.items() if m > 0}
-        if not exact:  # shed solver rounding before re-validation
-            total = sum(masses.values())
-            masses = {prof: m / total for prof, m in masses.items()}
-        return CCEReport(rep.value, ProfileDistribution(masses), player)
-
-    if spec.kind == SUM:
-        return run(None, "cce_sum")
-    return max((run(i, f"cce_max_{i}") for i in range(game.model.n)), key=lambda rep: rep.value)
+    rep, player = max(zip(reports, players), key=lambda pair: pair[0].value)
+    masses = {table.profile(a): m for a, m in rep.primal.items() if m > 0}
+    if not exact:  # shed solver rounding before re-validation
+        total = sum(masses.values())
+        masses = {prof: m / total for prof, m in masses.items()}
+    return CCEReport(rep.value, ProfileDistribution(masses), player)
 
 
 def worst_cce_value(

@@ -170,12 +170,12 @@ def robust_poa(
     Where every optimal point has t = 0, (lam, mu) are None: the value is
     then max SF / min SF, approached by certificates only as mu -> -inf.
     """
-    return _robust_poa(_cost_table(game, cap, "smoothness pair tables"), spec)
+    table = _cost_table(game, cap, "smoothness pair tables")
+    return _robust_poa(table, table.social_values(spec))
 
 
-def _robust_poa(table: _CostTable, spec) -> RobustPoA:
-    """robust_poa on a cost table of the game."""
-    sf = table.social_values(spec)
+def _robust_poa(table: _CostTable, sf: list) -> RobustPoA:
+    """robust_poa on a cost table of the game and its social values."""
     a = _unbounded_row(table, sf)
     if a is not None:
         return RobustPoA(NOT_SMOOTHABLE, None, None, None, table.profile(a), 0)
@@ -237,11 +237,12 @@ def validate_smoothness_claims(
     Fraction input is compared exactly; otherwise the bound gets a relative
     FEAS_TOL of slack."""
     table = _cost_table(game, cap, "smoothness pair tables")
-    robust = _robust_poa(table, spec)
-    pure = _ppoa(game, table, spec, 0, EQ1)
+    sf = table.social_values(spec)
+    robust = _robust_poa(table, sf)
+    pure = _ppoa(game, table, sf, 0, EQ1)
     ppoa, opt = pure.value, pure.optimum
     exact = isinstance(opt, Fraction)
-    ccpoa = _worst_cce(game, table, spec, 0, VERBATIM, exact).value / opt
+    ccpoa = _worst_cce(game, table, spec, sf, 0, VERBATIM, exact).value / opt
     if robust.status != OPTIMAL:
         return SmoothnessValidation(
             False, robust.unbounded_witness, robust, ppoa, ccpoa, None, None, None

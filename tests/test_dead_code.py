@@ -7,7 +7,8 @@ poabench, demos); a private (_-prefixed) one is used outside the tests
 Only gamefile.py, where input text enters, imports re: no other module
 parses text, such as a name it formatted itself.  In oracle.py and
 smoothness.py only _cost_table enumerates profiles and prices them, and
-only _gaps calls deviation_gaps.
+only _gaps calls deviation_gaps.  In linprog.py one function holds the
+fallback to the rational simplex and one calls phase1.
 Every name a poacert module imports is used in that module.  Every
 defaulted parameter of a private function or method (one whose own name
 begins with one _) is passed, by keyword or at its position, at some call
@@ -161,16 +162,24 @@ def test_every_private_knob_is_set_by_a_caller():
     assert not unset, "defaulted, and set by no caller: " + ", ".join(unset)
 
 
-def _attribute_reads(tree, attr, scope=""):
-    """(scope, line) of every read of the attribute attr in a tree, scope
-    being the dotted names of the classes and functions around it."""
+def _scoped_nodes(tree, scope=""):
+    """(scope, node) of every node in a tree but the classes and functions,
+    scope being the dotted names of the classes and functions around it."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{node.name}".lstrip(".")
-        elif isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load):
+        else:
+            yield scope, node
+        yield from _scoped_nodes(node, inner)
+
+
+def _attribute_reads(tree, attr):
+    """(scope, line) of every read of the attribute attr in a tree, scope
+    as in _scoped_nodes."""
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load):
             yield scope, node.lineno
-        yield from _attribute_reads(node, attr, inner)
 
 
 def test_sign_classes_are_read_through_one_map():
@@ -185,19 +194,15 @@ def test_sign_classes_are_read_through_one_map():
     assert not reads, "bounds read outside the standardizer: " + ", ".join(reads)
 
 
-def _calls(tree, scope=""):
+def _calls(tree):
     """(scope, name, line) of every call in a tree, name being the called
     function's name or the called method's attribute, scope as in
-    _attribute_reads."""
-    for node in ast.iter_child_nodes(tree):
-        inner = scope
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            inner = f"{scope}.{node.name}".lstrip(".")
-        elif isinstance(node, ast.Call):
+    _scoped_nodes."""
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             yield scope, name, node.lineno
-        yield from _calls(node, inner)
 
 
 @pytest.mark.parametrize("module", ["oracle.py", "smoothness.py"])
@@ -226,3 +231,23 @@ def test_text_is_parsed_only_where_input_enters():
         if (isinstance(node, ast.Import) and any(alias.name == "re" for alias in node.names))
         or (isinstance(node, ast.ImportFrom) and node.module == "re"))
     assert importers == ["gamefile.py"]
+
+
+def test_one_fallback_policy_and_one_phase_1():
+    """In linprog one function catches SolverError, and it is the one that
+    redoes a run by the rational simplex, _simplex(..., exact=True): every
+    solve, of one objective or several, falls back through it.  One
+    function calls phase1, where a region's standard form is built, so a
+    cold run and each objective of solve_each start from the same code."""
+    nodes = list(_scoped_nodes(_tree(PACKAGE / "linprog.py")))
+    catchers = {scope for scope, node in nodes if isinstance(node, ast.ExceptHandler)
+                and node.type is not None
+                and "SolverError" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}}
+    redoers = {scope for scope, node in nodes if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "_simplex"
+               and any(getattr(arg, "value", None) is True
+                       for arg in node.args[1:] + [kw.value for kw in node.keywords])}
+    starters = {scope for scope, node in nodes if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "phase1"}
+    assert catchers == redoers == {"_solve_each"}
+    assert starters == {"_Region.__init__"}

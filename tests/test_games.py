@@ -332,6 +332,57 @@ def test_verbatim_gaps_price_each_profile_once(monkeypatch):
     assert priced == [AB, BB, AA]
 
 
+def _reference_is_eps_cce(game, dist, eps, predicate):
+    """is_eps_cce as deviation_gaps of each support profile, each
+    deviation priced once per support profile that reaches it."""
+    gaps = {prof: [gap for _, _, gap in deviation_gaps(game, prof, eps, predicate)]
+            for prof in dist.masses}
+    k = 0
+    for i in range(game.n):
+        for _ in game.model.strategies[i]:
+            expected = dist.expect(lambda prof: gaps[prof][k])
+            if expected > games._tol(expected):
+                return False
+            k += 1
+    return True
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_a_cce_check_prices_each_profile_once(monkeypatch, exact):
+    """is_eps_cce under verbatim prices each distinct profile its gaps read
+    once per call (a support profile and its unilateral deviations), and
+    answers as the support's deviation_gaps do, under both predicates."""
+    from test_oracle import _seeded_games
+
+    priced = []
+    original = games.individual_costs
+
+    def counted(game, profile):
+        priced.append(tuple(profile))
+        return original(game, profile)
+
+    rng = seeded(3737)
+    answers = set()
+    for _, game, _ in _seeded_games(8, exact):
+        profiles = list(game.model.profiles())
+        for _ in range(4):
+            dist = ProfileDistribution.uniform(rng.sample(profiles, rng.randint(1, len(profiles))))
+            for predicate in (EQ1, VERBATIM):
+                for eps in (0, F(1, 2) if exact else 0.5):
+                    want = _reference_is_eps_cce(game, dist, eps, predicate)
+                    monkeypatch.setattr(games, "individual_costs", counted)
+                    priced.clear()
+                    assert is_eps_cce(game, dist, eps, predicate) is want
+                    monkeypatch.undo()
+                    answers.add(want)
+                    if predicate == VERBATIM:
+                        read = {(*prof[:i], x, *prof[i + 1:]) for prof in dist.masses
+                                for i, per in enumerate(game.model.strategies)
+                                for x in range(len(per))}
+                        assert sorted(priced) == sorted(read)
+    assert answers == {True, False}
+
+
 # ============================================================
 # equilibrium predicates
 # ============================================================

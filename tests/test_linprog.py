@@ -815,6 +815,38 @@ def test_the_fold_names_the_first_failure_and_the_worst_violation():
     assert repr(linprog._fold([], 0)) == repr((None, 0))
 
 
+def _three_pass_fold(violations, tol):
+    """The fold before its one-reduction path: nan, argmax, then the first
+    violation, over every input."""
+    v = violations if isinstance(violations, np.ndarray) else np.array(violations, dtype=object)
+    nan = (v != v).nonzero()[0]
+    k = nan[0] if len(nan) else v.argmax() if len(v) else None
+    worst = 0 if k is None or v[k] <= 0 else v.item(k)
+    if k is None or v[k] <= tol:
+        return None, worst
+    with np.errstate(invalid="ignore"):
+        return int((~(v <= tol)).nonzero()[0][0]), worst
+
+
+def test_the_fold_decides_a_float_array_by_its_largest_entry_as_before():
+    """_fold on float arrays, decided by one max() when nothing exceeds tol,
+    gives the three-pass fold's (first, worst), types included: arrays
+    with a nan, with an entry above tol, of -0.0 and 0.0, empty, and
+    seeded ones of mixed sign."""
+    nan = float("nan")
+    rng = random.Random(9191)
+    cases = [[], [-0.0], [-0.0, 0.0], [0.0, -0.0], [-1.0, -0.0], [1e-7, -2.0],
+             [0.5, nan, 0.1], [nan], [-1.0, 0.3, 2.0, 2.0], [0.25, 0.25]]
+    cases += [[rng.choice((-1.0, -0.0, 0.0, 1e-9, 0.2, 0.4)) for _ in range(rng.randint(1, 6))]
+              for _ in range(200)]
+    for values in cases:
+        for tol in (0, 1e-9, 0.3, 1.0):
+            v = np.array(values, dtype=np.float64)
+            want = _three_pass_fold(v, tol)
+            got = linprog._fold(v, tol)
+            assert repr(got) == repr(want), (values, tol)
+
+
 def test_feasibility_report_matches_a_reference_loop():
     """Seeded programs over >= 0, <= 0 and free variables, at points in
     float, Fraction and int arithmetic (some variables absent), and at the

@@ -550,3 +550,29 @@ def test_ratio_dual_is_the_dual_of_the_charnes_cooper_program():
         assert _same_but_name(lp.dualize(dual), _charnes_cooper(sf, dev))
         assert _same_but_name(lp.dualize(lp.dualize(dual)), dual)
     assert len(cases) >= 40
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_validation_reads_its_social_values_once(monkeypatch, exact):
+    """validate_smoothness_claims reads its cost table's social values once
+    and hands them to the robust PoA, the pure PoA and the worst coarse
+    value: one social_of_costs call per profile, under sum and max."""
+    from poacert import oracle
+
+    calls = []
+    original = oracle.social_of_costs
+
+    def counted(spec, costs):
+        calls.append(costs)
+        return original(spec, costs)
+
+    monkeypatch.setattr(oracle, "social_of_costs", counted)
+    num = F if exact else float
+    for seed in range(6):
+        weights = (num(1), num(1)) if seed % 2 else (num(1), num(3) / 2, num(1))
+        g = random_game(seeded(seed), weights, (X,), identity_matrix(len(weights), exact),
+                        exact=exact)
+        for kind in (SUM, MAX):
+            calls.clear()
+            validate_smoothness_claims(g, SocialSpec(kind, identity_matrix(len(weights), exact)))
+            assert len(calls) == g.model.profile_count(), (seed, kind)

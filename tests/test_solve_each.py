@@ -1,0 +1,196 @@
+"""lp.solve_each: several objectives over one program's rows, one float
+standard form and one phase 1 for all of them, each objective read and
+falling back on its own.  Every report must equal a cold lp.solve of the
+program with that objective row, in status, value, primal, duals,
+arithmetic and fallback."""
+
+import dataclasses
+import random
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from poacert import linprog, oracle
+from poacert.games import EQ1, MAX, VERBATIM, SocialSpec, identity_matrix
+from poacert.linprog import (
+    EQ,
+    GE,
+    INFEASIBLE,
+    LE,
+    MAXIMIZE,
+    OPTIMAL,
+    UNBOUNDED,
+    LinearProgram,
+    Row,
+    solve,
+    solve_each,
+)
+from test_linprog import pricing_cases
+from test_oracle import _seeded_games
+
+
+def _with_objective(program, objective):
+    """The program with its objective row replaced, as a cold solve reads it."""
+    rows = program.coefficients[:-1]
+    objective = np.asarray(objective, dtype=rows.dtype)
+    return dataclasses.replace(program, coefficients=np.concatenate([rows, objective[None]]))
+
+
+def _answer(report):
+    return repr((report.status, report.value, report.primal, report.duals, report.exact,
+                 report.fallback))
+
+
+def _count_pivots(monkeypatch):
+    """Every _Revised._pivot call, float or rational, appends one entry."""
+    pivots = []
+    pivot = linprog._Revised._pivot
+
+    def counted(self, r, j, column):
+        pivots.append(j)
+        return pivot(self, r, j, column)
+
+    monkeypatch.setattr(linprog._Revised, "_pivot", counted)
+    return pivots
+
+
+def assert_each_is_cold(program, objectives, exact, pivots):
+    """solve_each against one cold solve per objective: equal answers; the
+    first report's counts are the cold solve's, and a later one without a
+    fallback counts only its phase 2 (the cold solve's phase 2, and
+    degenerate pivots and Bland switches short by phase 1's, the same for
+    every objective); the reports' pivots add up to those run."""
+    pivots.clear()
+    reports = solve_each(program, objectives, exact)
+    run = len(pivots)
+    colds = [solve(_with_objective(program, c), exact) for c in objectives]
+    assert len(reports) == len(objectives)
+    assert [_answer(r) for r in reports] == [_answer(c) for c in colds]
+    assert reports[0].stats == colds[0].stats and reports[0].iterations == colds[0].iterations
+    phase1 = set()
+    for got, cold in zip(reports[1:], colds[1:]):
+        if got.fallback is not None:
+            continue
+        assert got.stats.phase1_pivots == got.stats.retired_columns == got.stats.dropped_rows == 0
+        assert got.stats.phase2_pivots == cold.stats.phase2_pivots == got.iterations
+        phase1.add((cold.stats.degenerate_pivots - got.stats.degenerate_pivots,
+                    cold.stats.bland_switches - got.stats.bland_switches))
+    assert len(phase1) <= 1
+    assert sum(r.iterations for r in reports) == run
+    return reports
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_every_coarse_region_solves_as_cold(monkeypatch, exact):
+    """The programs worst_cce under max hands to solve_each on the seeded
+    games of test_oracle, both predicates, eps 0 and 1/2: each player's
+    report is a cold solve's."""
+    calls = []
+    each = linprog.solve_each
+
+    def recorded(program, objectives, exact=False):
+        calls.append((program, objectives, exact))
+        return each(program, objectives, exact)
+
+    monkeypatch.setattr(linprog, "solve_each", recorded)
+    for _, game, beta in _seeded_games(8, exact):
+        if all(b == 0 for row in beta for b in row):
+            beta = identity_matrix(game.n, exact)
+        for predicate in (EQ1, VERBATIM):
+            for eps in (0, F(1, 2) if exact else 0.5):
+                try:
+                    oracle.worst_cce(game, SocialSpec(MAX, beta), eps, predicate, exact=exact)
+                except oracle.GameError:  # an empty coarse set
+                    pass
+    assert len(calls) == 32
+    monkeypatch.setattr(linprog, "solve_each", each)
+    pivots = _count_pivots(monkeypatch)
+    for program, objectives, flag in calls:
+        assert flag is exact and len(objectives) > 1
+        assert_each_is_cold(program, objectives, exact, pivots)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_pricing_cases_with_random_objectives(monkeypatch, exact):
+    """test_linprog's pricing cases, each with its own objective and three
+    seeded random ones in its arithmetic."""
+    rng = random.Random(3636)
+    pivots = _count_pivots(monkeypatch)
+    statuses = set()
+    for program in pricing_cases():
+        width = len(program.variables)
+        objectives = [program.coefficients[-1]] + [
+            [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(width)]
+            for _ in range(3)]
+        reports = assert_each_is_cold(program, objectives, exact, pivots)
+        statuses.update(r.status for r in reports)
+    assert OPTIMAL in statuses
+
+
+def _two_rows(first, second):
+    """Two rows over x and y: x - y R1 1 and x + y R2 1."""
+    rows = [Row(first, 1, "a"), Row(second, 1, "b")]
+    return LinearProgram(MAXIMIZE, ["x", "y"], rows,
+                         np.array([[1, -1], [1, 1], [0, 0]], dtype=object))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_an_infeasible_region_answers_each_objective(monkeypatch, exact):
+    """Over x + y <= 1 and x + y >= 2 every objective is INFEASIBLE, as
+    cold; in exact each falls back on its own, as solve does, since float
+    phase 1 leaves no certificate to read."""
+    program = LinearProgram(MAXIMIZE, ["x", "y"], [Row(LE, 1, "a"), Row(GE, 2, "b")],
+                            np.array([[1, 1], [1, 1], [0, 0]], dtype=object))
+    reports = assert_each_is_cold(program, [[1, 0], [0, 1], [-1, 2]], exact,
+                                  _count_pivots(monkeypatch))
+    assert {r.status for r in reports} == {INFEASIBLE}
+    assert all((r.fallback is None) is not exact for r in reports)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_an_unbounded_objective_among_bounded_ones(monkeypatch, exact):
+    """Over x - y <= 1 and x + y >= 1, which needs phase 1: -x - y stops
+    at 1, x + y grows without end, x - y stops at 1."""
+    reports = assert_each_is_cold(_two_rows(LE, GE), [[-1, -1], [1, 1], [1, -1], [0, 0]], exact,
+                                  _count_pivots(monkeypatch))
+    assert [r.status for r in reports] == [OPTIMAL, UNBOUNDED, OPTIMAL, OPTIMAL]
+    assert [r.value for r in reports] == [-1, None, 1, 0]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_an_objective_out_of_float_range_falls_back_alone(monkeypatch, exact):
+    """An objective entry of 10**400 has no float image: that objective
+    alone is redone by the rational simplex, with the fallback text a cold
+    solve gives, and the objectives after it run in the float region."""
+    program = _two_rows(LE, EQ)
+    reports = assert_each_is_cold(program, [[1, 0], [F(10**400), 1], [0, 1]], exact,
+                                  _count_pivots(monkeypatch))
+    assert [r.fallback is None for r in reports] == [True, False, True]
+    assert reports[1].fallback.startswith("float image: ")
+    assert reports[1].exact and reports[1].value == F(10**400)
+
+
+def test_objectives_must_match_the_variables():
+    with pytest.raises(ValueError, match="not k by 2 variables"):
+        solve_each(_two_rows(LE, GE), [[1, 0, 0]])
+
+
+def test_worst_cce_under_max_standardizes_its_region_once(monkeypatch):
+    """In float, worst_cce under max builds one standard form per call,
+    however many players it solves for."""
+    systems = []
+    system = linprog._system
+
+    def counted(lp, exact):
+        systems.append(lp.name)
+        return system(lp, exact)
+
+    monkeypatch.setattr(linprog, "_system", counted)
+    checked = 0
+    for _, game, _ in _seeded_games(6, False):
+        systems.clear()
+        oracle.worst_cce(game, SocialSpec(MAX, identity_matrix(game.n)))
+        assert systems == ["cce_max"]
+        checked += game.n
+    assert checked > 6
