@@ -43,7 +43,7 @@ for eps in (F(0), F(1, 2), F(1)):
 
 print()
 for eps in (F(0), F(1)):
-    res = worst_cce(game, spec, eps, exact=True)
+    res = worst_cce(game, spec, eps)
     print(f"worst coarse-correlated value at eps = {eps}: {res.value}")
     for profile, mass in sorted(res.distribution.masses.items()):
         print(f"    profile {profile}: mass {mass}")

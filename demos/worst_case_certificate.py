@@ -70,7 +70,7 @@ print(f"  social value at o:        {social_value(cfg.spec, game, o)}  (<= 1)")
 
 _, opt = social_optimum(game, cfg.spec)
 print(f"  oracle pure PoA:          {exact_ppoa(game, cfg.spec, 0)}")
-print(f"  oracle coarse PoA:        {worst_cce_value(game, cfg.spec, 0, predicate=EQ1, exact=True) / opt}")
+print(f"  oracle coarse PoA:        {worst_cce_value(game, cfg.spec, 0, predicate=EQ1) / opt}")
 
 rng = random.Random(7)
 rejected = 0

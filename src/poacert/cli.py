@@ -218,7 +218,7 @@ def cmd_cce_poa(args) -> int:
     doc = load_game(_need(args, "--game"), args.exact)
     eps = _epsilon(args, doc.epsilon)
     spec = doc.spec(args.sf)
-    opt, report = cce_poa(doc.game, spec, eps, args.predicate, args.cap, args.exact)
+    opt, report = cce_poa(doc.game, spec, eps, args.predicate, args.cap)
     return _emit(args, {
         "value": report.value,
         "optimum": opt,

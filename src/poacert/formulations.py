@@ -62,6 +62,8 @@ from .games import (
     GeneralizedGame,
     ProfileDistribution,
     SocialSpec,
+    check_alpha,
+    check_epsilon,
     check_weights,
 )
 from .representative import RepresentativeModel, build_representative
@@ -90,12 +92,10 @@ class WorstCaseConfig:
         object.__setattr__(self, "alpha", tuple(tuple(row) for row in self.alpha))
         object.__setattr__(self, "basis", tuple(self.basis))
         n = check_weights(self.weights)
-        if len(self.alpha) != n or any(len(row) != n for row in self.alpha):
-            raise GameError(f"alpha must be {n}x{n}")
+        check_alpha(self.alpha, n)
         if self.spec.n != n:
             raise GameError("social spec dimension mismatch")
-        if self.epsilon < 0:
-            raise GameError("epsilon must be non-negative")
+        check_epsilon(self.epsilon)
         if not self.basis:
             raise GameError("empty basis")
 

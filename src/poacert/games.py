@@ -120,16 +120,37 @@ class BasisFunction:
 # ============================================================
 
 
+def _finite(x) -> bool:
+    """x is neither NaN nor infinite: only a float can be either."""
+    return not isinstance(x, float) or math.isfinite(x)
+
+
 def check_weights(weights) -> int:
     """The number of players, after checking that there are at least two
-    and that every weight is positive."""
+    and that every weight is positive and finite."""
     n = len(weights)
     if n < 2:
         raise GameError(f"need at least 2 players, got {n}")
     for i, w in enumerate(weights):
-        if w <= 0:
+        if not w > 0:  # nan included
             raise GameError(f"weight of player {i} must be positive, got {w}")
+        if not _finite(w):
+            raise GameError(f"weight of player {i} must be finite, got {w}")
     return n
+
+
+def check_alpha(alpha, n: int) -> None:
+    """GameError unless alpha is an n x n matrix of finite numbers."""
+    if len(alpha) != n or any(len(row) != n for row in alpha):
+        raise GameError(f"alpha must be {n}x{n}")
+    if not all(_finite(a) for row in alpha for a in row):
+        raise GameError("alpha has an entry that is not finite")
+
+
+def check_epsilon(eps) -> None:
+    """GameError unless eps is a finite number >= 0."""
+    if not (eps >= 0 and _finite(eps)):  # nan included
+        raise GameError(f"epsilon must be non-negative and finite, got {eps}")
 
 
 @dataclass(frozen=True)
@@ -220,15 +241,13 @@ class GeneralizedGame:
         if not self.basis:
             raise GameError("empty basis")
         r = len(self.basis)
-        n = self.model.n
-        if len(self.alpha) != n or any(len(row) != n for row in self.alpha):
-            raise GameError(f"alpha must be {n}x{n}")
+        check_alpha(self.alpha, self.model.n)
         for e in self.model.resources:
             if e not in self.coefficients:
                 raise GameError(f"no coefficients for resource {e!r}")
             if len(self.coefficients[e]) != r:
                 raise GameError(f"resource {e!r} needs {r} coefficients")
-            if any(isinstance(c, float) and not math.isfinite(c) for c in self.coefficients[e]):
+            if not all(_finite(c) for c in self.coefficients[e]):
                 raise GameError(f"resource {e!r} has a coefficient that is not finite")
         self._check_latencies()
 
@@ -276,8 +295,10 @@ class SocialSpec:
         if self.kind not in (SUM, MAX):
             raise GameError(f"social function (sf) must be {SUM!r} or {MAX!r}, got {self.kind!r}")
         object.__setattr__(self, "beta", tuple(tuple(row) for row in self.beta))
-        if any(b < 0 for row in self.beta for b in row):
-            raise GameError("beta must be entrywise non-negative")
+        if any(len(row) != self.n for row in self.beta):
+            raise GameError(f"beta must be {self.n}x{self.n}")
+        if not all(b >= 0 and _finite(b) for row in self.beta for b in row):  # nan included
+            raise GameError("beta must be entrywise non-negative and finite")
         if all(b == 0 for row in self.beta for b in row):
             raise GameError("beta must have a positive entry")
 
@@ -499,6 +520,7 @@ def _deviation_gaps(game: GeneralizedGame, profile, eps, predicate: str, priced)
     individual_costs as priced(profile) gives them."""
     if predicate not in (EQ1, VERBATIM):
         raise GameError(f"unknown predicate {predicate!r}")
+    check_epsilon(eps)
     model = game.model
     if predicate == EQ1:
         inputs = _gap_inputs(game, profile)

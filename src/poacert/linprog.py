@@ -203,12 +203,9 @@ class SolveReport:
 # ============================================================
 
 
-def _convert(x, exact: bool):
-    if exact:
-        if isinstance(x, Fraction):
-            return x
-        return Fraction(x)  # exact binary value of a float
-    return float(x)
+def _fraction(x) -> Fraction:
+    """x as a Fraction: a float's exact binary value, a Fraction itself."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _fractions(coefficients: np.ndarray) -> np.ndarray:
@@ -216,7 +213,7 @@ def _fractions(coefficients: np.ndarray) -> np.ndarray:
     Fraction(0)."""
     vals = np.full(coefficients.shape, Fraction(0), dtype=object)
     nz = coefficients != 0
-    vals[nz] = [_convert(c, True) for c in coefficients[nz].tolist()]
+    vals[nz] = [_fraction(c) for c in coefficients[nz].tolist()]
     return vals
 
 
@@ -312,7 +309,7 @@ def _system(lp: LinearProgram, exact: bool) -> _System:
     m, n = len(lp.rows), std.ncols
     standard = std.columns(_fractions(lp.coefficients) if exact else lp.coefficients, 2 * m)
     A, costs = standard[:m, :n], standard[m, :n]
-    b = np.array([_convert(r.rhs, True) if exact else r.rhs for r in lp.rows], dtype=std.dtype)
+    b = np.array([_fraction(r.rhs) if exact else r.rhs for r in lp.rows], dtype=std.dtype)
     if exact:
         scale, columns = np.full(m, std.one, dtype=object), np.full(n, std.one, dtype=object)
     else:

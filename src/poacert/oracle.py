@@ -3,13 +3,14 @@
 Everything here is brute force on purpose: optimum and equilibria by full
 profile enumeration, worst coarse value by a linear program over the
 profile simplex, each read off one _CostTable and its gaps (_gaps).
-Arithmetic exactness follows the inputs — feed Fraction data and pass
-exact=True where a solver is involved to get rational answers end to end.
+The cost table decides the arithmetic: a game whose costs hold a Fraction
+and no float gets rational answers end to end, any other float ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -24,6 +25,7 @@ from .games import (
     ProfileDistribution,
     SocialSpec,
     _tol,
+    check_epsilon,
     deviation_gaps,
     individual_costs,
     social_of_costs,
@@ -39,11 +41,14 @@ class _CostTable(NamedTuple):
     player i's strategy at row a), the individual cost of player i at row
     a as costs[a, i] (float64 when every cost is a float, else object),
     and the mixed-radix strides of the profile order, so the deviation
-    (sigma_{-i}, x) of row a is row a + (x - sigma_i) * strides[i]."""
+    (sigma_{-i}, x) of row a is row a + (x - sigma_i) * strides[i].  exact
+    is whether the costs hold a Fraction and no float: then every answer
+    read off the table is solved and read in rationals."""
 
     profiles: np.ndarray
     costs: np.ndarray
     strides: np.ndarray
+    exact: bool
 
     def profile(self, a: int) -> tuple:
         """The profile of row a, as the tuple games reads."""
@@ -55,8 +60,15 @@ class _CostTable(NamedTuple):
         shift = (np.asarray(targets)[None, :] - self.profiles[:, i, None]) * self.strides[i]
         return np.arange(len(self.profiles))[:, None] + shift
 
+    def check_spec(self, spec: SocialSpec) -> None:
+        """GameError unless spec weighs as many players as the table has."""
+        n = self.costs.shape[1]
+        if spec.n != n:
+            raise GameError(f"social spec is {spec.n}x{spec.n} for a game of {n} players")
+
     def social_values(self, spec: SocialSpec) -> list:
         """social_of_costs of every row, in row order."""
+        self.check_spec(spec)
         return [social_of_costs(spec, c) for c in self.costs.tolist()]
 
 
@@ -66,11 +78,12 @@ def _cost_table(game: GeneralizedGame, cap: int, what: str) -> _CostTable:
         raise GameError(f"{what}: {game.model.profile_count()} profiles exceeds cap {cap}")
     profiles = list(game.model.profiles())
     rows = [individual_costs(game, prof) for prof in profiles]
-    floats = all(isinstance(c, float) for row in rows for c in row)
+    floats = [isinstance(c, float) for row in rows for c in row]
+    exact = not any(floats) and any(isinstance(c, Fraction) for row in rows for c in row)
     sizes = [len(per) for per in game.model.strategies]
     strides = np.cumprod([1, *sizes[:0:-1]])[::-1]
     return _CostTable(np.array(profiles, dtype=np.intp),
-                      np.array(rows, dtype=np.float64 if floats else object), strides)
+                      np.array(rows, dtype=np.float64 if all(floats) else object), strides, exact)
 
 
 def _weighted_rows(row, costs: np.ndarray) -> np.ndarray:
@@ -92,6 +105,7 @@ def _gaps(game, table: _CostTable, epsilon, predicate):
     """Every row's gaps in deviation_gaps order: for verbatim a profiles x
     deviations array read off the table, in its dtype; for eq1 deviation_gaps
     of each row, lazily, so a reader may stop at a row's first bad gap."""
+    check_epsilon(epsilon)
     if predicate != VERBATIM:
         return ((gap for _, _, gap in deviation_gaps(game, prof, epsilon, predicate))
                 for prof in map(tuple, table.profiles.tolist()))
@@ -204,7 +218,6 @@ def worst_cce(
     epsilon=0,
     predicate: str = VERBATIM,
     cap: int = PROFILE_CAP,
-    exact: bool = False,
 ) -> CCEReport:
     """Maximal social value over coarse equilibrium distributions.
 
@@ -216,7 +229,7 @@ def worst_cce(
     keeping the winner.  Rows and objectives read one cost table."""
     table = _cost_table(game, cap, "worst_cce")
     sf = table.social_values(spec) if spec.kind == SUM else None
-    return _worst_cce(game, table, spec, sf, epsilon, predicate, exact)
+    return _worst_cce(game, table, spec, sf, epsilon, predicate)
 
 
 def cce_poa(
@@ -225,7 +238,6 @@ def cce_poa(
     epsilon=0,
     predicate: str = VERBATIM,
     cap: int = PROFILE_CAP,
-    exact: bool = False,
 ):
     """(social optimum, worst_cce's CCEReport), both read off one cost
     table; a zero optimum raises GameError before any program is solved."""
@@ -234,7 +246,7 @@ def cce_poa(
     _, opt = _optimum(sf)
     if opt == 0:
         raise GameError("social optimum is 0; the ratio is undefined")
-    return opt, _worst_cce(game, table, spec, sf, epsilon, predicate, exact)
+    return opt, _worst_cce(game, table, spec, sf, epsilon, predicate)
 
 
 def _coarse_rows(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
@@ -247,10 +259,11 @@ def _coarse_rows(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
     return np.where(gaps != 0, gaps, 0).T
 
 
-def _worst_cce(game, table: _CostTable, spec, sf, epsilon, predicate, exact) -> CCEReport:
+def _worst_cce(game, table: _CostTable, spec, sf, epsilon, predicate) -> CCEReport:
     """worst_cce on a cost table of the game; sf, its social values, is
     the objective under sum and is not read under max, whose objectives
     are the players' beta-costs, all solved over one region."""
+    table.check_spec(spec)
     size = len(table.profiles)
     variables = [f"p[{idx}]" for idx in range(size)]
     gap_rows = _coarse_rows(game, table, epsilon, predicate)
@@ -266,9 +279,9 @@ def _worst_cce(game, table: _CostTable, spec, sf, epsilon, predicate, exact) -> 
     rows.append(lp.Row(lp.EQ, 1, "mass"))
     program = lp.LinearProgram(lp.MAXIMIZE, variables, rows, coefficients, name=f"cce_{spec.kind}")
     if spec.kind == SUM:
-        reports, players = [lp.solve(program, exact=exact)], [None]
+        reports, players = [lp.solve(program, table.exact)], [None]
     else:
-        reports, players = lp.solve_each(program, objectives, exact=exact), range(game.model.n)
+        reports, players = lp.solve_each(program, objectives, table.exact), range(game.model.n)
     for rep in reports:
         if rep.status != lp.OPTIMAL:
             # the literal definition admits empty coarse sets when
@@ -276,7 +289,7 @@ def _worst_cce(game, table: _CostTable, spec, sf, epsilon, predicate, exact) -> 
             raise GameError(f"coarse constraint set is {rep.status}")
     rep, player = max(zip(reports, players), key=lambda pair: pair[0].value)
     masses = {table.profile(a): m for a, m in rep.primal.items() if m > 0}
-    if not exact:  # shed solver rounding before re-validation
+    if not table.exact:  # shed solver rounding before re-validation
         total = sum(masses.values())
         masses = {prof: m / total for prof, m in masses.items()}
     return CCEReport(rep.value, ProfileDistribution(masses), player)
@@ -288,6 +301,5 @@ def worst_cce_value(
     epsilon=0,
     predicate: str = VERBATIM,
     cap: int = PROFILE_CAP,
-    exact: bool = False,
 ):
-    return worst_cce(game, spec, epsilon, predicate, cap, exact).value
+    return worst_cce(game, spec, epsilon, predicate, cap).value

@@ -7,7 +7,7 @@ lam/(1-mu).  Every answer reads one oracle cost table: SF, the sum bound
 and the pair tables.  The infimum of that ratio over the certificate
 polyhedron is a linear-fractional program, one LP after the
 Charnes-Cooper transform t = 1/(1-mu) (Charnes & Cooper 1962), exact on
-Fraction input.  Only its 3-row dual is written, from the pair tables as
+an exact table.  Only its 3-row dual is written, from the pair tables as
 one coefficient array; the certificate is that dual's row duals, which
 lp.solve checks as it checks every answer's: against the Charnes-Cooper
 rows, which are the dual's own dual rows, and for their signs.  mu may
@@ -18,7 +18,6 @@ satisfies the pair rows of some degenerate games, certifying nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -164,7 +163,7 @@ def robust_poa(
 
     Only defined for sum-bounded (game, spec) pairs — everything else is
     NOT_SMOOTHABLE with is_sum_bounded's profile, found before the pair
-    tables are built.  On Fraction input value = lam/(1-mu) is the exact
+    tables are built.  On an exact table value = lam/(1-mu) is the exact
     infimum, in Fractions; otherwise it is the optimum of one LP whose point
     lp.solve checked to its RESIDUAL_TOL.
     Where every optimal point has t = 0, (lam, mu) are None: the value is
@@ -188,8 +187,7 @@ def _robust_poa(table: _CostTable, sf: list) -> RobustPoA:
         if dev.item(0) <= sf[0] + _tol(sf[0], dev.item(0)):
             return RobustPoA(OPTIMAL, one, one, 0 * one, None, 0)
         return RobustPoA(OPTIMAL, one, None, None, None, 0)
-    exact = isinstance(sf[0], Fraction)
-    if not exact:
+    if not table.exact:
         # pair rows are homogeneous in the table scale, so dividing both
         # tables by a common factor leaves the feasible set untouched while
         # keeping the LP's data near unit scale
@@ -198,10 +196,10 @@ def _robust_poa(table: _CostTable, sf: list) -> RobustPoA:
         dev = dev / big
     # Charnes-Cooper: lam*t and mu*t with t = 1/(1-mu), so the ratio is the
     # objective and mu < 1 is t > 0
-    x = _certificate_point(_ratio_dual(sf, dev, exact), exact)
+    x = _certificate_point(_ratio_dual(sf, dev, table.exact), table.exact)
     if x is None:
         return RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 1)
-    lam, mu, t = x if exact else map(float, x)
+    lam, mu, t = x if table.exact else map(float, x)
     if t <= _tol(t):
         # the row duals may pick the t = 0 end of an optimal face: hold lam*t at
         # the optimum and mu*t at t - 1 (the unit row), and take the largest t
@@ -234,20 +232,19 @@ def validate_smoothness_claims(
     the pure ratio at eps=0 (exact_ppoa's, from the one enumeration that
     also finds the optimum) and the coarse ratio must both sit below the
     robust bound.  Either failing indicates a bug, not a bad instance.
-    Fraction input is compared exactly; otherwise the bound gets a relative
+    An exact table is compared exactly; otherwise the bound gets a relative
     FEAS_TOL of slack."""
     table = _cost_table(game, cap, "smoothness pair tables")
     sf = table.social_values(spec)
     robust = _robust_poa(table, sf)
     pure = _ppoa(game, table, sf, 0, EQ1)
     ppoa, opt = pure.value, pure.optimum
-    exact = isinstance(opt, Fraction)
-    ccpoa = _worst_cce(game, table, spec, sf, 0, VERBATIM, exact).value / opt
+    ccpoa = _worst_cce(game, table, spec, sf, 0, VERBATIM).value / opt
     if robust.status != OPTIMAL:
         return SmoothnessValidation(
             False, robust.unbounded_witness, robust, ppoa, ccpoa, None, None, None
         )
-    bound = robust.value if exact else robust.value * (1 + FEAS_TOL)
+    bound = robust.value if table.exact else robust.value * (1 + FEAS_TOL)
     ok_p = None if ppoa == NO_EQUILIBRIUM else bool(ppoa <= bound)
     ok_c = bool(ccpoa <= bound)
     gap = None if ppoa == NO_EQUILIBRIUM else float(robust.value - ppoa)

@@ -275,9 +275,8 @@ def test_cce_poa_runs_and_reports_the_verbatim_predicate(capsys, tmp_path):
     p.write_text(json.dumps({**GAME, "coefficients": {"a": [1], "b": [2]},
                              "alpha": [[1, "-3/4"], ["9/10", 1]]}))
     doc = load_game(str(p), exact=True)
-    verbatim = worst_cce_value(doc.game, doc.spec(games.SUM), 0, games.VERBATIM,
-                               exact=True)
-    eq1 = worst_cce_value(doc.game, doc.spec(games.SUM), 0, games.EQ1, exact=True)
+    verbatim = worst_cce_value(doc.game, doc.spec(games.SUM), 0, games.VERBATIM)
+    eq1 = worst_cce_value(doc.game, doc.spec(games.SUM), 0, games.EQ1)
     assert verbatim != eq1
     code, out = run(capsys, "cce-poa", "--game", str(p), "--exact")
     assert code == EXIT_OK

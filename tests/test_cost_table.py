@@ -267,9 +267,9 @@ def test_coarse_rows_and_worst_cce_match_the_dict_path(exact):
                         want = reference_worst_cce(game, spec, eps, predicate, exact)
                     except GameError as exc:
                         with pytest.raises(GameError, match=str(exc)):
-                            worst_cce(game, spec, eps, predicate, exact=exact)
+                            worst_cce(game, spec, eps, predicate)
                         continue
-                    report = worst_cce(game, spec, eps, predicate, exact=exact)
+                    report = worst_cce(game, spec, eps, predicate)
                     assert repr((report.value, report.distribution, report.player)) == repr(want)
         for spec in specs:
             try:

@@ -6,9 +6,11 @@ poabench, demos); a private (_-prefixed) one is used outside the tests
 (src, poabench, demos), so a path only tests take does not live in src.
 Only gamefile.py, where input text enters, imports re: no other module
 parses text, such as a name it formatted itself.  In oracle.py and
-smoothness.py only _cost_table enumerates profiles and prices them, and
-only _gaps calls deviation_gaps.  In linprog.py one function holds the
-fallback to the rational simplex and one calls phase1.
+smoothness.py only _cost_table enumerates profiles and prices them, only
+_gaps calls deviation_gaps, only _cost_table reads Fraction to choose the
+arithmetic, and no public function takes an exact parameter.  In
+linprog.py one function holds the fallback to the rational simplex and
+one calls phase1.
 Every name a poacert module imports is used in that module.  Every
 defaulted parameter of a private function or method (one whose own name
 begins with one _) is passed, by keyword or at its position, at some call
@@ -221,6 +223,23 @@ def test_profiles_are_priced_and_gapped_in_one_place(module):
     assert not stray, "priced, enumerated or gapped outside its owner: " + ", ".join(stray)
     if module == "oracle.py":
         assert {name for _, name, _ in calls} == {n for n, o in owner.items() if o}
+
+
+@pytest.mark.parametrize("module", ["oracle.py", "smoothness.py"])
+def test_the_cost_table_alone_decides_the_arithmetic(module):
+    """In the oracle and smoothness layer only _cost_table reads Fraction,
+    to decide whether its table is exact, and no public function takes an
+    exact parameter: every whole-game answer is solved in the arithmetic
+    of the cost table it reads."""
+    tree = _tree(PACKAGE / module)
+    readers = [f"{module}:{node.lineno} {scope}" for scope, node in _scoped_nodes(tree)
+               if isinstance(node, ast.Name) and node.id == "Fraction" and scope != "_cost_table"]
+    assert not readers, "Fraction read outside _cost_table: " + ", ".join(readers)
+    flags = [f"{module}:{node.lineno} {node.name}" for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and not node.name.startswith("_")
+             and "exact" in {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}]
+    assert not flags, "public functions with an exact parameter: " + ", ".join(flags)
 
 
 def test_text_is_parsed_only_where_input_enters():

@@ -112,6 +112,17 @@ def test_config_rejects_bad_shapes():
             WorstCaseConfig(weights, eye, SocialSpec(SUM, eye), F(0), (BasisFunction.monomial(1),))
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_config_rejects_an_epsilon_that_is_not_finite(eps):
+    with pytest.raises(GameError, match="epsilon must be non-negative and finite"):
+        unit_cfg(eps=eps)
+
+
+def test_config_rejects_an_alpha_entry_that_is_not_finite():
+    with pytest.raises(GameError, match="alpha has an entry that is not finite"):
+        unit_cfg(alpha=((1.0, float("nan")), (0.0, 1.0)))
+
+
 def test_designated_player_bookkeeping():
     cfg = unit_cfg(kind=SUM)
     rep = build_representative(cfg.weights)

@@ -109,6 +109,46 @@ def test_model_rejects_nonpositive_weight():
         CongestionModel((1, 0), ("a",), ((("a",),), (("a",),)))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("weight, message", [(NAN, "must be positive, got nan"),
+                                             (INF, "must be finite, got inf")],
+                         ids=["nan", "inf"])
+def test_model_rejects_a_weight_that_is_not_finite(weight, message):
+    with pytest.raises(GameError, match=f"weight of player 0 {message}"):
+        CongestionModel((weight, 1.0), ("a",), ((("a",),), (("a",),)))
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_game_rejects_an_alpha_entry_that_is_not_finite(bad):
+    with pytest.raises(GameError, match="alpha has an entry that is not finite"):
+        GeneralizedGame(g1().model, (BasisFunction.monomial(1),), {"a": (1.0,), "b": (1.0,)},
+                        ((1.0, bad), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("bad", [NAN, INF])
+def test_spec_rejects_a_beta_entry_that_is_not_finite(bad):
+    with pytest.raises(GameError, match="beta must be entrywise non-negative and finite"):
+        SocialSpec(SUM, ((1.0, bad), (0.0, 1.0)))
+
+
+def test_spec_rejects_a_ragged_beta():
+    with pytest.raises(GameError, match="beta must be 2x2"):
+        SocialSpec(MAX, ((1, 0), (1,)))
+    with pytest.raises(GameError, match="beta must be 2x2"):
+        SocialSpec(SUM, ((1, 0, 0), (0, 1, 0)))
+
+
+@pytest.mark.parametrize("eps", [F(-1, 2), NAN, INF], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("predicate", [EQ1, VERBATIM])
+def test_gaps_reject_an_epsilon_that_is_not_finite_and_non_negative(eps, predicate):
+    with pytest.raises(GameError, match="epsilon must be non-negative and finite"):
+        list(deviation_gaps(g1(), AB, eps, predicate))
+    with pytest.raises(GameError, match="epsilon must be non-negative and finite"):
+        is_eps_cce(g1(), ProfileDistribution.point(AB), eps, predicate)
+
+
 def test_model_rejects_duplicate_resources():
     with pytest.raises(GameError):
         CongestionModel((1, 1), ("a", "a"), ((("a",),), (("a",),)))

@@ -635,7 +635,7 @@ def test_float_callers_get_the_rational_retry(kernel_calls):
     # worst_cce has no fallback of its own; the hand value on g1 is 3
     _, failing = kernel_calls
     failing.add(False)
-    report = oracle.worst_cce(g1(), g1_spec())
+    report = oracle.worst_cce(g1(exact=False), g1_spec(exact=False))
     assert report.value == 3
 
 

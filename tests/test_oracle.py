@@ -48,6 +48,7 @@ from poacert.oracle import (
     NO_EQUILIBRIUM,
     CCEReport,
     PPoAReport,
+    cce_poa,
     enumerate_eps_pne,
     exact_ppoa,
     ppoa_report,
@@ -89,6 +90,35 @@ def test_profile_cap_guards_enumeration():
         enumerate_eps_pne(g1(), cap=3)
     with pytest.raises(GameError):
         worst_cce(g1(), g1_spec(), cap=3)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("kind", [SUM, MAX])
+@pytest.mark.parametrize("answer", [
+    lambda game, spec: exact_ppoa(game, spec, 0),
+    lambda game, spec: worst_cce(game, spec, 0),
+    lambda game, spec: cce_poa(game, spec, 0),
+    robust_poa, social_optimum, is_sum_bounded, validate_smoothness_claims,
+], ids=["exact_ppoa", "worst_cce", "cce_poa", "robust_poa", "social_optimum",
+        "is_sum_bounded", "validate_smoothness_claims"])
+def test_a_spec_for_another_player_count_is_refused(answer, kind, size):
+    spec = SocialSpec(kind, identity_matrix(size, True))
+    with pytest.raises(GameError, match=f"social spec is {size}x{size} for a game of 2 players"):
+        answer(g1(), spec)
+
+
+@pytest.mark.parametrize("eps", [F(-1, 2), float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize("predicate", [EQ1, VERBATIM])
+@pytest.mark.parametrize("answer", [
+    lambda eps, predicate: exact_ppoa(g1(), g1_spec(), eps, predicate),
+    lambda eps, predicate: enumerate_eps_pne(g1(), eps, predicate),
+    lambda eps, predicate: worst_cce(g1(), g1_spec(), eps, predicate),
+    lambda eps, predicate: worst_cce(g1(), g1_spec(MAX), eps, predicate),
+    lambda eps, predicate: cce_poa(g1(), g1_spec(), eps, predicate),
+], ids=["exact_ppoa", "enumerate_eps_pne", "worst_cce_sum", "worst_cce_max", "cce_poa"])
+def test_an_epsilon_that_is_negative_or_nan_is_refused(answer, predicate, eps):
+    with pytest.raises(GameError, match="epsilon must be non-negative and finite"):
+        answer(eps, predicate)
 
 
 # ============================================================
@@ -152,7 +182,7 @@ def test_ppoa_rejects_zero_optimum():
 
 
 def test_worst_cce_sum_is_three():
-    report = worst_cce(g1(), g1_spec(), 0, exact=True)
+    report = worst_cce(g1(), g1_spec(), 0)
     assert report.value == F(3)
     assert report.player is None
     # the optimum is unique: the uniform distribution
@@ -160,28 +190,28 @@ def test_worst_cce_sum_is_three():
 
 
 def test_worst_cce_max_is_three_halves():
-    report = worst_cce(g1(), g1_spec(MAX), 0, exact=True)
+    report = worst_cce(g1(), g1_spec(MAX), 0)
     assert report.value == F(3, 2)
     assert report.player in (0, 1)
 
 
 def test_worst_cce_value_matches_report():
-    assert worst_cce_value(g1(), g1_spec(), 0, exact=True) == F(3)
+    assert worst_cce_value(g1(), g1_spec(), 0) == F(3)
 
 
 def test_worst_cce_predicates_agree_for_identity_alpha():
-    a = worst_cce_value(g1(), g1_spec(), 0, predicate=VERBATIM, exact=True)
-    b = worst_cce_value(g1(), g1_spec(), 0, predicate=EQ1, exact=True)
+    a = worst_cce_value(g1(), g1_spec(), 0, predicate=VERBATIM)
+    b = worst_cce_value(g1(), g1_spec(), 0, predicate=EQ1)
     assert a == b == F(3)
 
 
 def test_worst_cce_loosens_with_epsilon():
     # at eps=1 the point mass on (a,a) becomes coarse-feasible: value 4
-    assert worst_cce_value(g1(), g1_spec(), 1, exact=True) == F(4)
+    assert worst_cce_value(g1(), g1_spec(), 1) == F(4)
 
 
 def test_worst_cce_distribution_is_actually_coarse():
-    report = worst_cce(g1(), g1_spec(), 0, exact=True)
+    report = worst_cce(g1(), g1_spec(), 0)
     assert is_eps_cce(g1(), report.distribution, 0)
 
 
@@ -217,7 +247,7 @@ def test_pure_equilibria_embed_into_coarse():
         if not pne0:
             continue
         ppoa = exact_ppoa(g, spec, 0)
-        ccpoa = worst_cce_value(g, spec, 0, exact=True) / opt
+        ccpoa = worst_cce_value(g, spec, 0) / opt
         assert ppoa <= ccpoa
 
 
@@ -301,7 +331,7 @@ def test_worst_cce_equals_the_program_built_per_objective(exact):
             for predicate in (EQ1, VERBATIM):
                 for eps in (0, F(1, 2) if exact else 0.5):
                     want = _reference_worst_cce(game, spec, eps, predicate, exact)
-                    got = worst_cce(game, spec, eps, predicate, exact=exact)
+                    got = worst_cce(game, spec, eps, predicate)
                     assert repr(got) == repr(want), (seed, kind, predicate, eps)
                     checked += 1
     assert checked == 64

@@ -100,7 +100,7 @@ def test_every_coarse_region_solves_as_cold(monkeypatch, exact):
         for predicate in (EQ1, VERBATIM):
             for eps in (0, F(1, 2) if exact else 0.5):
                 try:
-                    oracle.worst_cce(game, SocialSpec(MAX, beta), eps, predicate, exact=exact)
+                    oracle.worst_cce(game, SocialSpec(MAX, beta), eps, predicate)
                 except oracle.GameError:  # an empty coarse set
                     pass
     assert len(calls) == 32
