@@ -8,7 +8,9 @@ profile an approximate equilibrium of maximal social value subject to the
 second profile's value being at most 1, the dual certifies the bound.  Only
 the primals are written out: each dual program is lp.dualize of its primal
 in certificate names, and solve_worst_case solves the primal alone and
-reads the certificate off its row duals.  The coarse correlated analogues
+reads the certificate off its row duals.  Under a max objective it solves
+each designee's cost row over one region, the rows every designee shares,
+and the largest optimum is gamma*.  The coarse correlated analogues
 replace the point profile by a distribution over an arbitrary model with
 the same weights; every dual-feasible point of the pure program stays
 feasible there row by row, which is what verify_extension checks
@@ -136,14 +138,16 @@ class _ColumnNames(Sequence):
     """The variables of a program over the given representative columns,
     read-only and named on demand: its i-th column is representative
     column j = columns[i] = (P 2^n + Q) r + k, named vname(e(P, Q), k)
-    only when read, and a last column t under max.  Distinct by
-    construction, so a program of 4^n r columns holds no list of names;
-    a point of the program is keyed by position, and a solve or check
-    that succeeds reads no name."""
+    only when read, and a last column t under max unless level is False
+    (the designees' shared region has none).  Distinct by construction,
+    so a program of 4^n r columns holds no list of names; a point of the
+    program is keyed by position, and a solve or check that succeeds
+    reads no name."""
 
-    def __init__(self, cfg: WorstCaseConfig, rep: RepresentativeModel, columns: Sequence):
+    def __init__(self, cfg: WorstCaseConfig, rep: RepresentativeModel, columns: Sequence,
+                 level: bool = True):
         self.rep, self.r, self.columns = rep, len(cfg.basis), columns
-        self.level = _level(cfg)
+        self.level = _level(cfg) if level else []
 
     def __len__(self) -> int:
         return len(self.columns) + len(self.level)
@@ -188,8 +192,12 @@ def _row_table(cfg: WorstCaseConfig, eq, val, nrm, designated) -> tuple:
     (joins is None when nothing overwrites it).  val and nrm hold the cost
     rows as the program uses them, per player under max and summed by the
     producer under sum (the objective and its norm row), and may
-    broadcast, as the closed form's (P, 1, k) and (1, Q, k) costs do.  The
-    max programs maximize t, and their objective is None."""
+    broadcast, as the closed form's (P, 1, k) and (1, Q, k) costs do.
+    Designee d's max program LP_d maximizes t, and its objective is None.
+    Under max with designated None the table is the designees' shared
+    region U: the eq rows, then norm[i] <= 1, with no val row and no t,
+    maximizing designee 0's cost row (U_0); solve_worst_case hands every
+    designee's cost row to lp.solve_each over it."""
     n = cfg.n
     base, joins, joined = eq
 
@@ -200,21 +208,24 @@ def _row_table(cfg: WorstCaseConfig, eq, val, nrm, designated) -> tuple:
     if cfg.spec.kind == SUM:
         rows.append(("norm", lp.LE, 1, ((nrm, True),), 0))
         return ((val, True),), rows
+    norms = [(f"norm[{i}]", lp.LE, 1, ((nrm[i], True),), 0) for i in range(n)]
+    if designated is None:
+        return ((val[0], True),), rows + norms
     rows += [(f"val[{i}]", lp.EQ if i == designated else lp.LE, 0, ((val[i], True),), -1)
              for i in range(n)]
-    rows += [(f"norm[{i}]", lp.LE, 1, ((nrm[i], True),), 0) for i in range(n)]
-    return None, rows
+    return None, rows + norms
 
 
 def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.LinearProgram:
     """The program of a row table over the columns names (the v columns,
-    then t under max): each row's copies, then the objective's, written
-    by np.copyto straight into the program's coefficient array, whose v
-    entries of a row take the shape the copies broadcast to."""
+    then t when the table maximizes it): each row's copies, then the
+    objective's, written by np.copyto straight into the program's
+    coefficient array, whose v entries of a row take the shape the copies
+    broadcast to."""
     tables = [c for _, _, _, c, _ in rows] + ([] if objective is None else [objective])
     # the first row, eq[0], spans the v columns' shape; every other row broadcasts to it
     shape = np.broadcast(*chain.from_iterable(tables[0])).shape
-    size, level = prod(shape), cfg.spec.kind != SUM
+    size, level = prod(shape), objective is None
     dtype = np.result_type(*{a.dtype for copies in tables for a, _ in copies})
     coefficients = np.zeros((len(rows) + 1, size + level), dtype=dtype)
     for i, copies in enumerate(tables):
@@ -225,7 +236,8 @@ def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.Line
         coefficients[:, size] = [t for _, _, _, _, t in rows] + [1]
     lp_rows = [lp.Row(rel, rhs, label) for label, rel, rhs, _, _ in rows]
     return lp.LinearProgram(lp.MAXIMIZE, names, lp_rows, coefficients,
-                            name=f"pp_max_d{designated}" if level else "pp_sum")
+                            name=f"pp_{cfg.spec.kind}" + ("" if designated is None
+                                                          else f"_d{designated}"))
 
 
 def _subset_sums(terms: np.ndarray, live: np.ndarray, has: np.ndarray) -> np.ndarray:
@@ -518,6 +530,10 @@ def lemma1_witness(cfg: WorstCaseConfig, rep: RepresentativeModel) -> Witness:
 
 @dataclass
 class VariantResult:
+    """One designee's answer (designated None under sum).  Under max,
+    pp_value and dp_value are U_d, which is at least LP_d; dual is a
+    certificate of LP_d at that bound, and primal U_d's point."""
+
     designated: Optional[int]
     status: str
     dp_value: object
@@ -552,12 +568,13 @@ def _close(a, b, rtol):
     return abs(a - b) <= rtol * max(1, abs(a), abs(b))
 
 
-def _dual_report(program: lp.LinearProgram, duals, tol, signed=()) -> tuple:
+def _dual_report(program: lp.LinearProgram, duals, tol, signed=(), objective=None) -> tuple:
     """lp.feasibility_report's (ok, first violated label, worst violation)
     on the rows of _certificate_program(program), at certificate duals, one
     per row of program and in its order, read by lp.dual_violations off
-    program's own array, then on the sign bounds of the duals of signed."""
-    viol = lp.dual_violations(program, duals)
+    program's own array (with objective, when given, as its objective
+    row), then on the sign bounds of the duals of signed."""
+    viol = lp.dual_violations(program, duals, objective)
     first, worst = lp._fold(np.concatenate([viol, np.array([0 - duals[i] for i in signed])]), tol)
     if first is not None:
         first = (_dual_row_name(program.variables[first]) if first < len(viol)
@@ -565,11 +582,31 @@ def _dual_report(program: lp.LinearProgram, duals, tol, signed=()) -> tuple:
     return first is None, first, worst
 
 
-def _certificate_report(program: lp.LinearProgram, duals, tol) -> tuple:
+def _certificate_report(program: lp.LinearProgram, duals, tol, objective=None) -> tuple:
     """lp.feasibility_report(_certificate_program(program), cert, tol): the
-    dual rows, then the sign bounds of the duals of <= rows."""
+    dual rows, then the sign bounds of the duals of <= rows; objective,
+    when given, stands for program's objective row."""
     return _dual_report(program, duals, tol,
-                        [i for i, row in enumerate(program.rows) if row.relation == lp.LE])
+                        [i for i, row in enumerate(program.rows) if row.relation == lp.LE],
+                        objective)
+
+
+def _certificate(program: lp.LinearProgram, duals, designated, one) -> dict:
+    """The certificate of a solved program's row duals in build_dp_pne's
+    names, in the order of its variables.  Under max, program is the
+    designees' shared region and duals are U_d's: y from the eq rows and
+    gamma from the norm rows, and between them z = -e_d (one is 1 in the
+    duals' arithmetic) for LP_d's val rows, which U_d has not.  That point
+    is feasible for LP_d's dual with objective U_d = sum gamma: the r rows
+    are U_d's dual rows, zsum reads -sum z = 1 >= 1, and only z[d], the
+    dual of an equation, is negative."""
+    cert = [(_certificate_name(row.label), y) for row, y in zip(program.rows, duals)]
+    if designated is not None:
+        n = len(cert) // 2
+        z = [(_certificate_name(f"val[{i}]"), -one if i == designated else 0 * one)
+             for i in range(n)]
+        cert = cert[:n] + z + cert[n:]
+    return dict(cert)
 
 
 def _exact_config(cfg: WorstCaseConfig) -> WorstCaseConfig:
@@ -591,34 +628,53 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     """Solve the worst-case primal for the configuration and certify its
     optimum with the primal's row duals.
 
-    For max objectives one program per designated player is solved and the
-    largest optimum wins; an unbounded primal makes gamma* infinite.  The
-    row duals, in certificate names, must be feasible for build_dp_pne with
-    objective equal to the primal optimum, which by weak duality proves
-    it.  A float answer's feasibility is read again by lp.dual_violations
-    off the program just solved, to FEAS_TOL, which gives
-    lp.feasibility_report's verdict on build_dp_pne without building it;
-    an exact answer's dual rows and signs were read by lp.solve on the
-    same rational data with tolerance 0.  These checks and the
-    optimum being at least 1 are guaranteed by the theory; violations raise
-    InvariantViolation rather than returning a bad number.
-    Exact mode first reads every float of cfg as its exact binary value,
-    as lp.solve does: weights (1.0, 1.5) solve, and give rep, as (1, 3/2).
+    A sum objective solves its one primal.  A max objective solves, for
+    each designee d, U_d: designee d's cost row maximized over the rows
+    every designee shares, eq[i] <= 0 and norm[i] <= 1, one region U with
+    no val row and no t (_row_table), so lp.solve_each serves all of them
+    with one standard form, no phase 1, and each phase 2 from the last
+    optimum.  U_d >= LP_d, the designee's program with its val rows, and
+    max_d U_d = max_d LP_d = gamma*: each game counts under the designee
+    of its largest cost.  So a variant's pp_value and dp_value are U_d,
+    and only their largest is gamma*; an unbounded U_d makes gamma*
+    infinite.  The winner d* is the first argmax, and primal_solution is
+    its point with t = gamma* at 4^n r, a point of LP_{d*}: at U_{d*}'s
+    optimum no cost_i exceeds cost_{d*}, or U_i would exceed gamma*.
+
+    The row duals, in certificate names (_certificate), must be feasible
+    for build_dp_pne with objective equal to the primal optimum, which by
+    weak duality proves it.  A float answer's feasibility is read again
+    by lp.dual_violations off the program just solved, at its objective,
+    to FEAS_TOL, which gives lp.feasibility_report's verdict on
+    build_dp_pne without building it; an exact answer's dual rows and
+    signs were read by lp.solve on the same rational data with tolerance
+    0.  These checks and the optimum being at least 1 are guaranteed by
+    the theory; violations raise InvariantViolation rather than returning
+    a bad number.  Exact mode first reads every float of cfg as its exact
+    binary value, as lp.solve does: weights (1.0, 1.5) solve, and give
+    rep, as (1, 3/2).
     """
     if exact:
         cfg = _exact_config(cfg)
     rep = build_representative(cfg.weights)
-    designees = [None] if cfg.spec.kind == SUM else list(range(cfg.n))
-    columns = _closed_form(cfg, rep)
-    program = _primal(cfg, _ColumnNames(cfg, rep, range(_width(cfg))),
-                      *_row_table(cfg, *columns, designees[0]), designees[0])
+    n, width = cfg.n, _width(cfg)
+    eq, val, nrm = _closed_form(cfg, rep)
+    program = _primal(cfg, _ColumnNames(cfg, rep, range(width), level=False),
+                      *_row_table(cfg, eq, val, nrm, None), None)
+    if cfg.spec.kind == SUM:
+        designees, objectives = [None], [None]
+        reports = [lp.solve(program, exact)]
+    else:
+        # designee d's cost row over every v column: the v entries of LP_d's val[d]
+        designees = list(range(n))
+        objectives = np.broadcast_to(val, (n, 1 << n, 1 << n, len(cfg.basis))).reshape(n, -1)
+        reports = lp.solve_each(program, objectives, exact)
+    one = Fraction(1) if exact else 1.0
+    # rhs times duals added in row order by lp._combination, not by the
+    # builtin sum, which compensates float sums from Python 3.12
+    rhs = np.array([[row.rhs] for row in program.rows], dtype=object)
     variants = []
-    for d in designees:
-        if d != designees[0]:  # the same array; every row but val[d] is <=, as _row_table writes
-            rows = [row._replace(relation=lp.EQ if row.label == f"val[{d}]" else lp.LE)
-                    for row in program.rows]
-            program = replace(program, rows=rows, name=f"pp_max_d{d}")
-        rp = lp.solve(program, exact)
+    for d, objective, rp in zip(designees, objectives, reports):
         if rp.status == lp.UNBOUNDED:
             variants.append(VariantResult(d, INFINITE, None, None, {}, {}, rp.iterations,
                                           rp.fallback, rp.stats))
@@ -627,19 +683,15 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
             raise InvariantViolation(f"primal is {rp.status}; the unit witness is feasible")
         duals = [rp.duals[row.label] for row in program.rows]
         if not exact:  # an exact reading checked these dual rows and signs with tolerance 0
-            ok, label, violation = _certificate_report(program, duals, FEAS_TOL)
+            ok, label, violation = _certificate_report(program, duals, FEAS_TOL, objective)
             if not ok:
                 raise InvariantViolation(f"certificate violates {label} by {violation}")
-        cert = {_certificate_name(row.label): y for row, y in zip(program.rows, duals)}
-        # rhs times duals added in row order by lp._combination, not by the
-        # builtin sum, which compensates float sums from Python 3.12
-        rhs = np.array([[row.rhs] for row in program.rows], dtype=object)
         bound = lp._combination(rhs, duals)[0]
         if not _close(bound, rp.value, 0 if exact else VALUE_RTOL):
             raise InvariantViolation(f"duality gap: primal {rp.value} vs certificate {bound}")
         variants.append(
-            VariantResult(d, OPTIMAL, bound, rp.value, cert, rp.primal, rp.iterations,
-                          rp.fallback, rp.stats)
+            VariantResult(d, OPTIMAL, bound, rp.value, _certificate(program, duals, d, one),
+                          rp.primal, rp.iterations, rp.fallback, rp.stats)
         )
 
     infinite = [v for v in variants if v.status == INFINITE]
@@ -650,16 +702,11 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
         raise InvariantViolation(
             f"optimum {best.pp_value} below 1; the unit witness must be feasible"
         )
-    return WorstCaseResult(
-        OPTIMAL,
-        best.pp_value,
-        best.designated,
-        rep,
-        variants,
-        dict(best.dual),
-        dict(best.primal),
-        exact,
-    )
+    primal = dict(best.primal)
+    if best.designated is not None:  # LP_{d*}'s level t = gamma*, after the v columns
+        primal[width] = best.pp_value
+    return WorstCaseResult(OPTIMAL, best.pp_value, best.designated, rep, variants,
+                           dict(best.dual), primal, exact)
 
 
 def extract_worst_game(

@@ -20,8 +20,11 @@ that fails itself, is redone by the rational simplex, so SolverError
 means the rational run failed too; the solver never reports OPTIMAL on
 an inconclusive run.  solve_each solves several objectives over one
 program's rows (a _Region): one float standard form and one phase 1,
-then each objective's phase 2 from phase 1's basis, read and falling
-back on its own; solve is its one-objective case.
+then each objective's phase 2 from the basis where the previous
+objective stopped, when that run was OPTIMAL and its reading passed,
+else from phase 1's; each objective is read and falls back on its own,
+and an exact reading rewrites only the costs row of the region's one
+rational standard form.  solve is its one-objective case.
 
 A program is stated as one coefficient array, rows by variables plus the
 objective as a last row, and that array is the one path into the kernel;
@@ -344,14 +347,23 @@ def _scale_costs(system: _System, sense: str):
     """Turn the system's costs row, over the standard columns as
     _Standardizer.columns writes them, into the costs the kernel maximizes,
     in place: each times its column's scale in float, negated under min.
-    _system writes its program's objective this way, and _Region a later
-    objective over the same rows."""
+    _system writes its program's objective this way, and _write_costs
+    another objective over the same rows."""
     costs = system.costs
     if not system.std.exact:
         costs *= system.columns
     if sense == MINIMIZE:
         nz = np.flatnonzero(costs)
         costs[nz] = -costs[nz]
+
+
+def _write_costs(system: _System, objective: np.ndarray, sense: str):
+    """Write an objective row over the program's variables into the
+    system's costs row, in the system's arithmetic, as _system writes its
+    program's own: the same values, bit for bit."""
+    row = objective[None]
+    system.costs[:] = system.std.columns(_fractions(row) if system.std.exact else row)[0]
+    _scale_costs(system, sense)
 
 
 # ============================================================
@@ -516,11 +528,13 @@ class _Revised:
         return (self.T.copy(), self.basis.copy(), self.row_alive.copy(),
                 self.iterations, self.degenerate, self.bland_switches, self.retired)
 
-    def restore(self, snapshot: tuple):
-        """Return to a snapshot, bit for bit, with no entering column."""
-        T, basis, alive, self.iterations, self.degenerate, self.bland_switches, self.retired = snapshot
-        self.T[...] = T  # in place: inverse and x are views of T
-        self.basis, self.row_alive = basis.copy(), alive.copy()
+    def restore(self, snapshot: tuple, basis: bool = True):
+        """Return to a snapshot's counts, with no entering column, and,
+        unless basis is False, to its T, basis and live rows, bit for bit."""
+        T, rows, alive, self.iterations, self.degenerate, self.bland_switches, self.retired = snapshot
+        if basis:
+            self.T[...] = T  # in place: inverse and x are views of T
+            self.basis, self.row_alive = rows.copy(), alive.copy()
         self.entering = None
 
     def phase1(self):
@@ -567,14 +581,17 @@ class _Stop(NamedTuple):
 class _Region:
     """A program's rows in one arithmetic: one _system and one phase 1 on
     it, then a phase 2 per objective.  The first run maximizes the
-    objective _system wrote; a later one restores the kernel to where
-    phase 1 left it (T, basis, live rows and counts, so the iteration cap
-    counts as in a cold run), writes its program's objective into the
-    costs row and reports only its own phase 2's counts.  Every stop
-    shares the region's system, whose costs row the next run rewrites, so
-    a stop is read before the region runs again."""
+    objective it is given, or lp's own.  A later one writes its objective
+    into the costs row and starts from the basis where the last run
+    stopped when warm is set (its caller sets it once that run was
+    OPTIMAL and its reading passed), else from where phase 1 left the
+    kernel; either way its counts restart at phase 1's, so the iteration
+    cap counts as in a cold run, and it reports only its own phase 2's.
+    Every stop shares the region's system, whose costs row the next run
+    rewrites, so a stop is read before the region runs again."""
 
     def __init__(self, lp: LinearProgram, exact: bool):
+        self.lp = lp
         self.system = system = _system(lp, exact)
         self.kernel = kernel = _Revised(system)
         self.feasible = kernel.phase1()
@@ -582,16 +599,20 @@ class _Region:
         self.phase1 = KernelStats(kernel.iterations, 0, kernel.degenerate, kernel.bland_switches,
                                   kernel.retired, kernel.row_alive.count(False))
         self.runs = 0
+        self.warm = False
+        # the objective the last run maximized, and the one the rational system's costs hold
+        self.objective = self.written = lp.coefficients[-1]
+        self.rational = system if exact else None
 
-    def run(self, lp: LinearProgram) -> _Stop:
-        """Phase 2 on lp's objective, lp having the region's rows."""
+    def run(self, objective: Optional[np.ndarray] = None) -> _Stop:
+        """Phase 2 on an objective row over lp's variables, or on lp's own."""
         system, kernel = self.system, self.kernel
         if self.runs:
-            kernel.restore(self.start)
-            objective = lp.coefficients[-1:]
-            system.costs[:] = system.std.columns(
-                _fractions(objective) if system.std.exact else objective)[0]
-            _scale_costs(system, lp.sense)
+            kernel.restore(self.start, basis=not self.warm)
+        self.warm = False
+        if objective is not None:
+            _write_costs(system, objective, self.lp.sense)
+            self.objective = objective
         # the costs row of the standard array: 0 at every slack and artificial
         status = kernel.run(system.standard[-1], kernel.width) if self.feasible else INFEASIBLE
         p1 = self.phase1
@@ -603,10 +624,21 @@ class _Region:
         self.runs += 1
         return _Stop(status, kernel.basis.copy(), kernel.entering, system, stats, self)
 
+    def exact_system(self) -> _System:
+        """The rows' rational system, its costs the last run's objective:
+        _system of lp on the first exact reading, after which only its
+        costs row is rewritten, as a float run's is."""
+        if self.rational is None:
+            self.rational = _system(self.lp, True)
+        if self.written is not self.objective:
+            _write_costs(self.rational, self.objective, self.lp.sense)
+            self.written = self.objective
+        return self.rational
+
 
 def _run(lp: LinearProgram, exact: bool) -> _Stop:
     """One run of the kernel in one arithmetic, to its final basis."""
-    return _Region(lp, exact).run(lp)
+    return _Region(lp, exact).run()
 
 
 def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
@@ -622,49 +654,70 @@ def solve(lp: LinearProgram, exact: bool = False) -> SolveReport:
     at a basis whose reading fails its checks.  report.fallback says why
     it ran, and SolverError from here means it failed too.  This is
     solve_each with lp's own objective."""
-    return _solve_each([lp], exact)[0]
+    return _solve_each(lp, [None], exact)[0]
 
 
 def solve_each(program: LinearProgram, objectives, exact: bool = False) -> list:
     """solve of each objective over the program's rows: one SolveReport
     per row of objectives (k by the program's variables; the program's own
-    objective row is not read), each equal to solve of the program with
-    that objective row in status, value, primal, duals and fallback.  One
-    float _system and one phase 1 serve every objective, and each
-    objective's phase 2 starts from phase 1's basis.  The first report's
-    counts are a cold solve's; a later one counts only its own phase 2
-    (and any rational run), so the reports' pivots add up to those run.
-    Each objective is read, and falls back to the rational simplex, on
-    its own."""
+    objective row is not read).  One float _system and one phase 1 serve
+    every objective.  The first objective's phase 2 starts from phase 1's
+    basis, and its report is a cold solve's, counts included.  Each later
+    one starts from the basis where the previous objective stopped, when
+    that run ended OPTIMAL and its reading passed, else from phase 1's;
+    it counts only its own phase 2 (and any rational run), so the reports'
+    pivots add up to those run.  Its status and value are a cold solve's;
+    at a degenerate optimum its point and duals may be another optimal
+    pair.  Each objective is read, and falls back to the rational simplex,
+    on its own, under the iteration cap of a cold run; an exact reading
+    reads the region's one rational standard form, whose costs row alone
+    it rewrites."""
     rows = program.coefficients[:-1]
     objectives = np.asarray(objectives, dtype=rows.dtype)
     if objectives.ndim != 2 or objectives.shape[1] != len(program.variables):
         raise ValueError(f"objectives of shape {objectives.shape}, not k by "
                          f"{len(program.variables)} variables")
-    return _solve_each((replace(program, coefficients=np.concatenate([rows, objective[None]]))
-                        for objective in objectives), exact)
+    return _solve_each(program, objectives, exact)
 
 
-def _solve_each(programs, exact: bool) -> list:
-    """The report of each program, the programs sharing their rows: the
-    one try-float-then-rational policy of solve and solve_each.  The first
-    program's float run keeps its _Region, and each later one runs phase 2
-    in it; while no float run has returned, the next one starts its own."""
+def _with_objective(program: LinearProgram, objective) -> LinearProgram:
+    """The program with its objective row replaced, or itself for None."""
+    if objective is None:
+        return program
+    return replace(program, coefficients=np.concatenate([program.coefficients[:-1],
+                                                         objective[None]]))
+
+
+def _solve_each(program: LinearProgram, objectives, exact: bool) -> list:
+    """The report of each objective row over the program's rows (None for
+    its own): the one try-float-then-rational policy of solve and
+    solve_each.  The first float run that returns keeps its _Region, and
+    each later objective runs phase 2 in it, warm after an OPTIMAL stop
+    whose reading passed; while no float run has returned, the next one
+    starts its own."""
     reports, region = [], None
-    for lp in programs:
+    for objective in objectives:
         counts = KernelStats()
         try:
             # an overflow, or an inf or nan reached by a pivot, ends the float run
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                stop = _run(lp, exact=False) if region is None else region.run(lp)
+                if region:
+                    stop = region.run(objective)
+                elif objective is None:
+                    stop = _run(program, exact=False)
+                else:  # the region's own objective row is not read, nor copied
+                    stop = _Region(program, exact=False).run(objective)
                 region, counts = stop.region, stop.stats
-                reports.append(_read(lp, stop, exact))
+                report = _read(program, stop, exact)
+            reports.append(report)
+            if region:
+                region.warm = report.status == OPTIMAL
             continue
         except SolverError as err:
             fallback = str(err)
         except ArithmeticError as err:  # OverflowError, FloatingPointError
             fallback = f"float image: {err}"
-        report = _simplex(lp, exact=True)
+        report = _simplex(_with_objective(program, objective), exact=True)
         report.stats = KernelStats(*[a + b for a, b in zip(counts, report.stats)])
         report.iterations = report.stats.pivots
         report.fallback = fallback
@@ -738,10 +791,12 @@ def _violations(excess: np.ndarray, slack: np.ndarray, tight) -> np.ndarray:
 
 
 def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
-    """The report of a run at its final basis, in rationals when exact: a
-    float run's basis is then read on lp's exact system and checked with
-    tolerance 0; a float reading is checked on the run's own system to
-    RESIDUAL_TOL relative to 1 + max|x| or 1 + max|y|.
+    """The report of a run at its final basis, lp holding the run's rows,
+    in rationals when exact: a float run's basis is then read on the
+    exact system of its region (of lp with its own objective, for a stop
+    without one) and checked with tolerance 0; a float reading is checked
+    on the run's own system to RESIDUAL_TOL relative to 1 + max|x| or
+    1 + max|y|.
 
     The structural basic columns S and the rows R whose slack and
     artificial are nonbasic meet in a square block K of the basis
@@ -756,8 +811,10 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
         if exact and not stop.system.std.exact:
             raise SolverError("float phase 1 found no feasible point")
         return SolveReport(INFEASIBLE, None, {}, {}, stop.stats.pivots, exact, stats=stop.stats)
-    A, b, costs, slack, scale, columns, std, standard = (
-        stop.system if stop.system.std.exact == exact else _system(lp, exact))
+    system = stop.system
+    if system.std.exact != exact:
+        system = _system(lp, exact) if stop.region is None else stop.region.exact_system()
+    A, b, costs, slack, scale, columns, std, standard = system
     m, n = A.shape
     zero, basis = std.zero, stop.basis
 
@@ -866,13 +923,16 @@ def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9):
     return first is None, first, worst
 
 
-def dual_violations(lp: LinearProgram, duals: Sequence) -> np.ndarray:
+def dual_violations(lp: LinearProgram, duals: Sequence, objective=None) -> np.ndarray:
     """The violation of every row of dualize(lp) at duals, one value per
     row of lp and in its order, without building the dual: one per
     variable of lp, in its order, as feasibility_report gives it on that
     row.  Each row's lhs is one _combination of the coefficient array's
-    rows, and its rhs is the variable's objective coefficient."""
-    gap = _combination(lp.coefficients[:-1], duals) - lp.coefficients[-1]
+    rows, and its rhs is the variable's objective coefficient: in lp's
+    own objective row, or in objective, a row over lp's variables read in
+    its place, as solve_each reads one."""
+    own = lp.coefficients[-1] if objective is None else objective
+    gap = _combination(lp.coefficients[:-1], duals) - own
     # the row of a >= 0 variable reads lhs >= c in the dual of a max
     # program and lhs <= c in that of a min program; <= 0 swaps them
     viol = gap if lp.sense == MINIMIZE else -gap

@@ -3,8 +3,9 @@
 Everything here is brute force on purpose: optimum and equilibria by full
 profile enumeration, worst coarse value by a linear program over the
 profile simplex, each read off one _CostTable and its gaps (_gaps).
-The cost table decides the arithmetic: a game whose costs hold a Fraction
-and no float gets rational answers end to end, any other float ones.
+The cost table decides the arithmetic: when neither the game's costs nor
+the social spec's beta hold a float, and one of them holds a Fraction,
+the answers are rational end to end; any other game gets float ones.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ class _CostTable(NamedTuple):
     a as costs[a, i] (float64 when every cost is a float, else object),
     and the mixed-radix strides of the profile order, so the deviation
     (sigma_{-i}, x) of row a is row a + (x - sigma_i) * strides[i].  exact
-    is whether the costs hold a Fraction and no float: then every answer
-    read off the table is solved and read in rationals."""
+    is whether neither the costs nor the beta of the spec the table was
+    built for hold a float and one of them holds a Fraction: then every
+    answer read off the table is solved and read in rationals."""
 
     profiles: np.ndarray
     costs: np.ndarray
@@ -72,14 +74,18 @@ class _CostTable(NamedTuple):
         return [social_of_costs(spec, c) for c in self.costs.tolist()]
 
 
-def _cost_table(game: GeneralizedGame, cap: int, what: str) -> _CostTable:
-    """The _CostTable of the game's profiles, after the cap check."""
+def _cost_table(game: GeneralizedGame, cap: int, what: str,
+                spec: Optional[SocialSpec] = None) -> _CostTable:
+    """The _CostTable of the game's profiles, after the cap check, for the
+    answers of spec (None: the costs alone decide the arithmetic)."""
     if game.model.profile_count() > cap:
         raise GameError(f"{what}: {game.model.profile_count()} profiles exceeds cap {cap}")
     profiles = list(game.model.profiles())
     rows = [individual_costs(game, prof) for prof in profiles]
     floats = [isinstance(c, float) for row in rows for c in row]
-    exact = not any(floats) and any(isinstance(c, Fraction) for row in rows for c in row)
+    beta = [] if spec is None else [b for row in spec.beta for b in row]
+    exact = not any(floats) and not any(isinstance(b, float) for b in beta) and any(
+        isinstance(x, Fraction) for x in [*(c for row in rows for c in row), *beta])
     sizes = [len(per) for per in game.model.strategies]
     strides = np.cumprod([1, *sizes[:0:-1]])[::-1]
     return _CostTable(np.array(profiles, dtype=np.intp),
@@ -129,7 +135,7 @@ def _equilibria(game, table: _CostTable, epsilon, predicate) -> list:
 def social_optimum(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP):
     """Minimal-social-value pure profile, ties broken by lexicographic
     profile order.  Returns (profile, value)."""
-    table = _cost_table(game, cap, "social_optimum")
+    table = _cost_table(game, cap, "social_optimum", spec)
     best, value = _optimum(table.social_values(spec))
     return table.profile(best), value
 
@@ -181,7 +187,7 @@ def ppoa_report(
     cap: int = PROFILE_CAP,
 ) -> PPoAReport:
     """exact_ppoa's PPoAReport, from one enumeration of the game."""
-    table = _cost_table(game, cap, "exact_ppoa")
+    table = _cost_table(game, cap, "exact_ppoa", spec)
     return _ppoa(game, table, table.social_values(spec), epsilon, predicate)
 
 
@@ -227,7 +233,7 @@ def worst_cce(
     for sum objectives; for max objectives one per player (a max of linear
     functionals) over one feasible region, solved by lp.solve_each,
     keeping the winner.  Rows and objectives read one cost table."""
-    table = _cost_table(game, cap, "worst_cce")
+    table = _cost_table(game, cap, "worst_cce", spec)
     sf = table.social_values(spec) if spec.kind == SUM else None
     return _worst_cce(game, table, spec, sf, epsilon, predicate)
 
@@ -241,7 +247,7 @@ def cce_poa(
 ):
     """(social optimum, worst_cce's CCEReport), both read off one cost
     table; a zero optimum raises GameError before any program is solved."""
-    table = _cost_table(game, cap, "social_optimum")
+    table = _cost_table(game, cap, "social_optimum", spec)
     sf = table.social_values(spec)
     _, opt = _optimum(sf)
     if opt == 0:

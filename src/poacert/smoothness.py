@@ -71,7 +71,7 @@ def _unbounded_row(table: _CostTable, sf: list) -> Optional[int]:
 def is_sum_bounded(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP):
     """(True, None), or (False, first profile whose social value exceeds the
     sum of individual costs): _unbounded_row, as robust_poa reads it."""
-    table = _cost_table(game, cap, "is_sum_bounded")
+    table = _cost_table(game, cap, "is_sum_bounded", spec)
     a = _unbounded_row(table, table.social_values(spec))
     return (True, None) if a is None else (False, table.profile(a))
 
@@ -97,7 +97,7 @@ def check_smooth(
     (False, first violating (sigma, sigma')) in row-major order.  Without
     tol, a row may exceed its bound by games._tol over lam, mu and the pair
     tables: 0 when all of them are exact, FEAS_TOL otherwise."""
-    table = _cost_table(game, PROFILE_CAP, "smoothness pair tables")
+    table = _cost_table(game, PROFILE_CAP, "smoothness pair tables", spec)
     sf, dev = table.social_values(spec), _deviation_sums(table)
     if tol is None:
         tol = FEAS_TOL if dev.dtype == np.float64 else _tol(cert.lam, cert.mu, *sf, *dev.flat)
@@ -169,7 +169,7 @@ def robust_poa(
     Where every optimal point has t = 0, (lam, mu) are None: the value is
     then max SF / min SF, approached by certificates only as mu -> -inf.
     """
-    table = _cost_table(game, cap, "smoothness pair tables")
+    table = _cost_table(game, cap, "smoothness pair tables", spec)
     return _robust_poa(table, table.social_values(spec))
 
 
@@ -234,7 +234,7 @@ def validate_smoothness_claims(
     robust bound.  Either failing indicates a bug, not a bad instance.
     An exact table is compared exactly; otherwise the bound gets a relative
     FEAS_TOL of slack."""
-    table = _cost_table(game, cap, "smoothness pair tables")
+    table = _cost_table(game, cap, "smoothness pair tables", spec)
     sf = table.social_values(spec)
     robust = _robust_poa(table, sf)
     pure = _ppoa(game, table, sf, 0, EQ1)

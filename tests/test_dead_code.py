@@ -270,3 +270,24 @@ def test_one_fallback_policy_and_one_phase_1():
                 and getattr(node.func, "attr", None) == "phase1"}
     assert catchers == redoers == {"_solve_each"}
     assert starters == {"_Region.__init__"}
+
+
+def test_max_designees_share_one_region():
+    """solve_worst_case hands every max designee's objective to
+    lp.solve_each over one program: it calls solve_each, calls solve in
+    no loop or comprehension, and rewrites no program's rows with
+    replace(..., rows=...), as one program per designee did."""
+    func = next(node for node in ast.walk(_tree(PACKAGE / "formulations.py"))
+                if isinstance(node, ast.FunctionDef) and node.name == "solve_worst_case")
+
+    def called(node):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+    calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    looped = {called(node) for loop in ast.walk(func) if isinstance(loop, loops)
+              for node in ast.walk(loop) if isinstance(node, ast.Call)}
+    assert "solve_each" in {called(node) for node in calls}
+    assert "solve" not in looped
+    assert not [node.lineno for node in calls if called(node) == "replace"
+                and any(kw.arg == "rows" for kw in node.keywords)]

@@ -310,19 +310,28 @@ def mixed_cell(exact):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_mixed_cell_is_infinite(exact):
+    """Each designee's program LP_d (build_pp_pne), solved alone, is
+    unbounded for designees 0 and 1 and certified at 1 for designee 2.
+    solve_worst_case solves U_d, LP_d without its val rows and t, which
+    is unbounded for all three; gamma* is INFINITE either way."""
+    from poacert.formulations import _certificate_name
+
     cfg = mixed_cell(exact)
     r = solve_worst_case(cfg, exact=exact)
-    assert r.status == INFINITE
-    assert [v.status for v in r.variants] == [INFINITE, INFINITE, OPTIMAL]
-    certified = r.variant(2)
+    assert r.status == INFINITE and r.gamma_star is None
+    assert [v.status for v in r.variants] == [INFINITE] * 3
+    alone = [lp.solve(build_pp_pne(cfg, r.rep, d), exact) for d in range(3)]
+    assert [a.status for a in alone] == [lp.UNBOUNDED, lp.UNBOUNDED, lp.OPTIMAL]
+    certified = alone[2]
+    dual = {_certificate_name(label): y for label, y in certified.duals.items()}
     program = build_dp_pne(cfg, r.rep, 2)
     ok, label, violation = lp.feasibility_report(
-        program, positional(program, certified.dual), 0 if exact else 1e-9)
+        program, positional(program, dual), 0 if exact else 1e-9)
     assert ok, f"certificate violates {label} by {violation}"
     if exact:
-        assert certified.pp_value == certified.dp_value == 1
+        assert certified.value == sum(dual[f"gamma[{i}]"] for i in range(3)) == 1
     else:
-        assert certified.pp_value == pytest.approx(1, rel=1e-9)
+        assert certified.value == pytest.approx(1, rel=1e-9)
 
 
 def test_float_dual_of_mixed_cell_is_never_a_false_optimum():
@@ -403,20 +412,45 @@ def seeded_float_configurations():
         yield WorstCaseConfig(weights, uniform(), spec, 0.0, basis)
 
 
+def designee_region(cfg, rep, d):
+    """U_d sliced from LP_d = build_pp_pne(cfg, rep, d): its eq and norm
+    rows over the v columns, without the val rows and t, maximizing the v
+    entries of its val[d] row, designee d's cost row."""
+    from poacert.formulations import _ColumnNames
+
+    pp = build_pp_pne(cfg, rep, d)
+    keep = [i for i, row in enumerate(pp.rows) if not row.label.startswith("val[")]
+    at = [row.label for row in pp.rows].index(f"val[{d}]")
+    coefficients = pp.coefficients[keep + [at], :-1]
+    names = _ColumnNames(cfg, rep, range(len(pp.variables) - 1), level=False)
+    return lp.LinearProgram(lp.MAXIMIZE, names, [pp.rows[i] for i in keep], coefficients,
+                            name=f"u_max_d{d}")
+
+
+def best_designee_program(cfg, rep, exact):
+    """max_d LP_d, each build_pp_pne(cfg, rep, d) solved alone: INFINITE
+    when one is unbounded, else the largest optimum."""
+    reports = [lp.solve(build_pp_pne(cfg, rep, d), exact) for d in range(cfg.n)]
+    if any(r.status == lp.UNBOUNDED for r in reports):
+        return INFINITE
+    return max(r.value for r in reports)
+
+
 def test_designees_sharing_one_array_answer_as_alone(monkeypatch):
     """On the max classes of seeded_float_configurations(), in float and
-    as exact twins, every VariantResult of solve_worst_case is lp.solve's
-    report on build_pp_pne(cfg, rep, d) built and solved alone: value,
-    certificate duals, primal, iterations, fallback and stats.  In float,
-    the class writes one array (one _primal call), its designee programs
-    share that coefficients object, and every designee's _System (standard
-    array, b, scale and slack) is bit for bit the one _system builds on
-    build_pp_pne(cfg, rep, d) alone."""
+    as exact twins, solve_worst_case writes one array (one _primal call)
+    and builds one float _system per class, and no designee pays a
+    phase-1 pivot: every designee's program U_d has the rows of one
+    region, solved by lp.solve_each.  Each variant's status and value are
+    those of lp.solve on U_d alone (designee_region), exactly in exact
+    mode and to VALUE_RTOL in float; its dual is feasible for
+    build_dp_pne(cfg, rep, d) with objective its dp_value, the value; and
+    max_d U_d is max_d LP_d."""
     from poacert import formulations
-    from poacert.formulations import _certificate_name, _exact_config
+    from poacert.formulations import _exact_config
 
-    primal, system, solve = formulations._primal, lp._system, lp.solve
-    arrays, standards, programs = [], [], []
+    primal, system = formulations._primal, lp._system
+    arrays, standards = [], []
 
     def written(*args, **kwargs):
         arrays.append(primal(*args, **kwargs))
@@ -426,60 +460,126 @@ def test_designees_sharing_one_array_answer_as_alone(monkeypatch):
         standards.append(system(program, exact))
         return standards[-1]
 
-    def solved(program, exact=False):
-        programs.append(program)
-        return solve(program, exact)
-
     classes = [cfg for cfg in seeded_float_configurations() if cfg.spec.kind == MAX]
     assert len(classes) >= 10
     for cfg, exact in itertools.product(classes, (False, True)):
-        arrays.clear(), standards.clear(), programs.clear()
+        arrays.clear(), standards.clear()
         monkeypatch.setattr(formulations, "_primal", written)
         monkeypatch.setattr(lp, "_system", standardized)
-        monkeypatch.setattr(lp, "solve", solved)
         result = solve_worst_case(cfg, exact)
         monkeypatch.undo()
-        assert len(arrays) == 1 and len(programs) == cfg.n
-        assert all(p.coefficients is arrays[0].coefficients for p in programs)
+        assert len(arrays) == 1
+        assert [s.std.exact for s in standards].count(False) == 1
+        assert [v.stats.phase1_pivots for v in result.variants] == [0] * cfg.n
         model = _exact_config(cfg) if exact else cfg
         rep = build_representative(model.weights)
-        if not exact:
-            assert len(standards) == cfg.n
-            for d, s in enumerate(standards):
-                alone = lp._system(build_pp_pne(cfg, rep, d), exact)
-                for a, b in ((s.standard, alone.standard), (s.b, alone.b),
-                             (s.scale, alone.scale), (s.slack, alone.slack)):
-                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         for variant in result.variants:
-            alone = lp.solve(build_pp_pne(model, rep, variant.designated), exact)
-            duals = {_certificate_name(label): y for label, y in alone.duals.items()}
+            d = variant.designated
+            alone = lp.solve(designee_region(model, rep, d), exact)
             if alone.status == lp.UNBOUNDED:
                 assert variant.status == INFINITE and not variant.dual
+                continue
+            assert variant.status == alone.status == OPTIMAL
+            if exact:
+                assert variant.pp_value == variant.dp_value == alone.value
             else:
-                assert repr((variant.pp_value, variant.dual)) == repr((alone.value, duals))
-            assert repr(variant.primal) == repr(alone.primal)
-            assert variant.iterations == alone.iterations
-            assert (variant.fallback, variant.stats) == (alone.fallback, alone.stats)
+                assert variant.pp_value == pytest.approx(alone.value, rel=VALUE_RTOL)
+                assert variant.dp_value == pytest.approx(alone.value, rel=VALUE_RTOL)
+            dp = build_dp_pne(model, rep, d)
+            ok, label, violation = lp.feasibility_report(
+                dp, positional(dp, variant.dual), 0 if exact else FEAS_TOL)
+            assert ok, f"designee {d}: certificate violates {label} by {violation}"
+            bound = sum(variant.dual[f"gamma[{i}]"] for i in range(cfg.n))  # dp's objective
+            assert bound == (variant.dp_value if exact else pytest.approx(variant.dp_value))
+        best = best_designee_program(model, rep, exact)
+        if best == INFINITE:
+            assert result.status == INFINITE
+        elif exact:
+            assert result.gamma_star == best
+        else:
+            assert result.gamma_star == pytest.approx(best, rel=VALUE_RTOL)
+
+
+def seeded_exact_max_classes():
+    """12 seeded exact max classes: n = 2, 3, 4, weights in quarters from
+    1/2 to 2, alpha with a unit diagonal and off-diagonal quarters from
+    -1/4 to 1, beta quarters from 0 to 1, eps 0 or 1/2, basis x or x, x^2
+    (x alone at n = 4)."""
+    for seed in range(12):
+        rng = seeded(7100 + seed)
+        n = 2 + seed % 3
+
+        def quarter(lo, hi):
+            return F(rng.randrange(lo, hi + 1), 4)
+
+        weights = [quarter(2, 8) for _ in range(n)]
+        alpha = [[F(1) if i == j else quarter(-1, 4) for j in range(n)] for i in range(n)]
+        beta = [[quarter(0, 4) for _ in range(n)] for _ in range(n)]
+        beta[0][0] = F(1)
+        squares = (BasisFunction.monomial(2),) if n < 4 and seed % 2 else ()
+        yield WorstCaseConfig(weights, alpha, SocialSpec(MAX, beta), F(seed // 3 % 2, 2),
+                              (BasisFunction.monomial(1),) + squares)
+
+
+def test_the_best_region_designee_is_the_best_designee_program():
+    """On seeded exact max classes, gamma* = max_d U_d, which
+    solve_worst_case answers, equals max_d LP_d, each designee's
+    build_pp_pne solved alone in rationals, exactly."""
+    epsilons = set()
+    for cfg in seeded_exact_max_classes():
+        result = solve_worst_case(cfg, exact=True)
+        best = best_designee_program(cfg, result.rep, True)
+        assert (result.gamma_star if result.status == OPTIMAL else result.status) == best
+        assert isinstance(best, F) or best == INFINITE
+        epsilons.add(cfg.epsilon)
+    assert epsilons == {0, F(1, 2)}
+
+
+def test_an_exact_max_solve_builds_one_rational_standard_form(monkeypatch):
+    """solve_worst_case(exact=True) on an n = 3 max class reads every
+    designee's float run on one rational standard form, its costs row
+    rewritten per designee: one float and one exact _system in all."""
+    systems = []
+    system = lp._system
+
+    def counted(program, exact):
+        systems.append(exact)
+        return system(program, exact)
+
+    monkeypatch.setattr(lp, "_system", counted)
+    cfg = unit_cfg(n=3, kind=MAX, basis=(BasisFunction.monomial(1), BasisFunction.monomial(2)))
+    result = solve_worst_case(cfg, exact=True)
+    assert result.status == OPTIMAL and [v.fallback for v in result.variants] == [None] * 3
+    assert systems == [False, True]
 
 
 def test_exact_solve_agrees_with_the_rational_simplex(monkeypatch):
     """Every designee program that solve_worst_case(exact=True) solves, on
     the 30 seeded float configurations and on the signed-alpha mixed cell
-    (two UNBOUNDED designees), gets the status and value of a cold
+    (three UNBOUNDED designees), by lp.solve under sum and lp.solve_each
+    under max, each objective as its own program, gets the status and
+    value of a cold
     rational simplex run, and each OPTIMAL answer passes its checks at
     tolerance 0 in rationals, the certificate pass that solve_worst_case
     leaves to lp.solve's exact reading among them."""
     from poacert.formulations import _certificate_report
 
     solved = []
-    solve = lp.solve
+    solve, solve_each = lp.solve, lp.solve_each
 
     def recorded(program, exact=False):
         report = solve(program, exact)
         solved.append((program, report))
         return report
 
+    def recorded_each(program, objectives, exact=False):
+        reports = solve_each(program, objectives, exact)
+        solved.extend((lp._with_objective(program, c), report)
+                      for c, report in zip(objectives, reports))
+        return reports
+
     monkeypatch.setattr(lp, "solve", recorded)
+    monkeypatch.setattr(lp, "solve_each", recorded_each)
     for cfg in [*seeded_float_configurations(), mixed_cell(True)]:
         solve_worst_case(cfg, exact=True)
     for program, report in solved:
@@ -547,6 +647,19 @@ def test_equilibrated_columns_halve_the_pivots_of_the_cubic_classes():
     assert r.gamma_star == pytest.approx(82.09678283145465, rel=VALUE_RTOL)
     assert sum(v.iterations for v in r.variants) <= 1000
     assert [v.fallback for v in r.variants] == [None] * 7
+
+
+def test_the_eight_player_cubic_max_class_shares_one_region():
+    """The n = 8, r = 3 max class (weights 1, 3, 3, 1, 2, 3, 2, 3; basis x,
+    x^2, x^3), a count and not a timing: its eight designees took 1,669
+    pivots as LP_d, 23 of them in phase 1; as U_d over one region, each
+    from the last optimum, they take at most 900, none in phase 1, with
+    gamma* where it was and no fallback."""
+    r = solve_worst_case(float_class((1, 3, 3, 1, 2, 3, 2, 3), MAX, (1, 2, 3)))
+    assert r.gamma_star == pytest.approx(89.12463417009002, rel=VALUE_RTOL)
+    assert sum(v.iterations for v in r.variants) <= 900
+    assert sum(v.stats.phase1_pivots for v in r.variants) == 0
+    assert [v.fallback for v in r.variants] == [None] * 8
 
 
 # ============================================================

@@ -20,6 +20,7 @@ from conftest import (
     g1_spec,
     random_game,
     random_matrix,
+    random_model,
     seeded,
 )
 from poacert import cli, games
@@ -31,6 +32,7 @@ from poacert.games import (
     SUM,
     VERBATIM,
     BasisFunction,
+    CongestionModel,
     GameError,
     GeneralizedGame,
     ProfileDistribution,
@@ -459,3 +461,141 @@ def test_oracle_calls_price_each_profile_once(monkeypatch, tmp_path):
                 except GameError:  # a zero optimum leaves no ratio
                     pass
                 assert 0 < len(calls) <= profiles
+
+
+# ============================================================
+# which arithmetic answers: the costs and beta together
+# ============================================================
+
+
+def two_link(num):
+    """Weights (1, 2), resources a and b of latencies x and 2x, each
+    player choosing {a} or {b}, identity alpha: every number made by num."""
+    model = CongestionModel((num(1), num(2)), ("a", "b"), [[frozenset("a"), frozenset("b")]] * 2)
+    return GeneralizedGame(model, (BasisFunction.monomial(1),), {"a": (num(1),), "b": (num(2),)},
+                           ((num(1), num(0)), (num(0), num(1))))
+
+
+def _answers(game, spec):
+    """The reprs of every whole-game answer that reads the table's
+    arithmetic: worst_cce under both predicates, cce_poa, robust_poa and
+    validate_smoothness_claims."""
+    return [repr(worst_cce(game, spec, 0, predicate)) for predicate in (EQ1, VERBATIM)] + [
+        repr(cce_poa(game, spec)), repr(robust_poa(game, spec)),
+        repr(validate_smoothness_claims(game, spec))]
+
+
+def test_int_costs_with_fraction_beta_answer_in_rationals():
+    """Int costs and beta = diag(1/2, 1/3) hold no float and a Fraction, so
+    the answers are rational, those of the game with Fraction
+    coefficients: robust_poa 3 and worst_cce 7/3 under sum (3.0 and
+    2.3333333333333335 when the costs alone chose the arithmetic)."""
+    beta = ((F(1, 2), 0), (0, F(1, 3)))
+    for kind in (SUM, MAX):
+        spec = SocialSpec(kind, beta)
+        assert _answers(two_link(int), spec) == _answers(two_link(F), spec)
+    spec = SocialSpec(SUM, beta)
+    assert repr(robust_poa(two_link(int), spec).value) == "Fraction(3, 1)"
+    assert repr(worst_cce(two_link(int), spec).value) == "Fraction(7, 3)"
+
+
+def _int_cost_games(count):
+    """Seeded games of int weights from {1, 2, 3}, int coefficients from
+    0..3 and int alpha (the identity or entries in 0..1), each with a beta
+    of quarters in [0, 1] as Fractions, and the game's Fraction twin."""
+    basis = (BasisFunction.monomial(1), BasisFunction.monomial(2))
+    for seed in range(count):
+        rng = seeded(4000 + seed)
+        n = 2 + seed % 2
+        weights = tuple(rng.choice((1, 2, 3)) for _ in range(n))
+        alpha = tuple(tuple(int(i == j) if seed % 3 else rng.randrange(2) for j in range(n))
+                      for i in range(n))
+        model = random_model(rng, weights)
+        coeffs = {e: tuple(rng.randrange(4) for _ in basis) for e in model.resources}
+        coeffs[model.resources[0]] = (1,) + coeffs[model.resources[0]][1:]
+        game = GeneralizedGame(model, basis, coeffs, alpha)
+        twin = GeneralizedGame(
+            CongestionModel(tuple(map(F, weights)), model.resources, model.strategies), basis,
+            {e: tuple(map(F, vec)) for e, vec in coeffs.items()},
+            tuple(tuple(map(F, row)) for row in alpha))
+        beta = random_matrix(rng, n, 0, 1, True)
+        if all(b == 0 for row in beta for b in row):
+            beta = identity_matrix(n, True)
+        yield game, twin, beta
+
+
+def test_seeded_int_cost_games_with_fraction_beta_answer_as_their_fraction_twins():
+    """On seeded int-cost games with a Fraction beta, every answer is the
+    Fraction twin's, repr for repr, and worst_cce's value is a Fraction."""
+    for game, twin, beta in _int_cost_games(8):
+        for kind in (SUM, MAX):
+            spec = SocialSpec(kind, beta)
+            assert _answers(game, spec) == _answers(twin, spec)
+            assert isinstance(worst_cce(game, spec).value, F)
+
+
+# (robust_poa's value, worst_cce's value and player, validate_smoothness_claims'
+# ccpoa) under sum, then max, of FLOAT_GAMES' games, as the costs alone chose
+# the arithmetic before beta was read too
+FLOAT_ANSWERS = [
+    ("1.9090909090909092", "6.0", None, "1.0"),
+    ("2.6666666666666665", "4.0", 1, "1.0"),
+    ("3.000000000000001", "2.333333333333333", None, "1.0"),
+    ("3.0", "1.3333333333333333", 1, "1.0"),
+    ("3.000000000000001", "2.333333333333333", None, "1.0"),
+    ("3.0", "1.3333333333333333", 1, "1.0"),
+    ("None", "8.8125", None, "1.3055555555555556"),
+    ("2.8500000000000005", "5.125", 0, "1.3666666666666667"),
+    ("None", "17.4609375", None, "1.0"),
+    ("1.5717238528317483", "10.2421875", 1, "1.0"),
+    ("2.868269808137707", "0.796875", None, "1.0"),
+    ("2.868269808137707", "0.796875", 1, "1.0"),
+    ("None", "6.0", None, "1.0"),
+    ("4.419912198255301", "2.28125", 1, "1.0"),
+]
+
+
+def float_games():
+    """(game, beta) pairs answered in float: two_link's int costs with int
+    beta and with float beta, its float costs with Fraction beta, and the
+    four float games of _seeded_games."""
+    cases = [(two_link(int), ((1, 0), (0, 1))), (two_link(int), ((0.5, 0), (0, 1 / 3))),
+             (two_link(float), ((F(1, 2), 0), (0, F(1, 3))))]
+    for _, game, beta in _seeded_games(4, False):
+        if all(b == 0 for row in beta for b in row):
+            beta = identity_matrix(game.n)
+        cases.append((game, beta))
+    return cases
+
+
+def test_float_games_answer_as_before():
+    """A game whose costs or beta hold a float, or that holds no Fraction,
+    answers in float, repr for repr as before beta took part in choosing
+    the arithmetic."""
+    answers = []
+    for game, beta in float_games():
+        for kind in (SUM, MAX):
+            spec = SocialSpec(kind, beta)
+            report = worst_cce(game, spec)
+            answers.append((repr(robust_poa(game, spec).value), repr(report.value), report.player,
+                            repr(validate_smoothness_claims(game, spec).ccpoa)))
+    assert answers == FLOAT_ANSWERS
+
+
+def test_an_exact_worst_cce_builds_one_rational_standard_form(monkeypatch):
+    """worst_cce under max on exact games reads every player's float run
+    on one rational standard form, its costs row rewritten per player:
+    one float and one exact _system per call, however many players."""
+    systems = []
+    system = lp._system
+
+    def counted(program, exact):
+        systems.append(exact)
+        return system(program, exact)
+
+    monkeypatch.setattr(lp, "_system", counted)
+    for _, game, _ in _seeded_games(4, True):
+        systems.clear()
+        report = worst_cce(game, SocialSpec(MAX, identity_matrix(game.n, True)))
+        assert isinstance(report.value, F)
+        assert systems == [False, True]

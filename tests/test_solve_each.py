@@ -1,8 +1,10 @@
 """lp.solve_each: several objectives over one program's rows, one float
-standard form and one phase 1 for all of them, each objective read and
-falling back on its own.  Every report must equal a cold lp.solve of the
-program with that objective row, in status, value, primal, duals,
-arithmetic and fallback."""
+standard form and one phase 1 for all of them, each later objective's
+phase 2 starting where the previous optimum stopped, each objective read
+and falling back on its own.  The first report must equal a cold
+lp.solve of the program with that objective row, counts included; every
+later one must have its status and value, with a point and duals that
+pass their checks."""
 
 import dataclasses
 import random
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from poacert import linprog, oracle
-from poacert.games import EQ1, MAX, VERBATIM, SocialSpec, identity_matrix
+from poacert.games import EQ1, FEAS_TOL, MAX, VERBATIM, SocialSpec, identity_matrix
 from poacert.linprog import (
     EQ,
     GE,
@@ -55,28 +57,51 @@ def _count_pivots(monkeypatch):
     return pivots
 
 
+def assert_answers_as_cold(program, objective, got, cold, exact):
+    """got, a solve_each report for objective, has the cold solve's status
+    and value (exactly when exact, else to 1e-9 relative), and an OPTIMAL
+    one a point that passes feasibility_report and duals of their signs
+    that pass dual_violations, with rhs sum the value: at tolerance 0 in
+    rationals when exact, at FEAS_TOL in float."""
+    assert got.status == cold.status, program.name
+    if exact or cold.value is None:
+        assert got.value == cold.value, program.name
+    else:
+        assert got.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12), program.name
+    if got.status != OPTIMAL:
+        return
+    alone = _with_objective(program, objective)
+    if exact:
+        alone = dataclasses.replace(alone, coefficients=linprog._fractions(alone.coefficients))
+    tol = 0 if exact else FEAS_TOL
+    duals = [got.duals[row.label] for row in program.rows]
+    assert linprog.feasibility_report(alone, got.primal, tol)[0], program.name
+    assert max(linprog.dual_violations(alone, duals).tolist(), default=0) <= tol, program.name
+    sign = 1 if program.sense == MAXIMIZE else -1
+    assert all(sign * y >= -tol if row.relation == LE else sign * y <= tol
+               for row, y in zip(program.rows, duals) if row.relation != EQ), program.name
+    bound = sum(F(row.rhs) * F(y) for row, y in zip(program.rows, duals))
+    assert abs(bound - F(got.value)) <= F(tol) * (1 + abs(F(got.value))), program.name
+
+
 def assert_each_is_cold(program, objectives, exact, pivots):
-    """solve_each against one cold solve per objective: equal answers; the
-    first report's counts are the cold solve's, and a later one without a
-    fallback counts only its phase 2 (the cold solve's phase 2, and
-    degenerate pivots and Bland switches short by phase 1's, the same for
-    every objective); the reports' pivots add up to those run."""
+    """solve_each against one cold solve per objective: the first report
+    is the cold solve's, counts included; a later one answers as cold
+    (assert_answers_as_cold) and, without a fallback, reports no phase-1
+    pivot, retired column or dropped row; the reports' pivots add up to
+    those run."""
     pivots.clear()
     reports = solve_each(program, objectives, exact)
     run = len(pivots)
     colds = [solve(_with_objective(program, c), exact) for c in objectives]
     assert len(reports) == len(objectives)
-    assert [_answer(r) for r in reports] == [_answer(c) for c in colds]
+    assert _answer(reports[0]) == _answer(colds[0])
     assert reports[0].stats == colds[0].stats and reports[0].iterations == colds[0].iterations
-    phase1 = set()
-    for got, cold in zip(reports[1:], colds[1:]):
-        if got.fallback is not None:
-            continue
-        assert got.stats.phase1_pivots == got.stats.retired_columns == got.stats.dropped_rows == 0
-        assert got.stats.phase2_pivots == cold.stats.phase2_pivots == got.iterations
-        phase1.add((cold.stats.degenerate_pivots - got.stats.degenerate_pivots,
-                    cold.stats.bland_switches - got.stats.bland_switches))
-    assert len(phase1) <= 1
+    for objective, got, cold in zip(objectives[1:], reports[1:], colds[1:]):
+        assert_answers_as_cold(program, objective, got, cold, exact)
+        if got.fallback is None:
+            assert got.stats.phase1_pivots == got.stats.retired_columns == 0
+            assert got.stats.dropped_rows == 0 and got.stats.phase2_pivots == got.iterations
     assert sum(r.iterations for r in reports) == run
     return reports
 
