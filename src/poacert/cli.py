@@ -42,6 +42,7 @@ from .games import (
     ProfileDistribution,
     SocialSpec,
     identity_matrix,
+    rational,
     social_value,
 )
 from .gamefile import (
@@ -248,15 +249,15 @@ def cmd_normalize(args) -> int:
     return _emit(args, {"optimum_before": factor, "game": emitted}, epsilon=doc.epsilon)
 
 
-def _random_trials(rng, model, count: int, exact: bool = False):
+def _random_trials(rng, model, count: int):
     """count random (distribution, comparison profile) pairs over model's
-    pure profiles, lazily: each draws the profile masses, then o.  Exact
-    trials read the same draws as Fractions, normalised by their exact
-    total."""
+    pure profiles, lazily: each draws the profile masses, then o.  When the
+    model's weights are rational (games.rational), the trials read the
+    same draws as Fractions, normalised by their exact total."""
     profiles = list(model.profiles())
     for _ in range(count):
         raw = [rng.random() for _ in profiles]
-        if exact:
+        if rational(model.weights):
             raw = [Fraction(m) for m in raw]
         total = sum(raw)
         dist = ProfileDistribution({prof: m / total for prof, m in zip(profiles, raw)})
@@ -273,7 +274,7 @@ def cmd_verify_extension(args) -> int:
     trials = 50
     failures = []
     worst = 0
-    draws = _random_trials(random.Random(args.seed), model, trials, args.exact)
+    draws = _random_trials(random.Random(args.seed), model, trials)
     for t, (dist, o_profile) in enumerate(draws):
         rep = verify_extension(cfg, result.dual_solution, model, dist, o_profile,
                                result.designated)

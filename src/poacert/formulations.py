@@ -67,6 +67,7 @@ from .games import (
     check_alpha,
     check_epsilon,
     check_weights,
+    rational,
 )
 from .representative import RepresentativeModel, build_representative
 
@@ -279,6 +280,13 @@ def _basis_values(basis, dtype, *blocks) -> list:
     return out
 
 
+def _numbers(cfg: WorstCaseConfig):
+    """Every number of the class: weights, alpha, beta, epsilon, and the
+    keys and values of its lookup tables."""
+    return chain(cfg.weights, *cfg.alpha, *cfg.spec.beta, [cfg.epsilon],
+                 *(pair for f in cfg.basis for pair in f.table))
+
+
 def _mask_factors(cfg: WorstCaseConfig, weights: tuple, masks: np.ndarray) -> tuple:
     """The closed form of the representative primal as per-mask factor
     arrays (masks, joins, leaves, costs), joins, leaves and costs of shape
@@ -297,8 +305,8 @@ def _mask_factors(cfg: WorstCaseConfig, weights: tuple, masks: np.ndarray) -> tu
     accumulation (_subset_sums), and the basis is read once per distinct
     live load (_basis_values), in the order of operations of the
     profile-enumeration writer the tests keep as reference, so at a point
-    mass on sigma* the programs are equal value for value: in float64 when
-    every weight is a float, else over Python numbers in object arrays.  A
+    mass on sigma* the programs are equal value for value: in object arrays
+    when games.rational(_numbers(cfg)), else in float64, ints included.  A
     lookup table is read at every load of the class, whatever the masks,
     and raises GameError at the first it misses, in mask order.  weights,
     the served model's, must be cfg's.  A float coefficient that
@@ -308,7 +316,7 @@ def _mask_factors(cfg: WorstCaseConfig, weights: tuple, masks: np.ndarray) -> tu
     w, alpha, beta = cfg.weights, cfg.alpha, cfg.spec.beta
     if tuple(weights) != w:
         raise GameError("model weights differ from configuration weights")
-    dtype = np.float64 if all(isinstance(x, float) for x in w) else object
+    dtype = object if rational(_numbers(cfg)) else np.float64
     # the rows summed: the load, then alpha_i . w and beta_i . w for each i
     terms = np.array([w, *alpha, *beta], dtype=dtype)
     live = terms != 0  # every weight is positive
@@ -498,7 +506,7 @@ def lemma1_witness(cfg: WorstCaseConfig, rep: RepresentativeModel) -> Witness:
     n = cfg.n
     w = cfg.weights
     beta = cfg.spec.beta
-    one = Fraction(1) if isinstance(w[0], (Fraction, int)) else 1.0
+    one = Fraction(1) if rational(_numbers(cfg)) else 1.0
     if cfg.spec.kind == SUM:
         # each of the count players with a positive beta column adds 1/count
         scale = [sum(beta[i][j] for i in range(n)) for j in range(n)]
@@ -610,14 +618,12 @@ def _certificate(program: lp.LinearProgram, duals, designated, one) -> dict:
 
 
 def _exact_config(cfg: WorstCaseConfig) -> WorstCaseConfig:
-    """cfg with every float (weights, alpha, beta, epsilon, lookup keys
-    and values) read as its exact binary value, as lp.solve(exact=True)
-    reads one."""
+    """cfg with every number (weights, alpha, beta, epsilon, lookup keys
+    and values) a Fraction, a float's being its exact binary value, as
+    lp.solve(exact=True) reads one: the class is rational, ints and all."""
 
     def q(x):  # a number, or nested tuples or lists of them
-        if isinstance(x, (tuple, list)):
-            return tuple(map(q, x))
-        return Fraction(x) if isinstance(x, float) else x
+        return tuple(map(q, x)) if isinstance(x, (tuple, list)) else Fraction(x)
 
     basis = [replace(f, table=q(f.table)) for f in cfg.basis]
     spec = SocialSpec(cfg.spec.kind, q(cfg.spec.beta))
@@ -650,9 +656,9 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     signs were read by lp.solve on the same rational data with tolerance
     0.  These checks and the optimum being at least 1 are guaranteed by
     the theory; violations raise InvariantViolation rather than returning
-    a bad number.  Exact mode first reads every float of cfg as its exact
-    binary value, as lp.solve does: weights (1.0, 1.5) solve, and give
-    rep, as (1, 3/2).
+    a bad number.  Exact mode first reads every number of cfg as a
+    Fraction, a float as its exact binary value, as lp.solve does: weights
+    (1.0, 1.5) and (1, 1.5) solve, and give rep, as (1, 3/2).
     """
     if exact:
         cfg = _exact_config(cfg)
@@ -778,14 +784,15 @@ def normalize_game(game: GeneralizedGame, spec: SocialSpec):
 
     Scaling preserves equilibrium sets and every value ratio, so worst-case
     ratios can be read off normalized games directly.  Returns (game,
-    optimum value before scaling).
+    optimum value before scaling), rational when the cost table is.
     """
-    from .oracle import social_optimum
+    from .oracle import PROFILE_CAP, _cost_table, _optimum
 
-    _, value = social_optimum(game, spec)
+    table = _cost_table(game, PROFILE_CAP, "social_optimum", spec)
+    _, value = _optimum(table.social_values(spec))
     if value <= 0:
         raise GameError(f"social optimum {value} is not positive; cannot normalize")
-    one = Fraction(1) if isinstance(value, (Fraction, int)) else 1.0
+    one = Fraction(1) if table.exact else 1.0
     return game.scaled(one / value), value
 
 

@@ -2,10 +2,10 @@
 
 Numbers may be plain JSON numbers or strings: "3/4" is parsed as a
 rational, and so is "0.25".  In exact mode every number becomes a Fraction
-(floats via their shortest decimal representation), otherwise everything
-becomes int/float and must fit a float.  NaN and infinities are rejected.
-Emission mirrors this: rationals are written as "p/q" strings so a file
-round-trips losslessly through exact mode.
+(floats via their shortest decimal representation), otherwise an int or a
+float that must fit a float, and is read as one (games.rational).  NaN and
+infinities are rejected.  Emission mirrors this: rationals are written as
+"p/q" strings so a file round-trips losslessly through exact mode.
 
 Game schema: weights, resources, strategies (per player: list of lists of
 resource ids), basis (list of {kind, degree?, table?}), coefficients
@@ -133,9 +133,9 @@ def _class_fields(doc: dict, exact: bool) -> tuple:
     )
 
 
-def _social(kind: str, beta, n: int, exact: bool) -> SocialSpec:
+def _social(kind: str, beta, n: int) -> SocialSpec:
     """The social function of a file; an absent beta is the identity."""
-    return SocialSpec(kind, identity_matrix(n, exact=exact) if beta is None else beta)
+    return SocialSpec(kind, identity_matrix(n) if beta is None else beta)
 
 
 def parse_basis(raw, exact: bool) -> tuple:
@@ -184,8 +184,7 @@ class GameDocument:
     epsilon: object
 
     def spec(self, kind: str) -> SocialSpec:
-        weights = self.game.model.weights
-        return _social(kind, self.beta, len(weights), isinstance(weights[0], Fraction))
+        return _social(kind, self.beta, self.game.n)
 
 
 def _load(path: str) -> dict:
@@ -260,7 +259,7 @@ def load_config(path: str, exact: bool = False, sf=None, epsilon=None) -> WorstC
     doc = _load(path)
     try:
         weights, alpha, basis, beta, file_epsilon = _class_fields(doc, exact)
-        spec = _social(sf if sf is not None else doc.get("sf", SUM), beta, len(weights), exact)
+        spec = _social(sf if sf is not None else doc.get("sf", SUM), beta, len(weights))
         return WorstCaseConfig(weights, alpha, spec,
                                file_epsilon if epsilon is None else epsilon, basis)
     except GameError as err:

@@ -6,8 +6,9 @@ non-negative functions (f(0) = 0) and a real perception matrix alpha, where
 player i experiences sum_j alpha_ij * (individual cost of j).  Social
 objectives are beta-weighted sums or maxima of individual costs.
 
-All arithmetic is generic: feed Fractions everywhere for exact results,
-floats for speed.  Nothing in this module rounds.
+All arithmetic is generic and nothing in this module rounds; callers
+choose it by one rule, rational(): Fractions without floats are exact,
+any other data, integers alone included, float64.
 """
 
 from __future__ import annotations
@@ -534,6 +535,15 @@ def _deviation_gaps(game: GeneralizedGame, profile, eps, predicate: str, priced)
         for x in range(len(model.strategies[i])):
             there = costs if x == profile[i] else priced(_deviate(profile, i, x))
             yield i, x, here - (1 + eps) * _weighted(row, there)
+
+
+def rational(numbers) -> bool:
+    """The package's one arithmetic rule: numbers are read in rationals
+    when none of them is a float and at least one is a Fraction, and in
+    float64 otherwise, an int counting as a float."""
+    numbers = list(numbers)
+    return not any(isinstance(x, float) for x in numbers) and any(
+        isinstance(x, Fraction) for x in numbers)
 
 
 def _tol(*values):

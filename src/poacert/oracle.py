@@ -3,15 +3,15 @@
 Everything here is brute force on purpose: optimum and equilibria by full
 profile enumeration, worst coarse value by a linear program over the
 profile simplex, each read off one _CostTable and its gaps (_gaps).
-The cost table decides the arithmetic: when neither the game's costs nor
-the social spec's beta hold a float, and one of them holds a Fraction,
-the answers are rational end to end; any other game gets float ones.
+The cost table decides the arithmetic by games.rational: when neither
+the game's costs nor the social spec's beta hold a float, and one of them
+holds a Fraction, the answers are rational end to end; any other game,
+integer costs included, gets float ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,6 +29,7 @@ from .games import (
     check_epsilon,
     deviation_gaps,
     individual_costs,
+    rational,
     social_of_costs,
 )
 
@@ -40,12 +41,12 @@ class _CostTable(NamedTuple):
     """An oracle call's one individual_costs pass: the game's profiles in
     lexicographic order as rows of strategy indices (profiles[a, i] is
     player i's strategy at row a), the individual cost of player i at row
-    a as costs[a, i] (float64 when every cost is a float, else object),
-    and the mixed-radix strides of the profile order, so the deviation
-    (sigma_{-i}, x) of row a is row a + (x - sigma_i) * strides[i].  exact
-    is whether neither the costs nor the beta of the spec the table was
-    built for hold a float and one of them holds a Fraction: then every
-    answer read off the table is solved and read in rationals."""
+    a as costs[a, i], and the mixed-radix strides of the profile order, so
+    the deviation (sigma_{-i}, x) of row a is row a + (x - sigma_i) *
+    strides[i].  exact is games.rational of the costs and of the beta of
+    the spec the table was built for: then costs is an object array and
+    every answer read off the table is solved and read in rationals;
+    otherwise costs is float64, integer costs included."""
 
     profiles: np.ndarray
     costs: np.ndarray
@@ -82,14 +83,12 @@ def _cost_table(game: GeneralizedGame, cap: int, what: str,
         raise GameError(f"{what}: {game.model.profile_count()} profiles exceeds cap {cap}")
     profiles = list(game.model.profiles())
     rows = [individual_costs(game, prof) for prof in profiles]
-    floats = [isinstance(c, float) for row in rows for c in row]
     beta = [] if spec is None else [b for row in spec.beta for b in row]
-    exact = not any(floats) and not any(isinstance(b, float) for b in beta) and any(
-        isinstance(x, Fraction) for x in [*(c for row in rows for c in row), *beta])
+    exact = rational([*(c for row in rows for c in row), *beta])
     sizes = [len(per) for per in game.model.strategies]
     strides = np.cumprod([1, *sizes[:0:-1]])[::-1]
     return _CostTable(np.array(profiles, dtype=np.intp),
-                      np.array(rows, dtype=np.float64 if all(floats) else object), strides, exact)
+                      np.array(rows, dtype=object if exact else np.float64), strides, exact)
 
 
 def _weighted_rows(row, costs: np.ndarray) -> np.ndarray:

@@ -1,0 +1,146 @@
+"""One arithmetic rule, games.rational, for every layer.
+
+Data are rational when none of the numbers is a float and at least one is
+a Fraction; any other data are float64, and an int counts as a float.  So
+a class of integers, read in float mode, builds the same float64 program
+as its float twin and gets the same gamma* bit for bit; in exact mode it
+gets its Fraction twin's answer; and an oracle answer on a game of
+integer costs is a float.
+"""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from conftest import seeded
+from poacert.formulations import (
+    WorstCaseConfig,
+    _mask_factors,
+    build_pp_pne,
+    lemma1_witness,
+    normalize_game,
+    solve_worst_case,
+)
+from poacert.games import (
+    MAX,
+    SUM,
+    BasisFunction,
+    CongestionModel,
+    GeneralizedGame,
+    SocialSpec,
+    identity_matrix,
+    rational,
+)
+from poacert.oracle import _cost_table, exact_ppoa, social_optimum
+from poacert.representative import build_representative
+from test_array_programs import designees
+
+
+@pytest.mark.parametrize("numbers,want", [
+    ([], False), ([1, 2], False), ([1, F(1, 2)], True), ([F(1)], True),
+    ([1.0, F(1, 2)], False), ([F(1, 2), 2, 0.5], False), ([np.float64(1), F(1)], False),
+])
+def test_rational_is_a_fraction_and_no_float(numbers, want):
+    assert rational(numbers) is want
+
+
+def _twin(cfg, num):
+    """cfg with every number read by num (float or Fraction)."""
+    def q(x):
+        return tuple(map(q, x)) if isinstance(x, (tuple, list)) else num(x)
+
+    spec = SocialSpec(cfg.spec.kind, q(cfg.spec.beta))
+    return WorstCaseConfig(q(cfg.weights), q(cfg.alpha), spec, q(cfg.epsilon), cfg.basis)
+
+
+def integer_classes():
+    """n = 2..4, r in {1, 3} (basis x .. x^r), sum and max, identity or
+    seeded random integer alpha and beta, eps in {0, 1/2}: eps 1/2 is the
+    float 0.5, so those classes are float by their epsilon too."""
+    rng = seeded(4040)
+    for n in (2, 3, 4):
+        for r in (1, 3):
+            basis = tuple(BasisFunction.monomial(k) for k in range(1, r + 1))
+            for kind in (SUM, MAX):
+                for eps in (0, 0.5):
+                    for shape in ("identity", "random"):
+                        weights = [rng.randrange(1, 6) for _ in range(n)]
+                        alpha = beta = identity_matrix(n)
+                        if shape == "random":
+                            alpha = [[1 if i == j else rng.randrange(-1, 3) for j in range(n)]
+                                     for i in range(n)]
+                            beta = [[rng.randrange(0, 3) for _ in range(n)] for _ in range(n)]
+                            beta[0][0] = 1
+                        cfg = WorstCaseConfig(weights, alpha, SocialSpec(kind, beta), eps, basis)
+                        yield pytest.param(cfg, id=f"n{n}-r{r}-{kind}-eps{eps}-{shape}")
+
+
+INTEGER_CLASSES = list(integer_classes())
+
+
+@pytest.mark.parametrize("cfg", INTEGER_CLASSES)
+def test_integer_class_is_its_float_twin(cfg):
+    """build_pp_pne is float64 and byte-equal to the float twin's, every
+    factor array of a class without a Fraction is float64, and gamma* is
+    the twin's bit for bit."""
+    twin = _twin(cfg, float)
+    rep = build_representative(cfg.weights)
+    masks = np.arange(1 << cfg.n)
+    for c in (cfg, twin):
+        _, *factors = _mask_factors(c, c.weights, masks)
+        assert [a.dtype for a in factors] == [np.float64] * 3
+    for d in designees(cfg):
+        got = build_pp_pne(cfg, rep, d)
+        want = build_pp_pne(twin, build_representative(twin.weights), d)
+        assert got.coefficients.dtype == np.float64
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got.rows == want.rows and list(got.variables) == list(want.variables)
+    got, want = solve_worst_case(cfg), solve_worst_case(twin)
+    assert got.status == want.status
+    assert repr(got.gamma_star) == repr(want.gamma_star)
+
+
+@pytest.mark.parametrize("cfg", INTEGER_CLASSES)
+def test_exact_integer_class_is_its_fraction_twin(cfg):
+    """Exact mode reads every number as a Fraction, ints too: the answer,
+    and the representative model it was found on, are the Fraction
+    twin's, repr for repr."""
+    got, want = solve_worst_case(cfg, exact=True), solve_worst_case(_twin(cfg, F), exact=True)
+    assert got.status == want.status
+    assert repr(got.gamma_star) == repr(want.gamma_star)
+    assert repr(got.rep.weights) == repr(want.rep.weights)
+
+
+@pytest.mark.parametrize("cfg", INTEGER_CLASSES)
+def test_lemma1_witness_follows_the_rule(cfg):
+    """Float on an integer class, rational on its Fraction twin, equal in
+    value."""
+    fractions = _twin(cfg, F)
+    floats = lemma1_witness(cfg, build_representative(cfg.weights)).values
+    exact = lemma1_witness(fractions, build_representative(fractions.weights)).values
+    assert {type(v) for v in floats.values()} == {float}
+    assert {type(v) for v in exact.values()} == {F}
+    assert floats == pytest.approx({j: float(v) for j, v in exact.items()}, rel=1e-15)
+
+
+def _game(num):
+    """Weights 1 and 2 on resources a and b, latencies x and 3x, each
+    player on one of them: optimum 7, player 1 alone on b."""
+    model = CongestionModel((num(1), num(2)), ("a", "b"), ((("a",), ("b",)),) * 2)
+    return GeneralizedGame(model, (BasisFunction.monomial(1),),
+                           {"a": (num(1),), "b": (num(3),)}, identity_matrix(2))
+
+
+@pytest.mark.parametrize("num,answer", [(int, float), (F, F)])
+def test_integer_costs_answer_in_floats(num, answer):
+    """A game of integer costs has a float64 cost table and float answers;
+    its Fraction twin, an object table and rational ones."""
+    game, spec = _game(num), SocialSpec(SUM, identity_matrix(2))
+    table = _cost_table(game, 100, "test", spec)
+    assert table.exact is (answer is F) and table.costs.dtype == (object if table.exact else float)
+    profile, value = social_optimum(game, spec)
+    assert profile == (1, 0) and value == 7 and type(value) is answer
+    assert type(exact_ppoa(game, spec)) is answer
+    scaled, _ = normalize_game(game, spec)
+    assert {type(c) for vec in scaled.coefficients.values() for c in vec} == {answer}

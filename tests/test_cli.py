@@ -302,6 +302,23 @@ def test_normalize_command(capsys, tmp_path, game_path):
     assert emitted["coefficients"]["a"] == ["1/2"]
 
 
+def test_normalize_writes_the_arithmetic_it_reports(capsys, tmp_path):
+    """A game of integers normalizes in floats, as its settings say, and
+    in rationals under --exact, whose default beta is written as JSON
+    ints.  Optimum 7: player 1 alone on b, player 2 alone on a."""
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({**GAME, "weights": [1, 2], "coefficients": {"a": [1], "b": [3]}}))
+    code, doc = run(capsys, "normalize", "--game", str(path))
+    assert code == EXIT_OK and doc["settings"]["arithmetic"] == "float64"
+    assert isinstance(doc["optimum_before"], float) and doc["optimum_before"] == 7
+    assert doc["game"]["coefficients"] == {"a": [1 / 7], "b": [3 / 7]}
+    code, doc = run(capsys, "normalize", "--game", str(path), "--exact")
+    assert code == EXIT_OK and doc["settings"]["arithmetic"] == "rational"
+    assert doc["optimum_before"] == "7"
+    assert doc["game"]["coefficients"] == {"a": ["1/7"], "b": ["3/7"]}
+    assert doc["game"]["beta"] == [[1, 0], [0, 1]]
+
+
 def test_verify_extension_command(capsys, cfg_path, game_path):
     code, doc = run(capsys, "verify-extension", "--config", cfg_path,
                     "--game", game_path, "--seed", "3")

@@ -7,8 +7,12 @@ poabench, demos); a private (_-prefixed) one is used outside the tests
 Only gamefile.py, where input text enters, imports re: no other module
 parses text, such as a name it formatted itself.  In oracle.py and
 smoothness.py only _cost_table enumerates profiles and prices them, only
-_gaps calls deviation_gaps, only _cost_table reads Fraction to choose the
-arithmetic, and no public function takes an exact parameter.  In
+_gaps calls deviation_gaps, only _cost_table chooses the arithmetic (by
+games.rational; neither module names Fraction), and no public function
+takes an exact parameter.  Across src, only games.rational and the
+converters and writers of numbers test isinstance(..., Fraction), and
+the file and trial helpers whose data fix their arithmetic take no exact
+parameter.  In
 linprog.py one function holds the fallback to the rational simplex and
 one calls phase1.
 Every name a poacert module imports is used in that module.  Every
@@ -227,19 +231,44 @@ def test_profiles_are_priced_and_gapped_in_one_place(module):
 
 @pytest.mark.parametrize("module", ["oracle.py", "smoothness.py"])
 def test_the_cost_table_alone_decides_the_arithmetic(module):
-    """In the oracle and smoothness layer only _cost_table reads Fraction,
-    to decide whether its table is exact, and no public function takes an
-    exact parameter: every whole-game answer is solved in the arithmetic
-    of the cost table it reads."""
+    """In the oracle and smoothness layer only _cost_table decides whether
+    its table is exact, by games.rational, nothing names Fraction, and no
+    public function takes an exact parameter: every whole-game answer is
+    solved in the arithmetic of the cost table it reads."""
     tree = _tree(PACKAGE / module)
     readers = [f"{module}:{node.lineno} {scope}" for scope, node in _scoped_nodes(tree)
-               if isinstance(node, ast.Name) and node.id == "Fraction" and scope != "_cost_table"]
-    assert not readers, "Fraction read outside _cost_table: " + ", ".join(readers)
+               if isinstance(node, ast.Name) and (node.id == "Fraction" or (
+                   node.id == "rational" and scope != "_cost_table"))]
+    assert not readers, "arithmetic chosen outside _cost_table: " + ", ".join(readers)
     flags = [f"{module}:{node.lineno} {node.name}" for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and not node.name.startswith("_")
              and "exact" in {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}]
     assert not flags, "public functions with an exact parameter: " + ", ".join(flags)
+
+
+# the functions that may test isinstance(..., Fraction): the one rule, and
+# the converters and writers that turn a number into a Fraction or text
+FRACTION_TESTS = {("games.py", "rational"), ("linprog.py", "_fraction"),
+                  ("gamefile.py", "emit_number"), ("cli.py", "as_json")}
+
+
+def test_one_rule_chooses_float64_or_rationals():
+    """Across src, isinstance(..., Fraction) appears only in games.rational
+    and in the converters and writers, so every choice between float64 and
+    rationals made from the data's types reads games.rational; and the
+    default social function of a file (gamefile._social) and the CLI's
+    random trials (cli._random_trials) take no exact parameter, as their
+    data fix their arithmetic."""
+    tests = {(path.name, scope) for path in _modules() for scope, node in _scoped_nodes(_tree(path))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+             and "Fraction" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}}
+    assert ("games.py", "rational") in tests
+    assert tests <= FRACTION_TESTS, sorted(tests - FRACTION_TESTS)
+    for module, name in (("gamefile.py", "_social"), ("cli.py", "_random_trials")):
+        func = next(node for node in ast.walk(_tree(PACKAGE / module))
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        assert "exact" not in {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
 
 
 def test_text_is_parsed_only_where_input_enters():

@@ -43,6 +43,7 @@ from poacert.games import (
     GeneralizedGame,
     SocialSpec,
     identity_matrix,
+    rational,
 )
 from poacert.representative import build_representative
 from test_array_programs import dense_rows, designees, seeded_classes
@@ -123,7 +124,10 @@ def reference_closed_form(cfg):
     eq[i] scattered into (P, Q, k) from its per-mask products."""
     n, r = cfg.n, len(cfg.basis)
     w, alpha, beta = cfg.weights, cfg.alpha, cfg.spec.beta
-    dtype = np.float64 if all(isinstance(x, float) for x in w) else object
+    tables = [x for f in cfg.basis for pair in f.table for x in pair]
+    numbers = [*w, *(a for row in alpha for a in row), *(b for row in beta for b in row),
+               cfg.epsilon, *tables]
+    dtype = object if rational(numbers) else np.float64
     size = 1 << n
     masks = np.arange(size)
 
@@ -220,11 +224,15 @@ X2 = BasisFunction.monomial(2)
 
 def extra_classes():
     """Classes the seeded corpus lacks: mixed int and Fraction weights,
-    whose loads repeat a value in two types (1 + 2 and F(3)), and float
-    classes over the indicator and a lookup table."""
+    whose loads repeat a value in two types (1 + 2 and F(3)); float
+    classes over the indicator and a lookup table; integer classes, float
+    by games.rational, over an integer lookup table; and integer classes
+    made rational by their epsilon alone."""
     table = BasisFunction.lookup({1.0: 1.0, 2.0: 3.0, 3.0: 4.0, 4.0: 7.0, 5.0: 0.0, 6.0: 2.0})
+    ints = BasisFunction.lookup({k: round(v) for k, v in table.table})
     alpha = [[1, F(-1, 2), 0], [F(1, 3), 1, F(2, 7)], [0, F(1, 2), 1]]
     beta = [[1, F(1, 2), 0], [0, 1, 0], [F(1, 3), 0, 1]]
+    int_alpha, int_beta = [[1, -1, 0], [2, 1, 1], [0, 3, 1]], [[1, 2, 0], [0, 1, 0], [1, 0, 1]]
     for kind in (SUM, MAX):
         yield pytest.param(WorstCaseConfig((1, 2, F(3)), alpha, SocialSpec(kind, beta), F(1, 2),
                                            (X, X2)), True, id=f"mixed-{kind}")
@@ -233,6 +241,10 @@ def extra_classes():
             WorstCaseConfig((1.0, 2.0, 3.0), floats,
                             SocialSpec(kind, [[float(x) for x in row] for row in beta]), 0.5,
                             (BasisFunction.indicator(), table)), False, id=f"table-{kind}")
+        yield pytest.param(WorstCaseConfig((1, 2, 3), int_alpha, SocialSpec(kind, int_beta), 0,
+                                           (X, ints)), False, id=f"int-{kind}")
+        yield pytest.param(WorstCaseConfig((1, 2, 3), int_alpha, SocialSpec(kind, int_beta),
+                                           F(1, 2), (X, X2)), True, id=f"int-fraction-{kind}")
 
 
 CLASSES = list(seeded_classes()) + list(extra_classes())
