@@ -565,12 +565,6 @@ class WorstCaseResult:
     primal_solution: dict  # the best variant's primal, keyed by position
     exact: bool
 
-    def variant(self, designated) -> VariantResult:
-        for var in self.variants:
-            if var.designated == designated:
-                return var
-        raise KeyError(designated)
-
 
 def _close(a, b, rtol):
     return abs(a - b) <= rtol * max(1, abs(a), abs(b))
@@ -792,8 +786,7 @@ def normalize_game(game: GeneralizedGame, spec: SocialSpec):
     _, value = _optimum(table.social_values(spec))
     if value <= 0:
         raise GameError(f"social optimum {value} is not positive; cannot normalize")
-    one = Fraction(1) if table.exact else 1.0
-    return game.scaled(one / value), value
+    return game.scaled(1 / value), value
 
 
 @dataclass

@@ -2,11 +2,14 @@
 
 Everything here is brute force on purpose: optimum and equilibria by full
 profile enumeration, worst coarse value by a linear program over the
-profile simplex, each read off one _CostTable and its gaps (_gaps).
-The cost table decides the arithmetic by games.rational: when neither
-the game's costs nor the social spec's beta hold a float, and one of them
-holds a Fraction, the answers are rational end to end; any other game,
-integer costs included, gets float ones.
+profile simplex, each read off one _CostTable and its one gap array
+(_gaps).  The cost table fixes the numbers, the slack and the gaps.  It
+decides the arithmetic by games.rational: when neither the game's costs
+nor the social spec's beta hold a float, and one of them holds a
+Fraction, its costs are Fractions and the answers rational end to end;
+any other game, integer costs included, gets float64 ones.  Its tol, 0
+or FEAS_TOL, is the slack of every comparison read off it, so the pure
+and the coarse oracle accept the same equilibria.
 """
 
 from __future__ import annotations
@@ -19,13 +22,13 @@ import numpy as np
 from . import linprog as lp
 from .games import (
     EQ1,
+    FEAS_TOL,
     SUM,
     VERBATIM,
     GameError,
     GeneralizedGame,
     ProfileDistribution,
     SocialSpec,
-    _tol,
     check_epsilon,
     deviation_gaps,
     individual_costs,
@@ -44,14 +47,20 @@ class _CostTable(NamedTuple):
     a as costs[a, i], and the mixed-radix strides of the profile order, so
     the deviation (sigma_{-i}, x) of row a is row a + (x - sigma_i) *
     strides[i].  exact is games.rational of the costs and of the beta of
-    the spec the table was built for: then costs is an object array and
-    every answer read off the table is solved and read in rationals;
-    otherwise costs is float64, integer costs included."""
+    the spec the table was built for: then costs is an object array of
+    Fractions and every answer read off the table is solved and read in
+    rationals; otherwise costs is float64, integer costs included."""
 
     profiles: np.ndarray
     costs: np.ndarray
     strides: np.ndarray
     exact: bool
+
+    @property
+    def tol(self):
+        """The slack of every comparison read off the table: 0 when it is
+        exact, FEAS_TOL otherwise."""
+        return 0 if self.exact else FEAS_TOL
 
     def profile(self, a: int) -> tuple:
         """The profile of row a, as the tuple games reads."""
@@ -87,8 +96,8 @@ def _cost_table(game: GeneralizedGame, cap: int, what: str,
     exact = rational([*(c for row in rows for c in row), *beta])
     sizes = [len(per) for per in game.model.strategies]
     strides = np.cumprod([1, *sizes[:0:-1]])[::-1]
-    return _CostTable(np.array(profiles, dtype=np.intp),
-                      np.array(rows, dtype=object if exact else np.float64), strides, exact)
+    costs = lp._fractions(np.array(rows, dtype=object)) if exact else np.array(rows, np.float64)
+    return _CostTable(np.array(profiles, dtype=np.intp), costs, strides, exact)
 
 
 def _weighted_rows(row, costs: np.ndarray) -> np.ndarray:
@@ -106,29 +115,30 @@ def _optimum(values: list) -> tuple:
     return min(enumerate(values), key=lambda pair: pair[1])
 
 
-def _gaps(game, table: _CostTable, epsilon, predicate):
-    """Every row's gaps in deviation_gaps order: for verbatim a profiles x
-    deviations array read off the table, in its dtype; for eq1 deviation_gaps
-    of each row, lazily, so a reader may stop at a row's first bad gap."""
+def _gaps(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
+    """Every row's gaps in deviation_gaps order, as one profiles x
+    deviations array in the table's dtype, for eq1 and verbatim alike: a
+    verbatim gap read off the table, an eq1 one from deviation_gaps.  A
+    gap within the table's tol of 0 is 0 (an int 0 in an object array),
+    so every reader judges a gap by its sign alone."""
     check_epsilon(epsilon)
     if predicate != VERBATIM:
-        return ((gap for _, _, gap in deviation_gaps(game, prof, epsilon, predicate))
-                for prof in map(tuple, table.profiles.tolist()))
-    scale = 1 + epsilon
-    if table.costs.dtype == np.float64:
-        scale = float(scale)
-    blocks = []
-    for i, alpha in enumerate(game.alpha):
-        perceived = _weighted_rows(alpha, table.costs)
-        deviations = table.deviations(i, range(len(game.model.strategies[i])))
-        blocks.append(perceived[:, None] - scale * perceived[deviations])
-    return np.concatenate(blocks, axis=1)
+        gaps = np.array([[gap for _, _, gap in deviation_gaps(game, prof, epsilon, predicate)]
+                         for prof in map(tuple, table.profiles.tolist())], dtype=table.costs.dtype)
+    else:
+        scale = 1 + epsilon if table.exact else float(1 + epsilon)
+        blocks = []
+        for i, alpha in enumerate(game.alpha):
+            perceived = _weighted_rows(alpha, table.costs)
+            deviations = table.deviations(i, range(len(game.model.strategies[i])))
+            blocks.append(perceived[:, None] - scale * perceived[deviations])
+        gaps = np.concatenate(blocks, axis=1)
+    return np.where(abs(gaps) > table.tol, gaps, 0)
 
 
 def _equilibria(game, table: _CostTable, epsilon, predicate) -> list:
-    """The rows whose every gap g passes is_eps_pne's test, g <= _tol(g)."""
-    return [a for a, gaps in enumerate(_gaps(game, table, epsilon, predicate))
-            if all(g <= _tol(g) for g in gaps)]
+    """The rows whose every gap is at most 0."""
+    return np.flatnonzero((_gaps(game, table, epsilon, predicate) <= 0).all(axis=1)).tolist()
 
 
 def social_optimum(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP):
@@ -256,12 +266,8 @@ def cce_poa(
 
 def _coarse_rows(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
     """The rows cce[i][x] of worst_cce, players then strategies, one column
-    per profile, in the table's dtype: _gaps stacked, an object row
-    holding int 0 where its entry is 0."""
-    gaps = _gaps(game, table, epsilon, predicate)
-    if not isinstance(gaps, np.ndarray):
-        gaps = np.array([list(row) for row in gaps], dtype=table.costs.dtype)
-    return np.where(gaps != 0, gaps, 0).T
+    per profile: _gaps transposed."""
+    return _gaps(game, table, epsilon, predicate).T
 
 
 def _worst_cce(game, table: _CostTable, spec, sf, epsilon, predicate) -> CCEReport:

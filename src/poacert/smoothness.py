@@ -4,15 +4,18 @@ A game is (lam, mu)-smooth when sum_i c_i(sigma_{-i}, sigma'_i) is at most
 lam*SF(sigma') + mu*SF(sigma) for every ordered profile pair; any such
 certificate with mu < 1 bounds every equilibrium notion's inefficiency by
 lam/(1-mu).  Every answer reads one oracle cost table: SF, the sum bound
-and the pair tables.  The infimum of that ratio over the certificate
-polyhedron is a linear-fractional program, one LP after the
-Charnes-Cooper transform t = 1/(1-mu) (Charnes & Cooper 1962), exact on
-an exact table.  Only its 3-row dual is written, from the pair tables as
-one coefficient array; the certificate is that dual's row duals, which
-lp.solve checks as it checks every answer's: against the Charnes-Cooper
-rows, which are the dual's own dual rows, and for their signs.  mu may
-be negative but stays below 1 (t > 0): the closure point (0, 1)
-satisfies the pair rows of some degenerate games, certifying nothing.
+and the pair tables.  The table fixes their numbers and the slack of
+every comparison read off it (its tol); only check_smooth, which judges
+a certificate its caller hands it, adds games._tol of that certificate.
+The infimum of that ratio over the certificate polyhedron is a
+linear-fractional program, one LP after the Charnes-Cooper transform
+t = 1/(1-mu) (Charnes & Cooper 1962), exact on an exact table.  Only its
+3-row dual is written, from the pair tables as one coefficient array;
+the certificate is that dual's row duals, which lp.solve checks as it
+checks every answer's: against the Charnes-Cooper rows, which are the
+dual's own dual rows, and for their signs.  mu may be negative but stays
+below 1 (t > 0): the closure point (0, 1) satisfies the pair rows of
+some degenerate games, certifying nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 from . import linprog as lp
 from .games import (
     EQ1,
-    FEAS_TOL,
     VERBATIM,
     GameError,
     GeneralizedGame,
@@ -55,17 +57,13 @@ class SmoothnessCertificate:
         return self.lam / (1 - self.mu)
 
 
-def _exceeds_sum(social, total) -> bool:
-    """A profile's social value above the sum of its individual costs."""
-    return social > total + _tol(social, total)
-
-
 def _unbounded_row(table: _CostTable, sf: list) -> Optional[int]:
-    """The first row whose social value exceeds its individual costs added
-    from 0 in player order, as the pair tables' diagonal adds them, or None."""
+    """The first row whose social value exceeds, by more than the table's
+    tol, its individual costs added from 0 in player order, as the pair
+    tables' diagonal adds them, or None."""
     totals = _weighted_rows([1] * table.costs.shape[1], table.costs)
     return next((a for a, (social, total) in enumerate(zip(sf, totals.tolist()))
-                 if _exceeds_sum(social, total)), None)
+                 if social > total + table.tol), None)
 
 
 def is_sum_bounded(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP):
@@ -95,12 +93,13 @@ def check_smooth(
 ):
     """Exhaustive check of the pair inequalities; (True, None) or
     (False, first violating (sigma, sigma')) in row-major order.  Without
-    tol, a row may exceed its bound by games._tol over lam, mu and the pair
-    tables: 0 when all of them are exact, FEAS_TOL otherwise."""
+    tol, a row may exceed its bound by the table's tol, or by games._tol
+    of lam and mu when that is larger: 0 when the table and the
+    certificate are exact, FEAS_TOL otherwise."""
     table = _cost_table(game, PROFILE_CAP, "smoothness pair tables", spec)
     sf, dev = table.social_values(spec), _deviation_sums(table)
     if tol is None:
-        tol = FEAS_TOL if dev.dtype == np.float64 else _tol(cert.lam, cert.mu, *sf, *dev.flat)
+        tol = table.tol or _tol(cert.lam, cert.mu)
     lam, mu = cert.lam, cert.mu
     if not all(isinstance(v, float) for v in (lam, mu, tol)):
         dev = dev.astype(object)  # Python arithmetic on mixed number types
@@ -184,7 +183,7 @@ def _robust_poa(table: _CostTable, sf: list) -> RobustPoA:
         # only the pair (sigma, sigma) exists and the value is 1: lam=1, mu=0
         # certifies it when dev(sigma, sigma) <= SF(sigma), as under the sum of
         # the players' own costs; otherwise mu -> -inf only approaches it
-        if dev.item(0) <= sf[0] + _tol(sf[0], dev.item(0)):
+        if dev.item(0) <= sf[0] + table.tol:
             return RobustPoA(OPTIMAL, one, one, 0 * one, None, 0)
         return RobustPoA(OPTIMAL, one, None, None, None, 0)
     if not table.exact:
@@ -200,7 +199,7 @@ def _robust_poa(table: _CostTable, sf: list) -> RobustPoA:
     if x is None:
         return RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 1)
     lam, mu, t = x if table.exact else map(float, x)
-    if t <= _tol(t):
+    if t <= table.tol:
         # the row duals may pick the t = 0 end of an optimal face: hold lam*t at
         # the optimum and mu*t at t - 1 (the unit row), and take the largest t
         # each pair row lam*sf_b - sf_a >= t*(dev_ab - sf_a) allows (one when none bounds it)
@@ -208,7 +207,7 @@ def _robust_poa(table: _CostTable, sf: list) -> RobustPoA:
         t = min(((lam * sf_b - sf_a) / (pairs[a][b] - sf_a) for a, sf_a in enumerate(sf)
                  for b, sf_b in enumerate(sf) if pairs[a][b] > sf_a), default=one)
         mu = t - 1
-    if t <= _tol(t):  # a float t near 0 would scale its rounding by 1/t
+    if t <= table.tol:  # a float t near 0 would scale its rounding by 1/t
         return RobustPoA(OPTIMAL, lam, None, None, None, 1)
     return RobustPoA(OPTIMAL, lam, lam / t, mu / t, None, 1)
 
@@ -232,8 +231,8 @@ def validate_smoothness_claims(
     the pure ratio at eps=0 (exact_ppoa's, from the one enumeration that
     also finds the optimum) and the coarse ratio must both sit below the
     robust bound.  Either failing indicates a bug, not a bad instance.
-    An exact table is compared exactly; otherwise the bound gets a relative
-    FEAS_TOL of slack."""
+    The bound gets a relative slack of the table's tol: none on an exact
+    table."""
     table = _cost_table(game, cap, "smoothness pair tables", spec)
     sf = table.social_values(spec)
     robust = _robust_poa(table, sf)
@@ -244,7 +243,7 @@ def validate_smoothness_claims(
         return SmoothnessValidation(
             False, robust.unbounded_witness, robust, ppoa, ccpoa, None, None, None
         )
-    bound = robust.value if table.exact else robust.value * (1 + FEAS_TOL)
+    bound = robust.value * (1 + table.tol)
     ok_p = None if ppoa == NO_EQUILIBRIUM else bool(ppoa <= bound)
     ok_c = bool(ccpoa <= bound)
     gap = None if ppoa == NO_EQUILIBRIUM else float(robust.value - ppoa)

@@ -367,6 +367,29 @@ def test_criterion_04_sandwich_and_dominance(grid, witnesses):
         )
 
 
+def test_eps_sandwich_on_the_witnesses(grid, witnesses):
+    """The paper's claim at eps > 0: on every OPTIMAL eps = 0.5 cell, the
+    witness's pure PoA and its worst eq1 CCE over its optimum both equal
+    gamma*, as every pure eps-PNE is an eps-CCE; on identity-alpha cells
+    the verbatim worst CCE equals it too.  Not a numbered criterion."""
+    misses, cells = [], 0
+    for run in grid:
+        if run.cfg.epsilon != 0.5 or run.result.status != OPTIMAL:
+            continue
+        cells += 1
+        gs, spec, eps = run.result.gamma_star, run.cfg.spec, run.cfg.epsilon
+        game = witnesses[run.idx]
+        _, opt = social_optimum(game, spec)
+        ratios = {"ppoa": exact_ppoa(game, spec, eps, EQ1),
+                  "eq1 ccpoa": worst_cce_value(game, spec, eps, EQ1) / opt}
+        if run.key[2] == "identity":
+            ratios["verbatim ccpoa"] = worst_cce_value(game, spec, eps, VERBATIM) / opt
+        misses += [f"{run.label}: {name} {r} vs gamma* {gs}"
+                   for name, r in ratios.items() if r == NO_EQUILIBRIUM or not rel_ok(r, gs)]
+    assert cells == 65
+    assert not misses, misses
+
+
 def test_criterion_05_certificate_extension(grid):
     with criterion(5, "dual certificates hold on random models and distributions") as c:
         triples = 0

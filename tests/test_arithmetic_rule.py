@@ -5,7 +5,8 @@ a Fraction; any other data are float64, and an int counts as a float.  So
 a class of integers, read in float mode, builds the same float64 program
 as its float twin and gets the same gamma* bit for bit; in exact mode it
 gets its Fraction twin's answer; and an oracle answer on a game of
-integer costs is a float.
+integer costs is a float, while on an exact cost table every answer is a
+Fraction, even where the costs it reads are ints.
 """
 
 from fractions import Fraction as F
@@ -13,7 +14,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import seeded
+from conftest import random_game, seeded
 from poacert.formulations import (
     WorstCaseConfig,
     _mask_factors,
@@ -23,6 +24,7 @@ from poacert.formulations import (
     solve_worst_case,
 )
 from poacert.games import (
+    EQ1,
     MAX,
     SUM,
     BasisFunction,
@@ -32,7 +34,8 @@ from poacert.games import (
     identity_matrix,
     rational,
 )
-from poacert.oracle import _cost_table, exact_ppoa, social_optimum
+from poacert.oracle import NO_EQUILIBRIUM, _cost_table, exact_ppoa, social_optimum, worst_cce
+from poacert.smoothness import robust_poa
 from poacert.representative import build_representative
 from test_array_programs import designees
 
@@ -144,3 +147,39 @@ def test_integer_costs_answer_in_floats(num, answer):
     assert type(exact_ppoa(game, spec)) is answer
     scaled, _ = normalize_game(game, spec)
     assert {type(c) for vec in scaled.coefficients.values() for c in vec} == {answer}
+
+
+def test_an_exact_table_answers_in_fractions():
+    """Weights 1 and 2, resources a: x, b: 3x and c: 7/2 x, player 1 on a
+    or b, player 2 on a or c: the optimum (b, a) costs the ints 3 and 4,
+    yet every answer off the exact table is a Fraction."""
+    model = CongestionModel((1, 2), ("a", "b", "c"), ((("a",), ("b",)), (("a",), ("c",))))
+    game = GeneralizedGame(model, (BasisFunction.monomial(1),),
+                           {"a": (1,), "b": (3,), "c": (F(7, 2),)}, identity_matrix(2))
+    spec = SocialSpec(SUM, identity_matrix(2))
+    answers = (social_optimum(game, spec), exact_ppoa(game, spec), worst_cce(game, spec).value)
+    assert repr(answers) == repr((((1, 0), F(7)), F(9, 7), F(9)))
+
+
+def test_seeded_exact_games_answer_in_fractions():
+    """On 200 seeded exact games of integer weights, basis x and integer
+    beta, under sum and max, every number social_optimum, exact_ppoa,
+    worst_cce and robust_poa answer is a Fraction: dyadic coefficients
+    of 0 leave some costs ints, and the table lifts them."""
+    numbers = []
+    for seed in range(200):
+        rng = seeded(seed)
+        n = 2 + seed % 2
+        weights = tuple(rng.choice((1, 2, 3)) for _ in range(n))
+        game = random_game(rng, weights, (BasisFunction.monomial(1),),
+                           identity_matrix(n, True), exact=True)
+        for kind in (SUM, MAX):
+            spec = SocialSpec(kind, identity_matrix(n))
+            _, opt = social_optimum(game, spec)
+            robust = robust_poa(game, spec)
+            numbers += [opt, worst_cce(game, spec).value, robust.value, robust.lam, robust.mu]
+            if opt != 0:
+                numbers.append(exact_ppoa(game, spec, 0, EQ1))
+    numbers = [v for v in numbers if v is not None and v != NO_EQUILIBRIUM]
+    assert len(numbers) > 1000
+    assert {type(v) for v in numbers} == {F}

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import dict_program, random_game, random_matrix, seeded
+from test_oracle import _exceeds_sum
 from poacert import linprog as lp
 from poacert.games import (
     EQ1,
@@ -46,7 +47,6 @@ from poacert.smoothness import (
     SmoothnessValidation,
     _certificate_point,
     _deviation_sums,
-    _exceeds_sum,
     _ratio_dual,
     check_smooth,
     robust_poa,
@@ -125,7 +125,8 @@ def _verbatim_gaps(game, prof, eps, costs):
 
 
 def reference_coarse_rows(game, epsilon, predicate):
-    """{(i, x): the row's entries, int 0 where a gap is 0}, first-seen order."""
+    """{(i, x): the row's entries, int 0 where a gap is 0 or a float gap
+    within FEAS_TOL of 0}, first-seen order."""
     costs = reference_costs(game)
     gap_rows = {}
     for col, prof in enumerate(costs):
@@ -133,7 +134,7 @@ def reference_coarse_rows(game, epsilon, predicate):
                 else deviation_gaps(game, prof, epsilon, predicate))
         for i, x, gap in gaps:
             row = gap_rows.setdefault((i, x), [0] * len(costs))
-            if gap != 0:
+            if abs(gap) > _tol(gap):
                 row[col] = gap
     return gap_rows
 

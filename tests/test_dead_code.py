@@ -4,12 +4,16 @@ Every function, class and module-level name that a poacert module defines
 is used again somewhere in the repository's Python code (src, tests,
 poabench, demos); a private (_-prefixed) one is used outside the tests
 (src, poabench, demos), so a path only tests take does not live in src.
+Every method of a poacert class is read as an attribute (.name)
+somewhere in those trees: a local variable of the same name is no use.
 Only gamefile.py, where input text enters, imports re: no other module
 parses text, such as a name it formatted itself.  In oracle.py and
 smoothness.py only _cost_table enumerates profiles and prices them, only
 _gaps calls deviation_gaps, only _cost_table chooses the arithmetic (by
-games.rational; neither module names Fraction), and no public function
-takes an exact parameter.  Across src, only games.rational and the
+games.rational; neither module names Fraction), no public function
+takes an exact parameter, and the cost table's tol is the one slack: only
+check_smooth reads games._tol, and in oracle.py only _CostTable.tol
+reads FEAS_TOL.  Across src, only games.rational and the
 converters and writers of numbers test isinstance(..., Fraction), and
 the file and trial helpers whose data fix their arithmetic take no exact
 parameter.  In
@@ -97,6 +101,20 @@ def _unused(used, private_only=False):
 def test_every_definition_is_used_somewhere():
     unused = _unused(_used_in(SEARCHED))
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def test_every_method_is_read_as_an_attribute():
+    """A method is used through an attribute: a test that names a local
+    variable after it does not keep it alive."""
+    read = {node.attr for top in SEARCHED for path in (ROOT / top).rglob("*.py")
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+                    for path in _modules() for cls in ast.walk(_tree(path))
+                    if isinstance(cls, ast.ClassDef) for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not _is_dunder(node.name) and node.name not in read)
+    assert not unread, "methods never read as .name: " + ", ".join(unread)
 
 
 def test_every_private_definition_is_used_outside_the_tests():
@@ -245,6 +263,21 @@ def test_the_cost_table_alone_decides_the_arithmetic(module):
              and not node.name.startswith("_")
              and "exact" in {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}]
     assert not flags, "public functions with an exact parameter: " + ", ".join(flags)
+
+
+@pytest.mark.parametrize("module", ["oracle.py", "smoothness.py"])
+def test_the_cost_table_alone_sets_the_slack(module):
+    """In the oracle and smoothness layer every comparison read off a cost
+    table takes its slack from the table's tol: only check_smooth, which
+    judges a certificate its caller hands it, reads games._tol, and in
+    oracle.py FEAS_TOL is read by _CostTable.tol alone."""
+    nodes = [(scope, node) for scope, node in _scoped_nodes(_tree(PACKAGE / module))
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+    stray = [f"{module}:{node.lineno} {scope}" for scope, node in nodes
+             if node.id == "_tol" and scope != "check_smooth"]
+    assert not stray, "games._tol read off a table: " + ", ".join(stray)
+    if module == "oracle.py":
+        assert {scope for scope, node in nodes if node.id == "FEAS_TOL"} == {"_CostTable.tol"}
 
 
 # the functions that may test isinstance(..., Fraction): the one rule, and

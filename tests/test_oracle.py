@@ -37,6 +37,7 @@ from poacert.games import (
     GeneralizedGame,
     ProfileDistribution,
     SocialSpec,
+    _tol,
     beta_cost,
     deviation_gaps,
     identity_matrix,
@@ -59,7 +60,6 @@ from poacert.oracle import (
     worst_cce_value,
 )
 from poacert.smoothness import (
-    _exceeds_sum,
     is_sum_bounded,
     robust_poa,
     validate_smoothness_claims,
@@ -253,6 +253,31 @@ def test_pure_equilibria_embed_into_coarse():
         assert ppoa <= ccpoa
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_worst_cce_dominates_the_worst_pure_equilibrium(exact):
+    """Both oracles read one gap array with one slack, so every pure
+    equilibrium's point mass is coarse-feasible: the worst CCE is at least
+    the worst equilibrium's value, exactly on an exact table and to 1e-9
+    relative on a float one, under both predicates and at eps 0 and 1/2."""
+    checked = 0
+    for seed, game, beta in _seeded_games(12, exact):
+        if all(b == 0 for row in beta for b in row):
+            beta = identity_matrix(game.n, exact)
+        for kind in (SUM, MAX):
+            spec = SocialSpec(kind, beta)
+            for predicate in (EQ1, VERBATIM):
+                for eps in (0, F(1, 2) if exact else 0.5):
+                    report = ppoa_report(game, spec, eps, predicate)
+                    if report.value == NO_EQUILIBRIUM:
+                        continue
+                    pure = report.value * report.optimum
+                    slack = 0 if exact else 1e-9 * max(1, abs(pure))
+                    assert worst_cce_value(game, spec, eps, predicate) >= pure - slack, (
+                        seed, kind, predicate, eps)
+                    checked += 1
+    assert checked >= 50
+
+
 # ============================================================
 # one cost pass per oracle call
 # ============================================================
@@ -366,6 +391,13 @@ def _reference_ppoa(game, spec, epsilon, predicate):
     target = max(values.values())
     return PPoAReport(target / opt, opt, opt_profile, len(values),
                       [prof for prof, v in values.items() if v == target])
+
+
+def _exceeds_sum(social, total) -> bool:
+    """A profile's social value above the sum of its individual costs, by
+    more than games._tol of the two: the rule is_sum_bounded's table reads
+    as its tol."""
+    return social > total + _tol(social, total)
 
 
 def _reference_sum_bounded(game, spec):
