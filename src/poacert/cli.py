@@ -14,6 +14,8 @@ import random
 import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from . import linprog as lp
 from .formulations import (
@@ -259,7 +261,7 @@ def _random_trials(rng, model, count: int):
         raw = [rng.random() for _ in profiles]
         if rational(model.weights):
             raw = [Fraction(m) for m in raw]
-        total = sum(raw)
+        total = reduce(add, raw, 0)
         dist = ProfileDistribution({prof: m / total for prof, m in zip(profiles, raw)})
         yield dist, tuple(rng.randrange(len(per)) for per in model.strategies)
 
@@ -365,7 +367,7 @@ def cmd_selftest(args) -> int:
         pp = build_pp_pne(cfg, rep, wit.designated)
         feas, label, viol = lp.feasibility_report(pp, wit.values, FEAS_TOL)
         objective = pp.coefficients[-1][list(wit.values)].tolist()
-        obj = sum(c * x for c, x in zip(objective, wit.values.values()))
+        obj = reduce(add, (c * x for c, x in zip(objective, wit.values.values())), 0)
         record(f"{tag} witness", feas and abs(obj - 1) <= FEAS_TOL,
                f"objective {obj}, worst violation {viol}")
         if result.status == INFINITE:

@@ -48,8 +48,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import prod
+from operator import add
 from typing import Mapping, Optional
 
 import numpy as np
@@ -245,7 +247,7 @@ def _subset_sums(terms: np.ndarray, live: np.ndarray, has: np.ndarray) -> np.nda
     """sums[t, m] = the sum of terms[t, j] over the j with live[t, j] and
     has[j, m], where has[j] marks the masks with bit j set: one masked
     accumulation over every row of terms, adding them in ascending j from
-    0, the order congestion() and sum() over sorted players use.  A term
+    0, the order congestion() and the sums over sorted players use.  A term
     that is not live is skipped, as those sums skip zero factors."""
     sums = np.zeros((len(terms), has.shape[1]), dtype=terms.dtype)
     adds = live[:, :, None] & has  # adds[t, j, m]: term j of row t enters mask m's sum
@@ -509,13 +511,13 @@ def lemma1_witness(cfg: WorstCaseConfig, rep: RepresentativeModel) -> Witness:
     one = Fraction(1) if rational(_numbers(cfg)) else 1.0
     if cfg.spec.kind == SUM:
         # each of the count players with a positive beta column adds 1/count
-        scale = [sum(beta[i][j] for i in range(n)) for j in range(n)]
+        scale = [reduce(add, (beta[i][j] for i in range(n)), 0) for j in range(n)]
         players = [j for j in range(n) if scale[j] > 0]
         if not players:
             raise GameError("beta has no positive column")
         count, designated = len(players), None
     else:
-        rowsum = [sum(beta[i][j] for j in range(n)) for i in range(n)]
+        rowsum = [reduce(add, beta[i], 0) for i in range(n)]
         designated = max(range(n), key=lambda i: (rowsum[i], -i))
         players, count, scale = list(range(n)), 1, [rowsum[designated]] * n
     k, r = _witness_basis_index(cfg, players), len(cfg.basis)

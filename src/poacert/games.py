@@ -8,7 +8,9 @@ objectives are beta-weighted sums or maxima of individual costs.
 
 All arithmetic is generic and nothing in this module rounds; callers
 choose it by one rule, rational(): Fractions without floats are exact,
-any other data, integers alone included, float64.
+any other data, integers alone included, float64.  Every sum adds its
+terms in order from 0, one rounding per addition, never by the builtin
+sum, which compensates float sums from Python 3.12.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 MONOMIAL = "monomial"
@@ -262,10 +265,10 @@ class GeneralizedGame:
         if not needs_sweep:
             return
         loads = sorted(self.model.reachable_congestions())
-        for e, vec in self.coefficients.items():
+        for e in self.coefficients:
             for x in loads:
                 # the value() calls double as the table coverage check
-                val = sum(c * f.value(x) for c, f in zip(vec, self.basis) if c != 0)
+                val = self.latency(e, x)
                 if val < 0:
                     raise GameError(f"latency of {e!r} is {val} < 0 at load {x}")
 
@@ -276,7 +279,11 @@ class GeneralizedGame:
     def latency(self, e, load):
         if load == 0:
             return 0
-        return sum(c * f.value(load) for c, f in zip(self.coefficients[e], self.basis) if c != 0)
+        total = 0
+        for c, f in zip(self.coefficients[e], self.basis):
+            if c != 0:
+                total += c * f.value(load)
+        return total
 
     def scaled(self, factor) -> "GeneralizedGame":
         return GeneralizedGame(
@@ -329,7 +336,7 @@ class ProfileDistribution:
                 continue
             cleaned[tuple(prof)] = p
         object.__setattr__(self, "masses", cleaned)
-        total = sum(cleaned.values())
+        total = reduce(add, cleaned.values(), 0)
         if isinstance(total, float):
             if abs(total - 1.0) > MASS_TOL:
                 raise GameError(f"masses sum to {total!r}, not 1")
@@ -353,7 +360,7 @@ class ProfileDistribution:
         return sorted(self.masses)
 
     def expect(self, fn):
-        return sum(p * fn(prof) for prof, p in self.masses.items())
+        return reduce(add, (p * fn(prof) for prof, p in self.masses.items()), 0)
 
 
 # ============================================================
@@ -382,9 +389,8 @@ def resource_users(model: CongestionModel, profile) -> dict:
 def individual_cost(game: GeneralizedGame, profile, i: int):
     model = game.model
     loads = congestion(model, profile)
-    return model.weights[i] * sum(
-        game.latency(e, loads[e]) for e in model.ordered_strategies[i][profile[i]]
-    )
+    return model.weights[i] * reduce(
+        add, (game.latency(e, loads[e]) for e in model.ordered_strategies[i][profile[i]]), 0)
 
 
 def _used_latencies(game: GeneralizedGame, loads, idle=()) -> dict:
@@ -399,14 +405,21 @@ def individual_costs(game: GeneralizedGame, profile) -> list:
     model = game.model
     loads = congestion(model, profile)
     lat = _used_latencies(game, loads)
-    return [
-        model.weights[i] * sum(lat[e] for e in model.ordered_strategies[i][s])
-        for i, s in enumerate(profile)
-    ]
+    costs = []
+    for i, s in enumerate(profile):
+        total = 0
+        for e in model.ordered_strategies[i][s]:
+            total += lat[e]
+        costs.append(model.weights[i] * total)
+    return costs
 
 
 def _weighted(row, costs):
-    return sum(row[j] * costs[j] for j in range(len(costs)) if row[j] != 0)
+    total = 0
+    for j in range(len(costs)):
+        if row[j] != 0:
+            total += row[j] * costs[j]
+    return total
 
 
 def perceived_cost(game: GeneralizedGame, profile, i: int):
@@ -421,7 +434,7 @@ def beta_cost(spec: SocialSpec, game: GeneralizedGame, profile, i: int):
 def social_of_costs(spec: SocialSpec, costs):
     """Social value of a pure profile from its individual_costs."""
     per_player = [_weighted(row, costs) for row in spec.beta]
-    return sum(per_player) if spec.kind == SUM else max(per_player)
+    return reduce(add, per_player, 0) if spec.kind == SUM else max(per_player)
 
 
 def social_value(spec: SocialSpec, game: GeneralizedGame, outcome):
@@ -437,7 +450,7 @@ def social_value(spec: SocialSpec, game: GeneralizedGame, outcome):
         outcome.expect(lambda prof, row=row: _weighted(row, costs[prof]))
         for row in spec.beta
     ]
-    return sum(per_player) if spec.kind == SUM else max(per_player)
+    return reduce(add, per_player, 0) if spec.kind == SUM else max(per_player)
 
 
 def _gap_inputs(game: GeneralizedGame, profile) -> tuple:
@@ -462,14 +475,14 @@ def _grouped_gap(game: GeneralizedGame, profile, i: int, target: tuple, eps, inp
     for e in model.ordered_strategies[i][profile[i]]:
         if e in target or lat[e] == 0:
             continue
-        aw = sum(game.alpha[i][j] * w[j] for j in users[e])
+        aw = reduce(add, (game.alpha[i][j] * w[j] for j in users[e]), 0)
         if aw != 0:
             gain += lat[e] * aw
     pay = 0
     for e in target:
         if e in current or e in idle:
             continue
-        aw = game.alpha[i][i] * w[i] + sum(game.alpha[i][j] * w[j] for j in users[e])
+        aw = game.alpha[i][i] * w[i] + reduce(add, (game.alpha[i][j] * w[j] for j in users[e]), 0)
         if aw != 0:
             pay += game.latency(e, loads[e] + w[i]) * aw
     return gain - (1 + eps) * pay

@@ -18,13 +18,14 @@ rational data, every row and column scale 1, and checks it with
 tolerance 0, as QSopt_ex and SoPlex do.  A run whose reading fails, or
 that fails itself, is redone by the rational simplex, so SolverError
 means the rational run failed too; the solver never reports OPTIMAL on
-an inconclusive run.  solve_each solves several objectives over one
-program's rows (a _Region): one float standard form and one phase 1,
-then each objective's phase 2 from the basis where the previous
-objective stopped, when that run was OPTIMAL and its reading passed,
-else from phase 1's; each objective is read and falls back on its own,
-and an exact reading rewrites only the costs row of the region's one
-rational standard form.  solve is its one-objective case.
+an inconclusive run.  Every cold run, that one too, is one _run, which
+writes its objective into its own standard form: none copies the
+program.  solve_each solves several objectives over one program's rows
+(a _Region): one float standard form and one phase 1, then each
+objective's phase 2 from where the previous one stopped, when that run
+was OPTIMAL and its reading passed, else from phase 1's; each is read
+and falls back on its own, and an exact reading rewrites only the costs
+row of the region's rational form.  solve is its one-objective case.
 
 A program is stated as one coefficient array, rows by variables plus the
 objective as a last row, and that array is the one path into the kernel;
@@ -52,9 +53,11 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from collections.abc import Mapping, Sequence
+from operator import add
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -399,7 +402,7 @@ class _Revised:
         self.inverse, self.x = self.T[:, :m], self.T[:, m]
         self.step = np.empty_like(self.T)  # _pivot's rank-1 term
         self.row_alive = [True] * m
-        units = sum(s != 0 for s in signs) + sum(self.artificial)
+        units = len(signs) - signs.count(0) + self.artificial.count(1)
         self.max_iters = 2000 + 100 * (m + n + units)
         self.iterations = self.degenerate = self.bland_switches = self.retired = 0
         self.entering = None  # the column of an UNBOUNDED stop
@@ -543,10 +546,9 @@ class _Revised:
             return True
         costs = np.full(self.width + self.m, self.zero, dtype=self.T.dtype)
         costs[self.width:] = [self.zero - a for a in self.artificial]
-        status = self.run(costs, len(costs), ray_free=True)
-        if status != OPTIMAL:  # phase-1 objective is bounded by 0
-            raise SolverError("phase 1 reported unbounded")
-        if sum(x for j, x in zip(self.basis, self.x.tolist()) if j >= self.width) > self.tol:
+        self.run(costs, len(costs), ray_free=True)  # OPTIMAL: a ray_free run finds no ray
+        artificials = (x for j, x in zip(self.basis, self.x.tolist()) if j >= self.width)
+        if reduce(add, artificials, 0) > self.tol:
             return False  # an artificial stays positive
         # drive zero-level artificials out of the basis; drop dependent rows
         for r in range(self.m):
@@ -636,14 +638,14 @@ class _Region:
         return self.rational
 
 
-def _run(lp: LinearProgram, exact: bool) -> _Stop:
-    """One run of the kernel in one arithmetic, to its final basis."""
-    return _Region(lp, exact).run()
+def _run(lp: LinearProgram, exact: bool, objective: Optional[np.ndarray] = None) -> _Stop:
+    """Every cold run of the kernel: lp's _Region, run on objective or lp's own."""
+    return _Region(lp, exact).run(objective)
 
 
-def _simplex(lp: LinearProgram, exact: bool) -> SolveReport:
-    """One run of the kernel in one arithmetic, read in it."""
-    return _read(lp, _run(lp, exact), exact)
+def _simplex(lp: LinearProgram, exact: bool, objective=None) -> SolveReport:
+    """A cold _run, read in its arithmetic: lp is read in place, not copied."""
+    return _read(lp, _run(lp, exact, objective), exact)
 
 
 def solve(lp: LinearProgram, exact: bool = False) -> SolveReport:
@@ -680,33 +682,19 @@ def solve_each(program: LinearProgram, objectives, exact: bool = False) -> list:
     return _solve_each(program, objectives, exact)
 
 
-def _with_objective(program: LinearProgram, objective) -> LinearProgram:
-    """The program with its objective row replaced, or itself for None."""
-    if objective is None:
-        return program
-    return replace(program, coefficients=np.concatenate([program.coefficients[:-1],
-                                                         objective[None]]))
-
-
 def _solve_each(program: LinearProgram, objectives, exact: bool) -> list:
     """The report of each objective row over the program's rows (None for
     its own): the one try-float-then-rational policy of solve and
     solve_each.  The first float run that returns keeps its _Region, and
     each later objective runs phase 2 in it, warm after an OPTIMAL stop
-    whose reading passed; while no float run has returned, the next one
-    starts its own."""
+    whose reading passed; any other run, a fallback too, is a cold _run."""
     reports, region = [], None
     for objective in objectives:
         counts = KernelStats()
         try:
             # an overflow, or an inf or nan reached by a pivot, ends the float run
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                if region:
-                    stop = region.run(objective)
-                elif objective is None:
-                    stop = _run(program, exact=False)
-                else:  # the region's own objective row is not read, nor copied
-                    stop = _Region(program, exact=False).run(objective)
+                stop = region.run(objective) if region else _run(program, False, objective)
                 region, counts = stop.region, stop.stats
                 report = _read(program, stop, exact)
             reports.append(report)
@@ -717,7 +705,7 @@ def _solve_each(program: LinearProgram, objectives, exact: bool) -> list:
             fallback = str(err)
         except ArithmeticError as err:  # OverflowError, FloatingPointError
             fallback = f"float image: {err}"
-        report = _simplex(_with_objective(program, objective), exact=True)
+        report = _simplex(program, True, objective)
         report.stats = KernelStats(*[a + b for a, b in zip(counts, report.stats)])
         report.iterations = report.stats.pivots
         report.fallback = fallback

@@ -4,17 +4,20 @@ Everything here is brute force on purpose: optimum and equilibria by full
 profile enumeration, worst coarse value by a linear program over the
 profile simplex, each read off one _CostTable and its one gap array
 (_gaps).  The cost table fixes the numbers, the slack and the gaps.  It
-decides the arithmetic by games.rational: when neither the game's costs
-nor the social spec's beta hold a float, and one of them holds a
-Fraction, its costs are Fractions and the answers rational end to end;
-any other game, integer costs included, gets float64 ones.  Its tol, 0
-or FEAS_TOL, is the slack of every comparison read off it, so the pure
-and the coarse oracle accept the same equilibria.
+decides the arithmetic by games.rational: when none of the game's costs,
+the social spec's beta and, where an answer reads gaps, alpha and
+epsilon is a float, and one of them is a Fraction, its costs are
+Fractions and the answers rational end to end; any other game, integer
+costs included, gets float64 ones.  Its tol, 0 or FEAS_TOL, is the
+slack of every comparison read off it, so the pure and the coarse
+oracle accept the same equilibria.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -46,10 +49,11 @@ class _CostTable(NamedTuple):
     player i's strategy at row a), the individual cost of player i at row
     a as costs[a, i], and the mixed-radix strides of the profile order, so
     the deviation (sigma_{-i}, x) of row a is row a + (x - sigma_i) *
-    strides[i].  exact is games.rational of the costs and of the beta of
-    the spec the table was built for: then costs is an object array of
-    Fractions and every answer read off the table is solved and read in
-    rationals; otherwise costs is float64, integer costs included."""
+    strides[i].  exact is games.rational of the costs, of the beta of
+    the spec the table was built for and, for gaps, of alpha and epsilon:
+    then costs is an object array of Fractions and every answer read off
+    the table is solved and read in rationals; otherwise costs is
+    float64, integer costs included."""
 
     profiles: np.ndarray
     costs: np.ndarray
@@ -85,15 +89,18 @@ class _CostTable(NamedTuple):
 
 
 def _cost_table(game: GeneralizedGame, cap: int, what: str,
-                spec: Optional[SocialSpec] = None) -> _CostTable:
+                spec: Optional[SocialSpec] = None, epsilon=None) -> _CostTable:
     """The _CostTable of the game's profiles, after the cap check, for the
-    answers of spec (None: the costs alone decide the arithmetic)."""
+    answers of spec and, when epsilon is given, for gaps at epsilon, which
+    read alpha and epsilon too; with neither, the costs alone decide the
+    arithmetic."""
     if game.model.profile_count() > cap:
         raise GameError(f"{what}: {game.model.profile_count()} profiles exceeds cap {cap}")
     profiles = list(game.model.profiles())
     rows = [individual_costs(game, prof) for prof in profiles]
     beta = [] if spec is None else [b for row in spec.beta for b in row]
-    exact = rational([*(c for row in rows for c in row), *beta])
+    gaps = [] if epsilon is None else [epsilon, *(a for row in game.alpha for a in row)]
+    exact = rational([*(c for row in rows for c in row), *beta, *gaps])
     sizes = [len(per) for per in game.model.strategies]
     strides = np.cumprod([1, *sizes[:0:-1]])[::-1]
     costs = lp._fractions(np.array(rows, dtype=object)) if exact else np.array(rows, np.float64)
@@ -157,7 +164,7 @@ def enumerate_eps_pne(
 ):
     """All pure profiles passing is_eps_pne under the chosen predicate, in
     lexicographic order: the _equilibria of one cost table."""
-    table = _cost_table(game, cap, "enumerate_eps_pne")
+    table = _cost_table(game, cap, "enumerate_eps_pne", epsilon=epsilon)
     return [table.profile(a) for a in _equilibria(game, table, epsilon, predicate)]
 
 
@@ -196,7 +203,7 @@ def ppoa_report(
     cap: int = PROFILE_CAP,
 ) -> PPoAReport:
     """exact_ppoa's PPoAReport, from one enumeration of the game."""
-    table = _cost_table(game, cap, "exact_ppoa", spec)
+    table = _cost_table(game, cap, "exact_ppoa", spec, epsilon)
     return _ppoa(game, table, table.social_values(spec), epsilon, predicate)
 
 
@@ -242,7 +249,7 @@ def worst_cce(
     for sum objectives; for max objectives one per player (a max of linear
     functionals) over one feasible region, solved by lp.solve_each,
     keeping the winner.  Rows and objectives read one cost table."""
-    table = _cost_table(game, cap, "worst_cce", spec)
+    table = _cost_table(game, cap, "worst_cce", spec, epsilon)
     sf = table.social_values(spec) if spec.kind == SUM else None
     return _worst_cce(game, table, spec, sf, epsilon, predicate)
 
@@ -256,7 +263,7 @@ def cce_poa(
 ):
     """(social optimum, worst_cce's CCEReport), both read off one cost
     table; a zero optimum raises GameError before any program is solved."""
-    table = _cost_table(game, cap, "social_optimum", spec)
+    table = _cost_table(game, cap, "social_optimum", spec, epsilon)
     sf = table.social_values(spec)
     _, opt = _optimum(sf)
     if opt == 0:
@@ -301,7 +308,7 @@ def _worst_cce(game, table: _CostTable, spec, sf, epsilon, predicate) -> CCERepo
     rep, player = max(zip(reports, players), key=lambda pair: pair[0].value)
     masses = {table.profile(a): m for a, m in rep.primal.items() if m > 0}
     if not table.exact:  # shed solver rounding before re-validation
-        total = sum(masses.values())
+        total = reduce(add, masses.values(), 0)
         masses = {prof: m / total for prof, m in masses.items()}
     return CCEReport(rep.value, ProfileDistribution(masses), player)
 

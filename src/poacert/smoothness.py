@@ -233,7 +233,7 @@ def validate_smoothness_claims(
     robust bound.  Either failing indicates a bug, not a bad instance.
     The bound gets a relative slack of the table's tol: none on an exact
     table."""
-    table = _cost_table(game, cap, "smoothness pair tables", spec)
+    table = _cost_table(game, cap, "smoothness pair tables", spec, 0)
     sf = table.social_values(spec)
     robust = _robust_poa(table, sf)
     pure = _ppoa(game, table, sf, 0, EQ1)

@@ -4,9 +4,11 @@ back entry by entry, and points relabelled between positions, as lp
 reads them, and variable names, as assertions read them."""
 
 import itertools
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import reduce
 
 import numpy as np
 
@@ -30,6 +32,14 @@ from poacert.games import (
     SocialSpec,
     identity_matrix,
 )
+
+
+def ordered_sum(terms):
+    """terms added from 0 in order, one rounding per addition, as the
+    package adds: the builtin sum of Python 3.11 and earlier, which from
+    3.12 compensates float sums.  References that add floats use it."""
+    return reduce(operator.add, terms, 0)
+
 
 # the four profiles of g1, by strategy index: (0,0)=(a,a), (0,1)=(a,b), ...
 AA, AB, BA, BB = (0, 0), (0, 1), (1, 0), (1, 1)
@@ -176,12 +186,13 @@ def assert_standard_round_trip(program, rng):
         (j, x) for j, x in enumerate(values) if x]
 
 
-def assert_certified(program, report):
-    """report, an exact solve of program, has the status and value of a
-    cold rational simplex run, and an OPTIMAL one passes
-    feasibility_report and dual_violations at tolerance 0, read in
-    rationals, with duals whose rhs sum is the value."""
-    cold = lp._simplex(program, exact=True)
+def assert_certified(program, report, objective=None):
+    """report, an exact solve of program on objective (None: its own
+    objective row), has the status and value of a cold rational simplex
+    run, and an OPTIMAL one passes feasibility_report and dual_violations
+    at tolerance 0, read in rationals, with duals whose rhs sum is the
+    value."""
+    cold = lp._simplex(program, True, objective)
     assert report.exact is True
     assert (report.status, report.value) == (cold.status, cold.value), program.name
     if report.status != lp.OPTIMAL:
@@ -189,7 +200,8 @@ def assert_certified(program, report):
     exact = replace(program, coefficients=lp._fractions(program.coefficients))
     duals = [report.duals[row.label] for row in program.rows]
     assert lp.feasibility_report(exact, report.primal, 0)[0], program.name
-    assert max(lp.dual_violations(exact, duals).tolist(), default=0) <= 0, program.name
+    objective = None if objective is None else lp._fractions(objective)
+    assert max(lp.dual_violations(exact, duals, objective).tolist(), default=0) <= 0, program.name
     assert sum(F(row.rhs) * y for row, y in zip(program.rows, duals)) == report.value
 
 

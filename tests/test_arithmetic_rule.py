@@ -9,12 +9,13 @@ integer costs is a float, while on an exact cost table every answer is a
 Fraction, even where the costs it reads are ints.
 """
 
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from conftest import random_game, seeded
+from conftest import random_game, random_model, seeded
 from poacert.formulations import (
     WorstCaseConfig,
     _mask_factors,
@@ -27,14 +28,17 @@ from poacert.games import (
     EQ1,
     MAX,
     SUM,
+    VERBATIM,
     BasisFunction,
     CongestionModel,
     GeneralizedGame,
     SocialSpec,
     identity_matrix,
+    is_eps_pne,
     rational,
 )
-from poacert.oracle import NO_EQUILIBRIUM, _cost_table, exact_ppoa, social_optimum, worst_cce
+from poacert.oracle import (NO_EQUILIBRIUM, _cost_table, enumerate_eps_pne, exact_ppoa,
+                            ppoa_report, social_optimum, worst_cce)
 from poacert.smoothness import robust_poa
 from poacert.representative import build_representative
 from test_array_programs import designees
@@ -183,3 +187,40 @@ def test_seeded_exact_games_answer_in_fractions():
     numbers = [v for v in numbers if v is not None and v != NO_EQUILIBRIUM]
     assert len(numbers) > 1000
     assert {type(v) for v in numbers} == {F}
+
+
+def _float_alpha_game(seed):
+    """Two players of weights k/2 (k = 1..4) on random_model's 3
+    resources, basis x, coefficients k/4 (k = 0..8), all Fractions, and
+    alpha 1 on the diagonal, a float of 0.1, 0.2, 0.3, 0.6, 0.7 off it,
+    drawn in that order."""
+    rng = random.Random(seed)
+    weights = [F(rng.randint(1, 4), 2) for _ in range(2)]
+    model = random_model(rng, weights, 3)
+    coefficients = {e: (F(rng.randrange(0, 9), 4),) for e in model.resources}
+    alpha = [[F(1) if i == j else rng.choice((0.1, 0.2, 0.3, 0.6, 0.7)) for j in range(2)]
+             for i in range(2)]
+    return GeneralizedGame(model, (BasisFunction.monomial(1),), coefficients, alpha)
+
+
+@pytest.mark.parametrize("seed", [158, 1372, 1421])
+def test_a_float_alpha_makes_the_gaps_table_float(seed):
+    """Gaps read alpha and epsilon, so a cost table built for them is
+    float where either is: enumerate_eps_pne and ppoa_report then accept
+    the profiles is_eps_pne accepts.  These are the 3 of 1,500 seeds,
+    each at epsilon 0 and 1/2 under both predicates, on which a table of
+    the exact costs alone, slack 0, judged a float gap's dust otherwise
+    (seed 158, epsilon 1/2, verbatim: [(0, 0), (1, 1)] against
+    [(0, 0), (1, 0), (1, 1)]).  An answer that reads no gap keeps the
+    costs' rule."""
+    game = _float_alpha_game(seed)
+    spec = SocialSpec(SUM, identity_matrix(2, True))
+    for eps in (0, F(1, 2)):
+        for predicate in (EQ1, VERBATIM):
+            want = [p for p in game.model.profiles() if is_eps_pne(game, p, eps, predicate)]
+            assert enumerate_eps_pne(game, eps, predicate) == want
+            assert ppoa_report(game, spec, eps, predicate).equilibrium_count == len(want)
+    if seed == 158:
+        assert enumerate_eps_pne(game, F(1, 2), VERBATIM) == [(0, 0), (1, 0), (1, 1)]
+    assert not _cost_table(game, 100, "test", spec, 0).exact
+    assert _cost_table(game, 100, "test", spec).exact

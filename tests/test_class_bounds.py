@@ -16,17 +16,24 @@ equally (latency c/x at load x), has price of anarchy exactly n for n
 players (Anshelevich, Dasgupta, Kleinberg, Tardos, Wexler and Roughgarden,
 "The price of stability for network design with fair cost allocation",
 FOCS 2004): gamma* of the unit-weight class with alpha = beta = I,
-eps = 0 and the lookup basis {k: 1/k} is n.
+eps = 0 and the lookup basis {k: 1/k} is n.  At n = 4 the extracted
+witness game attains it, and 6 at eps = 1/2, as its pure PoA and as its
+worst CCE over its optimum.
 """
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from poacert.formulations import VALUE_RTOL, WorstCaseConfig, solve_worst_case
-from poacert.games import MAX, SUM, BasisFunction, SocialSpec, identity_matrix
+from poacert import cli
+from poacert.formulations import (VALUE_RTOL, WorstCaseConfig, extract_worst_game,
+                                  solve_worst_case, verify_extension)
+from poacert.games import EQ1, MAX, SUM, BasisFunction, SocialSpec, identity_matrix
+from poacert.oracle import exact_ppoa, social_optimum, worst_cce_value
+from poacert.smoothness import OPTIMAL, is_sum_bounded, robust_poa
 
 WEIGHTS = (0.5, 1.0, 1.618, 2.0, 2.618, 3.0, 5.0)
 
@@ -122,3 +129,31 @@ def test_exact_fair_cost_sharing_is_n(n, kind):
     result = solve_worst_case(fair_cost_class(n, kind, exact=True), exact=True)
     assert isinstance(result.gamma_star, F)
     assert result.gamma_star == n
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("eps,gamma", [(0, 4), (F(1, 2), 6)], ids=["eps0", "eps1/2"])
+@pytest.mark.parametrize("kind", [SUM, MAX])
+def test_the_n4_fair_cost_witness_attains_gamma(kind, eps, gamma, exact):
+    """n = 4 fair cost sharing at eps = 0 and 1/2: gamma* is 4 and 6.  On
+    the extracted witness the pure PoA and the worst eq1 CCE over the
+    optimum equal it (exactly in rationals), the certificate extends to
+    20 random (distribution, o) draws over the witness's model, and the
+    witness is sum-bounded with an OPTIMAL robust PoA."""
+    cfg = fair_cost_class(4, kind, exact)
+    cfg = replace(cfg, epsilon=F(eps) if exact else float(eps))
+    result = solve_worst_case(cfg, exact=exact)
+    game = extract_worst_game(cfg, result.rep, result.primal_solution, result.designated)
+    spec = cfg.spec
+    _, opt = social_optimum(game, spec)
+    ratios = [result.gamma_star, exact_ppoa(game, spec, cfg.epsilon, EQ1),
+              worst_cce_value(game, spec, cfg.epsilon, EQ1) / opt]
+    if exact:
+        assert ratios == [gamma] * 3 and {type(r) for r in ratios} == {F}
+    else:
+        assert ratios == pytest.approx([gamma] * 3, rel=VALUE_RTOL)
+    draws = cli._random_trials(random.Random(1), game.model, 20)
+    assert all(verify_extension(cfg, result.dual_solution, game.model, dist, o,
+                                result.designated).ok for dist, o in draws)
+    assert is_sum_bounded(game, spec) == (True, None)
+    assert robust_poa(game, spec).status == OPTIMAL

@@ -18,7 +18,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import random_model, same_program, seeded
+from conftest import ordered_sum, random_model, same_program, seeded
 from poacert.formulations import (
     WorstCaseConfig,
     _dual_report,
@@ -76,7 +76,7 @@ def _reference_coefficient_parts(cfg, model, dist, o_profile):
                 continue
             fvals = [f.value(loads[e]) for f in basis]
             for i in range(n):
-                b = sum(beta[i][j] * w[j] for j in users[e] if beta[i][j] != 0)
+                b = ordered_sum(beta[i][j] * w[j] for j in users[e] if beta[i][j] != 0)
                 if b != 0:
                     for k, fv in enumerate(fvals):
                         add(out[i], (col[e], k), mass * fv * b)
@@ -89,14 +89,14 @@ def _reference_coefficient_parts(cfg, model, dist, o_profile):
         for i in range(n):
             si, oi = s_sets[i], o_sets[i]
             for e in si - oi:
-                aw = sum(alpha[i][j] * w[j] for j in users[e] if alpha[i][j] != 0)
+                aw = ordered_sum(alpha[i][j] * w[j] for j in users[e] if alpha[i][j] != 0)
                 if aw != 0:
                     for k, f in enumerate(basis):
                         fv = f.value(loads[e])
                         if fv != 0:
                             add(eq[i], (col[e], k), mass * fv * aw)
             for e in oi - si:
-                aw = alpha[i][i] * w[i] + sum(
+                aw = alpha[i][i] * w[i] + ordered_sum(
                     alpha[i][j] * w[j] for j in users[e] if alpha[i][j] != 0)
                 if aw != 0:
                     for k, f in enumerate(basis):
@@ -105,7 +105,7 @@ def _reference_coefficient_parts(cfg, model, dist, o_profile):
                             add(eq[i], (col[e], k), -(1 + eps) * mass * fv * aw)
     add_beta_costs(nrm, o_profile, 1)
     if cfg.spec.kind == SUM:
-        val, nrm = ([sum(a[key] for a in parts if a[key] != 0)
+        val, nrm = ([ordered_sum(a[key] for a in parts if a[key] != 0)
                      for key in np.ndindex(shape)] for parts in (val, nrm))
         val, nrm = (np.array(a, dtype=object).reshape(shape) for a in (val, nrm))
     return eq, val, nrm
@@ -128,7 +128,7 @@ def covering_table(weights, rng, num):
     """A lookup basis defined at exactly the positive subset sums of the
     weights, every load a deviation in the class can produce, with values
     in sevenths."""
-    loads = {sum(c) for m in range(1, len(weights) + 1)
+    loads = {ordered_sum(c) for m in range(1, len(weights) + 1)
              for c in itertools.combinations(weights, m)}
     return BasisFunction.lookup({x: num(F(rng.randrange(1, 15), 7)) for x in sorted(loads)})
 

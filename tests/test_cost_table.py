@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import dict_program, random_game, random_matrix, seeded
+from conftest import dict_program, ordered_sum, random_game, random_matrix, seeded
 from test_oracle import _exceeds_sum
 from poacert import linprog as lp
 from poacert.games import (
@@ -72,7 +72,8 @@ def reference_pair_tables(game, spec):
     sf = [social_of_costs(spec, c) for c in costs.values()]
     n = game.model.n
     dev = [
-        [sum(costs[_deviate(prof, i, other[i])][i] for i in range(n)) for other in profiles]
+        [ordered_sum(costs[_deviate(prof, i, other[i])][i] for i in range(n))
+         for other in profiles]
         for prof in profiles
     ]
     return profiles, sf, dev
@@ -156,7 +157,7 @@ def reference_worst_cce(game, spec, epsilon, predicate, exact):
             raise GameError(f"coarse constraint set is {rep.status}")
         masses = {prof: m for j, prof in enumerate(costs) if (m := rep.primal.get(j, 0)) > 0}
         if not exact:
-            total = sum(masses.values())
+            total = ordered_sum(masses.values())
             masses = {prof: m / total for prof, m in masses.items()}
         return rep.value, ProfileDistribution(masses), player
 

@@ -16,9 +16,9 @@ check_smooth reads games._tol, and in oracle.py only _CostTable.tol
 reads FEAS_TOL.  Across src, only games.rational and the
 converters and writers of numbers test isinstance(..., Fraction), and
 the file and trial helpers whose data fix their arithmetic take no exact
-parameter.  In
-linprog.py one function holds the fallback to the rational simplex and
-one calls phase1.
+parameter, and no module calls the builtin sum.  In linprog.py one
+function holds the fallback to the rational simplex, one calls phase1
+and one, _run, constructs a _Region.
 Every name a poacert module imports is used in that module.  Every
 defaulted parameter of a private function or method (one whose own name
 begins with one _) is passed, by keyword or at its position, at some call
@@ -332,6 +332,24 @@ def test_one_fallback_policy_and_one_phase_1():
                 and getattr(node.func, "attr", None) == "phase1"}
     assert catchers == redoers == {"_solve_each"}
     assert starters == {"_Region.__init__"}
+
+
+def test_every_cold_run_enters_by_run():
+    """In linprog only _run constructs a _Region, so a cold run of the
+    kernel, float or rational, has one entry, which a test seam sees."""
+    builders = {scope for scope, name, _ in _calls(_tree(PACKAGE / "linprog.py"))
+                if name == "_Region"}
+    assert builders == {"_run"}
+
+
+def test_no_module_calls_the_builtin_sum():
+    """No module under src calls the builtin sum, whose float sums are
+    compensated from Python 3.12: every sum adds in order from 0, so a
+    check gives the same verdict on every supported Python."""
+    calls = [f"{path.name}:{node.lineno}" for path in _modules()
+             for node in ast.walk(_tree(path)) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "sum"]
+    assert not calls, calls
 
 
 def test_max_designees_share_one_region():

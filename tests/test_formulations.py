@@ -569,26 +569,25 @@ def test_exact_solve_agrees_with_the_rational_simplex(monkeypatch):
 
     def recorded(program, exact=False):
         report = solve(program, exact)
-        solved.append((program, report))
+        solved.append((program, None, report))
         return report
 
     def recorded_each(program, objectives, exact=False):
         reports = solve_each(program, objectives, exact)
-        solved.extend((lp._with_objective(program, c), report)
-                      for c, report in zip(objectives, reports))
+        solved.extend((program, c, report) for c, report in zip(objectives, reports))
         return reports
 
     monkeypatch.setattr(lp, "solve", recorded)
     monkeypatch.setattr(lp, "solve_each", recorded_each)
     for cfg in [*seeded_float_configurations(), mixed_cell(True)]:
         solve_worst_case(cfg, exact=True)
-    for program, report in solved:
-        assert_certified(program, report)
+    for program, objective, report in solved:
+        assert_certified(program, report, objective)
         if report.status == lp.OPTIMAL:
             duals = [report.duals[row.label] for row in program.rows]
-            assert _certificate_report(program, duals, 0)[0], program.name
-    assert [r.status for _, r in solved].count(lp.UNBOUNDED) >= 2
-    assert all(r.fallback is None for _, r in solved)
+            assert _certificate_report(program, duals, 0, objective)[0], program.name
+    assert [r.status for _, _, r in solved].count(lp.UNBOUNDED) >= 2
+    assert all(r.fallback is None for _, _, r in solved)
 
 
 def test_exact_solve_of_the_1331_max_class():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import AA, AB, BA, BB, g1, g1_spec, random_game, seeded
+from conftest import AA, AB, BA, BB, g1, g1_spec, ordered_sum, random_game, seeded
 from poacert import games
 from poacert.games import (
     EQ1,
@@ -348,9 +348,9 @@ def test_one_load_pass_matches_the_per_player_functions(seed):
         for prof in g.model.profiles():
             costs = [individual_cost(g, prof, i) for i in range(3)]
             assert individual_costs(g, prof) == costs
-            per = [sum(beta[i][j] * costs[j] for j in range(3) if beta[i][j] != 0)
+            per = [ordered_sum(beta[i][j] * costs[j] for j in range(3) if beta[i][j] != 0)
                    for i in range(3)]
-            assert social_value(spec, g, prof) == (sum(per) if kind == SUM else max(per))
+            assert social_value(spec, g, prof) == (ordered_sum(per) if kind == SUM else max(per))
             for predicate, gap in ((EQ1, deviation_gap), (VERBATIM, deviation_gap_verbatim)):
                 want = [(i, x, gap(g, prof, i, x, 0.5))
                         for i in range(3) for x in range(len(g.model.strategies[i]))]

@@ -437,11 +437,11 @@ def kernel_calls(monkeypatch):
     kernel = linprog._run
     calls, failing = [], set()
 
-    def recorded(lp, exact):
+    def recorded(lp, exact, objective=None):
         calls.append(exact)
         if exact in failing:
             raise SolverError(f"{'exact' if exact else 'float'} run refused")
-        return kernel(lp, exact)
+        return kernel(lp, exact, objective)
 
     monkeypatch.setattr(linprog, "_run", recorded)
     return calls, failing

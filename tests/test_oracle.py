@@ -5,6 +5,8 @@ at the bottom cross-checks the pure and coarse oracles against each other
 on random instances.
 """
 
+import builtins
+import random
 import sys
 from fractions import Fraction as F
 
@@ -64,6 +66,7 @@ from poacert.smoothness import (
     robust_poa,
     validate_smoothness_claims,
 )
+from test_formulations import _compensated_sum
 
 CHASE_ALPHA = ((F(1), F(-1)), (F(0), F(1)))  # player 0 chases, player 1 flees
 
@@ -631,3 +634,45 @@ def test_an_exact_worst_cce_builds_one_rational_standard_form(monkeypatch):
         report = worst_cce(game, SocialSpec(MAX, identity_matrix(game.n, True)))
         assert isinstance(report.value, F)
         assert systems == [False, True]
+
+
+def _rounding_game(seed):
+    """A float game whose sums round: n = 3 or 4 players of weight
+    U(0.3, 2) on random_model's 3 resources, basis x and x^2 with
+    coefficients U(0, 2), alpha 1 on the diagonal and U(0, 1) off it,
+    beta U(0, 1), and eps 0 or 1/2."""
+    rng = random.Random(seed)
+    n = rng.choice((3, 4))
+    model = random_model(rng, [rng.uniform(0.3, 2) for _ in range(n)], 3)
+    coefficients = {e: (rng.uniform(0, 2), rng.uniform(0, 2)) for e in model.resources}
+    alpha = [[1.0 if i == j else rng.uniform(0, 1) for j in range(n)] for i in range(n)]
+    beta = [[rng.uniform(0, 1) for _ in range(n)] for _ in range(n)]
+    basis = (BasisFunction.monomial(1), BasisFunction.monomial(2))
+    return GeneralizedGame(model, basis, coefficients, alpha), beta, rng.choice((0, 0.5))
+
+
+def _rounding_answers(game, beta, eps):
+    """The reprs of social_optimum, ppoa_report and worst_cce (or its
+    GameError) under both predicates, and robust_poa, under sum and max."""
+    answers = []
+    for kind in (SUM, MAX):
+        spec = SocialSpec(kind, beta)
+        answers += [social_optimum(game, spec), robust_poa(game, spec)]
+        for predicate in (EQ1, VERBATIM):
+            answers.append(ppoa_report(game, spec, eps, predicate))
+            try:
+                answers.append(worst_cce(game, spec, eps, predicate))
+            except GameError as err:
+                answers.append(err)
+    return [repr(a) for a in answers]
+
+
+def test_float_answers_do_not_depend_on_the_builtin_sum(monkeypatch):
+    """On 20 seeded float games every answer of _rounding_answers is the
+    same, repr for repr, when the builtin sum compensates float sums, as
+    it does from Python 3.12: every sum in the package adds in order from
+    0, one rounding per addition."""
+    games = [_rounding_game(seed) for seed in range(20)]
+    plain = [_rounding_answers(*case) for case in games]
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert [_rounding_answers(*case) for case in games] == plain

@@ -199,8 +199,11 @@ class Tableau:
         return True
 
 
-def tableau_run(lp, exact):
-    """linprog._run on the dense tableau, which counts only its pivots."""
+def tableau_run(lp, exact, objective=None):
+    """linprog._run on the dense tableau, which counts only its pivots,
+    of lp's own objective: solve and _simplex, the only callers here, run
+    no other."""
+    assert objective is None
     system = linprog._system(lp, exact)
     tab = Tableau(system)
     feasible = tab.phase1()

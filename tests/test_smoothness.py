@@ -37,6 +37,7 @@ from poacert.oracle import (
     NO_EQUILIBRIUM,
     PROFILE_CAP,
     _cost_table,
+    cce_poa,
     exact_ppoa,
     social_optimum,
     worst_cce_value,
@@ -576,3 +577,23 @@ def test_validation_reads_its_social_values_once(monkeypatch, exact):
             calls.clear()
             validate_smoothness_claims(g, SocialSpec(kind, identity_matrix(len(weights), exact)))
             assert len(calls) == g.model.profile_count(), (seed, kind)
+
+
+@pytest.mark.parametrize("num", [float, F], ids=["float", "exact"])
+def test_a_zero_optimum_leaves_the_ratio_program_without_an_optimum(num):
+    """Two players of weight 1, each on a or b; a has coefficient 1 on the
+    lookup basis {1: 0, 2: 1} and b coefficient 0; identity alpha and
+    beta, sum.  Only (a, a) costs anything, yet from (b, a) towards
+    (a, b) player 0's move onto a costs 1 where both profiles have social
+    value 0, which no (lam, mu) bounds: the game is sum-bounded, and the
+    ratio program itself answers NOT_SMOOTHABLE, with no profile to show.
+    The two answers that divide by the optimum, 0, refuse it."""
+    model = CongestionModel((num(1), num(1)), ("a", "b"), ((("a",), ("b",)),) * 2)
+    basis = (BasisFunction.lookup({1: 0, 2: 1}),)
+    game = GeneralizedGame(model, basis, {"a": (num(1),), "b": (num(0),)}, identity_matrix(2))
+    spec = SocialSpec(SUM, identity_matrix(2))
+    assert is_sum_bounded(game, spec) == (True, None)
+    assert robust_poa(game, spec) == RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 1)
+    for answer in (cce_poa, validate_smoothness_claims):
+        with pytest.raises(GameError, match="social optimum is 0"):
+            answer(game, spec)
