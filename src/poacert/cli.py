@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -80,10 +79,6 @@ def as_json(x):
         return {str(k): as_json(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [as_json(v) for v in x]
-    if isinstance(x, (set, frozenset)):
-        return sorted(as_json(v) for v in x)
-    if is_dataclass(x) and not isinstance(x, type):
-        return as_json(asdict(x))
     return x
 
 

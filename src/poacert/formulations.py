@@ -24,14 +24,15 @@ the masks a caller reads: every mask, for every column (_closed_form);
 the masks of chosen columns (_entries); or mixed: the coarse column of
 resource e is the mass-weighted sum of the columns (P, Q, k) of its
 players under each profile and under o (_coarse_parts), the extension
-argument itself.  _row_table lays out the rows of both as copies of
-factor slices that broadcast over the columns, and _primal writes each
-row straight into a LinearProgram's coefficient array, with no array of
-a row's entries built first and no name per entry.  A point of the
-representative program is keyed by position: column (P, Q, k) is j = (P
-2^n + Q) r + k, and the max programs' level t is j = 4^n r.  Its columns
-are named on demand (_ColumnNames), for an error message, a violated
-bound's label or --emit-lp alone, and nothing here reads rep.model.
+argument itself.  _primal lays out the rows of every such program and
+writes each part, a factor slice that broadcasts over the columns, by
+np.copyto straight into a LinearProgram's coefficient array, with no
+array of a row's entries built first and no name per entry.  A point of
+the representative program is keyed by position: column (P, Q, k) is j =
+(P 2^n + Q) r + k, and the max programs' level t is j = 4^n r.  Its
+columns are named on demand (_ColumnNames), for an error message, a
+violated bound's label or --emit-lp alone, and nothing here reads
+rep.model.
 
 No check builds a dual program (build_dp_cce serves the tests, and
 build_dp_pne also --emit-lp).  solve_worst_case and verify_extension
@@ -185,60 +186,44 @@ def _summed(parts) -> np.ndarray:
     return total
 
 
-def _row_table(cfg: WorstCaseConfig, eq, val, nrm, designated) -> tuple:
-    """The primal as (objective, rows), each row (label, relation, rhs,
-    copies, coefficient of t): eq[i] <= 0, one per player, then the
-    beta-cost rows.  A row's copies are the (source, where) pairs that
-    _primal writes, in order, into its entries over the v columns, each
-    source broadcasting to their shape.  eq is (base, joins, joined):
-    player i's row is base[i], overwritten by joins[i] where joined[i]
-    (joins is None when nothing overwrites it).  val and nrm hold the cost
-    rows as the program uses them, per player under max and summed by the
-    producer under sum (the objective and its norm row), and may
-    broadcast, as the closed form's (P, 1, k) and (1, Q, k) costs do.
-    Designee d's max program LP_d maximizes t, and its objective is None.
-    Under max with designated None the table is the designees' shared
-    region U: the eq rows, then norm[i] <= 1, with no val row and no t,
-    maximizing designee 0's cost row (U_0); solve_worst_case hands every
-    designee's cost row to lp.solve_each over it."""
-    n = cfg.n
-    base, joins, joined = eq
-
-    def player(i):
-        return ((base[i], True),) + (() if joins is None else ((joins[i], joined[i]),))
-
-    rows = [(f"eq[{i}]", lp.LE, 0, player(i), 0) for i in range(n)]
+def _primal(cfg: WorstCaseConfig, names, eq, val, nrm, designated) -> lp.LinearProgram:
+    """The worst-case program over the columns names (the v columns, then
+    t when it maximizes t), each closed-form part written by np.copyto
+    straight into its coefficient array, in the shape eq[0]'s parts
+    broadcast to.  Its rows: eq[i] <= 0, one per player, where eq is
+    (base, joins, joined) and row i is base[i], overwritten by joins[i]
+    where joined[i] (joins is None when nothing overwrites it); then under
+    sum norm <= 1, maximizing val; under max designee d's LP_d, val[i] - t
+    <= 0 (= for d) and norm[i] <= 1, maximizing t, or with designated None
+    the designees' shared region U, norm[i] <= 1 alone, maximizing
+    designee 0's cost row val[0] (U_0).  val and nrm hold the cost rows
+    as the program uses them, per player under max and summed by the
+    producer under sum, and may broadcast, as the closed form's (P, 1, k)
+    and (1, Q, k) costs do."""
+    n, (base, joins, joined) = cfg.n, eq
+    level = cfg.spec.kind != SUM and designated is not None  # LP_d maximizes t
+    rows = [lp.Row(lp.LE, 0, f"eq[{i}]") for i in range(n)]
     if cfg.spec.kind == SUM:
-        rows.append(("norm", lp.LE, 1, ((nrm, True),), 0))
-        return ((val, True),), rows
-    norms = [(f"norm[{i}]", lp.LE, 1, ((nrm[i], True),), 0) for i in range(n)]
-    if designated is None:
-        return ((val[0], True),), rows + norms
-    rows += [(f"val[{i}]", lp.EQ if i == designated else lp.LE, 0, ((val[i], True),), -1)
-             for i in range(n)]
-    return None, rows + norms
-
-
-def _primal(cfg: WorstCaseConfig, names, objective, rows, designated) -> lp.LinearProgram:
-    """The program of a row table over the columns names (the v columns,
-    then t when the table maximizes it): each row's copies, then the
-    objective's, written by np.copyto straight into the program's
-    coefficient array, whose v entries of a row take the shape the copies
-    broadcast to."""
-    tables = [c for _, _, _, c, _ in rows] + ([] if objective is None else [objective])
-    # the first row, eq[0], spans the v columns' shape; every other row broadcasts to it
-    shape = np.broadcast(*chain.from_iterable(tables[0])).shape
-    size, level = prod(shape), objective is None
-    dtype = np.result_type(*{a.dtype for copies in tables for a, _ in copies})
+        rows.append(lp.Row(lp.LE, 1, "norm"))
+        parts = [nrm, val]  # the rows after eq, then the objective's entries
+    else:
+        if level:
+            rows += [lp.Row(lp.EQ if i == designated else lp.LE, 0, f"val[{i}]") for i in range(n)]
+        rows += [lp.Row(lp.LE, 1, f"norm[{i}]") for i in range(n)]
+        parts = [*val, *nrm] if level else [*nrm, val[0]]
+    overwrites = () if joins is None else (joins[0], joined[0])
+    shape = np.broadcast(base[0], *overwrites).shape
+    size = prod(shape)
+    dtype = np.result_type(*{a.dtype for a in chain(base, () if joins is None else joins, parts)})
     coefficients = np.zeros((len(rows) + 1, size + level), dtype=dtype)
-    for i, copies in enumerate(tables):
-        out = coefficients[i, :size].reshape(shape)
-        for a, where in copies:
-            np.copyto(out, a, where=where)
-    if level:
-        coefficients[:, size] = [t for _, _, _, _, t in rows] + [1]
-    lp_rows = [lp.Row(rel, rhs, label) for label, rel, rhs, _, _ in rows]
-    return lp.LinearProgram(lp.MAXIMIZE, names, lp_rows, coefficients,
+    for i, a in enumerate(chain(base, parts)):
+        np.copyto(coefficients[i, :size].reshape(shape), a)
+        if i < n and joins is not None:
+            np.copyto(coefficients[i, :size].reshape(shape), joins[i], where=joined[i])
+    if level:  # val[i] - t <= 0, maximizing t
+        coefficients[n:2 * n, size] = -1
+        coefficients[-1, size] = 1
+    return lp.LinearProgram(lp.MAXIMIZE, names, rows, coefficients,
                             name=f"pp_{cfg.spec.kind}" + ("" if designated is None
                                                           else f"_d{designated}"))
 
@@ -350,7 +335,7 @@ def _mask_factors(cfg: WorstCaseConfig, weights: tuple, masks: np.ndarray) -> tu
 
 
 def _entries(cfg: WorstCaseConfig, factors, p, q, k) -> tuple:
-    """(eq, val, nrm) for _row_table at the columns (P, Q, k) = (p, q, k),
+    """(eq, val, nrm) for _primal at the columns (P, Q, k) = (p, q, k),
     integer arrays that broadcast together, read off _mask_factors at
     masks that include every P and Q.  eq is (leaves, joins, joined) over
     the players, each broadcasting to the columns' shape: player i's entry
@@ -366,7 +351,7 @@ def _entries(cfg: WorstCaseConfig, factors, p, q, k) -> tuple:
 
 
 def _closed_form(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
-    """(eq, val, nrm) of the representative primal for _row_table, every
+    """(eq, val, nrm) of the representative primal for _primal, every
     column's entries from _mask_factors at every mask: eq[i] as an array
     over (P, Q, k), val[i] over (P, 1, k) and nrm[i] over (1, Q, k); under
     a sum objective, val and nrm are one total of costs."""
@@ -376,7 +361,7 @@ def _closed_form(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
 
 
 def _coarse_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_profile) -> tuple:
-    """(eq, val, nrm) of the coarse programs for _row_table over (resource,
+    """(eq, val, nrm) of the coarse programs for _primal over (resource,
     k), gathered from _mask_factors at the masks read: eq and val sum,
     over the profiles of dist in its order, mass times the entries at (P,
     Q, k), with P the players on resource e under the profile and Q those
@@ -410,8 +395,8 @@ def build_pp_pne(
     _closed_form, named on demand by _ColumnNames: v column (P, Q, k) at
     position (P 2^n + Q) r + k, then t under max."""
     _check_designee(cfg, designated)
-    objective, rows = _row_table(cfg, *_closed_form(cfg, rep), designated)
-    return _primal(cfg, _ColumnNames(cfg, rep, range(_width(cfg))), objective, rows, designated)
+    return _primal(cfg, _ColumnNames(cfg, rep, range(_width(cfg))), *_closed_form(cfg, rep),
+                   designated)
 
 
 def build_pp_cce(
@@ -424,8 +409,8 @@ def build_pp_cce(
     """Worst-case primal over latency coefficients for a fixed model,
     distribution and comparison profile."""
     _check_designee(cfg, designated)
-    objective, rows = _row_table(cfg, *_coarse_parts(cfg, model, dist, o_profile), designated)
-    return _primal(cfg, _variables(cfg, model), objective, rows, designated)
+    return _primal(cfg, _variables(cfg, model), *_coarse_parts(cfg, model, dist, o_profile),
+                   designated)
 
 
 # ============================================================
@@ -633,7 +618,7 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     A sum objective solves its one primal.  A max objective solves, for
     each designee d, U_d: designee d's cost row maximized over the rows
     every designee shares, eq[i] <= 0 and norm[i] <= 1, one region U with
-    no val row and no t (_row_table), so lp.solve_each serves all of them
+    no val row and no t (_primal), so lp.solve_each serves all of them
     with one standard form, no phase 1, and each phase 2 from the last
     optimum.  U_d >= LP_d, the designee's program with its val rows, and
     max_d U_d = max_d LP_d = gamma*: each game counts under the designee
@@ -661,8 +646,7 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     rep = build_representative(cfg.weights)
     n, width = cfg.n, _width(cfg)
     eq, val, nrm = _closed_form(cfg, rep)
-    program = _primal(cfg, _ColumnNames(cfg, rep, range(width), level=False),
-                      *_row_table(cfg, eq, val, nrm, None), None)
+    program = _primal(cfg, _ColumnNames(cfg, rep, range(width), level=False), eq, val, nrm, None)
     if cfg.spec.kind == SUM:
         designees, objectives = [None], [None]
         reports = [lp.solve(program, exact)]
@@ -753,8 +737,8 @@ def extract_worst_game(
     columns = np.array(triples, dtype=np.intp).reshape(-1, 3).T
     masks = np.array(sorted({m for p, q, _ in triples for m in (p, q)}), dtype=np.intp)
     factors = _mask_factors(cfg, rep.weights, masks)
-    table = _row_table(cfg, *_entries(cfg, factors, *columns), designated)
-    program = _primal(cfg, _ColumnNames(cfg, rep, support), *table, designated)
+    program = _primal(cfg, _ColumnNames(cfg, rep, support), *_entries(cfg, factors, *columns),
+                      designated)
     # the point on that program's positions: the support, then t at len(support)
     at = {i: primal_values[j] for i, j in enumerate(support + [width]) if j in primal_values}
     ok, label, violation = lp.feasibility_report(program, at, FEAS_TOL)

@@ -26,6 +26,8 @@ objective's phase 2 from where the previous one stopped, when that run
 was OPTIMAL and its reading passed, else from phase 1's; each is read
 and falls back on its own, and an exact reading rewrites only the costs
 row of the region's rational form.  solve is its one-objective case.
+Every run stops in a region, and _read takes the program and both
+arithmetics' systems from it.
 
 A program is stated as one coefficient array, rows by variables plus the
 objective as a last row, and that array is the one path into the kernel;
@@ -568,16 +570,15 @@ class _Stop(NamedTuple):
     """Where a run of the kernel stopped: its status, the standard number
     of each row's basic column (structural j is j, the slack of row i is
     n + i and its artificial n + m + i), the entering column of an
-    UNBOUNDED stop, the system it ran on, the run's counts and the
-    _Region it ran in, from which another objective over the same rows
-    may run (None where no region was kept)."""
+    UNBOUNDED stop, the run's counts and the _Region it ran in, whose
+    program and system the stop is read on and from which another
+    objective over the same rows may run."""
 
     status: str
     basis: list
     entering: Optional[int]
-    system: _System
     stats: KernelStats
-    region: Optional["_Region"] = None
+    region: "_Region"
 
 
 class _Region:
@@ -624,7 +625,7 @@ class _Region:
         if self.runs:  # phase 1 was reported by the first run
             stats = KernelStats(*[a - b for a, b in zip(stats, p1)])
         self.runs += 1
-        return _Stop(status, kernel.basis.copy(), kernel.entering, system, stats, self)
+        return _Stop(status, kernel.basis.copy(), kernel.entering, stats, self)
 
     def exact_system(self) -> _System:
         """The rows' rational system, its costs the last run's objective:
@@ -645,7 +646,7 @@ def _run(lp: LinearProgram, exact: bool, objective: Optional[np.ndarray] = None)
 
 def _simplex(lp: LinearProgram, exact: bool, objective=None) -> SolveReport:
     """A cold _run, read in its arithmetic: lp is read in place, not copied."""
-    return _read(lp, _run(lp, exact, objective), exact)
+    return _read(_run(lp, exact, objective), exact)
 
 
 def solve(lp: LinearProgram, exact: bool = False) -> SolveReport:
@@ -696,10 +697,9 @@ def _solve_each(program: LinearProgram, objectives, exact: bool) -> list:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 stop = region.run(objective) if region else _run(program, False, objective)
                 region, counts = stop.region, stop.stats
-                report = _read(program, stop, exact)
+                report = _read(stop, exact)
             reports.append(report)
-            if region:
-                region.warm = report.status == OPTIMAL
+            region.warm = report.status == OPTIMAL
             continue
         except SolverError as err:
             fallback = str(err)
@@ -778,13 +778,12 @@ def _violations(excess: np.ndarray, slack: np.ndarray, tight) -> np.ndarray:
     return np.absolute(excess, out=slack * excess, where=tight | (slack == 0))
 
 
-def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
-    """The report of a run at its final basis, lp holding the run's rows,
-    in rationals when exact: a float run's basis is then read on the
-    exact system of its region (of lp with its own objective, for a stop
-    without one) and checked with tolerance 0; a float reading is checked
-    on the run's own system to RESIDUAL_TOL relative to 1 + max|x| or
-    1 + max|y|.
+def _read(stop: _Stop, exact: bool) -> SolveReport:
+    """The report of a run at its final basis, on the program and system
+    of its region, in rationals when exact: a float run's basis is then
+    read on the region's exact system and checked with tolerance 0; a
+    float reading is checked on the run's own system to RESIDUAL_TOL
+    relative to 1 + max|x| or 1 + max|y|.
 
     The structural basic columns S and the rows R whose slack and
     artificial are nonbasic meet in a square block K of the basis
@@ -795,13 +794,13 @@ def _read(lp: LinearProgram, stop: _Stop, exact: bool) -> SolveReport:
     sign and every dual row to hold, tightly on S; UNBOUNDED needs the
     entering column's ray to keep x >= 0 and every row, and to improve
     the objective.  SolverError names the first check that fails."""
+    lp, system = stop.region.lp, stop.region.system
     if stop.status == INFEASIBLE:
-        if exact and not stop.system.std.exact:
+        if exact and not system.std.exact:
             raise SolverError("float phase 1 found no feasible point")
         return SolveReport(INFEASIBLE, None, {}, {}, stop.stats.pivots, exact, stats=stop.stats)
-    system = stop.system
     if system.std.exact != exact:
-        system = _system(lp, exact) if stop.region is None else stop.region.exact_system()
+        system = stop.region.exact_system()
     A, b, costs, slack, scale, columns, std, standard = system
     m, n = A.shape
     zero, basis = std.zero, stop.basis

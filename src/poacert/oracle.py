@@ -10,7 +10,9 @@ epsilon is a float, and one of them is a Fraction, its costs are
 Fractions and the answers rational end to end; any other game, integer
 costs included, gets float64 ones.  Its tol, 0 or FEAS_TOL, is the
 slack of every comparison read off it, so the pure and the coarse
-oracle accept the same equilibria.
+oracle accept the same equilibria.  A caller that reads both a ratio of
+the costs and gaps takes both tables from one enumeration
+(_cost_tables), each in its own arithmetic.
 """
 
 from __future__ import annotations
@@ -90,21 +92,34 @@ class _CostTable(NamedTuple):
 
 def _cost_table(game: GeneralizedGame, cap: int, what: str,
                 spec: Optional[SocialSpec] = None, epsilon=None) -> _CostTable:
-    """The _CostTable of the game's profiles, after the cap check, for the
-    answers of spec and, when epsilon is given, for gaps at epsilon, which
-    read alpha and epsilon too; with neither, the costs alone decide the
-    arithmetic."""
+    """The _CostTable of the game's profiles for the answers of spec and,
+    when epsilon is given, for gaps at epsilon; see _cost_tables."""
+    return _cost_tables(game, cap, what, spec, epsilon)[1]
+
+
+def _cost_tables(game: GeneralizedGame, cap: int, what: str,
+                 spec: Optional[SocialSpec], epsilon) -> tuple:
+    """From one enumeration of the game's profiles, after the cap check,
+    two _CostTables: the one for the answers of spec, whose arithmetic the
+    costs and beta decide, and the one for gaps at epsilon, which read
+    alpha and epsilon too.  With no epsilon, or when the two rules agree,
+    both are one table."""
     if game.model.profile_count() > cap:
         raise GameError(f"{what}: {game.model.profile_count()} profiles exceeds cap {cap}")
     profiles = list(game.model.profiles())
     rows = [individual_costs(game, prof) for prof in profiles]
-    beta = [] if spec is None else [b for row in spec.beta for b in row]
-    gaps = [] if epsilon is None else [epsilon, *(a for row in game.alpha for a in row)]
-    exact = rational([*(c for row in rows for c in row), *beta, *gaps])
+    numbers = [*(c for row in rows for c in row),
+               *([] if spec is None else (b for row in spec.beta for b in row))]
+    rules = [rational(numbers)]
+    if epsilon is not None:
+        rules.append(rational([*numbers, epsilon, *(a for row in game.alpha for a in row)]))
     sizes = [len(per) for per in game.model.strategies]
     strides = np.cumprod([1, *sizes[:0:-1]])[::-1]
-    costs = lp._fractions(np.array(rows, dtype=object)) if exact else np.array(rows, np.float64)
-    return _CostTable(np.array(profiles, dtype=np.intp), costs, strides, exact)
+    index = np.array(profiles, dtype=np.intp)
+    tables = {exact: _CostTable(index, lp._fractions(np.array(rows, dtype=object)) if exact
+                                else np.array(rows, np.float64), strides, exact)
+              for exact in set(rules)}
+    return tables[rules[0]], tables[rules[-1]]
 
 
 def _weighted_rows(row, costs: np.ndarray) -> np.ndarray:

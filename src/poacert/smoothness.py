@@ -34,8 +34,8 @@ from .games import (
     SocialSpec,
     _tol,
 )
-from .oracle import (NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _CostTable, _ppoa, _weighted_rows,
-                     _worst_cce)
+from .oracle import (NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _cost_tables, _CostTable, _ppoa,
+                     _weighted_rows, _worst_cce)
 
 NOT_SMOOTHABLE = "NOT_SMOOTHABLE"
 OPTIMAL = lp.OPTIMAL
@@ -231,19 +231,24 @@ def validate_smoothness_claims(
     the pure ratio at eps=0 (exact_ppoa's, from the one enumeration that
     also finds the optimum) and the coarse ratio must both sit below the
     robust bound.  Either failing indicates a bug, not a bad instance.
-    The bound gets a relative slack of the table's tol: none on an exact
-    table."""
-    table = _cost_table(game, cap, "smoothness pair tables", spec, 0)
+    One enumeration serves the three answers, each in its oracle's
+    arithmetic: the robust one is robust_poa's, on the table of the costs
+    and beta, and the gap answers are exact_ppoa's and worst_cce's, on the
+    table for gaps at eps=0.  The bound gets a relative slack of the
+    larger tol of the two tables: none when both are exact."""
+    table, gaps = _cost_tables(game, cap, "smoothness pair tables", spec, 0)
     sf = table.social_values(spec)
     robust = _robust_poa(table, sf)
-    pure = _ppoa(game, table, sf, 0, EQ1)
+    if gaps is not table:
+        sf = gaps.social_values(spec)
+    pure = _ppoa(game, gaps, sf, 0, EQ1)
     ppoa, opt = pure.value, pure.optimum
-    ccpoa = _worst_cce(game, table, spec, sf, 0, VERBATIM).value / opt
+    ccpoa = _worst_cce(game, gaps, spec, sf, 0, VERBATIM).value / opt
     if robust.status != OPTIMAL:
         return SmoothnessValidation(
             False, robust.unbounded_witness, robust, ppoa, ccpoa, None, None, None
         )
-    bound = robust.value * (1 + table.tol)
+    bound = robust.value * (1 + max(table.tol, gaps.tol))
     ok_p = None if ppoa == NO_EQUILIBRIUM else bool(ppoa <= bound)
     ok_c = bool(ccpoa <= bound)
     gap = None if ppoa == NO_EQUILIBRIUM else float(robust.value - ppoa)

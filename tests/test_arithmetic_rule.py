@@ -31,15 +31,16 @@ from poacert.games import (
     VERBATIM,
     BasisFunction,
     CongestionModel,
+    GameError,
     GeneralizedGame,
     SocialSpec,
     identity_matrix,
     is_eps_pne,
     rational,
 )
-from poacert.oracle import (NO_EQUILIBRIUM, _cost_table, enumerate_eps_pne, exact_ppoa,
+from poacert.oracle import (NO_EQUILIBRIUM, _cost_table, cce_poa, enumerate_eps_pne, exact_ppoa,
                             ppoa_report, social_optimum, worst_cce)
-from poacert.smoothness import robust_poa
+from poacert.smoothness import robust_poa, validate_smoothness_claims
 from poacert.representative import build_representative
 from test_array_programs import designees
 
@@ -224,3 +225,62 @@ def test_a_float_alpha_makes_the_gaps_table_float(seed):
         assert enumerate_eps_pne(game, F(1, 2), VERBATIM) == [(0, 0), (1, 0), (1, 1)]
     assert not _cost_table(game, 100, "test", spec, 0).exact
     assert _cost_table(game, 100, "test", spec).exact
+
+
+@pytest.mark.parametrize("kind", [SUM, MAX])
+def test_validation_answers_the_robust_poa_in_its_arithmetic(kind):
+    """validate_smoothness_claims(...).robust is robust_poa's answer, repr
+    for repr, on the games of exact costs and beta with a float alpha:
+    the robust half reads the costs and beta alone, as robust_poa does,
+    and only the gaps read alpha in float64.  Seed 0 under sum answers
+    Fraction(32, 25), not 1.2799999999999998."""
+    spec = SocialSpec(kind, identity_matrix(2, True))
+    answered = 0
+    for seed in range(300):
+        game = _float_alpha_game(seed)
+        try:
+            robust = validate_smoothness_claims(game, spec).robust
+        except GameError:
+            continue
+        assert repr(robust) == repr(robust_poa(game, spec)), seed
+        answered += 1
+    assert answered >= 290
+    if kind == SUM:
+        assert validate_smoothness_claims(_float_alpha_game(0), spec).robust.value == F(32, 25)
+
+
+def _fraction_alpha_game(seed):
+    """Two players of int weights 1..3 on random_model's 3 resources, basis
+    x, int coefficients 0..8, and alpha [[1, 1/3], [1/2, 1]]: no float
+    anywhere, so gaps read Fractions while the costs and beta are ints."""
+    rng = random.Random(seed)
+    model = random_model(rng, [rng.randint(1, 3) for _ in range(2)], 3)
+    coefficients = {e: (rng.randrange(0, 9),) for e in model.resources}
+    alpha = [[1, F(1, 3)], [F(1, 2), 1]]
+    return GeneralizedGame(model, (BasisFunction.monomial(1),), coefficients, alpha)
+
+
+@pytest.mark.parametrize("kind", [SUM, MAX])
+def test_validation_answers_the_gaps_in_their_oracles_arithmetic(kind):
+    """On games of int costs and beta with a Fraction alpha, the gap rule
+    reads alpha and is exact while the costs' rule is float64: the
+    validation's ppoa and ccpoa are exact_ppoa's and worst_cce's
+    Fractions, and its robust PoA is robust_poa's float, from one
+    enumeration."""
+    spec = SocialSpec(kind, identity_matrix(2))
+    answered = 0
+    for seed in range(40):
+        game = _fraction_alpha_game(seed)
+        try:
+            got = validate_smoothness_claims(game, spec)
+            opt, cce = cce_poa(game, spec)
+        except GameError:
+            continue
+        assert repr(got.robust) == repr(robust_poa(game, spec)), seed
+        assert repr(got.ppoa) == repr(exact_ppoa(game, spec)), seed
+        assert repr(got.ccpoa) == repr(cce.value / opt), seed
+        assert isinstance(got.ccpoa, F) and isinstance(opt, F), seed
+        assert got.ppoa == NO_EQUILIBRIUM or isinstance(got.ppoa, F), seed
+        assert got.robust.value is None or isinstance(got.robust.value, float), seed
+        answered += 1
+    assert answered >= 30

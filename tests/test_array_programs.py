@@ -21,7 +21,6 @@ from poacert.formulations import (
     WorstCaseConfig,
     _certificate_program,
     _closed_form,
-    _row_table,
     build_dp_pne,
     build_pp_pne,
     vname,
@@ -36,30 +35,32 @@ def _named(names, coeffs):
     return dict(zip(names[nz].tolist(), flat[nz].tolist()))
 
 
-def dense(copies):
-    """The entries a row's (source, where) copies give, whole, by np.where
-    over the broadcast sources rather than by _primal's np.copyto."""
-    out = np.asarray(copies[0][0])
-    for a, where in copies[1:]:
-        out = np.where(where, a, out)
-    shape = np.broadcast_shapes(*(np.shape(x) for pair in copies for x in pair))
-    return np.broadcast_to(out, shape)
-
-
-def dense_rows(rows, shape):
-    """A row table's rows with each row's copies written out whole over
-    the v columns' shape."""
-    return [(label, rel, rhs, np.broadcast_to(dense(copies), shape), t)
-            for label, rel, rhs, copies, t in rows]
+def reference_rows(cfg, eq, val, nrm, designated=None):
+    """The worst-case program's rows laid out here rather than by
+    _primal, each row's entries written out whole over the v columns'
+    shape by np.where rather than by np.copyto: (rows, objective), each
+    row (label, relation, rhs, entries, coefficient of t), and the
+    objective's entries None when the program maximizes t."""
+    n, (base, joins, joined) = cfg.n, eq
+    eqs = [base[i] if joins is None else np.where(joined[i], joins[i], base[i]) for i in range(n)]
+    shape = np.shape(eqs[0])
+    rows = [(f"eq[{i}]", lp.LE, 0, eqs[i], 0) for i in range(n)]
+    if cfg.spec.kind == SUM:
+        rows, objective = rows + [("norm", lp.LE, 1, nrm, 0)], val
+    else:
+        norms = [(f"norm[{i}]", lp.LE, 1, nrm[i], 0) for i in range(n)]
+        vals = [(f"val[{i}]", lp.EQ if i == designated else lp.LE, 0, val[i], -1)
+                for i in range(n)]
+        rows, objective = (rows + norms, val[0]) if designated is None else (
+            rows + vals + norms, None)
+    rows = [(label, rel, rhs, np.broadcast_to(a, shape), t) for label, rel, rhs, a, t in rows]
+    return rows, None if objective is None else np.broadcast_to(objective, shape)
 
 
 def reference_pp_pne(cfg, rep, designated=None):
-    """build_pp_pne written as dict rows: the closed-form row table with
-    every nonzero entry named by vname, then t."""
-    objective, rows = _row_table(cfg, *_closed_form(cfg, rep), designated)
-    shape = (1 << cfg.n, 1 << cfg.n, len(cfg.basis))
-    rows = dense_rows(rows, shape)
-    objective = None if objective is None else np.broadcast_to(dense(objective), shape)
+    """build_pp_pne written as dict rows: the closed-form rows laid out by
+    reference_rows with every nonzero entry named by vname, then t."""
+    rows, objective = reference_rows(cfg, *_closed_form(cfg, rep), designated)
     names = np.array([vname(e, k) for e in rep.model.resources for k in range(len(cfg.basis))],
                      dtype=object)
     dict_rows = [({**_named(names, a), "t": t} if t else _named(names, a), rel, rhs, label)

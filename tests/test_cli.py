@@ -11,8 +11,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_game, random_matrix, seeded
-from poacert import formulations, games, linprog as lp
-from poacert.cli import EXIT_INVARIANT, EXIT_OK, EXIT_VALIDATION, as_json, main
+from poacert import cli, formulations, games, linprog as lp
+from poacert.cli import EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, as_json, main
 from poacert.gamefile import emit_game, load_game, write_json
 from poacert.oracle import (NO_EQUILIBRIUM, enumerate_eps_pne, exact_ppoa, social_optimum,
                             worst_cce_value)
@@ -484,6 +484,78 @@ def test_malformed_input_exits_2_and_names_it(capsys, tmp_path, case):
     p.write_text(json.dumps(doc))
     assert main([command, flag, str(p), *argv]) == EXIT_VALIDATION
     assert named in capsys.readouterr().err
+
+
+# game files whose basis, strategies or coefficients load_game refuses
+MALFORMED_GAMES = {
+    "basis-empty": {**GAME, "basis": []},
+    "basis-entry-without-kind": {**GAME, "basis": [{"degree": 1}]},
+    "strategies-for-one-player": {**GAME, "strategies": [[["a"], ["b"]]]},
+    "coefficients-array": {**GAME, "coefficients": [[1], [1]]},
+    "coefficients-missing-a-resource": {**GAME, "coefficients": {"a": [1]}},
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_GAMES)
+def test_a_malformed_game_file_exits_2_and_names_it(capsys, tmp_path, case):
+    p = tmp_path / "game.json"
+    p.write_text(json.dumps(MALFORMED_GAMES[case]))
+    assert main(["exact-ppoa", "--game", str(p)]) == EXIT_VALIDATION
+    assert str(p) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (lp.SolverError("no basis"), EXIT_SOLVER, "poacert: solver failure: no basis"),
+    (formulations.InvariantViolation("gap"), EXIT_INVARIANT,
+     "poacert: invariant violated (this is a bug): gap"),
+])
+def test_solver_and_invariant_failures_exit_3_and_4(capsys, monkeypatch, cfg_path, error,
+                                                     code, prefix):
+    def fail(cfg, exact=False):
+        raise error
+
+    monkeypatch.setattr(cli, "solve_worst_case", fail)
+    assert main(["solve-worst-case", "--config", cfg_path]) == code
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.fixture
+def infinite_cfg_path(tmp_path):
+    """Weights 1, 1, alpha 0 and basis x: no player perceives a cost, so
+    the worst case is INFINITE."""
+    p = tmp_path / "infinite.json"
+    p.write_text(json.dumps({**CFG, "alpha": [[0, 0], [0, 0]]}))
+    return str(p)
+
+
+def test_an_infinite_class_emits_no_witness(capsys, tmp_path, infinite_cfg_path):
+    wit = tmp_path / "wit.json"
+    code, doc = run(capsys, "solve-worst-case", "--config", infinite_cfg_path,
+                    "--emit-witness", str(wit))
+    assert code == EXIT_OK
+    assert doc["status"] == "INFINITE"
+    assert doc["witness"] == {"note": "no witness for INFINITE status"}
+    assert not wit.exists()
+
+
+def test_an_infinite_class_has_no_certificate_to_extend(capsys, infinite_cfg_path, game_path):
+    code = main(["verify-extension", "--config", infinite_cfg_path, "--game", game_path])
+    assert code == EXIT_VALIDATION
+    assert "configuration has no finite certificate to extend" in capsys.readouterr().err
+
+
+def test_smoothness_exits_4_when_a_bound_fails(capsys, monkeypatch, game_path):
+    validate = cli.validate_smoothness_claims
+
+    def failing(game, spec, cap):
+        report = validate(game, spec, cap)
+        report.ccpoa_within_bound = False
+        return report
+
+    monkeypatch.setattr(cli, "validate_smoothness_claims", failing)
+    code, doc = run(capsys, "smoothness", "--game", game_path)
+    assert code == EXIT_INVARIANT
+    assert doc["bounds_hold"] == {"ppoa": True, "ccpoa": False}
 
 
 def test_table_over_subset_sums_yields_a_witness(capsys, tmp_path):

@@ -23,7 +23,6 @@ from poacert.formulations import (
     WorstCaseConfig,
     _dual_report,
     _primal,
-    _row_table,
     _variables,
     build_pp_cce,
     solve_worst_case,
@@ -115,8 +114,7 @@ def reference_pp_cce(cfg, model, dist, o_profile, designated=None):
     """build_pp_cce with the enumerated coefficients, laid out as the
     production program is."""
     eq, val, nrm = _reference_coefficient_parts(cfg, model, dist, o_profile)
-    table = _row_table(cfg, (eq, None, None), val, nrm, designated)
-    return _primal(cfg, _variables(cfg, model), *table, designated)
+    return _primal(cfg, _variables(cfg, model), (eq, None, None), val, nrm, designated)
 
 
 # ============================================================

@@ -8,9 +8,11 @@ Every method of a poacert class is read as an attribute (.name)
 somewhere in those trees: a local variable of the same name is no use.
 Only gamefile.py, where input text enters, imports re: no other module
 parses text, such as a name it formatted itself.  In oracle.py and
-smoothness.py only _cost_table enumerates profiles and prices them, only
-_gaps calls deviation_gaps, only _cost_table chooses the arithmetic (by
-games.rational; neither module names Fraction), no public function
+smoothness.py only _cost_tables enumerates profiles and prices them, only
+_gaps calls deviation_gaps, only _cost_tables chooses the arithmetic (by
+games.rational; neither module names Fraction) and builds a _CostTable,
+nothing rewrites a table with _replace, only check_smooth tests
+isinstance(..., float), no public function
 takes an exact parameter, and the cost table's tol is the one slack: only
 check_smooth reads games._tol, and in oracle.py only _CostTable.tol
 reads FEAS_TOL.  Across src, only games.rational and the
@@ -18,7 +20,9 @@ converters and writers of numbers test isinstance(..., Fraction), and
 the file and trial helpers whose data fix their arithmetic take no exact
 parameter, and no module calls the builtin sum.  In linprog.py one
 function holds the fallback to the rational simplex, one calls phase1
-and one, _run, constructs a _Region.
+and one, _run, constructs a _Region; only a _Region builds a standard
+form, and a _Stop declares no default.  In formulations.py only _primal
+writes rows and copies parts into a coefficient array.
 Every name a poacert module imports is used in that module.  Every
 defaulted parameter of a private function or method (one whose own name
 begins with one _) is passed, by keyword or at its position, at some call
@@ -231,12 +235,12 @@ def _calls(tree):
 
 @pytest.mark.parametrize("module", ["oracle.py", "smoothness.py"])
 def test_profiles_are_priced_and_gapped_in_one_place(module):
-    """In the oracle and smoothness layer only _cost_table enumerates the
+    """In the oracle and smoothness layer only _cost_tables enumerates the
     game (.profiles()) and calls individual_costs, only _gaps calls
     deviation_gaps, and nothing prices a profile through is_eps_pne or
     social_value: every whole-game answer reads one cost table and one
     gap evaluator."""
-    owner = {"individual_costs": "_cost_table", "profiles": "_cost_table",
+    owner = {"individual_costs": "_cost_tables", "profiles": "_cost_tables",
              "deviation_gaps": "_gaps", "is_eps_pne": None, "social_value": None}
     calls = [(scope, name, line) for scope, name, line in _calls(_tree(PACKAGE / module))
              if name in owner]
@@ -249,15 +253,26 @@ def test_profiles_are_priced_and_gapped_in_one_place(module):
 
 @pytest.mark.parametrize("module", ["oracle.py", "smoothness.py"])
 def test_the_cost_table_alone_decides_the_arithmetic(module):
-    """In the oracle and smoothness layer only _cost_table decides whether
-    its table is exact, by games.rational, nothing names Fraction, and no
-    public function takes an exact parameter: every whole-game answer is
-    solved in the arithmetic of the cost table it reads."""
+    """In the oracle and smoothness layer only _cost_tables decides whether
+    a table is exact, by games.rational, and builds a _CostTable; no table
+    is rewritten by _replace; only check_smooth, which judges the
+    certificate its caller hands it, tests isinstance(..., float);
+    nothing names Fraction, and no public function takes an exact
+    parameter: every whole-game answer is solved in the arithmetic of the
+    cost table it reads."""
     tree = _tree(PACKAGE / module)
     readers = [f"{module}:{node.lineno} {scope}" for scope, node in _scoped_nodes(tree)
                if isinstance(node, ast.Name) and (node.id == "Fraction" or (
-                   node.id == "rational" and scope != "_cost_table"))]
-    assert not readers, "arithmetic chosen outside _cost_table: " + ", ".join(readers)
+                   node.id == "rational" and scope != "_cost_tables"))]
+    assert not readers, "arithmetic chosen outside _cost_tables: " + ", ".join(readers)
+    built = [f"{module}:{line} {scope} calls {name}" for scope, name, line in _calls(tree)
+             if name == "_replace" or (name == "_CostTable" and scope != "_cost_tables")]
+    assert not built, "cost table built or rewritten outside _cost_tables: " + ", ".join(built)
+    floats = [f"{module}:{node.lineno} {scope}" for scope, node in _scoped_nodes(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+              and any(isinstance(n, ast.Name) and n.id == "float" for n in ast.walk(node.args[1]))
+              and scope != "check_smooth"]
+    assert not floats, "float tested outside check_smooth: " + ", ".join(floats)
     flags = [f"{module}:{node.lineno} {node.name}" for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and not node.name.startswith("_")
@@ -371,3 +386,30 @@ def test_max_designees_share_one_region():
     assert "solve" not in looped
     assert not [node.lineno for node in calls if called(node) == "replace"
                 and any(kw.arg == "rows" for kw in node.keywords)]
+
+
+def test_every_stop_is_read_from_its_region():
+    """In linprog only a _Region builds a standard form (_system), once in
+    its arithmetic and once more for an exact reading, and a _Stop
+    declares no default: every stop carries the region it ran in, and
+    _read takes the program and the systems from it."""
+    tree = _tree(PACKAGE / "linprog.py")
+    builders = {scope for scope, name, _ in _calls(tree) if name == "_system"}
+    assert builders == {"_Region.__init__", "_Region.exact_system"}
+    stop = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == "_Stop")
+    defaults = [node.target.id for node in stop.body
+                if isinstance(node, ast.AnnAssign) and node.value is not None]
+    assert not defaults, defaults
+
+
+def test_one_writer_for_every_worst_case_program():
+    """In formulations only _primal writes a row (lp.Row) or copies a part
+    into a coefficient array (np.copyto), and only _primal and
+    _certificate_program, which renames lp.dualize's, build an
+    lp.LinearProgram: every worst-case program is one _primal call."""
+    calls = list(_calls(_tree(PACKAGE / "formulations.py")))
+    writers = {scope for scope, name, _ in calls if name in ("Row", "copyto")}
+    builders = {scope for scope, name, _ in calls if name == "LinearProgram"}
+    assert writers == {"_primal"}
+    assert builders == {"_primal", "_certificate_program"}

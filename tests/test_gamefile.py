@@ -16,6 +16,7 @@ from poacert.gamefile import (
     write_json,
 )
 from poacert.games import MAX, SUM, BasisFunction
+from poacert.oracle import exact_ppoa
 
 
 def g1_doc():
@@ -110,6 +111,24 @@ def test_round_trip_table_basis(tmp_path):
     # exact-mode rationals come back out as strings, integral ones included
     emitted = emit_game(loaded.game)
     assert emitted["basis"][0]["table"] == {"1": "2", "2": "5/4", "3": "0"}
+
+
+def test_round_trip_indicator_basis(tmp_path):
+    """An indicator basis function is read from {"kind": "indicator"} and
+    written back as it, and the game it loads is answered."""
+    doc = g1_doc()
+    doc["basis"] = [{"kind": "indicator"}, {"kind": "monomial", "degree": 1}]
+    doc["coefficients"] = {"a": [1, 1], "b": [3, 0]}
+    loaded = load_game(dump(tmp_path, doc), exact=True)
+    assert [f.kind for f in loaded.game.basis] == ["indicator", "monomial"]
+    assert loaded.game.basis[0].value(F(3)) == 1 and loaded.game.basis[0].value(0) == 0
+    emitted = emit_game(loaded.game)
+    assert emitted["basis"] == doc["basis"]
+    again = load_game(dump(tmp_path, emitted, "again.json"), exact=True)
+    assert again.game.basis == loaded.game.basis
+    assert again.game.coefficients == loaded.game.coefficients
+    # a costs 1 + x and b 3: (a, a) is an equilibrium of cost 6, (a, b) costs 5
+    assert exact_ppoa(again.game, again.spec(SUM)) == F(6, 5)
 
 
 def test_load_game_error_paths(tmp_path):

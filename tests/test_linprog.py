@@ -564,15 +564,54 @@ def test_certify_checks_the_basis_exactly(program, basis, entering, check, exact
     check fails with the same message in both arithmetics."""
     program = program()
     stop = linprog._Stop(OPTIMAL if entering is None else UNBOUNDED, basis, entering,
-                         linprog._system(program, exact), linprog.KernelStats())
+                         linprog.KernelStats(), linprog._Region(program, exact))
     if check is not None:
         with pytest.raises(SolverError, match=check):
-            linprog._read(program, stop, exact)
+            linprog._read(stop, exact)
         return
-    r = linprog._read(program, stop, exact)
+    r = linprog._read(stop, exact)
     assert r.exact is exact
     assert (r.value, r.primal, r.duals) == (F(12), {0: F(4)},
                                            {"cap": F(3), "labor": F(0)})
+
+
+REFUSED_BASES = {
+    # x twice: the block K is singular, to np.linalg in float and to the
+    # elimination over Fractions
+    "repeated": ([0, 0], None, "^basis is singular$"),
+    # the slack and the artificial of cap: labor is the one row left, and
+    # no structural column meets it
+    "unit-pair": ([2, 4], None, "^basis is singular$"),
+    # at the optimal basis cap's slack enters, and x falls along its ray
+    "slack-ray": ([0, 3], 2, "^entering the slack of cap meets a row: no ray$"),
+}
+
+
+@pytest.mark.parametrize("basis, entering, check, exact", [
+    pytest.param(*case, exact, id=label if exact else f"{label}-float")
+    for exact in (True, False) for label, case in REFUSED_BASES.items()])
+def test_a_refused_basis_names_its_fault(basis, entering, check, exact):
+    """_read on prod-mix at bases no run of the kernel reaches: each
+    refusal gives the same message in both arithmetics, and one whose
+    entering column is a slack names that slack by its row."""
+    stop = linprog._Stop(OPTIMAL if entering is None else UNBOUNDED, basis, entering,
+                         linprog.KernelStats(), linprog._Region(lp_prod_mix(), exact))
+    with pytest.raises(SolverError, match=check):
+        linprog._read(stop, exact)
+
+
+def test_the_iteration_cap_stops_both_runs(monkeypatch):
+    """Under a cap of 0 pivots the float run raises, the rational run it
+    falls back to raises too, and solve raises its message."""
+    init = linprog._Revised.__init__
+
+    def capped(self, system):
+        init(self, system)
+        self.max_iters = 0
+
+    monkeypatch.setattr(linprog._Revised, "__init__", capped)
+    with pytest.raises(SolverError, match="^iteration cap 0 exceeded$"):
+        solve(lp_prod_mix())
 
 
 @pytest.mark.parametrize("excess, value", [(1e-6, 13.048576), (1e-5, 26.97152)])
@@ -587,12 +626,12 @@ def test_float_dual_rows_are_checked_on_the_run_system(excess, value):
     program = lp_prod_mix()
     program.coefficients[:, 1] *= F(1, 2**20)
     program.coefficients[-1, 1] = F(3, 2**20) + excess
-    stop = linprog._Stop(OPTIMAL, [0, 3], None, linprog._system(program, False),
-                         linprog.KernelStats())
+    stop = linprog._Stop(OPTIMAL, [0, 3], None, linprog.KernelStats(),
+                         linprog._Region(program, False))
     tol = linprog.RESIDUAL_TOL * (1 + 3)  # y = (3, 0)
     assert (max(dual_violations(program, [3, 0])) > tol) is (excess > 1e-6)
     with pytest.raises(SolverError, match="dual row y is violated"):
-        linprog._read(program, stop, False)
+        linprog._read(stop, False)
     assert solve(program).value == pytest.approx(value, rel=VALUE_RTOL)
 
 
@@ -601,10 +640,10 @@ def test_iterations_count_the_float_and_the_rational_pivots(monkeypatch):
     pivots = [linprog._simplex(program, exact).iterations for exact in (False, True)]
     read = linprog._read
 
-    def refuse(lp, stop, exact):
-        if not stop.system.std.exact:
+    def refuse(stop, exact):
+        if not stop.region.system.std.exact:
             raise SolverError("refused")
-        return read(lp, stop, exact)
+        return read(stop, exact)
 
     monkeypatch.setattr(linprog, "_read", refuse)
     r = solve(program, exact=True)
@@ -905,7 +944,7 @@ def test_a_refusal_names_the_free_variable_of_a_negative_part(exact):
     puts it at -1 on the row x + a + y = 1, and the reading names x."""
     program = dict_program(MAXIMIZE, ["x", "a", "y"], {},
                            [({"x": 1, "a": 1, "y": 1}, EQ, 1, "r")], {"x": FREE, "y": FREE})
-    stop = linprog._Stop(OPTIMAL, [3], None, linprog._system(program, False),
-                         linprog.KernelStats())
+    stop = linprog._Stop(OPTIMAL, [3], None, linprog.KernelStats(),
+                         linprog._Region(program, False))
     with pytest.raises(SolverError, match="^basic x is -1$"):
-        linprog._read(program, stop, exact)
+        linprog._read(stop, exact)

@@ -28,7 +28,6 @@ from poacert.formulations import (
     WorstCaseConfig,
     _closed_form,
     _ColumnNames,
-    _row_table,
     build_pp_pne,
     extract_worst_game,
     solve_worst_case,
@@ -46,7 +45,7 @@ from poacert.games import (
     rational,
 )
 from poacert.representative import build_representative
-from test_array_programs import dense_rows, designees, seeded_classes
+from test_array_programs import designees, reference_rows, seeded_classes
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "poabench"))
 import workloads  # noqa: E402
@@ -120,7 +119,7 @@ def _reference_basis_values(basis, loads, scale, dtype):
 
 
 def reference_closed_form(cfg):
-    """(eq, val, nrm) for _row_table, one player's arrays at a time, each
+    """(eq, val, nrm) for _primal, one player's arrays at a time, each
     eq[i] scattered into (P, Q, k) from its per-mask products."""
     n, r = cfg.n, len(cfg.basis)
     w, alpha, beta = cfg.weights, cfg.alpha, cfg.spec.beta
@@ -191,8 +190,7 @@ def reference_extract_worst_game(cfg, rep, primal_values, designated=None):
     column position looked up in the point (t after the v columns), and
     the witness cut out of the eager model's frozensets."""
     eq, val, nrm = reference_closed_form(cfg)
-    _, rows = _row_table(cfg, (eq, None, None), val, nrm, designated)
-    rows = dense_rows(rows, eq[0].shape)
+    rows, _ = reference_rows(cfg, (eq, None, None), val, nrm, designated)
     model = reference_model(cfg.weights)
     names = [vname(e, k) for e in model.resources for k in range(len(cfg.basis))]
     values = [primal_values.get(j, 0) for j in range(len(names))]

@@ -14,6 +14,7 @@ array.
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -205,16 +206,20 @@ def tableau_run(lp, exact, objective=None):
     no other."""
     assert objective is None
     system = linprog._system(lp, exact)
+    # what _read and _solve_each take from a _Region: its program, its
+    # system, the warm flag and the rational system
+    region = SimpleNamespace(lp=lp, system=system, warm=False,
+                             exact_system=lambda: linprog._system(lp, True))
     tab = Tableau(system)
     feasible = tab.phase1()
     phase1 = tab.iterations
     if not feasible:
         stats = linprog.KernelStats(phase1_pivots=phase1)
-        return linprog._Stop(linprog.INFEASIBLE, None, None, system, stats)
+        return linprog._Stop(linprog.INFEASIBLE, None, None, stats, region)
     status = tab.run(system.costs, banned=frozenset(tab.artificials))
     entering = None if status == linprog.OPTIMAL else tab.standard[tab.entering]
     stats = linprog.KernelStats(phase1_pivots=phase1, phase2_pivots=tab.iterations - phase1)
-    return linprog._Stop(status, [tab.standard[j] for j in tab.basis], entering, system, stats)
+    return linprog._Stop(status, [tab.standard[j] for j in tab.basis], entering, stats, region)
 
 
 def reference_programs():

@@ -489,10 +489,10 @@ def test_robust_poa_solves_its_program_once(monkeypatch, exact):
 
     read = lp._read
 
-    def refuse(program, stop, exact):
-        if not stop.system.std.exact:
+    def refuse(stop, exact):
+        if not stop.region.system.std.exact:
             raise lp.SolverError("refused")
-        return read(program, stop, exact)
+        return read(stop, exact)
 
     monkeypatch.setattr(lp, "_read", refuse)
     before = len(calls)
