@@ -766,10 +766,9 @@ def normalize_game(game: GeneralizedGame, spec: SocialSpec):
     ratios can be read off normalized games directly.  Returns (game,
     optimum value before scaling), rational when the cost table is.
     """
-    from .oracle import PROFILE_CAP, _cost_table, _optimum
+    from .oracle import social_optimum
 
-    table = _cost_table(game, PROFILE_CAP, "social_optimum", spec)
-    _, value = _optimum(table.social_values(spec))
+    _, value = social_optimum(game, spec)
     if value <= 0:
         raise GameError(f"social optimum {value} is not positive; cannot normalize")
     return game.scaled(1 / value), value

@@ -22,10 +22,10 @@ an inconclusive run.  Every cold run, that one too, is one _run, which
 writes its objective into its own standard form: none copies the
 program.  solve_each solves several objectives over one program's rows
 (a _Region): one float standard form and one phase 1, then each
-objective's phase 2 from where the previous one stopped, when that run
-was OPTIMAL and its reading passed, else from phase 1's; each is read
-and falls back on its own, and an exact reading rewrites only the costs
-row of the region's rational form.  solve is its one-objective case.
+objective's phase 2 from the feasible basis where the previous one
+stopped; each is read and falls back on its own, a failure dropping the
+region, and an exact reading rewrites only the costs row of the
+region's rational form.  solve is its one-objective case.
 Every run stops in a region, and _read takes the program and both
 arithmetics' systems from it.
 
@@ -528,20 +528,6 @@ class _Revised:
             else:
                 streak = 0
 
-    def snapshot(self) -> tuple:
-        """What a run changes: T, the basis, the live rows and the counts."""
-        return (self.T.copy(), self.basis.copy(), self.row_alive.copy(),
-                self.iterations, self.degenerate, self.bland_switches, self.retired)
-
-    def restore(self, snapshot: tuple, basis: bool = True):
-        """Return to a snapshot's counts, with no entering column, and,
-        unless basis is False, to its T, basis and live rows, bit for bit."""
-        T, rows, alive, self.iterations, self.degenerate, self.bland_switches, self.retired = snapshot
-        if basis:
-            self.T[...] = T  # in place: inverse and x are views of T
-            self.basis, self.row_alive = rows.copy(), alive.copy()
-        self.entering = None
-
     def phase1(self):
         """Drive the artificials to 0: False when they cannot be."""
         if all(j < self.width for j in self.basis):  # no artificial
@@ -586,10 +572,9 @@ class _Region:
     it, then a phase 2 per objective.  The first run maximizes the
     objective it is given, or lp's own.  A later one writes its objective
     into the costs row and starts from the basis where the last run
-    stopped when warm is set (its caller sets it once that run was
-    OPTIMAL and its reading passed), else from where phase 1 left the
-    kernel; either way its counts restart at phase 1's, so the iteration
-    cap counts as in a cold run, and it reports only its own phase 2's.
+    stopped, OPTIMAL or UNBOUNDED: a feasible basis, from which phase 2
+    may start.  Its counts restart at phase 1's, so the iteration cap
+    counts as in a cold run, and it reports only its own phase 2's.
     Every stop shares the region's system, whose costs row the next run
     rewrites, so a stop is read before the region runs again."""
 
@@ -598,27 +583,25 @@ class _Region:
         self.system = system = _system(lp, exact)
         self.kernel = kernel = _Revised(system)
         self.feasible = kernel.phase1()
-        self.start = kernel.snapshot()
         self.phase1 = KernelStats(kernel.iterations, 0, kernel.degenerate, kernel.bland_switches,
                                   kernel.retired, kernel.row_alive.count(False))
         self.runs = 0
-        self.warm = False
         # the objective the last run maximized, and the one the rational system's costs hold
         self.objective = self.written = lp.coefficients[-1]
         self.rational = system if exact else None
 
     def run(self, objective: Optional[np.ndarray] = None) -> _Stop:
         """Phase 2 on an objective row over lp's variables, or on lp's own."""
-        system, kernel = self.system, self.kernel
-        if self.runs:
-            kernel.restore(self.start, basis=not self.warm)
-        self.warm = False
+        system, kernel, p1 = self.system, self.kernel, self.phase1
+        # count from the end of phase 1, as a cold run does, with no entering column
+        kernel.iterations, kernel.degenerate = p1.phase1_pivots, p1.degenerate_pivots
+        kernel.bland_switches, kernel.retired = p1.bland_switches, p1.retired_columns
+        kernel.entering = None
         if objective is not None:
             _write_costs(system, objective, self.lp.sense)
             self.objective = objective
         # the costs row of the standard array: 0 at every slack and artificial
         status = kernel.run(system.standard[-1], kernel.width) if self.feasible else INFEASIBLE
-        p1 = self.phase1
         stats = KernelStats(p1.phase1_pivots, kernel.iterations - p1.phase1_pivots,
                             kernel.degenerate, kernel.bland_switches, kernel.retired,
                             p1.dropped_rows)
@@ -666,13 +649,13 @@ def solve_each(program: LinearProgram, objectives, exact: bool = False) -> list:
     objective row is not read).  One float _system and one phase 1 serve
     every objective.  The first objective's phase 2 starts from phase 1's
     basis, and its report is a cold solve's, counts included.  Each later
-    one starts from the basis where the previous objective stopped, when
-    that run ended OPTIMAL and its reading passed, else from phase 1's;
-    it counts only its own phase 2 (and any rational run), so the reports'
+    one starts from the basis where the previous objective stopped and
+    counts only its own phase 2 (and any rational run), so the reports'
     pivots add up to those run.  Its status and value are a cold solve's;
     at a degenerate optimum its point and duals may be another optimal
     pair.  Each objective is read, and falls back to the rational simplex,
-    on its own, under the iteration cap of a cold run; an exact reading
+    on its own, under the iteration cap of a cold run; the objective after
+    a fallback starts a new region, as a cold solve.  An exact reading
     reads the region's one rational standard form, whose costs row alone
     it rewrites."""
     rows = program.coefficients[:-1]
@@ -686,9 +669,9 @@ def solve_each(program: LinearProgram, objectives, exact: bool = False) -> list:
 def _solve_each(program: LinearProgram, objectives, exact: bool) -> list:
     """The report of each objective row over the program's rows (None for
     its own): the one try-float-then-rational policy of solve and
-    solve_each.  The first float run that returns keeps its _Region, and
-    each later objective runs phase 2 in it, warm after an OPTIMAL stop
-    whose reading passed; any other run, a fallback too, is a cold _run."""
+    solve_each.  A float run that is read keeps its _Region, and the next
+    objective runs phase 2 in it; a failed one drops it, so the run after
+    a fallback, and the fallback itself, is a cold _run."""
     reports, region = [], None
     for objective in objectives:
         counts = KernelStats()
@@ -699,12 +682,12 @@ def _solve_each(program: LinearProgram, objectives, exact: bool) -> list:
                 region, counts = stop.region, stop.stats
                 report = _read(stop, exact)
             reports.append(report)
-            region.warm = report.status == OPTIMAL
             continue
         except SolverError as err:
             fallback = str(err)
         except ArithmeticError as err:  # OverflowError, FloatingPointError
             fallback = f"float image: {err}"
+        region = None  # a failed run leaves no basis to go on from
         report = _simplex(program, True, objective)
         report.stats = KernelStats(*[a + b for a, b in zip(counts, report.stats)])
         report.iterations = report.stats.pivots

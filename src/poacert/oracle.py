@@ -286,12 +286,6 @@ def cce_poa(
     return opt, _worst_cce(game, table, spec, sf, epsilon, predicate)
 
 
-def _coarse_rows(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
-    """The rows cce[i][x] of worst_cce, players then strategies, one column
-    per profile: _gaps transposed."""
-    return _gaps(game, table, epsilon, predicate).T
-
-
 def _worst_cce(game, table: _CostTable, spec, sf, epsilon, predicate) -> CCEReport:
     """worst_cce on a cost table of the game; sf, its social values, is
     the objective under sum and is not read under max, whose objectives
@@ -299,7 +293,8 @@ def _worst_cce(game, table: _CostTable, spec, sf, epsilon, predicate) -> CCERepo
     table.check_spec(spec)
     size = len(table.profiles)
     variables = [f"p[{idx}]" for idx in range(size)]
-    gap_rows = _coarse_rows(game, table, epsilon, predicate)
+    # the rows cce[i][x], players then strategies, one column per profile
+    gap_rows = _gaps(game, table, epsilon, predicate).T
     objectives = [sf] if spec.kind == SUM else [
         _weighted_rows(row, table.costs).tolist() for row in spec.beta]
     objectives = np.array([[v or 0 for v in values] for values in objectives],

@@ -38,7 +38,7 @@ from poacert.games import (
     social_of_costs,
     social_value,
 )
-from poacert.oracle import NO_EQUILIBRIUM, PROFILE_CAP, _coarse_rows, _cost_table, worst_cce
+from poacert.oracle import NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _gaps, worst_cce
 from poacert.smoothness import (
     NOT_SMOOTHABLE,
     OPTIMAL,
@@ -262,7 +262,7 @@ def test_coarse_rows_and_worst_cce_match_the_dict_path(exact):
         for predicate in (EQ1, VERBATIM):
             for eps in (0, F(1, 2) if exact else 0.5):
                 want = reference_coarse_rows(game, eps, predicate)
-                got = _coarse_rows(game, table, eps, predicate)
+                got = _gaps(game, table, eps, predicate).T
                 assert repr(got.tolist()) == _array_repr(list(want.values()), got.dtype), label
                 for spec in specs:
                     try:

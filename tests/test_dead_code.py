@@ -21,8 +21,10 @@ the file and trial helpers whose data fix their arithmetic take no exact
 parameter, and no module calls the builtin sum.  In linprog.py one
 function holds the fallback to the rational simplex, one calls phase1
 and one, _run, constructs a _Region; only a _Region builds a standard
-form, and a _Stop declares no default.  In formulations.py only _primal
-writes rows and copies parts into a coefficient array.
+form, a _Stop declares no default, and only _Revised.__init__ writes
+into T and nothing copies it, so no run goes back to a saved basis.  In
+formulations.py only _primal writes rows and copies parts into a
+coefficient array.
 Every name a poacert module imports is used in that module.  Every
 defaulted parameter of a private function or method (one whose own name
 begins with one _) is passed, by keyword or at its position, at some call
@@ -413,3 +415,24 @@ def test_one_writer_for_every_worst_case_program():
     builders = {scope for scope, name, _ in calls if name == "LinearProgram"}
     assert writers == {"_primal"}
     assert builders == {"_primal", "_certificate_program"}
+
+
+def test_no_run_goes_back_to_a_saved_basis():
+    """In linprog only _Revised.__init__ writes into the kernel's T = [B^-1
+    | x_B] through a subscript (T[...] = ...), and nothing calls .copy()
+    on a T: each run of a region starts at the basis where the last one
+    stopped, and _pivot's rank-1 step, T -= ..., is the one other writer."""
+    def is_t(node):
+        return isinstance(node, ast.Attribute) and node.attr == "T"
+
+    found = []
+    for scope, node in _scoped_nodes(_tree(PACKAGE / "linprog.py")):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [f"{scope}:{node.lineno} writes T" for target in targets
+                      for t in ast.walk(target) if isinstance(t, ast.Subscript) and is_t(t.value)
+                      and scope != "_Revised.__init__"]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "copy" \
+                and is_t(node.func.value):
+            found.append(f"{scope}:{node.lineno} copies T")
+    assert not found, found

@@ -206,10 +206,8 @@ def tableau_run(lp, exact, objective=None):
     no other."""
     assert objective is None
     system = linprog._system(lp, exact)
-    # what _read and _solve_each take from a _Region: its program, its
-    # system, the warm flag and the rational system
-    region = SimpleNamespace(lp=lp, system=system, warm=False,
-                             exact_system=lambda: linprog._system(lp, True))
+    # what _read takes from a _Region: its program, its system and the rational system
+    region = SimpleNamespace(lp=lp, system=system, exact_system=lambda: linprog._system(lp, True))
     tab = Tableau(system)
     feasible = tab.phase1()
     phase1 = tab.iterations

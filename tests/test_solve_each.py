@@ -1,10 +1,11 @@
 """lp.solve_each: several objectives over one program's rows, one float
 standard form and one phase 1 for all of them, each later objective's
-phase 2 starting where the previous optimum stopped, each objective read
-and falling back on its own.  The first report must equal a cold
-lp.solve of the program with that objective row, counts included; every
-later one must have its status and value, with a point and duals that
-pass their checks."""
+phase 2 starting at the basis where the previous run stopped, each
+objective read and falling back on its own, and a fallback dropping the
+region.  The first report, and any report after a fallback, must equal a
+cold lp.solve of the program with that objective row, counts included;
+every other one must have its status and value, with a point and duals
+that pass their checks."""
 
 import dataclasses
 import random
@@ -85,19 +86,21 @@ def assert_answers_as_cold(program, objective, got, cold, exact):
 
 
 def assert_each_is_cold(program, objectives, exact, pivots):
-    """solve_each against one cold solve per objective: the first report
-    is the cold solve's, counts included; a later one answers as cold
-    (assert_answers_as_cold) and, without a fallback, reports no phase-1
-    pivot, retired column or dropped row; the reports' pivots add up to
-    those run."""
+    """solve_each against one cold solve per objective: the first report,
+    and one that follows a fallback, is the cold solve's, counts included;
+    any other answers as cold (assert_answers_as_cold) and, without a
+    fallback of its own, reports no phase-1 pivot, retired column or
+    dropped row; the reports' pivots add up to those run."""
     pivots.clear()
     reports = solve_each(program, objectives, exact)
     run = len(pivots)
     colds = [solve(_with_objective(program, c), exact) for c in objectives]
     assert len(reports) == len(objectives)
-    assert _answer(reports[0]) == _answer(colds[0])
-    assert reports[0].stats == colds[0].stats and reports[0].iterations == colds[0].iterations
-    for objective, got, cold in zip(objectives[1:], reports[1:], colds[1:]):
+    for k, (objective, got, cold) in enumerate(zip(objectives, reports, colds)):
+        if k == 0 or reports[k - 1].fallback is not None:  # a new region
+            assert _answer(got) == _answer(cold), program.name
+            assert got.stats == cold.stats and got.iterations == cold.iterations, program.name
+            continue
         assert_answers_as_cold(program, objective, got, cold, exact)
         if got.fallback is None:
             assert got.stats.phase1_pivots == got.stats.retired_columns == 0
@@ -136,21 +139,59 @@ def test_every_coarse_region_solves_as_cold(monkeypatch, exact):
         assert_each_is_cold(program, objectives, exact, pivots)
 
 
+def seeded_objectives():
+    """(program, objectives) of test_linprog's pricing cases: each case's
+    own objective, then three seeded random ones."""
+    rng = random.Random(3636)
+    for program in pricing_cases():
+        width = len(program.variables)
+        yield program, [program.coefficients[-1]] + [
+            [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(width)]
+            for _ in range(3)]
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_pricing_cases_with_random_objectives(monkeypatch, exact):
     """test_linprog's pricing cases, each with its own objective and three
     seeded random ones in its arithmetic."""
-    rng = random.Random(3636)
     pivots = _count_pivots(monkeypatch)
     statuses = set()
-    for program in pricing_cases():
-        width = len(program.variables)
-        objectives = [program.coefficients[-1]] + [
-            [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(width)]
-            for _ in range(3)]
+    for program, objectives in seeded_objectives():
         reports = assert_each_is_cold(program, objectives, exact, pivots)
         statuses.update(r.status for r in reports)
     assert OPTIMAL in statuses
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_each_run_of_a_region_starts_where_the_last_stopped(monkeypatch, exact):
+    """On the pricing cases with their seeded objectives, every phase-2
+    run of a kernel after its first starts at the basis where the one
+    before it returned, OPTIMAL or UNBOUNDED: no run goes back to phase
+    1's basis, and no kernel runs again after a run that raised."""
+    runs = {}  # kernel -> [basis on entry, basis on return or None] of each run
+    run = linprog._Revised.run
+
+    def recorded(self, costs, width, ray_free=False):
+        if ray_free:  # phase 1
+            return run(self, costs, width, ray_free)
+        record = [self.basis.copy(), None]
+        runs.setdefault(self, []).append(record)
+        status = run(self, costs, width, ray_free)
+        record[1] = self.basis.copy()
+        return status
+
+    monkeypatch.setattr(linprog._Revised, "run", recorded)
+    broken, chained = [], 0
+    for k, (program, objectives) in enumerate(seeded_objectives()):
+        runs.clear()
+        solve_each(program, objectives, exact)
+        for records in runs.values():
+            for (_, stopped), (started, _) in zip(records, records[1:]):
+                chained += 1
+                if started != stopped:
+                    broken.append(f"{k}:{program.name}")
+    assert not broken, sorted(set(broken))
+    assert chained > 0
 
 
 def _two_rows(first, second):
@@ -187,13 +228,15 @@ def test_an_unbounded_objective_among_bounded_ones(monkeypatch, exact):
 def test_an_objective_out_of_float_range_falls_back_alone(monkeypatch, exact):
     """An objective entry of 10**400 has no float image: that objective
     alone is redone by the rational simplex, with the fallback text a cold
-    solve gives, and the objectives after it run in the float region."""
+    solve gives, and the objective after it runs in a new float region,
+    phase 1 included, as a cold solve."""
     program = _two_rows(LE, EQ)
     reports = assert_each_is_cold(program, [[1, 0], [F(10**400), 1], [0, 1]], exact,
                                   _count_pivots(monkeypatch))
     assert [r.fallback is None for r in reports] == [True, False, True]
     assert reports[1].fallback.startswith("float image: ")
     assert reports[1].exact and reports[1].value == F(10**400)
+    assert reports[2].stats.phase1_pivots > 0  # the = row's artificial leaves again
 
 
 def test_objectives_must_match_the_variables():
