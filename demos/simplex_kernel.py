@@ -35,7 +35,9 @@ def by_name(program, point):
 
 rep = lp.solve(program)
 print(f"float solve:    value {rep.value}, point {by_name(program, rep.primal)}")
-print(f"row duals:      {rep.duals}")
+# one dual per row, in row order; each row's label is put beside its own
+duals = ", ".join(f"{row.label} {y}" for row, y in zip(program.rows, rep.duals))
+print(f"row duals:      {duals}")
 
 exact = lp.LinearProgram(
     lp.MAXIMIZE,

@@ -431,17 +431,17 @@ def _certificate_name(label: str) -> str:
 
 
 def _certificate_program(pp: lp.LinearProgram) -> lp.LinearProgram:
-    """lp.dualize(pp) in certificate names.  Its variables, one per row of
-    pp and in the same order, are named by _certificate_name; the row of
-    variable v[e][k] is labelled r[v[e][k]], and the last row, that of the
-    max programs' level variable t, zsum."""
+    """lp.dualize(pp) in certificate names, its bounds dualize's.  Its
+    variables, one per row of pp and in the same order, are named by
+    _certificate_name; the row of variable v[e][k] is labelled r[v[e][k]],
+    and the last row, that of the max programs' level variable t, zsum."""
     dual = lp.dualize(pp)
     return lp.LinearProgram(
         dual.sense,
         [_certificate_name(label) for label in dual.variables],
         [row._replace(label=_dual_row_name(row.label)) for row in dual.rows],
         dual.coefficients,
-        bounds={_certificate_name(v): b for v, b in dual.bounds.items()},
+        bounds=dual.bounds,
         name="d" + pp.name[1:],
     )
 
@@ -667,16 +667,15 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
             continue
         if rp.status != lp.OPTIMAL:
             raise InvariantViolation(f"primal is {rp.status}; the unit witness is feasible")
-        duals = [rp.duals[row.label] for row in program.rows]
         if not exact:  # an exact reading checked these dual rows and signs with tolerance 0
-            ok, label, violation = _certificate_report(program, duals, FEAS_TOL, objective)
+            ok, label, violation = _certificate_report(program, rp.duals, FEAS_TOL, objective)
             if not ok:
                 raise InvariantViolation(f"certificate violates {label} by {violation}")
-        bound = lp._combination(rhs, duals)[0]
+        bound = lp._combination(rhs, rp.duals)[0]
         if not _close(bound, rp.value, 0 if exact else VALUE_RTOL):
             raise InvariantViolation(f"duality gap: primal {rp.value} vs certificate {bound}")
         variants.append(
-            VariantResult(d, OPTIMAL, bound, rp.value, _certificate(program, duals, d, one),
+            VariantResult(d, OPTIMAL, bound, rp.value, _certificate(program, rp.duals, d, one),
                           rp.primal, rp.iterations, rp.fallback, rp.stats)
         )
 

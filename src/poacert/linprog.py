@@ -36,21 +36,22 @@ dualize is the array's transpose.  feasibility_report (rows at a point)
 and dual_violations (the dual's rows at row duals, no dual built) read the
 array through one linear combination of its slices, _combination, whose
 sums do not depend on the Python version's builtin sum.  Every check
-folds its violations through _fold (a nan is one).  A point is keyed by
-position, {j: x} for variables[j], and read on its support; a name is
-formatted only for a message, a violated bound's label or fixed format.
+folds its violations through _fold (a nan is one).  A point {j: x}, read
+on its support, bounds and duals are keyed by position; a name is formatted
+only for a message, a violated bound's label, the dual's labels or MPS.
 
 Conventions
 -----------
 * Rows are labeled; relations are "<=", "=", ">=".
 * Every variable is >= 0 (the default bound (0, None)), <= 0 (bound
-  (None, 0)) or free (FREE); any other bound is a ValueError.  In
-  standard form variable j is column j, negated when it is <= 0, and the
-  negative part of each free variable is a column after all of them.
-* Dual values follow the textbook convention for the stated sense:
-  for a MAX program, "<=" rows get duals >= 0, ">=" rows get duals <= 0,
-  "=" rows are free; for a MIN program the signs swap.  sum(dual_i *
-  rhs_i) equals the optimal value.
+  (None, 0)) or free (FREE), keyed by its position in bounds; any other
+  bound, or a key that is no position, is a ValueError.  In standard
+  form variable j is column j, negated when it is <= 0, and the negative
+  part of each free variable is a column after all of them.
+* Row duals, a tuple in row order, follow the textbook convention for
+  the stated sense: for a MAX program, "<=" rows get duals >= 0, ">="
+  rows get duals <= 0, "=" rows are free; for a MIN program the signs
+  swap.  sum(dual_i * rhs_i) equals the optimal value.
 """
 
 from __future__ import annotations
@@ -110,25 +111,24 @@ class LinearProgram:
     rows[i] holds the relation, rhs and label of the array's row i.
     variables given as a list or tuple are kept as a tuple and checked for
     duplicates; any other sequence is kept as it is, unread, so a program
-    of many columns can name them on demand.  Programs compare by
-    identity, and several may share one coefficient array, which no
-    solve writes to; each is standardized on its own."""
+    of many columns can name them on demand.  neg and free are the sorted
+    positions of the <= 0 and the free variables, worked out once.
+    Programs compare by identity, and several may share one coefficient
+    array, which no solve writes to; each is standardized on its own."""
 
     sense: str
     variables: Sequence[str]
     rows: Sequence[Row]
     coefficients: np.ndarray
-    bounds: Mapping[str, tuple] = field(default_factory=dict)
+    bounds: Mapping[int, tuple] = field(default_factory=dict)
     name: str = "lp"
 
     def __post_init__(self):
         if self.sense not in (MAXIMIZE, MINIMIZE):
             raise ValueError(f"unknown sense {self.sense!r}")
-        declared = self.variables
-        if isinstance(declared, (list, tuple)):
-            self.variables = tuple(declared)
-            declared = set(self.variables)
-            if len(declared) != len(self.variables):
+        if isinstance(self.variables, (list, tuple)):
+            self.variables = tuple(self.variables)
+            if len(set(self.variables)) != len(self.variables):
                 raise ValueError("duplicate variable names")
         shape = (len(self.rows) + 1, len(self.variables))
         if self.coefficients.shape != shape:
@@ -145,15 +145,21 @@ class LinearProgram:
             if row.label in labels:
                 raise ValueError(f"duplicate row label {row.label!r}")
             labels.add(row.label)
-        self.bounds = {v: tuple(b) for v, b in self.bounds.items()}
-        for v, b in self.bounds.items():
-            if v not in declared:
-                raise ValueError(f"bound on undeclared variable {v!r}")
+        self.bounds = {j: tuple(b) for j, b in self.bounds.items()}
+        for j, b in self.bounds.items():
+            self.bound(j)  # a key that is no position is refused
             if b not in _SIGN_CLASSES:
-                raise ValueError(f"bound {b} on {v!r}: variables are >= 0, <= 0 or free")
+                raise ValueError(f"bound {b} on variable {j}: variables are >= 0, <= 0 or free")
+        self.neg, self.free = (sorted(j for j, b in self.bounds.items() if b == sign)
+                               for sign in (_NONPOS, FREE))
 
-    def bound(self, v: str) -> tuple:
-        return self.bounds.get(v, _NONNEG)
+    def bound(self, j: int) -> tuple:
+        """The sign class of the variable at position j; a key that is no
+        position (a name, a bool, an int out of range) is a ValueError."""
+        if not (type(j) is int and 0 <= j < len(self.variables)):
+            raise ValueError(f"bound key {j!r} is not a variable position "
+                             f"(0 to {len(self.variables) - 1})")
+        return self.bounds.get(j, _NONNEG)
 
 
 FREE = (None, None)
@@ -188,6 +194,7 @@ class SolveReport:
     primal holds the point's support, keyed by position: {j: x} for each
     nonzero variable j, the index into the program's variables, in
     ascending j; a position it lacks is 0, as feasibility_report reads it.
+    duals holds one row dual per row, in row order, () unless OPTIMAL.
     iterations counts the pivots of every run that answered or led to the
     answer: the float run's, plus the rational run's when that one had to
     run (a float run that raised counts none).  fallback is None when the
@@ -199,7 +206,7 @@ class SolveReport:
     status: str
     value: object
     primal: dict
-    duals: dict
+    duals: tuple
     iterations: int
     exact: bool
     fallback: Optional[str] = None
@@ -229,9 +236,8 @@ class _Standardizer:
     """Rewrites an LP into max c'x, Ax R b, x >= 0 and maps solutions back.
 
     Variable j is standard column j, negated when it is <= 0, and the k-th
-    free variable, in variable order, is column j minus column nvars + k.
-    neg and free are the sorted indices of the <= 0 and the free
-    variables, both empty for a program that declares no bounds."""
+    free variable, in variable order, is column j minus column nvars + k,
+    neg and free being the program's."""
 
     def __init__(self, lp: LinearProgram, exact: bool):
         self.exact = exact
@@ -239,11 +245,7 @@ class _Standardizer:
         self.zero = Fraction(0) if exact else 0.0
         self.one = Fraction(1) if exact else 1.0
         self.nvars = len(lp.variables)
-        self.neg, self.free = [], []
-        if lp.bounds:  # the names of a program without bounds are never read
-            index = {v: j for j, v in enumerate(lp.variables)}
-            self.neg, self.free = (sorted(index[v] for v, b in lp.bounds.items() if b == sign)
-                                   for sign in (_NONPOS, FREE))
+        self.neg, self.free = lp.neg, lp.free
         self.ncols = self.nvars + len(self.free)
 
     def columns(self, coefficients: np.ndarray, extra: int = 0) -> np.ndarray:
@@ -781,7 +783,7 @@ def _read(stop: _Stop, exact: bool) -> SolveReport:
     if stop.status == INFEASIBLE:
         if exact and not system.std.exact:
             raise SolverError("float phase 1 found no feasible point")
-        return SolveReport(INFEASIBLE, None, {}, {}, stop.stats.pivots, exact, stats=stop.stats)
+        return SolveReport(INFEASIBLE, None, {}, (), stop.stats.pivots, exact, stats=stop.stats)
     if system.std.exact != exact:
         system = stop.region.exact_system()
     A, b, costs, slack, scale, columns, std, standard = system
@@ -822,7 +824,7 @@ def _read(stop: _Stop, exact: bool) -> SolveReport:
                lambda _: f"entering {name(j)} meets a row: no ray")
         if not gain - costs[S] @ d > tol:
             raise SolverError(f"entering {name(j)} does not improve")
-        return SolveReport(UNBOUNDED, None, {}, {}, stop.stats.pivots, exact, stats=stop.stats)
+        return SolveReport(UNBOUNDED, None, {}, (), stop.stats.pivots, exact, stats=stop.stats)
 
     y = np.zeros(m, dtype=std.dtype)  # exact: int 0 off R, a Fraction once scaled
     y[R] = costs[S] @ inverse
@@ -836,7 +838,7 @@ def _read(stop: _Stop, exact: bool) -> SolveReport:
     sense_flip = -std.one if lp.sense == MINIMIZE else std.one
     value = sense_flip * (costs[S] @ x) + zero
     return SolveReport(OPTIMAL, value if exact else float(value), std.recover(S, point),
-                       dict(zip([row.label for row in lp.rows], (y * scale + zero).tolist())),
+                       tuple((y * scale + zero).tolist()),
                        stop.stats.pivots, exact, stats=stop.stats)
 
 
@@ -866,7 +868,7 @@ def _combination(slices: np.ndarray, scalars: Sequence) -> np.ndarray:
     return total
 
 
-def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9):
+def feasibility_report(lp: LinearProgram, point: Mapping, tol):
     """(ok, first_violated_label, worst_violation) of a candidate point
     {j: x}, keyed by position as SolveReport.primal is: _fold over the
     rows, in declaration order, then the bounds (labeled bound[var]).
@@ -883,8 +885,7 @@ def feasibility_report(lp: LinearProgram, point: Mapping, tol=1e-9):
     rhs = np.array([row.rhs for row in lp.rows], dtype=A.dtype)
     slack = np.array([_SLACK[row.relation] for row in lp.rows], dtype=A.dtype)
     rows = _violations(_combination(A[:-1, columns].T, x) - rhs, slack, False).tolist()
-    std = _Standardizer(lp, exact=False)
-    neg, free = set(std.neg), set(std.free)
+    neg, free = set(lp.neg), set(lp.free)
     bounded = [(j, v - 0 if j in neg else 0 - v) for j, v in zip(columns, x) if j not in free]
     first, worst = _fold(rows + [v for _, v in bounded], tol)
     if first is not None:
@@ -906,11 +907,8 @@ def dual_violations(lp: LinearProgram, duals: Sequence, objective=None) -> np.nd
     # the row of a >= 0 variable reads lhs >= c in the dual of a max
     # program and lhs <= c in that of a min program; <= 0 swaps them
     viol = gap if lp.sense == MINIMIZE else -gap
-    std = _Standardizer(lp, exact=False)
-    for j in std.neg:
-        viol[j] = -viol[j]
-    for j in std.free:
-        viol[j] = abs(gap[j])
+    viol[lp.neg] = -viol[lp.neg]
+    viol[lp.free] = abs(gap[lp.free])
     return viol
 
 
@@ -928,8 +926,8 @@ _DUAL_ROW_MIN = {_NONNEG: LE, FREE: EQ, _NONPOS: GE}
 def dualize(lp: LinearProgram) -> LinearProgram:
     """Textbook dual: the transpose of the coefficient array, the rhs as
     its objective (in the array's dtype when that holds them exactly).
-    Dual variables are named after primal row labels, dual rows after
-    primal variables, so dualize(dualize(lp)) restores the original names."""
+    Dual variable i, primal row i, is named after its label; dual row j
+    after primal variable j, so dualize(dualize(lp)) restores the names."""
     primal_max = lp.sense == MAXIMIZE
     dual_bound = _DUAL_BOUND_MAX if primal_max else _DUAL_BOUND_MIN
     row_rel = _DUAL_ROW_MAX if primal_max else _DUAL_ROW_MIN
@@ -937,12 +935,15 @@ def dualize(lp: LinearProgram) -> LinearProgram:
     rhs = np.array([row.rhs for row in lp.rows], dtype=object)
     if A.dtype != object and (rhs.astype(A.dtype) == rhs).all():
         rhs = rhs.astype(A.dtype)
+    relations = [row_rel[_NONNEG]] * len(lp.variables)
+    for j in lp.neg + lp.free:
+        relations[j] = row_rel[lp.bound(j)]
     return LinearProgram(
         sense=MINIMIZE if primal_max else MAXIMIZE,
         variables=[row.label for row in lp.rows],
-        rows=[Row(row_rel[lp.bound(v)], c, v) for v, c in zip(lp.variables, A[-1].tolist())],
+        rows=[Row(rel, c, v) for rel, v, c in zip(relations, lp.variables, A[-1].tolist())],
         coefficients=np.vstack([A[:-1].T, rhs]),
-        bounds={row.label: dual_bound[row.relation] for row in lp.rows
+        bounds={i: dual_bound[row.relation] for i, row in enumerate(lp.rows)
                 if dual_bound[row.relation] != _NONNEG},
         name=f"dual({lp.name})",
     )
@@ -991,11 +992,11 @@ def to_fixed_format(lp: LinearProgram) -> str:
         if row.rhs != 0:
             out.append(f"    RHS       {rown[row.label]:<10}{_num(row.rhs):<12}".rstrip())
     out.append("BOUNDS")
-    for v in lp.variables:
-        short = coln[v]
-        if lp.bound(v) == FREE:
+    for j in sorted(lp.neg + lp.free):
+        short = coln[lp.variables[j]]
+        if lp.bound(j) == FREE:
             out.append(f" FR BND       {short}")
-        elif lp.bound(v) == _NONPOS:
+        else:
             out.append(f" MI BND       {short}")
             out.append(f" UP BND       {short:<10}0")
     out.append("ENDATA")

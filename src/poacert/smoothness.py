@@ -138,19 +138,17 @@ def _ratio_dual(sf, dev, exact: bool) -> lp.LinearProgram:
     labels = [f"pair[{a}][{b}]" for a in range(len(sf)) for b in range(len(sf))]
     rows = [lp.Row(lp.EQ, 1, "lam"), lp.Row(lp.EQ, 0, "mu"), lp.Row(lp.LE, 0, "t")]
     return lp.LinearProgram(lp.MAXIMIZE, labels + ["unit"], rows, coefficients,
-                            bounds={"unit": lp.FREE}, name="smooth_probe_dual")
+                            bounds={pairs: lp.FREE}, name="smooth_probe_dual")
 
 
-def _certificate_point(dual: lp.LinearProgram, exact: bool) -> Optional[list]:
+def _certificate_point(dual: lp.LinearProgram, exact: bool) -> Optional[tuple]:
     """The Charnes-Cooper program's optimal point (lam, mu, t): the row
     duals of its 3-row dual, or None when that dual is not OPTIMAL.
     lp.solve reads them at its final basis and checks them, exactly in
     exact mode: the Charnes-Cooper rows are the dual's dual rows, t >= 0
     is the sign of t's row dual, and lam = b'y is the dual's optimum."""
     rep = lp.solve(dual, exact)
-    if rep.status != lp.OPTIMAL:
-        return None
-    return [rep.duals[row.label] for row in dual.rows]
+    return rep.duals if rep.status == lp.OPTIMAL else None
 
 
 def robust_poa(

@@ -120,7 +120,9 @@ def dict_program(sense, variables, objective, rows, bounds=None, name="lp"):
     a dict.  One name-to-position pass places every entry in an object
     array, int 0 wherever a dict leaves one out; a name the program does
     not declare is a ValueError (the objective's first, then the rows' in
-    order)."""
+    order).  bounds may name a variable, which is put at its position, or
+    give the position itself; any other key goes to lp.LinearProgram as it
+    is, to be refused there."""
     position = {v: j for j, v in enumerate(variables)}
     labelled = [("objective", objective)] + [(f"row {label!r}", coeffs)
                                              for coeffs, _, _, label in rows]
@@ -133,7 +135,8 @@ def dict_program(sense, variables, objective, rows, bounds=None, name="lp"):
     for i, form in enumerate(forms):
         coefficients[i, [position[v] for v in form]] = np.array(list(form.values()), dtype=object)
     lp_rows = [lp.Row(rel, rhs, label) for _, rel, rhs, label in rows]
-    return lp.LinearProgram(sense, variables, lp_rows, coefficients, bounds or {}, name)
+    bounds = {position.get(v, v): b for v, b in (bounds or {}).items()}
+    return lp.LinearProgram(sense, variables, lp_rows, coefficients, bounds, name)
 
 
 def named(program, point):
@@ -167,15 +170,15 @@ def assert_standard_round_trip(program, rng):
     position, in variable order."""
     std = lp._Standardizer(program, True)
     values, s, k = [], [F(0)] * std.ncols, len(program.variables)
-    for j, v in enumerate(program.variables):
+    for j in range(len(program.variables)):
         x = F(rng.randint(0, 8), 4)
-        if program.bound(v) == lp.FREE:  # x in one of its two parts
+        if program.bound(j) == lp.FREE:  # x in one of its two parts
             s[j if rng.random() < 0.5 else k] = x
             values.append(s[j] - s[k])
             k += 1
         else:
             s[j] = x
-            values.append(-x if program.bound(v) == (None, 0) else x)
+            values.append(-x if program.bound(j) == (None, 0) else x)
     assert k == std.ncols
     coefficients = lp._fractions(program.coefficients)
     s = np.array(s, dtype=object)
@@ -198,7 +201,7 @@ def assert_certified(program, report, objective=None):
     if report.status != lp.OPTIMAL:
         return
     exact = replace(program, coefficients=lp._fractions(program.coefficients))
-    duals = [report.duals[row.label] for row in program.rows]
+    duals = report.duals
     assert lp.feasibility_report(exact, report.primal, 0)[0], program.name
     objective = None if objective is None else lp._fractions(objective)
     assert max(lp.dual_violations(exact, duals, objective).tolist(), default=0) <= 0, program.name

@@ -41,6 +41,7 @@ from poacert.formulations import (
 )
 from poacert.games import (
     EQ1,
+    FEAS_TOL,
     MAX,
     SUM,
     VERBATIM,
@@ -204,8 +205,9 @@ def witnesses(grid):
 
 def same_program_under_certificate_names(dp, dz):
     """Whether dp is dz renamed: the same sense, byte-equal coefficient
-    arrays, equal relations and rhs, and dp's variables, row labels and
-    bounds those of dz under _certificate_name and _dual_row_name."""
+    arrays, equal relations and rhs, bounds at the same positions, and
+    dp's variables and row labels those of dz under _certificate_name and
+    _dual_row_name."""
     return (
         dp.sense == dz.sense
         and dp.coefficients.dtype == dz.coefficients.dtype
@@ -214,7 +216,7 @@ def same_program_under_certificate_names(dp, dz):
         and [(r.relation, r.rhs) for r in dp.rows] == [(r.relation, r.rhs) for r in dz.rows]
         and list(dp.variables) == [_certificate_name(v) for v in dz.variables]
         and [r.label for r in dp.rows] == [_dual_row_name(r.label) for r in dz.rows]
-        and dict(dp.bounds) == {_certificate_name(v): b for v, b in dz.bounds.items()}
+        and dict(dp.bounds) == dict(dz.bounds)
     )
 
 
@@ -258,7 +260,7 @@ def test_criterion_02_witness_objective_one(grid):
             rep = run.result.rep
             w = lemma1_witness(run.cfg, rep)
             program = build_pp_pne(run.cfg, rep, w.designated)
-            ok, label, viol = lp.feasibility_report(program, w.values)
+            ok, label, viol = lp.feasibility_report(program, w.values, FEAS_TOL)
             c.check(ok, f"{run.label}: violates {label} by {viol}")
             val = objective_at(program, conftest.named(program, w.values))
             c.check(abs(val - 1) <= 1e-9, f"{run.label}: objective {val}")

@@ -25,7 +25,7 @@ from poacert.formulations import (
     build_pp_pne,
     vname,
 )
-from poacert.games import MAX, SUM, BasisFunction, SocialSpec
+from poacert.games import FEAS_TOL, MAX, SUM, BasisFunction, SocialSpec
 from poacert.representative import build_representative
 
 
@@ -138,8 +138,9 @@ def test_readers_of_array_programs_match_the_dict_reference(cfg, exact):
         rp = lp.solve(program)
         if rp.status != lp.OPTIMAL:
             continue
-        cert = {j: rp.duals[row.label] for j, row in enumerate(program.rows)}
-        assert repr(lp.feasibility_report(dp, cert)) == repr(lp.feasibility_report(dp_ref, cert))
+        cert = dict(enumerate(rp.duals))
+        assert repr(lp.feasibility_report(dp, cert, FEAS_TOL)) == repr(
+            lp.feasibility_report(dp_ref, cert, FEAS_TOL))
         moved = dict(rp.primal)
         moved[0] = moved.get(0, 0.0) - 1
         for point in (rp.primal, moved, {j: 2 * x for j, x in rp.primal.items()}):
@@ -154,7 +155,7 @@ def _random_program(rng, exact):
     n, m = rng.randint(1, 5), rng.randint(1, 5)
     names = [f"x{j}" for j in range(n)]
     num = (lambda c: F(c, 3)) if exact else (lambda c: c / 3)
-    bounds = {v: rng.choice((lp.FREE, (None, 0))) for v in names if rng.random() < 0.5}
+    bounds = {j: rng.choice((lp.FREE, (None, 0))) for j in range(n) if rng.random() < 0.5}
     table = [[num(rng.randint(-4, 4)) if rng.random() < 0.7 else num(0) for _ in names]
              for _ in range(m + 1)]
     rows = [(rng.choice((lp.LE, lp.GE, lp.EQ)), num(rng.randint(-4, 4)), f"r{i}")
@@ -189,6 +190,40 @@ def test_array_program_solves_as_its_dict_twin():
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 
 
+# the sign of the dual variable of a row, by the primal's sense and the row's relation
+DUAL_SIGN = {(lp.MAXIMIZE, lp.LE): (0, None), (lp.MAXIMIZE, lp.EQ): lp.FREE,
+             (lp.MAXIMIZE, lp.GE): (None, 0), (lp.MINIMIZE, lp.GE): (0, None),
+             (lp.MINIMIZE, lp.EQ): lp.FREE, (lp.MINIMIZE, lp.LE): (None, 0)}
+
+
+def test_dualize_keeps_every_bound_at_its_position():
+    """On the array corpus, dual variable i is bounded at position i by
+    primal row i's relation, and dualize(dualize(lp)) has lp's bounds, neg
+    and free, position for position; for the worst-case program of every
+    designee of the small seeded classes, _certificate_program's bounds
+    are dualize's."""
+    rng = random.Random(44)
+    seen = set()
+    for case in range(120):
+        program = _random_program(rng, case % 2 == 1)[1]
+        dual = lp.dualize(program)
+        signs = [DUAL_SIGN[program.sense, row.relation] for row in program.rows]
+        assert [dual.bound(i) for i in range(len(program.rows))] == signs
+        twice = lp.dualize(dual)
+        assert (twice.bounds, twice.neg, twice.free) == (program.bounds, program.neg, program.free)
+        seen.update(program.bounds.values())
+    assert seen == {(None, 0), lp.FREE}
+    freed = 0
+    for param in SMALL:
+        cfg = param.values[0]
+        rep = build_representative(cfg.weights)
+        for d in designees(cfg):
+            pp = build_pp_pne(cfg, rep, d)
+            assert _certificate_program(pp).bounds == lp.dualize(pp).bounds
+            freed += len(lp.dualize(pp).free)
+    assert freed > 0
+
+
 def test_standard_columns_round_trip_a_point():
     """On the array corpus, float and exact, the standard columns and
     recover agree with the layout at a point of each program."""
@@ -215,14 +250,14 @@ def test_dual_violations_are_the_rows_of_dualize():
         for program in (as_array, as_dicts):
             dual = lp.dualize(program)
             point = dict(enumerate(duals))
-            free = {v: lp.FREE for v in dual.variables}
+            free = dict.fromkeys(range(len(dual.variables)), lp.FREE)
             for j, (row, v) in enumerate(zip(dual.rows, violations)):
                 alone = lp.LinearProgram(dual.sense, dual.variables, [row],
                                          dual.coefficients[[j, -1]], free)
                 want = (False, row.label, v) if v > 0 else (True, None, 0)
                 assert repr(lp.feasibility_report(alone, point, 0)) == repr(want), (case, j)
         seen.add(as_array.sense)
-        seen.update(as_array.bound(v) for v in as_array.variables)
+        seen.update(as_array.bound(j) for j in range(len(as_array.variables)))
     assert seen == {lp.MAXIMIZE, lp.MINIMIZE, (0, None), (None, 0), lp.FREE}
 
 

@@ -18,13 +18,14 @@ check_smooth reads games._tol, and in oracle.py only _CostTable.tol
 reads FEAS_TOL.  Across src, only games.rational and the
 converters and writers of numbers test isinstance(..., Fraction), and
 the file and trial helpers whose data fix their arithmetic take no exact
-parameter, and no module calls the builtin sum.  In linprog.py one
-function holds the fallback to the rational simplex, one calls phase1
-and one, _run, constructs a _Region; only a _Region builds a standard
-form, a _Stop declares no default, and only _Revised.__init__ writes
-into T and nothing copies it, so no run goes back to a saved basis.  In
-formulations.py only _primal writes rows and copies parts into a
-coefficient array.
+parameter, and no module calls the builtin sum.  In linprog.py only
+LinearProgram reads a program's bounds, every other reader taking its
+neg and free positions; one function holds the fallback to the rational
+simplex, one calls phase1 and one, _run, constructs a _Region; only a
+_Region builds a standard form, a _Stop declares no default, and only
+_Revised.__init__ writes into T and nothing copies it, so no run goes
+back to a saved basis.  In formulations.py only _primal writes rows and
+copies parts into a coefficient array.
 Every name a poacert module imports is used in that module.  Every
 defaulted parameter of a private function or method (one whose own name
 begins with one _) is passed, by keyword or at its position, at some call
@@ -213,15 +214,20 @@ def _attribute_reads(tree, attr):
 
 
 def test_sign_classes_are_read_through_one_map():
-    """In linprog a program's bounds are read only by LinearProgram and
-    _Standardizer.__init__; every other reader of a variable's sign class
-    reads the standardizer's neg and free lists, so the map from variables
-    to standard columns is written once."""
-    allowed = ("LinearProgram", "_Standardizer.__init__")
-    reads = [f"linprog.py:{line} {scope}"
-             for scope, line in _attribute_reads(_tree(PACKAGE / "linprog.py"), "bounds")
-             if not any(scope == a or scope.startswith(a + ".") for a in allowed)]
-    assert not reads, "bounds read outside the standardizer: " + ", ".join(reads)
+    """In linprog a program's bounds are read only by LinearProgram, which
+    works out its sorted neg and free positions once; the standardizer,
+    feasibility_report, dual_violations, dualize and to_fixed_format each
+    read those, so the map from variables to standard columns is written
+    once and no reader turns a name into a position."""
+    tree = _tree(PACKAGE / "linprog.py")
+    reads = [f"linprog.py:{line} {scope}" for scope, line in _attribute_reads(tree, "bounds")
+             if scope.split(".")[0] != "LinearProgram"]
+    assert not reads, "bounds read outside LinearProgram: " + ", ".join(reads)
+    readers = {"_Standardizer.__init__", "feasibility_report", "dual_violations", "dualize",
+               "to_fixed_format"}
+    for attr in ("neg", "free"):
+        missing = readers - {scope for scope, _ in _attribute_reads(tree, attr)}
+        assert not missing, f"{attr} not read by " + ", ".join(sorted(missing))
 
 
 def _calls(tree):

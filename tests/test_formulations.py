@@ -163,8 +163,8 @@ def test_dp_max_frees_designated_z():
     cfg = unit_cfg(kind=MAX)
     rep = build_representative(cfg.weights)
     program = build_dp_pne(cfg, rep, designated=1)
-    assert program.bound("z[1]") == lp.FREE
-    assert program.bound("z[0]") == (0, None)
+    assert program.bound(program.variables.index("z[1]")) == lp.FREE
+    assert program.bound(program.variables.index("z[0]")) == (0, None)
     assert program.rows[-1].label == "zsum"
 
 
@@ -323,7 +323,8 @@ def test_mixed_cell_is_infinite(exact):
     alone = [lp.solve(build_pp_pne(cfg, r.rep, d), exact) for d in range(3)]
     assert [a.status for a in alone] == [lp.UNBOUNDED, lp.UNBOUNDED, lp.OPTIMAL]
     certified = alone[2]
-    dual = {_certificate_name(label): y for label, y in certified.duals.items()}
+    rows = build_pp_pne(cfg, r.rep, 2).rows
+    dual = {_certificate_name(row.label): y for row, y in zip(rows, certified.duals, strict=True)}
     program = build_dp_pne(cfg, r.rep, 2)
     ok, label, violation = lp.feasibility_report(
         program, positional(program, dual), 0 if exact else 1e-9)
@@ -345,7 +346,7 @@ def test_float_dual_of_mixed_cell_is_never_a_false_optimum():
     except lp.SolverError:
         return
     assert res.status == lp.OPTIMAL
-    ok, label, violation = lp.feasibility_report(program, res.primal)
+    ok, label, violation = lp.feasibility_report(program, res.primal, FEAS_TOL)
     assert ok, f"OPTIMAL point violates {label} by {violation}"
 
 
@@ -584,8 +585,7 @@ def test_exact_solve_agrees_with_the_rational_simplex(monkeypatch):
     for program, objective, report in solved:
         assert_certified(program, report, objective)
         if report.status == lp.OPTIMAL:
-            duals = [report.duals[row.label] for row in program.rows]
-            assert _certificate_report(program, duals, 0, objective)[0], program.name
+            assert _certificate_report(program, report.duals, 0, objective)[0], program.name
     assert [r.status for _, _, r in solved].count(lp.UNBOUNDED) >= 2
     assert all(r.fallback is None for _, _, r in solved)
 
@@ -780,10 +780,11 @@ def check_cases():
 
 
 def float_optima(cfg):
-    """(designee, float primal solve) of each designee's program."""
+    """(designee, program, its float solve) of each designee's program."""
     rep = build_representative(cfg.weights)
     for d in [None] if cfg.spec.kind == SUM else range(cfg.n):
-        yield d, lp.solve(build_pp_pne(cfg, rep, d))
+        program = build_pp_pne(cfg, rep, d)
+        yield d, program, lp.solve(program)
 
 
 CHECK_CASES = list(check_cases())
@@ -806,15 +807,14 @@ def test_certificate_pass_is_feasibility_report_on_dp():
         rep = build_representative(cfg.weights)
         tol = 0 if exact else FEAS_TOL
         num = (lambda y: F(y).limit_denominator(10**6)) if exact else float
-        for d, rp in float_optima(cfg):
+        for d, program, rp in float_optima(cfg):
             if rp.status != lp.OPTIMAL:
                 continue
-            program, dp = build_pp_pne(cfg, rep, d), build_dp_pne(cfg, rep, d)
+            dp = build_dp_pne(cfg, rep, d)
             labels = [row.label for row in program.rows]
-            solved = [[num(rp.duals[label]) for label in labels]]
+            solved = [[num(y) for y in rp.duals]]
             if exact and cfg.n == 2:
-                exact_rp = lp.solve(program, exact=True)
-                solved.append([exact_rp.duals[label] for label in labels])
+                solved.append(list(lp.solve(program, exact=True).duals))
             moved = []
             for i in range(len(labels)):
                 for delta in (F(-1, 10**6), 1) if exact else (F(-1, 10**6), F(1, 10**6), -1, 1):
@@ -845,10 +845,9 @@ def test_witness_check_is_feasibility_report_on_pp():
         cfg, exact = param.values
         num = (lambda x: F(x).limit_denominator(10**6)) if exact else float
         rep = build_representative(cfg.weights)
-        for d, rp in float_optima(cfg):
+        for d, program, rp in float_optima(cfg):
             if rp.status != lp.OPTIMAL:
                 continue
-            program = build_pp_pne(cfg, rep, d)
             solved = {j: num(x) for j, x in rp.primal.items()}
             points = [solved, {j: 2 * x for j, x in solved.items()}]
             if d is not None:
@@ -897,7 +896,7 @@ def test_witness_feasible_with_objective_one(cfg):
     rep = build_representative(cfg.weights)
     w = lemma1_witness(cfg, rep)
     program = build_pp_pne(cfg, rep, w.designated)
-    ok, label, violation = lp.feasibility_report(program, w.values)
+    ok, label, violation = lp.feasibility_report(program, w.values, FEAS_TOL)
     assert ok, f"witness violates {label} by {violation}"
     assert objective_at(program, named(program, w.values)) == F(1)
 
@@ -1113,10 +1112,11 @@ def test_extension_pass_is_feasibility_report_on_dp_cce():
         if cfg.n > 3:
             continue
         num = (lambda y: F(y).limit_denominator(10**6)) if exact else float
-        for d, rp in float_optima(cfg):
+        for d, program, rp in float_optima(cfg):
             if rp.status != lp.OPTIMAL:
                 continue
-            solved = {_certificate_name(label): num(y) for label, y in rp.duals.items()}
+            solved = {_certificate_name(row.label): num(y)
+                      for row, y in zip(program.rows, rp.duals, strict=True)}
             certs = [solved]
             for v in solved:
                 certs.append({**solved, v: solved[v] + num(rng.choice((-1e-6, 1e-6, -1, 1)))})
@@ -1132,7 +1132,7 @@ def test_extension_pass_is_feasibility_report_on_dp_cce():
                 ref = _certificate_program(reference_pp_cce(cfg, model, dist, o_profile, d))
                 free, free_ref = (
                     lp.LinearProgram(p.sense, p.variables, p.rows, p.coefficients,
-                                     {v: lp.FREE for v in p.variables}, p.name)
+                                     dict.fromkeys(range(len(p.variables)), lp.FREE), p.name)
                     for p in (dp, ref))
                 for k, cert in enumerate(certs):
                     report = verify_extension(cfg, cert, model, dist, o_profile, d)

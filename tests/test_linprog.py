@@ -61,9 +61,8 @@ def test_maximize_basic():
     primal = named(program, r.primal)
     assert primal["x"] == pytest.approx(4.0)
     assert primal.get("y", 0) == pytest.approx(0.0)
-    # binding row carries the whole objective
-    assert r.duals["cap"] == pytest.approx(3.0)
-    assert r.duals["labor"] == pytest.approx(0.0)
+    # binding row carries the whole objective: cap, then labor
+    assert r.duals == pytest.approx((3.0, 0.0))
 
 
 def test_exact_mode_fractions():
@@ -75,36 +74,38 @@ def test_exact_mode_fractions():
     assert isinstance(r.value, F)
 
 
+def free_variable_program():
+    """min x + 2z over x + z = 3 and z >= -5, z free: x = 8, z = -5."""
+    return dict_program(MINIMIZE, ["x", "z"], {"x": 1, "z": 2},
+                        [({"x": 1, "z": 1}, EQ, 3, "bal"), ({"z": 1}, GE, -5, "floor")],
+                        bounds={1: FREE})  # z
+
+
 @pytest.mark.parametrize("exact", [False, True])
 def test_minimize_with_free_variable(exact):
-    lp = dict_program(
-        MINIMIZE,
-        ["x", "z"],
-        {"x": 1, "z": 2},
-        [({"x": 1, "z": 1}, EQ, 3, "bal"), ({"z": 1}, GE, -5, "floor")],
-        bounds={"z": FREE},
-    )
+    lp = free_variable_program()
     r = solve(lp, exact=exact)
     assert r.status == OPTIMAL
     assert r.exact is exact
     assert r.value == -2
     assert r.primal == {0: 8, 1: -5}
     assert named(lp, r.primal) == {"x": 8, "z": -5}
-    assert r.duals["bal"] == 1
-    assert r.duals["floor"] == 1
+    assert r.duals == (1, 1)  # bal, floor
 
 
 def test_infeasible_and_unbounded():
+    """Neither holds duals: () in both arithmetics."""
     bad = dict_program(
         MAXIMIZE,
         ["x"],
         {"x": 1},
         [({"x": 1}, LE, 1, "a"), ({"x": 1}, GE, 2, "b")],
     )
-    assert solve(bad).status == INFEASIBLE
     ray = dict_program(MAXIMIZE, ["x"], {"x": 1}, [({"x": -1}, LE, 1, "a")])
-    assert solve(ray).status == UNBOUNDED
-    assert solve(ray, exact=True).status == UNBOUNDED
+    for exact, (program, status) in itertools.product((False, True), ((bad, INFEASIBLE),
+                                                                      (ray, UNBOUNDED))):
+        r = solve(program, exact)
+        assert (r.status, r.duals) == (status, ()), (exact, status)
 
 
 def test_no_rows():
@@ -123,7 +124,7 @@ def test_double_bounds_and_nonpos():
         {"u": 1, "v": 1},
         [({"u": 1, "v": -1}, LE, 10, "r"),
          ({"u": 1}, GE, 2, "u_lo"), ({"u": 1}, LE, 5, "u_hi")],
-        bounds={"v": (None, 0)},
+        bounds={1: (None, 0)},  # v
     )
     r = solve(lp, exact=True)
     assert r.status == OPTIMAL
@@ -163,11 +164,55 @@ def test_redundant_rows_get_consistent_duals():
     r = solve(duplicated_row(), exact=True)
     assert r.status == OPTIMAL
     assert r.value == F(2)
-    assert set(r.duals) == {"e1", "e2", "cap"}
-    rhs = {"e1": 2, "e2": 4, "cap": 2}
-    assert sum(r.duals[k] * rhs[k] for k in rhs) == F(2)
+    assert len(r.duals) == 3  # e1, e2, cap
+    assert sum(y * rhs for y, rhs in zip(r.duals, (2, 4, 2))) == F(2)
     # float phase 1 drops the copy; the float basis is read without it
-    assert r.fallback is None and r.duals["e2"] == 0
+    assert r.fallback is None and r.duals[1] == 0
+
+
+# the row duals of hand programs, row by row, as a label-keyed map held
+# them, and whether they are the program's one optimal dual
+PINNED_DUALS = {
+    "prod-mix": (lp_prod_mix, (3, 0), True),  # cap, labor
+    "free": (free_variable_program, (1, 1), True),  # bal, floor
+    "duplicated": (duplicated_row, (1, 0, 0), False),  # e1, e2 = 2 e1, cap
+    "beale": (lambda: beale(), (0, F(3, 2), F(1, 20)), True),  # r1, r2, r3
+}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("case", PINNED_DUALS)
+def test_duals_are_a_tuple_of_one_value_per_row_in_row_order(case, exact):
+    """An OPTIMAL report's duals are a tuple of len(rows) values in row
+    order, each in the arithmetic that answered: the pinned values, and,
+    where they are the one optimal dual, the same program with its rows
+    reversed has them reversed."""
+    build, pinned, unique = PINNED_DUALS[case]
+    program = build()
+    flipped = dataclasses.replace(
+        program, rows=program.rows[::-1],
+        coefficients=np.concatenate([program.coefficients[-2::-1], program.coefficients[-1:]]))
+    for lp, want in [(program, pinned)] + [(flipped, pinned[::-1])] * unique:
+        r = solve(lp, exact=exact)
+        assert r.status == OPTIMAL
+        assert type(r.duals) is tuple and len(r.duals) == len(lp.rows)
+        assert r.duals == (want if exact else tuple(map(float, want)))
+        assert all(type(y) is (F if exact else float) for y in r.duals)
+
+
+@pytest.mark.parametrize("key", ["x", "y", True, 2, -1, 0.0, None])
+def test_a_bound_key_that_is_no_position_is_refused(key):
+    """Bounds are keyed by the variable's position: a name, a bool, a
+    float or an int out of range is a ValueError that names the key, both
+    in a program's bounds and in bound()."""
+    rows, coefficients = [Row(LE, 1, "r")], np.ones((2, 2))
+    with pytest.raises(ValueError, match=f"bound key {key!r} is not a variable position"):
+        LinearProgram(MAXIMIZE, ["x", "y"], rows, coefficients, {key: FREE})
+    program = LinearProgram(MAXIMIZE, ["x", "y"], rows, coefficients, {1: FREE})
+    with pytest.raises(ValueError, match=f"bound key {key!r} is not a variable position"):
+        program.bound(key)
+    assert (program.bound(0), program.bound(1)) == ((0, None), FREE)
+    assert (program.neg, program.free) == ([], [1])
 
 
 def test_dualize_shapes_and_involution():
@@ -218,7 +263,7 @@ def test_strong_duality_random():
         # within RESIDUAL_TOL of 1 + max|y|
         rf = solve(lp)
         assert rf.status == OPTIMAL
-        y = [rf.duals[row.label] for row in lp.rows]
+        y = rf.duals
         assert min(y) >= 0  # every row is <= in a max program
         assert max(dual_violations(lp, y)) <= linprog.RESIDUAL_TOL * (1 + max(map(abs, y)))
         rp = solve(lp, exact=True)
@@ -227,12 +272,12 @@ def test_strong_duality_random():
         assert rd.status == OPTIMAL
         assert rp.value == rd.value
         # weak duality identity on reported duals
-        assert sum(rp.duals[row.label] * row.rhs for row in lp.rows) == rp.value
+        assert sum(y * row.rhs for y, row in zip(rp.duals, lp.rows)) == rp.value
         # complementary slackness
         x = named(lp, rp.primal)
         for i, row in enumerate(lp.rows):
             slack = row.rhs - sum(nonzeros(lp, i).get(v, 0) * x.get(v, 0) for v in lp.variables)
-            assert rp.duals[row.label] * slack == 0 or abs(rp.duals[row.label] * slack) == 0
+            assert rp.duals[i] * slack == 0 or abs(rp.duals[i] * slack) == 0
 
 
 def test_float_tracks_exact():
@@ -278,8 +323,8 @@ def test_a_column_times_a_power_of_two_is_read_in_the_program_units(power):
             same += 1
             assert after.primal.get(v, 0) == pytest.approx(before.primal.get(v, 0) / factor,
                                                            rel=VALUE_RTOL)
-        y = [before.duals[row.label] for row in program.rows]
-        moved = [abs(after.duals[row.label] - y_i) for row, y_i in zip(program.rows, y)]
+        y = before.duals
+        moved = [abs(y_after - y_i) for y_after, y_i in zip(after.duals, y, strict=True)]
         assert max(moved) <= linprog.RESIDUAL_TOL * (1 + max(map(abs, y)))
     assert before.status == UNBOUNDED and same >= 25
 
@@ -485,7 +530,7 @@ def test_exact_answer_is_certified_at_the_float_basis(kernel_calls):
     assert r.exact is True and r.fallback is None
     assert r.value == F(12) and isinstance(r.value, F)
     assert r.primal == {0: F(4)}  # x
-    assert r.duals == {"cap": F(3), "labor": F(0)}
+    assert r.duals == (F(3), F(0))  # cap, labor
 
 
 def test_exact_solve_agrees_with_the_rational_simplex():
@@ -494,7 +539,7 @@ def test_exact_solve_agrees_with_the_rational_simplex():
     <= 0 variables, >= and = rows, degenerate pivots and unbounded rays."""
     ray = dict_program(MINIMIZE, ["x", "y"], {"x": 1, "y": -1},
                        [({"x": 1, "y": -2}, LE, 3, "a"), ({"x": 1}, EQ, 2, "b")],
-                       bounds={"y": FREE})
+                       bounds={1: FREE})  # y
     void = dict_program(MAXIMIZE, ["x"], {"x": 1},
                         [({"x": 1}, LE, 1, "a"), ({"x": 1}, GE, 2, "b")])
     # x >= 1: the float run stops with the row's slack entering
@@ -536,8 +581,8 @@ def test_float_basis_that_fails_its_check_is_repaired(monkeypatch, status, check
     monkeypatch.setattr(linprog._Revised, "run", stop_at_once)
     r = solve(lp_prod_mix(), exact=True)
     assert r.fallback.startswith(check)
-    assert r == linprog.SolveReport(OPTIMAL, F(12), {0: F(4)},
-                                    {"cap": F(3), "labor": F(0)}, 1, True, r.fallback)
+    assert r == linprog.SolveReport(OPTIMAL, F(12), {0: F(4)}, (F(3), F(0)), 1, True,
+                                    r.fallback)
 
 
 def falling_ray():
@@ -571,8 +616,7 @@ def test_certify_checks_the_basis_exactly(program, basis, entering, check, exact
         return
     r = linprog._read(stop, exact)
     assert r.exact is exact
-    assert (r.value, r.primal, r.duals) == (F(12), {0: F(4)},
-                                           {"cap": F(3), "labor": F(0)})
+    assert (r.value, r.primal, r.duals) == (F(12), {0: F(4)}, (F(3), F(0)))
 
 
 REFUSED_BASES = {
@@ -703,7 +747,8 @@ def test_integer_coefficient_arrays_are_rejected():
     with pytest.raises(ValueError, match="dtype int64, not float64 or object"):
         LinearProgram(MAXIMIZE, ["x", "y"], rows, np.ones((2, 2), dtype=np.int64))
     program = LinearProgram(MAXIMIZE, ["x", "y"], rows, np.ones((2, 2)))
-    assert feasibility_report(program, {0: 0.6, 1: 0.6}) == (False, "r", pytest.approx(0.2))
+    assert feasibility_report(program, {0: 0.6, 1: 0.6}, FEAS_ATOL) == (
+        False, "r", pytest.approx(0.2))
     assert dual_violations(program, [0.5]).tolist() == [0.5, 0.5]
 
 
@@ -715,7 +760,7 @@ def test_bounds_other_than_sign_classes_are_rejected(bound):
 
 def test_bounds_given_as_lists_are_tuples():
     lp = dict_program(MAXIMIZE, ["x", "y"], {}, [], bounds={"x": [None, 0], "y": [None, None]})
-    assert lp.bounds == {"x": (None, 0), "y": FREE}
+    assert lp.bounds == {0: (None, 0), 1: FREE}
     assert [row.relation for row in dualize(lp).rows] == [LE, EQ]
 
 
@@ -745,8 +790,8 @@ def _reference_feasibility_report(lp, point, tol):
             worst = v
         if v > tol and first is None:
             first = row.label
-    for var in lp.variables:
-        lo, hi = lp.bound(var)
+    for j, var in enumerate(lp.variables):
+        lo, hi = lp.bound(j)
         x = point.get(var, 0)
         for v in ((lo - x) if lo is not None else 0, (x - hi) if hi is not None else 0):
             if v > worst:
@@ -820,14 +865,15 @@ def test_a_point_is_read_by_position():
     program's variables, as solve reports one; a key that is no position,
     a variable's name included, is ignored."""
     program = lp_prod_mix()
-    assert feasibility_report(program, {0: 5}) == (False, "cap", 1)
-    assert feasibility_report(program, {"x": 5, 2: 5, -1: 5, 0.5: 5}) == (True, None, 0)
+    assert feasibility_report(program, {0: 5}, FEAS_ATOL) == (False, "cap", 1)
+    ignored = {"x": 5, 2: 5, -1: 5, 0.5: 5}
+    assert feasibility_report(program, ignored, FEAS_ATOL) == (True, None, 0)
 
 
 def test_a_nan_entry_is_a_violation():
     """No tolerance admits a nan: a nan entry makes the first row it
     reaches fail, and the worst violation is nan."""
-    ok, label, worst = feasibility_report(lp_prod_mix(), {0: float("nan")})
+    ok, label, worst = feasibility_report(lp_prod_mix(), {0: float("nan")}, FEAS_ATOL)
     assert (ok, label, np.isnan(worst)) == (False, "cap", True)
 
 
@@ -837,7 +883,8 @@ def test_a_row_that_reads_nan_is_violated():
     program = LinearProgram(MAXIMIZE, ["x0", "x1"], [Row(LE, 1.0, "r")],
                             np.array([[1.0, -1.0], [0.0, 0.0]]))
     with np.errstate(invalid="ignore"):  # inf - inf is nan
-        ok, label, worst = feasibility_report(program, {0: float("inf"), 1: float("inf")})
+        ok, label, worst = feasibility_report(program, {0: float("inf"), 1: float("inf")},
+                                              FEAS_ATOL)
     assert (ok, label, np.isnan(worst)) == (False, "r", True)
 
 

@@ -99,7 +99,7 @@ def _probe(rho: float, sf, dev):
         ["lam", "mu", "t", "delta"],
         {"delta": 1},
         rows,
-        bounds={"mu": lp.FREE},
+        bounds={1: lp.FREE},  # mu
         name="smooth_probe",
     )
     rep = lp.solve(program)
@@ -394,7 +394,7 @@ def _charnes_cooper(sf, dev):
         ["lam", "mu", "t"],
         {"lam": 1},
         _pair_rows(sf, dev) + [({"t": 1, "mu": -1}, lp.EQ, 1, "unit")],
-        bounds={"lam": lp.FREE, "mu": lp.FREE},
+        bounds={0: lp.FREE, 1: lp.FREE},  # lam, mu
         name="smooth_probe_ratio",
     )
 

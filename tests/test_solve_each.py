@@ -75,7 +75,7 @@ def assert_answers_as_cold(program, objective, got, cold, exact):
     if exact:
         alone = dataclasses.replace(alone, coefficients=linprog._fractions(alone.coefficients))
     tol = 0 if exact else FEAS_TOL
-    duals = [got.duals[row.label] for row in program.rows]
+    duals = got.duals
     assert linprog.feasibility_report(alone, got.primal, tol)[0], program.name
     assert max(linprog.dual_violations(alone, duals).tolist(), default=0) <= tol, program.name
     sign = 1 if program.sense == MAXIMIZE else -1
@@ -192,6 +192,28 @@ def test_each_run_of_a_region_starts_where_the_last_stopped(monkeypatch, exact):
                     broken.append(f"{k}:{program.name}")
     assert not broken, sorted(set(broken))
     assert chained > 0
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_every_objective_has_one_dual_per_row(exact):
+    """On the pricing cases with their seeded objectives, and on rows no
+    point meets, each report of solve_each holds, when OPTIMAL, a tuple of
+    one dual per row in the arithmetic that answered, whose rhs sum in row
+    order is the value (exactly in exact), and () otherwise."""
+    void = LinearProgram(MAXIMIZE, ["x"], [Row(LE, 1, "a"), Row(GE, 2, "b")],
+                         np.array([[1], [1], [0]], dtype=object))
+    statuses = set()
+    for program, objectives in [*seeded_objectives(), (void, [[1], [-1]])]:
+        for report in solve_each(program, objectives, exact):
+            statuses.add(report.status)
+            if report.status != OPTIMAL:
+                assert report.duals == (), program.name
+                continue
+            assert type(report.duals) is tuple and len(report.duals) == len(program.rows)
+            assert all(type(y) is (F if exact else float) for y in report.duals), program.name
+            bound = sum(F(row.rhs) * F(y) for row, y in zip(program.rows, report.duals))
+            assert abs(bound - F(report.value)) <= (0 if exact else 1e-9 * (1 + abs(bound)))
+    assert statuses == {OPTIMAL, UNBOUNDED, INFEASIBLE}
 
 
 def _two_rows(first, second):

@@ -153,14 +153,14 @@ def test_a_key_is_placed_without_a_scan_of_the_positions():
         times = []
         for _ in range(5):
             start = time.perf_counter()
-            report = lp.feasibility_report(program, {key: -1.0})
+            report = lp.feasibility_report(program, {key: -1.0}, FEAS_TOL)
             times.append(time.perf_counter() - start)
         assert report == (True, None, 0)
         assert min(times) < 1e-3, (key, times)
-    at_one = lp.feasibility_report(program, {1: -1.0})
+    at_one = lp.feasibility_report(program, {1: -1.0}, FEAS_TOL)
     assert at_one == (False, f"bound[{program.variables[1]}]", 1.0)
     for key in (1.0, True, F(1)):
-        assert lp.feasibility_report(program, {key: -1.0}) == at_one, key
+        assert lp.feasibility_report(program, {key: -1.0}, FEAS_TOL) == at_one, key
 
 
 def test_listed_variables_are_still_checked_for_duplicates():
@@ -197,7 +197,7 @@ def test_nonpositive_and_free_variables_keep_their_sign():
                              [-2.0, 1.0, -1.0]])
     rows = [lp.Row(lp.GE, 3, "a"), lp.Row(lp.LE, -1, "b"), lp.Row(lp.GE, -10, "c")]
     program = lp.LinearProgram(lp.MAXIMIZE, ["x", "y", "z"], rows, coefficients,
-                               bounds={"x": lp.FREE, "y": (None, 0)})
+                               bounds={0: lp.FREE, 1: (None, 0)})  # x free, y <= 0
     for exact in (False, True):
         report = lp.solve(program, exact)
         assert report.primal == {0: -7, 1: -10}  # x and y
@@ -345,7 +345,7 @@ def _interleaved(program, coefficients, extra):
     negative part; every zero +0.0, then extra columns of 0."""
     source, negated = [], []
     for j in range(coefficients.shape[1]):
-        bound = program.bound(program.variables[j]) if program.bounds else (0, None)
+        bound = program.bound(j)
         source.append(j)
         negated.append(bound == (None, 0))
         if bound == lp.FREE:
