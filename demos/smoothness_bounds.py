@@ -1,8 +1,9 @@
 """Tour of the smoothness machinery on the shared-link game.
 
 A (lam, mu) certificate bounds every equilibrium notion's inefficiency by
-lam/(1-mu); the robust price of anarchy is the best such bound, found by
-one linear-fractional LP.  The framework only applies when the
+lam/(1-mu); the robust price of anarchy is the best such bound, the
+minimum of a linear-fractional program, read off an envelope of lines
+with no LP.  The framework only applies when the
 social function is sum-bounded — the demo ends with a weighting matrix
 that breaks that precondition and gets caught.
 """
@@ -41,7 +42,7 @@ print(f"(1, 0) is a valid certificate:     {ok}  (violated at pair {witness})")
 r = robust_poa(game, spec)
 print(
     f"\nrobust price of anarchy: {r.value:.6f} "
-    f"(lam = {r.lam:.6f}, mu = {r.mu:.6f}, {r.probes} LP solve)"
+    f"(lam = {r.lam:.6f}, mu = {r.mu:.6f}, read off the line envelope with no LP)"
 )
 
 v = validate_smoothness_claims(game, spec)

@@ -8,14 +8,13 @@ and the pair tables.  The table fixes their numbers and the slack of
 every comparison read off it (its tol); only check_smooth, which judges
 a certificate its caller hands it, adds games._tol of that certificate.
 The infimum of that ratio over the certificate polyhedron is a
-linear-fractional program, one LP after the Charnes-Cooper transform
-t = 1/(1-mu) (Charnes & Cooper 1962), exact on an exact table.  Only its
-3-row dual is written, from the pair tables as one coefficient array;
-the certificate is that dual's row duals, which lp.solve checks as it
-checks every answer's: against the Charnes-Cooper rows, which are the
-dual's own dual rows, and for their signs.  mu may be negative but stays
-below 1 (t > 0): the closure point (0, 1) satisfies the pair rows of
-some degenerate games, certifying nothing.
+linear-fractional program; after the Charnes-Cooper transform
+t = 1/(1-mu) (Charnes & Cooper 1962) it has one free direction, t, and
+its optimum is the minimum of an upper envelope of one line in t per
+profile pair, walked in the table's arithmetic (exact on an exact table)
+with no LP.  mu may be negative but stays below 1 (t > 0): the closure
+point (0, 1) satisfies the pair rows of some degenerate games, certifying
+nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import linprog as lp
 from .games import (
     EQ1,
     VERBATIM,
@@ -38,7 +36,7 @@ from .oracle import (NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _cost_tables, _Co
                      _weighted_rows, _worst_cce)
 
 NOT_SMOOTHABLE = "NOT_SMOOTHABLE"
-OPTIMAL = lp.OPTIMAL
+OPTIMAL = "OPTIMAL"  # linprog's name for an answer found
 
 
 @dataclass(frozen=True)
@@ -47,6 +45,8 @@ class SmoothnessCertificate:
     mu: object
 
     def __post_init__(self):
+        if self.lam is None or self.mu is None:
+            raise GameError(f"smoothness certificate needs lam and mu, got {self.lam}, {self.mu}")
         if not self.lam > 0:
             raise GameError("smoothness certificate needs lam > 0")
         if not self.mu < 1:
@@ -118,51 +118,70 @@ class RobustPoA:
     lam: Optional[object]
     mu: Optional[object]
     unbounded_witness: Optional[tuple]  # profile breaking sum-boundedness
-    probes: int  # LP solves
+    probes: int  # 0: no LP is solved; kept for poabench's tracer until ROADMAP item 18
 
 
-def _ratio_dual(sf, dev, exact: bool) -> lp.LinearProgram:
-    """The dual of the Charnes-Cooper program, written from the pair tables
-    as one coefficient array.  Its rows lam, mu and t are the program's
-    variables ("lam" and "mu" standing for lam*t and mu*t), its columns
-    pair[a][b] and unit its rows: lam*SF(sigma_b) + mu*SF(sigma_a) -
-    t*dev(sigma_a, sigma_b) >= 0 for every ordered pair and t - mu = 1.
-    Those rows are this program's dual rows, so lp.dual_violations checks
-    a certificate point against them."""
-    sf = np.array(sf, dtype=object if exact else np.float64)
-    pairs = len(sf) ** 2
-    coefficients = np.zeros((4, pairs + 1), dtype=sf.dtype)
-    coefficients[:3, :pairs] = [np.tile(sf, len(sf)), np.repeat(sf, len(sf)),
-                                -np.array(dev, dtype=sf.dtype).ravel()]
-    coefficients[:, pairs] = (0, -1, 1, 1)  # unit's column: t - mu = 1; maximize unit
-    labels = [f"pair[{a}][{b}]" for a in range(len(sf)) for b in range(len(sf))]
-    rows = [lp.Row(lp.EQ, 1, "lam"), lp.Row(lp.EQ, 0, "mu"), lp.Row(lp.LE, 0, "t")]
-    return lp.LinearProgram(lp.MAXIMIZE, labels + ["unit"], rows, coefficients,
-                            bounds={pairs: lp.FREE}, name="smooth_probe_dual")
+def _highest(v: np.ndarray, s: np.ndarray, among: np.ndarray) -> int:
+    """The line among the masked ones that is highest at the current t,
+    the steepest of those on a tie."""
+    tied = np.flatnonzero(among & (v == v[among].max()))
+    return tied[np.argmax(s[tied])]
 
 
-def _certificate_point(dual: lp.LinearProgram, exact: bool) -> Optional[tuple]:
-    """The Charnes-Cooper program's optimal point (lam, mu, t): the row
-    duals of its 3-row dual, or None when that dual is not OPTIMAL.
-    lp.solve reads them at its final basis and checks them, exactly in
-    exact mode: the Charnes-Cooper rows are the dual's dual rows, t >= 0
-    is the sign of t's row dual, and lam = b'y is the dual's optimum."""
-    rep = lp.solve(dual, exact)
-    return rep.duals if rep.status == lp.OPTIMAL else None
+def _envelope_minimum(sf: list, dev: np.ndarray, tol) -> RobustPoA:
+    """The robust PoA of sum-bounded pair tables, in their arithmetic.
+
+    With t = 1/(1-mu) and lam*t as the value (Charnes & Cooper 1962), the
+    pair row of (a, b) reads value*SF_b >= SF_a + t*(dev_ab - SF_a).  A
+    pair with SF_b > 0 is a line in t, and the least value at t is their
+    upper envelope; a pair with SF_b = 0 only allows the t >= 0 with
+    t*(SF_a - dev_ab) >= SF_a, which (SF being >= 0) is every t from a
+    least one, t = 0 alone, or none.  The walk starts at the least allowed
+    t on the highest line (the steepest on a tie) and, while that line does
+    not rise, steps to its first crossing with a steeper line: it stops at
+    the largest optimal t, or, when the last piece is flat to infinity, at
+    t = 1 unless the piece starts later.  lam = value/t and mu = (t-1)/t
+    there; both are None when t is within tol of 0, where certificates only
+    approach the value as mu -> -inf.  NOT_SMOOTHABLE when no t is allowed
+    or no line exists.
+    """
+    top = max(sf)
+    sf = np.array(sf, dtype=dev.dtype)
+    pos = sf > 0
+    need = np.broadcast_to(sf[:, None], (len(sf), len(sf) - int(pos.sum())))  # SF_a, SF_b = 0
+    d = need - dev[:, ~pos]  # such a pair allows the t with t*d >= SF_a
+    t = max([0, *(need[d > 0] / d[d > 0]).tolist()])  # the least allowed t
+    pinned = (d < 0).any()  # t*d >= SF_a = 0 with d < 0 allows t = 0 alone
+    if not top > 0 or ((d <= 0) & (need > 0)).any() or (pinned and t > 0):
+        return RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 0)
+    c = (sf[:, None] / sf[pos]).ravel()
+    s = ((dev[:, pos] - sf[:, None]) / sf[pos]).ravel()
+    v = c + s * t
+    k = _highest(v, s, np.ones(len(s), dtype=bool))
+    while not pinned and s[k] <= 0:
+        up = s > s[k]
+        if not up.any():
+            t = max(t, top / top)
+            break
+        t = min((t + (v[k] - v[up]) / (s[up] - s[k])).tolist())
+        v = c + s * t
+        k = _highest(v, s, up)
+    value = max((c + s * t).tolist())
+    if t <= tol:  # a float t near 0 would scale its rounding by 1/t
+        return RobustPoA(OPTIMAL, value, None, None, None, 0)
+    return RobustPoA(OPTIMAL, value, value / t, (t - 1) / t, None, 0)
 
 
 def robust_poa(
     game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP
 ) -> RobustPoA:
-    """inf lam/(1-mu) over valid certificates, as one linear program,
-    solved as its 3-row dual; the certificate is read off the row duals
-    and checked.
+    """inf lam/(1-mu) over valid certificates: the minimum of an envelope
+    of lines, read off the pair tables with no LP (_envelope_minimum).
 
     Only defined for sum-bounded (game, spec) pairs — everything else is
     NOT_SMOOTHABLE with is_sum_bounded's profile, found before the pair
     tables are built.  On an exact table value = lam/(1-mu) is the exact
-    infimum, in Fractions; otherwise it is the optimum of one LP whose point
-    lp.solve checked to its RESIDUAL_TOL.
+    infimum, in Fractions; on a float table it is the same walk in float64.
     Where every optimal point has t = 0, (lam, mu) are None: the value is
     then max SF / min SF, approached by certificates only as mu -> -inf.
     """
@@ -175,39 +194,7 @@ def _robust_poa(table: _CostTable, sf: list) -> RobustPoA:
     a = _unbounded_row(table, sf)
     if a is not None:
         return RobustPoA(NOT_SMOOTHABLE, None, None, None, table.profile(a), 0)
-    dev = _deviation_sums(table)
-    one = sf[0] / sf[0] if sf and sf[0] else 1
-    if len(sf) == 1:
-        # only the pair (sigma, sigma) exists and the value is 1: lam=1, mu=0
-        # certifies it when dev(sigma, sigma) <= SF(sigma), as under the sum of
-        # the players' own costs; otherwise mu -> -inf only approaches it
-        if dev.item(0) <= sf[0] + table.tol:
-            return RobustPoA(OPTIMAL, one, one, 0 * one, None, 0)
-        return RobustPoA(OPTIMAL, one, None, None, None, 0)
-    if not table.exact:
-        # pair rows are homogeneous in the table scale, so dividing both
-        # tables by a common factor leaves the feasible set untouched while
-        # keeping the LP's data near unit scale
-        big = float(max(max(sf), abs(dev).max(), 1.0))
-        sf = [v / big for v in sf]
-        dev = dev / big
-    # Charnes-Cooper: lam*t and mu*t with t = 1/(1-mu), so the ratio is the
-    # objective and mu < 1 is t > 0
-    x = _certificate_point(_ratio_dual(sf, dev, table.exact), table.exact)
-    if x is None:
-        return RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 1)
-    lam, mu, t = x if table.exact else map(float, x)
-    if t <= table.tol:
-        # the row duals may pick the t = 0 end of an optimal face: hold lam*t at
-        # the optimum and mu*t at t - 1 (the unit row), and take the largest t
-        # each pair row lam*sf_b - sf_a >= t*(dev_ab - sf_a) allows (one when none bounds it)
-        pairs = dev.tolist()
-        t = min(((lam * sf_b - sf_a) / (pairs[a][b] - sf_a) for a, sf_a in enumerate(sf)
-                 for b, sf_b in enumerate(sf) if pairs[a][b] > sf_a), default=one)
-        mu = t - 1
-    if t <= table.tol:  # a float t near 0 would scale its rounding by 1/t
-        return RobustPoA(OPTIMAL, lam, None, None, None, 1)
-    return RobustPoA(OPTIMAL, lam, lam / t, mu / t, None, 1)
+    return _envelope_minimum(sf, _deviation_sums(table), table.tol)
 
 
 @dataclass

@@ -6,8 +6,9 @@ The references below are the readers of a {profile: individual_costs}
 dict that came before it: pair tables built with one _deviate tuple and
 one lookup per player per ordered pair, coarse rows gathered one profile
 at a time, check_smooth as a loop over pairs, and robust_poa,
-worst_cce and validate_smoothness_claims on top of them.  Both sides run
-in one process, so they read the same individual costs.
+worst_cce and validate_smoothness_claims on top of them (robust_poa as
+smoothness's own envelope walk over the dict path's pair tables).  Both
+sides run in one process, so they read the same individual costs.
 """
 
 from fractions import Fraction as F
@@ -45,9 +46,8 @@ from poacert.smoothness import (
     RobustPoA,
     SmoothnessCertificate,
     SmoothnessValidation,
-    _certificate_point,
     _deviation_sums,
-    _ratio_dual,
+    _envelope_minimum,
     check_smooth,
     robust_poa,
     validate_smoothness_claims,
@@ -95,27 +95,9 @@ def reference_robust_poa(game, spec):
     for a, prof in enumerate(profiles):
         if _exceeds_sum(sf[a], dev[a][a]):
             return RobustPoA(NOT_SMOOTHABLE, None, None, None, prof, 0)
-    one = sf[0] / sf[0] if sf and sf[0] else 1
-    if len(profiles) == 1:
-        if dev[0][0] <= sf[0] + _tol(sf[0], dev[0][0]):
-            return RobustPoA(OPTIMAL, one, one, 0 * one, None, 0)
-        return RobustPoA(OPTIMAL, one, None, None, None, 0)
     exact = isinstance(sf[0], F)
-    if not exact:
-        big = float(max(max(sf), max(abs(x) for row in dev for x in row), 1.0))
-        sf = [v / big for v in sf]
-        dev = [[x / big for x in row] for row in dev]
-    x = _certificate_point(_ratio_dual(sf, dev, exact), exact)
-    if x is None:
-        return RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 1)
-    lam, mu, t = x if exact else map(float, x)
-    if t <= _tol(t):
-        t = min(((lam * sf_b - sf_a) / (dev[a][b] - sf_a) for a, sf_a in enumerate(sf)
-                 for b, sf_b in enumerate(sf) if dev[a][b] > sf_a), default=one)
-        mu = t - 1
-    if t <= _tol(t):
-        return RobustPoA(OPTIMAL, lam, None, None, None, 1)
-    return RobustPoA(OPTIMAL, lam, lam / t, mu / t, None, 1)
+    dev = np.array(dev, dtype=object if exact else np.float64)
+    return _envelope_minimum(sf, dev, _tol(*sf))
 
 
 def _verbatim_gaps(game, prof, eps, costs):

@@ -25,7 +25,8 @@ simplex, one calls phase1 and one, _run, constructs a _Region; only a
 _Region builds a standard form, a _Stop declares no default, and only
 _Revised.__init__ writes into T and nothing copies it, so no run goes
 back to a saved basis.  In formulations.py only _primal writes rows and
-copies parts into a coefficient array.
+copies parts into a coefficient array.  smoothness.py imports no linprog
+and names no Fraction: the robust PoA solves no program.
 Every name a poacert module imports is used in that module.  Every
 defaulted parameter of a private function or method (one whose own name
 begins with one _) is passed, by keyword or at its position, at some call
@@ -301,6 +302,18 @@ def test_the_cost_table_alone_sets_the_slack(module):
     assert not stray, "games._tol read off a table: " + ", ".join(stray)
     if module == "oracle.py":
         assert {scope for scope, node in nodes if node.id == "FEAS_TOL"} == {"_CostTable.tol"}
+
+
+def test_the_robust_poa_solves_no_program():
+    """smoothness.py imports no linprog, by any import form, and names no
+    Fraction: the robust PoA is the minimum of a line envelope, walked in
+    the cost table's own arithmetic, not the optimum of an LP."""
+    tree = _tree(PACKAGE / "smoothness.py")
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    named = set(_uses(tree)) | {part for module in modules if module for part in module.split(".")}
+    assert not {"linprog", "Fraction"} & named, sorted({"linprog", "Fraction"} & named)
 
 
 # the functions that may test isinstance(..., Fraction): the one rule, and

@@ -3,7 +3,9 @@
 import time
 from dataclasses import replace
 from fractions import Fraction as F
+from typing import Optional
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -19,9 +21,12 @@ from conftest import (
     same_program,
     seeded,
 )
+from test_cost_table import corpus
+from test_oracle import _seeded_games
 from poacert import linprog as lp
 from poacert.formulations import VALUE_RTOL
 from poacert.games import (
+    FEAS_TOL,
     MAX,
     SUM,
     BasisFunction,
@@ -48,7 +53,8 @@ from poacert.smoothness import (
     RobustPoA,
     SmoothnessCertificate,
     _deviation_sums,
-    _ratio_dual,
+    _envelope_minimum,
+    _unbounded_row,
     check_smooth,
     is_sum_bounded,
     robust_poa,
@@ -118,6 +124,10 @@ def test_certificate_validation():
         SmoothnessCertificate(0, 0)
     with pytest.raises(GameError):
         SmoothnessCertificate(1, 1)
+    # robust_poa's answer on the t = 0 face has no certificate
+    for lam, mu in ((None, None), (None, 0), (1, None)):
+        with pytest.raises(GameError, match="needs lam and mu"):
+            SmoothnessCertificate(lam, mu)
     cert = SmoothnessCertificate(F(5, 3), F(1, 3))
     assert cert.bound == F(5, 2)
 
@@ -200,7 +210,7 @@ def test_robust_poa_pins_exact_infima(seed, value):
         g = random_game(seeded(seed), (F(1), F(1)), (X,), identity_matrix(2, True), exact=True)
         gf = random_game(seeded(seed), (1.0, 1.0), (X,), identity_matrix(2))
     r = robust_poa(g, g1_spec(SUM))
-    assert r.status == OPTIMAL and r.probes == 1
+    assert r.status == OPTIMAL and r.probes == 0
     assert type(r.value) is F and r.value == value
     assert r.lam / (1 - r.mu) == value
     rf = robust_poa(gf, g1_spec(SUM, exact=False))
@@ -273,7 +283,7 @@ def test_robust_poa_converges_quickly():
     start = time.perf_counter()
     r = robust_poa(g, g1_spec(SUM, exact=False))
     assert time.perf_counter() - start < 1.0
-    assert r.probes < 60
+    assert r.probes == 0
 
 
 def test_validation_on_canonical_game():
@@ -415,8 +425,8 @@ X2 = BasisFunction.monomial(2)
     (2, F(420173, 169785)),
 ])
 def test_exact_robust_poa_on_eight_profiles_is_fast(seed, value):
-    """Three players with two strategies each: the rational solve of the
-    3-row dual takes a few pivots, where the P^2-row program took 13-23 s."""
+    """Three players with two strategies each: the rational walk over the
+    64 lines takes milliseconds, where the P^2-row program took 13-23 s."""
     g = random_game(seeded(seed), (F(1), F(3, 2), F(1)), (X, X2), identity_matrix(3, True),
                     exact=True)
     assert g.model.profile_count() == 8
@@ -461,60 +471,57 @@ def test_float_infimum_at_t_zero_is_the_trivial_bound():
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
-def test_robust_poa_solves_its_program_once(monkeypatch, exact):
-    """One fallback policy: on seeded two- and three-player games, sum and
-    max, each robust_poa makes exactly one lp.solve call; a float reading
-    that fails its checks is redone in rationals inside lp.solve."""
-    solve = lp.solve
-    calls, reports = [], []
-
-    def counted(program, exact=False):
-        calls.append((program.name, exact))
-        reports.append(solve(program, exact))
-        return reports[-1]
-
-    monkeypatch.setattr(lp, "solve", counted)
+def test_robust_poa_solves_no_program(monkeypatch, exact):
+    """The robust PoA is read off the line envelope: on seeded two- and
+    three-player games, sum and max, and on g1, robust_poa makes no
+    lp.solve or lp.solve_each call and reports 0 probes, and every
+    certificate it returns passes check_smooth."""
+    calls = []
+    for name in ("solve", "solve_each"):
+        monkeypatch.setattr(lp, name, lambda *args, name=name, **kwargs: calls.append(name))
     num = F if exact else float
+    certified = 0
+    cases = [(g1(exact=exact), g1_spec(SUM, exact))]
     for seed in range(12):
         weights = (num(1), num(1)) if seed % 2 else (num(1), num(3) / 2, num(1))
         g = random_game(seeded(seed), weights, (X,), identity_matrix(len(weights), exact),
                         exact=exact)
-        spec = SocialSpec(SUM if seed % 3 else MAX, identity_matrix(len(weights), exact))
-        before = len(calls)
+        kind = SUM if seed % 3 else MAX
+        cases.append((g, SocialSpec(kind, identity_matrix(len(weights), exact))))
+    for g, spec in cases:
         r = robust_poa(g, spec)
-        assert len(calls) - before == r.probes <= 1, seed
-        if r.lam is not None:  # the point lp.solve checked is a certificate
+        assert r.status == OPTIMAL and r.probes == 0
+        if r.lam is not None:
             assert check_smooth(g, spec, SmoothnessCertificate(r.lam, r.mu)) == (True, None)
-    assert set(calls) == {("smooth_probe_dual", exact)} and len(calls) >= 8
+            certified += 1
+    assert not calls
+    assert certified >= 8
+    assert OPTIMAL == lp.OPTIMAL  # one status name across the package
 
-    read = lp._read
 
-    def refuse(stop, exact):
-        if not stop.region.system.std.exact:
-            raise lp.SolverError("refused")
-        return read(stop, exact)
-
-    monkeypatch.setattr(lp, "_read", refuse)
-    before = len(calls)
-    g, spec = g1(exact=exact), g1_spec(SUM, exact)
-    r = robust_poa(g, spec)
-    assert len(calls) - before == r.probes == 1
-    assert reports[-1].fallback == "refused"
-    assert r.status == OPTIMAL and r.value == pytest.approx(F(5, 3), rel=VALUE_RTOL)
-    assert check_smooth(g, spec, SmoothnessCertificate(r.lam, r.mu)) == (True, None)
+def _drawn_as_147(seed, exact):
+    """The seed's two-player game and its {kind: spec}, drawn as seed 147's:
+    weights in {1/2, 1, 3/2}, latency x, identity alpha, then one beta for
+    sum and one for max, a spec being left out where its beta is all 0."""
+    one = F(1) if exact else 1.0
+    rng = seeded(seed)
+    weights = tuple(one * rng.choice((1, 2, 3)) / 2 for _ in range(2))
+    game = random_game(rng, weights, (X,), identity_matrix(2, exact), exact)
+    specs = {}
+    for kind in (SUM, MAX):
+        beta = random_matrix(rng, 2, 0, 1, exact)
+        if any(any(row) for row in beta):
+            specs[kind] = SocialSpec(kind, beta)
+    return game, specs
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_t_zero_end_of_an_optimal_face_is_moved_to_a_certificate(exact):
-    """Seed 147's max game: the dual's row duals land on the t = 0 end of
-    an optimal face whose other end has t > 0; that end's certificate,
-    (13/5, 3/16) with bound 16/5, is returned."""
-    one = F(1) if exact else 1.0
-    rng = seeded(147)
-    weights = tuple(one * rng.choice((1, 2, 3)) / 2 for _ in range(2))
-    g = random_game(rng, weights, (X,), identity_matrix(2, exact), exact)
-    random_matrix(rng, 2, 0, 1, exact)  # the sum spec drawn before it
-    spec = SocialSpec(MAX, random_matrix(rng, 2, 0, 1, exact))
+    """Seed 147's max game: its optimal face runs from t = 0, where the LP
+    reference's row duals land, to t = 16/13; the walk stops at that end,
+    whose certificate, (13/5, 3/16) with bound 16/5, is returned."""
+    g, specs = _drawn_as_147(147, exact)
+    spec = specs[MAX]
     r = robust_poa(g, spec)
     assert r.status == OPTIMAL and r.lam is not None
     if exact:
@@ -524,33 +531,206 @@ def test_t_zero_end_of_an_optimal_face_is_moved_to_a_certificate(exact):
     assert check_smooth(g, spec, SmoothnessCertificate(r.lam, r.mu)) == (True, None)
 
 
+# ============================================================
+# the LP reference: robust_poa as it was solved before the envelope, one
+# Charnes-Cooper program written as its 3-row dual
+# ============================================================
+
+
+def _ratio_dual(sf, dev, exact: bool) -> lp.LinearProgram:
+    """The dual of the Charnes-Cooper program, written from the pair tables
+    as one coefficient array.  Its rows lam, mu and t are the program's
+    variables ("lam" and "mu" standing for lam*t and mu*t), its columns
+    pair[a][b] and unit its rows: lam*SF(sigma_b) + mu*SF(sigma_a) -
+    t*dev(sigma_a, sigma_b) >= 0 for every ordered pair and t - mu = 1.
+    Those rows are this program's dual rows, so lp.dual_violations checks
+    a certificate point against them."""
+    sf = np.array(sf, dtype=object if exact else np.float64)
+    pairs = len(sf) ** 2
+    coefficients = np.zeros((4, pairs + 1), dtype=sf.dtype)
+    coefficients[:3, :pairs] = [np.tile(sf, len(sf)), np.repeat(sf, len(sf)),
+                                -np.array(dev, dtype=sf.dtype).ravel()]
+    coefficients[:, pairs] = (0, -1, 1, 1)  # unit's column: t - mu = 1; maximize unit
+    labels = [f"pair[{a}][{b}]" for a in range(len(sf)) for b in range(len(sf))]
+    rows = [lp.Row(lp.EQ, 1, "lam"), lp.Row(lp.EQ, 0, "mu"), lp.Row(lp.LE, 0, "t")]
+    return lp.LinearProgram(lp.MAXIMIZE, labels + ["unit"], rows, coefficients,
+                            bounds={pairs: lp.FREE}, name="smooth_probe_dual")
+
+
+def _certificate_point(dual: lp.LinearProgram, exact: bool) -> Optional[tuple]:
+    """The Charnes-Cooper program's optimal point (lam, mu, t): the row
+    duals of its 3-row dual, or None when that dual is not OPTIMAL.
+    lp.solve reads them at its final basis and checks them, exactly in
+    exact mode: the Charnes-Cooper rows are the dual's dual rows, t >= 0
+    is the sign of t's row dual, and lam = b'y is the dual's optimum."""
+    rep = lp.solve(dual, exact)
+    return rep.duals if rep.status == lp.OPTIMAL else None
+
+
+def _lp_robust_poa(table, sf: list) -> RobustPoA:
+    """Reference: robust_poa on a cost table and its social values, as one
+    LP solved as its 3-row dual, the t = 0 end of an optimal face moved to
+    its other end."""
+    a = _unbounded_row(table, sf)
+    if a is not None:
+        return RobustPoA(NOT_SMOOTHABLE, None, None, None, table.profile(a), 0)
+    dev = _deviation_sums(table)
+    one = sf[0] / sf[0] if sf and sf[0] else 1
+    if len(sf) == 1:
+        # only the pair (sigma, sigma) exists and the value is 1: lam=1, mu=0
+        # certifies it when dev(sigma, sigma) <= SF(sigma), as under the sum of
+        # the players' own costs; otherwise mu -> -inf only approaches it
+        if dev.item(0) <= sf[0] + table.tol:
+            return RobustPoA(OPTIMAL, one, one, 0 * one, None, 0)
+        return RobustPoA(OPTIMAL, one, None, None, None, 0)
+    if not table.exact:
+        # pair rows are homogeneous in the table scale, so dividing both
+        # tables by a common factor leaves the feasible set untouched while
+        # keeping the LP's data near unit scale
+        big = float(max(max(sf), abs(dev).max(), 1.0))
+        sf = [v / big for v in sf]
+        dev = dev / big
+    # Charnes-Cooper: lam*t and mu*t with t = 1/(1-mu), so the ratio is the
+    # objective and mu < 1 is t > 0
+    x = _certificate_point(_ratio_dual(sf, dev, table.exact), table.exact)
+    if x is None:
+        return RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 1)
+    lam, mu, t = x if table.exact else map(float, x)
+    if t <= table.tol:
+        # the row duals may pick the t = 0 end of an optimal face: hold lam*t at
+        # the optimum and mu*t at t - 1 (the unit row), and take the largest t
+        # each pair row lam*sf_b - sf_a >= t*(dev_ab - sf_a) allows (one when none bounds it)
+        pairs = dev.tolist()
+        t = min(((lam * sf_b - sf_a) / (pairs[a][b] - sf_a) for a, sf_a in enumerate(sf)
+                 for b, sf_b in enumerate(sf) if pairs[a][b] > sf_a), default=one)
+        mu = t - 1
+    if t <= table.tol:  # a float t near 0 would scale its rounding by 1/t
+        return RobustPoA(OPTIMAL, lam, None, None, None, 1)
+    return RobustPoA(OPTIMAL, lam, lam / t, mu / t, None, 1)
+
+
 def _same_but_name(a, b):
     """Whether two programs agree in everything but their names."""
     return same_program(a, replace(b, name=a.name))
 
 
 def test_ratio_dual_is_the_dual_of_the_charnes_cooper_program():
-    """lp.dualize of robust_poa's 3-row dual, written from the pair tables,
-    is the Charnes-Cooper program, and dualizing twice gives the 3-row dual
-    back: on seeded two-player games, float and exact, sum and max, and on
-    seed 147's max game, whose row duals land at t = 0."""
+    """lp.dualize of the LP reference's 3-row dual, written from the pair
+    tables, is the Charnes-Cooper program, and dualizing twice gives the
+    3-row dual back: on seeded two-player games, float and exact, sum and
+    max, and on seed 147's max game, whose row duals land at t = 0."""
     cases = []
     for seed in (147, *range(12)):
         for exact in (False, True):
-            one = F(1) if exact else 1.0
-            rng = seeded(seed)
-            weights = tuple(one * rng.choice((1, 2, 3)) / 2 for _ in range(2))
-            g = random_game(rng, weights, (X,), identity_matrix(2, exact), exact)
-            for kind in (SUM, MAX):
-                beta = random_matrix(rng, 2, 0, 1, exact)
-                if any(any(row) for row in beta):
-                    cases.append((g, SocialSpec(kind, beta), exact))
+            g, specs = _drawn_as_147(seed, exact)
+            cases += [(g, spec, exact) for spec in specs.values()]
     for g, spec, exact in cases:
         _, sf, dev = _tables(g, spec, PROFILE_CAP)
         dual = _ratio_dual(sf, dev, exact)
         assert _same_but_name(lp.dualize(dual), _charnes_cooper(sf, dev))
         assert _same_but_name(lp.dualize(lp.dualize(dual)), dual)
     assert len(cases) >= 40
+
+
+def _reference_cases(exact):
+    """(label, game, spec): test_cost_table's corpus, test_oracle's
+    _seeded_games(12) (an all-zero beta read as the identity) and seeds
+    0-299 drawn as seed 147's, under sum and max."""
+    for label, game, specs in corpus(exact):
+        yield from ((label, game, spec) for spec in specs)
+    for seed, game, beta in _seeded_games(12, exact):
+        if all(b == 0 for row in beta for b in row):
+            beta = identity_matrix(game.n, exact)
+        yield from ((f"seeded{seed}", game, SocialSpec(kind, beta)) for kind in (SUM, MAX))
+    for seed in range(300):
+        game, specs = _drawn_as_147(seed, exact)
+        yield from ((f"seed{seed}", game, spec) for spec in specs.values())
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_envelope_matches_the_lp_reference(exact):
+    """robust_poa against the LP reference on _reference_cases: the same
+    status, witness and lam-None-ness.  An exact value is the reference's,
+    and so is (lam, mu), except on a flat optimal face, where the
+    reference's certificate bounds the same value and the envelope's
+    t = 1/(1-mu) is the larger.  A float value is within 1e-12 of the
+    reference's, relative, and value, lam and mu are Python floats.  Every
+    certificate passes check_smooth at its default tol."""
+    compared, flat = 0, []
+    for label, game, spec in _reference_cases(exact):
+        table = _cost_table(game, PROFILE_CAP, "test", spec)
+        got, want = robust_poa(game, spec), _lp_robust_poa(table, table.social_values(spec))
+        key = (label, spec.kind)
+        assert (got.status, got.unbounded_witness) == (want.status, want.unbounded_witness), key
+        if got.status != OPTIMAL:
+            continue
+        compared += 1
+        assert (got.lam is None) == (want.lam is None), key
+        if exact:
+            assert got.value == want.value, key
+            if (got.lam, got.mu) != (want.lam, want.mu):
+                assert want.lam / (1 - want.mu) == got.value, key
+                assert 1 / (1 - got.mu) > 1 / (1 - want.mu), key
+                flat.append(key)
+        else:
+            assert got.value == pytest.approx(want.value, rel=1e-12, abs=0), key
+            assert {type(x) for x in (got.value, got.lam, got.mu) if x is not None} == {float}
+        if got.lam is not None:
+            assert check_smooth(game, spec, SmoothnessCertificate(got.lam, got.mu)) == (True, None)
+    assert compared >= 450
+    assert flat == ([("seed73", MAX), ("seed238", MAX)] if exact else [])
+
+
+def test_a_flat_face_is_left_at_its_right_end():
+    """Seed 238's max game, drawn as seed 147's: value 12/5 on a flat piece
+    of the envelope.  The walk stops at its right end, t = 3/7, with
+    (lam, mu) = (28/5, -4/3); the LP reference's row duals give t = 6/25,
+    with (10, -19/6).  Both certificates bound 12/5 and pass check_smooth."""
+    game, specs = _drawn_as_147(238, True)
+    spec = specs[MAX]
+    r = robust_poa(game, spec)
+    assert (r.status, r.value, r.lam, r.mu) == (OPTIMAL, F(12, 5), F(28, 5), F(-4, 3))
+    table = _cost_table(game, PROFILE_CAP, "test", spec)
+    ref = _lp_robust_poa(table, table.social_values(spec))
+    assert (ref.value, ref.lam, ref.mu) == (F(12, 5), 10, F(-19, 6))
+    for cert in (SmoothnessCertificate(r.lam, r.mu), SmoothnessCertificate(ref.lam, ref.mu)):
+        assert cert.bound == F(12, 5)
+        assert check_smooth(game, spec, cert) == (True, None)
+
+
+@pytest.mark.parametrize("num", [float, F], ids=["float", "exact"])
+def test_a_last_piece_flat_from_beyond_t_one_keeps_its_start(num):
+    """Hand pair tables with SF = (4, 1): the line of pair (0, 1), 4 - t,
+    meets the flat lines of the diagonal pairs at t = 3, and the envelope
+    is flat from there to infinity.  t = 1 is not optimal, so the walk
+    keeps t = 3: (lam, mu) = (1/3, 2/3), bound 1, the Charnes-Cooper
+    program's optimum, and every pair row holds."""
+    sf = [num(4), num(1)]
+    dev = [[num(4), num(3)], [num(1), num(1)]]
+    r = _envelope_minimum(sf, np.array(dev, dtype=object if num is F else np.float64),
+                          0 if num is F else FEAS_TOL)
+    assert r.status == OPTIMAL
+    assert (r.value, r.lam, r.mu) == pytest.approx((1, F(1, 3), F(2, 3)), rel=1e-15)
+    assert r.value == _primal_value([F(v) for v in sf], [[F(v) for v in row] for row in dev])
+    assert all(dev[a][b] <= r.lam * sf[b] + r.mu * sf[a] + 1e-15
+               for a in range(2) for b in range(2))
+    if num is F:
+        assert (r.lam, r.mu) == (F(1, 3), F(2, 3))
+
+
+@pytest.mark.parametrize("num", [float, F], ids=["float", "exact"])
+def test_a_game_of_zero_costs_draws_no_line(num):
+    """Two players on a or b, both of coefficient 0: every profile has
+    social value 0, so no pair row bounds the value and the program has
+    no optimum: NOT_SMOOTHABLE with no profile to show, as the LP
+    reference answers."""
+    model = CongestionModel((num(1), num(1)), ("a", "b"), ((("a",), ("b",)),) * 2)
+    game = GeneralizedGame(model, (X,), {"a": (num(0),), "b": (num(0),)}, identity_matrix(2))
+    spec = SocialSpec(SUM, identity_matrix(2))
+    assert robust_poa(game, spec) == RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 0)
+    table = _cost_table(game, PROFILE_CAP, "test", spec)
+    ref = _lp_robust_poa(table, table.social_values(spec))
+    assert (ref.status, ref.unbounded_witness) == (NOT_SMOOTHABLE, None)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -585,15 +765,20 @@ def test_a_zero_optimum_leaves_the_ratio_program_without_an_optimum(num):
     lookup basis {1: 0, 2: 1} and b coefficient 0; identity alpha and
     beta, sum.  Only (a, a) costs anything, yet from (b, a) towards
     (a, b) player 0's move onto a costs 1 where both profiles have social
-    value 0, which no (lam, mu) bounds: the game is sum-bounded, and the
-    ratio program itself answers NOT_SMOOTHABLE, with no profile to show.
+    value 0, which no (lam, mu) bounds: the game is sum-bounded, yet no t
+    is allowed (t <= 0 for this pair, t >= 2 for ((a, a), (a, b))), so
+    robust_poa answers NOT_SMOOTHABLE with no profile to show, as the LP
+    reference does.
     The two answers that divide by the optimum, 0, refuse it."""
     model = CongestionModel((num(1), num(1)), ("a", "b"), ((("a",), ("b",)),) * 2)
     basis = (BasisFunction.lookup({1: 0, 2: 1}),)
     game = GeneralizedGame(model, basis, {"a": (num(1),), "b": (num(0),)}, identity_matrix(2))
     spec = SocialSpec(SUM, identity_matrix(2))
     assert is_sum_bounded(game, spec) == (True, None)
-    assert robust_poa(game, spec) == RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 1)
+    assert robust_poa(game, spec) == RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 0)
+    table = _cost_table(game, PROFILE_CAP, "test", spec)
+    ref = _lp_robust_poa(table, table.social_values(spec))
+    assert (ref.status, ref.unbounded_witness) == (NOT_SMOOTHABLE, None)
     for answer in (cce_poa, validate_smoothness_claims):
         with pytest.raises(GameError, match="social optimum is 0"):
             answer(game, spec)

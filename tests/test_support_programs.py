@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poacert import formulations, smoothness
+from poacert import formulations
 from poacert import linprog as lp
 from poacert.formulations import (
     FEAS_TOL,
@@ -359,19 +359,11 @@ def _interleaved(program, coefficients, extra):
 
 
 def test_benchmark_systems_keep_the_interleaved_layout(monkeypatch):
-    """The float system of every benchmark program, the pure-equilibrium
-    programs and each game-audit smooth_probe_dual at seed 2026, is byte
+    """The float system of every benchmark pure-equilibrium program is byte
     for byte the one built from the interleaved layout: those programs
-    declare no bounds, or one free variable, their last."""
-    jobs, _ = workloads.prepare("game-audit", 2026)
-    duals, ratio_dual = [], smoothness._ratio_dual
-    monkeypatch.setattr(smoothness, "_ratio_dual",
-                        lambda *args: duals.append(ratio_dual(*args)) or duals[-1])
-    for job in jobs:
-        smoothness.robust_poa(job.game, job.spec)
-    monkeypatch.undo()
-    assert len(duals) == len(jobs)
-    for program in itertools.chain(_benchmark_programs(), duals):
+    declare no bounds."""
+    for program in _benchmark_programs():
+        assert not program.bounds
         standard = lp._system(program, False).standard
         monkeypatch.setattr(lp._Standardizer, "columns", lambda std, coefficients, extra=0:
                             _interleaved(program, coefficients, extra))
