@@ -23,6 +23,7 @@ from .formulations import (
     InvariantViolation,
     WorstCaseConfig,
     _close,
+    _named_certificate,
     build_dp_pne,
     build_pp_pne,
     extract_worst_game,
@@ -164,7 +165,7 @@ def cmd_solve_worst_case(args) -> int:
             }
             for v in result.variants
         ],
-        "dual_solution": result.dual_solution,
+        "dual_solution": _named_certificate(cfg, result.designated, result.dual_solution),
     }
     if result.status != INFINITE:
         game = extract_worst_game(cfg, result.rep, result.primal_solution,
@@ -246,8 +247,9 @@ def cmd_normalize(args) -> int:
     return _emit(args, {"optimum_before": factor, "game": emitted}, epsilon=doc.epsilon)
 
 
-def _random_trials(rng, model, count: int):
-    """count random (distribution, comparison profile) pairs over model's
+def _extensions(cfg, result, model, rng, count: int):
+    """(o profile, verify_extension's report) of result's certificate on
+    count random (distribution, comparison profile) pairs over model's
     pure profiles, lazily: each draws the profile masses, then o.  When the
     model's weights are rational (games.rational), the trials read the
     same draws as Fractions, normalised by their exact total."""
@@ -258,7 +260,9 @@ def _random_trials(rng, model, count: int):
             raw = [Fraction(m) for m in raw]
         total = reduce(add, raw, 0)
         dist = ProfileDistribution({prof: m / total for prof, m in zip(profiles, raw)})
-        yield dist, tuple(rng.randrange(len(per)) for per in model.strategies)
+        o_profile = tuple(rng.randrange(len(per)) for per in model.strategies)
+        yield o_profile, verify_extension(cfg, result.dual_solution, model, dist, o_profile,
+                                          result.designated)
 
 
 def cmd_verify_extension(args) -> int:
@@ -271,12 +275,9 @@ def cmd_verify_extension(args) -> int:
     trials = 50
     failures = []
     worst = 0
-    draws = _random_trials(random.Random(args.seed), model, trials)
-    for t, (dist, o_profile) in enumerate(draws):
-        rep = verify_extension(cfg, result.dual_solution, model, dist, o_profile,
-                               result.designated)
-        if rep.worst_violation > worst:
-            worst = rep.worst_violation
+    checks = _extensions(cfg, result, model, random.Random(args.seed), trials)
+    for t, (o_profile, rep) in enumerate(checks):
+        worst = max(worst, rep.worst_violation)
         if not rep.ok:
             failures.append({"trial": t, "o": o_profile,
                              "row": rep.first_violated,
@@ -372,13 +373,8 @@ def cmd_selftest(args) -> int:
         agree = _close(dual_of_pp.value, result.gamma_star, VALUE_RTOL)
         record(f"{tag} duality", agree,
                f"gamma {result.gamma_star} vs dualized {dual_of_pp.value}")
-        bad = None
-        for dist, o_profile in _random_trials(rng, rep.model, 5):
-            ext = verify_extension(cfg, result.dual_solution, rep.model, dist,
-                                   o_profile, result.designated)
-            if not ext.ok:
-                bad = ext
-                break
+        bad = next((ext for _, ext in _extensions(cfg, result, rep.model, rng, 5) if not ext.ok),
+                   None)
         record(f"{tag} extension", bad is None,
                "" if bad is None else f"row {bad.first_violated}")
     return_code = EXIT_OK if ok_all else EXIT_INVARIANT

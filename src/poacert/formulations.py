@@ -8,9 +8,10 @@ profile an approximate equilibrium of maximal social value subject to the
 second profile's value being at most 1, the dual certifies the bound.  Only
 the primals are written out: each dual program is lp.dualize of its primal
 in certificate names, and solve_worst_case solves the primal alone and
-reads the certificate off its row duals.  Under a max objective it solves
-each designee's cost row over one region, the rows every designee shares,
-and the largest optimum is gamma*.  The coarse correlated analogues
+reads the certificate off its row duals, by position: one value per row
+of the primal, the dual's variables in order.  Under a max objective it
+solves each designee's cost row over one region, the rows every designee
+shares, and the largest optimum is gamma*.  The coarse correlated analogues
 replace the point profile by a distribution over an arbitrary model with
 the same weights; every dual-feasible point of the pure program stays
 feasible there row by row, which is what verify_extension checks
@@ -29,10 +30,9 @@ writes each part, a factor slice that broadcasts over the columns, by
 np.copyto straight into a LinearProgram's coefficient array, with no
 array of a row's entries built first and no name per entry.  A point of
 the representative program is keyed by position: column (P, Q, k) is j =
-(P 2^n + Q) r + k, and the max programs' level t is j = 4^n r.  Its
-columns are named on demand (_ColumnNames), for an error message, a
-violated bound's label or --emit-lp alone, and nothing here reads
-rep.model.
+(P 2^n + Q) r + k, and the max programs' level t is j = 4^n r.  Every
+program's columns and certificate are named on demand, for a message, a
+report or --emit-lp alone, and nothing here reads rep.model.
 
 No check builds a dual program (build_dp_cce serves the tests, and
 build_dp_pne also --emit-lp).  solve_worst_case and verify_extension
@@ -46,14 +46,14 @@ masks, and checks the point with lp.feasibility_report.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from math import prod
 from operator import add
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -114,54 +114,38 @@ def vname(e, k: int) -> str:
     return f"v[{e}][{k}]"
 
 
-def _level(cfg: WorstCaseConfig) -> list:
-    """The names after the v columns: the max programs' level t."""
-    return [] if cfg.spec.kind == SUM else ["t"]
-
-
 def _width(cfg: WorstCaseConfig) -> int:
     """4^n r: the number of v columns of the representative program, and
     the position of the max programs' level t after them."""
     return (1 << 2 * cfg.n) * len(cfg.basis)
 
 
-def _masks(j: int, n: int, r: int) -> tuple:
-    """(P, Q, k) of the representative program's v column j = (P 2^n + Q) r + k."""
-    pq, k = divmod(j, r)
-    return (*divmod(pq, 1 << n), k)
-
-
-def _variables(cfg: WorstCaseConfig, model: CongestionModel) -> list:
-    """vname(e, k) of every column, resource major, each "][k]" formatted
-    once, then _level."""
-    suffixes = [f"][{k}]" for k in range(len(cfg.basis))]
-    return [f"v[{e}{suffix}" for e in model.resources for suffix in suffixes] + _level(cfg)
-
-
 class _ColumnNames(Sequence):
-    """The variables of a program over the given representative columns,
-    read-only and named on demand: its i-th column is representative
-    column j = columns[i] = (P 2^n + Q) r + k, named vname(e(P, Q), k)
-    only when read, and a last column t under max unless level is False
-    (the designees' shared region has none).  Distinct by construction,
-    so a program of 4^n r columns holds no list of names; a point of the
-    program is keyed by position, and a solve or check that succeeds
-    reads no name."""
+    """The variables of a program over the given columns, read-only and
+    named on demand: its i-th column j = columns[i] = e r + k is named
+    vname(resource(e), k) only when read, and a last column t under max
+    unless level is False (the designees' shared region has none).
+    Distinct by construction, so a program of 4^n r columns holds no list
+    of names; a solve or check that succeeds reads no name."""
 
-    def __init__(self, cfg: WorstCaseConfig, rep: RepresentativeModel, columns: Sequence,
-                 level: bool = True):
-        self.rep, self.r, self.columns = rep, len(cfg.basis), columns
-        self.level = _level(cfg) if level else []
+    def __init__(self, cfg: WorstCaseConfig, resource, columns: Sequence, level: bool = True):
+        self.resource, self.r, self.columns = resource, len(cfg.basis), columns
+        self.level = level and cfg.spec.kind != SUM
 
     def __len__(self) -> int:
-        return len(self.columns) + len(self.level)
+        return len(self.columns) + self.level
 
     def __getitem__(self, i: int) -> str:
         i = range(len(self))[i]  # IndexError past either end
-        if i >= len(self.columns):
-            return self.level[i - len(self.columns)]
-        p, q, k = _masks(self.columns[i], self.rep.n, self.r)
-        return vname(self.rep.resource_for(p, q), k)
+        if i == len(self.columns):
+            return "t"
+        e, k = divmod(self.columns[i], self.r)
+        return vname(self.resource(e), k)
+
+
+def _representative(rep: RepresentativeModel):
+    """The id of representative resource e = P 2^n + Q, e(P, Q)."""
+    return lambda e: rep.resource_for(*divmod(e, 1 << rep.n))
 
 
 # ============================================================
@@ -186,11 +170,23 @@ def _summed(parts) -> np.ndarray:
     return total
 
 
+def _layout(cfg: WorstCaseConfig, designated) -> list:
+    """(relation, rhs, label) of each row of _primal's program, in order;
+    row i's dual is the certificate's i-th value."""
+    n = cfg.n
+    rows = [(lp.LE, 0, f"eq[{i}]") for i in range(n)]
+    if cfg.spec.kind == SUM:
+        return rows + [(lp.LE, 1, "norm")]
+    if designated is not None:
+        rows += [(lp.EQ if i == designated else lp.LE, 0, f"val[{i}]") for i in range(n)]
+    return rows + [(lp.LE, 1, f"norm[{i}]") for i in range(n)]
+
+
 def _primal(cfg: WorstCaseConfig, names, eq, val, nrm, designated) -> lp.LinearProgram:
     """The worst-case program over the columns names (the v columns, then
     t when it maximizes t), each closed-form part written by np.copyto
     straight into its coefficient array, in the shape eq[0]'s parts
-    broadcast to.  Its rows: eq[i] <= 0, one per player, where eq is
+    broadcast to.  Its rows (_layout): eq[i] <= 0, one per player, where eq is
     (base, joins, joined) and row i is base[i], overwritten by joins[i]
     where joined[i] (joins is None when nothing overwrites it); then under
     sum norm <= 1, maximizing val; under max designee d's LP_d, val[i] - t
@@ -202,15 +198,9 @@ def _primal(cfg: WorstCaseConfig, names, eq, val, nrm, designated) -> lp.LinearP
     and (1, Q, k) costs do."""
     n, (base, joins, joined) = cfg.n, eq
     level = cfg.spec.kind != SUM and designated is not None  # LP_d maximizes t
-    rows = [lp.Row(lp.LE, 0, f"eq[{i}]") for i in range(n)]
-    if cfg.spec.kind == SUM:
-        rows.append(lp.Row(lp.LE, 1, "norm"))
-        parts = [nrm, val]  # the rows after eq, then the objective's entries
-    else:
-        if level:
-            rows += [lp.Row(lp.EQ if i == designated else lp.LE, 0, f"val[{i}]") for i in range(n)]
-        rows += [lp.Row(lp.LE, 1, f"norm[{i}]") for i in range(n)]
-        parts = [*val, *nrm] if level else [*nrm, val[0]]
+    rows = [lp.Row(*row) for row in _layout(cfg, designated)]
+    # the rows after eq, then the objective's entries
+    parts = [nrm, val] if cfg.spec.kind == SUM else [*val, *nrm] if level else [*nrm, val[0]]
     overwrites = () if joins is None else (joins[0], joined[0])
     shape = np.broadcast(base[0], *overwrites).shape
     size = prod(shape)
@@ -392,11 +382,11 @@ def build_pp_pne(
 ) -> lp.LinearProgram:
     """Pure-equilibrium primal: the coarse program at a point mass on the
     representative first profile, over the closed-form columns of
-    _closed_form, named on demand by _ColumnNames: v column (P, Q, k) at
+    _closed_form, named on demand (_ColumnNames): v column (P, Q, k) at
     position (P 2^n + Q) r + k, then t under max."""
     _check_designee(cfg, designated)
-    return _primal(cfg, _ColumnNames(cfg, rep, range(_width(cfg))), *_closed_form(cfg, rep),
-                   designated)
+    return _primal(cfg, _ColumnNames(cfg, _representative(rep), range(_width(cfg))),
+                   *_closed_form(cfg, rep), designated)
 
 
 def build_pp_cce(
@@ -407,10 +397,12 @@ def build_pp_cce(
     designated: Optional[int] = None,
 ) -> lp.LinearProgram:
     """Worst-case primal over latency coefficients for a fixed model,
-    distribution and comparison profile."""
+    distribution and comparison profile: column (model.resources[e], k)
+    at e r + k, then t under max; its rows are build_pp_pne's."""
     _check_designee(cfg, designated)
-    return _primal(cfg, _variables(cfg, model), *_coarse_parts(cfg, model, dist, o_profile),
-                   designated)
+    columns = range(len(model.resources) * len(cfg.basis))
+    return _primal(cfg, _ColumnNames(cfg, model.resources.__getitem__, columns),
+                   *_coarse_parts(cfg, model, dist, o_profile), designated)
 
 
 # ============================================================
@@ -527,13 +519,14 @@ def lemma1_witness(cfg: WorstCaseConfig, rep: RepresentativeModel) -> Witness:
 class VariantResult:
     """One designee's answer (designated None under sum).  Under max,
     pp_value and dp_value are U_d, which is at least LP_d; dual is a
-    certificate of LP_d at that bound, and primal U_d's point."""
+    certificate of LP_d at that bound, by position in build_dp_pne's
+    variables (() when INFINITE), and primal U_d's point."""
 
     designated: Optional[int]
     status: str
     dp_value: object
     pp_value: object
-    dual: dict
+    dual: tuple
     primal: dict  # SolveReport.primal: the support, keyed by position
     iterations: int
     fallback: Optional[str] = None  # the designee program's SolveReport.fallback
@@ -548,7 +541,7 @@ class WorstCaseResult:
     designated: Optional[int]
     rep: RepresentativeModel
     variants: list
-    dual_solution: dict
+    dual_solution: tuple  # the best variant's dual, () when INFINITE
     primal_solution: dict  # the best variant's primal, keyed by position
     exact: bool
 
@@ -580,22 +573,26 @@ def _certificate_report(program: lp.LinearProgram, duals, tol, objective=None) -
                         objective)
 
 
-def _certificate(program: lp.LinearProgram, duals, designated, one) -> dict:
-    """The certificate of a solved program's row duals in build_dp_pne's
-    names, in the order of its variables.  Under max, program is the
-    designees' shared region and duals are U_d's: y from the eq rows and
-    gamma from the norm rows, and between them z = -e_d (one is 1 in the
-    duals' arithmetic) for LP_d's val rows, which U_d has not.  That point
-    is feasible for LP_d's dual with objective U_d = sum gamma: the r rows
-    are U_d's dual rows, zsum reads -sum z = 1 >= 1, and only z[d], the
-    dual of an equation, is negative."""
-    cert = [(_certificate_name(row.label), y) for row, y in zip(program.rows, duals)]
-    if designated is not None:
-        n = len(cert) // 2
-        z = [(_certificate_name(f"val[{i}]"), -one if i == designated else 0 * one)
-             for i in range(n)]
-        cert = cert[:n] + z + cert[n:]
-    return dict(cert)
+def _certificate(duals, designated, one) -> tuple:
+    """The certificate, by position in build_dp_pne's variables, of a
+    solved program's row duals: under sum the duals.  Under max they are
+    the designees' shared region U_d's: y from the eq rows and gamma from
+    the norm rows, and between them z = -e_d (one is 1 in the duals'
+    arithmetic) for LP_d's val rows, which U_d has not.  That point is
+    feasible for LP_d's dual with objective U_d = sum gamma: the r rows are
+    U_d's dual rows, zsum reads -sum z = 1 >= 1, and only z[d], the dual of
+    an equation, is negative."""
+    if designated is None:
+        return duals
+    n = len(duals) // 2
+    z = [-one if i == designated else 0 * one for i in range(n)]
+    return (*duals[:n], *z, *duals[n:])
+
+
+def _named_certificate(cfg: WorstCaseConfig, designated, certificate) -> dict:
+    """A certificate as {build_dp_pne's variable name: value}, for a report."""
+    return {_certificate_name(label): y
+            for (_, _, label), y in zip(_layout(cfg, designated), certificate)}
 
 
 def _exact_config(cfg: WorstCaseConfig) -> WorstCaseConfig:
@@ -628,10 +625,10 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     its point with t = gamma* at 4^n r, a point of LP_{d*}: at U_{d*}'s
     optimum no cost_i exceeds cost_{d*}, or U_i would exceed gamma*.
 
-    The row duals, in certificate names (_certificate), must be feasible
-    for build_dp_pne with objective equal to the primal optimum, which by
-    weak duality proves it.  A float answer's feasibility is read again
-    by lp.dual_violations off the program just solved, at its objective,
+    The row duals, a certificate by position (_certificate), must be
+    feasible for build_dp_pne with objective equal to the primal optimum,
+    which by weak duality proves it.  A float answer's feasibility is read
+    again by lp.dual_violations off the program just solved, at its objective,
     to FEAS_TOL, which gives lp.feasibility_report's verdict on
     build_dp_pne without building it; an exact answer's dual rows and
     signs were read by lp.solve on the same rational data with tolerance
@@ -646,7 +643,8 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     rep = build_representative(cfg.weights)
     n, width = cfg.n, _width(cfg)
     eq, val, nrm = _closed_form(cfg, rep)
-    program = _primal(cfg, _ColumnNames(cfg, rep, range(width), level=False), eq, val, nrm, None)
+    program = _primal(cfg, _ColumnNames(cfg, _representative(rep), range(width), level=False),
+                      eq, val, nrm, None)
     if cfg.spec.kind == SUM:
         designees, objectives = [None], [None]
         reports = [lp.solve(program, exact)]
@@ -662,7 +660,7 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     variants = []
     for d, objective, rp in zip(designees, objectives, reports):
         if rp.status == lp.UNBOUNDED:
-            variants.append(VariantResult(d, INFINITE, None, None, {}, {}, rp.iterations,
+            variants.append(VariantResult(d, INFINITE, None, None, (), {}, rp.iterations,
                                           rp.fallback, rp.stats))
             continue
         if rp.status != lp.OPTIMAL:
@@ -675,13 +673,13 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
         if not _close(bound, rp.value, 0 if exact else VALUE_RTOL):
             raise InvariantViolation(f"duality gap: primal {rp.value} vs certificate {bound}")
         variants.append(
-            VariantResult(d, OPTIMAL, bound, rp.value, _certificate(program, rp.duals, d, one),
+            VariantResult(d, OPTIMAL, bound, rp.value, _certificate(rp.duals, d, one),
                           rp.primal, rp.iterations, rp.fallback, rp.stats)
         )
 
     infinite = [v for v in variants if v.status == INFINITE]
     if infinite:
-        return WorstCaseResult(INFINITE, None, infinite[0].designated, rep, variants, {}, {}, exact)
+        return WorstCaseResult(INFINITE, None, infinite[0].designated, rep, variants, (), {}, exact)
     best = max(variants, key=lambda v: v.pp_value)
     if best.pp_value < 1 - (0 if exact else FEAS_TOL):
         raise InvariantViolation(
@@ -691,7 +689,7 @@ def solve_worst_case(cfg: WorstCaseConfig, exact: bool = False) -> WorstCaseResu
     if best.designated is not None:  # LP_{d*}'s level t = gamma*, after the v columns
         primal[width] = best.pp_value
     return WorstCaseResult(OPTIMAL, best.pp_value, best.designated, rep, variants,
-                           dict(best.dual), primal, exact)
+                           best.dual, primal, exact)
 
 
 def extract_worst_game(
@@ -727,17 +725,17 @@ def extract_worst_game(
     so every cost, gap and social value is that of the full game."""
     _check_designee(cfg, designated)
     n, r, width = cfg.n, len(cfg.basis), _width(cfg)
-    end = width + len(_level(cfg))
+    end = width + (cfg.spec.kind != SUM)  # t at width under max
     for j in primal_values:
         if not (type(j) is int and 0 <= j < end):  # a bool, an int subclass, is no position
             raise GameError(f"primal point key {j!r} is not a column position (0 to {end - 1})")
     support = sorted(j for j, x in primal_values.items() if x and j < width)
-    triples = [_masks(j, n, r) for j in support]
+    triples = [(*divmod(j // r, 1 << n), j % r) for j in support]  # (P, Q, k)
     columns = np.array(triples, dtype=np.intp).reshape(-1, 3).T
     masks = np.array(sorted({m for p, q, _ in triples for m in (p, q)}), dtype=np.intp)
     factors = _mask_factors(cfg, rep.weights, masks)
-    program = _primal(cfg, _ColumnNames(cfg, rep, support), *_entries(cfg, factors, *columns),
-                      designated)
+    program = _primal(cfg, _ColumnNames(cfg, _representative(rep), support),
+                      *_entries(cfg, factors, *columns), designated)
     # the point on that program's positions: the support, then t at len(support)
     at = {i: primal_values[j] for i, j in enumerate(support + [width]) if j in primal_values}
     ok, label, violation = lp.feasibility_report(program, at, FEAS_TOL)
@@ -783,16 +781,18 @@ class ExtensionReport:
 
 def verify_extension(
     cfg: WorstCaseConfig,
-    dual_values: Mapping,
+    certificate: Sequence,
     model: CongestionModel,
     dist: ProfileDistribution,
     o_profile,
     designated: Optional[int] = None,
 ) -> ExtensionReport:
     """Check that a dual-feasible certificate for the representative pure
-    program stays feasible for the coarse program of (model, dist, o): the
-    rows of build_dp_cce, read by lp.dual_violations off build_pp_cce's
-    array, without the duals' sign bounds.
+    program, by position in build_dp_pne's variables as solve_worst_case
+    gives it, stays feasible for the coarse program of (model, dist, o):
+    the rows of build_dp_cce, whose variables are build_dp_pne's, read by
+    lp.dual_violations off build_pp_cce's array, without the duals' sign
+    bounds.  A Mapping or a sequence of another length raises GameError.
 
     Each row is a mixture of rows of build_dp_pne, so the check holds for
     every input by convexity; a failure means an implementation bug, so
@@ -800,6 +800,9 @@ def verify_extension(
     GameError for a lookup table that misses a load of the class, even
     one that model never reaches."""
     program = build_pp_cce(cfg, model, dist, o_profile, designated)
-    duals = [dual_values.get(_certificate_name(row.label), 0) for row in program.rows]
-    ok, label, violation = _dual_report(program, duals, FEAS_TOL)
+    if isinstance(certificate, Mapping) or len(certificate) != len(program.rows):
+        raise GameError(f"a certificate is a sequence of {len(program.rows)} values, one per "
+                        f"variable of build_dp_pne, not a {type(certificate).__name__} of "
+                        f"{len(certificate)}")
+    ok, label, violation = _dual_report(program, certificate, FEAS_TOL)
     return ExtensionReport(ok, len(program.variables), violation, label)

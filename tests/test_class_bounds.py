@@ -30,7 +30,7 @@ import pytest
 
 from poacert import cli
 from poacert.formulations import (VALUE_RTOL, WorstCaseConfig, extract_worst_game,
-                                  solve_worst_case, verify_extension)
+                                  solve_worst_case)
 from poacert.games import EQ1, MAX, SUM, BasisFunction, SocialSpec, identity_matrix
 from poacert.oracle import exact_ppoa, social_optimum, worst_cce_value
 from poacert.smoothness import OPTIMAL, is_sum_bounded, robust_poa
@@ -152,8 +152,6 @@ def test_the_n4_fair_cost_witness_attains_gamma(kind, eps, gamma, exact):
         assert ratios == [gamma] * 3 and {type(r) for r in ratios} == {F}
     else:
         assert ratios == pytest.approx([gamma] * 3, rel=VALUE_RTOL)
-    draws = cli._random_trials(random.Random(1), game.model, 20)
-    assert all(verify_extension(cfg, result.dual_solution, game.model, dist, o,
-                                result.designated).ok for dist, o in draws)
+    assert all(ext.ok for _, ext in cli._extensions(cfg, result, game.model, random.Random(1), 20))
     assert is_sum_bounded(game, spec) == (True, None)
     assert robust_poa(game, spec).status == OPTIMAL

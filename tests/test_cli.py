@@ -6,6 +6,7 @@ invocation.
 
 import json
 import time
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
@@ -536,6 +537,51 @@ def test_an_infinite_class_emits_no_witness(capsys, tmp_path, infinite_cfg_path)
     assert doc["status"] == "INFINITE"
     assert doc["witness"] == {"note": "no witness for INFINITE status"}
     assert not wit.exists()
+
+
+MAX_CFG = {
+    "weights": [1, 2],
+    "alpha": [[1, 0.5], [-0.25, 1]],
+    "beta": [[1, 0.5], [0, 1]],
+    "sf": "max",
+    "epsilon": 0.5,
+    "basis": [{"kind": "monomial", "degree": 1}, {"kind": "monomial", "degree": 2}],
+}
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("config, golden", [
+    (CFG, "sum"), (MAX_CFG, "max"), ({**CFG, "alpha": [[0, 0], [0, 0]]}, "infinite")])
+@pytest.mark.parametrize("exact", [False, True])
+def test_solve_worst_case_prints_the_pinned_report(capsys, tmp_path, config, golden, exact):
+    """solve-worst-case prints, byte for byte, the report pinned in
+    tests/golden when the certificate was a dict keyed by name: its
+    dual_solution is {name: value} in build_dp_pne's variable order, {}
+    for an INFINITE class, formatted from the certificate's positions."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    code = main(["solve-worst-case", "--config", str(p)] + ["--exact"] * exact)
+    assert code == EXIT_OK
+    want = GOLDEN / f"solve_worst_case_{golden}{'_exact' if exact else ''}.json"
+    assert capsys.readouterr().out == want.read_text()
+
+
+def test_selftest_stops_drawing_at_the_first_failed_extension(capsys, monkeypatch):
+    """selftest checks each finite class's certificate on up to 5 random
+    trials and stops drawing at the first failure."""
+    checked = []
+
+    def failing(*args):
+        checked.append(args[4])
+        return formulations.ExtensionReport(False, 1, 1.0, "r[v[a][0]]")
+
+    monkeypatch.setattr(cli, "verify_extension", failing)
+    code, doc = run(capsys, "selftest", "--seed", "3")
+    assert code == EXIT_INVARIANT
+    extension = [c for c in doc["checks"] if c["name"].endswith(" extension")]
+    assert extension and not any(c["ok"] for c in extension)
+    assert {c["detail"] for c in extension} == {"row r[v[a][0]]"}
+    assert len(checked) == len(extension)
 
 
 def test_an_infinite_class_has_no_certificate_to_extend(capsys, infinite_cfg_path, game_path):

@@ -23,10 +23,10 @@ from poacert.formulations import (
     WorstCaseConfig,
     _dual_report,
     _primal,
-    _variables,
     build_pp_cce,
     solve_worst_case,
     verify_extension,
+    vname,
 )
 from poacert.games import (
     MAX,
@@ -112,9 +112,12 @@ def _reference_coefficient_parts(cfg, model, dist, o_profile):
 
 def reference_pp_cce(cfg, model, dist, o_profile, designated=None):
     """build_pp_cce with the enumerated coefficients, laid out as the
-    production program is."""
+    production program is, its columns listed by name: v[e][k] resource
+    major, then t under max."""
     eq, val, nrm = _reference_coefficient_parts(cfg, model, dist, o_profile)
-    return _primal(cfg, _variables(cfg, model), (eq, None, None), val, nrm, designated)
+    names = [vname(e, k) for e in model.resources for k in range(len(cfg.basis))]
+    return _primal(cfg, names + ([] if cfg.spec.kind == SUM else ["t"]), (eq, None, None), val,
+                   nrm, designated)
 
 
 # ============================================================
@@ -181,8 +184,8 @@ def close_program(a, b):
     cancel."""
     x, y = (p.coefficients.astype(float) for p in (a, b))
     scale = np.maximum(abs(x), abs(y)).max(axis=1, keepdims=True)
-    return ((a.sense, a.variables, a.rows, a.bounds, a.name)
-            == (b.sense, b.variables, b.rows, b.bounds, b.name)
+    return ((a.sense, tuple(a.variables), a.rows, a.bounds, a.name)
+            == (b.sense, tuple(b.variables), b.rows, b.bounds, b.name)
             and x.shape == y.shape and ((x == 0) == (y == 0)).all()
             and (abs(x - y) <= FLOAT_RTOL * scale).all())
 

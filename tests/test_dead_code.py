@@ -25,7 +25,8 @@ simplex, one calls phase1 and one, _run, constructs a _Region; only a
 _Region builds a standard form, a _Stop declares no default, and only
 _Revised.__init__ writes into T and nothing copies it, so no run goes
 back to a saved basis.  In formulations.py only _primal writes rows and
-copies parts into a coefficient array.  smoothness.py imports no linprog
+copies parts into a coefficient array, and a certificate or column name
+is formatted only by the helpers that show one.  smoothness.py imports no linprog
 and names no Fraction: the robust PoA solves no program.
 Every name a poacert module imports is used in that module.  Every
 defaulted parameter of a private function or method (one whose own name
@@ -327,14 +328,14 @@ def test_one_rule_chooses_float64_or_rationals():
     and in the converters and writers, so every choice between float64 and
     rationals made from the data's types reads games.rational; and the
     default social function of a file (gamefile._social) and the CLI's
-    random trials (cli._random_trials) take no exact parameter, as their
+    random trials (cli._extensions) take no exact parameter, as their
     data fix their arithmetic."""
     tests = {(path.name, scope) for path in _modules() for scope, node in _scoped_nodes(_tree(path))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
              and "Fraction" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}}
     assert ("games.py", "rational") in tests
     assert tests <= FRACTION_TESTS, sorted(tests - FRACTION_TESTS)
-    for module, name in (("gamefile.py", "_social"), ("cli.py", "_random_trials")):
+    for module, name in (("gamefile.py", "_social"), ("cli.py", "_extensions")):
         func = next(node for node in ast.walk(_tree(PACKAGE / module))
                     if isinstance(node, ast.FunctionDef) and node.name == name)
         assert "exact" not in {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
@@ -434,6 +435,24 @@ def test_one_writer_for_every_worst_case_program():
     builders = {scope for scope, name, _ in calls if name == "LinearProgram"}
     assert writers == {"_primal"}
     assert builders == {"_primal", "_certificate_program"}
+
+
+def test_a_name_is_formatted_only_where_it_is_shown():
+    """In formulations only _certificate_program (the dual's variables),
+    _dual_report (a violated row's label) and _named_certificate (a
+    report's names) call _certificate_name, and only _ColumnNames, which
+    names a column when it is read, calls vname: a certificate and a point
+    are keyed by position, so no solve or check formats a name.  In cli
+    only _extensions hands a certificate to verify_extension."""
+    calls = list(_calls(_tree(PACKAGE / "formulations.py")))
+    callers = {name: {scope for scope, called, _ in calls if called == name}
+               for name in ("_certificate_name", "vname")}
+    assert callers == {
+        "_certificate_name": {"_certificate_program", "_dual_report", "_named_certificate"},
+        "vname": {"_ColumnNames.__getitem__"},
+    }
+    assert {scope for scope, called, _ in _calls(_tree(PACKAGE / "cli.py"))
+            if called == "verify_extension"} == {"_extensions"}
 
 
 def test_no_run_goes_back_to_a_saved_basis():

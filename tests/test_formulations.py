@@ -31,7 +31,6 @@ from conftest import (
     g1,
     named,
     nonzeros,
-    positional,
     random_model,
     same_program,
     seeded,
@@ -211,20 +210,23 @@ def test_production_dual_rows_match_hand_rows(n):
 
 
 def assert_certifies(cfg, r):
-    """r.dual_solution is exactly feasible for the dual program of the
-    winning designee, with objective gamma*: weak duality proves gamma*."""
+    """r.dual_solution, one value per variable of the dual program of the
+    winning designee, is exactly feasible for it, with objective gamma*:
+    weak duality proves gamma*."""
     program = build_dp_pne(cfg, r.rep, r.designated)
-    ok, label, violation = lp.feasibility_report(program, positional(program, r.dual_solution), 0)
+    assert len(r.dual_solution) == len(program.variables)
+    cert = dict(enumerate(r.dual_solution))
+    ok, label, violation = lp.feasibility_report(program, cert, 0)
     assert ok, f"certificate violates {label} by {violation}"
-    assert objective_at(program, r.dual_solution) == r.gamma_star
+    assert objective_at(program, named(program, cert)) == r.gamma_star
 
 
 def test_anchor_two_players():
     r = solve_worst_case(unit_cfg(), exact=True)
     assert r.status == OPTIMAL
     assert r.gamma_star == F(2)
-    assert r.dual_solution["y[0]"] == F(1)
-    assert r.dual_solution["gamma"] == F(2)
+    assert r.dual_solution[0] == F(1)  # y[0]
+    assert r.dual_solution[2] == F(2)  # gamma, after y[0] and y[1]
     assert_certifies(unit_cfg(), r)
 
 
@@ -314,8 +316,6 @@ def test_mixed_cell_is_infinite(exact):
     unbounded for designees 0 and 1 and certified at 1 for designee 2.
     solve_worst_case solves U_d, LP_d without its val rows and t, which
     is unbounded for all three; gamma* is INFINITE either way."""
-    from poacert.formulations import _certificate_name
-
     cfg = mixed_cell(exact)
     r = solve_worst_case(cfg, exact=exact)
     assert r.status == INFINITE and r.gamma_star is None
@@ -323,14 +323,13 @@ def test_mixed_cell_is_infinite(exact):
     alone = [lp.solve(build_pp_pne(cfg, r.rep, d), exact) for d in range(3)]
     assert [a.status for a in alone] == [lp.UNBOUNDED, lp.UNBOUNDED, lp.OPTIMAL]
     certified = alone[2]
-    rows = build_pp_pne(cfg, r.rep, 2).rows
-    dual = {_certificate_name(row.label): y for row, y in zip(rows, certified.duals, strict=True)}
     program = build_dp_pne(cfg, r.rep, 2)
+    assert len(certified.duals) == len(program.variables)
     ok, label, violation = lp.feasibility_report(
-        program, positional(program, dual), 0 if exact else 1e-9)
+        program, dict(enumerate(certified.duals)), 0 if exact else 1e-9)
     assert ok, f"certificate violates {label} by {violation}"
-    if exact:
-        assert certified.value == sum(dual[f"gamma[{i}]"] for i in range(3)) == 1
+    if exact:  # gamma[i] after y[i] and z[i]
+        assert certified.value == sum(certified.duals[6:]) == 1
     else:
         assert certified.value == pytest.approx(1, rel=1e-9)
 
@@ -417,13 +416,13 @@ def designee_region(cfg, rep, d):
     """U_d sliced from LP_d = build_pp_pne(cfg, rep, d): its eq and norm
     rows over the v columns, without the val rows and t, maximizing the v
     entries of its val[d] row, designee d's cost row."""
-    from poacert.formulations import _ColumnNames
+    from poacert.formulations import _ColumnNames, _representative
 
     pp = build_pp_pne(cfg, rep, d)
     keep = [i for i, row in enumerate(pp.rows) if not row.label.startswith("val[")]
     at = [row.label for row in pp.rows].index(f"val[{d}]")
     coefficients = pp.coefficients[keep + [at], :-1]
-    names = _ColumnNames(cfg, rep, range(len(pp.variables) - 1), level=False)
+    names = _ColumnNames(cfg, _representative(rep), range(len(pp.variables) - 1), level=False)
     return lp.LinearProgram(lp.MAXIMIZE, names, [pp.rows[i] for i in keep], coefficients,
                             name=f"u_max_d{d}")
 
@@ -488,9 +487,9 @@ def test_designees_sharing_one_array_answer_as_alone(monkeypatch):
                 assert variant.dp_value == pytest.approx(alone.value, rel=VALUE_RTOL)
             dp = build_dp_pne(model, rep, d)
             ok, label, violation = lp.feasibility_report(
-                dp, positional(dp, variant.dual), 0 if exact else FEAS_TOL)
+                dp, dict(enumerate(variant.dual)), 0 if exact else FEAS_TOL)
             assert ok, f"designee {d}: certificate violates {label} by {violation}"
-            bound = sum(variant.dual[f"gamma[{i}]"] for i in range(cfg.n))  # dp's objective
+            bound = sum(variant.dual[2 * cfg.n:])  # dp's objective: gamma[i] after y[i], z[i]
             assert bound == (variant.dp_value if exact else pytest.approx(variant.dp_value))
         best = best_designee_program(model, rep, exact)
         if best == INFINITE:
@@ -799,7 +798,7 @@ def test_certificate_pass_is_feasibility_report_on_dp():
     to denominators of at most 10^6, and at n = 2 also against its exact
     duals.  Among the moved certificates every kind of first
     violation occurs: a column row, zsum and a sign bound."""
-    from poacert.formulations import _certificate_name, _certificate_report
+    from poacert.formulations import _certificate_report
 
     firsts = set()
     for param in CHECK_CASES:
@@ -811,19 +810,17 @@ def test_certificate_pass_is_feasibility_report_on_dp():
             if rp.status != lp.OPTIMAL:
                 continue
             dp = build_dp_pne(cfg, rep, d)
-            labels = [row.label for row in program.rows]
             solved = [[num(y) for y in rp.duals]]
             if exact and cfg.n == 2:
                 solved.append(list(lp.solve(program, exact=True).duals))
             moved = []
-            for i in range(len(labels)):
+            for i in range(len(program.rows)):
                 for delta in (F(-1, 10**6), 1) if exact else (F(-1, 10**6), F(1, 10**6), -1, 1):
                     duals = list(solved[0])
                     duals[i] += num(delta)
                     moved.append(duals)
             for k, duals in enumerate(solved + moved):
-                cert = {_certificate_name(label): y for label, y in zip(labels, duals)}
-                want = lp.feasibility_report(dp, positional(dp, cert), tol)
+                want = lp.feasibility_report(dp, dict(enumerate(duals)), tol)
                 got = _certificate_report(program, duals, tol)
                 assert repr(got) == repr(want), (param.id, d, k)
                 if k >= len(solved) and not got[0]:
@@ -1040,7 +1037,7 @@ def test_dp_cce_rows_are_profile_mixtures_of_dp_pne_rows():
 
 def test_verify_extension_accepts_anchor_certificate():
     cfg = unit_cfg()
-    cert = {"y[0]": F(1), "y[1]": F(1), "gamma": F(2)}
+    cert = (F(1), F(1), F(2))  # y[0], y[1], gamma
     g = g1()
     profiles = list(g.model.profiles())
     rng = seeded(5)
@@ -1062,7 +1059,7 @@ def test_verify_extension_accepts_anchor_certificate():
 
 def test_verify_extension_flags_weak_certificate():
     cfg = unit_cfg()
-    weak = {"y[0]": F(1), "y[1]": F(1), "gamma": F(1, 2)}
+    weak = (F(1), F(1), F(1, 2))  # y[0], y[1], gamma
     g = g1()
     # point mass on (a,a) against o=(a,b): resource a maps to P={1,2},
     # Q={1}, whose row needs 2 y_2 + gamma >= 4 -- short by 3/2
@@ -1075,10 +1072,57 @@ def test_verify_extension_flags_weak_certificate():
 def test_verify_extension_refuses_a_nan_certificate():
     """No tolerance admits a nan: a certificate of nan duals fails."""
     nan = float("nan")
-    report = verify_extension(unit_cfg(), {"y[0]": nan, "y[1]": nan, "gamma": nan}, g1().model,
+    report = verify_extension(unit_cfg(), (nan, nan, nan), g1().model,
                               ProfileDistribution.point(AA), AB)
     assert not report.ok and report.first_violated is not None
     assert math.isnan(report.worst_violation)
+
+
+@pytest.mark.parametrize("kind", [SUM, MAX])
+def test_verify_extension_refuses_a_certificate_not_by_position(kind):
+    """A certificate is read by position, one value per variable of
+    build_dp_pne: a dict (the certificate keyed by name), or a sequence
+    one value short or one value long, raises GameError naming the count
+    expected, where zero-filling would check another certificate."""
+    cfg = unit_cfg(kind=kind)
+    r = solve_worst_case(cfg, exact=True)
+    count = len(build_dp_pne(cfg, r.rep, r.designated).variables)
+    assert len(r.dual_solution) == count == (3 if kind == SUM else 6)
+    by_name = dict(zip(build_dp_pne(cfg, r.rep, r.designated).variables, r.dual_solution))
+    args = (g1().model, ProfileDistribution.point(AA), AB, r.designated)
+    assert verify_extension(cfg, r.dual_solution, *args).ok
+    for bad in (by_name, r.dual_solution[:-1], r.dual_solution + (F(0),)):
+        with pytest.raises(GameError, match=f"sequence of {count} values"):
+            verify_extension(cfg, bad, *args)
+
+
+def test_a_passing_solve_or_check_formats_no_name(monkeypatch):
+    """solve_worst_case, under sum and max, in float and in rationals, and
+    a passing verify_extension of its certificate call neither
+    _certificate_name nor vname: a certificate and a point are keyed by
+    position, and a name is formatted only where a report or a message
+    shows it."""
+    from poacert import formulations
+
+    formatted = []
+    for name in ("_certificate_name", "vname"):
+        def counted(*args, name=name, formatter=getattr(formulations, name)):
+            formatted.append(name)
+            return formatter(*args)
+
+        monkeypatch.setattr(formulations, name, counted)
+    model = g1().model
+    dist = ProfileDistribution.uniform(list(model.profiles()))
+    for kind, exact in itertools.product((SUM, MAX), (False, True)):
+        cfg = unit_cfg(kind=kind)
+        r = solve_worst_case(cfg, exact)
+        assert r.status == OPTIMAL and formatted == [], (kind, exact)
+        assert verify_extension(cfg, r.dual_solution, model, dist, AB, r.designated).ok
+        assert formatted == [], (kind, exact)
+    # the formatters are the ones counted: a report names the certificate
+    assert list(formulations._named_certificate(cfg, r.designated, r.dual_solution)) == [
+        "y[0]", "y[1]", "z[0]", "z[1]", "gamma[0]", "gamma[1]"]
+    assert formatted == ["_certificate_name"] * 6
 
 
 def test_certificate_pass_refuses_nan_duals():
@@ -1103,7 +1147,7 @@ def test_extension_pass_is_feasibility_report_on_dp_cce():
     the reference writer's program, whose float entries may differ in the
     last bits.  Among the moved certificates the first violation is a
     column row and zsum."""
-    from poacert.formulations import _certificate_name, _certificate_program
+    from poacert.formulations import _certificate_program
 
     rng = seeded(23)
     firsts = set()
@@ -1115,11 +1159,12 @@ def test_extension_pass_is_feasibility_report_on_dp_cce():
         for d, program, rp in float_optima(cfg):
             if rp.status != lp.OPTIMAL:
                 continue
-            solved = {_certificate_name(row.label): num(y)
-                      for row, y in zip(program.rows, rp.duals, strict=True)}
+            solved = [num(y) for y in rp.duals]
             certs = [solved]
-            for v in solved:
-                certs.append({**solved, v: solved[v] + num(rng.choice((-1e-6, 1e-6, -1, 1)))})
+            for i in range(len(solved)):
+                moved = list(solved)
+                moved[i] += num(rng.choice((-1e-6, 1e-6, -1, 1)))
+                certs.append(moved)
             for _ in range(3):
                 model = random_model(rng, cfg.weights)
                 profiles = list(model.profiles())
@@ -1137,10 +1182,10 @@ def test_extension_pass_is_feasibility_report_on_dp_cce():
                 for k, cert in enumerate(certs):
                     report = verify_extension(cfg, cert, model, dist, o_profile, d)
                     got = (report.ok, report.first_violated, report.worst_violation)
-                    want = lp.feasibility_report(free, positional(free, cert), FEAS_TOL)
+                    want = lp.feasibility_report(free, dict(enumerate(cert)), FEAS_TOL)
                     assert repr(got) == repr(want), (param.id, d, k)
                     assert got[:2] == lp.feasibility_report(
-                        free_ref, positional(free_ref, cert), FEAS_TOL)[:2], (
+                        free_ref, dict(enumerate(cert)), FEAS_TOL)[:2], (
                         param.id, d, k)
                     assert report.rows_checked == len(dp.rows)
                     if k and not report.ok:

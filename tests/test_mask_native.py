@@ -28,6 +28,7 @@ from poacert.formulations import (
     WorstCaseConfig,
     _closed_form,
     _ColumnNames,
+    _representative,
     build_pp_pne,
     extract_worst_game,
     solve_worst_case,
@@ -435,7 +436,7 @@ def test_column_name_inverse_round_trips(n, r):
                           (X,) * r)
     names = reference_column_names(cfg)
     assert len(names) == 4**n * r
-    columns = _ColumnNames(cfg, rep, range(len(names)))
+    columns = _ColumnNames(cfg, _representative(rep), range(len(names)))
     assert [columns[j] for j in range(len(names))] == names
     assert "model" not in vars(rep)
 
