@@ -393,18 +393,34 @@ def individual_cost(game: GeneralizedGame, profile, i: int):
         add, (game.latency(e, loads[e]) for e in model.ordered_strategies[i][profile[i]]), 0)
 
 
-def _used_latencies(game: GeneralizedGame, loads, idle=()) -> dict:
-    """Latency of each used resource at its load, evaluated once; an idle
-    resource's is 0 without evaluation."""
-    return {e: 0 if e in idle else game.latency(e, x) for e, x in loads.items() if x != 0}
+def _latency_memo(game: GeneralizedGame):
+    """game.latency for the length of one call: each (e, type(load), load)
+    is evaluated once, so 3 and Fraction(3), whose latencies may differ in
+    type, stay apart.  The memo lives in the returned function alone;
+    nothing is kept on the game."""
+    memo = {}
+
+    def latency(e, load):
+        key = (e, type(load), load)
+        value = memo.get(key)
+        if value is None:  # no latency is None
+            value = memo[key] = game.latency(e, load)
+        return value
+
+    return latency
 
 
-def individual_costs(game: GeneralizedGame, profile) -> list:
-    """individual_cost of every player, from one load pass over the
-    profile: each used resource's latency is evaluated once."""
-    model = game.model
-    loads = congestion(model, profile)
-    lat = _used_latencies(game, loads)
+def _price(game: GeneralizedGame, profile, latency, idle=()) -> tuple:
+    """(loads, latencies) of a profile from one load pass: its congestion
+    and latency(e, load) of each used resource, evaluated once; one in
+    idle (see _idle) is 0 without evaluation."""
+    loads = congestion(game.model, profile)
+    return loads, {e: 0 if e in idle else latency(e, x) for e, x in loads.items() if x != 0}
+
+
+def _costs(model: CongestionModel, profile, lat) -> list:
+    """individual_cost of every player from the latencies of a profile's
+    _price: each player's resources added in_order from 0."""
     costs = []
     for i, s in enumerate(profile):
         total = 0
@@ -412,6 +428,12 @@ def individual_costs(game: GeneralizedGame, profile) -> list:
             total += lat[e]
         costs.append(model.weights[i] * total)
     return costs
+
+
+def individual_costs(game: GeneralizedGame, profile) -> list:
+    """individual_cost of every player, from one load pass over the
+    profile: each used resource's latency is evaluated once."""
+    return _costs(game.model, profile, _price(game, profile, game.latency)[1])
 
 
 def _weighted(row, costs):
@@ -453,13 +475,17 @@ def social_value(spec: SocialSpec, game: GeneralizedGame, outcome):
     return reduce(add, per_player, 0) if spec.kind == SUM else max(per_player)
 
 
-def _gap_inputs(game: GeneralizedGame, profile) -> tuple:
-    """What every grouped gap of a profile reads: its loads, resource users
-    and _used_latencies, and the idle resources (all coefficients 0)."""
-    model = game.model
-    loads = congestion(model, profile)
-    idle = {e for e, vec in game.coefficients.items() if not any(vec)}
-    return loads, resource_users(model, profile), _used_latencies(game, loads, idle), idle
+def _idle(game: GeneralizedGame) -> set:
+    """The resources whose coefficients are all 0: latency 0 at every load."""
+    return {e for e, vec in game.coefficients.items() if not any(vec)}
+
+
+def _gap_inputs(game: GeneralizedGame, profile, priced, idle, latency) -> tuple:
+    """What every grouped gap of a profile reads: the loads and latencies
+    of its _price, its resource users, the game's _idle resources and the
+    latency the joined loads are read through."""
+    loads, lat = priced
+    return loads, resource_users(game.model, profile), lat, idle, latency
 
 
 def _grouped_gap(game: GeneralizedGame, profile, i: int, target: tuple, eps, inputs):
@@ -467,7 +493,7 @@ def _grouped_gap(game: GeneralizedGame, profile, i: int, target: tuple, eps, inp
     in_order, given the profile's _gap_inputs.  Resources are added
     in_order; one of latency 0 adds 0, so its alpha-weighted users are not
     summed."""
-    loads, users, lat, idle = inputs
+    loads, users, lat, idle, latency = inputs
     model = game.model
     current = model.strategies[i][profile[i]]
     w = model.weights
@@ -484,8 +510,32 @@ def _grouped_gap(game: GeneralizedGame, profile, i: int, target: tuple, eps, inp
             continue
         aw = game.alpha[i][i] * w[i] + reduce(add, (game.alpha[i][j] * w[j] for j in users[e]), 0)
         if aw != 0:
-            pay += game.latency(e, loads[e] + w[i]) * aw
+            pay += latency(e, loads[e] + w[i]) * aw
     return gain - (1 + eps) * pay
+
+
+def _grouped_gaps(game: GeneralizedGame, profile, eps, priced, idle, latency):
+    """(i, x, _grouped_gap) for every player i and strategy index x, in
+    that order, of a profile priced as _price prices it.  Lazy, so a
+    caller may stop at the first bad gap."""
+    inputs = _gap_inputs(game, profile, priced, idle, latency)
+    for i, per in enumerate(game.model.ordered_strategies):
+        for x, target in enumerate(per):
+            yield i, x, _grouped_gap(game, profile, i, target, eps, inputs)
+
+
+def _pne_verdict(gaps) -> int:
+    """A profile's eq1 equilibrium verdict under either slack, read off its
+    _grouped_gaps up to the first above FEAS_TOL: 2 when one is, 1 when
+    one is above 0 alone, 0 when none is above 0 (a NaN gap is above
+    neither)."""
+    verdict = 0
+    for _, _, gap in gaps:
+        if gap > FEAS_TOL:
+            return 2
+        if gap > 0:
+            verdict = 1
+    return verdict
 
 
 def deviation_gap(game: GeneralizedGame, profile, i: int, x, eps=0):
@@ -501,7 +551,10 @@ def deviation_gap(game: GeneralizedGame, profile, i: int, x, eps=0):
     """
     model = game.model
     target = model.ordered_strategies[i][x] if isinstance(x, int) else tuple(model.in_order(set(x)))
-    return _grouped_gap(game, profile, i, target, eps, _gap_inputs(game, profile))
+    idle = _idle(game)
+    inputs = _gap_inputs(game, profile, _price(game, profile, game.latency, idle), idle,
+                         game.latency)
+    return _grouped_gap(game, profile, i, target, eps, inputs)
 
 
 def _deviate(profile, i: int, x) -> tuple:
@@ -526,21 +579,22 @@ def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
     equal to deviation_gap or deviation_gap_verbatim but from one load pass
     over the profile (eq1) or one individual_costs call per profile read
     (verbatim).  Lazy, so a caller may stop at the first bad gap."""
-    return _deviation_gaps(game, profile, eps, predicate, lambda prof: individual_costs(game, prof))
+    return _deviation_gaps(game, profile, eps, predicate, lambda prof: individual_costs(game, prof),
+                           game.latency)
 
 
-def _deviation_gaps(game: GeneralizedGame, profile, eps, predicate: str, priced):
-    """deviation_gaps, a verbatim gap reading each profile's
-    individual_costs as priced(profile) gives them."""
+def _deviation_gaps(game: GeneralizedGame, profile, eps, predicate: str, priced, latency):
+    """deviation_gaps, an eq1 gap reading the latencies through latency
+    and a verbatim gap each profile's individual_costs as priced(profile)
+    gives them."""
     if predicate not in (EQ1, VERBATIM):
         raise GameError(f"unknown predicate {predicate!r}")
     check_epsilon(eps)
     model = game.model
     if predicate == EQ1:
-        inputs = _gap_inputs(game, profile)
-        for i in range(game.n):
-            for x, target in enumerate(model.ordered_strategies[i]):
-                yield i, x, _grouped_gap(game, profile, i, target, eps, inputs)
+        idle = _idle(game)
+        priced = _price(game, profile, latency, idle)
+        yield from _grouped_gaps(game, profile, eps, priced, idle, latency)
         return
     costs = priced(profile)
     for i, row in enumerate(game.alpha):
@@ -589,16 +643,18 @@ def is_eps_cce(
     """Coarse correlated test: no player gains (1+eps)-factor in
     expectation by a constant pure deviation.  An exact expected gap must
     be <= 0; a float one may exceed 0 by FEAS_TOL.  Each distinct profile
-    the verbatim gaps read is priced once per call."""
+    the gaps read is priced once per call, and each latency at a load
+    evaluated once (_latency_memo)."""
+    latency = _latency_memo(game)
     prices = {}
 
     def priced(prof):
         if prof not in prices:
-            prices[prof] = individual_costs(game, prof)
+            prices[prof] = _costs(game.model, prof, _price(game, prof, latency)[1])
         return prices[prof]
 
     gaps = {
-        prof: [gap for _, _, gap in _deviation_gaps(game, prof, eps, predicate, priced)]
+        prof: [gap for _, _, gap in _deviation_gaps(game, prof, eps, predicate, priced, latency)]
         for prof in dist.masses
     }
     k = 0

@@ -2,21 +2,26 @@
 
 Everything here is brute force on purpose: optimum and equilibria by full
 profile enumeration, worst coarse value by a linear program over the
-profile simplex, each read off one _CostTable and its one gap array
-(_gaps).  The cost table fixes the numbers, the slack and the gaps.  It
-decides the arithmetic by games.rational: when none of the game's costs,
-the social spec's beta and, where an answer reads gaps, alpha and
-epsilon is a float, and one of them is a Fraction, its costs are
-Fractions and the answers rational end to end; any other game, integer
-costs included, gets float64 ones.  Its tol, 0 or FEAS_TOL, is the
-slack of every comparison read off it, so the pure and the coarse
-oracle accept the same equilibria.  A caller that reads both a ratio of
-the costs and gaps takes both tables from one enumeration
-(_cost_tables), each in its own arithmetic.
+profile simplex, each read off one _CostTable and its gaps.  A call
+prices the game in one pass (_cost_tables): each profile once, each
+latency at a load once through a memo that lives for that call alone,
+and, where an answer reads eq1 gaps, those gaps from the same loads and
+latencies: every gap for eq1 coarse rows, or each profile's equilibrium
+verdict, which stops at its first gap above FEAS_TOL.  The cost table
+fixes the numbers, the slack and the gaps.  It decides the arithmetic
+by games.rational: when none of the game's costs, the social spec's
+beta and, where an answer reads gaps, alpha and epsilon is a float, and
+one of them is a Fraction, its costs are Fractions and the answers
+rational end to end; any other game, integer costs included, gets
+float64 ones.  Its tol, 0 or FEAS_TOL, is the slack of every comparison
+read off it, so the pure and the coarse oracle accept the same
+equilibria.  A caller that reads both a ratio of the costs and gaps
+takes both tables from one pass, each in its own arithmetic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -35,10 +40,13 @@ from .games import (
     ProfileDistribution,
     SocialSpec,
     check_epsilon,
-    deviation_gaps,
-    individual_costs,
+    _costs,
+    _grouped_gaps,
+    _idle,
+    _latency_memo,
+    _pne_verdict,
+    _price,
     rational,
-    social_of_costs,
 )
 
 PROFILE_CAP = 10**6
@@ -46,7 +54,7 @@ NO_EQUILIBRIUM = "NO_EQUILIBRIUM"
 
 
 class _CostTable(NamedTuple):
-    """An oracle call's one individual_costs pass: the game's profiles in
+    """An oracle call's one priced pass: the game's profiles in
     lexicographic order as rows of strategy indices (profiles[a, i] is
     player i's strategy at row a), the individual cost of player i at row
     a as costs[a, i], and the mixed-radix strides of the profile order, so
@@ -55,12 +63,16 @@ class _CostTable(NamedTuple):
     the spec the table was built for and, for gaps, of alpha and epsilon:
     then costs is an object array of Fractions and every answer read off
     the table is solved and read in rationals; otherwise costs is
-    float64, integer costs included."""
+    float64, integer costs included.  eq1, on a table for eq1 gaps, is
+    what its pass kept of them: every row's gaps in deviation_gaps order,
+    in the costs' dtype (EQ1_ROWS), or one verdict per row (EQ1_PNE), True
+    where no gap exceeds tol; None on any other table."""
 
     profiles: np.ndarray
     costs: np.ndarray
     strides: np.ndarray
     exact: bool
+    eq1: Optional[np.ndarray] = None
 
     @property
     def tol(self):
@@ -85,29 +97,65 @@ class _CostTable(NamedTuple):
             raise GameError(f"social spec is {spec.n}x{spec.n} for a game of {n} players")
 
     def social_values(self, spec: SocialSpec) -> list:
-        """social_of_costs of every row, in row order."""
+        """social_of_costs of every row, in row order: each player's
+        beta-costs as _weighted_rows adds them, then their sum from 0 in
+        player order, or the first largest of them.  A float sum past the
+        largest float is inf, as in Python, with no warning."""
         self.check_spec(spec)
-        return [social_of_costs(spec, c) for c in self.costs.tolist()]
+        with np.errstate(over="ignore"):
+            per_player = [_weighted_rows(row, self.costs) for row in spec.beta]
+            if spec.kind == SUM:
+                return reduce(add, per_player, 0).tolist()
+        return [max(values) for values in zip(*(p.tolist() for p in per_player))]
+
+
+# what an answer reads of the eq1 gaps: every gap (the coarse rows) or each
+# profile's verdict alone (the pure equilibria)
+EQ1_ROWS = "rows"
+EQ1_PNE = "pne"
+
+
+def _eq1_reads(predicate: str, reads: str) -> Optional[str]:
+    """reads when predicate is EQ1, None under VERBATIM, whose gaps are
+    read off the costs; GameError for any other predicate."""
+    if predicate not in (EQ1, VERBATIM):
+        raise GameError(f"unknown predicate {predicate!r}")
+    return reads if predicate == EQ1 else None
 
 
 def _cost_table(game: GeneralizedGame, cap: int, what: str,
-                spec: Optional[SocialSpec] = None, epsilon=None) -> _CostTable:
+                spec: Optional[SocialSpec] = None, epsilon=None, eq1=None) -> _CostTable:
     """The _CostTable of the game's profiles for the answers of spec and,
     when epsilon is given, for gaps at epsilon; see _cost_tables."""
-    return _cost_tables(game, cap, what, spec, epsilon)[1]
+    return _cost_tables(game, cap, what, spec, epsilon, eq1)[1]
 
 
 def _cost_tables(game: GeneralizedGame, cap: int, what: str,
-                 spec: Optional[SocialSpec], epsilon) -> tuple:
-    """From one enumeration of the game's profiles, after the cap check,
+                 spec: Optional[SocialSpec], epsilon, eq1: Optional[str] = None) -> tuple:
+    """From one priced pass over the game's profiles, after the cap check,
     two _CostTables: the one for the answers of spec, whose arithmetic the
     costs and beta decide, and the one for gaps at epsilon, which read
     alpha and epsilon too.  With no epsilon, or when the two rules agree,
-    both are one table."""
+    both are one table.  The pass prices each profile once (games._price
+    and games._costs), each latency at a load once per call
+    (games._latency_memo) and, when
+    eq1 names what an answer reads of the eq1 gaps (EQ1_ROWS or EQ1_PNE),
+    computes them from the same loads and latencies (games._grouped_gaps):
+    every gap, or each profile's games._pne_verdict."""
     if game.model.profile_count() > cap:
         raise GameError(f"{what}: {game.model.profile_count()} profiles exceeds cap {cap}")
+    if eq1 is not None:
+        check_epsilon(epsilon)
     profiles = list(game.model.profiles())
-    rows = [individual_costs(game, prof) for prof in profiles]
+    latencies = _latency_memo(game)  # this call's alone
+    idle = _idle(game)
+    rows, kept = [], []
+    for prof in profiles:
+        priced = _price(game, prof, latencies, idle)
+        rows.append(_costs(game.model, prof, priced[1]))
+        if eq1 is not None:
+            gaps = _grouped_gaps(game, prof, epsilon, priced, idle, latencies)
+            kept.append([gap for _, _, gap in gaps] if eq1 == EQ1_ROWS else _pne_verdict(gaps))
     numbers = [*(c for row in rows for c in row),
                *([] if spec is None else (b for row in spec.beta for b in row))]
     rules = [rational(numbers)]
@@ -116,10 +164,23 @@ def _cost_tables(game: GeneralizedGame, cap: int, what: str,
     sizes = [len(per) for per in game.model.strategies]
     strides = np.cumprod([1, *sizes[:0:-1]])[::-1]
     index = np.array(profiles, dtype=np.intp)
-    tables = {exact: _CostTable(index, lp._fractions(np.array(rows, dtype=object)) if exact
-                                else np.array(rows, np.float64), strides, exact)
-              for exact in set(rules)}
+    tables = {}
+    for exact in set(rules):
+        costs = lp._fractions(np.array(rows, dtype=object)) if exact else np.array(rows, np.float64)
+        gaps = _kept(kept, eq1, exact, costs.dtype) if exact == rules[-1] else None
+        tables[exact] = _CostTable(index, costs, strides, exact, gaps)
     return tables[rules[0]], tables[rules[-1]]
+
+
+def _kept(kept: list, eq1: Optional[str], exact: bool, dtype) -> Optional[np.ndarray]:
+    """A gap table's eq1, from what its pass kept: the gap rows in the
+    table's dtype (EQ1_ROWS), or whether each row is an equilibrium under
+    the table's tol (EQ1_PNE), from its games._pne_verdict."""
+    if eq1 is None:
+        return None
+    if eq1 == EQ1_ROWS:
+        return np.array(kept, dtype=dtype)
+    return np.array(kept, np.int8) <= (0 if exact else 1)
 
 
 def _weighted_rows(row, costs: np.ndarray) -> np.ndarray:
@@ -140,13 +201,12 @@ def _optimum(values: list) -> tuple:
 def _gaps(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
     """Every row's gaps in deviation_gaps order, as one profiles x
     deviations array in the table's dtype, for eq1 and verbatim alike: a
-    verbatim gap read off the table, an eq1 one from deviation_gaps.  A
-    gap within the table's tol of 0 is 0 (an int 0 in an object array),
-    so every reader judges a gap by its sign alone."""
+    verbatim gap read off the costs, an eq1 one as the table's pass kept
+    it (EQ1_ROWS).  A gap within the table's tol of 0 is 0 (an int 0 in
+    an object array), so every reader judges a gap by its sign alone."""
     check_epsilon(epsilon)
-    if predicate != VERBATIM:
-        gaps = np.array([[gap for _, _, gap in deviation_gaps(game, prof, epsilon, predicate)]
-                         for prof in map(tuple, table.profiles.tolist())], dtype=table.costs.dtype)
+    if _eq1_reads(predicate, EQ1_ROWS):
+        gaps = table.eq1
     else:
         scale = 1 + epsilon if table.exact else float(1 + epsilon)
         blocks = []
@@ -159,7 +219,10 @@ def _gaps(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
 
 
 def _equilibria(game, table: _CostTable, epsilon, predicate) -> list:
-    """The rows whose every gap is at most 0."""
+    """The rows whose every gap is at most 0: under eq1 the verdicts the
+    table's pass kept (EQ1_PNE), under verbatim the rows of _gaps."""
+    if _eq1_reads(predicate, EQ1_PNE):
+        return np.flatnonzero(table.eq1).tolist()
     return np.flatnonzero((_gaps(game, table, epsilon, predicate) <= 0).all(axis=1)).tolist()
 
 
@@ -179,7 +242,8 @@ def enumerate_eps_pne(
 ):
     """All pure profiles passing is_eps_pne under the chosen predicate, in
     lexicographic order: the _equilibria of one cost table."""
-    table = _cost_table(game, cap, "enumerate_eps_pne", epsilon=epsilon)
+    table = _cost_table(game, cap, "enumerate_eps_pne", epsilon=epsilon,
+                        eq1=_eq1_reads(predicate, EQ1_PNE))
     return [table.profile(a) for a in _equilibria(game, table, epsilon, predicate)]
 
 
@@ -218,7 +282,7 @@ def ppoa_report(
     cap: int = PROFILE_CAP,
 ) -> PPoAReport:
     """exact_ppoa's PPoAReport, from one enumeration of the game."""
-    table = _cost_table(game, cap, "exact_ppoa", spec, epsilon)
+    table = _cost_table(game, cap, "exact_ppoa", spec, epsilon, _eq1_reads(predicate, EQ1_PNE))
     return _ppoa(game, table, table.social_values(spec), epsilon, predicate)
 
 
@@ -264,7 +328,7 @@ def worst_cce(
     for sum objectives; for max objectives one per player (a max of linear
     functionals) over one feasible region, solved by lp.solve_each,
     keeping the winner.  Rows and objectives read one cost table."""
-    table = _cost_table(game, cap, "worst_cce", spec, epsilon)
+    table = _cost_table(game, cap, "worst_cce", spec, epsilon, _eq1_reads(predicate, EQ1_ROWS))
     sf = table.social_values(spec) if spec.kind == SUM else None
     return _worst_cce(game, table, spec, sf, epsilon, predicate)
 
@@ -278,12 +342,27 @@ def cce_poa(
 ):
     """(social optimum, worst_cce's CCEReport), both read off one cost
     table; a zero optimum raises GameError before any program is solved."""
-    table = _cost_table(game, cap, "social_optimum", spec, epsilon)
+    table = _cost_table(game, cap, "cce_poa", spec, epsilon, _eq1_reads(predicate, EQ1_ROWS))
     sf = table.social_values(spec)
     _, opt = _optimum(sf)
     if opt == 0:
         raise GameError("social optimum is 0; the ratio is undefined")
     return opt, _worst_cce(game, table, spec, sf, epsilon, predicate)
+
+
+class _ProfileNames(Sequence):
+    """The variables of a coarse program, one per profile row, read-only
+    and named on demand: row a is p[a] only when read, so a solve that
+    succeeds formats no name."""
+
+    def __init__(self, size: int):
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, a: int) -> str:
+        return f"p[{range(self.size)[a]}]"  # IndexError past either end
 
 
 def _worst_cce(game, table: _CostTable, spec, sf, epsilon, predicate) -> CCEReport:
@@ -292,7 +371,6 @@ def _worst_cce(game, table: _CostTable, spec, sf, epsilon, predicate) -> CCERepo
     are the players' beta-costs, all solved over one region."""
     table.check_spec(spec)
     size = len(table.profiles)
-    variables = [f"p[{idx}]" for idx in range(size)]
     # the rows cce[i][x], players then strategies, one column per profile
     gap_rows = _gaps(game, table, epsilon, predicate).T
     objectives = [sf] if spec.kind == SUM else [
@@ -305,7 +383,8 @@ def _worst_cce(game, table: _CostTable, spec, sf, epsilon, predicate) -> CCERepo
     rows = [lp.Row(lp.LE, 0, f"cce[{i}][{x}]") for i, per in enumerate(game.model.strategies)
             for x in range(len(per))]
     rows.append(lp.Row(lp.EQ, 1, "mass"))
-    program = lp.LinearProgram(lp.MAXIMIZE, variables, rows, coefficients, name=f"cce_{spec.kind}")
+    program = lp.LinearProgram(lp.MAXIMIZE, _ProfileNames(size), rows, coefficients,
+                               name=f"cce_{spec.kind}")
     if spec.kind == SUM:
         reports, players = [lp.solve(program, table.exact)], [None]
     else:

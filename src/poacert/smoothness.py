@@ -32,8 +32,8 @@ from .games import (
     SocialSpec,
     _tol,
 )
-from .oracle import (NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _cost_tables, _CostTable, _ppoa,
-                     _weighted_rows, _worst_cce)
+from .oracle import (EQ1_PNE, NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _cost_tables, _CostTable,
+                     _ppoa, _weighted_rows, _worst_cce)
 
 NOT_SMOOTHABLE = "NOT_SMOOTHABLE"
 OPTIMAL = "OPTIMAL"  # linprog's name for an answer found
@@ -221,7 +221,7 @@ def validate_smoothness_claims(
     and beta, and the gap answers are exact_ppoa's and worst_cce's, on the
     table for gaps at eps=0.  The bound gets a relative slack of the
     larger tol of the two tables: none when both are exact."""
-    table, gaps = _cost_tables(game, cap, "smoothness pair tables", spec, 0)
+    table, gaps = _cost_tables(game, cap, "smoothness pair tables", spec, 0, EQ1_PNE)
     sf = table.social_values(spec)
     robust = _robust_poa(table, sf)
     if gaps is not table:

@@ -39,7 +39,7 @@ from poacert.games import (
     social_of_costs,
     social_value,
 )
-from poacert.oracle import NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _gaps, worst_cce
+from poacert.oracle import EQ1_ROWS, NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _gaps, worst_cce
 from poacert.smoothness import (
     NOT_SMOOTHABLE,
     OPTIMAL,
@@ -240,9 +240,11 @@ def test_coarse_rows_and_worst_cce_match_the_dict_path(exact):
     path's entries in their order, and worst_cce (sum and max) and
     validate_smoothness_claims give its reports, repr for repr."""
     for label, game, specs in corpus(exact):
-        table = _cost_table(game, PROFILE_CAP, "test")
         for predicate in (EQ1, VERBATIM):
             for eps in (0, F(1, 2) if exact else 0.5):
+                # the eq1 rows are the pass's own, as worst_cce's table has them
+                table = _cost_table(game, PROFILE_CAP, "test", None, eps,
+                                    EQ1_ROWS if predicate == EQ1 else None)
                 want = reference_coarse_rows(game, eps, predicate)
                 got = _gaps(game, table, eps, predicate).T
                 assert repr(got.tolist()) == _array_repr(list(want.values()), got.dtype), label

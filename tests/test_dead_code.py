@@ -246,12 +246,15 @@ def _calls(tree):
 @pytest.mark.parametrize("module", ["oracle.py", "smoothness.py"])
 def test_profiles_are_priced_and_gapped_in_one_place(module):
     """In the oracle and smoothness layer only _cost_tables enumerates the
-    game (.profiles()) and calls individual_costs, only _gaps calls
-    deviation_gaps, and nothing prices a profile through is_eps_pne or
-    social_value: every whole-game answer reads one cost table and one
-    gap evaluator."""
-    owner = {"individual_costs": "_cost_tables", "profiles": "_cost_tables",
-             "deviation_gaps": "_gaps", "is_eps_pne": None, "social_value": None}
+    game (.profiles()), prices a profile (games._price) and computes its
+    eq1 gaps (games._grouped_gaps), and nothing prices a profile through
+    individual_costs, deviation_gaps, deviation_gap, is_eps_pne or
+    social_value: every whole-game answer reads one priced pass.  In games
+    only _grouped_gaps and deviation_gap call _grouped_gap, the one eq1
+    evaluator."""
+    owner = {"_price": "_cost_tables", "_costs": "_cost_tables", "profiles": "_cost_tables",
+             "_grouped_gaps": "_cost_tables", "individual_costs": None, "deviation_gaps": None,
+             "deviation_gap": None, "is_eps_pne": None, "social_value": None}
     calls = [(scope, name, line) for scope, name, line in _calls(_tree(PACKAGE / module))
              if name in owner]
     stray = [f"{module}:{line} {scope} calls {name}" for scope, name, line in calls
@@ -259,6 +262,25 @@ def test_profiles_are_priced_and_gapped_in_one_place(module):
     assert not stray, "priced, enumerated or gapped outside its owner: " + ", ".join(stray)
     if module == "oracle.py":
         assert {name for _, name, _ in calls} == {n for n, o in owner.items() if o}
+    evaluators = {scope for scope, name, _ in _calls(_tree(PACKAGE / "games.py"))
+                  if name == "_grouped_gap"}
+    assert evaluators == {"_grouped_gaps", "deviation_gap"}
+
+
+def test_the_oracle_reads_latencies_in_its_pass_alone():
+    """In oracle.py every name or attribute that reads a latency (latency,
+    _latency_memo, a memo of them) lies in _cost_tables: a latency is
+    evaluated in the table pass, through that call's memo, and nowhere
+    else."""
+    reads = [f"oracle.py:{node.lineno} {scope}" for scope, node in _scoped_nodes(
+                 _tree(PACKAGE / "oracle.py"))
+             if "latenc" in ((node.id if isinstance(node, ast.Name) else
+                              node.attr if isinstance(node, ast.Attribute) else ""))
+             and scope != "_cost_tables"]
+    assert not reads, "latency read outside the table pass: " + ", ".join(reads)
+    assert any(isinstance(node, ast.Name) and node.id == "_latency_memo"
+               for scope, node in _scoped_nodes(_tree(PACKAGE / "oracle.py"))
+               if scope == "_cost_tables")
 
 
 @pytest.mark.parametrize("module", ["oracle.py", "smoothness.py"])

@@ -29,6 +29,7 @@ from conftest import (
     column,
     dict_program,
     g1,
+    g1_spec,
     named,
     nonzeros,
     random_model,
@@ -1097,12 +1098,13 @@ def test_verify_extension_refuses_a_certificate_not_by_position(kind):
 
 
 def test_a_passing_solve_or_check_formats_no_name(monkeypatch):
-    """solve_worst_case, under sum and max, in float and in rationals, and
-    a passing verify_extension of its certificate call neither
-    _certificate_name nor vname: a certificate and a point are keyed by
-    position, and a name is formatted only where a report or a message
+    """solve_worst_case, under sum and max, in float and in rationals, a
+    passing verify_extension of its certificate and a passing worst_cce,
+    under sum and max, call neither _certificate_name nor vname nor read
+    a coarse program's column name: a certificate and a point are keyed
+    by position, and a name is formatted only where a report or a message
     shows it."""
-    from poacert import formulations
+    from poacert import formulations, oracle
 
     formatted = []
     for name in ("_certificate_name", "vname"):
@@ -1111,6 +1113,9 @@ def test_a_passing_solve_or_check_formats_no_name(monkeypatch):
             return formatter(*args)
 
         monkeypatch.setattr(formulations, name, counted)
+    names = oracle._ProfileNames.__getitem__
+    monkeypatch.setattr(oracle._ProfileNames, "__getitem__",
+                        lambda self, a: formatted.append("p") or names(self, a))
     model = g1().model
     dist = ProfileDistribution.uniform(list(model.profiles()))
     for kind, exact in itertools.product((SUM, MAX), (False, True)):
@@ -1118,6 +1123,9 @@ def test_a_passing_solve_or_check_formats_no_name(monkeypatch):
         r = solve_worst_case(cfg, exact)
         assert r.status == OPTIMAL and formatted == [], (kind, exact)
         assert verify_extension(cfg, r.dual_solution, model, dist, AB, r.designated).ok
+        assert formatted == [], (kind, exact)
+        worst = oracle.worst_cce(g1(exact), g1_spec(kind, exact))
+        assert worst.value == (3 if kind == SUM else F(3, 2))
         assert formatted == [], (kind, exact)
     # the formatters are the ones counted: a report names the certificate
     assert list(formulations._named_certificate(cfg, r.designated, r.dual_solution)) == [

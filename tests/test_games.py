@@ -390,16 +390,17 @@ def _reference_is_eps_cce(game, dist, eps, predicate):
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_a_cce_check_prices_each_profile_once(monkeypatch, exact):
     """is_eps_cce under verbatim prices each distinct profile its gaps read
-    once per call (a support profile and its unilateral deviations), and
-    answers as the support's deviation_gaps do, under both predicates."""
+    once per call (a support profile and its unilateral deviations, each
+    one games._price call), and answers as the support's deviation_gaps
+    do, under both predicates."""
     from test_oracle import _seeded_games
 
     priced = []
-    original = games.individual_costs
+    original = games._price
 
-    def counted(game, profile):
+    def counted(game, profile, *latencies):
         priced.append(tuple(profile))
-        return original(game, profile)
+        return original(game, profile, *latencies)
 
     rng = seeded(3737)
     answers = set()
@@ -410,7 +411,7 @@ def test_a_cce_check_prices_each_profile_once(monkeypatch, exact):
             for predicate in (EQ1, VERBATIM):
                 for eps in (0, F(1, 2) if exact else 0.5):
                     want = _reference_is_eps_cce(game, dist, eps, predicate)
-                    monkeypatch.setattr(games, "individual_costs", counted)
+                    monkeypatch.setattr(games, "_price", counted)
                     priced.clear()
                     assert is_eps_cce(game, dist, eps, predicate) is want
                     monkeypatch.undo()

@@ -10,6 +10,7 @@ import random
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -30,6 +31,7 @@ from poacert.gamefile import emit_game, write_json
 from poacert import linprog as lp
 from poacert.games import (
     EQ1,
+    FEAS_TOL,
     MAX,
     SUM,
     VERBATIM,
@@ -50,7 +52,9 @@ from poacert.games import (
     social_value,
 )
 from poacert.oracle import (
+    EQ1_PNE,
     NO_EQUILIBRIUM,
+    PROFILE_CAP,
     CCEReport,
     PPoAReport,
     cce_poa,
@@ -59,9 +63,14 @@ from poacert.oracle import (
     ppoa_report,
     social_optimum,
     worst_cce,
+    _cost_table,
+    _equilibria,
     worst_cce_value,
 )
+from poacert import smoothness
 from poacert.smoothness import (
+    SmoothnessCertificate,
+    check_smooth,
     is_sum_bounded,
     robust_poa,
     validate_smoothness_claims,
@@ -447,20 +456,20 @@ def test_table_answers_match_the_profile_loops(exact):
     assert bounded == {True, False} and counts == {0, 1, 2}
 
 
-def _count_individual_costs(monkeypatch):
-    """Wrap individual_costs in every poacert module that holds it; the
-    returned list grows by one entry per call."""
+def _count_pricings(monkeypatch):
+    """Wrap games._price, the one pricing of a profile, in every poacert
+    module that holds it; the returned list grows by one entry per call."""
     calls = []
-    original = games.individual_costs
+    original = games._price
 
-    def counted(game, profile):
+    def counted(game, profile, *latencies):
         calls.append(profile)
-        return original(game, profile)
+        return original(game, profile, *latencies)
 
     for name, module in list(sys.modules.items()):
         if (name == "poacert" or name.startswith("poacert.")) and \
-                getattr(module, "individual_costs", None) is original:
-            monkeypatch.setattr(module, "individual_costs", counted)
+                getattr(module, "_price", None) is original:
+            monkeypatch.setattr(module, "_price", counted)
     return calls
 
 
@@ -469,8 +478,9 @@ def test_oracle_calls_price_each_profile_once(monkeypatch, tmp_path):
     enumerate_eps_pne under both predicates, social_optimum,
     is_sum_bounded, validate_smoothness_claims and the cce-poa, exact-ppoa
     and enumerate-pne commands (these two under the verbatim predicate)
-    each make at most one individual_costs call per profile."""
-    calls = _count_individual_costs(monkeypatch)
+    each price each profile at most once (games._price, through which
+    individual_costs prices too)."""
+    calls = _count_pricings(monkeypatch)
     path = str(tmp_path / "game.json")
     for _, game, _ in _seeded_games(6, False):
         profiles = game.model.profile_count()
@@ -496,6 +506,157 @@ def test_oracle_calls_price_each_profile_once(monkeypatch, tmp_path):
                 except GameError:  # a zero optimum leaves no ratio
                     pass
                 assert 0 < len(calls) <= profiles
+
+
+def _gap_games():
+    """(label, game, eps values) of every eq1 shape the pass reads: seeded
+    float and exact games, off-diagonal alpha on a third of them; a mixed
+    game of int and Fraction weights, coefficients and alpha, so loads 2
+    and Fraction(2) both occur, over a lookup-table basis with a resource
+    whose coefficients are all zero; and its float twin."""
+    for exact in (False, True):
+        for seed, game, _ in _seeded_games(6, exact):
+            yield f"seeded {seed} {exact}", game, (0, F(1, 2) if exact else 0.5)
+    table = BasisFunction.lookup({x: F(x * x, 2) for x in (1, 2, 3, 4)})
+    model = CongestionModel((1, 2, F(1)), ("a", "b", "z"),
+                            [[frozenset("a"), frozenset("ab")], [frozenset("b"), frozenset("az")],
+                             [frozenset("ab"), frozenset("z")]])
+    coefficients = {"a": (1, F(1, 2)), "b": (F(3, 4), 2), "z": (0, 0)}
+    alpha = ((1, F(1, 4), 0), (F(-1, 2), 1, 1), (0, F(1, 3), F(3, 2)))
+    mixed = GeneralizedGame(model, (BasisFunction.monomial(1), table), coefficients, alpha)
+    yield "mixed", mixed, (0, F(1, 2))
+    floats = tuple(tuple(float(a) for a in row) for row in alpha)
+    yield "mixed float", GeneralizedGame(model, mixed.basis, coefficients, floats), (0, 0.5)
+
+
+def _nan_gap_game():
+    """Two players of weight 1 on {a} or {b}, latency 1e300 x on both, and
+    alpha 1e10 on player 0's own cost: player 0's grouped gap from (a, a)
+    to b is inf - inf = nan while every cost stays finite."""
+    model = CongestionModel((1.0, 1.0), ("a", "b"), [[frozenset("a"), frozenset("b")]] * 2)
+    return GeneralizedGame(model, (BasisFunction.monomial(1),), {"a": (1e300,), "b": (1e300,)},
+                           ((1e10, 0.0), (0.0, 1.0)))
+
+
+def test_eq1_equilibria_are_the_rows_with_no_gap_above_tol():
+    """_equilibria(..., EQ1), which the pass decides from the table's own
+    loads and stops at a profile's first gap above FEAS_TOL, holds the rows
+    whose every deviation_gaps gap g has not g > tol, on every _gap_games
+    shape at eps 0 and 1/2, both with and without a social spec, and
+    enumerate_eps_pne lists their profiles."""
+    kept = dropped = 0
+    for label, game, epsilons in _gap_games():
+        profiles = list(game.model.profiles())
+        for eps in epsilons:
+            for spec in (None, SocialSpec(SUM, identity_matrix(game.n))):
+                table = _cost_table(game, PROFILE_CAP, "test", spec, eps, EQ1_PNE)
+                want = [a for a, prof in enumerate(profiles) if all(
+                    not gap > table.tol for _, _, gap in deviation_gaps(game, prof, eps))]
+                assert _equilibria(game, table, eps, EQ1) == want, (label, eps)
+                kept, dropped = kept + len(want), dropped + len(profiles) - len(want)
+            assert enumerate_eps_pne(game, eps, EQ1) == [profiles[a] for a in want], (label, eps)
+    assert kept and dropped
+
+
+def test_a_nan_gap_is_judged_as_the_array_rule_judges_it():
+    """A profile whose only positive-or-nan gap is nan is an equilibrium,
+    as the rule np.where(abs(g) > tol, g, 0) <= 0 over a float64 row of
+    deviation_gaps judges it, and ppoa_report counts it."""
+    game = _nan_gap_game()
+    profiles = list(game.model.profiles())
+    rows = np.array([[gap for _, _, gap in deviation_gaps(game, prof)] for prof in profiles])
+    assert np.isnan(rows).any()
+    array_rule = (np.where(abs(rows) > FEAS_TOL, rows, 0) <= 0).all(axis=1)
+    table = _cost_table(game, PROFILE_CAP, "test", None, 0, EQ1_PNE)
+    assert _equilibria(game, table, 0, EQ1) == np.flatnonzero(array_rule).tolist()
+    assert enumerate_eps_pne(game) == [p for p, ok in zip(profiles, array_rule) if ok]
+    report = ppoa_report(game, SocialSpec(SUM, identity_matrix(2)))
+    assert report.equilibrium_count == int(array_rule.sum()) > 0
+
+
+def test_a_social_value_past_the_largest_float_is_inf_without_a_warning():
+    """The table's social values, added as arrays, are social_of_costs of
+    every row even where a float sum passes the largest float: inf, as
+    Python's floats give it, and no numpy warning (which fails a test
+    here)."""
+    model = CongestionModel((1.0, 1.0), ("a", "b"), [[frozenset("a"), frozenset("b")]] * 2)
+    game = GeneralizedGame(model, (BasisFunction.monomial(1),), {"a": (1e308,), "b": (1e307,)},
+                           identity_matrix(2))
+    table = _cost_table(game, PROFILE_CAP, "test")
+    for kind in (SUM, MAX):
+        spec = SocialSpec(kind, ((1.0, 1.0), (1.0, 1.0)))
+        want = [social_of_costs(spec, costs) for costs in table.costs.tolist()]
+        assert float("inf") in want
+        assert repr(table.social_values(spec)) == repr(want), kind
+
+
+def test_each_latency_is_evaluated_once_per_call(monkeypatch):
+    """ppoa_report, enumerate_eps_pne, worst_cce (sum and max, both
+    predicates), validate_smoothness_claims and is_eps_cce evaluate
+    GeneralizedGame.latency at most once per (resource, load type, load)
+    in a call, and a second call evaluates them as many times again:
+    nothing outlives the call."""
+    evaluated = []
+    original = GeneralizedGame.latency
+
+    def counted(self, e, load):
+        evaluated.append((e, type(load), load))
+        return original(self, e, load)
+
+    for label, game, epsilons in _gap_games():
+        profiles = list(game.model.profiles())
+        dist = ProfileDistribution.uniform(profiles[::2])
+        specs = [SocialSpec(kind, identity_matrix(game.n)) for kind in (SUM, MAX)]
+        calls = [lambda: validate_smoothness_claims(game, specs[0])]
+        for eps in epsilons:
+            for predicate in (EQ1, VERBATIM):
+                calls += [lambda eps=eps, p=predicate: ppoa_report(game, specs[0], eps, p),
+                          lambda eps=eps, p=predicate: enumerate_eps_pne(game, eps, p),
+                          lambda eps=eps, p=predicate: is_eps_cce(game, dist, eps, p)]
+                calls += [lambda eps=eps, p=predicate, s=s: worst_cce(game, s, eps, p)
+                          for s in specs]
+        for call in calls:
+            runs = []
+            for _ in range(2):
+                evaluated.clear()
+                monkeypatch.setattr(GeneralizedGame, "latency", counted)
+                try:
+                    call()
+                except GameError:  # a zero optimum or an empty coarse set
+                    pass
+                monkeypatch.undo()
+                assert evaluated and len(set(evaluated)) == len(evaluated), label
+                runs.append(sorted(map(repr, evaluated)))
+            assert runs[0] == runs[1], label
+
+
+def test_every_whole_game_answer_names_itself_over_the_cap(monkeypatch):
+    """Each oracle and smoothness entry point refuses a game over its cap
+    with its own name: '<name>: N profiles exceeds cap C'; check_smooth,
+    which takes no cap, reads PROFILE_CAP."""
+    game, spec = g1(), g1_spec()
+    cert = SmoothnessCertificate(F(5, 3), F(1, 3))
+    calls = {
+        "social_optimum": lambda: social_optimum(game, spec, cap=3),
+        "enumerate_eps_pne": lambda: enumerate_eps_pne(game, cap=3),
+        "exact_ppoa": lambda: exact_ppoa(game, spec, cap=3),
+        "ppoa_report": lambda: ppoa_report(game, spec, cap=3),
+        "worst_cce": lambda: worst_cce(game, spec, cap=3),
+        "worst_cce_value": lambda: worst_cce_value(game, spec, cap=3),
+        "cce_poa": lambda: cce_poa(game, spec, cap=3),
+        "is_sum_bounded": lambda: is_sum_bounded(game, spec, cap=3),
+        "robust_poa": lambda: robust_poa(game, spec, cap=3),
+        "validate_smoothness_claims": lambda: validate_smoothness_claims(game, spec, cap=3),
+        "check_smooth": lambda: check_smooth(game, spec, cert),
+    }
+    names = {"ppoa_report": "exact_ppoa", "worst_cce_value": "worst_cce",
+             "robust_poa": "smoothness pair tables", "check_smooth": "smoothness pair tables",
+             "validate_smoothness_claims": "smoothness pair tables"}
+    monkeypatch.setattr(smoothness, "PROFILE_CAP", 3)
+    for entry, call in calls.items():
+        with pytest.raises(GameError) as exc:
+            call()
+        assert str(exc.value) == f"{names.get(entry, entry)}: 4 profiles exceeds cap 3", entry
 
 
 # ============================================================

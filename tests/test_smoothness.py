@@ -737,17 +737,19 @@ def test_a_game_of_zero_costs_draws_no_line(num):
 def test_validation_reads_its_social_values_once(monkeypatch, exact):
     """validate_smoothness_claims reads its cost table's social values once
     and hands them to the robust PoA, the pure PoA and the worst coarse
-    value: one social_of_costs call per profile, under sum and max."""
+    value: one social value per profile, from one call of the table's
+    social_values, under sum and max."""
     from poacert import oracle
 
     calls = []
-    original = oracle.social_of_costs
+    original = oracle._CostTable.social_values
 
-    def counted(spec, costs):
-        calls.append(costs)
-        return original(spec, costs)
+    def counted(table, spec):
+        values = original(table, spec)
+        calls.extend(values)
+        return values
 
-    monkeypatch.setattr(oracle, "social_of_costs", counted)
+    monkeypatch.setattr(oracle._CostTable, "social_values", counted)
     num = F if exact else float
     for seed in range(6):
         weights = (num(1), num(1)) if seed % 2 else (num(1), num(3) / 2, num(1))
