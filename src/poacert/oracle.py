@@ -8,22 +8,23 @@ latency at a load once through a memo that lives for that call alone,
 and, where an answer reads eq1 gaps, those gaps from the same loads and
 latencies: every gap for eq1 coarse rows, or each profile's equilibrium
 verdict, which stops at its first gap above FEAS_TOL.  The cost table
-fixes the numbers, the slack and the gaps.  It decides the arithmetic
-by games.rational: when none of the game's costs, the social spec's
-beta and, where an answer reads gaps, alpha and epsilon is a float, and
-one of them is a Fraction, its costs are Fractions and the answers
-rational end to end; any other game, integer costs included, gets
-float64 ones.  Its tol, 0 or FEAS_TOL, is the slack of every comparison
-read off it, so the pure and the coarse oracle accept the same
-equilibria.  A caller that reads both a ratio of the costs and gaps
-takes both tables from one pass, each in its own arithmetic.
+carries the game, spec and epsilon it was priced for, and fixes the
+numbers, the slack and the gaps.  It decides the arithmetic by
+games.rational: when none of the game's costs, the social spec's beta
+and, where an answer reads gaps, alpha and epsilon is a float, and one
+of them is a Fraction, its costs are Fractions and the answers rational
+end to end; any other game, integer costs included, gets float64 ones.
+Its tol, 0 or FEAS_TOL, is the slack of every comparison read off it, so
+the pure and the coarse oracle accept the same equilibria.  A caller
+that reads both a ratio of the costs and gaps takes both tables from one
+pass, each in its own arithmetic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import NamedTuple, Optional
 
@@ -53,21 +54,26 @@ PROFILE_CAP = 10**6
 NO_EQUILIBRIUM = "NO_EQUILIBRIUM"
 
 
-class _CostTable(NamedTuple):
-    """An oracle call's one priced pass: the game's profiles in
-    lexicographic order as rows of strategy indices (profiles[a, i] is
-    player i's strategy at row a), the individual cost of player i at row
-    a as costs[a, i], and the mixed-radix strides of the profile order, so
-    the deviation (sigma_{-i}, x) of row a is row a + (x - sigma_i) *
-    strides[i].  exact is games.rational of the costs, of the beta of
-    the spec the table was built for and, for gaps, of alpha and epsilon:
-    then costs is an object array of Fractions and every answer read off
-    the table is solved and read in rationals; otherwise costs is
-    float64, integer costs included.  eq1, on a table for eq1 gaps, is
-    what its pass kept of them: every row's gaps in deviation_gaps order,
-    in the costs' dtype (EQ1_ROWS), or one verdict per row (EQ1_PNE), True
-    where no gap exceeds tol; None on any other table."""
+@dataclass(frozen=True, eq=False)
+class _CostTable:
+    """An oracle call's one priced pass of game, for spec (None on a table
+    for gaps alone) and for gaps at epsilon (None on a table for no gaps):
+    the game's profiles in lexicographic order as rows of strategy indices
+    (profiles[a, i] is player i's strategy at row a), the individual cost
+    of player i at row a as costs[a, i], and the mixed-radix strides of the
+    profile order, so the deviation (sigma_{-i}, x) of row a is row
+    a + (x - sigma_i) * strides[i].  exact is games.rational of the costs,
+    of spec's beta and, for gaps, of alpha and epsilon: then costs is an
+    object array of Fractions and every answer read off the table is
+    solved and read in rationals; otherwise costs is float64, integer
+    costs included.  eq1, on a table for eq1 gaps, is what its pass kept
+    of them: every row's gaps in deviation_gaps order, in the costs' dtype
+    (EQ1_ROWS), or one verdict per row (EQ1_PNE), True where no gap exceeds
+    tol; None on any other table."""
 
+    game: GeneralizedGame
+    spec: Optional[SocialSpec]
+    epsilon: object
     profiles: np.ndarray
     costs: np.ndarray
     strides: np.ndarray
@@ -90,21 +96,15 @@ class _CostTable(NamedTuple):
         shift = (np.asarray(targets)[None, :] - self.profiles[:, i, None]) * self.strides[i]
         return np.arange(len(self.profiles))[:, None] + shift
 
-    def check_spec(self, spec: SocialSpec) -> None:
-        """GameError unless spec weighs as many players as the table has."""
-        n = self.costs.shape[1]
-        if spec.n != n:
-            raise GameError(f"social spec is {spec.n}x{spec.n} for a game of {n} players")
-
-    def social_values(self, spec: SocialSpec) -> list:
-        """social_of_costs of every row, in row order: each player's
-        beta-costs as _weighted_rows adds them, then their sum from 0 in
-        player order, or the first largest of them.  A float sum past the
-        largest float is inf, as in Python, with no warning."""
-        self.check_spec(spec)
-        with np.errstate(over="ignore"):
-            per_player = [_weighted_rows(row, self.costs) for row in spec.beta]
-            if spec.kind == SUM:
+    @cached_property
+    def social_values(self) -> list:
+        """social_of_costs of every row under the table's spec, in row
+        order, computed once: each player's beta-costs as _weighted_rows
+        adds them, then their sum from 0 in player order, or the first
+        largest of them, added as _python_floats adds them."""
+        with _python_floats():
+            per_player = [_weighted_rows(row, self.costs) for row in self.spec.beta]
+            if self.spec.kind == SUM:
                 return reduce(add, per_player, 0).tolist()
         return [max(values) for values in zip(*(p.tolist() for p in per_player))]
 
@@ -132,20 +132,23 @@ def _cost_table(game: GeneralizedGame, cap: int, what: str,
 
 def _cost_tables(game: GeneralizedGame, cap: int, what: str,
                  spec: Optional[SocialSpec], epsilon, eq1: Optional[str] = None) -> tuple:
-    """From one priced pass over the game's profiles, after the cap check,
-    two _CostTables: the one for the answers of spec, whose arithmetic the
-    costs and beta decide, and the one for gaps at epsilon, which read
-    alpha and epsilon too.  With no epsilon, or when the two rules agree,
-    both are one table.  The pass prices each profile once (games._price
-    and games._costs), each latency at a load once per call
-    (games._latency_memo) and, when
-    eq1 names what an answer reads of the eq1 gaps (EQ1_ROWS or EQ1_PNE),
-    computes them from the same loads and latencies (games._grouped_gaps):
-    every gap, or each profile's games._pne_verdict."""
+    """From one priced pass over the game's profiles, after the cap, the
+    epsilon and the spec's size are checked, two _CostTables: the one for
+    the answers of spec, whose arithmetic the costs and beta decide, and
+    the one for gaps at epsilon (which it records), which read alpha and
+    epsilon too.  With no epsilon, or when the two rules agree, both are
+    one table.  The pass prices each profile once (games._price and
+    games._costs), each latency at a load once per call
+    (games._latency_memo) and, when eq1 names what an answer reads of the
+    eq1 gaps (EQ1_ROWS or EQ1_PNE), computes them from the same loads and
+    latencies (games._grouped_gaps): every gap, or each profile's
+    games._pne_verdict."""
     if game.model.profile_count() > cap:
         raise GameError(f"{what}: {game.model.profile_count()} profiles exceeds cap {cap}")
-    if eq1 is not None:
+    if epsilon is not None:
         check_epsilon(epsilon)
+    if spec is not None and spec.n != game.n:
+        raise GameError(f"social spec is {spec.n}x{spec.n} for a game of {game.n} players")
     profiles = list(game.model.profiles())
     latencies = _latency_memo(game)  # this call's alone
     idle = _idle(game)
@@ -167,8 +170,9 @@ def _cost_tables(game: GeneralizedGame, cap: int, what: str,
     tables = {}
     for exact in set(rules):
         costs = lp._fractions(np.array(rows, dtype=object)) if exact else np.array(rows, np.float64)
-        gaps = _kept(kept, eq1, exact, costs.dtype) if exact == rules[-1] else None
-        tables[exact] = _CostTable(index, costs, strides, exact, gaps)
+        gaps = exact == rules[-1]  # whether this table serves the gaps
+        tables[exact] = _CostTable(game, spec, epsilon if gaps else None, index, costs, strides,
+                                   exact, _kept(kept, eq1, exact, costs.dtype) if gaps else None)
     return tables[rules[0]], tables[rules[-1]]
 
 
@@ -183,9 +187,17 @@ def _kept(kept: list, eq1: Optional[str], exact: bool, dtype) -> Optional[np.nda
     return np.array(kept, np.int8) <= (0 if exact else 1)
 
 
+def _python_floats():
+    """The np.errstate of every array sum over a cost table's costs: a
+    float64 one behaves as Python's float arithmetic, past the largest
+    float inf and inf - inf nan, with no warning."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _weighted_rows(row, costs: np.ndarray) -> np.ndarray:
     """games._weighted(row, c) for every row c of a cost array: the same
-    terms, added in the same order, from a float64 zero or an int one."""
+    terms, added in the same order, from a float64 zero or an int one.
+    Every caller adds under _python_floats."""
     total = np.zeros(len(costs), dtype=costs.dtype)
     for j, r in enumerate(row):
         if r != 0:
@@ -198,39 +210,40 @@ def _optimum(values: list) -> tuple:
     return min(enumerate(values), key=lambda pair: pair[1])
 
 
-def _gaps(game, table: _CostTable, epsilon, predicate) -> np.ndarray:
-    """Every row's gaps in deviation_gaps order, as one profiles x
-    deviations array in the table's dtype, for eq1 and verbatim alike: a
-    verbatim gap read off the costs, an eq1 one as the table's pass kept
-    it (EQ1_ROWS).  A gap within the table's tol of 0 is 0 (an int 0 in
-    an object array), so every reader judges a gap by its sign alone."""
-    check_epsilon(epsilon)
+def _gaps(table: _CostTable, predicate) -> np.ndarray:
+    """Every row's gaps at the table's epsilon in deviation_gaps order, as
+    one profiles x deviations array in the table's dtype, for eq1 and
+    verbatim alike: a verbatim gap read off the costs, an eq1 one as the
+    table's pass kept it (EQ1_ROWS).  A gap within the table's tol of 0 is
+    0 (an int 0 in an object array), so every reader judges a gap by its
+    sign alone."""
     if _eq1_reads(predicate, EQ1_ROWS):
         gaps = table.eq1
     else:
-        scale = 1 + epsilon if table.exact else float(1 + epsilon)
+        scale = 1 + table.epsilon if table.exact else float(1 + table.epsilon)
         blocks = []
-        for i, alpha in enumerate(game.alpha):
-            perceived = _weighted_rows(alpha, table.costs)
-            deviations = table.deviations(i, range(len(game.model.strategies[i])))
-            blocks.append(perceived[:, None] - scale * perceived[deviations])
+        with _python_floats():
+            for i, alpha in enumerate(table.game.alpha):
+                perceived = _weighted_rows(alpha, table.costs)
+                deviations = table.deviations(i, range(len(table.game.model.strategies[i])))
+                blocks.append(perceived[:, None] - scale * perceived[deviations])
         gaps = np.concatenate(blocks, axis=1)
     return np.where(abs(gaps) > table.tol, gaps, 0)
 
 
-def _equilibria(game, table: _CostTable, epsilon, predicate) -> list:
+def _equilibria(table: _CostTable, predicate) -> list:
     """The rows whose every gap is at most 0: under eq1 the verdicts the
     table's pass kept (EQ1_PNE), under verbatim the rows of _gaps."""
     if _eq1_reads(predicate, EQ1_PNE):
         return np.flatnonzero(table.eq1).tolist()
-    return np.flatnonzero((_gaps(game, table, epsilon, predicate) <= 0).all(axis=1)).tolist()
+    return np.flatnonzero((_gaps(table, predicate) <= 0).all(axis=1)).tolist()
 
 
 def social_optimum(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_CAP):
     """Minimal-social-value pure profile, ties broken by lexicographic
     profile order.  Returns (profile, value)."""
     table = _cost_table(game, cap, "social_optimum", spec)
-    best, value = _optimum(table.social_values(spec))
+    best, value = _optimum(table.social_values)
     return table.profile(best), value
 
 
@@ -244,7 +257,7 @@ def enumerate_eps_pne(
     lexicographic order: the _equilibria of one cost table."""
     table = _cost_table(game, cap, "enumerate_eps_pne", epsilon=epsilon,
                         eq1=_eq1_reads(predicate, EQ1_PNE))
-    return [table.profile(a) for a in _equilibria(game, table, epsilon, predicate)]
+    return [table.profile(a) for a in _equilibria(table, predicate)]
 
 
 class PPoAReport(NamedTuple):
@@ -259,14 +272,14 @@ class PPoAReport(NamedTuple):
     worst_equilibria: list
 
 
-def _ppoa(game, table: _CostTable, values: list, epsilon, predicate) -> PPoAReport:
-    """ppoa_report on a cost table of the game and its social values:
-    _optimum and _equilibria, as social_optimum and enumerate_eps_pne read
-    them."""
+def _ppoa(table: _CostTable, predicate) -> PPoAReport:
+    """ppoa_report on a cost table: _optimum of its social values and
+    _equilibria, as social_optimum and enumerate_eps_pne read them."""
+    values = table.social_values
     best, opt = _optimum(values)
     if opt == 0:
         raise GameError("social optimum is 0; the ratio is undefined")
-    equilibria = _equilibria(game, table, epsilon, predicate)
+    equilibria = _equilibria(table, predicate)
     if not equilibria:
         return PPoAReport(NO_EQUILIBRIUM, opt, table.profile(best), 0, [])
     target = max(values[a] for a in equilibria)
@@ -283,7 +296,7 @@ def ppoa_report(
 ) -> PPoAReport:
     """exact_ppoa's PPoAReport, from one enumeration of the game."""
     table = _cost_table(game, cap, "exact_ppoa", spec, epsilon, _eq1_reads(predicate, EQ1_PNE))
-    return _ppoa(game, table, table.social_values(spec), epsilon, predicate)
+    return _ppoa(table, predicate)
 
 
 def exact_ppoa(
@@ -329,8 +342,7 @@ def worst_cce(
     functionals) over one feasible region, solved by lp.solve_each,
     keeping the winner.  Rows and objectives read one cost table."""
     table = _cost_table(game, cap, "worst_cce", spec, epsilon, _eq1_reads(predicate, EQ1_ROWS))
-    sf = table.social_values(spec) if spec.kind == SUM else None
-    return _worst_cce(game, table, spec, sf, epsilon, predicate)
+    return _worst_cce(table, predicate)
 
 
 def cce_poa(
@@ -343,11 +355,10 @@ def cce_poa(
     """(social optimum, worst_cce's CCEReport), both read off one cost
     table; a zero optimum raises GameError before any program is solved."""
     table = _cost_table(game, cap, "cce_poa", spec, epsilon, _eq1_reads(predicate, EQ1_ROWS))
-    sf = table.social_values(spec)
-    _, opt = _optimum(sf)
+    _, opt = _optimum(table.social_values)
     if opt == 0:
         raise GameError("social optimum is 0; the ratio is undefined")
-    return opt, _worst_cce(game, table, spec, sf, epsilon, predicate)
+    return opt, _worst_cce(table, predicate)
 
 
 class _ProfileNames(Sequence):
@@ -365,16 +376,16 @@ class _ProfileNames(Sequence):
         return f"p[{range(self.size)[a]}]"  # IndexError past either end
 
 
-def _worst_cce(game, table: _CostTable, spec, sf, epsilon, predicate) -> CCEReport:
-    """worst_cce on a cost table of the game; sf, its social values, is
-    the objective under sum and is not read under max, whose objectives
-    are the players' beta-costs, all solved over one region."""
-    table.check_spec(spec)
-    size = len(table.profiles)
+def _worst_cce(table: _CostTable, predicate) -> CCEReport:
+    """worst_cce on a cost table: its social values are the objective
+    under sum and are not computed under max, whose objectives are the
+    players' beta-costs, all solved over one region."""
+    game, spec, size = table.game, table.spec, len(table.profiles)
     # the rows cce[i][x], players then strategies, one column per profile
-    gap_rows = _gaps(game, table, epsilon, predicate).T
-    objectives = [sf] if spec.kind == SUM else [
-        _weighted_rows(row, table.costs).tolist() for row in spec.beta]
+    gap_rows = _gaps(table, predicate).T
+    with _python_floats():
+        objectives = [table.social_values] if spec.kind == SUM else [
+            _weighted_rows(row, table.costs).tolist() for row in spec.beta]
     objectives = np.array([[v or 0 for v in values] for values in objectives],
                           dtype=gap_rows.dtype)
     # rows cce[i][x], then mass, then the first objective

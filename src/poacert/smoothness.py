@@ -7,6 +7,8 @@ lam/(1-mu).  Every answer reads one oracle cost table: SF, the sum bound
 and the pair tables.  The table fixes their numbers and the slack of
 every comparison read off it (its tol); only check_smooth, which judges
 a certificate its caller hands it, adds games._tol of that certificate.
+Pair tables of a float table that pass the float range are judged by
+neither: the robust PoA and check_smooth raise OverflowError.
 The infimum of that ratio over the certificate polyhedron is a
 linear-fractional program; after the Charnes-Cooper transform
 t = 1/(1-mu) (Charnes & Cooper 1962) it has one free direction, t, and
@@ -33,7 +35,7 @@ from .games import (
     _tol,
 )
 from .oracle import (EQ1_PNE, NO_EQUILIBRIUM, PROFILE_CAP, _cost_table, _cost_tables, _CostTable,
-                     _ppoa, _weighted_rows, _worst_cce)
+                     _ppoa, _python_floats, _weighted_rows, _worst_cce)
 
 NOT_SMOOTHABLE = "NOT_SMOOTHABLE"
 OPTIMAL = "OPTIMAL"  # linprog's name for an answer found
@@ -57,12 +59,13 @@ class SmoothnessCertificate:
         return self.lam / (1 - self.mu)
 
 
-def _unbounded_row(table: _CostTable, sf: list) -> Optional[int]:
+def _unbounded_row(table: _CostTable) -> Optional[int]:
     """The first row whose social value exceeds, by more than the table's
     tol, its individual costs added from 0 in player order, as the pair
     tables' diagonal adds them, or None."""
-    totals = _weighted_rows([1] * table.costs.shape[1], table.costs)
-    return next((a for a, (social, total) in enumerate(zip(sf, totals.tolist()))
+    with _python_floats():
+        totals = _weighted_rows([1] * table.costs.shape[1], table.costs)
+    return next((a for a, (social, total) in enumerate(zip(table.social_values, totals.tolist()))
                  if social > total + table.tol), None)
 
 
@@ -70,7 +73,7 @@ def is_sum_bounded(game: GeneralizedGame, spec: SocialSpec, cap: int = PROFILE_C
     """(True, None), or (False, first profile whose social value exceeds the
     sum of individual costs): _unbounded_row, as robust_poa reads it."""
     table = _cost_table(game, cap, "is_sum_bounded", spec)
-    a = _unbounded_row(table, table.social_values(spec))
+    a = _unbounded_row(table)
     return (True, None) if a is None else (False, table.profile(a))
 
 
@@ -78,11 +81,24 @@ def _deviation_sums(table: _CostTable) -> np.ndarray:
     """The deviation sums of every ordered profile pair, as an array in the
     table's dtype: dev[a, b] = sum_i c_i(sigma_{-i}, sigma'_i) for sigma the
     profile of row a and sigma' that of row b, each c_i read off the table
-    at the deviation's row and added from 0 in player order."""
+    at the deviation's row and added from 0 in player order, as
+    _python_floats adds them."""
     dev = np.zeros((len(table.profiles),) * 2, dtype=table.costs.dtype)
-    for i in range(table.costs.shape[1]):
-        dev = dev + table.costs[table.deviations(i, table.profiles[:, i]), i]
+    with _python_floats():
+        for i in range(table.costs.shape[1]):
+            dev = dev + table.costs[table.deviations(i, table.profiles[:, i]), i]
     return dev
+
+
+def _pair_tables(table: _CostTable) -> tuple:
+    """SF and the deviation sums of the table's profile pairs.  On a float
+    table where one of them is not finite (an inf or nan cost makes its
+    row's own deviation sum so), OverflowError: no pair row past the float
+    range can be judged."""
+    sf, dev = table.social_values, _deviation_sums(table)
+    if not table.exact and not (np.isfinite(sf).all() and np.isfinite(dev).all()):
+        raise OverflowError("a social value or deviation sum exceeds the float range")
+    return sf, dev
 
 
 def check_smooth(
@@ -97,7 +113,7 @@ def check_smooth(
     of lam and mu when that is larger: 0 when the table and the
     certificate are exact, FEAS_TOL otherwise."""
     table = _cost_table(game, PROFILE_CAP, "smoothness pair tables", spec)
-    sf, dev = table.social_values(spec), _deviation_sums(table)
+    sf, dev = _pair_tables(table)
     if tol is None:
         tol = table.tol or _tol(cert.lam, cert.mu)
     lam, mu = cert.lam, cert.mu
@@ -185,16 +201,15 @@ def robust_poa(
     Where every optimal point has t = 0, (lam, mu) are None: the value is
     then max SF / min SF, approached by certificates only as mu -> -inf.
     """
-    table = _cost_table(game, cap, "smoothness pair tables", spec)
-    return _robust_poa(table, table.social_values(spec))
+    return _robust_poa(_cost_table(game, cap, "smoothness pair tables", spec))
 
 
-def _robust_poa(table: _CostTable, sf: list) -> RobustPoA:
-    """robust_poa on a cost table of the game and its social values."""
-    a = _unbounded_row(table, sf)
+def _robust_poa(table: _CostTable) -> RobustPoA:
+    """robust_poa on a cost table."""
+    a = _unbounded_row(table)
     if a is not None:
         return RobustPoA(NOT_SMOOTHABLE, None, None, None, table.profile(a), 0)
-    return _envelope_minimum(sf, _deviation_sums(table), table.tol)
+    return _envelope_minimum(*_pair_tables(table), table.tol)
 
 
 @dataclass
@@ -222,13 +237,10 @@ def validate_smoothness_claims(
     table for gaps at eps=0.  The bound gets a relative slack of the
     larger tol of the two tables: none when both are exact."""
     table, gaps = _cost_tables(game, cap, "smoothness pair tables", spec, 0, EQ1_PNE)
-    sf = table.social_values(spec)
-    robust = _robust_poa(table, sf)
-    if gaps is not table:
-        sf = gaps.social_values(spec)
-    pure = _ppoa(game, gaps, sf, 0, EQ1)
+    robust = _robust_poa(table)
+    pure = _ppoa(gaps, EQ1)
     ppoa, opt = pure.value, pure.optimum
-    ccpoa = _worst_cce(game, gaps, spec, sf, 0, VERBATIM).value / opt
+    ccpoa = _worst_cce(gaps, VERBATIM).value / opt
     if robust.status != OPTIMAL:
         return SmoothnessValidation(
             False, robust.unbounded_witness, robust, ppoa, ccpoa, None, None, None

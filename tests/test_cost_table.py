@@ -214,7 +214,8 @@ def test_pair_tables_and_check_smooth_match_the_dict_path(exact):
         sizes.add(len(table.profiles))
         for spec in specs:
             profiles, sf, dev = reference_pair_tables(game, spec)
-            got_sf, got_dev = table.social_values(spec), _deviation_sums(table)
+            got_sf = _cost_table(game, PROFILE_CAP, "test", spec).social_values
+            got_dev = _deviation_sums(table)
             assert [table.profile(a) for a in range(len(got_sf))] == profiles
             assert repr(got_sf) == repr(sf), label
             assert repr(got_dev.tolist()) == _array_repr(dev, got_dev.dtype), label
@@ -246,7 +247,7 @@ def test_coarse_rows_and_worst_cce_match_the_dict_path(exact):
                 table = _cost_table(game, PROFILE_CAP, "test", None, eps,
                                     EQ1_ROWS if predicate == EQ1 else None)
                 want = reference_coarse_rows(game, eps, predicate)
-                got = _gaps(game, table, eps, predicate).T
+                got = _gaps(table, predicate).T
                 assert repr(got.tolist()) == _array_repr(list(want.values()), got.dtype), label
                 for spec in specs:
                     try:

@@ -15,7 +15,9 @@ nothing rewrites a table with _replace, only check_smooth tests
 isinstance(..., float), no public function
 takes an exact parameter, and the cost table's tol is the one slack: only
 check_smooth reads games._tol, and in oracle.py only _CostTable.tol
-reads FEAS_TOL.  Across src, only games.rational and the
+reads FEAS_TOL.  A cost table is read alone: no function there that
+takes one also takes a game, spec, epsilon, sf or values, and no
+_CostTable method takes a spec.  Across src, only games.rational and the
 converters and writers of numbers test isinstance(..., Fraction), and
 the file and trial helpers whose data fix their arithmetic take no exact
 parameter, and no module calls the builtin sum.  In linprog.py only
@@ -325,6 +327,31 @@ def test_the_cost_table_alone_sets_the_slack(module):
     assert not stray, "games._tol read off a table: " + ", ".join(stray)
     if module == "oracle.py":
         assert {scope for scope, node in nodes if node.id == "FEAS_TOL"} == {"_CostTable.tol"}
+
+
+@pytest.mark.parametrize("module", ["oracle.py", "smoothness.py"])
+def test_a_cost_table_is_read_alone(module):
+    """A cost table carries the game, the spec and the epsilon it was
+    priced for, and its spec's social values: in the oracle and
+    smoothness layer no function that takes a table (a parameter named
+    table or annotated _CostTable) also takes a parameter named game,
+    spec, epsilon, sf or values, and no _CostTable method takes a spec."""
+    tree = _tree(PACKAGE / module)
+    handed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = [arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)]
+            if any(arg.arg == "table" or any(isinstance(n, ast.Name) and n.id == "_CostTable"
+                                             for n in ast.walk(arg.annotation or ast.Pass()))
+                   for arg in params):
+                handed |= {f"{module}:{node.lineno} {node.name}({arg.arg})" for arg in params
+                           if arg.arg in {"game", "spec", "epsilon", "sf", "values"}}
+    assert not handed, "a cost table handed what it carries: " + ", ".join(sorted(handed))
+    methods = [f"{module}:{method.lineno} _CostTable.{method.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "_CostTable"
+               for method in node.body if isinstance(method, ast.FunctionDef)
+               and "spec" in {arg.arg for arg in ast.walk(method.args) if isinstance(arg, ast.arg)}]
+    assert not methods, "cost table methods that take a spec: " + ", ".join(methods)
 
 
 def test_the_robust_poa_solves_no_program():

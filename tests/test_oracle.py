@@ -121,6 +121,24 @@ def test_a_spec_for_another_player_count_is_refused(answer, kind, size):
         answer(g1(), spec)
 
 
+@pytest.mark.parametrize("kind", [SUM, MAX])
+def test_a_spec_of_the_wrong_size_is_refused_before_any_profile_is_priced(monkeypatch, kind):
+    """Every answer that reads a social spec refuses one for another player
+    count before its pass prices a single profile (games._price)."""
+    calls = _count_pricings(monkeypatch)
+    spec = SocialSpec(kind, identity_matrix(3, True))
+    for answer in (lambda: ppoa_report(g1(), spec, 0, EQ1),
+                   lambda: ppoa_report(g1(), spec, 0, VERBATIM),
+                   lambda: worst_cce(g1(), spec, 0, EQ1), lambda: worst_cce(g1(), spec),
+                   lambda: cce_poa(g1(), spec), lambda: social_optimum(g1(), spec),
+                   lambda: is_sum_bounded(g1(), spec), lambda: robust_poa(g1(), spec),
+                   lambda: check_smooth(g1(), spec, SmoothnessCertificate(1, 0)),
+                   lambda: validate_smoothness_claims(g1(), spec)):
+        with pytest.raises(GameError, match="social spec is 3x3 for a game of 2 players"):
+            answer()
+    assert calls == []
+
+
 @pytest.mark.parametrize("eps", [F(-1, 2), float("nan")], ids=["negative", "nan"])
 @pytest.mark.parametrize("predicate", [EQ1, VERBATIM])
 @pytest.mark.parametrize("answer", [
@@ -552,7 +570,7 @@ def test_eq1_equilibria_are_the_rows_with_no_gap_above_tol():
                 table = _cost_table(game, PROFILE_CAP, "test", spec, eps, EQ1_PNE)
                 want = [a for a, prof in enumerate(profiles) if all(
                     not gap > table.tol for _, _, gap in deviation_gaps(game, prof, eps))]
-                assert _equilibria(game, table, eps, EQ1) == want, (label, eps)
+                assert _equilibria(table, EQ1) == want, (label, eps)
                 kept, dropped = kept + len(want), dropped + len(profiles) - len(want)
             assert enumerate_eps_pne(game, eps, EQ1) == [profiles[a] for a in want], (label, eps)
     assert kept and dropped
@@ -568,7 +586,7 @@ def test_a_nan_gap_is_judged_as_the_array_rule_judges_it():
     assert np.isnan(rows).any()
     array_rule = (np.where(abs(rows) > FEAS_TOL, rows, 0) <= 0).all(axis=1)
     table = _cost_table(game, PROFILE_CAP, "test", None, 0, EQ1_PNE)
-    assert _equilibria(game, table, 0, EQ1) == np.flatnonzero(array_rule).tolist()
+    assert _equilibria(table, EQ1) == np.flatnonzero(array_rule).tolist()
     assert enumerate_eps_pne(game) == [p for p, ok in zip(profiles, array_rule) if ok]
     report = ppoa_report(game, SocialSpec(SUM, identity_matrix(2)))
     assert report.equilibrium_count == int(array_rule.sum()) > 0
@@ -582,12 +600,12 @@ def test_a_social_value_past_the_largest_float_is_inf_without_a_warning():
     model = CongestionModel((1.0, 1.0), ("a", "b"), [[frozenset("a"), frozenset("b")]] * 2)
     game = GeneralizedGame(model, (BasisFunction.monomial(1),), {"a": (1e308,), "b": (1e307,)},
                            identity_matrix(2))
-    table = _cost_table(game, PROFILE_CAP, "test")
     for kind in (SUM, MAX):
         spec = SocialSpec(kind, ((1.0, 1.0), (1.0, 1.0)))
+        table = _cost_table(game, PROFILE_CAP, "test", spec)
         want = [social_of_costs(spec, costs) for costs in table.costs.tolist()]
         assert float("inf") in want
-        assert repr(table.social_values(spec)) == repr(want), kind
+        assert repr(table.social_values) == repr(want), kind
 
 
 def test_each_latency_is_evaluated_once_per_call(monkeypatch):

@@ -1,8 +1,11 @@
 """Certificate checking and the robust bound."""
 
+import json
 import time
+import warnings
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,9 +29,11 @@ from test_oracle import _seeded_games
 from poacert import linprog as lp
 from poacert.formulations import VALUE_RTOL
 from poacert.games import (
+    EQ1,
     FEAS_TOL,
     MAX,
     SUM,
+    VERBATIM,
     BasisFunction,
     CongestionModel,
     GameError,
@@ -38,13 +43,18 @@ from poacert.games import (
     individual_cost,
     social_value,
 )
+from poacert.cli import EXIT_OK, EXIT_VALIDATION, main
 from poacert.oracle import (
     NO_EQUILIBRIUM,
     PROFILE_CAP,
+    PPoAReport,
     _cost_table,
     cce_poa,
+    enumerate_eps_pne,
     exact_ppoa,
+    ppoa_report,
     social_optimum,
+    worst_cce,
     worst_cce_value,
 )
 from poacert.smoothness import (
@@ -65,9 +75,9 @@ from poacert.smoothness import (
 def _tables(game, spec, cap):
     """(profiles, SF, the deviation sums as nested lists) of the pair
     tables of the game's cost table."""
-    table = _cost_table(game, cap, "smoothness pair tables")
+    table = _cost_table(game, cap, "smoothness pair tables", spec)
     profiles = [table.profile(a) for a in range(len(table.profiles))]
-    return profiles, table.social_values(spec), _deviation_sums(table).tolist()
+    return profiles, table.social_values, _deviation_sums(table).tolist()
 
 
 def _pair_rows(sf, dev):
@@ -567,11 +577,11 @@ def _certificate_point(dual: lp.LinearProgram, exact: bool) -> Optional[tuple]:
     return rep.duals if rep.status == lp.OPTIMAL else None
 
 
-def _lp_robust_poa(table, sf: list) -> RobustPoA:
-    """Reference: robust_poa on a cost table and its social values, as one
-    LP solved as its 3-row dual, the t = 0 end of an optimal face moved to
-    its other end."""
-    a = _unbounded_row(table, sf)
+def _lp_robust_poa(table) -> RobustPoA:
+    """Reference: robust_poa on a cost table, as one LP solved as its
+    3-row dual, the t = 0 end of an optimal face moved to its other end."""
+    sf = table.social_values
+    a = _unbounded_row(table)
     if a is not None:
         return RobustPoA(NOT_SMOOTHABLE, None, None, None, table.profile(a), 0)
     dev = _deviation_sums(table)
@@ -659,7 +669,7 @@ def test_envelope_matches_the_lp_reference(exact):
     compared, flat = 0, []
     for label, game, spec in _reference_cases(exact):
         table = _cost_table(game, PROFILE_CAP, "test", spec)
-        got, want = robust_poa(game, spec), _lp_robust_poa(table, table.social_values(spec))
+        got, want = robust_poa(game, spec), _lp_robust_poa(table)
         key = (label, spec.kind)
         assert (got.status, got.unbounded_witness) == (want.status, want.unbounded_witness), key
         if got.status != OPTIMAL:
@@ -691,7 +701,7 @@ def test_a_flat_face_is_left_at_its_right_end():
     r = robust_poa(game, spec)
     assert (r.status, r.value, r.lam, r.mu) == (OPTIMAL, F(12, 5), F(28, 5), F(-4, 3))
     table = _cost_table(game, PROFILE_CAP, "test", spec)
-    ref = _lp_robust_poa(table, table.social_values(spec))
+    ref = _lp_robust_poa(table)
     assert (ref.value, ref.lam, ref.mu) == (F(12, 5), 10, F(-19, 6))
     for cert in (SmoothnessCertificate(r.lam, r.mu), SmoothnessCertificate(ref.lam, ref.mu)):
         assert cert.bound == F(12, 5)
@@ -729,26 +739,28 @@ def test_a_game_of_zero_costs_draws_no_line(num):
     spec = SocialSpec(SUM, identity_matrix(2))
     assert robust_poa(game, spec) == RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 0)
     table = _cost_table(game, PROFILE_CAP, "test", spec)
-    ref = _lp_robust_poa(table, table.social_values(spec))
+    ref = _lp_robust_poa(table)
     assert (ref.status, ref.unbounded_witness) == (NOT_SMOOTHABLE, None)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_validation_reads_its_social_values_once(monkeypatch, exact):
-    """validate_smoothness_claims reads its cost table's social values once
-    and hands them to the robust PoA, the pure PoA and the worst coarse
-    value: one social value per profile, from one call of the table's
-    social_values, under sum and max."""
+    """validate_smoothness_claims computes its cost table's social values
+    once, and the robust PoA, the pure PoA and the worst coarse value read
+    them: one social value per profile, from one computation of the
+    table's social_values, under sum and max."""
     from poacert import oracle
 
     calls = []
-    original = oracle._CostTable.social_values
+    original = oracle._CostTable.social_values.func
 
-    def counted(table, spec):
-        values = original(table, spec)
+    def counted(table):
+        values = original(table)
         calls.extend(values)
         return values
 
+    counted = cached_property(counted)
+    counted.__set_name__(oracle._CostTable, "social_values")
     monkeypatch.setattr(oracle._CostTable, "social_values", counted)
     num = F if exact else float
     for seed in range(6):
@@ -779,8 +791,51 @@ def test_a_zero_optimum_leaves_the_ratio_program_without_an_optimum(num):
     assert is_sum_bounded(game, spec) == (True, None)
     assert robust_poa(game, spec) == RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 0)
     table = _cost_table(game, PROFILE_CAP, "test", spec)
-    ref = _lp_robust_poa(table, table.social_values(spec))
+    ref = _lp_robust_poa(table)
     assert (ref.status, ref.unbounded_witness) == (NOT_SMOOTHABLE, None)
     for answer in (cce_poa, validate_smoothness_claims):
         with pytest.raises(GameError, match="social optimum is 0"):
             answer(game, spec)
+
+
+def test_a_float_game_past_the_float_range_answers_or_overflows_without_a_warning(
+        capsys, tmp_path):
+    """Two players of weight 1 on {a} or {b}, latency 1e308 x on a and
+    1e307 x on b: at (a, a) each player's cost, 2e308, is past the largest
+    float.  Every public oracle and smoothness answer runs with no numpy
+    warning.  Those that read only finite rows answer; the robust PoA and
+    check_smooth, whose pair tables hold inf, raise OverflowError (at the
+    float image of (59/29, -1/29), the exact optimum's certificate), as
+    worst_cce's LP does on its inf rows.  The smoothness command exits 2
+    with the --exact hint, and with --exact answers robust PoA 59/30."""
+    model = CongestionModel((1.0, 1.0), ("a", "b"), [[frozenset("a"), frozenset("b")]] * 2)
+    game = GeneralizedGame(model, (X,), {"a": (1e308,), "b": (1e307,)}, identity_matrix(2))
+    spec, max_spec = SocialSpec(SUM, identity_matrix(2)), SocialSpec(MAX, identity_matrix(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert repr(social_optimum(game, spec)) == "((1, 1), 4e+307)"
+        assert repr(social_optimum(game, max_spec)) == "((1, 1), 2e+307)"
+        for predicate in (EQ1, VERBATIM):
+            assert enumerate_eps_pne(game, 0, predicate) == [(1, 1)]
+            assert ppoa_report(game, spec, 0, predicate) == PPoAReport(1.0, 4e307, (1, 1), 1,
+                                                                      [(1, 1)])
+            assert repr(exact_ppoa(game, spec, 0, predicate)) == "1.0"
+        assert is_sum_bounded(game, spec) == (True, None)
+        overflows = [lambda: worst_cce(game, spec), lambda: worst_cce(game, spec, 0, EQ1),
+                     lambda: worst_cce(game, max_spec), lambda: worst_cce_value(game, spec),
+                     lambda: cce_poa(game, spec), lambda: robust_poa(game, spec),
+                     lambda: check_smooth(game, spec, SmoothnessCertificate(59 / 29, -1 / 29)),
+                     lambda: validate_smoothness_claims(game, spec)]
+        for answer in overflows:
+            with pytest.raises(OverflowError):
+                answer()
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({
+        "weights": [1, 1], "resources": ["a", "b"], "strategies": [[["a"], ["b"]]] * 2,
+        "basis": [{"kind": "monomial", "degree": 1}],
+        "coefficients": {"a": [1e308], "b": [1e307]}, "alpha": [[1, 0], [0, 1]]}))
+    assert main(["smoothness", "--game", str(path)]) == EXIT_VALIDATION
+    assert "use --exact" in capsys.readouterr().err
+    assert main(["smoothness", "--game", str(path), "--exact"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["robust_poa"], doc["lambda"], doc["mu"]) == ("59/30", "59/29", "-1/29")
