@@ -11,6 +11,14 @@ choose it by one rule, rational(): Fractions without floats are exact,
 any other data, integers alone included, float64.  Every sum adds its
 terms in order from 0, one rounding per addition, never by the builtin
 sum, which compensates float sums from Python 3.12.
+
+Every reader of costs and deviation gaps prices through one _Pricing per
+call: a profile's loads and latencies, its players' costs and its gaps
+under either predicate.  A call that reads many profiles (is_eps_cce,
+the oracle's pass, social_value of a distribution) evaluates each
+latency at a load once; a call that reads one profile reads the
+latencies directly.  The public per-profile readers refuse a profile,
+player or strategy index that is not an int in range, a bool included.
 """
 
 from __future__ import annotations
@@ -386,54 +394,136 @@ def resource_users(model: CongestionModel, profile) -> dict:
     return used
 
 
+def _check_index(x, count: int, player=None) -> None:
+    """GameError unless x is an int, not a bool, in range(count): a
+    strategy index of player, or a player index when player is None."""
+    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < count:
+        name = "player index" if player is None else "strategy index"
+        whose = "" if player is None else f" of player {player}"
+        raise GameError(f"{name} {x!r}{whose} is not an int in range({count})")
+
+
+def _checked(model: CongestionModel, profile) -> tuple:
+    """profile as a tuple, after GameError unless it holds one strategy
+    index of each player.  Every public per-profile reader checks its
+    profile so; a whole-game pass over model.profiles() does not."""
+    profile = tuple(profile)
+    if len(profile) != model.n:
+        raise GameError(f"profile has {len(profile)} entries for a game of {model.n} players")
+    for i, x in enumerate(profile):
+        _check_index(x, len(model.strategies[i]), i)
+    return profile
+
+
 def individual_cost(game: GeneralizedGame, profile, i: int):
     model = game.model
+    profile = _checked(model, profile)
+    _check_index(i, model.n)
     loads = congestion(model, profile)
     return model.weights[i] * reduce(
         add, (game.latency(e, loads[e]) for e in model.ordered_strategies[i][profile[i]]), 0)
 
 
-def _latency_memo(game: GeneralizedGame):
-    """game.latency for the length of one call: each (e, type(load), load)
-    is evaluated once, so 3 and Fraction(3), whose latencies may differ in
-    type, stay apart.  The memo lives in the returned function alone;
-    nothing is kept on the game."""
-    memo = {}
+class _Pricing:
+    """One call's pricing of a game, dropped with the call.  With memo each
+    latency at a load is evaluated once (latency), without it read off
+    game.latency; each profile a verbatim gap reads is priced once
+    (individual_costs); the idle set is built on the first eq1 gap."""
 
-    def latency(e, load):
+    def __init__(self, game: GeneralizedGame, memo: bool):
+        self.game, self._latencies, self._costs = game, {}, {}
+        if not memo:  # a call that reads one profile
+            self.latency = game.latency
+
+    @cached_property
+    def idle(self) -> set:
+        """The resources whose coefficients are all 0: latency 0 anywhere."""
+        return {e for e, vec in self.game.coefficients.items() if not any(vec)}
+
+    def latency(self, e, load):
+        """game.latency, memoized by (e, type(load), load): 3 and
+        Fraction(3), whose latencies may differ in type, stay apart."""
         key = (e, type(load), load)
-        value = memo.get(key)
+        value = self._latencies.get(key)
         if value is None:  # no latency is None
-            value = memo[key] = game.latency(e, load)
+            value = self._latencies[key] = self.game.latency(e, load)
         return value
 
-    return latency
+    def price(self, profile) -> tuple:
+        """(loads, latencies) of a profile: its congestion and the latency
+        of each used resource."""
+        loads = congestion(self.game.model, profile)
+        return loads, {e: self.latency(e, x) for e, x in loads.items() if x != 0}
 
+    def costs(self, profile, lat) -> list:
+        """individual_cost of every player from the latencies of the
+        profile's price, each player's resources added in_order from 0."""
+        model = self.game.model
+        costs = []
+        for i, s in enumerate(profile):
+            total = 0
+            for e in model.ordered_strategies[i][s]:
+                total += lat[e]
+            costs.append(model.weights[i] * total)
+        return costs
 
-def _price(game: GeneralizedGame, profile, latency, idle=()) -> tuple:
-    """(loads, latencies) of a profile from one load pass: its congestion
-    and latency(e, load) of each used resource, evaluated once; one in
-    idle (see _idle) is 0 without evaluation."""
-    loads = congestion(game.model, profile)
-    return loads, {e: 0 if e in idle else latency(e, x) for e, x in loads.items() if x != 0}
+    def individual_costs(self, profile: tuple) -> list:
+        """costs of a profile, priced on its first read by this pricer."""
+        costs = self._costs.get(profile)
+        if costs is None:
+            costs = self._costs[profile] = self.costs(profile, self.price(profile)[1])
+        return costs
 
+    def gap(self, profile, i: int, target: tuple, eps, priced, users):
+        """deviation_gap of player i towards target, a tuple of resources
+        in_order, from the profile's price and resource_users.  A resource
+        of latency 0 adds 0, its users not summed; an idle one is not
+        joined."""
+        loads, lat = priced
+        model = self.game.model
+        alpha, w = self.game.alpha[i], model.weights
+        current = model.strategies[i][profile[i]]
+        gain = 0
+        for e in model.ordered_strategies[i][profile[i]]:
+            if e in target or lat[e] == 0:
+                continue
+            aw = reduce(add, (alpha[j] * w[j] for j in users[e]), 0)
+            if aw != 0:
+                gain += lat[e] * aw
+        pay, idle = 0, self.idle
+        for e in target:
+            if e in current or e in idle:
+                continue
+            aw = alpha[i] * w[i] + reduce(add, (alpha[j] * w[j] for j in users[e]), 0)
+            if aw != 0:
+                pay += self.latency(e, loads[e] + w[i]) * aw
+        return gain - (1 + eps) * pay
 
-def _costs(model: CongestionModel, profile, lat) -> list:
-    """individual_cost of every player from the latencies of a profile's
-    _price: each player's resources added in_order from 0."""
-    costs = []
-    for i, s in enumerate(profile):
-        total = 0
-        for e in model.ordered_strategies[i][s]:
-            total += lat[e]
-        costs.append(model.weights[i] * total)
-    return costs
+    def gaps(self, profile: tuple, eps, predicate: str, priced=None):
+        """(i, x, gap) for every player i and strategy index x, in that
+        order: deviation_gap (eq1, from priced when the caller has the
+        profile's price) or deviation_gap_verbatim.  Lazy, so a caller may
+        stop at the first bad gap."""
+        model = self.game.model
+        if predicate == EQ1:
+            priced = self.price(profile) if priced is None else priced
+            users = resource_users(model, profile)
+            for i, per in enumerate(model.ordered_strategies):
+                for x, target in enumerate(per):
+                    yield i, x, self.gap(profile, i, target, eps, priced, users)
+            return
+        costs = self.individual_costs(profile)
+        for i, row in enumerate(self.game.alpha):
+            here = _weighted(row, costs)
+            for x in range(len(model.strategies[i])):
+                yield i, x, here - (1 + eps) * _weighted(
+                    row, self.individual_costs(_deviate(profile, i, x)))
 
 
 def individual_costs(game: GeneralizedGame, profile) -> list:
     """individual_cost of every player, from one load pass over the
     profile: each used resource's latency is evaluated once."""
-    return _costs(game.model, profile, _price(game, profile, game.latency)[1])
+    return _Pricing(game, False).individual_costs(_checked(game.model, profile))
 
 
 def _weighted(row, costs):
@@ -467,7 +557,8 @@ def social_value(spec: SocialSpec, game: GeneralizedGame, outcome):
     """
     if not isinstance(outcome, ProfileDistribution):
         return social_of_costs(spec, individual_costs(game, outcome))
-    costs = {prof: individual_costs(game, prof) for prof in outcome.masses}
+    pricing = _Pricing(game, True)
+    costs = {prof: pricing.individual_costs(_checked(game.model, prof)) for prof in outcome.masses}
     per_player = [
         outcome.expect(lambda prof, row=row: _weighted(row, costs[prof]))
         for row in spec.beta
@@ -475,60 +566,10 @@ def social_value(spec: SocialSpec, game: GeneralizedGame, outcome):
     return reduce(add, per_player, 0) if spec.kind == SUM else max(per_player)
 
 
-def _idle(game: GeneralizedGame) -> set:
-    """The resources whose coefficients are all 0: latency 0 at every load."""
-    return {e for e, vec in game.coefficients.items() if not any(vec)}
-
-
-def _gap_inputs(game: GeneralizedGame, profile, priced, idle, latency) -> tuple:
-    """What every grouped gap of a profile reads: the loads and latencies
-    of its _price, its resource users, the game's _idle resources and the
-    latency the joined loads are read through."""
-    loads, lat = priced
-    return loads, resource_users(game.model, profile), lat, idle, latency
-
-
-def _grouped_gap(game: GeneralizedGame, profile, i: int, target: tuple, eps, inputs):
-    """deviation_gap towards the resources of target, a tuple of them
-    in_order, given the profile's _gap_inputs.  Resources are added
-    in_order; one of latency 0 adds 0, so its alpha-weighted users are not
-    summed."""
-    loads, users, lat, idle, latency = inputs
-    model = game.model
-    current = model.strategies[i][profile[i]]
-    w = model.weights
-    gain = 0
-    for e in model.ordered_strategies[i][profile[i]]:
-        if e in target or lat[e] == 0:
-            continue
-        aw = reduce(add, (game.alpha[i][j] * w[j] for j in users[e]), 0)
-        if aw != 0:
-            gain += lat[e] * aw
-    pay = 0
-    for e in target:
-        if e in current or e in idle:
-            continue
-        aw = game.alpha[i][i] * w[i] + reduce(add, (game.alpha[i][j] * w[j] for j in users[e]), 0)
-        if aw != 0:
-            pay += latency(e, loads[e] + w[i]) * aw
-    return gain - (1 + eps) * pay
-
-
-def _grouped_gaps(game: GeneralizedGame, profile, eps, priced, idle, latency):
-    """(i, x, _grouped_gap) for every player i and strategy index x, in
-    that order, of a profile priced as _price prices it.  Lazy, so a
-    caller may stop at the first bad gap."""
-    inputs = _gap_inputs(game, profile, priced, idle, latency)
-    for i, per in enumerate(game.model.ordered_strategies):
-        for x, target in enumerate(per):
-            yield i, x, _grouped_gap(game, profile, i, target, eps, inputs)
-
-
 def _pne_verdict(gaps) -> int:
     """A profile's eq1 equilibrium verdict under either slack, read off its
-    _grouped_gaps up to the first above FEAS_TOL: 2 when one is, 1 when
-    one is above 0 alone, 0 when none is above 0 (a NaN gap is above
-    neither)."""
+    eq1 gaps up to the first above FEAS_TOL: 2 when one is, 1 when one is
+    above 0 alone, 0 when none is above 0 (a NaN gap is above neither)."""
     verdict = 0
     for _, _, gap in gaps:
         if gap > FEAS_TOL:
@@ -539,7 +580,8 @@ def _pne_verdict(gaps) -> int:
 
 
 def deviation_gap(game: GeneralizedGame, profile, i: int, x, eps=0):
-    """Grouped deviation expression for player i moving to strategy x.
+    """Grouped deviation expression for player i moving to strategy x, a
+    strategy index or a set of resources.
 
     Resources i abandons contribute their current latency times the
     alpha-weighted load of their current users; resources i would join
@@ -550,11 +592,16 @@ def deviation_gap(game: GeneralizedGame, profile, i: int, x, eps=0):
     literal perceived-cost difference, even at eps = 0.
     """
     model = game.model
-    target = model.ordered_strategies[i][x] if isinstance(x, int) else tuple(model.in_order(set(x)))
-    idle = _idle(game)
-    inputs = _gap_inputs(game, profile, _price(game, profile, game.latency, idle), idle,
-                         game.latency)
-    return _grouped_gap(game, profile, i, target, eps, inputs)
+    profile = _checked(model, profile)
+    _check_index(i, model.n)
+    if isinstance(x, int):
+        _check_index(x, len(model.strategies[i]), i)
+        target = model.ordered_strategies[i][x]
+    else:
+        target = tuple(model.in_order(set(x)))
+    pricing = _Pricing(game, False)
+    return pricing.gap(profile, i, target, eps, pricing.price(profile),
+                       resource_users(model, profile))
 
 
 def _deviate(profile, i: int, x) -> tuple:
@@ -565,7 +612,11 @@ def _deviate(profile, i: int, x) -> tuple:
 def deviation_gap_verbatim(game: GeneralizedGame, profile, i: int, x, eps=0):
     """Literal Definition-style difference c-hat_i(sigma) - (1+eps) *
     c-hat_i(sigma_{-i}, x); x is a strategy index or a resource set."""
-    if not isinstance(x, int):
+    profile = _checked(game.model, profile)
+    _check_index(i, game.n)
+    if isinstance(x, int):
+        _check_index(x, len(game.model.strategies[i]), i)
+    else:
         target = frozenset(x)
         x = next((k for k, s in enumerate(game.model.strategies[i]) if s == target), None)
         if x is None:
@@ -574,34 +625,21 @@ def deviation_gap_verbatim(game: GeneralizedGame, profile, i: int, x, eps=0):
         game, _deviate(profile, i, x), i)
 
 
-def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
-    """(i, x, gap) for every player i and strategy index x, in that order,
-    equal to deviation_gap or deviation_gap_verbatim but from one load pass
-    over the profile (eq1) or one individual_costs call per profile read
-    (verbatim).  Lazy, so a caller may stop at the first bad gap."""
-    return _deviation_gaps(game, profile, eps, predicate, lambda prof: individual_costs(game, prof),
-                           game.latency)
-
-
-def _deviation_gaps(game: GeneralizedGame, profile, eps, predicate: str, priced, latency):
-    """deviation_gaps, an eq1 gap reading the latencies through latency
-    and a verbatim gap each profile's individual_costs as priced(profile)
-    gives them."""
+def _check_gaps(eps, predicate: str) -> None:
+    """GameError unless predicate is EQ1 or VERBATIM and eps is a valid
+    epsilon: checked once per call, not once per profile."""
     if predicate not in (EQ1, VERBATIM):
         raise GameError(f"unknown predicate {predicate!r}")
     check_epsilon(eps)
-    model = game.model
-    if predicate == EQ1:
-        idle = _idle(game)
-        priced = _price(game, profile, latency, idle)
-        yield from _grouped_gaps(game, profile, eps, priced, idle, latency)
-        return
-    costs = priced(profile)
-    for i, row in enumerate(game.alpha):
-        here = _weighted(row, costs)
-        for x in range(len(model.strategies[i])):
-            there = costs if x == profile[i] else priced(_deviate(profile, i, x))
-            yield i, x, here - (1 + eps) * _weighted(row, there)
+
+
+def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
+    """(i, x, gap) for every player i and strategy index x, in that order,
+    equal to deviation_gap or deviation_gap_verbatim but from one load pass
+    over the profile (eq1) or one pricing of each profile read (verbatim).
+    Lazy, so a caller may stop at the first bad gap."""
+    _check_gaps(eps, predicate)
+    return _Pricing(game, False).gaps(_checked(game.model, profile), eps, predicate)
 
 
 def rational(numbers) -> bool:
@@ -642,19 +680,13 @@ def is_eps_cce(
 ) -> bool:
     """Coarse correlated test: no player gains (1+eps)-factor in
     expectation by a constant pure deviation.  An exact expected gap must
-    be <= 0; a float one may exceed 0 by FEAS_TOL.  Each distinct profile
-    the gaps read is priced once per call, and each latency at a load
-    evaluated once (_latency_memo)."""
-    latency = _latency_memo(game)
-    prices = {}
-
-    def priced(prof):
-        if prof not in prices:
-            prices[prof] = _costs(game.model, prof, _price(game, prof, latency)[1])
-        return prices[prof]
-
+    be <= 0; a float one may exceed 0 by FEAS_TOL.  One _Pricing serves
+    the call: each distinct profile the gaps read is priced once, and each
+    latency at a load evaluated once."""
+    _check_gaps(eps, predicate)
+    pricing = _Pricing(game, True)
     gaps = {
-        prof: [gap for _, _, gap in _deviation_gaps(game, prof, eps, predicate, priced, latency)]
+        prof: [gap for _, _, gap in pricing.gaps(_checked(game.model, prof), eps, predicate)]
         for prof in dist.masses
     }
     k = 0

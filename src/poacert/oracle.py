@@ -3,11 +3,12 @@
 Everything here is brute force on purpose: optimum and equilibria by full
 profile enumeration, worst coarse value by a linear program over the
 profile simplex, each read off one _CostTable and its gaps.  A call
-prices the game in one pass (_cost_tables): each profile once, each
-latency at a load once through a memo that lives for that call alone,
-and, where an answer reads eq1 gaps, those gaps from the same loads and
-latencies: every gap for eq1 coarse rows, or each profile's equilibrium
-verdict, which stops at its first gap above FEAS_TOL.  The cost table
+prices the game in one pass (_cost_tables) through one games._Pricing
+that lives for that call alone: each profile once, each latency at a
+load once, and, where an answer reads eq1 gaps, those gaps from the same
+price: every gap for eq1 coarse rows, or each profile's equilibrium
+verdict, which stops at its first gap above FEAS_TOL.  This module reads
+no latency itself.  The cost table
 carries the game, spec and epsilon it was priced for, and fixes the
 numbers, the slack and the gaps.  It decides the arithmetic by
 games.rational: when none of the game's costs, the social spec's beta
@@ -41,12 +42,8 @@ from .games import (
     ProfileDistribution,
     SocialSpec,
     check_epsilon,
-    _costs,
-    _grouped_gaps,
-    _idle,
-    _latency_memo,
     _pne_verdict,
-    _price,
+    _Pricing,
     rational,
 )
 
@@ -137,12 +134,10 @@ def _cost_tables(game: GeneralizedGame, cap: int, what: str,
     the answers of spec, whose arithmetic the costs and beta decide, and
     the one for gaps at epsilon (which it records), which read alpha and
     epsilon too.  With no epsilon, or when the two rules agree, both are
-    one table.  The pass prices each profile once (games._price and
-    games._costs), each latency at a load once per call
-    (games._latency_memo) and, when eq1 names what an answer reads of the
-    eq1 gaps (EQ1_ROWS or EQ1_PNE), computes them from the same loads and
-    latencies (games._grouped_gaps): every gap, or each profile's
-    games._pne_verdict."""
+    one table.  One games._Pricing, the call's alone, prices each profile
+    once and each latency at a load once and, when eq1 names what an answer
+    reads of the eq1 gaps (EQ1_ROWS or EQ1_PNE), computes them from the
+    same price: every gap, or each profile's games._pne_verdict."""
     if game.model.profile_count() > cap:
         raise GameError(f"{what}: {game.model.profile_count()} profiles exceeds cap {cap}")
     if epsilon is not None:
@@ -150,14 +145,13 @@ def _cost_tables(game: GeneralizedGame, cap: int, what: str,
     if spec is not None and spec.n != game.n:
         raise GameError(f"social spec is {spec.n}x{spec.n} for a game of {game.n} players")
     profiles = list(game.model.profiles())
-    latencies = _latency_memo(game)  # this call's alone
-    idle = _idle(game)
+    pricing = _Pricing(game, True)  # this call's alone
     rows, kept = [], []
     for prof in profiles:
-        priced = _price(game, prof, latencies, idle)
-        rows.append(_costs(game.model, prof, priced[1]))
+        priced = pricing.price(prof)
+        rows.append(pricing.costs(prof, priced[1]))
         if eq1 is not None:
-            gaps = _grouped_gaps(game, prof, epsilon, priced, idle, latencies)
+            gaps = pricing.gaps(prof, epsilon, EQ1, priced)
             kept.append([gap for _, _, gap in gaps] if eq1 == EQ1_ROWS else _pne_verdict(gaps))
     numbers = [*(c for row in rows for c in row),
                *([] if spec is None else (b for row in spec.beta for b in row))]

@@ -159,7 +159,9 @@ def _envelope_minimum(sf: list, dev: np.ndarray, tol) -> RobustPoA:
     t = 1 unless the piece starts later.  lam = value/t and mu = (t-1)/t
     there; both are None when t is within tol of 0, where certificates only
     approach the value as mu -> -inf.  NOT_SMOOTHABLE when no t is allowed
-    or no line exists.
+    or no line exists.  On a float table whose finite social values part
+    by more than the float range, a line's intercept SF_a/SF_b or slope is
+    not finite: OverflowError, as the pair tables raise past that range.
     """
     top = max(sf)
     sf = np.array(sf, dtype=dev.dtype)
@@ -170,8 +172,11 @@ def _envelope_minimum(sf: list, dev: np.ndarray, tol) -> RobustPoA:
     pinned = (d < 0).any()  # t*d >= SF_a = 0 with d < 0 allows t = 0 alone
     if not top > 0 or ((d <= 0) & (need > 0)).any() or (pinned and t > 0):
         return RobustPoA(NOT_SMOOTHABLE, None, None, None, None, 0)
-    c = (sf[:, None] / sf[pos]).ravel()
-    s = ((dev[:, pos] - sf[:, None]) / sf[pos]).ravel()
+    with _python_floats():  # a float line past the float range is refused below
+        c = (sf[:, None] / sf[pos]).ravel()
+        s = ((dev[:, pos] - sf[:, None]) / sf[pos]).ravel()
+    if dev.dtype == np.float64 and not (np.isfinite(c).all() and np.isfinite(s).all()):
+        raise OverflowError("a line of the robust PoA's envelope exceeds the float range")
     v = c + s * t
     k = _highest(v, s, np.ones(len(s), dtype=bool))
     while not pinned and s[k] <= 0:

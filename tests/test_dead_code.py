@@ -8,8 +8,11 @@ Every method of a poacert class is read as an attribute (.name)
 somewhere in those trees: a local variable of the same name is no use.
 Only gamefile.py, where input text enters, imports re: no other module
 parses text, such as a name it formatted itself.  In oracle.py and
-smoothness.py only _cost_tables enumerates profiles and prices them, only
-_gaps calls deviation_gaps, only _cost_tables chooses the arithmetic (by
+smoothness.py only _cost_tables enumerates profiles, builds a
+games._Pricing and prices and gaps them with it, and nothing calls a
+per-profile reader of games; oracle.py names no latency, and in games.py
+only _Pricing.latency, individual_cost and _check_latencies evaluate one;
+only _cost_tables chooses the arithmetic (by
 games.rational; neither module names Fraction) and builds a _CostTable,
 nothing rewrites a table with _replace, only check_smooth tests
 isinstance(..., float), no public function
@@ -248,15 +251,16 @@ def _calls(tree):
 @pytest.mark.parametrize("module", ["oracle.py", "smoothness.py"])
 def test_profiles_are_priced_and_gapped_in_one_place(module):
     """In the oracle and smoothness layer only _cost_tables enumerates the
-    game (.profiles()), prices a profile (games._price) and computes its
-    eq1 gaps (games._grouped_gaps), and nothing prices a profile through
-    individual_costs, deviation_gaps, deviation_gap, is_eps_pne or
-    social_value: every whole-game answer reads one priced pass.  In games
-    only _grouped_gaps and deviation_gap call _grouped_gap, the one eq1
-    evaluator."""
-    owner = {"_price": "_cost_tables", "_costs": "_cost_tables", "profiles": "_cost_tables",
-             "_grouped_gaps": "_cost_tables", "individual_costs": None, "deviation_gaps": None,
-             "deviation_gap": None, "is_eps_pne": None, "social_value": None}
+    game (.profiles()), builds a games._Pricing, prices a profile with it
+    (.price, .costs) and computes its eq1 gaps (.gaps), and nothing prices
+    a profile through individual_costs, deviation_gaps, deviation_gap,
+    is_eps_pne, is_eps_cce or social_value: every whole-game answer reads
+    one priced pass.  In games only _Pricing.gaps and deviation_gap call
+    _Pricing.gap, the one eq1 evaluator."""
+    owner = {"_Pricing": "_cost_tables", "price": "_cost_tables", "costs": "_cost_tables",
+             "gaps": "_cost_tables", "profiles": "_cost_tables", "individual_costs": None,
+             "deviation_gaps": None, "deviation_gap": None, "is_eps_pne": None,
+             "is_eps_cce": None, "social_value": None}
     calls = [(scope, name, line) for scope, name, line in _calls(_tree(PACKAGE / module))
              if name in owner]
     stray = [f"{module}:{line} {scope} calls {name}" for scope, name, line in calls
@@ -265,24 +269,31 @@ def test_profiles_are_priced_and_gapped_in_one_place(module):
     if module == "oracle.py":
         assert {name for _, name, _ in calls} == {n for n, o in owner.items() if o}
     evaluators = {scope for scope, name, _ in _calls(_tree(PACKAGE / "games.py"))
-                  if name == "_grouped_gap"}
-    assert evaluators == {"_grouped_gaps", "deviation_gap"}
+                  if name == "gap"}
+    assert evaluators == {"_Pricing.gaps", "deviation_gap"}
 
 
 def test_the_oracle_reads_latencies_in_its_pass_alone():
-    """In oracle.py every name or attribute that reads a latency (latency,
-    _latency_memo, a memo of them) lies in _cost_tables: a latency is
-    evaluated in the table pass, through that call's memo, and nowhere
-    else."""
-    reads = [f"oracle.py:{node.lineno} {scope}" for scope, node in _scoped_nodes(
-                 _tree(PACKAGE / "oracle.py"))
+    """oracle.py names no latency (no name or attribute with latenc in it):
+    a latency is evaluated by the _Pricing that _cost_tables, and only it,
+    builds, through that pricer's memo.  In games.py only _Pricing.latency
+    (the memo), individual_cost (the reference evaluator) and
+    _check_latencies call .latency(; the other _Pricing methods read the
+    memo (self.latency)."""
+    nodes = list(_scoped_nodes(_tree(PACKAGE / "oracle.py")))
+    reads = [f"oracle.py:{node.lineno} {scope}" for scope, node in nodes
              if "latenc" in ((node.id if isinstance(node, ast.Name) else
-                              node.attr if isinstance(node, ast.Attribute) else ""))
-             and scope != "_cost_tables"]
-    assert not reads, "latency read outside the table pass: " + ", ".join(reads)
-    assert any(isinstance(node, ast.Name) and node.id == "_latency_memo"
-               for scope, node in _scoped_nodes(_tree(PACKAGE / "oracle.py"))
-               if scope == "_cost_tables")
+                              node.attr if isinstance(node, ast.Attribute) else ""))]
+    assert not reads, "latency read in oracle.py: " + ", ".join(reads)
+    builders = {scope for scope, node in nodes
+                if isinstance(node, ast.Name) and node.id == "_Pricing"}
+    assert builders == {"_cost_tables"}
+    evaluators = {scope for scope, node in _scoped_nodes(_tree(PACKAGE / "games.py"))
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "latency"
+                  and not (scope.startswith("_Pricing.") and isinstance(node.func.value, ast.Name)
+                           and node.func.value.id == "self")}
+    assert evaluators == {"_Pricing.latency", "individual_cost",
+                          "GeneralizedGame._check_latencies"}
 
 
 @pytest.mark.parametrize("module", ["oracle.py", "smoothness.py"])

@@ -4,13 +4,16 @@ Every asserted number on the canonical game is reproducible by listing its
 four profiles on paper.
 """
 
+import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import AA, AB, BA, BB, g1, g1_spec, ordered_sum, random_game, seeded
+from conftest import (AA, AB, BA, BB, g1, g1_spec, ordered_sum, random_game, random_matrix,
+                      seeded)
 from poacert import games
 from poacert.games import (
     EQ1,
@@ -277,6 +280,41 @@ def test_gap_epsilon_scales_the_target_side():
     assert deviation_gap(g, AA, 0, 1, eps=1) == 2 - 2 * 1
 
 
+def test_gap_reads_a_resource_set_that_is_no_strategy():
+    """x may be any set of resources, not only one of the player's
+    strategies: the resources it leaves (current minus x) and those it
+    joins (x minus current) give the grouped gap.  On g1 at (a, b), player
+    0 moving to {a, b} leaves nothing and pays latency 2 at b's load 2; on
+    seeded exact games with off-diagonal alpha, every nonempty resource set
+    matches the grouped formula written out."""
+    assert deviation_gap(g1(), AB, 0, {"a", "b"}) == -2
+    assert deviation_gap(g1(), AB, 0, ["b", "a"], eps=1) == -4
+    others = 0
+    for seed in range(3):
+        rng = seeded(seed)
+        alpha = random_matrix(rng, 3, -1, 1, exact=True)
+        basis = (BasisFunction.monomial(1), BasisFunction.monomial(2))
+        g = random_game(rng, (F(1), F(3, 2), F(2)), basis, alpha, exact=True, n_resources=4)
+        model, w = g.model, g.model.weights
+        sets = [frozenset(c) for k in range(1, 5)
+                for c in itertools.combinations(model.resources, k)]
+        for prof in model.profiles():
+            loads, users = congestion(model, prof), resource_users(model, prof)
+            for i, per in enumerate(model.strategies):
+                current = per[prof[i]]
+
+                def aw(e):
+                    return ordered_sum(alpha[i][j] * w[j] for j in users[e])
+
+                for target in sets:
+                    others += target not in per
+                    gain = ordered_sum(g.latency(e, loads[e]) * aw(e) for e in current - target)
+                    pay = ordered_sum(g.latency(e, loads[e] + w[i]) * (alpha[i][i] * w[i] + aw(e))
+                                      for e in target - current)
+                    assert deviation_gap(g, prof, i, target, F(1, 2)) == gain - F(3, 2) * pay
+    assert others
+
+
 def test_verbatim_rejects_unknown_strategy():
     with pytest.raises(GameError):
         deviation_gap_verbatim(g1(), AA, 0, frozenset({"a", "b"}))
@@ -359,15 +397,16 @@ def test_one_load_pass_matches_the_per_player_functions(seed):
 
 def test_verbatim_gaps_price_each_profile_once(monkeypatch):
     """Under verbatim, deviation_gaps prices the profile once, for its own
-    cost and for every x = sigma_i, and each other deviation once."""
+    cost and for every x = sigma_i, and each other deviation once
+    (games._Pricing.price)."""
     priced = []
-    original = games.individual_costs
+    original = games._Pricing.price
 
-    def counted(game, profile):
+    def counted(self, profile):
         priced.append(tuple(profile))
-        return original(game, profile)
+        return original(self, profile)
 
-    monkeypatch.setattr(games, "individual_costs", counted)
+    monkeypatch.setattr(games._Pricing, "price", counted)
     list(deviation_gaps(g1(), AB, 0, VERBATIM))
     assert priced == [AB, BB, AA]
 
@@ -391,16 +430,16 @@ def _reference_is_eps_cce(game, dist, eps, predicate):
 def test_a_cce_check_prices_each_profile_once(monkeypatch, exact):
     """is_eps_cce under verbatim prices each distinct profile its gaps read
     once per call (a support profile and its unilateral deviations, each
-    one games._price call), and answers as the support's deviation_gaps
-    do, under both predicates."""
+    one games._Pricing.price call), and answers as the support's
+    deviation_gaps do, under both predicates."""
     from test_oracle import _seeded_games
 
     priced = []
-    original = games._price
+    original = games._Pricing.price
 
-    def counted(game, profile, *latencies):
+    def counted(self, profile):
         priced.append(tuple(profile))
-        return original(game, profile, *latencies)
+        return original(self, profile)
 
     rng = seeded(3737)
     answers = set()
@@ -411,7 +450,7 @@ def test_a_cce_check_prices_each_profile_once(monkeypatch, exact):
             for predicate in (EQ1, VERBATIM):
                 for eps in (0, F(1, 2) if exact else 0.5):
                     want = _reference_is_eps_cce(game, dist, eps, predicate)
-                    monkeypatch.setattr(games, "_price", counted)
+                    monkeypatch.setattr(games._Pricing, "price", counted)
                     priced.clear()
                     assert is_eps_cce(game, dist, eps, predicate) is want
                     monkeypatch.undo()
@@ -435,6 +474,55 @@ def test_pne_cases(predicate):
     assert is_eps_pne(g, AB, 0, predicate)
     assert not is_eps_pne(g, AA, 0, predicate)  # halving move exists
     assert is_eps_pne(g, AA, 1, predicate)  # 2 <= 2*1
+
+
+_PER_PROFILE = {
+    "individual_cost": lambda g, prof: individual_cost(g, prof, 0),
+    "individual_costs": individual_costs,
+    "deviation_gap": lambda g, prof: deviation_gap(g, prof, 0, 0),
+    "deviation_gap_verbatim": lambda g, prof: deviation_gap_verbatim(g, prof, 0, 0),
+    "deviation_gaps_eq1": lambda g, prof: list(deviation_gaps(g, prof)),
+    "deviation_gaps_verbatim": lambda g, prof: list(deviation_gaps(g, prof, 0, VERBATIM)),
+    "is_eps_pne_eq1": is_eps_pne,
+    "is_eps_pne_verbatim": lambda g, prof: is_eps_pne(g, prof, 0, VERBATIM),
+    "is_eps_cce_eq1": lambda g, prof: is_eps_cce(g, ProfileDistribution.point(prof), 0, EQ1),
+    "is_eps_cce_verbatim": lambda g, prof: is_eps_cce(g, ProfileDistribution.point(prof)),
+    "social_value_pure": lambda g, prof: social_value(g1_spec(), g, prof),
+    "social_value_distribution": lambda g, prof: social_value(
+        g1_spec(), g, ProfileDistribution({AA: F(1, 2), prof: F(1, 2)})),
+}
+
+
+@pytest.mark.parametrize("profile, message", [
+    ((0, -1), "strategy index -1 of player 1 is not an int in range(2)"),
+    ((0, 2), "strategy index 2 of player 1 is not an int in range(2)"),
+    ((True, 0), "strategy index True of player 0 is not an int in range(2)"),
+    ((0, 1.0), "strategy index 1.0 of player 1 is not an int in range(2)"),
+    ((0,), "profile has 1 entries for a game of 2 players"),
+    ((0, 1, 0), "profile has 3 entries for a game of 2 players"),
+], ids=["negative", "past_the_end", "bool", "float", "short", "long"])
+@pytest.mark.parametrize("read", _PER_PROFILE.values(), ids=_PER_PROFILE.keys())
+def test_a_profile_out_of_place_is_refused(read, profile, message):
+    """Every public per-profile reader refuses a profile of the wrong
+    length, and an entry that is a bool, not an int, or no strategy of its
+    player, naming the player and the entry; none reads -1 as the last
+    strategy or True as strategy 1."""
+    with pytest.raises(GameError, match=re.escape(message)):
+        read(g1(), profile)
+
+
+@pytest.mark.parametrize("x", [-1, 2, True], ids=["negative", "past_the_end", "bool"])
+@pytest.mark.parametrize("gap", [deviation_gap, deviation_gap_verbatim])
+def test_a_strategy_or_player_index_out_of_place_is_refused(gap, x):
+    """deviation_gap and deviation_gap_verbatim refuse a strategy index x
+    or a player index i that is a bool or out of range, as does
+    individual_cost its i."""
+    with pytest.raises(GameError, match=re.escape(f"strategy index {x!r} of player 0 is not")):
+        gap(g1(), AB, 0, x)
+    with pytest.raises(GameError, match=re.escape(f"player index {x!r} is not an int in range(2)")):
+        gap(g1(), AB, x, 0)
+    with pytest.raises(GameError, match=re.escape(f"player index {x!r} is not an int in range(2)")):
+        individual_cost(g1(), AB, x)
 
 
 def test_pne_rejects_unknown_predicate():

@@ -7,7 +7,6 @@ on random instances.
 
 import builtins
 import random
-import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -124,7 +123,7 @@ def test_a_spec_for_another_player_count_is_refused(answer, kind, size):
 @pytest.mark.parametrize("kind", [SUM, MAX])
 def test_a_spec_of_the_wrong_size_is_refused_before_any_profile_is_priced(monkeypatch, kind):
     """Every answer that reads a social spec refuses one for another player
-    count before its pass prices a single profile (games._price)."""
+    count before its pass prices a single profile (games._Pricing.price)."""
     calls = _count_pricings(monkeypatch)
     spec = SocialSpec(kind, identity_matrix(3, True))
     for answer in (lambda: ppoa_report(g1(), spec, 0, EQ1),
@@ -475,19 +474,16 @@ def test_table_answers_match_the_profile_loops(exact):
 
 
 def _count_pricings(monkeypatch):
-    """Wrap games._price, the one pricing of a profile, in every poacert
-    module that holds it; the returned list grows by one entry per call."""
+    """Wrap games._Pricing.price, the one pricing of a profile; the
+    returned list grows by one entry per call."""
     calls = []
-    original = games._price
+    original = games._Pricing.price
 
-    def counted(game, profile, *latencies):
+    def counted(self, profile):
         calls.append(profile)
-        return original(game, profile, *latencies)
+        return original(self, profile)
 
-    for name, module in list(sys.modules.items()):
-        if (name == "poacert" or name.startswith("poacert.")) and \
-                getattr(module, "_price", None) is original:
-            monkeypatch.setattr(module, "_price", counted)
+    monkeypatch.setattr(games._Pricing, "price", counted)
     return calls
 
 
@@ -496,8 +492,8 @@ def test_oracle_calls_price_each_profile_once(monkeypatch, tmp_path):
     enumerate_eps_pne under both predicates, social_optimum,
     is_sum_bounded, validate_smoothness_claims and the cce-poa, exact-ppoa
     and enumerate-pne commands (these two under the verbatim predicate)
-    each price each profile at most once (games._price, through which
-    individual_costs prices too)."""
+    each price each profile at most once (games._Pricing.price, through
+    which individual_costs prices too)."""
     calls = _count_pricings(monkeypatch)
     path = str(tmp_path / "game.json")
     for _, game, _ in _seeded_games(6, False):

@@ -807,7 +807,12 @@ def test_a_float_game_past_the_float_range_answers_or_overflows_without_a_warnin
     check_smooth, whose pair tables hold inf, raise OverflowError (at the
     float image of (59/29, -1/29), the exact optimum's certificate), as
     worst_cce's LP does on its inf rows.  The smoothness command exits 2
-    with the --exact hint, and with --exact answers robust PoA 59/30."""
+    with the --exact hint, and with --exact answers robust PoA 59/30.
+    With latencies 1e300 x on a and 1e-10 x on b every cost is finite, but
+    the social values part by more than the float range: the oracles
+    answer, and the robust PoA, whose envelope's intercept SF_a / SF_b
+    overflows, raises OverflowError and the command exits 2 with the
+    hint, all without a warning."""
     model = CongestionModel((1.0, 1.0), ("a", "b"), [[frozenset("a"), frozenset("b")]] * 2)
     game = GeneralizedGame(model, (X,), {"a": (1e308,), "b": (1e307,)}, identity_matrix(2))
     spec, max_spec = SocialSpec(SUM, identity_matrix(2)), SocialSpec(MAX, identity_matrix(2))
@@ -839,3 +844,17 @@ def test_a_float_game_past_the_float_range_answers_or_overflows_without_a_warnin
     assert main(["smoothness", "--game", str(path), "--exact"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert (doc["robust_poa"], doc["lambda"], doc["mu"]) == ("59/30", "59/29", "-1/29")
+    far = GeneralizedGame(model, (X,), {"a": (1e300,), "b": (1e-10,)}, identity_matrix(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert repr(social_optimum(far, spec)) == "((1, 1), 4e-10)"
+        assert ppoa_report(far, spec) == PPoAReport(1.0, 4e-10, (1, 1), 1, [(1, 1)])
+        assert repr(worst_cce_value(far, spec)) == "4e-10"
+        assert is_sum_bounded(far, spec) == (True, None)
+        for answer in (robust_poa, validate_smoothness_claims):
+            with pytest.raises(OverflowError):
+                answer(far, spec)
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "coefficients": {"a": [1e300], "b": [1e-10]}}))
+        assert main(["smoothness", "--game", str(path)]) == EXIT_VALIDATION
+    assert "use --exact" in capsys.readouterr().err
