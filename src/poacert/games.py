@@ -14,11 +14,11 @@ sum, which compensates float sums from Python 3.12.
 
 Every reader of costs and deviation gaps prices through one _Pricing per
 call: a profile's loads and latencies, its players' costs and its gaps
-under either predicate.  A call that reads many profiles (is_eps_cce,
-the oracle's pass, social_value of a distribution) evaluates each
-latency at a load once; a call that reads one profile reads the
-latencies directly.  The public per-profile readers refuse a profile,
-player or strategy index that is not an int in range, a bool included.
+under either predicate, each latency at a load evaluated once.  The
+public per-profile and per-player readers refuse a profile, player or
+strategy index that is not an int in range, a bool included, and a
+deviation target that is neither a strategy index nor a nonempty set of
+the game's resources.
 """
 
 from __future__ import annotations
@@ -408,11 +408,26 @@ def _checked(model: CongestionModel, profile) -> tuple:
     index of each player.  Every public per-profile reader checks its
     profile so; a whole-game pass over model.profiles() does not."""
     profile = tuple(profile)
-    if len(profile) != model.n:
+    if len(profile) != len(model.strategies):
         raise GameError(f"profile has {len(profile)} entries for a game of {model.n} players")
     for i, x in enumerate(profile):
-        _check_index(x, len(model.strategies[i]), i)
+        if type(x) is not int or not 0 <= x < len(model.strategies[i]):
+            _check_index(x, len(model.strategies[i]), i)
     return profile
+
+
+def _resource_set(model: CongestionModel, i: int, x) -> frozenset:
+    """x as a frozenset, after GameError unless it is a nonempty set of
+    the model's resources, as every strategy is: the set form of a
+    deviation target of player i."""
+    try:
+        target = frozenset(x)
+    except TypeError:
+        target = frozenset()
+    if not target or not target.issubset(model.resources):
+        raise GameError(f"deviation target {x!r} of player {i} is neither a strategy index "
+                        f"nor a nonempty set of the game's resources")
+    return target
 
 
 def individual_cost(game: GeneralizedGame, profile, i: int):
@@ -424,21 +439,23 @@ def individual_cost(game: GeneralizedGame, profile, i: int):
         add, (game.latency(e, loads[e]) for e in model.ordered_strategies[i][profile[i]]), 0)
 
 
+def _load_weight(row, weights, users):
+    """sum of row[j] * weights[j] over the users j of a resource, added in
+    order from 0."""
+    total = 0
+    for j in users:
+        total += row[j] * weights[j]
+    return total
+
+
 class _Pricing:
-    """One call's pricing of a game, dropped with the call.  With memo each
-    latency at a load is evaluated once (latency), without it read off
-    game.latency; each profile a verbatim gap reads is priced once
-    (individual_costs); the idle set is built on the first eq1 gap."""
+    """One call's pricing of a game, dropped with the call: each latency
+    at a load is evaluated once (latency), each profile a verbatim gap
+    reads is priced once (individual_costs), and the idle set is built on
+    the first eq1 gap."""
 
-    def __init__(self, game: GeneralizedGame, memo: bool):
-        self.game, self._latencies, self._costs = game, {}, {}
-        if not memo:  # a call that reads one profile
-            self.latency = game.latency
-
-    @cached_property
-    def idle(self) -> set:
-        """The resources whose coefficients are all 0: latency 0 anywhere."""
-        return {e for e, vec in self.game.coefficients.items() if not any(vec)}
+    def __init__(self, game: GeneralizedGame):
+        self.game, self._latencies, self._costs, self._idle = game, {}, {}, None
 
     def latency(self, e, load):
         """game.latency, memoized by (e, type(load), load): 3 and
@@ -487,14 +504,16 @@ class _Pricing:
         for e in model.ordered_strategies[i][profile[i]]:
             if e in target or lat[e] == 0:
                 continue
-            aw = reduce(add, (alpha[j] * w[j] for j in users[e]), 0)
+            aw = _load_weight(alpha, w, users[e])
             if aw != 0:
                 gain += lat[e] * aw
-        pay, idle = 0, self.idle
+        pay, idle = 0, self._idle
+        if idle is None:  # the resources whose coefficients are all 0
+            idle = self._idle = {e for e, vec in self.game.coefficients.items() if not any(vec)}
         for e in target:
             if e in current or e in idle:
                 continue
-            aw = alpha[i] * w[i] + reduce(add, (alpha[j] * w[j] for j in users[e]), 0)
+            aw = alpha[i] * w[i] + _load_weight(alpha, w, users[e])
             if aw != 0:
                 pay += self.latency(e, loads[e] + w[i]) * aw
         return gain - (1 + eps) * pay
@@ -523,7 +542,7 @@ class _Pricing:
 def individual_costs(game: GeneralizedGame, profile) -> list:
     """individual_cost of every player, from one load pass over the
     profile: each used resource's latency is evaluated once."""
-    return _Pricing(game, False).individual_costs(_checked(game.model, profile))
+    return _Pricing(game).individual_costs(_checked(game.model, profile))
 
 
 def _weighted(row, costs):
@@ -536,10 +555,12 @@ def _weighted(row, costs):
 
 def perceived_cost(game: GeneralizedGame, profile, i: int):
     """alpha-weighted sum of everyone's individual cost (player-grouped)."""
+    _check_index(i, game.n)
     return _weighted(game.alpha[i], individual_costs(game, profile))
 
 
 def beta_cost(spec: SocialSpec, game: GeneralizedGame, profile, i: int):
+    _check_index(i, game.n)
     return _weighted(spec.beta[i], individual_costs(game, profile))
 
 
@@ -557,7 +578,7 @@ def social_value(spec: SocialSpec, game: GeneralizedGame, outcome):
     """
     if not isinstance(outcome, ProfileDistribution):
         return social_of_costs(spec, individual_costs(game, outcome))
-    pricing = _Pricing(game, True)
+    pricing = _Pricing(game)
     costs = {prof: pricing.individual_costs(_checked(game.model, prof)) for prof in outcome.masses}
     per_player = [
         outcome.expect(lambda prof, row=row: _weighted(row, costs[prof]))
@@ -598,8 +619,8 @@ def deviation_gap(game: GeneralizedGame, profile, i: int, x, eps=0):
         _check_index(x, len(model.strategies[i]), i)
         target = model.ordered_strategies[i][x]
     else:
-        target = tuple(model.in_order(set(x)))
-    pricing = _Pricing(game, False)
+        target = tuple(model.in_order(_resource_set(model, i, x)))
+    pricing = _Pricing(game)
     return pricing.gap(profile, i, target, eps, pricing.price(profile),
                        resource_users(model, profile))
 
@@ -617,7 +638,7 @@ def deviation_gap_verbatim(game: GeneralizedGame, profile, i: int, x, eps=0):
     if isinstance(x, int):
         _check_index(x, len(game.model.strategies[i]), i)
     else:
-        target = frozenset(x)
+        target = _resource_set(game.model, i, x)
         x = next((k for k, s in enumerate(game.model.strategies[i]) if s == target), None)
         if x is None:
             raise GameError(f"strategy {sorted(target)} is not in player {i}'s set")
@@ -639,7 +660,7 @@ def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
     over the profile (eq1) or one pricing of each profile read (verbatim).
     Lazy, so a caller may stop at the first bad gap."""
     _check_gaps(eps, predicate)
-    return _Pricing(game, False).gaps(_checked(game.model, profile), eps, predicate)
+    return _Pricing(game).gaps(_checked(game.model, profile), eps, predicate)
 
 
 def rational(numbers) -> bool:
@@ -654,7 +675,10 @@ def rational(numbers) -> bool:
 def _tol(*values):
     """Slack of a comparison between values: FEAS_TOL when any of them is a
     float, 0 when all are exact (int or Fraction)."""
-    return FEAS_TOL if any(isinstance(v, float) for v in values) else 0
+    for v in values:
+        if isinstance(v, float):
+            return FEAS_TOL
+    return 0
 
 
 def is_eps_pne(
@@ -684,7 +708,7 @@ def is_eps_cce(
     the call: each distinct profile the gaps read is priced once, and each
     latency at a load evaluated once."""
     _check_gaps(eps, predicate)
-    pricing = _Pricing(game, True)
+    pricing = _Pricing(game)
     gaps = {
         prof: [gap for _, _, gap in pricing.gaps(_checked(game.model, prof), eps, predicate)]
         for prof in dist.masses

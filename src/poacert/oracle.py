@@ -145,7 +145,7 @@ def _cost_tables(game: GeneralizedGame, cap: int, what: str,
     if spec is not None and spec.n != game.n:
         raise GameError(f"social spec is {spec.n}x{spec.n} for a game of {game.n} players")
     profiles = list(game.model.profiles())
-    pricing = _Pricing(game, True)  # this call's alone
+    pricing = _Pricing(game)  # this call's alone
     rows, kept = [], []
     for prof in profiles:
         priced = pricing.price(prof)

@@ -279,7 +279,8 @@ def test_the_oracle_reads_latencies_in_its_pass_alone():
     builds, through that pricer's memo.  In games.py only _Pricing.latency
     (the memo), individual_cost (the reference evaluator) and
     _check_latencies call .latency(; the other _Pricing methods read the
-    memo (self.latency)."""
+    memo (self.latency), and nothing rebinds a latency attribute, so a
+    pricer has no second latency path."""
     nodes = list(_scoped_nodes(_tree(PACKAGE / "oracle.py")))
     reads = [f"oracle.py:{node.lineno} {scope}" for scope, node in nodes
              if "latenc" in ((node.id if isinstance(node, ast.Name) else
@@ -288,12 +289,17 @@ def test_the_oracle_reads_latencies_in_its_pass_alone():
     builders = {scope for scope, node in nodes
                 if isinstance(node, ast.Name) and node.id == "_Pricing"}
     assert builders == {"_cost_tables"}
-    evaluators = {scope for scope, node in _scoped_nodes(_tree(PACKAGE / "games.py"))
+    games = list(_scoped_nodes(_tree(PACKAGE / "games.py")))
+    evaluators = {scope for scope, node in games
                   if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "latency"
                   and not (scope.startswith("_Pricing.") and isinstance(node.func.value, ast.Name)
                            and node.func.value.id == "self")}
     assert evaluators == {"_Pricing.latency", "individual_cost",
                           "GeneralizedGame._check_latencies"}
+    rebinds = [f"games.py:{node.lineno} {scope}" for scope, node in games
+               if isinstance(node, ast.Attribute) and node.attr == "latency"
+               and isinstance(node.ctx, ast.Store)]
+    assert not rebinds, "latency rebound in games.py: " + ", ".join(rebinds)
 
 
 @pytest.mark.parametrize("module", ["oracle.py", "smoothness.py"])

@@ -511,18 +511,41 @@ def test_a_profile_out_of_place_is_refused(read, profile, message):
         read(g1(), profile)
 
 
-@pytest.mark.parametrize("x", [-1, 2, True], ids=["negative", "past_the_end", "bool"])
+_PER_PLAYER = {
+    "individual_cost": lambda g, i: individual_cost(g, AB, i),
+    "perceived_cost": lambda g, i: perceived_cost(g, AB, i),
+    "beta_cost": lambda g, i: beta_cost(g1_spec(), g, AB, i),
+    "deviation_gap": lambda g, i: deviation_gap(g, AB, i, 0),
+    "deviation_gap_verbatim": lambda g, i: deviation_gap_verbatim(g, AB, i, 0),
+}
+
+
+@pytest.mark.parametrize("i", [-1, 2, True, 1.0], ids=["negative", "past_the_end", "bool", "float"])
+@pytest.mark.parametrize("read", _PER_PLAYER.values(), ids=_PER_PLAYER.keys())
+def test_a_player_index_out_of_place_is_refused(read, i):
+    """Every public reader of one player's cost or gap refuses a player
+    index that is a bool, not an int, or out of range; none reads -1 as
+    the last player or True as player 1."""
+    with pytest.raises(GameError, match=re.escape(f"player index {i!r} is not an int in range(2)")):
+        read(g1(), i)
+
+
+@pytest.mark.parametrize("x, message", [
+    (-1, "strategy index -1 of player 0 is not an int in range(2)"),
+    (2, "strategy index 2 of player 0 is not an int in range(2)"),
+    (True, "strategy index True of player 0 is not an int in range(2)"),
+    (1.0, "deviation target 1.0 of player 0 is neither a strategy index nor a nonempty set"),
+    ({"a", "z"}, "of player 0 is neither a strategy index nor a nonempty set"),
+    (set(), "deviation target set() of player 0 is neither a strategy index nor a nonempty set"),
+    ([["a"]], "deviation target [['a']] of player 0 is neither a strategy index nor a nonempty"),
+], ids=["negative", "past_the_end", "bool", "float", "unknown_resource", "empty", "unhashable"])
 @pytest.mark.parametrize("gap", [deviation_gap, deviation_gap_verbatim])
-def test_a_strategy_or_player_index_out_of_place_is_refused(gap, x):
-    """deviation_gap and deviation_gap_verbatim refuse a strategy index x
-    or a player index i that is a bool or out of range, as does
-    individual_cost its i."""
-    with pytest.raises(GameError, match=re.escape(f"strategy index {x!r} of player 0 is not")):
+def test_a_deviation_target_out_of_place_is_refused(gap, x, message):
+    """deviation_gap and deviation_gap_verbatim refuse a target x that is
+    neither a strategy index in range, not a bool, nor a nonempty set of
+    the game's resources, as every strategy is."""
+    with pytest.raises(GameError, match=re.escape(message)):
         gap(g1(), AB, 0, x)
-    with pytest.raises(GameError, match=re.escape(f"player index {x!r} is not an int in range(2)")):
-        gap(g1(), AB, x, 0)
-    with pytest.raises(GameError, match=re.escape(f"player index {x!r} is not an int in range(2)")):
-        individual_cost(g1(), AB, x)
 
 
 def test_pne_rejects_unknown_predicate():
