@@ -21,8 +21,10 @@ Both primals are written from one closed form over the (P, Q) bit masks
 of the representative resources: per-mask factor arrays of size
 O(n len(masks) r) (_mask_factors: one masked accumulation of the loads
 and weighted sums, the basis read once per distinct load), evaluated at
-the masks a caller reads: every mask, for every column (_closed_form);
-the masks of chosen columns (_entries); or mixed: the coarse column of
+the masks a caller reads: every mask, once per answer (_factors, which
+keeps them on the rep for the config object it was priced for), read at
+every column (_closed_form) or at chosen ones (_entries); or mixed, at
+the masks a model uses: the coarse column of
 resource e is the mass-weighted sum of the columns (P, Q, k) of its
 players under each profile and under o (_coarse_parts), the extension
 argument itself.  _primal lays out the rows of every such program and
@@ -40,8 +42,8 @@ check a certificate as row duals of the primal that _primal built, with
 lp.dual_violations on its array: the dual row of column v is r[v], and
 that of the max programs' level t is zsum.  extract_worst_game decodes
 the nonzero positions of a primal point to their masks with divmod,
-builds the program of those columns alone from the factors at their
-masks, and checks the point with lp.feasibility_report.
+builds the program of those columns alone from the factors its solve or
+build kept on the rep, and checks the point with lp.feasibility_report.
 """
 
 from __future__ import annotations
@@ -340,14 +342,31 @@ def _entries(cfg: WorstCaseConfig, factors, p, q, k) -> tuple:
     return (eq, val[0], nrm[0]) if cfg.spec.kind == SUM else (eq, val, nrm)
 
 
+def _factors(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
+    """_mask_factors at every mask, derived once per answer: rep keeps,
+    outside its fields, the read-only factors of the last cfg object it
+    was priced for, matched by identity, never by equality (1, 1.0 and
+    Fraction(1) price in different arithmetic); any other cfg derives
+    them afresh and takes the slot.  _closed_form fills it and
+    extract_worst_game reads it."""
+    held = vars(rep).get("_factors")
+    if held is None or held[0] is not cfg:
+        factors = _mask_factors(cfg, rep.weights, np.arange(1 << cfg.n))
+        for a in factors:
+            a.flags.writeable = False
+        held = vars(rep)["_factors"] = (cfg, factors)
+    return held[1]
+
+
 def _closed_form(cfg: WorstCaseConfig, rep: RepresentativeModel) -> tuple:
     """(eq, val, nrm) of the representative primal for _primal, every
-    column's entries from _mask_factors at every mask: eq[i] as an array
-    over (P, Q, k), val[i] over (P, 1, k) and nrm[i] over (1, Q, k); under
-    a sum objective, val and nrm are one total of costs."""
+    column's entries from the factors at every mask, which it fills on rep
+    (_factors): eq[i] as an array over (P, Q, k), val[i] over (P, 1, k)
+    and nrm[i] over (1, Q, k); under a sum objective, val and nrm are one
+    total of costs."""
     masks = np.arange(1 << cfg.n)
-    return _entries(cfg, _mask_factors(cfg, rep.weights, masks), masks[:, None, None],
-                    masks[None, :, None], np.arange(len(cfg.basis)))
+    return _entries(cfg, _factors(cfg, rep), masks[:, None, None], masks[None, :, None],
+                    np.arange(len(cfg.basis)))
 
 
 def _coarse_parts(cfg: WorstCaseConfig, model: CongestionModel, dist, o_profile) -> tuple:
@@ -598,7 +617,11 @@ def _named_certificate(cfg: WorstCaseConfig, designated, certificate) -> dict:
 def _exact_config(cfg: WorstCaseConfig) -> WorstCaseConfig:
     """cfg with every number (weights, alpha, beta, epsilon, lookup keys
     and values) a Fraction, a float's being its exact binary value, as
-    lp.solve(exact=True) reads one: the class is rational, ints and all."""
+    lp.solve(exact=True) reads one: the class is rational, ints and all.
+    A cfg whose every number is already a Fraction is returned itself, so
+    the factors its solve keeps on the rep (_factors) serve its extraction."""
+    if all(type(x) is Fraction for x in _numbers(cfg)):
+        return cfg
 
     def q(x):  # a number, or nested tuples or lists of them
         return tuple(map(q, x)) if isinstance(x, (tuple, list)) else Fraction(x)
@@ -708,11 +731,14 @@ def extract_worst_game(
     naming it, before any program is built.  A column the point lacks is
     0.  An infeasible point (a nan is a violation) raises GameError with
     the first violated row label, from lp.feasibility_report on the
-    program of its nonzero columns alone, built from the closed form at
-    their masks.  Like solve_worst_case, it raises GameError for a lookup
+    program of its nonzero columns alone, cut by _entries from the
+    factors that solve_worst_case or build_pp_pne kept on rep for this
+    cfg object (_factors), or derived here at every mask when rep has
+    none for it.  Like solve_worst_case, it raises GameError for a lookup
     table that misses a load of the class, even one the point never
-    reaches.  Only the witness's resource ids are formatted, and a column
-    name only for an error message.
+    reaches, and OverflowError for a float class whose program does.
+    Only the witness's resource ids are formatted, and a column name only
+    for an error message.
 
     A resource is kept when any of its columns is nonzero, solver dust
     included, and keeps its id and representative order; strategies are
@@ -732,10 +758,8 @@ def extract_worst_game(
     support = sorted(j for j, x in primal_values.items() if x and j < width)
     triples = [(*divmod(j // r, 1 << n), j % r) for j in support]  # (P, Q, k)
     columns = np.array(triples, dtype=np.intp).reshape(-1, 3).T
-    masks = np.array(sorted({m for p, q, _ in triples for m in (p, q)}), dtype=np.intp)
-    factors = _mask_factors(cfg, rep.weights, masks)
     program = _primal(cfg, _ColumnNames(cfg, _representative(rep), support),
-                      *_entries(cfg, factors, *columns), designated)
+                      *_entries(cfg, _factors(cfg, rep), *columns), designated)
     # the point on that program's positions: the support, then t at len(support)
     at = {i: primal_values[j] for i, j in enumerate(support + [width]) if j in primal_values}
     ok, label, violation = lp.feasibility_report(program, at, FEAS_TOL)

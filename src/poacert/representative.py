@@ -9,12 +9,16 @@ e(users under the first profile, users under the second); loads and user
 sets are preserved, which is what makes the worst-case programs over this
 single model speak for the whole class.
 
-A RepresentativeModel holds the weights and the two profiles only: the
+A RepresentativeModel's fields are the weights and the two profiles: the
 worst-case programs read a resource as its (P, Q) bit masks, and
 resource_for formats its id straight from them, for a witness's resources
 and a name asked for; no id is read back.
 The CongestionModel, with its 4^n ids and frozenset strategies, is built
 when rep.model is first read; e(P, Q) is model.resources[P * 2^n + Q].
+Outside its fields, as it keeps model, a rep also keeps the read-only
+closed-form factors of the last WorstCaseConfig object it was priced for,
+which formulations._factors fills on a solve or a build and reads on the
+extraction that follows; ==, hash and repr read the fields alone.
 """
 
 from __future__ import annotations

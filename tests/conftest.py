@@ -29,6 +29,7 @@ from poacert.games import (
     BasisFunction,
     CongestionModel,
     GeneralizedGame,
+    ProfileDistribution,
     SocialSpec,
     identity_matrix,
 )
@@ -79,6 +80,24 @@ def random_model(rng, weights, n_resources=3, strategies_per_player=2):
                 per.append(s)
         strategies.append(tuple(per))
     return CongestionModel(tuple(weights), resources, tuple(strategies))
+
+
+def k_profile_representative(weights, masses):
+    """The class-level model of K-profile distributions, K = len(masses),
+    as (model, dist, o_profile) for build_pp_cce.  A resource is a nonzero
+    (K+1)-tuple of player masks (P_1, ..., P_K, Q), 2^{n(K+1)} - 1 of them;
+    player i's strategy j < K is the set of resources whose P_{j+1} holds
+    i and its strategy K the set whose Q holds i.  dist puts masses[j] on
+    "everyone plays j" and o_profile is "everyone plays K": any
+    distribution over K profiles of a model with these weights, against
+    any comparison profile, maps into it resource by resource."""
+    n, k = len(weights), len(masses)
+    tuples = [m for m in itertools.product(range(1 << n), repeat=k + 1) if any(m)]
+    ids = [",".join(map(str, m)) for m in tuples]
+    strategies = [[frozenset(e for e, m in zip(ids, tuples) if m[j] >> i & 1)
+                   for j in range(k + 1)] for i in range(n)]
+    dist = ProfileDistribution({(j,) * n: p for j, p in enumerate(masses)})
+    return CongestionModel(tuple(weights), ids, strategies), dist, (k,) * n
 
 
 def random_game(rng, weights, basis, alpha, exact=False, n_resources=3):

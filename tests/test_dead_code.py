@@ -31,7 +31,10 @@ _Region builds a standard form, a _Stop declares no default, and only
 _Revised.__init__ writes into T and nothing copies it, so no run goes
 back to a saved basis.  In formulations.py only _primal writes rows and
 copies parts into a coefficient array, and a certificate or column name
-is formatted only by the helpers that show one.  smoothness.py imports no linprog
+is formatted only by the helpers that show one; only the factor accessor
+_factors and _coarse_parts call _mask_factors, so a second derivation of
+a class's closed form per answer cannot come back unnoticed.
+smoothness.py imports no linprog
 and names no Fraction: the robust PoA solves no program.
 Every name a poacert module imports is used in that module.  Every
 defaulted parameter of a private function or method (one whose own name
@@ -501,6 +504,15 @@ def test_one_writer_for_every_worst_case_program():
     builders = {scope for scope, name, _ in calls if name == "LinearProgram"}
     assert writers == {"_primal"}
     assert builders == {"_primal", "_certificate_program"}
+
+
+def test_the_closed_form_is_derived_once_per_answer():
+    """In formulations only _factors, which keeps the factors at every
+    mask on the rep for the solve and the extraction of one answer, and
+    _coarse_parts, which reads a model's own masks, call _mask_factors."""
+    callers = {scope for scope, name, _ in _calls(_tree(PACKAGE / "formulations.py"))
+               if name == "_mask_factors"}
+    assert callers == {"_factors", "_coarse_parts"}
 
 
 def test_a_name_is_formatted_only_where_it_is_shown():
