@@ -25,9 +25,8 @@ from poacert.games import (
     congestion,
     deviation_gap,
     identity_matrix,
-    individual_cost,
+    individual_costs,
     is_eps_pne,
-    perceived_cost,
     social_value,
 )
 
@@ -45,8 +44,9 @@ print("profile notation: (0, 1) means player 0 plays {a}, player 1 plays {b}\n")
 
 for profile in model.profiles():
     loads = congestion(model, profile)
-    costs = [individual_cost(game, profile, i) for i in range(2)]
-    hats = [perceived_cost(game, profile, i) for i in range(2)]
+    costs = individual_costs(game, profile)
+    # player i perceives its alpha row times everyone's individual cost
+    hats = [sum(a * c for a, c in zip(row, costs)) for row in game.alpha]
     sv = social_value(spec, game, profile)
     print(
         f"profile {profile}: loads {loads}, individual costs {costs}, "

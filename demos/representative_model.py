@@ -16,7 +16,7 @@ except ImportError:  # running from a source checkout without installing
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from poacert.games import CongestionModel
-from poacert.representative import build_representative, map_profile_pair
+from poacert.representative import build_representative
 
 for n in (2, 3):
     rep = build_representative((1.0,) * n)
@@ -37,7 +37,15 @@ model = CongestionModel(
 )
 sigma = (0, 1)  # player 0 uses {top, mid}, player 1 uses {bot}
 tau = (1, 0)  # the comparison profile reverses both choices
-mapping = map_profile_pair(rep, model, sigma, tau)
+
+
+def users(profile, e):
+    """The bit mask of the players on resource e under profile."""
+    return sum(1 << i for i, per in enumerate(model.strategies) if e in per[profile[i]])
+
+
+# e goes to e(P, Q): P its users under sigma, Q its users under tau
 print(f"\nmapping the pair sigma={sigma}, tau={tau} of a 3-resource model:")
-for resource, image in sorted(mapping.items()):
+for resource in sorted(model.resources):
+    image = rep.resource_for(users(sigma, resource), users(tau, resource))
     print(f"  {resource:>4} -> {image}")

@@ -24,18 +24,15 @@ from .games import (
     GeneralizedGame,
     ProfileDistribution,
     SocialSpec,
-    beta_cost,
     congestion,
     deviation_gap,
-    deviation_gap_verbatim,
     identity_matrix,
     individual_cost,
     is_eps_cce,
     is_eps_pne,
-    perceived_cost,
     social_value,
 )
-from .representative import RepresentativeModel, build_representative, map_profile_pair
+from .representative import RepresentativeModel, build_representative
 from .formulations import (
     INFINITE,
     OPTIMAL,
@@ -63,7 +60,6 @@ from .oracle import (
     ppoa_report,
     social_optimum,
     worst_cce,
-    worst_cce_value,
 )
 from .smoothness import (
     NOT_SMOOTHABLE,
@@ -107,7 +103,6 @@ __all__ = [
     "Witness",
     "WorstCaseConfig",
     "WorstCaseResult",
-    "beta_cost",
     "build_dp_cce",
     "build_dp_pne",
     "build_pp_cce",
@@ -117,7 +112,6 @@ __all__ = [
     "check_smooth",
     "congestion",
     "deviation_gap",
-    "deviation_gap_verbatim",
     "emit_game",
     "enumerate_eps_pne",
     "exact_ppoa",
@@ -130,9 +124,7 @@ __all__ = [
     "lemma1_witness",
     "load_config",
     "load_game",
-    "map_profile_pair",
     "normalize_game",
-    "perceived_cost",
     "ppoa_report",
     "robust_poa",
     "social_optimum",
@@ -141,5 +133,4 @@ __all__ = [
     "validate_smoothness_claims",
     "verify_extension",
     "worst_cce",
-    "worst_cce_value",
 ]

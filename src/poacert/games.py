@@ -4,7 +4,8 @@ A congestion model fixes players, positive weights, resources and strategy
 sets.  A game adds per-resource latency coefficients over a basis of
 non-negative functions (f(0) = 0) and a real perception matrix alpha, where
 player i experiences sum_j alpha_ij * (individual cost of j).  Social
-objectives are beta-weighted sums or maxima of individual costs.
+objectives are beta-weighted sums or maxima of individual costs.  Every
+number of a game, lookup entries and masses included, is finite.
 
 All arithmetic is generic and nothing in this module rounds; callers
 choose it by one rule, rational(): Fractions without floats are exact,
@@ -15,10 +16,9 @@ sum, which compensates float sums from Python 3.12.
 Every reader of costs and deviation gaps prices through one _Pricing per
 call: a profile's loads and latencies, its players' costs and its gaps
 under either predicate, each latency at a load evaluated once.  The
-public per-profile and per-player readers refuse a profile, player or
-strategy index that is not an int in range, a bool included, and a
-deviation target that is neither a strategy index nor a nonempty set of
-the game's resources.
+public readers refuse a profile entry, player or strategy index that is
+not an int in range, a bool included, a deviation target that is no
+nonempty set of the game's resources, and a social spec of another size.
 """
 
 from __future__ import annotations
@@ -53,6 +53,11 @@ class GameError(ValueError):
     pass
 
 
+def _finite(x) -> bool:
+    """x is neither NaN nor infinite: only a float can be either."""
+    return not isinstance(x, float) or math.isfinite(x)
+
+
 # ============================================================
 # basis functions
 # ============================================================
@@ -84,6 +89,8 @@ class BasisFunction:
                 raise GameError(f"lookup key {x} must be positive (f(0)=0 is implied)")
             if not v >= 0:
                 raise GameError(f"lookup value f({x})={v} must be non-negative")
+            if not (_finite(x) and _finite(v)):
+                raise GameError(f"lookup entry f({x})={v} is not finite")
         if not table:
             raise GameError("empty lookup table")
         return BasisFunction(TABLE, table=tuple(sorted(table.items(), key=lambda kv: kv[0])))
@@ -130,11 +137,6 @@ class BasisFunction:
 # ============================================================
 # models and games
 # ============================================================
-
-
-def _finite(x) -> bool:
-    """x is neither NaN nor infinite: only a float can be either."""
-    return not isinstance(x, float) or math.isfinite(x)
 
 
 def check_weights(weights) -> int:
@@ -336,17 +338,17 @@ class ProfileDistribution:
     def __post_init__(self):
         cleaned = {}
         for prof, p in dict(self.masses).items():
-            if p < 0:
-                if isinstance(p, float) and p >= -MASS_TOL:
-                    continue  # solver noise
-                raise GameError(f"negative mass {p} on {prof}")
+            if isinstance(p, float) and -MASS_TOL <= p < 0:
+                continue  # solver noise
+            if not (p >= 0 and _finite(p)):  # nan included
+                raise GameError(f"mass {p} on {prof} is not a finite number >= 0")
             if p == 0:
                 continue
             cleaned[tuple(prof)] = p
         object.__setattr__(self, "masses", cleaned)
         total = reduce(add, cleaned.values(), 0)
         if isinstance(total, float):
-            if abs(total - 1.0) > MASS_TOL:
+            if not abs(total - 1.0) <= MASS_TOL:  # nan included
                 raise GameError(f"masses sum to {total!r}, not 1")
         elif total != 1:
             raise GameError(f"masses sum to {total}, not 1")
@@ -358,6 +360,8 @@ class ProfileDistribution:
     @staticmethod
     def uniform(profiles) -> "ProfileDistribution":
         profs = [tuple(p) for p in profiles]
+        if not profs:
+            raise GameError("no profiles to spread the mass over")
         share = Fraction(1, len(profs))
         out: dict = {}
         for p in profs:
@@ -521,8 +525,8 @@ class _Pricing:
     def gaps(self, profile: tuple, eps, predicate: str, priced=None):
         """(i, x, gap) for every player i and strategy index x, in that
         order: deviation_gap (eq1, from priced when the caller has the
-        profile's price) or deviation_gap_verbatim.  Lazy, so a caller may
-        stop at the first bad gap."""
+        profile's price) or the verbatim gap of deviation_gaps.  Lazy, so a
+        caller may stop at the first bad gap."""
         model = self.game.model
         if predicate == EQ1:
             priced = self.price(profile) if priced is None else priced
@@ -553,17 +557,6 @@ def _weighted(row, costs):
     return total
 
 
-def perceived_cost(game: GeneralizedGame, profile, i: int):
-    """alpha-weighted sum of everyone's individual cost (player-grouped)."""
-    _check_index(i, game.n)
-    return _weighted(game.alpha[i], individual_costs(game, profile))
-
-
-def beta_cost(spec: SocialSpec, game: GeneralizedGame, profile, i: int):
-    _check_index(i, game.n)
-    return _weighted(spec.beta[i], individual_costs(game, profile))
-
-
 def social_of_costs(spec: SocialSpec, costs):
     """Social value of a pure profile from its individual_costs."""
     per_player = [_weighted(row, costs) for row in spec.beta]
@@ -576,6 +569,8 @@ def social_value(spec: SocialSpec, game: GeneralizedGame, outcome):
     SUM: sum_i E[beta-cost_i]; MAX: max_i E[beta-cost_i] (expectation
     inside the max, per coarse correlated semantics).
     """
+    if spec.n != game.n:
+        raise GameError(f"social spec is {spec.n}x{spec.n} for a game of {game.n} players")
     if not isinstance(outcome, ProfileDistribution):
         return social_of_costs(spec, individual_costs(game, outcome))
     pricing = _Pricing(game)
@@ -630,22 +625,6 @@ def _deviate(profile, i: int, x) -> tuple:
     return tuple(x if j == i else s for j, s in enumerate(profile))
 
 
-def deviation_gap_verbatim(game: GeneralizedGame, profile, i: int, x, eps=0):
-    """Literal Definition-style difference c-hat_i(sigma) - (1+eps) *
-    c-hat_i(sigma_{-i}, x); x is a strategy index or a resource set."""
-    profile = _checked(game.model, profile)
-    _check_index(i, game.n)
-    if isinstance(x, int):
-        _check_index(x, len(game.model.strategies[i]), i)
-    else:
-        target = _resource_set(game.model, i, x)
-        x = next((k for k, s in enumerate(game.model.strategies[i]) if s == target), None)
-        if x is None:
-            raise GameError(f"strategy {sorted(target)} is not in player {i}'s set")
-    return perceived_cost(game, profile, i) - (1 + eps) * perceived_cost(
-        game, _deviate(profile, i, x), i)
-
-
 def _check_gaps(eps, predicate: str) -> None:
     """GameError unless predicate is EQ1 or VERBATIM and eps is a valid
     epsilon: checked once per call, not once per profile."""
@@ -655,10 +634,10 @@ def _check_gaps(eps, predicate: str) -> None:
 
 
 def deviation_gaps(game: GeneralizedGame, profile, eps=0, predicate: str = EQ1):
-    """(i, x, gap) for every player i and strategy index x, in that order,
-    equal to deviation_gap or deviation_gap_verbatim but from one load pass
-    over the profile (eq1) or one pricing of each profile read (verbatim).
-    Lazy, so a caller may stop at the first bad gap."""
+    """(i, x, gap) for every player i and strategy index x, in that order:
+    deviation_gap from one load pass (eq1), or the perceived costs' literal
+    c-hat_i(sigma) - (1+eps) c-hat_i(sigma_{-i}, x) from one pricing of each
+    profile read (verbatim).  Lazy, so a caller may stop at the first bad gap."""
     _check_gaps(eps, predicate)
     return _Pricing(game).gaps(_checked(game.model, profile), eps, predicate)
 

@@ -405,13 +405,3 @@ def _worst_cce(table: _CostTable, predicate) -> CCEReport:
         total = reduce(add, masses.values(), 0)
         masses = {prof: m / total for prof, m in masses.items()}
     return CCEReport(rep.value, ProfileDistribution(masses), player)
-
-
-def worst_cce_value(
-    game: GeneralizedGame,
-    spec: SocialSpec,
-    epsilon=0,
-    predicate: str = VERBATIM,
-    cap: int = PROFILE_CAP,
-):
-    return worst_cce(game, spec, epsilon, predicate, cap).value

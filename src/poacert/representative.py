@@ -7,12 +7,12 @@ e(P, Q) with i in Q.  Any (profile, profile) pair of any congestion model
 with the same weights maps resource-wise into this one: send e to
 e(users under the first profile, users under the second); loads and user
 sets are preserved, which is what makes the worst-case programs over this
-single model speak for the whole class.
+single model speak for the whole class (formulations._coarse_parts).
 
 A RepresentativeModel's fields are the weights and the two profiles: the
 worst-case programs read a resource as its (P, Q) bit masks, and
-resource_for formats its id straight from them, for a witness's resources
-and a name asked for; no id is read back.
+resource_for formats its id from two int masks alone, for a witness's
+resources and a name asked for; no id is read back.
 The CongestionModel, with its 4^n ids and frozenset strategies, is built
 when rep.model is first read; e(P, Q) is model.resources[P * 2^n + Q].
 Outside its fields, as it keeps model, a rep also keeps the read-only
@@ -47,15 +47,6 @@ def _tail(q: int) -> str:
     return f"{_players(q)}}}"
 
 
-def _mask_of(players, n: int) -> int:
-    m = 0
-    for i in players:
-        if not 0 <= i < n:
-            raise GameError(f"no player {i} among {n}")
-        m |= 1 << i
-    return m
-
-
 @dataclass(frozen=True)
 class RepresentativeModel:
     weights: tuple
@@ -81,12 +72,11 @@ class RepresentativeModel:
             strategies.append((frozenset(sigma), frozenset(omega)))
         return CongestionModel(self.weights, tuple(names), tuple(strategies))
 
-    def resource_for(self, p_players, q_players) -> str:
-        """The id of e(P, Q), from bit masks or from 0-based player lists."""
-        p, q = (x if isinstance(x, int) else _mask_of(x, self.n) for x in (p_players, q_players))
+    def resource_for(self, p: int, q: int) -> str:
+        """The id of e(P, Q), from the int bit masks of P and Q."""
         size = 1 << self.n
-        if not (0 <= p < size and 0 <= q < size):
-            raise GameError(f"no resource for masks P={p:b}, Q={q:b}")
+        if not all(type(m) is int and 0 <= m < size for m in (p, q)):  # a bool is no mask
+            raise GameError(f"no resource for masks P={p!r}, Q={q!r}")
         return _head(p) + _tail(q)
 
 
@@ -101,18 +91,3 @@ def build_representative(weights) -> RepresentativeModel:
         o_star=tuple(1 for _ in range(n)),
     )
 
-
-def map_profile_pair(rep: RepresentativeModel, model: CongestionModel, sigma, tau) -> dict:
-    """Resource-wise embedding of (sigma, tau) into the representative model.
-
-    Returns {resource of `model` -> representative resource id}; requires
-    matching weight vectors, since the embedding must preserve loads.
-    """
-    if tuple(model.weights) != rep.weights:
-        raise GameError("profile mapping requires identical weight vectors")
-    out = {}
-    for e in model.resources:
-        p = _mask_of((i for i in range(model.n) if e in model.strategies[i][sigma[i]]), rep.n)
-        q = _mask_of((i for i in range(model.n) if e in model.strategies[i][tau[i]]), rep.n)
-        out[e] = rep.resource_for(p, q)
-    return out

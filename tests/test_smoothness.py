@@ -55,7 +55,6 @@ from poacert.oracle import (
     ppoa_report,
     social_optimum,
     worst_cce,
-    worst_cce_value,
 )
 from poacert.smoothness import (
     NOT_SMOOTHABLE,
@@ -328,7 +327,7 @@ def test_robust_dominates_oracles_on_seeded_games():
         if r.status != OPTIMAL:
             continue
         ppoa = exact_ppoa(g, spec, 0)
-        ccpoa = worst_cce_value(g, spec, 0) / opt
+        ccpoa = worst_cce(g, spec, 0).value / opt
         if ppoa != NO_EQUILIBRIUM:
             assert ppoa <= r.value + 1e-6
         assert ccpoa <= r.value + 1e-6
@@ -827,8 +826,8 @@ def test_a_float_game_past_the_float_range_answers_or_overflows_without_a_warnin
             assert repr(exact_ppoa(game, spec, 0, predicate)) == "1.0"
         assert is_sum_bounded(game, spec) == (True, None)
         overflows = [lambda: worst_cce(game, spec), lambda: worst_cce(game, spec, 0, EQ1),
-                     lambda: worst_cce(game, max_spec), lambda: worst_cce_value(game, spec),
-                     lambda: cce_poa(game, spec), lambda: robust_poa(game, spec),
+                     lambda: worst_cce(game, max_spec), lambda: cce_poa(game, spec),
+                     lambda: robust_poa(game, spec),
                      lambda: check_smooth(game, spec, SmoothnessCertificate(59 / 29, -1 / 29)),
                      lambda: validate_smoothness_claims(game, spec)]
         for answer in overflows:
@@ -849,7 +848,7 @@ def test_a_float_game_past_the_float_range_answers_or_overflows_without_a_warnin
         warnings.simplefilter("error")
         assert repr(social_optimum(far, spec)) == "((1, 1), 4e-10)"
         assert ppoa_report(far, spec) == PPoAReport(1.0, 4e-10, (1, 1), 1, [(1, 1)])
-        assert repr(worst_cce_value(far, spec)) == "4e-10"
+        assert repr(worst_cce(far, spec).value) == "4e-10"
         assert is_sum_bounded(far, spec) == (True, None)
         for answer in (robust_poa, validate_smoothness_claims):
             with pytest.raises(OverflowError):
